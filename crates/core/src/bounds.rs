@@ -97,8 +97,13 @@ impl Relaxation {
     }
 
     /// Relax the bound arrays in place. `assignment[p]` selects the own
-    /// cluster of point `p`. Only the first `active` points are touched
-    /// (the sampling initialization keeps trailing points inactive).
+    /// cluster of point `p`. Only the first `active` entries are touched.
+    ///
+    /// The solver passes the arrays of the points a round works on — the
+    /// working set of a sampling round, every local point otherwise — and
+    /// their length. A point no round has activated yet holds the initial
+    /// `(ub, lb) = (∞, 0)`, which is a fixed point of this map for any
+    /// positive finite ratio and shift: leaving it out changes nothing.
     pub fn apply(&self, ub: &mut [f64], lb: &mut [f64], assignment: &[u32], active: usize) {
         let (min_ratio, max_shift) = self.lb_scalars();
         for p in 0..active {
@@ -147,6 +152,28 @@ mod tests {
         // Inactive point untouched.
         assert_eq!(ub[2], 2.0);
         assert_eq!(lb[2], 3.0);
+    }
+
+    #[test]
+    fn never_activated_bounds_are_a_fixed_point() {
+        // What lets the solver relax only the round's working set: the
+        // initial (∞, 0) survives any positive finite ratio and shift
+        // bitwise, and entries past `active` are not touched at all.
+        for (delta, old, new) in [
+            ([0.0, 0.0], [1.0, 1.0], [1.05, 0.95]),
+            ([0.3, 1e-9], [0.2, 7.0], [0.21, 6.5]),
+            ([1e6, 0.0], [1e-3, 1e3], [1e3, 1e-3]),
+        ] {
+            let r = Relaxation::movement(&delta, &old, &new);
+            let mut ub = vec![f64::INFINITY, f64::INFINITY, 2.0, f64::INFINITY];
+            let mut lb = vec![0.0, 0.0, 3.0, 0.0];
+            r.apply(&mut ub, &mut lb, &[0, 1, 1, 0], 2);
+            for p in [0, 1, 3] {
+                assert_eq!(ub[p], f64::INFINITY);
+                assert_eq!(lb[p].to_bits(), 0.0f64.to_bits());
+            }
+            assert_eq!((ub[2], lb[2]), (2.0, 3.0));
+        }
     }
 
     #[test]

@@ -43,11 +43,14 @@ pub struct Config {
     /// single-rank (shared-memory) mode; leave off under `ThreadComm`,
     /// where ranks already occupy the cores.
     pub parallel_local: bool,
-    /// Run the assignment pass through the blocked structure-of-arrays
+    /// Run every assignment pass through the blocked structure-of-arrays
     /// kernel (per-dimension coordinate lanes, per-block center pruning;
-    /// DESIGN.md §9). Bitwise-identical to the array-of-structs reference
-    /// path — the switch exists so the equivalence stays property-testable
-    /// and the perf delta measurable, not as an accuracy trade-off.
+    /// DESIGN.md §9) — full-set rounds over the solve-wide lanes, sampling
+    /// rounds over a working set gathered once per round. Off = every
+    /// pass takes the array-of-structs reference scan instead, which no
+    /// solve with the switch on reaches. The two are bitwise-identical —
+    /// the switch exists so the equivalence stays property-testable and
+    /// the perf delta measurable, not as an accuracy trade-off.
     pub soa_kernel: bool,
     /// Per-block target weight fractions for non-uniform block sizes (the
     /// paper's footnote 1: "When non-uniform block sizes are desired, for

@@ -7,6 +7,15 @@
 //! only communication in the movement phase is one vector sum for the new
 //! weighted centroids — matching the blue-marked lines of the paper's
 //! pseudocode.
+//!
+//! Every pass of the balance loop costs O(active): the assignment pass,
+//! the block-weight sums and the bound relaxation touch only the points
+//! of the current round. A full-set round runs the blocked SoA kernel
+//! over the solve-wide coordinate lanes; a sampling round (Sec. 4.5)
+//! gathers its sample once into a [`WorkingSet`] and runs the same kernel
+//! over that (DESIGN.md §9). The per-point AoS scan
+//! ([`Solver::evaluate_point`]) runs only under `soa_kernel: false`, as
+//! the bitwise reference.
 
 use geographer_geometry::{Aabb, Point, SplitMix64};
 use geographer_parcomm::Comm;
@@ -124,6 +133,166 @@ struct Eval {
 /// pruning bound eliminates most of the shortlist.
 const SOA_BLOCK: usize = 256;
 
+/// Dimension-major coordinate lanes (`coords[d][i]` is point i's
+/// d-coordinate) and the `(lo, hi)` bounding box of every
+/// [`SOA_BLOCK`]-point run — what the blocked kernel reads.
+#[derive(Default)]
+struct Lanes<const D: usize> {
+    coords: Vec<Vec<f64>>,
+    boxes: Vec<([f64; D], [f64; D])>,
+}
+
+impl<const D: usize> Lanes<D> {
+    /// Recompute the per-block boxes from `coords`.
+    fn rebuild_boxes(&mut self) {
+        self.boxes.clear();
+        let n = self.coords.first().map_or(0, Vec::len);
+        for b in (0..n).step_by(SOA_BLOCK) {
+            let e = (b + SOA_BLOCK).min(n);
+            let block: [&[f64]; D] = std::array::from_fn(|d| &self.coords[d][b..e]);
+            let mut lo = [f64::INFINITY; D];
+            let mut hi = [f64::NEG_INFINITY; D];
+            // Point-major: the 2·D min/max chains are independent, a
+            // lane-major scan would serialize on one.
+            for i in 0..e - b {
+                for d in 0..D {
+                    lo[d] = lo[d].min(block[d][i]);
+                    hi[d] = hi[d].max(block[d][i]);
+                }
+            }
+            self.boxes.push((lo, hi));
+        }
+    }
+
+    /// Bounding box of all points: the union of the block boxes. Min and
+    /// max select, they do not round, so this is the box a pass over the
+    /// points in any order yields.
+    fn bbox(&self) -> Option<Aabb<D>> {
+        let (&(mut lo, mut hi), rest) = self.boxes.split_first()?;
+        for (l, h) in rest {
+            for d in 0..D {
+                lo[d] = lo[d].min(l[d]);
+                hi[d] = hi[d].max(h[d]);
+            }
+        }
+        Some(Aabb { min: Point::new(lo), max: Point::new(hi) })
+    }
+}
+
+/// The active sample of one sampling round, laid out for the blocked
+/// kernel: the sample's point ids in ascending order (after the Hilbert
+/// redistribution id order is curve order, so a block of consecutive
+/// sampled ids is still spatially tight), their gathered coordinate lanes
+/// and block boxes, and the sample's `assignment`/`ub`/`lb`, which live
+/// here for the whole round and are written back when it ends.
+///
+/// The order-sensitive sums (block weights, centroids) still run in the
+/// shuffled order of the `active` list, through `slot`, so they keep the
+/// bits of the reference path.
+///
+/// Owned by the solver and sized once per solve for the largest partial
+/// sample; a round refills it in place.
+struct WorkingSet<const D: usize> {
+    /// Sampled point ids, ascending.
+    ids: Vec<u32>,
+    /// `slot[i]`: position of `active[i]` in `ids`.
+    slot: Vec<u32>,
+    /// `weights[i]`: weight of `active[i]` — in `active` order, the order
+    /// the sums read it in.
+    weights: Vec<f64>,
+    lanes: Lanes<D>,
+    assignment: Vec<u32>,
+    ub: Vec<f64>,
+    lb: Vec<f64>,
+    /// Membership bitmap over the local ids; with `before` it ranks the
+    /// sample without sorting it.
+    member: Vec<u64>,
+    /// Number of members before each word of `member`.
+    before: Vec<u32>,
+}
+
+impl<const D: usize> WorkingSet<D> {
+    fn with_capacity(cap: usize) -> Self {
+        WorkingSet {
+            ids: Vec::with_capacity(cap),
+            slot: Vec::with_capacity(cap),
+            weights: Vec::with_capacity(cap),
+            lanes: Lanes {
+                coords: (0..D).map(|_| Vec::with_capacity(cap)).collect(),
+                boxes: Vec::with_capacity(cap.div_ceil(SOA_BLOCK)),
+            },
+            assignment: Vec::with_capacity(cap),
+            ub: Vec::with_capacity(cap),
+            lb: Vec::with_capacity(cap),
+            member: Vec::new(),
+            before: Vec::new(),
+        }
+    }
+
+    /// Refill from the sample `active` (distinct ids below `points.len()`).
+    fn load(
+        &mut self,
+        active: &[u32],
+        points: &[Point<D>],
+        weights: &[f64],
+        assignment: &[u32],
+        ub: &[f64],
+        lb: &[f64],
+    ) {
+        self.member.clear();
+        self.member.resize(points.len().div_ceil(64), 0);
+        for &p in active {
+            self.member[p as usize / 64] |= 1 << (p % 64);
+        }
+        self.before.clear();
+        self.ids.clear();
+        for (w, &word) in self.member.iter().enumerate() {
+            self.before.push(self.ids.len() as u32);
+            let mut rest = word;
+            while rest != 0 {
+                self.ids.push(w as u32 * 64 + rest.trailing_zeros());
+                rest &= rest - 1;
+            }
+        }
+        self.slot.clear();
+        self.weights.clear();
+        // geo-analyze: hot-loop
+        for &p in active {
+            let w = p as usize / 64;
+            let below = self.member[w] & ((1 << (p % 64)) - 1);
+            self.slot.push(self.before[w] + below.count_ones());
+            self.weights.push(weights[p as usize]);
+        }
+        for (d, lane) in self.lanes.coords.iter_mut().enumerate() {
+            lane.clear();
+            // geo-analyze: hot-loop
+            for &p in &self.ids {
+                lane.push(points[p as usize][d]);
+            }
+        }
+        self.lanes.rebuild_boxes();
+        self.assignment.clear();
+        self.ub.clear();
+        self.lb.clear();
+        // geo-analyze: hot-loop
+        for &p in &self.ids {
+            self.assignment.push(assignment[p as usize]);
+            self.ub.push(ub[p as usize]);
+            self.lb.push(lb[p as usize]);
+        }
+    }
+
+    /// Write the sample's assignment and bounds back to the full arrays.
+    fn store(&self, assignment: &mut [u32], ub: &mut [f64], lb: &mut [f64]) {
+        // geo-analyze: hot-loop
+        for (j, &p) in self.ids.iter().enumerate() {
+            assignment[p as usize] = self.assignment[j];
+            ub[p as usize] = self.ub[j];
+            lb[p as usize] = self.lb[j];
+        }
+    }
+}
+
 /// The center shortlist laid out for the SoA kernel, in bbox-sorted order.
 #[derive(Default)]
 struct CenterScratch {
@@ -217,18 +386,20 @@ struct Solver<'a, const D: usize> {
     w_max: f64,
     /// Normalized per-block target weight fractions (uniform = 1/k each).
     fractions: Vec<f64>,
-    /// Reusable output buffer of the AoS assignment pass, pre-sized to the
-    /// local point count: the hot loop writes evaluations into it in place
-    /// (via `collect_into_vec` on the parallel path) instead of allocating
-    /// a fresh result vector every balance iteration.
+    /// Reusable output buffer of the AoS reference pass (`soa_kernel:
+    /// false`), grown on its first passes: the loop writes evaluations
+    /// into it in place (via `collect_into_vec` on the parallel path)
+    /// instead of allocating a result vector every balance iteration.
     evals: Vec<Eval>,
-    /// Structure-of-arrays copy of the coordinates (`soa[d][i]` ==
-    /// `points[i][d]`), built once per solve when the SoA kernel is on.
-    soa: Vec<Vec<f64>>,
-    /// Per-block `(lo, hi)` bounding boxes over the identity blocks
-    /// (`[b·SOA_BLOCK, (b+1)·SOA_BLOCK)`), built once per solve —
-    /// coordinates never move, so no assignment pass recomputes them.
-    block_boxes: Vec<([f64; D], [f64; D])>,
+    /// Coordinate lanes and block boxes of all local points, built once
+    /// per solve when the SoA kernel is on — coordinates never move, so
+    /// no assignment pass recomputes them.
+    lanes: Lanes<D>,
+    /// The current sampling round's sample (SoA kernel only).
+    ws: WorkingSet<D>,
+    /// Bounding box of `lanes`, computed once per solve: the active box
+    /// of every full-set round.
+    full_bbox: Option<Aabb<D>>,
     /// Center shortlist scratch (bbox-sorted order/coords/influence/ids).
     cscratch: CenterScratch,
     /// One kernel scratch per worker thread, grown on demand.
@@ -283,8 +454,9 @@ fn scan_batch(
 }
 
 /// One block of the SoA kernel: derive a per-center pruning bound from
-/// the block's precomputed bounding box (`bbox`, built once per solve —
-/// coordinates never move between balance iterations), then scan every
+/// the block's precomputed bounding box (`bbox`, built once per solve or,
+/// for a working set, once per sampling round — coordinates never move
+/// between balance iterations), then scan every
 /// non-skipped point of the block against the (globally bbox-sorted)
 /// center shortlist. `assign`/`ub`/`lb` hold the current values on entry
 /// and the updated values on exit.
@@ -469,18 +641,17 @@ fn process_block<const D: usize>(
     }
 }
 
-/// Run the blocked SoA kernel over one contiguous identity span starting
-/// at point `off`, updating the `assign`/`ub`/`lb` sub-slices in place —
-/// the steady-state path gathers and scatters nothing. `off` must be a
-/// multiple of [`SOA_BLOCK`] so the span's blocks line up with the
-/// precomputed per-block boxes in `boxes`.
+/// Run the blocked SoA kernel over one contiguous span of `lanes`
+/// starting at position `off`, updating the `assign`/`ub`/`lb` sub-slices
+/// in place — the pass itself gathers and scatters nothing. `off` must be
+/// a multiple of [`SOA_BLOCK`] so the span's blocks line up with the
+/// precomputed per-block boxes.
 #[allow(clippy::too_many_arguments)]
 fn soa_span_identity<const D: usize>(
     hamerly: bool,
     pruning: bool,
     k: usize,
-    soa: &[Vec<f64>],
-    boxes: &[([f64; D], [f64; D])],
+    lanes: &Lanes<D>,
     cs: &CenterScratch,
     off: usize,
     assign: &mut [u32],
@@ -495,14 +666,14 @@ fn soa_span_identity<const D: usize>(
     // geo-analyze: hot-loop
     while b < len {
         let blen = SOA_BLOCK.min(len - b);
-        let lanes: [&[f64]; D] =
-            std::array::from_fn(|d| &soa[d][off + b..off + b + blen]);
+        let block: [&[f64]; D] =
+            std::array::from_fn(|d| &lanes.coords[d][off + b..off + b + blen]);
         process_block::<D>(
             hamerly,
             pruning,
             k,
-            &lanes,
-            &boxes[(off + b) / SOA_BLOCK],
+            &block,
+            &lanes.boxes[(off + b) / SOA_BLOCK],
             cs,
             sc,
             &mut assign[b..b + blen],
@@ -556,15 +727,19 @@ impl<const D: usize> Solver<'_, D> {
         Eval { assignment: best_c, ub: best, lb: second, evals, skipped: false, bbox_break }
     }
 
-    /// One assignment pass through the blocked SoA kernel, updating
-    /// `assignment`/`ub`/`lb` for every point. Only called when the active
-    /// list is exactly `0..n_local` (the steady state once sampling has
-    /// grown to the full set): coordinate lanes and output arrays are
-    /// sliced directly with no gather/scatter — shuffled sampling rounds
-    /// take the AoS path instead, whose random-access loads are cheaper
-    /// than gathering dimension-major lanes and scattering results back.
-    fn soa_assignment_pass(&mut self, active: &[u32]) {
-        let len = active.len();
+    /// One assignment pass through the blocked SoA kernel over the round's
+    /// points: the sample held in the working set when `sampled`, else all
+    /// local points. Either way the kernel slices contiguous coordinate
+    /// lanes and bound arrays — the working set was gathered once when the
+    /// round began, so no balance iteration gathers or scatters.
+    fn soa_assignment_pass(&mut self, sampled: bool) {
+        let (lanes, assign, ub, lb) = if sampled {
+            let ws = &mut self.ws;
+            (&ws.lanes, &mut ws.assignment[..], &mut ws.ub[..], &mut ws.lb[..])
+        } else {
+            (&self.lanes, &mut self.assignment[..], &mut self.ub[..], &mut self.lb[..])
+        };
+        let len = assign.len();
         if len == 0 {
             return;
         }
@@ -577,28 +752,19 @@ impl<const D: usize> Solver<'_, D> {
             1
         };
         if self.kscratch.len() < nt {
-            let kk = k;
-            self.kscratch.resize_with(nt, || KernelScratch::new(kk));
+            self.kscratch.resize_with(nt, || KernelScratch::new(k));
         }
         // Block-aligned spans: every worker's blocks then coincide with
-        // the solve-wide blocks whose boxes were precomputed up front.
+        // the blocks whose boxes were precomputed.
         let span = len.div_ceil(nt).next_multiple_of(SOA_BLOCK);
-        let soa = &self.soa;
-        let boxes = &self.block_boxes[..];
         let cs = &self.cscratch;
         let mut total = SpanStats::default();
-        debug_assert!(active.first().is_none_or(|&p| p == 0));
-        debug_assert_eq!(len, self.assignment.len());
-        let assign = &mut self.assignment[..len];
-        let ub = &mut self.ub[..len];
-        let lb = &mut self.lb[..len];
         if nt == 1 {
             total = soa_span_identity::<D>(
                 hamerly,
                 pruning,
                 k,
-                soa,
-                boxes,
+                lanes,
                 cs,
                 0,
                 assign,
@@ -625,9 +791,7 @@ impl<const D: usize> Solver<'_, D> {
                     rest = (ra, ru, rl);
                     let sc = scratch.next().expect("one scratch per span");
                     joins.push(s.spawn(move || {
-                        soa_span_identity::<D>(
-                            hamerly, pruning, k, soa, boxes, cs, off, a, u, l, sc,
-                        )
+                        soa_span_identity::<D>(hamerly, pruning, k, lanes, cs, off, a, u, l, sc)
                     }));
                     off += take;
                 }
@@ -645,20 +809,31 @@ impl<const D: usize> Solver<'_, D> {
     /// Algorithm 1: assign points, rebalance influences until the partition
     /// is balanced or `max_balance_iterations` is hit. The final global
     /// block weights are left in `self.global_sizes`.
-    fn assign_and_balance<C: Comm>(&mut self, comm: &C, active: &[u32], identity: bool) {
+    ///
+    /// `sampled` says `active` is a shuffled sample that the caller has
+    /// loaded into the working set (SoA kernel only); otherwise the SoA
+    /// kernel takes `active` to be `0..n_local`, a full-set round.
+    fn assign_and_balance<C: Comm>(&mut self, comm: &C, active: &[u32], sampled: bool) {
         let k = self.k;
         self.global_sizes.clear();
         self.global_sizes.resize(k, 0.0);
         self.local_sizes.clear();
         self.local_sizes.resize(k, 0.0);
+        // Bounding box around the active local points (Alg. 1 line 1).
+        // Points never move, so one box serves every balance iteration.
+        let bb = if !self.cfg.soa_kernel {
+            Aabb::from_points_indexed(self.points, active)
+        } else if sampled {
+            self.ws.lanes.bbox()
+        } else {
+            self.full_bbox
+        };
         for balance_iter in 0..self.cfg.max_balance_iterations {
             self.stats.balance_iterations += 1;
 
-            // Bounding box around the active local points (Alg. 1 line 1);
-            // centers sorted by their *minimum* effective distance to it
-            // (see DESIGN.md erratum 4 — the paper prints maxDist, which
-            // would make the early break unsound).
-            let bb = Aabb::from_points_indexed(self.points, active);
+            // Centers sorted by their *minimum* effective distance to the
+            // active box (see DESIGN.md erratum 4 — the paper prints
+            // maxDist, which would make the early break unsound).
             let (centers, influence) = (&self.centers, &self.influence);
             self.cscratch.order.clear();
             self.cscratch.order.extend((0..k as u32).map(|c| {
@@ -678,22 +853,28 @@ impl<const D: usize> Solver<'_, D> {
 
             // geo-analyze: allow(kernel-entropy): this clock IS the assignment-phase measurement; it never influences control flow or output.
             let assign_t0 = std::time::Instant::now();
-            if self.cfg.soa_kernel && identity {
+            if self.cfg.soa_kernel {
                 self.cscratch.fill_sorted::<D>(&self.centers, &self.influence);
-                self.soa_assignment_pass(active);
+                self.soa_assignment_pass(sampled);
                 // Block-weight accumulation stays a single serial pass in
                 // active order so the sums are bitwise-independent of the
                 // worker count (and identical to the AoS path's).
                 self.local_sizes.iter_mut().for_each(|s| *s = 0.0);
-                for &p in active {
-                    let p = p as usize;
-                    self.local_sizes[self.assignment[p] as usize] += self.weights[p];
+                if sampled {
+                    let ws = &self.ws;
+                    // geo-analyze: hot-loop
+                    for (&j, &w) in ws.slot.iter().zip(&ws.weights) {
+                        self.local_sizes[ws.assignment[j as usize] as usize] += w;
+                    }
+                } else {
+                    for &p in active {
+                        let p = p as usize;
+                        self.local_sizes[self.assignment[p] as usize] += self.weights[p];
+                    }
                 }
             } else {
-                // AoS path: per-point Evals through the solver's reusable
-                // buffer — no per-point allocation. Also serves shuffled
-                // sampling rounds when the SoA kernel is on: random-access
-                // point loads beat gathering lanes + scattering results.
+                // AoS reference path: per-point Evals through the solver's
+                // reusable buffer — no per-point allocation.
                 let use_rayon = self.cfg.parallel_local && active.len() >= 4096;
                 let mut evals = std::mem::take(&mut self.evals);
                 {
@@ -775,10 +956,24 @@ impl<const D: usize> Solver<'_, D> {
             );
             if self.cfg.hamerly_bounds {
                 self.relax.set_influence_only(&self.old_influence, &self.influence);
-                let n = self.ub.len();
-                self.relax.apply(&mut self.ub, &mut self.lb, &self.assignment, n);
+                self.relax_bounds(sampled);
             }
         }
+    }
+
+    /// Apply `self.relax` to the bounds of the round's points: the working
+    /// set when `sampled`, else the full arrays. (The full arrays also
+    /// serve the reference path's sampling rounds: a point no round has
+    /// activated yet holds `(∞, 0)`, which every relaxation maps to
+    /// itself, so relaxing it or not is the same.)
+    fn relax_bounds(&mut self, sampled: bool) {
+        let (ub, lb, assignment) = if sampled {
+            let ws = &mut self.ws;
+            (&mut ws.ub, &mut ws.lb, &ws.assignment)
+        } else {
+            (&mut self.ub, &mut self.lb, &self.assignment)
+        };
+        self.relax.apply(ub, lb, assignment, assignment.len());
     }
 
     /// New centers = weighted mean of the active points of each cluster
@@ -786,19 +981,34 @@ impl<const D: usize> Solver<'_, D> {
     /// Clusters with zero active weight keep their old center. The result
     /// lands in `self.new_centers_buf` and the per-center movement in
     /// `self.delta`; returns the maximum movement.
-    fn compute_new_centers<C: Comm>(&mut self, comm: &C, active: &[u32]) -> f64 {
+    fn compute_new_centers<C: Comm>(&mut self, comm: &C, active: &[u32], sampled: bool) -> f64 {
         let k = self.k;
         let stride = D + 1;
         self.center_sums.clear();
         self.center_sums.resize(k * stride, 0.0);
-        for &p in active {
-            let p = p as usize;
-            let c = self.assignment[p] as usize;
-            let w = self.weights[p];
-            for d in 0..D {
-                self.center_sums[c * stride + d] += w * self.points[p][d];
+        if sampled {
+            // Same terms in the same (shuffled) order as below, read from
+            // the working set.
+            let ws = &self.ws;
+            // geo-analyze: hot-loop
+            for (&j, &w) in ws.slot.iter().zip(&ws.weights) {
+                let j = j as usize;
+                let c = ws.assignment[j] as usize;
+                for d in 0..D {
+                    self.center_sums[c * stride + d] += w * ws.lanes.coords[d][j];
+                }
+                self.center_sums[c * stride + D] += w;
             }
-            self.center_sums[c * stride + D] += w;
+        } else {
+            for &p in active {
+                let p = p as usize;
+                let c = self.assignment[p] as usize;
+                let w = self.weights[p];
+                for d in 0..D {
+                    self.center_sums[c * stride + d] += w * self.points[p][d];
+                }
+                self.center_sums[c * stride + D] += w;
+            }
         }
         comm.allreduce_sum_f64(&mut self.center_sums);
         let (sums, centers, buf) =
@@ -901,29 +1111,22 @@ pub fn balanced_kmeans_warm<const D: usize, C: Comm>(
 
     // Structure-of-arrays coordinate lanes for the blocked kernel, built
     // once per solve (DESIGN.md §9).
-    let soa: Vec<Vec<f64>> = if cfg.soa_kernel {
-        (0..D).map(|d| points.iter().map(|p| p[d]).collect()).collect()
-    } else {
-        Vec::new()
-    };
-    let block_boxes: Vec<([f64; D], [f64; D])> = if cfg.soa_kernel {
-        points
-            .chunks(SOA_BLOCK)
-            .map(|blk| {
-                let mut lo = [f64::INFINITY; D];
-                let mut hi = [f64::NEG_INFINITY; D];
-                for p in blk {
-                    for d in 0..D {
-                        lo[d] = lo[d].min(p[d]);
-                        hi[d] = hi[d].max(p[d]);
-                    }
-                }
-                (lo, hi)
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
+    let mut lanes = Lanes::default();
+    if cfg.soa_kernel {
+        lanes.coords = (0..D).map(|d| points.iter().map(|p| p[d]).collect()).collect();
+        lanes.rebuild_boxes();
+    }
+    let full_bbox = lanes.bbox();
+    // The working set is sized once, for the largest sample short of the
+    // full set (the last `initial_sample·2^j < n_local`): growing it round
+    // by round would hold the old and the new buffers at once.
+    let mut ws_cap = 0;
+    if cfg.soa_kernel && cfg.sampling_init && cfg.initial_sample < n_local {
+        ws_cap = cfg.initial_sample;
+        while ws_cap * 2 < n_local {
+            ws_cap *= 2;
+        }
+    }
 
     let mut solver = Solver {
         points,
@@ -937,11 +1140,10 @@ pub fn balanced_kmeans_warm<const D: usize, C: Comm>(
         lb: vec![0.0; n_local],
         w_max,
         fractions: cfg.fractions(k),
-        // Shuffled sampling rounds go through the AoS path even when the
-        // SoA kernel is on, so the Eval buffer is always pre-sized.
-        evals: Vec::with_capacity(n_local),
-        soa,
-        block_boxes,
+        evals: Vec::new(),
+        lanes,
+        ws: WorkingSet::with_capacity(ws_cap),
+        full_bbox,
         cscratch: CenterScratch::default(),
         kscratch: Vec::new(),
         old_influence: Vec::with_capacity(k),
@@ -958,9 +1160,10 @@ pub fn balanced_kmeans_warm<const D: usize, C: Comm>(
     // prefix is the active sample, doubling every movement round. Once the
     // sample covers every local point the order is restored to the
     // identity (sorting a permutation yields 0..n): the steady-state
-    // passes then run gather-free over contiguous lanes. Both kernels see
-    // the same active order, so the (order-sensitive) weight and centroid
-    // sums stay bitwise-identical between them.
+    // passes then run over the solve-wide lanes. Until then the SoA kernel
+    // runs over the round's working set. Both kernels sum in the same
+    // active order, so the (order-sensitive) weight and centroid sums stay
+    // bitwise-identical between them.
     let mut perm: Vec<u32> = (0..n_local as u32).collect();
     let mut shuffled = false;
     let mut sample_len = if cfg.sampling_init {
@@ -981,14 +1184,25 @@ pub fn balanced_kmeans_warm<const D: usize, C: Comm>(
             shuffled = false;
         }
         let active = &perm[..sample_len];
+        let sampled = cfg.soa_kernel && shuffled;
+        if sampled {
+            solver.ws.load(
+                active,
+                points,
+                weights,
+                &solver.assignment,
+                &solver.ub,
+                &solver.lb,
+            );
+        }
 
         // Everyone must agree whether this is still a sampling round.
         let local_full = u64::from(sample_len >= n_local);
         let all_full = comm.allreduce(local_full, u64::min) == 1;
 
-        solver.assign_and_balance(comm, active, !shuffled);
+        solver.assign_and_balance(comm, active, sampled);
 
-        let max_delta = solver.compute_new_centers(comm, active);
+        let max_delta = solver.compute_new_centers(comm, active, sampled);
 
         // Converged = centers stationary AND the balance constraint met.
         // (A stationary-but-imbalanced state keeps iterating: the influence
@@ -1017,8 +1231,10 @@ pub fn balanced_kmeans_warm<const D: usize, C: Comm>(
                 &solver.old_influence,
                 &solver.influence,
             );
-            let n = solver.ub.len();
-            solver.relax.apply(&mut solver.ub, &mut solver.lb, &solver.assignment, n);
+            solver.relax_bounds(sampled);
+        }
+        if sampled {
+            solver.ws.store(&mut solver.assignment, &mut solver.ub, &mut solver.lb);
         }
 
         if !all_full {
@@ -1035,7 +1251,7 @@ pub fn balanced_kmeans_warm<const D: usize, C: Comm>(
     let all_full = comm.allreduce(local_full, u64::min) == 1;
     if !all_full {
         perm.sort_unstable();
-        solver.assign_and_balance(comm, &perm, true);
+        solver.assign_and_balance(comm, &perm, false);
     }
 
     KMeansOutput {
@@ -1376,32 +1592,49 @@ mod tests {
     }
 
     /// One property-sweep case: solve the same distributed instance with
-    /// the SoA kernel on and off; every rank must agree bitwise.
-    fn assert_soa_matches_aos<const D: usize>(p: usize, seed: u64, clustered: bool) {
+    /// the SoA kernel on and off; every rank must agree bitwise. At p = 4
+    /// the shards are uneven on purpose: rank 0 holds nothing, rank 1
+    /// fewer points than a 100- or 257-point first sample, and no shard
+    /// is a multiple of `SOA_BLOCK`.
+    fn assert_soa_matches_aos<const D: usize>(
+        p: usize,
+        seed: u64,
+        clustered: bool,
+        initial_sample: usize,
+        max_iterations: usize,
+    ) {
         let n = 1200;
         let pts = family_points::<D>(n, seed, clustered);
         let mut rng = SplitMix64::new(seed ^ 0x9E37_79B9);
         let w: Vec<f64> = (0..n).map(|_| 1.0 + rng.next_f64()).collect();
         let k = 5;
         let centers = spread_centers(&pts, k);
-        let cfg = Config { max_iterations: 15, ..Config::default() };
+        let cfg = Config { max_iterations, initial_sample, ..Config::default() };
         let aos_cfg = Config { soa_kernel: false, ..cfg.clone() };
-        let chunk = n.div_ceil(p);
+        let cuts: &[usize] = if p == 1 { &[0, n] } else { &[0, 0, 57, 657, n] };
+        assert_eq!(cuts.len(), p + 1);
         let results = geographer_parcomm::run_spmd(p, |c| {
-            let lo = (c.rank() * chunk).min(n);
-            let hi = ((c.rank() + 1) * chunk).min(n);
+            let (lo, hi) = (cuts[c.rank()], cuts[c.rank() + 1]);
             let soa = balanced_kmeans(&c, &pts[lo..hi], &w[lo..hi], k, centers.clone(), &cfg);
             let aos =
                 balanced_kmeans(&c, &pts[lo..hi], &w[lo..hi], k, centers.clone(), &aos_cfg);
             (soa, aos)
         });
         for (r, (soa, aos)) in results.iter().enumerate() {
-            let tag = format!("D={D} p={p} rank={r} seed={seed} clustered={clustered}");
+            let tag = format!(
+                "D={D} p={p} rank={r} seed={seed} clustered={clustered} \
+                 initial_sample={initial_sample} max_iterations={max_iterations}"
+            );
             assert_eq!(soa.assignment, aos.assignment, "{tag}");
             assert_eq!(soa.centers, aos.centers, "{tag}");
             assert_eq!(soa.influence, aos.influence, "{tag}");
+            let (s, a) = (&soa.stats, &aos.stats);
+            assert_eq!(s.movement_iterations, a.movement_iterations, "{tag}");
+            assert_eq!(s.balance_iterations, a.balance_iterations, "{tag}");
+            assert_eq!(s.points_visited, a.points_visited, "{tag}");
+            assert_eq!(s.hamerly_skips, a.hamerly_skips, "{tag}");
             assert!(
-                soa.stats.distance_evals <= aos.stats.distance_evals,
+                s.distance_evals <= a.distance_evals,
                 "{tag}: block pruning must not evaluate more"
             );
         }
@@ -1411,14 +1644,35 @@ mod tests {
     fn soa_matches_aos_across_dims_ranks_and_families() {
         // Hand-rolled property sweep (the workspace carries no proptest
         // dependency): seeded random instances across D ∈ {2, 3},
-        // p ∈ {1, 4}, and both mesh families. The SoA kernel claims to be
-        // an exact restructuring of the AoS scan, so every combination
-        // must agree bitwise on every rank.
+        // p ∈ {1, 4}, both mesh families, and first samples of 1, 100 and
+        // 257 points — sampling rounds run the SoA kernel over a gathered
+        // working set, so they are where the two paths differ most. A
+        // budget of 3 movement iterations runs out mid-sampling and ends
+        // in the final full pass; 15 reaches the full set even from a
+        // single point (11 doublings). The SoA kernel claims to be an
+        // exact restructuring of the AoS scan, so every combination must
+        // agree bitwise on every rank.
         for seed in [41, 42, 43] {
             for p in [1usize, 4] {
                 for clustered in [false, true] {
-                    assert_soa_matches_aos::<2>(p, seed, clustered);
-                    assert_soa_matches_aos::<3>(p, seed, clustered);
+                    for initial_sample in [1, 100, 257] {
+                        for max_iterations in [3, 15] {
+                            assert_soa_matches_aos::<2>(
+                                p,
+                                seed,
+                                clustered,
+                                initial_sample,
+                                max_iterations,
+                            );
+                            assert_soa_matches_aos::<3>(
+                                p,
+                                seed,
+                                clustered,
+                                initial_sample,
+                                max_iterations,
+                            );
+                        }
+                    }
                 }
             }
         }

@@ -470,13 +470,12 @@ where
             .into_iter()
             .map(|comm| {
                 scope.spawn(move || {
-                    let guard =
+                    // Dropped on both exits, so its share of the core is
+                    // released either way; it poisons the barrier only when
+                    // dropped by a panic unwinding out of `f`.
+                    let _guard =
                         PoisonOnPanic { core: Arc::clone(&comm.core), rank: comm.rank };
-                    let out = f(comm);
-                    // Reached only on success; a panic in `f` drops the
-                    // guard while unwinding and poisons the barrier.
-                    std::mem::forget(guard);
-                    out
+                    f(comm)
                 })
             })
             .collect();
@@ -757,6 +756,68 @@ mod tests {
             msg, "rank 2 exploded",
             "the original panic must propagate, not the secondary aborts"
         );
+    }
+
+    /// Payload that counts its live instances: up on creation and clone,
+    /// down on drop.
+    struct Counted(Arc<std::sync::atomic::AtomicIsize>);
+
+    impl Counted {
+        fn new(live: &Arc<std::sync::atomic::AtomicIsize>) -> Self {
+            live.fetch_add(1, Ordering::SeqCst);
+            Counted(Arc::clone(live))
+        }
+    }
+
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            Counted::new(&self.0)
+        }
+    }
+
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            self.0.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
+    impl crate::Wire for Counted {
+        fn wire_write(&self, _out: &mut Vec<u8>) {
+            unreachable!("the thread backend moves values, it never encodes them")
+        }
+        fn wire_read(_r: &mut crate::WireCursor<'_>) -> Self {
+            unreachable!("the thread backend moves values, it never decodes them")
+        }
+    }
+
+    #[test]
+    fn run_spmd_frees_every_payload_left_in_the_communicator() {
+        // Regression: the success path used to `mem::forget` a guard that
+        // owns a share of the communicator core, so the core — and the
+        // payload every slot last held — was never freed.
+        let live = Arc::new(std::sync::atomic::AtomicIsize::new(0));
+        let results = run_spmd(3, |c| {
+            let all = c.allgather(vec![Counted::new(&live); 2]);
+            let one = c.allreduce(Counted::new(&live), |a, _| a);
+            (all, one)
+        });
+        assert_eq!(results.len(), 3);
+        drop(results);
+        assert_eq!(live.load(Ordering::SeqCst), 0, "payloads outlived run_spmd");
+
+        // A rank that panics with payloads deposited releases them too.
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_spmd(3, |c| {
+                let all = c.allgather(vec![Counted::new(&live)]);
+                if c.rank() == 1 {
+                    panic!("boom");
+                }
+                c.barrier();
+                all
+            })
+        }));
+        assert!(err.is_err());
+        assert_eq!(live.load(Ordering::SeqCst), 0, "payloads outlived a failed run_spmd");
     }
 
     #[test]
