@@ -205,22 +205,21 @@ fn raw_string_closes(chars: &[char], i: usize, hashes: u32) -> bool {
     (1..=hashes as usize).all(|d| chars.get(i + d).copied() == Some('#'))
 }
 
-/// Mark every line inside a `#[cfg(test)] mod … { … }` span. Inline test
-/// modules are the only shape the workspace uses; integration-test *files*
-/// are exempted by path in [`crate::analyze_file`].
+/// Mark every line of what a `#[cfg(test)]` attribute decorates: an
+/// inline `mod … { … }` (or any other braced item), or one `;`-terminated
+/// statement such as a test-only hook call inside a live function.
+/// Integration-test *files* are exempted by path in
+/// [`crate::analyze_file`].
 fn mark_cfg_test_spans(lines: &mut [Line]) {
     let mut l = 0usize;
     while l < lines.len() {
         if lines[l].code.contains("#[cfg(test)]") || lines[l].code.contains("#[cfg(all(test") {
-            // Find the module's opening brace, then brace-match to the end.
-            if let Some((open_line, open_col)) = find_mod_open(lines, l) {
-                if let Some(close_line) = match_brace(lines, open_line, open_col) {
-                    for line in lines.iter_mut().take(close_line + 1).skip(l) {
-                        line.in_cfg_test = true;
-                    }
-                    l = close_line + 1;
-                    continue;
+            if let Some(last) = cfg_test_target_end(lines, l) {
+                for line in lines.iter_mut().take(last + 1).skip(l) {
+                    line.in_cfg_test = true;
                 }
+                l = last + 1;
+                continue;
             }
         }
         l += 1;
@@ -258,16 +257,23 @@ pub fn out_of_line_test_mods(lines: &[Line]) -> Vec<String> {
     out
 }
 
-/// From the attribute at `attr_line`, find the `{` that opens the guarded
-/// item (skipping further attribute lines).
-fn find_mod_open(lines: &[Line], attr_line: usize) -> Option<(usize, usize)> {
+/// Last line of the item or statement under the `#[cfg(test)]` attribute
+/// on `attr_line`: the line of the brace matching its first `{`, or of
+/// its `;` when that comes first outside any `(…)`/`[…]` (a statement, or
+/// an out-of-line `mod name;`).
+fn cfg_test_target_end(lines: &[Line], attr_line: usize) -> Option<usize> {
+    let mut depth = 0i64;
     for (l, line) in lines.iter().enumerate().skip(attr_line) {
-        if let Some(col) = line.code.find('{') {
-            return Some((l, col));
-        }
-        // A `mod name;` out-of-line test module: nothing to span here.
-        if l > attr_line && line.code.contains(';') && line.code.contains("mod ") {
-            return None;
+        // Skip the attribute itself: its brackets are not the target's.
+        let from = if l == attr_line { line.code.find(")]").map_or(0, |at| at + 2) } else { 0 };
+        for (col, c) in line.code.char_indices().skip_while(|&(col, _)| col < from) {
+            match c {
+                '(' | '[' => depth += 1,
+                ')' | ']' => depth -= 1,
+                '{' => return match_brace(lines, l, col),
+                ';' if depth == 0 => return Some(l),
+                _ => {}
+            }
         }
     }
     None
@@ -396,6 +402,15 @@ mod tests {
         assert!(lines[1].in_cfg_test && lines[2].in_cfg_test && lines[3].in_cfg_test);
         assert!(lines[4].in_cfg_test);
         assert!(!lines[5].in_cfg_test);
+    }
+
+    #[test]
+    fn cfg_test_statement_does_not_swallow_the_next_braced_item() {
+        let src = "fn live(a: [u8; 2]) {\n    #[cfg(test)]\n    hook(a);\n}\nfn next() {\n    work();\n}\n\
+                   #[cfg(test)]\nfn helper(a: [u8; 2]) {\n    t();\n}";
+        let marked: Vec<bool> = scan(src).iter().map(|l| l.in_cfg_test).collect();
+        let expect = [false, true, true, false, false, false, false, true, true, true, true];
+        assert_eq!(marked, expect);
     }
 
     #[test]

@@ -13,23 +13,9 @@
 //! `assignment` is the wall time spent inside k-means assignment passes
 //! (kernel + block-weight accumulation), max-reduced across ranks.
 //!
-//! Two reference blocks quantify the SoA kernel against the pre-PR
-//! array-of-structs path, which is kept bitwise-identical precisely so
-//! the speedup is measurable on the same machine, instance, and
-//! iteration count:
-//!
-//! * `kernel_reference` — sampling off, a fixed handful of movement
-//!   iterations over the full point set: every assignment pass runs the
-//!   restructured kernel, so this isolates the kernel itself.
-//! * `pipeline_reference` — the default configuration. Sampling-init
-//!   rounds deliberately take the AoS path in both configs (random
-//!   access beats gather/scatter on shuffled actives), so the end-to-end
-//!   ratio is the kernel win diluted by that shared, identical cost.
-//!
-//! The gate and reference figures are minima over [`REPEATS`] runs per
-//! configuration — on a shared VM a single measurement is at the mercy
-//! of whichever run catches a noisy window, and the minimum estimates
-//! the undisturbed cost.
+//! The gate figures are minima over [`REPEATS`] runs — on a shared VM a
+//! single measurement is at the mercy of whichever run catches a noisy
+//! window, and the minimum estimates the undisturbed cost.
 //!
 //! ```console
 //! $ cargo run --release -p geographer_bench --bin bench_scale
@@ -38,23 +24,14 @@
 
 use std::fmt::Write as _;
 
-use geographer::{balanced_kmeans, Config};
+use geographer::Config;
 use geographer_bench::{solve_plan_view, write_bench_json, PlanRecipe, PlanRun, Tool};
-use geographer_geometry::Point;
 use geographer_mesh::density::sample_by_density;
-use geographer_parcomm::SelfComm;
 use geographer_planner::MeshView;
 
-/// Repeats for the gate and reference measurements, reporting the
-/// minimum per configuration: on a shared VM the minimum is the
-/// noise-robust estimator of the undisturbed cost.
+/// Repeats for the gate measurement, reporting the minimum: on a shared
+/// VM the minimum is the noise-robust estimator of the undisturbed cost.
 const REPEATS: usize = 3;
-
-/// The SoA-vs-AoS reference instance: n = 1M (the acceptance size) when
-/// the run includes it, otherwise the largest size present (smoke).
-fn reference_n(sizes: &[usize]) -> usize {
-    if sizes.contains(&1_000_000) { 1_000_000 } else { *sizes.last().unwrap() }
-}
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
@@ -86,7 +63,6 @@ fn main() {
     let mut first = true;
     let mut gate_kmeans_ns = 0.0f64;
     let mut gate_assign_ns = 0.0f64;
-    let mut pipeline_json = String::new();
     for &n in sizes {
         // Uniform density ⇒ every rejection-sampling attempt accepts:
         // O(n) generation, same RNG family as the mesh benches.
@@ -154,123 +130,7 @@ fn main() {
                 npp(ph.total()),
             );
         }
-
-        // Pipeline reference at n = 1M (the ISSUE 7 acceptance size; the
-        // largest size in smoke runs), single rank: the pre-PR AoS
-        // kernel under the default config, same machine and instance.
-        // Alternating AoS/SoA repeats, min per config — on a shared VM a
-        // single pair is at the mercy of whichever run catches a noisy
-        // window.
-        if n == reference_n(sizes) {
-            let (mut soa_s, mut aos_s) = (f64::INFINITY, f64::INFINITY);
-            for rep in 0..REPEATS {
-                let aos = solve_plan_view(
-                    view,
-                    &PlanRecipe::flat(
-                        "scale-aos",
-                        Tool::Geographer,
-                        k,
-                        Config { soa_kernel: false, ..cfg.clone() },
-                    ),
-                    1,
-                    None,
-                );
-                let soa = solve_plan_view(
-                    view,
-                    &PlanRecipe::flat("scale-soa", Tool::Geographer, k, cfg.clone()),
-                    1,
-                    None,
-                );
-                if rep == 0 {
-                    assert_eq!(
-                        soa.plan.assignment, aos.plan.assignment,
-                        "SoA and AoS kernels must produce identical partitions"
-                    );
-                }
-                soa_s = soa_s.min(soa.plan.stats.unwrap().assignment_seconds);
-                aos_s = aos_s.min(aos.plan.stats.unwrap().assignment_seconds);
-            }
-            let _ = write!(
-                pipeline_json,
-                "{{\"n\": {}, \"p\": 1, \"repeats\": {REPEATS}, \
-                 \"assignment_s_soa\": {:.4}, \
-                 \"assignment_s_aos\": {:.4}, \"soa_speedup\": {:.2}}}",
-                n,
-                soa_s,
-                aos_s,
-                aos_s / soa_s.max(1e-12),
-            );
-            eprintln!(
-                "pipeline reference n={n}: soa={soa_s:.3}s aos={aos_s:.3}s \
-                 speedup={:.2}x",
-                aos_s / soa_s.max(1e-12)
-            );
-        }
     }
-
-    // Kernel reference at n = 1M: sampling off, every assignment pass a
-    // full-set identity round — the regime the SoA restructuring
-    // targets and the acceptance evidence for its speedup. Fixed
-    // centers and iteration budget keep the two configs on
-    // bitwise-identical trajectories.
-    let kernel_json = {
-        let n = reference_n(sizes);
-        let points = sample_by_density(n, seed, |_| 1.0);
-        let weights = vec![1.0f64; n];
-        let centers: Vec<Point<2>> =
-            (0..k).map(|i| points[i * n / k + n / (2 * k)]).collect();
-        let kcfg = |soa| Config {
-            soa_kernel: soa,
-            sampling_init: false,
-            max_iterations: 5,
-            ..Config::default()
-        };
-        let (mut soa_s, mut aos_s) = (f64::INFINITY, f64::INFINITY);
-        let mut rounds = 0;
-        for rep in 0..REPEATS {
-            let aos = balanced_kmeans(
-                &SelfComm,
-                &points,
-                &weights,
-                k,
-                centers.clone(),
-                &kcfg(false),
-            );
-            let soa = balanced_kmeans(
-                &SelfComm,
-                &points,
-                &weights,
-                k,
-                centers.clone(),
-                &kcfg(true),
-            );
-            if rep == 0 {
-                assert_eq!(
-                    soa.assignment, aos.assignment,
-                    "SoA and AoS kernels must produce identical partitions"
-                );
-            }
-            rounds = soa.stats.balance_iterations;
-            soa_s = soa_s.min(soa.stats.assignment_seconds);
-            aos_s = aos_s.min(aos.stats.assignment_seconds);
-        }
-        eprintln!(
-            "kernel reference n={n}: soa={soa_s:.3}s aos={aos_s:.3}s \
-             speedup={:.2}x over {rounds} assignment rounds",
-            aos_s / soa_s.max(1e-12),
-        );
-        format!(
-            "{{\"n\": {}, \"p\": 1, \"sampling_init\": false, \
-             \"movement_iterations\": 5, \"assignment_rounds\": {rounds}, \
-             \"repeats\": {REPEATS}, \
-             \"assignment_s_soa\": {:.4}, \"assignment_s_aos\": {:.4}, \
-             \"soa_speedup\": {:.2}}}",
-            n,
-            soa_s,
-            aos_s,
-            aos_s / soa_s.max(1e-12),
-        )
-    };
 
     let json = format!(
         "{{\n  \"bench\": \"scale\",\n  \"tool\": \"Geographer\",\n  \
@@ -279,8 +139,6 @@ fn main() {
          \"gate\": {{\"n\": {}, \"p\": 1, \"repeats\": {REPEATS}, \
          \"kmeans_ns_per_point\": {:.1}, \
          \"assignment_ns_per_point\": {:.1}}},\n  \
-         \"kernel_reference\": {kernel_json},\n  \
-         \"pipeline_reference\": {pipeline_json},\n  \
          \"runs\": [\n{runs}\n  ]\n}}\n",
         cfg.epsilon,
         sizes[0],

@@ -1,16 +1,15 @@
 //! Tier-1 count guard, the clock-free companion of `perf_gate.rs`: on the
 //! same gate instance (n = 100k, p = 1, k = 8, seed 77) the default config
-//! and the `soa_kernel: false` reference must do the same iterations,
-//! visit and Hamerly-skip the same points, and produce the same partition,
-//! while the default config evaluates strictly fewer distances.
+//! must do exactly the iterations, point visits, Hamerly skips and
+//! distance evaluations — and produce exactly the partition — recorded at
+//! commit bd8a563, the last one that still carried the per-point AoS
+//! reference scan (which did the same iterations, visits and skips there,
+//! with 3 945 528 distance evaluations).
 //!
-//! Equal `points_visited` pins that no pass visits a point outside the
-//! round's active set — the AoS scan visits exactly the active list —
-//! and fewer `distance_evals` at equal skips that the blocked kernel's
-//! per-block bound prunes in the rounds it serves, sampling rounds
-//! included (under `soa_kernel: true` the AoS branch of
-//! `assign_and_balance` is the `else` of that switch: unreachable).
-//! Counts repeat exactly, so there is no envelope.
+//! `points_visited` pins that no pass visits a point outside the round's
+//! active set; `distance_evals` at equal skips pins what the blocked
+//! kernel's per-block bound prunes, sampling rounds included. Counts
+//! repeat exactly, so there is no envelope.
 
 use geographer::Config;
 use geographer_bench::{solve_plan_view, PlanRecipe, Tool};
@@ -18,27 +17,25 @@ use geographer_mesh::density::sample_by_density;
 use geographer_planner::MeshView;
 
 #[test]
-fn default_config_matches_reference_counts_with_fewer_distance_evals() {
+fn default_config_repeats_the_recorded_counts_and_partition() {
     let (n, k) = (100_000, 8);
     let points = sample_by_density(n, 77, |_| 1.0);
     let weights = vec![1.0f64; n];
     let view = MeshView { points: &points, weights: &weights, graph: None };
-    let solve = |cfg: Config| {
-        solve_plan_view(view, &PlanRecipe::flat("count_guard", Tool::Geographer, k, cfg), 1, None)
-            .plan
-    };
-    let soa = solve(Config::default());
-    let aos = solve(Config { soa_kernel: false, ..Config::default() });
-    assert_eq!(soa.assignment, aos.assignment);
-    let (s, a) = (soa.stats.expect("stats"), aos.stats.expect("stats"));
-    assert_eq!(s.movement_iterations, a.movement_iterations);
-    assert_eq!(s.balance_iterations, a.balance_iterations);
-    assert_eq!(s.hamerly_skips, a.hamerly_skips);
-    assert_eq!(s.points_visited, a.points_visited);
-    assert!(
-        s.distance_evals < a.distance_evals,
-        "block pruning must save distance evaluations: {} vs {}",
-        s.distance_evals,
-        a.distance_evals
-    );
+    let recipe = PlanRecipe::flat("count_guard", Tool::Geographer, k, Config::default());
+    let plan = solve_plan_view(view, &recipe, 1, None).plan;
+    let s = plan.stats.expect("stats");
+    assert_eq!(s.movement_iterations, 35);
+    assert_eq!(s.balance_iterations, 183);
+    assert_eq!(s.points_visited, 3_542_200);
+    assert_eq!(s.hamerly_skips, 3_049_009);
+    assert_eq!(s.distance_evals, 2_361_162);
+    assert_eq!(s.bbox_breaks, 480_133);
+    // FNV-1a over the assignment's little-endian block ids.
+    let digest = plan
+        .assignment
+        .iter()
+        .flat_map(|b| b.to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3));
+    assert_eq!(digest, 0x3787_4eca_8c3c_fd14, "partition digest {digest:#018x}");
 }

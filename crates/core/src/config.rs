@@ -6,7 +6,10 @@
 /// change capped at 5 % per balance step (Sec. 4.2), sampling
 /// initialization starting from 100 points per process (Sec. 4.5), and the
 /// geometric optimizations (Hamerly bounds, bounding-box pruning) enabled.
-/// The feature switches exist for the ablation experiments.
+/// The feature switches exist for the ablation experiments. Every field
+/// is a parameter of the paper's algorithm; none selects an implementation
+/// — there is one assignment kernel (DESIGN.md §9), and ranks are the only
+/// parallelism.
 #[derive(Debug, Clone)]
 pub struct Config {
     /// Maximum allowed imbalance ε: every block weight must end up at most
@@ -39,19 +42,6 @@ pub struct Config {
     pub initial_sample: usize,
     /// Seed for the local permutation used by the sampling initialization.
     pub seed: u64,
-    /// Parallelize the rank-local assignment loop with rayon. Use in
-    /// single-rank (shared-memory) mode; leave off under `ThreadComm`,
-    /// where ranks already occupy the cores.
-    pub parallel_local: bool,
-    /// Run every assignment pass through the blocked structure-of-arrays
-    /// kernel (per-dimension coordinate lanes, per-block center pruning;
-    /// DESIGN.md §9) — full-set rounds over the solve-wide lanes, sampling
-    /// rounds over a working set gathered once per round. Off = every
-    /// pass takes the array-of-structs reference scan instead, which no
-    /// solve with the switch on reaches. The two are bitwise-identical —
-    /// the switch exists so the equivalence stays property-testable and
-    /// the perf delta measurable, not as an accuracy trade-off.
-    pub soa_kernel: bool,
     /// Per-block target weight fractions for non-uniform block sizes (the
     /// paper's footnote 1: "When non-uniform block sizes are desired, for
     /// example when partitioning for heterogeneous architectures, this can
@@ -75,8 +65,6 @@ impl Default for Config {
             sampling_init: true,
             initial_sample: 100,
             seed: 0x9e0_97e5,
-            parallel_local: false,
-            soa_kernel: true,
             target_fractions: None,
         }
     }
@@ -185,13 +173,31 @@ mod tests {
 
     #[test]
     fn defaults_match_paper() {
-        let c = Config::default();
-        assert_eq!(c.epsilon, 0.03);
-        assert_eq!(c.influence_change_cap, 0.05);
-        assert_eq!(c.initial_sample, 100);
-        assert!(c.hamerly_bounds && c.bbox_pruning && c.sampling_init);
-        assert!(c.soa_kernel, "the SoA kernel is the default assignment path");
-        c.validate();
+        Config::default().validate();
+        // Exhaustive on purpose: a new field does not compile until its
+        // default is stated here.
+        let Config {
+            epsilon,
+            max_iterations,
+            max_balance_iterations,
+            delta_threshold,
+            influence_change_cap,
+            influence_erosion,
+            hamerly_bounds,
+            bbox_pruning,
+            sampling_init,
+            initial_sample,
+            seed,
+            target_fractions,
+        } = Config::default();
+        assert_eq!(epsilon, 0.03);
+        assert_eq!((max_iterations, max_balance_iterations), (120, 50));
+        assert_eq!(delta_threshold, 2e-3);
+        assert_eq!(influence_change_cap, 0.05);
+        assert_eq!(initial_sample, 100);
+        assert!(influence_erosion && hamerly_bounds && bbox_pruning && sampling_init);
+        assert_eq!(seed, 0x9e0_97e5);
+        assert_eq!(target_fractions, None);
     }
 
     #[test]

@@ -13,13 +13,11 @@
 //! of the current round. A full-set round runs the blocked SoA kernel
 //! over the solve-wide coordinate lanes; a sampling round (Sec. 4.5)
 //! gathers its sample once into a [`WorkingSet`] and runs the same kernel
-//! over that (DESIGN.md §9). The per-point AoS scan
-//! ([`Solver::evaluate_point`]) runs only under `soa_kernel: false`, as
-//! the bitwise reference.
+//! over that (DESIGN.md §9). That kernel is the only assignment path; in
+//! test builds a brute-force oracle checks every pass it makes.
 
 use geographer_geometry::{Aabb, Point, SplitMix64};
 use geographer_parcomm::Comm;
-use rayon::prelude::*;
 
 use crate::bounds::Relaxation;
 use crate::config::Config;
@@ -115,17 +113,6 @@ pub struct KMeansOutput<const D: usize> {
     pub stats: KMeansStats,
 }
 
-/// Outcome of one point's assignment evaluation.
-#[derive(Debug, Clone, Copy)]
-struct Eval {
-    assignment: u32,
-    ub: f64,
-    lb: f64,
-    evals: u32,
-    skipped: bool,
-    bbox_break: bool,
-}
-
 /// Block width of the SoA kernel: points are processed in fixed-size runs
 /// whose coordinate lanes, bounds, and center shortlist fit in L1/L2.
 /// After the Hilbert redistribution consecutive points are spatial
@@ -136,7 +123,6 @@ const SOA_BLOCK: usize = 256;
 /// Dimension-major coordinate lanes (`coords[d][i]` is point i's
 /// d-coordinate) and the `(lo, hi)` bounding box of every
 /// [`SOA_BLOCK`]-point run — what the blocked kernel reads.
-#[derive(Default)]
 struct Lanes<const D: usize> {
     coords: Vec<Vec<f64>>,
     boxes: Vec<([f64; D], [f64; D])>,
@@ -186,9 +172,9 @@ impl<const D: usize> Lanes<D> {
 /// and block boxes, and the sample's `assignment`/`ub`/`lb`, which live
 /// here for the whole round and are written back when it ends.
 ///
-/// The order-sensitive sums (block weights, centroids) still run in the
-/// shuffled order of the `active` list, through `slot`, so they keep the
-/// bits of the reference path.
+/// The order-sensitive sums (block weights, centroids) run in the
+/// shuffled order of the `active` list, through `slot`: the order the
+/// golden digests were recorded in.
 ///
 /// Owned by the solver and sized once per solve for the largest partial
 /// sample; a round refills it in place.
@@ -297,7 +283,7 @@ impl<const D: usize> WorkingSet<D> {
 #[derive(Default)]
 struct CenterScratch {
     /// `(min effective distance to the active bbox, center id)`, ascending
-    /// when pruning is enabled — the shared scan order of both kernels.
+    /// when pruning is enabled — the kernel's scan order.
     order: Vec<(f64, u32)>,
     /// Sorted-center coordinates, dimension-major: lane `d` occupies
     /// `coords[d*k..(d+1)*k]`.
@@ -328,7 +314,7 @@ impl CenterScratch {
     }
 }
 
-/// Per-worker scratch of the SoA kernel.
+/// Scratch of the SoA kernel.
 struct KernelScratch {
     /// Effective distances for the branch-free batch sweep — two slabs of
     /// `k`, one per point of the pair the batch path evaluates together.
@@ -355,22 +341,6 @@ impl KernelScratch {
 /// win and the kernel falls back to the branching scan.
 const SOA_BATCH_K: usize = 24;
 
-/// Per-span work counters returned by the SoA kernel workers.
-#[derive(Debug, Default, Clone, Copy)]
-struct SpanStats {
-    evals: u64,
-    skips: u64,
-    pruned_points: u64,
-}
-
-impl SpanStats {
-    fn add(&mut self, o: SpanStats) {
-        self.evals += o.evals;
-        self.skips += o.skips;
-        self.pruned_points += o.pruned_points;
-    }
-}
-
 /// The SPMD solver state for one `balanced_kmeans` call.
 struct Solver<'a, const D: usize> {
     points: &'a [Point<D>],
@@ -386,24 +356,18 @@ struct Solver<'a, const D: usize> {
     w_max: f64,
     /// Normalized per-block target weight fractions (uniform = 1/k each).
     fractions: Vec<f64>,
-    /// Reusable output buffer of the AoS reference pass (`soa_kernel:
-    /// false`), grown on its first passes: the loop writes evaluations
-    /// into it in place (via `collect_into_vec` on the parallel path)
-    /// instead of allocating a result vector every balance iteration.
-    evals: Vec<Eval>,
     /// Coordinate lanes and block boxes of all local points, built once
-    /// per solve when the SoA kernel is on — coordinates never move, so
-    /// no assignment pass recomputes them.
+    /// per solve — coordinates never move, so no assignment pass
+    /// recomputes them.
     lanes: Lanes<D>,
-    /// The current sampling round's sample (SoA kernel only).
+    /// The current sampling round's sample.
     ws: WorkingSet<D>,
     /// Bounding box of `lanes`, computed once per solve: the active box
     /// of every full-set round.
     full_bbox: Option<Aabb<D>>,
     /// Center shortlist scratch (bbox-sorted order/coords/influence/ids).
     cscratch: CenterScratch,
-    /// One kernel scratch per worker thread, grown on demand.
-    kscratch: Vec<KernelScratch>,
+    kscratch: KernelScratch,
     /// Balance/movement scratch reused across iterations — the hot loops
     /// allocate nothing after the first iteration.
     old_influence: Vec<f64>,
@@ -418,12 +382,12 @@ struct Solver<'a, const D: usize> {
 
 /// Reduce one point's batch of effective distances to
 /// `(best, second, best_c, evals, pruned)` — the select-based equivalent
-/// of the strict-comparison chain in [`Solver::evaluate_point`]. Under
-/// the invariant `second >= best`, on `e < best` the old best demotes to
-/// second and on ties nothing moves, exactly as `else if e < second`
-/// would. (Selects, not full arithmetic masking: the comparison branches
-/// predict well once best/second stabilize, and speculation past them
-/// beats a serialized min/max chain.)
+/// of the strict-comparison chain the branching scan in [`process_block`]
+/// spells out. Under the invariant `second >= best`, on `e < best` the
+/// old best demotes to second and on ties nothing moves, exactly as
+/// `else if e < second` would. (Selects, not full arithmetic masking: the
+/// comparison branches predict well once best/second stabilize, and
+/// speculation past them beats a serialized min/max chain.)
 #[inline(always)]
 fn scan_batch(
     pruning: bool,
@@ -461,16 +425,13 @@ fn scan_batch(
 /// center shortlist. `assign`/`ub`/`lb` hold the current values on entry
 /// and the updated values on exit.
 ///
-/// Bitwise-identical to [`Solver::evaluate_point`]: effective distances
-/// use the same accumulation order, the best/second updates resolve the
-/// same strict comparisons, and a center is only skipped when its block
-/// bound exceeds the current `second` — in which case evaluating it could
-/// not have changed `best`/`second`/`best_c` (the block bound is a lower
-/// bound on every effective distance within the block). The block box is
-/// contained in the active box, so its bound dominates the one the AoS
-/// path breaks on: this prunes a superset of the centers at zero cost to
-/// the result. `soa_matches_aos_across_dims_ranks_and_families` pins the
-/// equivalence.
+/// Exact: effective distances accumulate in the order of `Point::dist`,
+/// so every evaluated point ends with `ub`/`lb` bitwise equal to the best
+/// and second-best of all k distances. A center is only skipped when its
+/// block bound exceeds the current `second` — in which case evaluating it
+/// could not have changed `best`/`second`/`best_c` (the block bound is a
+/// lower bound on every effective distance within the block). The test
+/// oracle (`tests::oracle_check`) holds every pass to this.
 #[allow(clippy::too_many_arguments)]
 // Outlined on purpose: one call per 256-point block amortizes the call,
 // and the measured kernel numbers were taken in this shape.
@@ -486,7 +447,7 @@ fn process_block<const D: usize>(
     assign: &mut [u32],
     ub: &mut [f64],
     lb: &mut [f64],
-    stats: &mut SpanStats,
+    stats: &mut KMeansStats,
 ) {
     let blen = assign.len();
     let KernelScratch { ebuf, cbound, sidx } = sc;
@@ -508,7 +469,7 @@ fn process_block<const D: usize>(
         sidx[slen] = i as u32;
         slen += usize::from(survives);
     }
-    stats.skips += (blen - slen) as u64;
+    stats.hamerly_skips += (blen - slen) as u64;
     sidx.truncate(slen);
     if slen == 0 {
         return;
@@ -575,8 +536,8 @@ fn process_block<const D: usize>(
                 assign[i] = best_c;
                 ub[i] = best;
                 lb[i] = second;
-                stats.evals += evals;
-                stats.pruned_points += u64::from(pruned);
+                stats.distance_evals += evals;
+                stats.bbox_breaks += u64::from(pruned);
             }
             t += 2;
         }
@@ -596,8 +557,8 @@ fn process_block<const D: usize>(
             assign[i] = best_c;
             ub[i] = best;
             lb[i] = second;
-            stats.evals += evals;
-            stats.pruned_points += u64::from(pruned);
+            stats.distance_evals += evals;
+            stats.bbox_breaks += u64::from(pruned);
         }
     } else {
         // Large shortlists: branching skip-scan — the batch would spend
@@ -635,104 +596,21 @@ fn process_block<const D: usize>(
             assign[i] = best_c;
             ub[i] = best;
             lb[i] = second;
-            stats.evals += evals;
-            stats.pruned_points += u64::from(pruned);
+            stats.distance_evals += evals;
+            stats.bbox_breaks += u64::from(pruned);
         }
     }
-}
-
-/// Run the blocked SoA kernel over one contiguous span of `lanes`
-/// starting at position `off`, updating the `assign`/`ub`/`lb` sub-slices
-/// in place — the pass itself gathers and scatters nothing. `off` must be
-/// a multiple of [`SOA_BLOCK`] so the span's blocks line up with the
-/// precomputed per-block boxes.
-#[allow(clippy::too_many_arguments)]
-fn soa_span_identity<const D: usize>(
-    hamerly: bool,
-    pruning: bool,
-    k: usize,
-    lanes: &Lanes<D>,
-    cs: &CenterScratch,
-    off: usize,
-    assign: &mut [u32],
-    ub: &mut [f64],
-    lb: &mut [f64],
-    sc: &mut KernelScratch,
-) -> SpanStats {
-    debug_assert_eq!(off % SOA_BLOCK, 0, "span offset must be block-aligned");
-    let mut stats = SpanStats::default();
-    let len = assign.len();
-    let mut b = 0;
-    // geo-analyze: hot-loop
-    while b < len {
-        let blen = SOA_BLOCK.min(len - b);
-        let block: [&[f64]; D] =
-            std::array::from_fn(|d| &lanes.coords[d][off + b..off + b + blen]);
-        process_block::<D>(
-            hamerly,
-            pruning,
-            k,
-            &block,
-            &lanes.boxes[(off + b) / SOA_BLOCK],
-            cs,
-            sc,
-            &mut assign[b..b + blen],
-            &mut ub[b..b + blen],
-            &mut lb[b..b + blen],
-            &mut stats,
-        );
-        b += blen;
-    }
-    stats
 }
 
 impl<const D: usize> Solver<'_, D> {
-    /// Evaluate one point against the (bbox-sorted) centers.
-    /// `sorted`: `(effective distance to local bbox, center id)` ascending.
-    #[inline]
-    fn evaluate_point(&self, p: usize, sorted: &[(f64, u32)]) -> Eval {
-        let hamerly = self.cfg.hamerly_bounds;
-        if hamerly && self.ub[p] < self.lb[p] {
-            return Eval {
-                assignment: self.assignment[p],
-                ub: self.ub[p],
-                lb: self.lb[p],
-                evals: 0,
-                skipped: true,
-                bbox_break: false,
-            };
-        }
-        let pt = &self.points[p];
-        let mut best = f64::INFINITY;
-        let mut second = f64::INFINITY;
-        let mut best_c = self.assignment[p];
-        let mut evals = 0u32;
-        let mut bbox_break = false;
-        // geo-analyze: hot-loop
-        for &(dist_to_bb, c) in sorted {
-            if self.cfg.bbox_pruning && dist_to_bb > second {
-                bbox_break = true;
-                break;
-            }
-            let e = pt.dist(&self.centers[c as usize]) / self.influence[c as usize];
-            evals += 1;
-            if e < best {
-                second = best;
-                best = e;
-                best_c = c;
-            } else if e < second {
-                second = e;
-            }
-        }
-        Eval { assignment: best_c, ub: best, lb: second, evals, skipped: false, bbox_break }
-    }
-
     /// One assignment pass through the blocked SoA kernel over the round's
     /// points: the sample held in the working set when `sampled`, else all
     /// local points. Either way the kernel slices contiguous coordinate
     /// lanes and bound arrays — the working set was gathered once when the
     /// round began, so no balance iteration gathers or scatters.
     fn soa_assignment_pass(&mut self, sampled: bool) {
+        #[cfg(test)]
+        let before = tests::oracle_snapshot(self, sampled);
         let (lanes, assign, ub, lb) = if sampled {
             let ws = &mut self.ws;
             (&ws.lanes, &mut ws.assignment[..], &mut ws.ub[..], &mut ws.lb[..])
@@ -740,80 +618,39 @@ impl<const D: usize> Solver<'_, D> {
             (&self.lanes, &mut self.assignment[..], &mut self.ub[..], &mut self.lb[..])
         };
         let len = assign.len();
-        if len == 0 {
-            return;
-        }
-        let k = self.k;
-        let hamerly = self.cfg.hamerly_bounds;
-        let pruning = self.cfg.bbox_pruning;
-        let nt = if self.cfg.parallel_local && len >= 4096 {
-            rayon::current_num_threads().clamp(1, len.div_ceil(SOA_BLOCK))
-        } else {
-            1
-        };
-        if self.kscratch.len() < nt {
-            self.kscratch.resize_with(nt, || KernelScratch::new(k));
-        }
-        // Block-aligned spans: every worker's blocks then coincide with
-        // the blocks whose boxes were precomputed.
-        let span = len.div_ceil(nt).next_multiple_of(SOA_BLOCK);
-        let cs = &self.cscratch;
-        let mut total = SpanStats::default();
-        if nt == 1 {
-            total = soa_span_identity::<D>(
-                hamerly,
-                pruning,
-                k,
-                lanes,
-                cs,
-                0,
-                assign,
-                ub,
-                lb,
-                &mut self.kscratch[0],
+        let mut b = 0;
+        // geo-analyze: hot-loop
+        while b < len {
+            let e = (b + SOA_BLOCK).min(len);
+            let block: [&[f64]; D] = std::array::from_fn(|d| &lanes.coords[d][b..e]);
+            process_block::<D>(
+                self.cfg.hamerly_bounds,
+                self.cfg.bbox_pruning,
+                self.k,
+                &block,
+                &lanes.boxes[b / SOA_BLOCK],
+                &self.cscratch,
+                &mut self.kscratch,
+                &mut assign[b..e],
+                &mut ub[b..e],
+                &mut lb[b..e],
+                &mut self.stats,
             );
-        } else {
-            // Scoped workers over disjoint contiguous spans — the same
-            // disjoint-chunk discipline the rayon shim's
-            // `collect_into_vec` uses, without staging an Eval per
-            // point. Span boundaries (hence block boundaries and the
-            // pruning counters) depend on `nt`, the results do not.
-            std::thread::scope(|s| {
-                let mut joins = Vec::new();
-                let mut rest = (assign, ub, lb);
-                let mut scratch = self.kscratch.iter_mut();
-                let mut off = 0;
-                while off < len {
-                    let take = span.min(len - off);
-                    let (a, ra) = rest.0.split_at_mut(take);
-                    let (u, ru) = rest.1.split_at_mut(take);
-                    let (l, rl) = rest.2.split_at_mut(take);
-                    rest = (ra, ru, rl);
-                    let sc = scratch.next().expect("one scratch per span");
-                    joins.push(s.spawn(move || {
-                        soa_span_identity::<D>(hamerly, pruning, k, lanes, cs, off, a, u, l, sc)
-                    }));
-                    off += take;
-                }
-                for j in joins {
-                    total.add(j.join().expect("soa kernel worker panicked"));
-                }
-            });
+            b = e;
         }
         self.stats.points_visited += len as u64;
-        self.stats.distance_evals += total.evals;
-        self.stats.hamerly_skips += total.skips;
-        self.stats.bbox_breaks += total.pruned_points;
+        #[cfg(test)]
+        tests::oracle_check(self, sampled, &before);
     }
 
     /// Algorithm 1: assign points, rebalance influences until the partition
     /// is balanced or `max_balance_iterations` is hit. The final global
     /// block weights are left in `self.global_sizes`.
     ///
-    /// `sampled` says `active` is a shuffled sample that the caller has
-    /// loaded into the working set (SoA kernel only); otherwise the SoA
-    /// kernel takes `active` to be `0..n_local`, a full-set round.
-    fn assign_and_balance<C: Comm>(&mut self, comm: &C, active: &[u32], sampled: bool) {
+    /// `sampled` says the round covers the shuffled sample that the caller
+    /// has loaded into the working set; otherwise it covers every local
+    /// point, in array order.
+    fn assign_and_balance<C: Comm>(&mut self, comm: &C, sampled: bool) {
         let k = self.k;
         self.global_sizes.clear();
         self.global_sizes.resize(k, 0.0);
@@ -821,13 +658,7 @@ impl<const D: usize> Solver<'_, D> {
         self.local_sizes.resize(k, 0.0);
         // Bounding box around the active local points (Alg. 1 line 1).
         // Points never move, so one box serves every balance iteration.
-        let bb = if !self.cfg.soa_kernel {
-            Aabb::from_points_indexed(self.points, active)
-        } else if sampled {
-            self.ws.lanes.bbox()
-        } else {
-            self.full_bbox
-        };
+        let bb = if sampled { self.ws.lanes.bbox() } else { self.full_bbox };
         for balance_iter in 0..self.cfg.max_balance_iterations {
             self.stats.balance_iterations += 1;
 
@@ -853,59 +684,23 @@ impl<const D: usize> Solver<'_, D> {
 
             // geo-analyze: allow(kernel-entropy): this clock IS the assignment-phase measurement; it never influences control flow or output.
             let assign_t0 = std::time::Instant::now();
-            if self.cfg.soa_kernel {
-                self.cscratch.fill_sorted::<D>(&self.centers, &self.influence);
-                self.soa_assignment_pass(sampled);
-                // Block-weight accumulation stays a single serial pass in
-                // active order so the sums are bitwise-independent of the
-                // worker count (and identical to the AoS path's).
-                self.local_sizes.iter_mut().for_each(|s| *s = 0.0);
-                if sampled {
-                    let ws = &self.ws;
-                    // geo-analyze: hot-loop
-                    for (&j, &w) in ws.slot.iter().zip(&ws.weights) {
-                        self.local_sizes[ws.assignment[j as usize] as usize] += w;
-                    }
-                } else {
-                    for &p in active {
-                        let p = p as usize;
-                        self.local_sizes[self.assignment[p] as usize] += self.weights[p];
-                    }
+            self.cscratch.fill_sorted::<D>(&self.centers, &self.influence);
+            self.soa_assignment_pass(sampled);
+            // Block-weight accumulation is a single serial pass in the
+            // round's order (shuffled for a sample, array order for the
+            // full set), which fixes the bits of the sums.
+            self.local_sizes.iter_mut().for_each(|s| *s = 0.0);
+            if sampled {
+                let ws = &self.ws;
+                // geo-analyze: hot-loop
+                for (&j, &w) in ws.slot.iter().zip(&ws.weights) {
+                    self.local_sizes[ws.assignment[j as usize] as usize] += w;
                 }
             } else {
-                // AoS reference path: per-point Evals through the solver's
-                // reusable buffer — no per-point allocation.
-                let use_rayon = self.cfg.parallel_local && active.len() >= 4096;
-                let mut evals = std::mem::take(&mut self.evals);
-                {
-                    let this: &Solver<'_, D> = self;
-                    let sorted = &this.cscratch.order;
-                    if use_rayon {
-                        active
-                            .par_iter()
-                            .map(|&p| this.evaluate_point(p as usize, sorted))
-                            .collect_into_vec(&mut evals);
-                    } else {
-                        evals.clear();
-                        evals.extend(
-                            active.iter().map(|&p| this.evaluate_point(p as usize, sorted)),
-                        );
-                    }
+                // geo-analyze: hot-loop
+                for (&c, &w) in self.assignment.iter().zip(self.weights) {
+                    self.local_sizes[c as usize] += w;
                 }
-
-                self.local_sizes.iter_mut().for_each(|s| *s = 0.0);
-                for (&p, ev) in active.iter().zip(&evals) {
-                    let p = p as usize;
-                    self.assignment[p] = ev.assignment;
-                    self.ub[p] = ev.ub;
-                    self.lb[p] = ev.lb;
-                    self.stats.points_visited += 1;
-                    self.stats.distance_evals += ev.evals as u64;
-                    self.stats.hamerly_skips += u64::from(ev.skipped);
-                    self.stats.bbox_breaks += u64::from(ev.bbox_break);
-                    self.local_sizes[ev.assignment as usize] += self.weights[p];
-                }
-                self.evals = evals;
             }
             self.stats.assignment_seconds += assign_t0.elapsed().as_secs_f64();
 
@@ -962,10 +757,7 @@ impl<const D: usize> Solver<'_, D> {
     }
 
     /// Apply `self.relax` to the bounds of the round's points: the working
-    /// set when `sampled`, else the full arrays. (The full arrays also
-    /// serve the reference path's sampling rounds: a point no round has
-    /// activated yet holds `(∞, 0)`, which every relaxation maps to
-    /// itself, so relaxing it or not is the same.)
+    /// set when `sampled`, else the full arrays.
     fn relax_bounds(&mut self, sampled: bool) {
         let (ub, lb, assignment) = if sampled {
             let ws = &mut self.ws;
@@ -981,14 +773,13 @@ impl<const D: usize> Solver<'_, D> {
     /// Clusters with zero active weight keep their old center. The result
     /// lands in `self.new_centers_buf` and the per-center movement in
     /// `self.delta`; returns the maximum movement.
-    fn compute_new_centers<C: Comm>(&mut self, comm: &C, active: &[u32], sampled: bool) -> f64 {
+    fn compute_new_centers<C: Comm>(&mut self, comm: &C, sampled: bool) -> f64 {
         let k = self.k;
         let stride = D + 1;
         self.center_sums.clear();
         self.center_sums.resize(k * stride, 0.0);
         if sampled {
-            // Same terms in the same (shuffled) order as below, read from
-            // the working set.
+            // In the sample's shuffled order, like the block weights.
             let ws = &self.ws;
             // geo-analyze: hot-loop
             for (&j, &w) in ws.slot.iter().zip(&ws.weights) {
@@ -1000,12 +791,11 @@ impl<const D: usize> Solver<'_, D> {
                 self.center_sums[c * stride + D] += w;
             }
         } else {
-            for &p in active {
-                let p = p as usize;
-                let c = self.assignment[p] as usize;
-                let w = self.weights[p];
+            // geo-analyze: hot-loop
+            for ((pt, &w), &c) in self.points.iter().zip(self.weights).zip(&self.assignment) {
+                let c = c as usize;
                 for d in 0..D {
-                    self.center_sums[c * stride + d] += w * self.points[p][d];
+                    self.center_sums[c * stride + d] += w * pt[d];
                 }
                 self.center_sums[c * stride + D] += w;
             }
@@ -1030,23 +820,6 @@ impl<const D: usize> Solver<'_, D> {
         let (delta, buf) = (&mut self.delta, &self.new_centers_buf);
         delta.extend(centers.iter().zip(buf).map(|(a, b)| a.dist(b)));
         delta.iter().copied().fold(0.0, f64::max)
-    }
-}
-
-/// Extension used by the solver: bounding box over an index subset.
-trait AabbIndexed<const D: usize> {
-    fn from_points_indexed(points: &[Point<D>], idx: &[u32]) -> Option<Aabb<D>>;
-}
-
-impl<const D: usize> AabbIndexed<D> for Aabb<D> {
-    fn from_points_indexed(points: &[Point<D>], idx: &[u32]) -> Option<Aabb<D>> {
-        let first = *idx.first()?;
-        let p0 = points[first as usize];
-        let mut bb = Aabb { min: p0, max: p0 };
-        for &i in &idx[1..] {
-            bb.grow(&points[i as usize]);
-        }
-        Some(bb)
     }
 }
 
@@ -1111,17 +884,17 @@ pub fn balanced_kmeans_warm<const D: usize, C: Comm>(
 
     // Structure-of-arrays coordinate lanes for the blocked kernel, built
     // once per solve (DESIGN.md §9).
-    let mut lanes = Lanes::default();
-    if cfg.soa_kernel {
-        lanes.coords = (0..D).map(|d| points.iter().map(|p| p[d]).collect()).collect();
-        lanes.rebuild_boxes();
-    }
+    let mut lanes = Lanes {
+        coords: (0..D).map(|d| points.iter().map(|p| p[d]).collect()).collect(),
+        boxes: Vec::new(),
+    };
+    lanes.rebuild_boxes();
     let full_bbox = lanes.bbox();
     // The working set is sized once, for the largest sample short of the
     // full set (the last `initial_sample·2^j < n_local`): growing it round
     // by round would hold the old and the new buffers at once.
     let mut ws_cap = 0;
-    if cfg.soa_kernel && cfg.sampling_init && cfg.initial_sample < n_local {
+    if cfg.sampling_init && cfg.initial_sample < n_local {
         ws_cap = cfg.initial_sample;
         while ws_cap * 2 < n_local {
             ws_cap *= 2;
@@ -1140,12 +913,11 @@ pub fn balanced_kmeans_warm<const D: usize, C: Comm>(
         lb: vec![0.0; n_local],
         w_max,
         fractions: cfg.fractions(k),
-        evals: Vec::new(),
         lanes,
         ws: WorkingSet::with_capacity(ws_cap),
         full_bbox,
         cscratch: CenterScratch::default(),
-        kscratch: Vec::new(),
+        kscratch: KernelScratch::new(k),
         old_influence: Vec::with_capacity(k),
         delta: Vec::with_capacity(k),
         center_sums: Vec::with_capacity(k * (D + 1)),
@@ -1157,52 +929,43 @@ pub fn balanced_kmeans_warm<const D: usize, C: Comm>(
     };
 
     // Sampling initialization (Sec. 4.5): a random local permutation whose
-    // prefix is the active sample, doubling every movement round. Once the
-    // sample covers every local point the order is restored to the
-    // identity (sorting a permutation yields 0..n): the steady-state
-    // passes then run over the solve-wide lanes. Until then the SoA kernel
-    // runs over the round's working set. Both kernels sum in the same
-    // active order, so the (order-sensitive) weight and centroid sums stay
-    // bitwise-identical between them.
-    let mut perm: Vec<u32> = (0..n_local as u32).collect();
-    let mut shuffled = false;
-    let mut sample_len = if cfg.sampling_init {
+    // prefix is the active sample, doubling every movement round; the
+    // kernel runs over the round's working set. Once the sample covers
+    // every local point the permutation is dropped: a full-set round runs
+    // over the solve-wide lanes and sums in array order.
+    let mut perm: Vec<u32> = Vec::new();
+    let mut sample_len = n_local;
+    if cfg.sampling_init {
+        perm = (0..n_local as u32).collect();
         let mut rng = SplitMix64::new(cfg.seed ^ (comm.rank() as u64).wrapping_mul(0xA24B_AED4));
         rng.shuffle(&mut perm);
-        shuffled = true;
-        cfg.initial_sample.min(n_local)
-    } else {
-        n_local
-    };
+        sample_len = cfg.initial_sample.min(n_local);
+    }
 
     let mut iterations_left = cfg.max_iterations;
     while iterations_left > 0 {
         iterations_left -= 1;
         solver.stats.movement_iterations += 1;
-        if shuffled && sample_len >= n_local {
-            perm.sort_unstable();
-            shuffled = false;
-        }
-        let active = &perm[..sample_len];
-        let sampled = cfg.soa_kernel && shuffled;
+        let sampled = sample_len < n_local;
         if sampled {
             solver.ws.load(
-                active,
+                &perm[..sample_len],
                 points,
                 weights,
                 &solver.assignment,
                 &solver.ub,
                 &solver.lb,
             );
+        } else {
+            perm = Vec::new();
         }
 
         // Everyone must agree whether this is still a sampling round.
-        let local_full = u64::from(sample_len >= n_local);
-        let all_full = comm.allreduce(local_full, u64::min) == 1;
+        let all_full = comm.allreduce(u64::from(!sampled), u64::min) == 1;
 
-        solver.assign_and_balance(comm, active, sampled);
+        solver.assign_and_balance(comm, sampled);
 
-        let max_delta = solver.compute_new_centers(comm, active, sampled);
+        let max_delta = solver.compute_new_centers(comm, sampled);
 
         // Converged = centers stationary AND the balance constraint met.
         // (A stationary-but-imbalanced state keeps iterating: the influence
@@ -1243,15 +1006,12 @@ pub fn balanced_kmeans_warm<const D: usize, C: Comm>(
     }
 
     // If the iteration budget ran out mid-sampling, points outside the
-    // sample have never been assigned: finish with one full pass (in
-    // identity order — the pass covers everything, so the sample
-    // permutation no longer matters). The decision must be global so the
-    // collectives stay matched.
+    // sample have never been assigned: finish with one full pass. The
+    // decision must be global so the collectives stay matched.
     let local_full = u64::from(sample_len >= n_local);
     let all_full = comm.allreduce(local_full, u64::min) == 1;
     if !all_full {
-        perm.sort_unstable();
-        solver.assign_and_balance(comm, &perm, false);
+        solver.assign_and_balance(comm, false);
     }
 
     KMeansOutput {
@@ -1266,6 +1026,113 @@ pub fn balanced_kmeans_warm<const D: usize, C: Comm>(
 mod tests {
     use super::*;
     use geographer_parcomm::SelfComm;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Point visits the oracle has checked on this thread.
+        static ORACLE_VISITS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    type RoundState = (Vec<u32>, Vec<f64>, Vec<f64>);
+
+    /// The round's `(assignment, ub, lb)` as a pass finds them.
+    pub(super) fn oracle_snapshot<const D: usize>(s: &Solver<'_, D>, sampled: bool) -> RoundState {
+        if sampled {
+            (s.ws.assignment.clone(), s.ws.ub.clone(), s.ws.lb.clone())
+        } else {
+            (s.assignment.clone(), s.ub.clone(), s.lb.clone())
+        }
+    }
+
+    /// The oracle every assignment pass of every unit-test solve runs
+    /// under: recompute all k effective distances of each round point from
+    /// the solver's own points, centers and influences — no bounds, no box
+    /// sort, no break — and hold the pass to [`oracle_check_point`].
+    pub(super) fn oracle_check<const D: usize>(
+        s: &Solver<'_, D>,
+        sampled: bool,
+        before: &RoundState,
+    ) {
+        let (assign, ub, lb) = if sampled {
+            (&s.ws.assignment, &s.ws.ub, &s.ws.lb)
+        } else {
+            (&s.assignment, &s.ub, &s.lb)
+        };
+        let mut e = Vec::with_capacity(s.k);
+        for i in 0..assign.len() {
+            let p = if sampled { s.ws.ids[i] as usize } else { i };
+            e.clear();
+            e.extend(s.centers.iter().zip(&s.influence).map(|(c, f)| s.points[p].dist(c) / f));
+            oracle_check_point(
+                &e,
+                s.cfg.hamerly_bounds,
+                (before.0[i], before.1[i], before.2[i]),
+                (assign[i], ub[i], lb[i]),
+            );
+        }
+        ORACLE_VISITS.with(|v| v.set(v.get() + assign.len() as u64));
+    }
+
+    /// One point against its k effective distances `e`: the assigned
+    /// center is a nearest one; a Hamerly-skipped point (`ub < lb` on
+    /// entry) kept its `(assignment, ub, lb)`; an evaluated point's `ub`
+    /// and `lb` are the smallest and second-smallest of `e`. All exact.
+    fn oracle_check_point(e: &[f64], hamerly: bool, old: (u32, f64, f64), new: (u32, f64, f64)) {
+        let (mut best, mut second) = (f64::INFINITY, f64::INFINITY);
+        for &x in e {
+            if x < best {
+                second = best;
+                best = x;
+            } else if x < second {
+                second = x;
+            }
+        }
+        let bits = |(a, u, l): (u32, f64, f64)| (a, u.to_bits(), l.to_bits());
+        assert_eq!(e[new.0 as usize].to_bits(), best.to_bits(), "assigned center is not nearest");
+        if hamerly && old.1 < old.2 {
+            assert_eq!(bits(new), bits(old), "a Hamerly-skipped point changed");
+        } else {
+            assert_eq!(bits(new), bits((new.0, best, second)), "ub/lb differ from brute force");
+        }
+    }
+
+    #[test]
+    fn oracle_checks_every_visit_of_a_solve() {
+        let pts = uniform_points(3000, 14);
+        let w = vec![1.0; 3000];
+        let before = ORACLE_VISITS.with(Cell::get);
+        let out =
+            balanced_kmeans(&SelfComm, &pts, &w, 6, sfc_like_centers(&pts, 6), &Config::default());
+        assert!(out.stats.hamerly_skips > 0 && out.stats.hamerly_skips < out.stats.points_visited);
+        assert_eq!(ORACLE_VISITS.with(Cell::get) - before, out.stats.points_visited);
+    }
+
+    #[test]
+    fn oracle_accepts_exact_results_and_ties() {
+        let e = [3.0, 1.0, 2.0, 1.0];
+        oracle_check_point(&e, true, (0, f64::INFINITY, 0.0), (1, 1.0, 1.0));
+        oracle_check_point(&e, true, (0, f64::INFINITY, 0.0), (3, 1.0, 1.0));
+        // Skipped: the bounds are stale but the kept center is nearest.
+        oracle_check_point(&e, true, (3, 1.5, 1.75), (3, 1.5, 1.75));
+    }
+
+    #[test]
+    #[should_panic(expected = "ub/lb differ from brute force")]
+    fn oracle_rejects_a_wrong_second_best() {
+        oracle_check_point(&[3.0, 1.0, 2.0], true, (0, f64::INFINITY, 0.0), (1, 1.0, 3.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "assigned center is not nearest")]
+    fn oracle_rejects_a_skip_that_kept_a_farther_center() {
+        oracle_check_point(&[3.0, 1.0, 2.0], true, (2, 1.5, 1.75), (2, 1.5, 1.75));
+    }
+
+    #[test]
+    #[should_panic(expected = "a Hamerly-skipped point changed")]
+    fn oracle_rejects_a_skipped_point_that_moved() {
+        oracle_check_point(&[3.0, 1.0, 2.0], true, (1, 1.5, 1.75), (1, 1.0, 2.0));
+    }
 
     fn uniform_points(n: usize, seed: u64) -> Vec<Point<2>> {
         let mut rng = SplitMix64::new(seed);
@@ -1413,69 +1280,6 @@ mod tests {
     }
 
     #[test]
-    fn rayon_path_matches_serial() {
-        let n = 6000; // above the rayon threshold
-        let pts = uniform_points(n, 9);
-        let w = vec![1.0; n];
-        let k = 6;
-        let centers = sfc_like_centers(&pts, k);
-        let cfg = Config { sampling_init: false, ..Config::default() };
-        let serial = balanced_kmeans(&SelfComm, &pts, &w, k, centers.clone(), &cfg);
-        let parallel = balanced_kmeans(
-            &SelfComm,
-            &pts,
-            &w,
-            k,
-            centers,
-            &Config { parallel_local: true, ..cfg },
-        );
-        assert_eq!(serial.assignment, parallel.assignment);
-    }
-
-    #[test]
-    fn soa_kernel_matches_aos_bitwise() {
-        // The blocked SoA kernel is an exact restructuring of the AoS
-        // reference scan: assignments, centers, and influences must agree
-        // bitwise across sampling and local-parallel modes, while the
-        // per-block pruning bound must never *increase* the eval count.
-        let n = 5000;
-        let pts = uniform_points(n, 12);
-        let mut rng = SplitMix64::new(13);
-        let w: Vec<f64> = (0..n).map(|_| 1.0 + rng.next_f64()).collect();
-        let k = 7;
-        let centers = sfc_like_centers(&pts, k);
-        for sampling in [true, false] {
-            for par in [false, true] {
-                let cfg = Config {
-                    sampling_init: sampling,
-                    parallel_local: par,
-                    max_iterations: 40,
-                    ..Config::default()
-                };
-                let soa = balanced_kmeans(&SelfComm, &pts, &w, k, centers.clone(), &cfg);
-                let aos = balanced_kmeans(
-                    &SelfComm,
-                    &pts,
-                    &w,
-                    k,
-                    centers.clone(),
-                    &Config { soa_kernel: false, ..cfg },
-                );
-                assert_eq!(soa.assignment, aos.assignment, "sampling={sampling} par={par}");
-                assert_eq!(soa.centers, aos.centers);
-                assert_eq!(soa.influence, aos.influence);
-                assert_eq!(soa.stats.movement_iterations, aos.stats.movement_iterations);
-                assert!(
-                    soa.stats.distance_evals <= aos.stats.distance_evals,
-                    "block pruning must not evaluate more: {} vs {}",
-                    soa.stats.distance_evals,
-                    aos.stats.distance_evals
-                );
-            }
-        }
-    }
-
-    #[test]
     fn sampling_init_assigns_every_point() {
         let pts = uniform_points(3000, 10);
         let w = vec![1.0; 3000];
@@ -1591,87 +1395,143 @@ mod tests {
         (0..k).map(|i| points[(i * n / k + n / (2 * k)).min(n - 1)]).collect()
     }
 
-    /// One property-sweep case: solve the same distributed instance with
-    /// the SoA kernel on and off; every rank must agree bitwise. At p = 4
-    /// the shards are uneven on purpose: rank 0 holds nothing, rank 1
-    /// fewer points than a 100- or 257-point first sample, and no shard
-    /// is a multiple of `SOA_BLOCK`.
-    fn assert_soa_matches_aos<const D: usize>(
+    /// Solve one instance of the grid on `p` thread ranks: n = 1200 seeded
+    /// points of one family with weights in [1, 2). At p = 4 the shards
+    /// are uneven on purpose: rank 0 holds nothing, rank 1 fewer points
+    /// than a 100- or 257-point first sample, and no shard is a multiple
+    /// of `SOA_BLOCK`.
+    fn solve_instance<const D: usize>(
         p: usize,
         seed: u64,
         clustered: bool,
-        initial_sample: usize,
-        max_iterations: usize,
-    ) {
+        k: usize,
+        cfg: &Config,
+    ) -> Vec<KMeansOutput<D>> {
         let n = 1200;
         let pts = family_points::<D>(n, seed, clustered);
         let mut rng = SplitMix64::new(seed ^ 0x9E37_79B9);
         let w: Vec<f64> = (0..n).map(|_| 1.0 + rng.next_f64()).collect();
-        let k = 5;
         let centers = spread_centers(&pts, k);
-        let cfg = Config { max_iterations, initial_sample, ..Config::default() };
-        let aos_cfg = Config { soa_kernel: false, ..cfg.clone() };
         let cuts: &[usize] = if p == 1 { &[0, n] } else { &[0, 0, 57, 657, n] };
         assert_eq!(cuts.len(), p + 1);
-        let results = geographer_parcomm::run_spmd(p, |c| {
+        geographer_parcomm::run_spmd(p, |c| {
             let (lo, hi) = (cuts[c.rank()], cuts[c.rank() + 1]);
-            let soa = balanced_kmeans(&c, &pts[lo..hi], &w[lo..hi], k, centers.clone(), &cfg);
-            let aos =
-                balanced_kmeans(&c, &pts[lo..hi], &w[lo..hi], k, centers.clone(), &aos_cfg);
-            (soa, aos)
-        });
-        for (r, (soa, aos)) in results.iter().enumerate() {
-            let tag = format!(
-                "D={D} p={p} rank={r} seed={seed} clustered={clustered} \
-                 initial_sample={initial_sample} max_iterations={max_iterations}"
-            );
-            assert_eq!(soa.assignment, aos.assignment, "{tag}");
-            assert_eq!(soa.centers, aos.centers, "{tag}");
-            assert_eq!(soa.influence, aos.influence, "{tag}");
-            let (s, a) = (&soa.stats, &aos.stats);
-            assert_eq!(s.movement_iterations, a.movement_iterations, "{tag}");
-            assert_eq!(s.balance_iterations, a.balance_iterations, "{tag}");
-            assert_eq!(s.points_visited, a.points_visited, "{tag}");
-            assert_eq!(s.hamerly_skips, a.hamerly_skips, "{tag}");
-            assert!(
-                s.distance_evals <= a.distance_evals,
-                "{tag}: block pruning must not evaluate more"
-            );
+            balanced_kmeans(&c, &pts[lo..hi], &w[lo..hi], k, centers.clone(), cfg)
+        })
+    }
+
+    /// FNV-1a over every rank's assignment and work counters.
+    fn digest<const D: usize>(ranks: &[KMeansOutput<D>]) -> String {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |v: u64| {
+            for b in v.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for out in ranks {
+            out.assignment.iter().for_each(|&a| eat(u64::from(a)));
+            let s = &out.stats;
+            [
+                s.movement_iterations,
+                s.balance_iterations,
+                s.hamerly_skips,
+                s.points_visited,
+                s.distance_evals,
+            ]
+            .into_iter()
+            .for_each(&mut eat);
         }
+        format!("{h:#018x}")
     }
 
     #[test]
-    fn soa_matches_aos_across_dims_ranks_and_families() {
+    fn golden_digests_match_the_last_commit_with_two_assignment_paths() {
+        // Eight cells of the grid `oracle_holds_…` sweeps — both
+        // dimensions, both rank counts, both families, every first-sample
+        // size, both budgets, k = 32, and each pruning switch off — plus
+        // one default-config solve run to convergence. Recorded at
+        // bd8a563, where the AoS reference scan still existed and produced
+        // the same partitions and visit/skip counts.
+        let cfg = |initial_sample, max_iterations| Config {
+            initial_sample,
+            max_iterations,
+            ..Config::default()
+        };
+        let no_hamerly = Config { hamerly_bounds: false, ..cfg(100, 15) };
+        let no_bbox = Config { bbox_pruning: false, ..cfg(257, 15) };
+        let got = [
+            digest(&solve_instance::<2>(1, 41, false, 5, &cfg(100, 15))),
+            digest(&solve_instance::<3>(4, 42, true, 5, &cfg(257, 15))),
+            digest(&solve_instance::<2>(4, 43, true, 5, &cfg(1, 3))),
+            digest(&solve_instance::<3>(1, 41, false, 5, &cfg(100, 3))),
+            digest(&solve_instance::<2>(4, 42, false, 32, &cfg(100, 15))),
+            digest(&solve_instance::<3>(1, 43, true, 32, &cfg(1, 15))),
+            digest(&solve_instance::<2>(1, 43, true, 5, &no_hamerly)),
+            digest(&solve_instance::<3>(4, 41, true, 5, &no_bbox)),
+            digest(&solve_instance::<2>(4, 42, true, 5, &Config::default())),
+        ];
+        let golden = [
+            "0xed2c08c1e6c9f2ff",
+            "0x5828dcc0b26f4cbb",
+            "0x65cf09599eb631db",
+            "0x0ca7804361fcfce9",
+            "0x51db372338116831",
+            "0xfbd94b6155c6b65b",
+            "0x174670b15231ce31",
+            "0x2591c3f6cb96971d",
+            "0x07b51af17bdf68b1",
+        ];
+        assert_eq!(got, golden);
+    }
+
+    #[test]
+    fn oracle_holds_across_dims_ranks_families_and_switches() {
         // Hand-rolled property sweep (the workspace carries no proptest
-        // dependency): seeded random instances across D ∈ {2, 3},
-        // p ∈ {1, 4}, both mesh families, and first samples of 1, 100 and
-        // 257 points — sampling rounds run the SoA kernel over a gathered
-        // working set, so they are where the two paths differ most. A
-        // budget of 3 movement iterations runs out mid-sampling and ends
-        // in the final full pass; 15 reaches the full set even from a
-        // single point (11 doublings). The SoA kernel claims to be an
-        // exact restructuring of the AoS scan, so every combination must
-        // agree bitwise on every rank.
+        // dependency) of seeded instances under the per-pass oracle:
+        // D ∈ {2, 3}, p ∈ {1, 4}, both families, and first samples of 1,
+        // 100 and 257 points — sampling rounds run the kernel over a
+        // gathered working set. A budget of 3 movement iterations runs out
+        // mid-sampling and ends in the final full pass; 15 reaches the
+        // full set even from a single point (11 doublings). k = 32 takes
+        // the branching scan (k > `SOA_BATCH_K`), k = 5 the paired batch.
+        // With `hamerly_bounds` off every point survives, so the odd
+        // shards (57 and 543 points) end in an odd batch tail on every
+        // pass. The paper's claim is that bounds and pruning never change
+        // the result: each switch off must reproduce the partition.
         for seed in [41, 42, 43] {
             for p in [1usize, 4] {
                 for clustered in [false, true] {
                     for initial_sample in [1, 100, 257] {
                         for max_iterations in [3, 15] {
-                            assert_soa_matches_aos::<2>(
-                                p,
-                                seed,
-                                clustered,
-                                initial_sample,
-                                max_iterations,
-                            );
-                            assert_soa_matches_aos::<3>(
-                                p,
-                                seed,
-                                clustered,
-                                initial_sample,
-                                max_iterations,
-                            );
+                            let cfg =
+                                Config { max_iterations, initial_sample, ..Config::default() };
+                            solve_instance::<2>(p, seed, clustered, 5, &cfg);
+                            solve_instance::<3>(p, seed, clustered, 5, &cfg);
                         }
+                    }
+                    // 32 blocks of 1200 points never balance to ε, so the
+                    // balance budget is what bounds these solves.
+                    let cfg = Config {
+                        max_iterations: 8,
+                        max_balance_iterations: 10,
+                        ..Config::default()
+                    };
+                    for k in [5, 32] {
+                        let on = solve_instance::<2>(p, seed, clustered, k, &cfg);
+                        for (hamerly_bounds, bbox_pruning) in [(false, true), (true, false)] {
+                            let off = Config { hamerly_bounds, bbox_pruning, ..cfg.clone() };
+                            let off = solve_instance::<2>(p, seed, clustered, k, &off);
+                            for (a, b) in on.iter().zip(&off) {
+                                let tag = format!(
+                                    "p={p} seed={seed} clustered={clustered} k={k} \
+                                     hamerly={hamerly_bounds} bbox={bbox_pruning}"
+                                );
+                                assert_eq!(a.assignment, b.assignment, "{tag}");
+                                assert_eq!(a.centers, b.centers, "{tag}");
+                                assert_eq!(a.influence, b.influence, "{tag}");
+                            }
+                        }
+                        solve_instance::<3>(p, seed, clustered, k, &cfg);
                     }
                 }
             }
@@ -1681,19 +1541,14 @@ mod tests {
     /// Warm fixed-point property: converge cold, restart warm from the
     /// converged (centers, influence) pair — the assignment must
     /// reproduce exactly in one movement iteration.
-    fn assert_warm_fixed_point<const D: usize>(soa: bool, seed: u64, clustered: bool) {
+    fn assert_warm_fixed_point<const D: usize>(seed: u64, clustered: bool) {
         let n = 1000;
         let pts = family_points::<D>(n, seed, clustered);
         let w = vec![1.0; n];
         let k = 5;
-        let cfg = Config {
-            soa_kernel: soa,
-            sampling_init: false,
-            max_iterations: 200,
-            ..Config::default()
-        };
+        let cfg = Config { sampling_init: false, max_iterations: 200, ..Config::default() };
         let cold = balanced_kmeans(&SelfComm, &pts, &w, k, spread_centers(&pts, k), &cfg);
-        assert!(cold.stats.converged, "D={D} soa={soa} seed={seed}");
+        assert!(cold.stats.converged, "D={D} seed={seed}");
         let warm = balanced_kmeans_warm(
             &SelfComm,
             &pts,
@@ -1703,23 +1558,20 @@ mod tests {
             cold.influence.clone(),
             &cfg,
         );
-        let tag = format!("D={D} soa={soa} seed={seed} clustered={clustered}");
+        let tag = format!("D={D} seed={seed} clustered={clustered}");
         assert_eq!(warm.assignment, cold.assignment, "{tag}");
         assert_eq!(warm.stats.movement_iterations, 1, "{tag}");
         assert!(warm.stats.converged, "{tag}");
     }
 
     #[test]
-    fn warm_fixed_point_holds_across_kernels_and_dims() {
-        // The SoA restructuring must not disturb the warm-start contract
-        // (DESIGN.md §5): sweep it across kernels, dimensions, and both
-        // mesh families.
+    fn warm_fixed_point_holds_across_dims_and_families() {
+        // The warm-start contract (DESIGN.md §5), swept across dimensions
+        // and both mesh families.
         for seed in [51, 52] {
-            for soa in [true, false] {
-                for clustered in [false, true] {
-                    assert_warm_fixed_point::<2>(soa, seed, clustered);
-                    assert_warm_fixed_point::<3>(soa, seed, clustered);
-                }
+            for clustered in [false, true] {
+                assert_warm_fixed_point::<2>(seed, clustered);
+                assert_warm_fixed_point::<3>(seed, clustered);
             }
         }
     }

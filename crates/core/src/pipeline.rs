@@ -329,8 +329,8 @@ fn route_back<const D: usize, C: Comm>(
 }
 
 /// Shared-memory convenience wrapper: partition a whole weighted point set
-/// with Geographer in one call (single rank; enable `cfg.parallel_local`
-/// to use rayon for the assignment loops).
+/// with Geographer in one call (single rank; ranks under
+/// [`partition_spmd`] are the parallelism).
 pub fn partition<const D: usize>(
     pts: &WeightedPoints<D>,
     k: usize,

@@ -656,6 +656,10 @@ mod tests {
     #[test]
     fn stats_break_down_by_collective() {
         let results = run_spmd(2, |c| {
+            // No barriers needed around these two snapshots: the allgather
+            // records after its entry barrier, so no rank records before
+            // both have read `before`, and the alltoallv records before
+            // its exit barrier.
             let before = c.stats();
             let _ = c.allgather(vec![0u64; 4]);
             let mut buf = vec![0.0f64; 4];
@@ -687,12 +691,23 @@ mod tests {
         // 2× below the allgather-derived baseline.
         let (p, m) = (8usize, 4096usize);
         let results = run_spmd(p, |c| {
-            let s0 = c.stats();
+            // `stats()` reads every rank's counters, and the butterfly
+            // records at entry: a snapshot is only exact between two
+            // barriers (which are not counted) — the first waits for the
+            // slower ranks' records, the second keeps the faster ranks
+            // out of the next collective until everyone has read.
+            let snapshot = || {
+                c.barrier();
+                let s = c.stats();
+                c.barrier();
+                s
+            };
+            let s0 = snapshot();
             let mut buf = vec![1.0f64; m];
             c.allreduce_sum_f64(&mut buf);
-            let s1 = c.stats();
+            let s1 = snapshot();
             let _ = c.allgather(vec![1.0f64; m]);
-            let s2 = c.stats();
+            let s2 = snapshot();
             (s1.since(&s0), s2.since(&s1))
         });
         let (reduce, gather) = &results[0];

@@ -357,30 +357,22 @@ mod tests {
     }
 
     #[test]
-    fn warm_fixed_point_holds_with_either_assignment_kernel() {
-        // The warm-restart bitwise fixed point (DESIGN.md §8) must be
-        // indifferent to the assignment kernel choice: re-solving an
-        // unchanged mesh from a plan's refreshed state reproduces the
-        // assignment exactly with the SoA kernel on and off, on both
-        // test mesh families.
-        for soa in [true, false] {
-            for family in [0, 1] {
-                let mesh = if family == 0 {
-                    delaunay_unit_square(1_100, 66)
-                } else {
-                    bubbles_like(1_100, 66)
-                };
-                let cfg = Config { soa_kernel: soa, ..Config::default() };
-                let spec =
-                    PlanSpec::flat(MeshView::from(&mesh), Tool::Geographer, 5, cfg);
-                let cold = Planner::solve(&spec, None, &SelfComm);
-                let warm = Planner::solve(&spec, cold.state.as_ref(), &SelfComm);
-                assert_eq!(
-                    warm.assignment, cold.assignment,
-                    "soa={soa} family={family}"
-                );
-                assert!(matches!(warm.state, Some(PlanState::Flat(_))));
-            }
+    fn warm_fixed_point_holds_on_both_mesh_families() {
+        // The warm-restart bitwise fixed point (DESIGN.md §8): re-solving
+        // an unchanged mesh from a plan's refreshed state reproduces the
+        // assignment exactly, on both test mesh families.
+        for family in [0, 1] {
+            let mesh = if family == 0 {
+                delaunay_unit_square(1_100, 66)
+            } else {
+                bubbles_like(1_100, 66)
+            };
+            let spec =
+                PlanSpec::flat(MeshView::from(&mesh), Tool::Geographer, 5, Config::default());
+            let cold = Planner::solve(&spec, None, &SelfComm);
+            let warm = Planner::solve(&spec, cold.state.as_ref(), &SelfComm);
+            assert_eq!(warm.assignment, cold.assignment, "family={family}");
+            assert!(matches!(warm.state, Some(PlanState::Flat(_))));
         }
     }
 

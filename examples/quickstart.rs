@@ -17,10 +17,7 @@ fn main() {
 
     // 2. Partition its coordinates into k = 8 blocks, at most 3 % imbalance.
     let k = 8;
-    let cfg = Config {
-        parallel_local: true, // rayon-parallel assignment loops
-        ..Config::default()
-    };
+    let cfg = Config::default();
     let t = std::time::Instant::now();
     let result = partition(&mesh.weighted_points(), k, &cfg);
     println!(
