@@ -96,13 +96,15 @@ const KERNEL_MODULES: &[&str] = &[
 ];
 
 /// Files that contain Comm implementations. With a parse in hand, D5
-/// applies inside `impl … Comm for …` blocks and the `Comm` trait
-/// declaration (a panic there strands peers inside collectives —
-/// DESIGN.md §10); without one, the whole file stays in scope as before.
-/// `wire.rs`/`stats.rs` are serialization helpers, not collectives, and
-/// fail-loud on malformed frames by design.
+/// applies inside `impl … Comm for …` blocks — `collectives.rs`'s blanket
+/// impl over every transport is where the collective bodies live — and
+/// the `Comm` trait declaration (a panic there strands peers inside
+/// collectives — DESIGN.md §10); without one, the whole file stays in
+/// scope as before. `wire.rs`/`stats.rs` are serialization helpers, not
+/// collectives, and fail-loud on malformed frames by design.
 const PANIC_SCOPE_FILES: &[&str] = &[
     "crates/parcomm/src/lib.rs",
+    "crates/parcomm/src/collectives.rs",
     "crates/parcomm/src/thread.rs",
     "crates/parcomm/src/proc.rs",
     "crates/parcomm/src/checked.rs",
@@ -665,6 +667,12 @@ mod tests {
         let v = analyze_source("crates/parcomm/src/lib.rs", in_impl);
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!((v[0].line, v[0].rule), (3, "panic-in-spmd"));
+        // The blanket impl over every transport, where the collective
+        // bodies live: in scope; a transport impl beside it is not.
+        let blanket = "impl<X: Transport> Comm for X {\n    fn f(&self, x: Option<u8>) -> u8 { x.unwrap() }\n}\nimpl Transport for Y {\n    fn g(&self, x: Option<u8>) -> u8 { x.unwrap() }\n}\n";
+        let v = analyze_source("crates/parcomm/src/collectives.rs", blanket);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!((v[0].line, v[0].rule), (2, "panic-in-spmd"));
         // Default methods of the `Comm` trait declaration: in scope.
         let in_trait = "trait Comm {\n    fn f(&self, x: Option<u8>) -> u8 { x.unwrap() }\n}\n";
         assert!(!analyze_source("crates/parcomm/src/lib.rs", in_trait).is_empty());

@@ -1,13 +1,13 @@
-//! Micro-benchmarks of the native collective algorithms in
-//! `geographer_parcomm`: allreduce (recursive doubling), broadcast
-//! (single deposit), and alltoallv (move-once mailboxes) at several rank
-//! counts and buffer sizes.
+//! Micro-benchmarks of the collective algorithms of
+//! `geographer_parcomm` on the thread transport: allreduce (recursive
+//! doubling), broadcast (root sends), alltoallv (ring, vectors moved) and
+//! exscan at several rank counts and buffer sizes.
 //!
 //! Each iteration spawns one SPMD region and runs `REPS` back-to-back
 //! collectives inside it, so the measured time amortizes the thread-spawn
-//! cost and is dominated by the collective schedule itself (barriers +
-//! payload movement). Throughput is reported as bytes of one rank's
-//! payload processed per rep.
+//! cost and is dominated by the collective schedule itself (mailbox
+//! hand-offs + payload movement). Throughput is reported as bytes of one
+//! rank's payload processed per rep.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use geographer_parcomm::{run_spmd, Comm};

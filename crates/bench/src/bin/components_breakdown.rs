@@ -7,10 +7,10 @@
 //! time on Delaunay2B between 1 024 and 16 384 ranks, with k-means going
 //! from 47 % to 42 %).
 
-use geographer::{partition_spmd, Config};
+use geographer::{partition_spmd, Config, PhaseComm};
 use geographer_bench::{scaled, TextTable};
 use geographer_mesh::delaunay_unit_square;
-use geographer_parcomm::run_spmd;
+use geographer_parcomm::{run_spmd, CommStats};
 
 fn main() {
     let n = scaled(60_000);
@@ -44,18 +44,24 @@ fn main() {
             format!("{:.1}", 100.0 * kmeans / total),
             format!("{total:.3}s"),
         ]);
-        // Per-phase communication structure (rank 0's view is global): the
-        // redistribution phase is volume-heavy, k-means is round-heavy.
-        let pc = &results[0].1;
+        // Per-phase communication structure, job-wide (each rank reports
+        // its own view): the redistribution phase is volume-heavy, k-means
+        // is round-heavy.
+        let job = |phase: fn(&PhaseComm) -> CommStats| {
+            let views: Vec<CommStats> = results.iter().map(|(_, pc)| phase(pc)).collect();
+            CommStats::from_rank_views(&views)
+        };
+        let (sfc, redist, kmeans) =
+            (job(|pc| pc.sfc_index), job(|pc| pc.redistribute), job(|pc| pc.kmeans));
         eprintln!(
             "  p={p}: comm rounds sfc={} redistribute={} kmeans={} | \
              bytes/rank sfc={} redistribute={} kmeans={}",
-            pc.sfc_index.rounds(),
-            pc.redistribute.rounds(),
-            pc.kmeans.rounds(),
-            pc.sfc_index.bytes_per_rank(),
-            pc.redistribute.bytes_per_rank(),
-            pc.kmeans.bytes_per_rank(),
+            sfc.rounds(),
+            redist.rounds(),
+            kmeans.rounds(),
+            sfc.bytes_per_rank(),
+            redist.bytes_per_rank(),
+            kmeans.bytes_per_rank(),
         );
     }
     table.print();

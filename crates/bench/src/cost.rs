@@ -9,7 +9,7 @@
 //! T(p) = serialized_compute / p  +  α · rounds  +  β · bytes_per_rank
 //! ```
 //!
-//! where `rounds` (barrier-synchronized communication steps) and
+//! where `rounds` (steps of the collectives' schedules) and
 //! `bytes_per_rank` (payload bytes received by a rank) come from the
 //! per-collective counters the substrate measures — they are structural
 //! properties of the algorithm, not of the machine — and α/β are set to

@@ -151,7 +151,9 @@ impl PlanRecipe {
 /// single-core reproduction machine).
 #[derive(Debug, Clone)]
 pub struct PlanRun<const D: usize> {
-    /// Rank 0's plan (the assignment is global and identical on all ranks).
+    /// Rank 0's plan (the assignment is global and identical on all
+    /// ranks), with `comm` widened from rank 0's view to the job-wide one
+    /// ([`CommStats::from_rank_views`] over every rank's plan).
     pub plan: Plan<D>,
     /// Wall-clock seconds of the whole SPMD run, refinement included.
     /// With `p > 1` ranks on the single-core reproduction machine this is
@@ -214,7 +216,12 @@ pub fn solve_plan_view<const D: usize>(
             kmeans: a.kmeans.max(b.kmeans),
             writeback: a.writeback.max(b.writeback),
         });
-    PlanRun { plan: plans.remove(0).0, wall_seconds, wall_max_rank_s, phase_max }
+    // Each rank's plan carries that rank's counters; the run reports the
+    // job-wide view (ops/rounds of rank 0, bytes summed over ranks).
+    let views: Vec<CommStats> = plans.iter().map(|(plan, _)| plan.comm).collect();
+    let mut plan = plans.remove(0).0;
+    plan.comm = CommStats::from_rank_views(&views);
+    PlanRun { plan, wall_seconds, wall_max_rank_s, phase_max }
 }
 
 /// One finished [`solve_plan_proc`] run: what a cold solve can report when
@@ -228,8 +235,8 @@ pub struct ProcRun {
     /// cross-backend conformance suite).
     pub assignment: Vec<u32>,
     /// Job-wide communication counters, combined from the per-rank views
-    /// with the same convention as the thread backend (ops/rounds from
-    /// rank 0, received bytes summed over ranks).
+    /// exactly as [`PlanRun`]'s are (ops/rounds from rank 0, received
+    /// bytes summed over ranks).
     pub comm: CommStats,
     /// Parent's wall clock around the whole job, fork and rendezvous
     /// included.

@@ -48,8 +48,9 @@ impl PipelineTimings {
     }
 }
 
-/// Per-collective communication counters of each pipeline phase (the
-/// snapshots diffed around the phase boundaries). The Components breakdown
+/// Per-collective communication counters of each pipeline phase, as this
+/// rank's view (its own snapshots diffed around the phase boundaries;
+/// bytes are what this rank received). The Components breakdown
 /// of Sec. 5.3.2 reads these next to the wall-clock timings: the
 /// redistribution phase is volume-dominated (one alltoallv moving the
 /// points), while the k-means phase is round-dominated (one short
@@ -81,7 +82,8 @@ pub struct PipelineResult<const D: usize> {
     pub timings: PipelineTimings,
     /// k-means work counters for this rank.
     pub stats: KMeansStats,
-    /// Communication counters accumulated during the timed phases.
+    /// This rank's view of the communication counters accumulated during
+    /// the timed phases.
     pub comm_stats: CommStats,
     /// The same counters broken down by pipeline phase.
     pub phase_comm: PhaseComm,
@@ -154,13 +156,11 @@ impl<const D: usize> Wire for Tagged<D> {
     }
 }
 
-/// Phase-boundary counter snapshot. Collectives record their counters at
-/// entry, so without synchronization a fast rank could enter the next
-/// phase's first collective while a slow rank is still reading the
-/// boundary snapshot, misattributing bytes between phases. The barrier
-/// pair makes the snapshot a consistent cut: after the first barrier every
-/// rank has finished the previous phase, and no rank proceeds past the
-/// second until everyone has read.
+/// Phase-boundary counter snapshot. A rank reads only its own counters,
+/// so the snapshot itself needs no synchronization; the barrier pair is
+/// kept because it also aligns the ranks' phase timers — after the first
+/// barrier every rank has finished the previous phase, and none starts the
+/// next before all have arrived.
 pub(crate) fn phase_snapshot<C: Comm>(comm: &C) -> CommStats {
     comm.barrier();
     let s = comm.stats();

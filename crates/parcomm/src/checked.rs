@@ -3,7 +3,7 @@
 //! The SPMD contract (see [`Comm`]) says every rank issues the same
 //! collectives in the same order with compatible arguments. When code
 //! breaks that contract, today's failure modes are terrible: the thread
-//! backend deadlocks (a rank waits at a barrier its peer never reaches)
+//! backend deadlocks (a rank waits for a message its peer never sends)
 //! and the process backend panics with a frame-desync error at whichever
 //! rank happens to read the mismatched frame first. [`CheckedComm`] turns
 //! call-sequence divergence into a typed [`ProtocolError`] naming the
@@ -27,7 +27,7 @@
 //! not for the bench hot path. What the digest cannot catch: a rank that
 //! simply *stops* calling collectives (returns early) — that remains the
 //! backends' liveness problem (EOF detection / the parent deadline on
-//! processes, barrier poisoning on threads — DESIGN.md §10).
+//! processes, communicator poisoning on threads — DESIGN.md §10).
 
 use std::cell::{Cell, RefCell};
 

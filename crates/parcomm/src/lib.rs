@@ -2,32 +2,36 @@
 //!
 //! The paper's Geographer is an MPI code built on LAMA; every communication
 //! it performs is a collective (global reductions, one global sort/exchange).
-//! This crate provides the same programming model for a single shared-memory
-//! machine: a [`Comm`] trait with MPI-shaped collectives, implemented by
+//! This crate provides the same programming model on one machine: a
+//! [`Comm`] trait with MPI-shaped collectives, whose algorithms are written
+//! **once**, in [`collectives`], over a point-to-point
+//! [`Transport`](collectives::Transport). The communicators are transports
+//! and nothing more:
 //!
-//! * [`SelfComm`] — the trivial single-rank communicator, and
-//! * [`thread::ThreadComm`] — `p` OS threads acting as ranks, with real
-//!   synchronization (sense-reversing barriers), **native collective
-//!   algorithms** (recursive-doubling reductions and scans, single-deposit
-//!   broadcast, move-once alltoallv), and per-collective byte/round
-//!   accounting.
+//! * [`SelfComm`] — the single rank, which has no peer to talk to;
+//! * [`thread::ThreadComm`] — `p` OS threads acting as ranks, values moved
+//!   between them through per-sender FIFO mailboxes, never encoded;
+//! * [`proc::ProcComm`] — `p` forked processes acting as ranks, values
+//!   [`Wire`]-encoded into frames over Unix-domain sockets;
+//!
+//! and [`CheckedComm`] wraps any of them with a lockstep check.
 //!
 //! Algorithms written against [`Comm`] are structured exactly like their MPI
 //! counterparts: each rank owns a shard of the data and all cross-rank data
-//! flow is explicit. Every reduction, scan, and broadcast is an overridable
-//! trait method: the default bodies derive them from [`Comm::allgather`]
-//! (correct for any communicator, and all [`SelfComm`] needs), while
-//! `ThreadComm` overrides them with the native algorithms whose volumes
-//! match real MPI implementations — `O(m·log p)` received bytes per rank
-//! for an `m`-element reduction instead of the allgather's `O(m·p)`.
+//! flow is explicit. Because every communicator runs the same schedules
+//! with the same rank-ordered combine, results — and the per-collective
+//! `(ops, rounds, bytes)` counters ([`CommStats`]) — are identical across
+//! them at equal `p` by construction. The volumes match real MPI
+//! implementations: `O(m·log p)` received bytes per rank for an
+//! `m`-element reduction.
 //!
-//! The per-collective `(ops, rounds, bytes)` counters ([`CommStats`]) feed
-//! the α–β cost model used by the scaling experiments (see DESIGN.md §3:
-//! on a 1-core CI box, wall-clock speedup is not observable, so scaling
-//! figures report modeled time from measured communication volume and
-//! per-rank work).
+//! The counters feed the α–β cost model used by the scaling experiments
+//! (see DESIGN.md §3: on a 1-core CI box, wall-clock speedup is not
+//! observable, so scaling figures report modeled time from measured
+//! communication volume and per-rank work).
 
 pub mod checked;
+pub mod collectives;
 pub mod proc;
 pub mod stats;
 pub mod thread;
@@ -42,15 +46,11 @@ pub use wire::{from_wire, to_wire, Wire, WireCursor};
 /// An MPI-like communicator. All collectives must be called by every rank
 /// of the communicator, in the same order (the usual MPI contract).
 ///
-/// The reductions, scan, and broadcast have default bodies derived from
-/// [`Comm::allgather`]. They make a new implementation correct after
-/// providing only the five required methods (`rank`, `size`, `barrier`,
-/// `allgather`, `alltoallv`), but move `p` copies of every payload;
-/// communicators that care about volume (like [`ThreadComm`]) override
-/// them with native algorithms. Cross-rank floating-point reductions are
-/// deterministic per implementation but follow a *fixed reduction tree*
-/// that may differ between implementations and rank counts — exactly the
-/// associativity caveat of `MPI_Allreduce`.
+/// Implemented for every [`collectives::Transport`] by the one generic
+/// layer in [`collectives`], and by [`CheckedComm`] around any `Comm`.
+/// Cross-rank floating-point reductions follow a *fixed reduction tree*
+/// that depends on the rank count only — exactly the associativity caveat
+/// of `MPI_Allreduce`.
 pub trait Comm {
     /// This rank's id in `0..size()`.
     fn rank(&self) -> usize;
@@ -69,105 +69,48 @@ pub trait Comm {
     /// entry `s` is what rank `s` sent to this rank.
     fn alltoallv<T: Wire>(&self, sends: Vec<Vec<T>>) -> Vec<Vec<T>>;
 
-    /// Snapshot of communication counters (monotone; diff two snapshots to
-    /// measure a phase). The trivial communicator reports zeros.
-    fn stats(&self) -> CommStats {
-        CommStats::default()
-    }
-
-    // ---- overridable collectives (allgather-derived reference bodies) ---
+    /// Snapshot of **this rank's** communication counters (monotone; diff
+    /// two snapshots to measure a phase). Ops and rounds are the same on
+    /// every rank; bytes are what this rank received. Combine the ranks'
+    /// snapshots with [`CommStats::from_rank_views`] for a job-wide view.
+    fn stats(&self) -> CommStats;
 
     /// Generic allreduce with a commutative, associative `combine`.
     fn allreduce<T, F>(&self, value: T, combine: F) -> T
     where
         T: Wire,
-        F: Fn(T, T) -> T,
-    {
-        let all = self.allgather(vec![value]);
-        // geo-analyze: allow(panic-in-spmd): infallible — every rank contributed exactly one element just above.
-        let mut it = all.into_iter().map(|mut v| v.pop().expect("one element per rank"));
-        // geo-analyze: allow(panic-in-spmd): infallible — a communicator has at least one rank.
-        let first = it.next().expect("at least one rank");
-        it.fold(first, combine)
-    }
+        F: Fn(T, T) -> T;
 
     /// Element-wise global sum of a vector, in place. This is the
     /// `globalSumVector` of Algorithm 1 (the only communication inside the
     /// assign-and-balance loop).
-    fn allreduce_sum_f64(&self, buf: &mut [f64]) {
-        let all = self.allgather(buf.to_vec());
-        for x in buf.iter_mut() {
-            *x = 0.0;
-        }
-        for contrib in &all {
-            debug_assert_eq!(contrib.len(), buf.len());
-            for (x, c) in buf.iter_mut().zip(contrib) {
-                *x += *c;
-            }
-        }
-    }
+    fn allreduce_sum_f64(&self, buf: &mut [f64]);
 
     /// Element-wise global max, in place.
-    fn allreduce_max_f64(&self, buf: &mut [f64]) {
-        let all = self.allgather(buf.to_vec());
-        for (i, x) in buf.iter_mut().enumerate() {
-            *x = all.iter().map(|c| c[i]).fold(f64::NEG_INFINITY, f64::max);
-        }
-    }
+    fn allreduce_max_f64(&self, buf: &mut [f64]);
 
     /// Element-wise global min, in place.
-    fn allreduce_min_f64(&self, buf: &mut [f64]) {
-        let all = self.allgather(buf.to_vec());
-        for (i, x) in buf.iter_mut().enumerate() {
-            *x = all.iter().map(|c| c[i]).fold(f64::INFINITY, f64::min);
-        }
-    }
+    fn allreduce_min_f64(&self, buf: &mut [f64]);
 
     /// Element-wise global sum of u64 counters, in place.
-    fn allreduce_sum_u64(&self, buf: &mut [u64]) {
-        let all = self.allgather(buf.to_vec());
-        for x in buf.iter_mut() {
-            *x = 0;
-        }
-        for contrib in &all {
-            for (x, c) in buf.iter_mut().zip(contrib) {
-                *x += *c;
-            }
-        }
-    }
+    fn allreduce_sum_u64(&self, buf: &mut [u64]);
 
     /// Exclusive prefix sum over ranks: rank r receives Σ_{s<r} value_s.
-    fn exscan_sum_u64(&self, value: u64) -> u64 {
-        let all = self.allgather(vec![value]);
-        all[..self.rank()].iter().map(|v| v[0]).sum()
-    }
+    fn exscan_sum_u64(&self, value: u64) -> u64;
 
     /// Broadcast from `root`: `value` must be `Some` on the root and is
     /// ignored elsewhere.
-    fn broadcast<T: Wire>(&self, root: usize, value: Option<T>) -> T {
-        debug_assert!(root < self.size());
-        let contribution = if self.rank() == root {
-            // geo-analyze: allow(panic-in-spmd): fail-loud API-contract check — the root must supply a value; a silent default would broadcast garbage.
-            vec![value.expect("root must supply a value")]
-        } else {
-            Vec::new()
-        };
-        let mut all = self.allgather(contribution);
-        // geo-analyze: allow(panic-in-spmd): infallible — the root branch above pushed exactly one element.
-        all.swap_remove(root).pop().expect("root contribution present")
-    }
+    fn broadcast<T: Wire>(&self, root: usize, value: Option<T>) -> T;
 }
 
-/// The trivial communicator: one rank, no communication.
+/// The trivial communicator: one rank, nobody to talk to. Its collectives
+/// are the generic layer's `p = 1` paths, which return their input and
+/// record one op of zero rounds and zero bytes — what any size-1
+/// communicator records, so p = 1 runs report the same per-kind op counts
+/// whichever communicator they ran on.
 ///
-/// Collective *calls* are still counted: every collective records one op
-/// with zero rounds and zero received bytes, exactly what a [`ThreadComm`]
-/// of size 1 records — so p = 1 runs report the same per-kind op counts on
-/// either communicator and measured-vs-modeled comparisons stay
-/// apples-to-apples. (Previously only the trait-default bodies ran here
-/// and nothing was recorded at all, so p = 1 op counts were unevenly zero
-/// across kinds.) The counters live in a thread-local cell shared by all
-/// `SelfComm` values on a thread — the instances are stateless and
+/// The counters live in a thread-local cell shared by all `SelfComm`
+/// values on a thread — the instances are stateless and
 /// indistinguishable, and [`CommStats`] snapshots are diffed around
 /// phases, so sharing monotone counters is observationally equivalent to
 /// per-instance cells.
@@ -178,13 +121,7 @@ thread_local! {
     static SELF_STATS: stats::StatsCell = stats::StatsCell::default();
 }
 
-impl SelfComm {
-    fn note(&self, kind: Collective) {
-        SELF_STATS.with(|c| c.record(kind, 0, 0));
-    }
-}
-
-impl Comm for SelfComm {
+impl collectives::Transport for SelfComm {
     fn rank(&self) -> usize {
         0
     }
@@ -193,61 +130,16 @@ impl Comm for SelfComm {
         1
     }
 
-    fn barrier(&self) {}
-
-    fn allgather<T: Wire>(&self, local: Vec<T>) -> Vec<Vec<T>> {
-        self.note(Collective::Allgather);
-        vec![local]
+    fn send<T: Wire>(&self, _tag: collectives::Tag, to: usize, _value: T) {
+        unreachable!("the single rank has no peer {to} to send to")
     }
 
-    fn alltoallv<T: Wire>(&self, sends: Vec<Vec<T>>) -> Vec<Vec<T>> {
-        debug_assert_eq!(sends.len(), 1);
-        self.note(Collective::Alltoallv);
-        sends
+    fn recv<T: Wire>(&self, _tag: collectives::Tag, from: usize) -> T {
+        unreachable!("the single rank has no peer {from} to receive from")
     }
 
-    fn stats(&self) -> CommStats {
-        SELF_STATS.with(|c| CommStats::aggregate(1, std::slice::from_ref(c)))
-    }
-
-    // Single-rank collectives are identities; each records its op so the
-    // per-kind call counts match a size-1 ThreadComm.
-
-    fn allreduce<T, F>(&self, value: T, _combine: F) -> T
-    where
-        T: Wire,
-        F: Fn(T, T) -> T,
-    {
-        self.note(Collective::Allreduce);
-        value
-    }
-
-    fn allreduce_sum_f64(&self, _buf: &mut [f64]) {
-        self.note(Collective::Allreduce);
-    }
-
-    fn allreduce_max_f64(&self, _buf: &mut [f64]) {
-        self.note(Collective::Allreduce);
-    }
-
-    fn allreduce_min_f64(&self, _buf: &mut [f64]) {
-        self.note(Collective::Allreduce);
-    }
-
-    fn allreduce_sum_u64(&self, _buf: &mut [u64]) {
-        self.note(Collective::Allreduce);
-    }
-
-    fn exscan_sum_u64(&self, _value: u64) -> u64 {
-        self.note(Collective::Exscan);
-        0
-    }
-
-    fn broadcast<T: Wire>(&self, root: usize, value: Option<T>) -> T {
-        debug_assert_eq!(root, 0);
-        self.note(Collective::Broadcast);
-        // geo-analyze: allow(panic-in-spmd): fail-loud API-contract check — rank 0 is always the root here and must supply a value.
-        value.expect("root must supply a value")
+    fn with_stats<R>(&self, f: impl FnOnce(&stats::StatsCell) -> R) -> R {
+        SELF_STATS.with(f)
     }
 }
 
@@ -305,69 +197,5 @@ mod tests {
         })
         .remove(0);
         assert_eq!(self_delta.per_op, thread_delta.per_op);
-    }
-
-    /// A communicator providing only the five required methods (forwarded
-    /// to a `ThreadComm`), so every derived collective runs the
-    /// allgather-derived trait default instead of the native override.
-    struct MinimalComm(ThreadComm);
-
-    impl Comm for MinimalComm {
-        fn rank(&self) -> usize {
-            self.0.rank()
-        }
-        fn size(&self) -> usize {
-            self.0.size()
-        }
-        fn barrier(&self) {
-            self.0.barrier()
-        }
-        fn allgather<T: Wire>(&self, local: Vec<T>) -> Vec<Vec<T>> {
-            self.0.allgather(local)
-        }
-        fn alltoallv<T: Wire>(&self, sends: Vec<Vec<T>>) -> Vec<Vec<T>> {
-            self.0.alltoallv(sends)
-        }
-    }
-
-    #[test]
-    fn derived_bodies_match_native_ones() {
-        // The allgather-derived defaults and ThreadComm's native overrides
-        // must implement the same specification: run each collective both
-        // ways on the same ranks and compare.
-        let results = run_spmd(5, |c| {
-            let minimal = MinimalComm(c.clone());
-            let mut native_sum = vec![c.rank() as f64 + 0.5, 2.0];
-            c.allreduce_sum_f64(&mut native_sum);
-            let mut derived_sum = vec![c.rank() as f64 + 0.5, 2.0];
-            minimal.allreduce_sum_f64(&mut derived_sum);
-            let pairs = [
-                (c.exscan_sum_u64(c.rank() as u64), minimal.exscan_sum_u64(c.rank() as u64)),
-                (
-                    c.broadcast(3, (c.rank() == 3).then_some(11u64)),
-                    minimal.broadcast(3, (c.rank() == 3).then_some(11u64)),
-                ),
-                (
-                    c.allreduce(c.rank() as u64, u64::max),
-                    minimal.allreduce(c.rank() as u64, u64::max),
-                ),
-            ];
-            (native_sum, derived_sum, pairs)
-        });
-        for (r, (native_sum, derived_sum, pairs)) in results.into_iter().enumerate() {
-            assert!((native_sum[0] - 12.5).abs() < 1e-12);
-            assert_eq!(native_sum[1], 10.0);
-            // Exact for the integer-valued second component; the first may
-            // differ from the derived rank-ordered fold by associativity.
-            assert_eq!(derived_sum[1], 10.0);
-            assert!((native_sum[0] - derived_sum[0]).abs() < 1e-12);
-            let [(ex_n, ex_d), (bc_n, bc_d), (mx_n, mx_d)] = pairs;
-            assert_eq!(ex_n, (0..r as u64).sum::<u64>());
-            assert_eq!(ex_n, ex_d);
-            assert_eq!(bc_n, 11);
-            assert_eq!(bc_n, bc_d);
-            assert_eq!(mx_n, 4);
-            assert_eq!(mx_n, mx_d);
-        }
     }
 }

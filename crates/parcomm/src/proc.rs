@@ -17,17 +17,17 @@
 //!   rank (created before the fork) carries the final result or panic
 //!   back to the parent.
 //! * **Framing** — every message is `[magic, kind, seq, len]` +
-//!   payload. `kind` is the collective, `seq` a per-communicator call
-//!   counter: because SPMD ranks issue collectives in identical order, a
-//!   mismatch means the streams desynchronized and the worker fails loudly
-//!   instead of deserializing garbage. Payloads are [`Wire`]-encoded.
-//! * **Collectives** — the *same algorithms* as
-//!   [`ThreadComm`](crate::ThreadComm): recursive-doubling (butterfly)
-//!   reductions with the identical rank-ordered combine tree, the
-//!   Hillis–Steele exscan, root-sends broadcast, and ring
-//!   allgather/alltoallv. Reduction trees being identical makes results
-//!   **bitwise-equal** to the thread backend at the same `p`, which is
-//!   what the cross-backend conformance suite pins.
+//!   payload. `kind` is the collective the message belongs to, `seq`
+//!   counts the frames sent so far on that link in that direction:
+//!   because SPMD ranks issue collectives in identical order, a mismatch
+//!   means the streams desynchronized and the worker fails loudly instead
+//!   of deserializing garbage. Payloads are [`Wire`]-encoded.
+//! * **Transport** — `send` / `recv` / `sendrecv` of one typed value to
+//!   or from one peer, which is all the generic collective layer
+//!   ([`crate::collectives`]) needs. The algorithms, their reduction
+//!   trees and their counters are therefore the *same code* as on
+//!   [`ThreadComm`](crate::ThreadComm), and results are **bitwise-equal**
+//!   at the same `p` by construction.
 //!
 //! Failure semantics (the part a shared-memory simulation cannot give
 //! you): a rank that panics reports through its control socket and exits;
@@ -38,18 +38,13 @@
 //! (`GEO_PROC_TIMEOUT_SECS`, default 120 s) and SIGKILLs stragglers, so a
 //! genuinely hung worker also becomes a clean [`ProcError`].
 //!
-//! Deadlock avoidance on the wire: frames at or below [`EAGER_MAX`] bytes
-//! are written eagerly (they fit the socket buffer, so the write cannot
-//! block) and read afterwards; larger pairwise exchanges fall back to a
-//! rank-ordered rendezvous (lower rank writes first while the higher rank
-//! drains), and larger ring steps overlap the write on a scoped thread —
-//! the same eager/rendezvous split real MPI implementations use.
-//!
-//! Unlike `ThreadComm`, a process cannot read its peers' counters without
-//! more communication, so [`ProcComm::stats`] reports *this rank's* view
-//! (`ranks = 1`): `bytes_per_rank()` is then exactly this rank's received
-//! volume — the quantity the α–β model multiplies by β — and `rounds`
-//! are identical on every rank by the SPMD contract.
+//! Deadlock avoidance on the wire, all behind `sendrecv`: frames at or
+//! below [`EAGER_MAX`] bytes are written eagerly (they fit the socket
+//! buffer, so the write cannot block) and read afterwards; larger pairwise
+//! exchanges fall back to a rank-ordered rendezvous (lower rank writes
+//! first while the higher rank drains), and larger ring steps overlap the
+//! write on a scoped thread — the same eager/rendezvous split real MPI
+//! implementations use.
 
 #![cfg(unix)]
 
@@ -61,9 +56,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant, SystemTime};
 
-use crate::stats::{Collective, CommStats, StatsCell};
+use crate::collectives::Tag;
+use crate::stats::{Collective, StatsCell};
 use crate::wire::{from_wire, to_wire, Wire};
-use crate::Comm;
 
 /// Largest frame payload written eagerly (before reading): must stay
 /// comfortably under the kernel's default Unix-socket buffer so an eager
@@ -175,7 +170,7 @@ mod kind {
 mod frame {
     use super::*;
 
-    const MAGIC: u32 = 0x47454F46; // "GEOF"
+    pub const MAGIC: u32 = 0x47454F46; // "GEOF"
     pub const HEADER: usize = 24;
     /// Upper bound on a single frame payload (8 GiB): a corrupt length
     /// fails fast instead of attempting a matching allocation.
@@ -201,45 +196,75 @@ mod frame {
         }
     }
 
-    /// Little-endian u32 at byte `off` of a header. Infallible by
-    /// construction: callers pass compile-time offsets inside the
-    /// fixed-size `[u8; HEADER]`.
-    pub fn field_u32(head: &[u8; HEADER], off: usize) -> u32 {
-        let mut b = [0u8; 4];
-        b.copy_from_slice(&head[off..off + 4]);
-        u32::from_le_bytes(b)
+    /// Read and validate one header: `(kind, seq, len)`. The one place a
+    /// length off the wire is trusted: bad magic or a `len` above
+    /// [`MAX_LEN`] is `InvalidData` before anything is allocated for it.
+    pub fn read_header(stream: &UnixStream) -> io::Result<(u8, u64, usize)> {
+        let mut r = stream;
+        let mut head = [0u8; HEADER];
+        r.read_exact(&mut head)?;
+        let word = |off: usize| {
+            let mut b = [0u8; 8];
+            b.copy_from_slice(&head[off..off + 8]);
+            u64::from_le_bytes(b)
+        };
+        // The first word is `[magic u32][kind u8][pad ×3]`: magic is its low half.
+        let (magic, kind, seq, len) = (word(0) as u32, head[4], word(8), word(16));
+        match usize::try_from(len) {
+            Ok(len_bytes) if magic == MAGIC && len <= MAX_LEN => Ok((kind, seq, len_bytes)),
+            _ => Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "corrupt frame header: magic {magic:#x}, kind {kind}, seq {seq}, len {len}"
+                ),
+            )),
+        }
     }
 
-    /// Little-endian u64 at byte `off` of a header.
-    pub fn field_u64(head: &[u8; HEADER], off: usize) -> u64 {
-        let mut b = [0u8; 8];
-        b.copy_from_slice(&head[off..off + 8]);
-        u64::from_le_bytes(b)
+    /// Read the `len` payload bytes a validated header announced.
+    pub fn read_payload(stream: &UnixStream, len: usize) -> io::Result<Vec<u8>> {
+        let mut r = stream;
+        let mut payload = vec![0u8; len];
+        r.read_exact(&mut payload)?;
+        Ok(payload)
     }
 
     /// Read one frame, requiring `kind` and `seq` to match what the SPMD
     /// call order predicts.
     pub fn read(stream: &UnixStream, kind: u8, seq: u64) -> io::Result<Vec<u8>> {
-        let mut r = stream;
-        let mut head = [0u8; HEADER];
-        r.read_exact(&mut head)?;
-        let magic = field_u32(&head, 0);
-        let got_kind = head[4];
-        let got_seq = field_u64(&head, 8);
-        let len = field_u64(&head, 16);
-        if magic != MAGIC || got_kind != kind || got_seq != seq || len > MAX_LEN {
+        let (got_kind, got_seq, len) = read_header(stream)?;
+        if got_kind != kind || got_seq != seq {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!(
-                    "frame desync: got (magic {magic:#x}, kind {got_kind}, seq {got_seq}, \
-                     len {len}), expected (kind {kind}, seq {seq})"
+                    "frame desync: got (kind {got_kind}, seq {got_seq}), \
+                     expected (kind {kind}, seq {seq})"
                 ),
             ));
         }
-        let mut payload = vec![0u8; len as usize];
-        r.read_exact(&mut payload)?;
-        Ok(payload)
+        read_payload(stream, len)
     }
+}
+
+/// One link of the mesh: the stream to a peer and the frame counters of
+/// its two directions (the `seq` stamped into, and expected from, the
+/// next frame).
+#[derive(Debug)]
+struct Peer {
+    stream: UnixStream,
+    sent: Cell<u64>,
+    received: Cell<u64>,
+}
+
+impl Peer {
+    fn new(stream: UnixStream) -> Peer {
+        Peer { stream, sent: Cell::new(0), received: Cell::new(0) }
+    }
+}
+
+/// Post-increment a frame counter.
+fn bump(counter: &Cell<u64>) -> u64 {
+    counter.replace(counter.get() + 1)
 }
 
 /// One rank's handle into a processes-as-ranks communicator: a full mesh
@@ -248,10 +273,8 @@ mod frame {
 pub struct ProcComm {
     rank: usize,
     size: usize,
-    /// `peers[s]` is the stream to rank `s` (`None` at `s == rank`).
-    peers: Vec<Option<UnixStream>>,
-    /// Collective call counter; stamped into every frame of a call.
-    seq: Cell<u64>,
+    /// `peers[s]` is the link to rank `s` (`None` at `s == rank`).
+    peers: Vec<Option<Peer>>,
     stats: StatsCell,
 }
 
@@ -262,7 +285,7 @@ impl ProcComm {
     fn connect(dir: &Path, rank: usize, size: usize, job: u64) -> io::Result<ProcComm> {
         let deadline = Instant::now() + Duration::from_secs_f64(RENDEZVOUS_TIMEOUT_SECS);
         let sock = |r: usize| dir.join(format!("r{r}.sock"));
-        let mut peers: Vec<Option<UnixStream>> = (0..size).map(|_| None).collect();
+        let mut peers: Vec<Option<Peer>> = (0..size).map(|_| None).collect();
         let listener = UnixListener::bind(sock(rank))?;
         listener.set_nonblocking(true)?;
         // Dial lower ranks, retrying until the peer has bound its path.
@@ -283,7 +306,7 @@ impl ProcComm {
                 }
             };
             frame::write(&stream, kind::HELLO, job, &to_wire(&(rank as u64)))?;
-            peers[s] = Some(stream);
+            peers[s] = Some(Peer::new(stream));
         }
         // Accept higher ranks; the hello tells us which one dialed in.
         for _ in rank + 1..size {
@@ -313,36 +336,29 @@ impl ProcComm {
                 ));
             }
             stream.set_read_timeout(None)?;
-            peers[s] = Some(stream);
+            peers[s] = Some(Peer::new(stream));
         }
-        Ok(ProcComm { rank, size, peers, seq: Cell::new(0), stats: StatsCell::default() })
+        Ok(ProcComm { rank, size, peers, stats: StatsCell::default() })
     }
 
-    fn peer(&self, r: usize) -> &UnixStream {
+    fn peer(&self, r: usize) -> &Peer {
         // Infallible — the mesh is full except s == rank, and no collective addresses self.
         self.peers[r].as_ref().unwrap_or_else(|| panic!("rank {} has no stream to {r}", self.rank))
     }
 
-    /// Next collective sequence number (stamped into this call's frames).
-    fn next_seq(&self) -> u64 {
-        let s = self.seq.get() + 1;
-        self.seq.set(s);
-        s
-    }
-
-    fn record(&self, kindc: Collective, rounds: u64, received_bytes: u64) {
-        self.stats.record(kindc, rounds, received_bytes);
-    }
-
-    fn send(&self, to: usize, k: u8, seq: u64, payload: &[u8]) {
-        frame::write(self.peer(to), k, seq, payload).unwrap_or_else(|e| {
+    fn send_frame(&self, to: usize, k: u8, payload: &[u8]) {
+        let peer = self.peer(to);
+        let seq = bump(&peer.sent);
+        frame::write(&peer.stream, k, seq, payload).unwrap_or_else(|e| {
             // Deliberate fail-loud abort — a wire fault means a peer died; the parent reports a ProcError (DESIGN.md §10).
             panic!("rank {}: send to rank {to} failed (kind {k}, seq {seq}): {e}", self.rank)
         });
     }
 
-    fn recv(&self, from: usize, k: u8, seq: u64) -> Vec<u8> {
-        frame::read(self.peer(from), k, seq).unwrap_or_else(|e| {
+    fn recv_frame(&self, from: usize, k: u8) -> Vec<u8> {
+        let peer = self.peer(from);
+        let seq = bump(&peer.received);
+        frame::read(&peer.stream, k, seq).unwrap_or_else(|e| {
             let why = if e.kind() == io::ErrorKind::UnexpectedEof {
                 "peer hung up mid-collective (rank died?)".to_string()
             } else {
@@ -353,118 +369,34 @@ impl ProcComm {
         })
     }
 
-    /// Symmetric pairwise exchange with `peer` (both sides send
-    /// same-kind frames). Eager for small payloads; rank-ordered
-    /// write-then-read rendezvous for large ones, so neither side can
-    /// block forever against a full socket buffer.
-    fn exchange(&self, peer: usize, k: u8, seq: u64, payload: &[u8]) -> Vec<u8> {
-        if payload.len() <= EAGER_MAX || self.rank < peer {
-            self.send(peer, k, seq, payload);
-            self.recv(peer, k, seq)
-        } else {
-            let got = self.recv(peer, k, seq);
-            self.send(peer, k, seq, payload);
+    /// Send `payload` to `to` while receiving a same-kind frame from
+    /// `from`, without ever blocking forever against a full socket buffer:
+    /// eager for small payloads; for large ones a pairwise exchange
+    /// (`to == from`) is a rank-ordered rendezvous — the lower rank writes
+    /// while the higher drains — and a ring step (`to != from`) overlaps
+    /// the write on a scoped thread, because a ring of blocking writes can
+    /// cycle.
+    fn sendrecv_frames(&self, to: usize, k: u8, payload: &[u8], from: usize) -> Vec<u8> {
+        if payload.len() <= EAGER_MAX || (to == from && self.rank < to) {
+            self.send_frame(to, k, payload);
+            self.recv_frame(from, k)
+        } else if to == from {
+            let got = self.recv_frame(from, k);
+            self.send_frame(to, k, payload);
             got
-        }
-    }
-
-    /// Ring step: send `payload` to `to` while receiving from `from`
-    /// (`to != from` in general). Large payloads overlap the write on a
-    /// scoped thread because a ring of blocking writes can cycle.
-    fn sendrecv(&self, to: usize, k: u8, seq: u64, payload: &[u8], from: usize) -> Vec<u8> {
-        if payload.len() <= EAGER_MAX {
-            self.send(to, k, seq, payload);
-            self.recv(from, k, seq)
         } else {
-            let to_stream = self.peer(to);
-            let me = self.rank;
+            let peer = self.peer(to);
+            let (stream, seq, me) = (&peer.stream, bump(&peer.sent), self.rank);
             std::thread::scope(|sc| {
                 sc.spawn(move || {
-                    frame::write(to_stream, k, seq, payload).unwrap_or_else(|e| {
-                        // Deliberate fail-loud abort — same dead-peer policy as send() (DESIGN.md §10).
+                    frame::write(stream, k, seq, payload).unwrap_or_else(|e| {
+                        // Deliberate fail-loud abort — same dead-peer policy as send_frame() (DESIGN.md §10).
                         panic!("rank {me}: send to rank {to} failed (kind {k}, seq {seq}): {e}")
                     });
                 });
-                self.recv(from, k, seq)
+                self.recv_frame(from, k)
             })
         }
-    }
-
-    /// Recursive-doubling butterfly with the **identical** fold/unfold
-    /// schedule and rank-ordered combine tree as
-    /// [`ThreadComm`](crate::ThreadComm) — see `thread.rs` — so reductions
-    /// are bitwise-equal across backends at the same `p`.
-    fn butterfly<T, F>(&self, kindc: Collective, k: u8, value: T, combine: F) -> T
-    where
-        T: Wire,
-        F: Fn(T, T) -> T,
-    {
-        let p = self.size;
-        if p == 1 {
-            self.record(kindc, 0, 0);
-            return value;
-        }
-        let seq = self.next_seq();
-        let r = self.rank;
-        let q = prev_power_of_two(p);
-        let extra = p - q;
-        let log_q = q.trailing_zeros() as u64;
-        let rounds = log_q + if extra > 0 { 2 } else { 0 };
-        let mut received = 0u64;
-        let mut acc = value;
-
-        // Fold step: ranks q..p send their contribution to rank r−q.
-        if extra > 0 {
-            if r >= q {
-                self.send(r - q, k, seq, &to_wire(&acc));
-            } else if r < extra {
-                let bytes = self.recv(r + q, k, seq);
-                received += bytes.len() as u64;
-                let theirs = from_wire::<T>(&bytes);
-                acc = combine(acc, theirs);
-            }
-        }
-
-        // Butterfly among ranks 0..q.
-        let mut gap = 1;
-        while gap < q {
-            if r < q {
-                let partner = r ^ gap;
-                let bytes = self.exchange(partner, k, seq, &to_wire(&acc));
-                received += bytes.len() as u64;
-                let theirs = from_wire::<T>(&bytes);
-                acc = if partner < r { combine(theirs, acc) } else { combine(acc, theirs) };
-            }
-            gap <<= 1;
-        }
-
-        // Unfold step: ranks 0..extra hand the result back to r+q.
-        if extra > 0 {
-            if r < extra {
-                self.send(r + q, k, seq, &to_wire(&acc));
-            } else if r >= q {
-                let bytes = self.recv(r - q, k, seq);
-                received += bytes.len() as u64;
-                acc = from_wire::<T>(&bytes);
-            }
-        }
-        self.record(kindc, rounds, received);
-        acc
-    }
-
-    /// Element-wise butterfly reduction of a slice, in place.
-    fn butterfly_slice<T, F>(&self, kindc: Collective, k: u8, buf: &mut [T], op: F)
-    where
-        T: Wire + Copy,
-        F: Fn(T, T) -> T,
-    {
-        let out = self.butterfly(kindc, k, buf.to_vec(), |mut lower, higher| {
-            for (x, t) in lower.iter_mut().zip(higher) {
-                *x = op(*x, t);
-            }
-            lower
-        });
-        buf.copy_from_slice(&out);
     }
 
     /// Raw pairwise exchange with rank `rank ^ 1`, outside the collective
@@ -473,18 +405,23 @@ impl ProcComm {
     pub fn probe_exchange(&self, payload: &[u8]) -> Vec<u8> {
         assert!(self.size >= 2, "probe needs a partner rank");
         let partner = self.rank ^ 1;
-        let seq = self.next_seq();
-        self.exchange(partner, kind::PROBE, seq, payload)
+        self.sendrecv_frames(partner, kind::PROBE, payload, partner)
     }
 }
 
-/// Largest power of two `≤ n` (`n ≥ 1`).
-fn prev_power_of_two(n: usize) -> usize {
-    debug_assert!(n >= 1);
-    1 << (usize::BITS - 1 - n.leading_zeros())
+/// The frame kind a message of `tag` travels under.
+fn kind_of(tag: Tag) -> u8 {
+    match tag {
+        Tag::Barrier => kind::BARRIER,
+        Tag::Op(Collective::Allgather) => kind::ALLGATHER,
+        Tag::Op(Collective::Allreduce) => kind::ALLREDUCE,
+        Tag::Op(Collective::Broadcast) => kind::BROADCAST,
+        Tag::Op(Collective::Exscan) => kind::EXSCAN,
+        Tag::Op(Collective::Alltoallv) => kind::ALLTOALLV,
+    }
 }
 
-impl Comm for ProcComm {
+impl crate::collectives::Transport for ProcComm {
     fn rank(&self) -> usize {
         self.rank
     }
@@ -493,167 +430,20 @@ impl Comm for ProcComm {
         self.size
     }
 
-    fn barrier(&self) {
-        // Dissemination barrier: ⌈log₂ p⌉ rounds of 0-byte frames; rank r
-        // talks to r±gap for doubling gaps. Like ThreadComm's barrier it
-        // records no stats.
-        let p = self.size;
-        if p == 1 {
-            return;
-        }
-        let seq = self.next_seq();
-        let mut gap = 1;
-        while gap < p {
-            let to = (self.rank + gap) % p;
-            let from = (self.rank + p - gap) % p;
-            let _ = self.sendrecv(to, kind::BARRIER, seq, &[], from);
-            gap <<= 1;
-        }
+    fn send<T: Wire>(&self, tag: Tag, to: usize, value: T) {
+        self.send_frame(to, kind_of(tag), &to_wire(&value));
     }
 
-    fn allgather<T: Wire>(&self, local: Vec<T>) -> Vec<Vec<T>> {
-        let p = self.size;
-        if p == 1 {
-            self.record(Collective::Allgather, 0, 0);
-            return vec![local];
-        }
-        let seq = self.next_seq();
-        let bytes = to_wire(&local);
-        let mut out: Vec<Option<Vec<T>>> = (0..p).map(|_| None).collect();
-        out[self.rank] = Some(local);
-        let mut received = 0u64;
-        // Ring: step d sends own vector to r+d and receives rank (r−d)'s.
-        for d in 1..p {
-            let to = (self.rank + d) % p;
-            let from = (self.rank + p - d) % p;
-            let got = self.sendrecv(to, kind::ALLGATHER, seq, &bytes, from);
-            received += got.len() as u64;
-            out[from] = Some(from_wire::<Vec<T>>(&got));
-        }
-        // p−1 transfer steps: the wire really does p−1 serialized rounds
-        // where the shared-memory backend deposits once (1 round).
-        self.record(Collective::Allgather, (p - 1) as u64, received);
-        // geo-analyze: allow(panic-in-spmd): infallible — the d-loop visits every from-rank exactly once.
-        out.into_iter().map(|v| v.expect("ring filled every slot")).collect()
+    fn recv<T: Wire>(&self, tag: Tag, from: usize) -> T {
+        from_wire(&self.recv_frame(from, kind_of(tag)))
     }
 
-    fn alltoallv<T: Wire>(&self, sends: Vec<Vec<T>>) -> Vec<Vec<T>> {
-        let p = self.size;
-        assert_eq!(sends.len(), p, "one send buffer per rank");
-        if p == 1 {
-            self.record(Collective::Alltoallv, 0, 0);
-            return sends;
-        }
-        let seq = self.next_seq();
-        let mut sends = sends;
-        let mut out: Vec<Option<Vec<T>>> = (0..p).map(|_| None).collect();
-        out[self.rank] = Some(std::mem::take(&mut sends[self.rank]));
-        let mut received = 0u64;
-        for d in 1..p {
-            let to = (self.rank + d) % p;
-            let from = (self.rank + p - d) % p;
-            let payload = to_wire(&sends[to]);
-            let got = self.sendrecv(to, kind::ALLTOALLV, seq, &payload, from);
-            received += got.len() as u64;
-            out[from] = Some(from_wire::<Vec<T>>(&got));
-        }
-        self.record(Collective::Alltoallv, (p - 1) as u64, received);
-        // geo-analyze: allow(panic-in-spmd): infallible — the d-loop visits every from-rank exactly once.
-        out.into_iter().map(|v| v.expect("ring filled every slot")).collect()
+    fn sendrecv<T: Wire>(&self, tag: Tag, to: usize, value: T, from: usize) -> T {
+        from_wire(&self.sendrecv_frames(to, kind_of(tag), &to_wire(&value), from))
     }
 
-    fn allreduce<T, F>(&self, value: T, combine: F) -> T
-    where
-        T: Wire,
-        F: Fn(T, T) -> T,
-    {
-        self.butterfly(Collective::Allreduce, kind::ALLREDUCE, value, combine)
-    }
-
-    fn allreduce_sum_f64(&self, buf: &mut [f64]) {
-        self.butterfly_slice(Collective::Allreduce, kind::ALLREDUCE, buf, |a, b| a + b);
-    }
-
-    fn allreduce_max_f64(&self, buf: &mut [f64]) {
-        self.butterfly_slice(Collective::Allreduce, kind::ALLREDUCE, buf, f64::max);
-    }
-
-    fn allreduce_min_f64(&self, buf: &mut [f64]) {
-        self.butterfly_slice(Collective::Allreduce, kind::ALLREDUCE, buf, f64::min);
-    }
-
-    fn allreduce_sum_u64(&self, buf: &mut [u64]) {
-        self.butterfly_slice(Collective::Allreduce, kind::ALLREDUCE, buf, |a, b| {
-            a.wrapping_add(b)
-        });
-    }
-
-    fn exscan_sum_u64(&self, value: u64) -> u64 {
-        // Hillis–Steele distributed scan, identical round structure and
-        // accumulation order to ThreadComm's.
-        let p = self.size;
-        if p == 1 {
-            self.record(Collective::Exscan, 0, 0);
-            return 0;
-        }
-        let seq = self.next_seq();
-        let r = self.rank;
-        let rounds = usize::BITS as u64 - (p - 1).leading_zeros() as u64;
-        let mut received = 0u64;
-        let mut exclusive = 0u64;
-        let mut inclusive = value;
-        let mut gap = 1;
-        while gap < p {
-            // Downstream send first (the sends form a DAG toward higher
-            // ranks, so blocking writes cannot cycle), then receive.
-            if r + gap < p {
-                self.send(r + gap, kind::EXSCAN, seq, &to_wire(&inclusive));
-            }
-            if r >= gap {
-                let bytes = self.recv(r - gap, kind::EXSCAN, seq);
-                received += bytes.len() as u64;
-                let theirs = from_wire::<u64>(&bytes);
-                exclusive += theirs;
-                inclusive += theirs;
-            }
-            gap <<= 1;
-        }
-        self.record(Collective::Exscan, rounds, received);
-        exclusive
-    }
-
-    fn broadcast<T: Wire>(&self, root: usize, value: Option<T>) -> T {
-        debug_assert!(root < self.size);
-        if self.size == 1 {
-            self.record(Collective::Broadcast, 0, 0);
-            // geo-analyze: allow(panic-in-spmd): fail-loud API-contract check — the root must supply a value; a silent default would broadcast garbage.
-            return value.expect("root must supply a value");
-        }
-        let seq = self.next_seq();
-        if self.rank == root {
-            // geo-analyze: allow(panic-in-spmd): fail-loud API-contract check — the root must supply a value; a silent default would broadcast garbage.
-            let v = value.expect("root must supply a value");
-            let bytes = to_wire(&v);
-            for s in 0..self.size {
-                if s != root {
-                    self.send(s, kind::BROADCAST, seq, &bytes);
-                }
-            }
-            self.record(Collective::Broadcast, 1, 0);
-            v
-        } else {
-            let bytes = self.recv(root, kind::BROADCAST, seq);
-            self.record(Collective::Broadcast, 1, bytes.len() as u64);
-            from_wire::<T>(&bytes)
-        }
-    }
-
-    /// This rank's counters, as a per-rank view (`ranks = 1`): a process
-    /// cannot observe its peers' cells without extra communication, and
-    /// the per-rank received volume is exactly what the β term of the
-    /// cost model needs.
-    fn stats(&self) -> CommStats {
-        CommStats::aggregate(1, std::slice::from_ref(&self.stats))
+    fn with_stats<R>(&self, f: impl FnOnce(&StatsCell) -> R) -> R {
+        f(&self.stats)
     }
 }
 
@@ -808,14 +598,8 @@ where
             });
             continue;
         }
-        let mut head = [0u8; frame::HEADER];
-        let outcome = (&mut (&*ctrl)).read_exact(&mut head).and_then(|()| {
-            let k = head[4];
-            let len = frame::field_u64(&head, 16) as usize;
-            let mut payload = vec![0u8; len];
-            (&mut (&*ctrl)).read_exact(&mut payload)?;
-            Ok((k, payload))
-        });
+        let outcome = frame::read_header(ctrl)
+            .and_then(|(k, _, len)| Ok((k, frame::read_payload(ctrl, len)?)));
         match outcome {
             Ok((k, payload)) if k == kind::RESULT => payloads[rank] = Some(payload),
             Ok((k, payload)) if k == kind::PANIC => {
@@ -930,6 +714,37 @@ pub fn measure_alpha_beta(reps: usize) -> Result<MeasuredAlphaBeta, ProcError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Comm, CommStats};
+
+    #[test]
+    fn corrupt_headers_are_invalid_data_before_any_allocation() {
+        // Both readers — a peer's frame and the parent's control frame —
+        // go through `read_header`: bad magic and an absurd length are
+        // rejected from the 24 header bytes alone.
+        let header = |magic: u32, len: u64| {
+            let mut head = [0u8; frame::HEADER];
+            head[..4].copy_from_slice(&magic.to_le_bytes());
+            head[4] = kind::RESULT;
+            head[16..].copy_from_slice(&len.to_le_bytes());
+            head
+        };
+        for (head, what) in [
+            (header(0xDEAD_BEEF, 0), "bad magic"),
+            (header(frame::MAGIC, u64::MAX), "len = u64::MAX"),
+        ] {
+            let (a, b) = UnixStream::pair().expect("socketpair");
+            (&a).write_all(&head).expect("header fits the socket buffer");
+            let err = frame::read_header(&b).expect_err(what);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
+            (&a).write_all(&head).expect("header fits the socket buffer");
+            let err = frame::read(&b, kind::RESULT, 0).expect_err(what);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
+        }
+        // A well-formed frame still round-trips through the same reader.
+        let (a, b) = UnixStream::pair().expect("socketpair");
+        frame::write(&a, kind::RESULT, 7, b"ok").expect("write");
+        assert_eq!(frame::read(&b, kind::RESULT, 7).expect("read"), b"ok");
+    }
 
     #[test]
     fn proc_allreduce_sum_matches_serial() {
@@ -944,31 +759,60 @@ mod tests {
         }
     }
 
+    /// Every collective of [`Comm`] plus the barrier, once each (twice
+    /// where a payload above `EAGER_MAX` takes another wire path): the
+    /// results' bits and this rank's counters for the lot.
+    fn every_collective<C: Comm>(c: &C) -> (Vec<u64>, CommStats) {
+        let (p, r) = (c.size(), c.rank());
+        let f = |i: usize| 0.1 * (r * 13 + i) as f64;
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let before = c.stats();
+        let mut out = Vec::new();
+        c.barrier();
+        let mut sum: Vec<f64> = (0..9).map(f).collect();
+        c.allreduce_sum_f64(&mut sum);
+        out.extend(bits(&sum));
+        let mut big: Vec<f64> = (0..EAGER_MAX / 8 + 1).map(f).collect();
+        c.allreduce_sum_f64(&mut big);
+        out.extend(bits(&big));
+        let (mut max, mut min) = ([f(0), -f(1)], [f(2), -f(3)]);
+        c.allreduce_max_f64(&mut max);
+        c.allreduce_min_f64(&mut min);
+        out.extend(bits(&max));
+        out.extend(bits(&min));
+        let mut count = [r as u64 + 1, 7];
+        c.allreduce_sum_u64(&mut count);
+        out.extend(count);
+        let (lo, total) = c.allreduce((f(0), f(1)), |a, b| (a.0.min(b.0), a.1 + b.1));
+        out.extend(bits(&[lo, total]));
+        out.push(c.exscan_sum_u64(r as u64 + 3));
+        out.extend(bits(&c.broadcast(p - 1, (r == p - 1).then(|| vec![f(4), f(5)]))));
+        for row in c.allgather(vec![f(6); r + 1]) {
+            out.extend(bits(&row));
+        }
+        for row in c.allgather(vec![r as u64; EAGER_MAX / 8 + 1]) {
+            out.extend([row.len() as u64, row[0]]);
+        }
+        for row in c.alltoallv((0..p).map(|d| vec![(100 * r + d) as u64; d + 1]).collect()) {
+            out.extend(row);
+        }
+        c.barrier();
+        (out, c.stats().since(&before))
+    }
+
     #[test]
     fn proc_collectives_match_thread_comm_bitwise() {
-        // Same reduction tree ⇒ bitwise-identical non-associative sums,
-        // power-of-two and non-power-of-two rank counts alike.
-        for p in [2usize, 3, 5] {
-            let thread = crate::run_spmd(p, |c| {
-                let mut buf: Vec<f64> =
-                    (0..9).map(|i| 0.1 * (c.rank() * 13 + i) as f64).collect();
-                c.allreduce_sum_f64(&mut buf);
-                (buf, c.exscan_sum_u64(c.rank() as u64 + 3))
-            });
-            let procs = run_spmd_proc(p, |c| {
-                let mut buf: Vec<f64> =
-                    (0..9).map(|i| 0.1 * (c.rank() * 13 + i) as f64).collect();
-                c.allreduce_sum_f64(&mut buf);
-                (buf, c.exscan_sum_u64(c.rank() as u64 + 3))
-            })
-            .expect("job runs");
-            for (t, q) in thread.iter().zip(&procs) {
-                assert_eq!(
-                    t.0.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                    q.0.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                    "p={p}: backends disagree bitwise"
-                );
-                assert_eq!(t.1, q.1, "p={p}: exscan disagrees");
+        // Both backends run the one generic collective layer, so equal
+        // results and equal per-rank counters hold by construction; this
+        // guards it — power-of-two and folded rank counts, and p = 1.
+        for p in [1usize, 2, 3, 5] {
+            let thread = crate::run_spmd(p, |c| every_collective(&c));
+            let procs = run_spmd_proc(p, |c| every_collective(&c)).expect("job runs");
+            for (r, (t, q)) in thread.iter().zip(&procs).enumerate() {
+                assert_eq!(t.0, q.0, "p={p} rank {r}: backends disagree bitwise");
+                assert_eq!(t.1, q.1, "p={p} rank {r}: counters disagree");
+                assert_eq!(t.1.collectives(), 11, "p={p} rank {r}");
+                assert_eq!(t.1.rounds() > 0, p > 1, "p={p} rank {r}");
             }
         }
     }
@@ -1080,8 +924,8 @@ mod tests {
         .expect("job runs");
         for (rounds, bytes) in results {
             assert_eq!(rounds, 1, "p=2 butterfly is one round");
-            // Serialized Vec<f64> of 4 elements: 8-byte length + 32 bytes.
-            assert_eq!(bytes, 40);
+            // Four f64 payload bytes; the wire's length prefix is not counted.
+            assert_eq!(bytes, 32);
         }
     }
 

@@ -1,25 +1,38 @@
 //! Per-collective communication counters.
 //!
-//! Every rank of a `ThreadComm` records, for each collective *kind*, how
-//! many operations it entered, how many synchronization rounds those
-//! operations took, and how many payload bytes the rank *received*. The
-//! scaling experiments diff two [`CommStats`] snapshots around a phase and
-//! feed the result into an α–β cost model (latency per round + inverse
+//! Every rank records, for each collective *kind*, how many operations it
+//! entered, how many communication rounds those operations took, and how
+//! many payload bytes it *received*. The recording happens in one place —
+//! the generic collective layer ([`crate::collectives`]) — so the numbers
+//! are a property of the schedule, not of the communicator underneath.
+//! The scaling experiments diff two [`CommStats`] snapshots around a phase
+//! and feed the result into an α–β cost model (latency per round + inverse
 //! bandwidth per received byte), mirroring how the paper attributes its
 //! running time to communication vs. computation (DESIGN.md §3).
 //!
 //! Semantics of the three counters per [`Collective`] kind:
 //!
-//! * `ops` — logical collective calls (counted once per call, not once per
-//!   rank; in an SPMD program every rank enters the same calls).
-//! * `rounds` — barrier-synchronized communication steps. A recursive
-//!   doubling allreduce on `p` ranks is one op of `⌈log₂ p⌉` rounds; an
-//!   allgather or single-deposit broadcast is one op of one round. The α
-//!   (latency) term of the cost model multiplies *rounds*, not ops.
-//! * `bytes` — payload bytes received, summed over all ranks. Sizes are
-//!   shallow (`size_of::<T>()` per element); heap payloads inside elements
-//!   are not followed. The β (bandwidth) term divides by the rank count to
-//!   get the per-rank volume that bounds the parallel time.
+//! * `ops` — logical collective calls (in an SPMD program every rank
+//!   enters the same calls, so this is the same on every rank).
+//! * `rounds` — steps of the collective's schedule, also the same on every
+//!   rank: `log₂ q` for a recursive-doubling allreduce (`q` the largest
+//!   power of two `≤ p`; +2 when `p ≠ q`), `⌈log₂ p⌉` for the exscan, 1
+//!   for a broadcast, `p − 1` for the ring allgather and alltoallv, 0 at
+//!   `p = 1`. The α (latency) term of the cost model multiplies *rounds*,
+//!   not ops.
+//! * `bytes` — payload bytes received. Sizes are shallow
+//!   (`size_of::<T>()` per element); heap payloads inside elements are not
+//!   followed, and no framing or length prefix is counted.
+//!
+//! [`Comm::stats`](crate::Comm::stats) returns the *calling rank's* view
+//! (`ranks = 1`, bytes = what this rank received). No collective ends in a
+//! barrier, so a peer may still be inside a collective this rank has left;
+//! reading only its own cell is what makes a rank's snapshot exact. The
+//! job-wide view — ops/rounds of rank 0, bytes summed over ranks,
+//! `ranks = p` — is built with [`CommStats::from_rank_views`] where the
+//! ranks' results are gathered; the β (bandwidth) term divides its bytes
+//! by the rank count to get the per-rank volume that bounds the parallel
+//! time.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -71,9 +84,9 @@ impl Collective {
 pub struct OpStats {
     /// Logical collective calls.
     pub ops: u64,
-    /// Barrier-synchronized communication rounds across those calls.
+    /// Schedule rounds across those calls.
     pub rounds: u64,
-    /// Payload bytes received, summed over ranks.
+    /// Payload bytes received (by one rank, or summed over `ranks`).
     pub bytes: u64,
 }
 
@@ -88,7 +101,7 @@ impl OpStats {
 }
 
 /// One rank's monotone counters (each rank of a communicator owns one cell
-/// and only ever writes its own; snapshots read all cells).
+/// and is the only one to write or read it).
 #[derive(Debug, Default)]
 pub struct StatsCell {
     ops: [AtomicU64; COLLECTIVE_KINDS],
@@ -97,9 +110,8 @@ pub struct StatsCell {
 }
 
 impl StatsCell {
-    /// Record one collective of `kind` that took `rounds` synchronization
-    /// rounds and in which this rank received `received_bytes` payload
-    /// bytes.
+    /// Record one collective of `kind` that took `rounds` schedule rounds
+    /// and in which this rank received `received_bytes` payload bytes.
     pub fn record(&self, kind: Collective, rounds: u64, received_bytes: u64) {
         let i = kind as usize;
         self.ops[i].fetch_add(1, Ordering::Relaxed);
@@ -116,6 +128,11 @@ impl StatsCell {
             bytes: self.bytes[i].load(Ordering::Relaxed),
         }
     }
+
+    /// Current counters of every kind, as this rank's view (`ranks = 1`).
+    pub fn snapshot(&self) -> CommStats {
+        CommStats { ranks: 1, per_op: Collective::ALL.map(|kind| self.op_snapshot(kind)) }
+    }
 }
 
 /// A point-in-time view of a communicator's counters, broken down by
@@ -123,37 +140,25 @@ impl StatsCell {
 /// a phase.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CommStats {
-    /// Rank count of the communicator the snapshot came from (0 for the
-    /// trivial/default stats; treated as 1 by the per-rank accessors).
+    /// How many ranks' received bytes are summed in here: 1 for a rank's
+    /// own view ([`crate::Comm::stats`]), `p` for a job-wide view
+    /// ([`CommStats::from_rank_views`]), 0 for the default (treated as 1
+    /// by the per-rank accessors).
     pub ranks: u64,
     /// Counters per collective kind, indexed by `Collective as usize`.
     pub per_op: [OpStats; COLLECTIVE_KINDS],
 }
 
 impl CommStats {
-    /// Combine per-rank snapshots (`ranks == 1` views, as the process
-    /// backend returns from each worker) into one job-wide view with the
-    /// same convention as [`CommStats::aggregate`]: logical op/round
-    /// counts from rank 0, received bytes summed over all ranks.
+    /// Combine the ranks' own snapshots (`views[r]` from rank `r`) into
+    /// one job-wide view: logical op/round counts from rank 0 (identical
+    /// on every rank by the SPMD contract), received bytes summed over
+    /// all ranks.
     pub fn from_rank_views(views: &[CommStats]) -> CommStats {
         assert!(!views.is_empty(), "need at least one rank view");
         let mut out = CommStats { ranks: views.len() as u64, per_op: views[0].per_op };
         for i in 0..COLLECTIVE_KINDS {
             out.per_op[i].bytes = views.iter().map(|v| v.per_op[i].bytes).sum();
-        }
-        out
-    }
-
-    /// Aggregate the per-rank cells of one communicator: logical op/round
-    /// counts are taken from rank 0 (identical on every rank by the SPMD
-    /// contract), received bytes are summed over all ranks.
-    pub fn aggregate(ranks: usize, cells: &[StatsCell]) -> CommStats {
-        let mut out = CommStats { ranks: ranks as u64, per_op: Default::default() };
-        for (i, kind) in Collective::ALL.into_iter().enumerate() {
-            let lead = cells[0].op_snapshot(kind);
-            out.per_op[i].ops = lead.ops;
-            out.per_op[i].rounds = lead.rounds;
-            out.per_op[i].bytes = cells.iter().map(|c| c.op_snapshot(kind).bytes).sum();
         }
         out
     }
@@ -168,12 +173,12 @@ impl CommStats {
         self.per_op.iter().map(|o| o.ops).sum()
     }
 
-    /// Total synchronization rounds across all kinds (the latency count).
+    /// Total schedule rounds across all kinds (the latency count).
     pub fn rounds(&self) -> u64 {
         self.per_op.iter().map(|o| o.rounds).sum()
     }
 
-    /// Total payload bytes received, summed over ranks.
+    /// Total payload bytes received, summed over the view's ranks.
     pub fn bytes(&self) -> u64 {
         self.per_op.iter().map(|o| o.bytes).sum()
     }
@@ -199,7 +204,7 @@ impl CommStats {
     }
 
     /// Modeled communication seconds under an α–β model: `alpha` seconds
-    /// per synchronization round plus `beta` seconds per byte received by
+    /// per round plus `beta` seconds per byte received by
     /// a rank.
     pub fn modeled_seconds(&self, alpha: f64, beta: f64) -> f64 {
         self.rounds() as f64 * alpha + self.bytes_per_rank() * beta
@@ -247,11 +252,12 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_sums_bytes_and_keeps_logical_counts() {
+    fn rank_views_sum_bytes_and_keep_logical_counts() {
         let cells = [StatsCell::default(), StatsCell::default()];
         cells[0].record(Collective::Allgather, 1, 32);
         cells[1].record(Collective::Allgather, 1, 32);
-        let s = CommStats::aggregate(2, &cells);
+        assert_eq!(cells[0].snapshot().ranks, 1);
+        let s = CommStats::from_rank_views(&cells.each_ref().map(StatsCell::snapshot));
         assert_eq!(s.ranks, 2);
         assert_eq!(s.op(Collective::Allgather), OpStats { ops: 1, rounds: 1, bytes: 64 });
         assert_eq!(s.collectives(), 1);
@@ -272,7 +278,7 @@ mod tests {
     }
 
     #[test]
-    fn from_rank_views_matches_aggregate_convention() {
+    fn from_rank_views_takes_logical_counts_from_rank_zero() {
         let mut a = CommStats { ranks: 1, per_op: Default::default() };
         a.per_op[Collective::Allreduce as usize] = OpStats { ops: 2, rounds: 4, bytes: 100 };
         let mut b = a;
@@ -295,10 +301,10 @@ mod tests {
     fn since_diffs_every_kind() {
         let cell = StatsCell::default();
         cell.record(Collective::Allreduce, 2, 100);
-        let a = CommStats::aggregate(1, std::slice::from_ref(&cell));
+        let a = cell.snapshot();
         cell.record(Collective::Allreduce, 2, 80);
         cell.record(Collective::Alltoallv, 1, 50);
-        let b = CommStats::aggregate(1, std::slice::from_ref(&cell));
+        let b = cell.snapshot();
         let d = b.since(&a);
         assert_eq!(d.op(Collective::Allreduce), OpStats { ops: 1, rounds: 2, bytes: 80 });
         assert_eq!(d.op(Collective::Alltoallv), OpStats { ops: 1, rounds: 1, bytes: 50 });

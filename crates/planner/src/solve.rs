@@ -44,9 +44,11 @@ pub struct Plan<const D: usize> {
     /// Solver work counters (`None` for the baseline tools; the
     /// hierarchical aggregate for hierarchical specs).
     pub stats: Option<KMeansStats>,
-    /// This rank's communication counters of the solve phase only (the
+    /// This rank's view of the solve phase's communication counters (the
     /// assembly allgather and the rank-redundant refinement are excluded;
-    /// see the module docs).
+    /// see the module docs): ops and rounds are the job's, bytes are what
+    /// this rank received. `CommStats::from_rank_views` over the ranks'
+    /// plans gives the job-wide view.
     pub comm: CommStats,
     /// Ranks that solved the plan.
     pub ranks: usize,

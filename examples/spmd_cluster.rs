@@ -9,7 +9,7 @@
 
 use geographer::{partition_spmd, Config};
 use geographer_mesh::delaunay_unit_square;
-use geographer_parcomm::{run_spmd, Collective, Comm};
+use geographer_parcomm::{run_spmd, Collective, Comm, CommStats};
 
 fn main() {
     let mesh = delaunay_unit_square(40_000, 3);
@@ -28,7 +28,10 @@ fn main() {
         (res, stats, comm.stats())
     });
 
-    let (res0, global_stats, comm_stats) = &results[0];
+    let (res0, global_stats, _) = &results[0];
+    // Each rank reports its own counters; the job-wide view sums the bytes.
+    let views: Vec<CommStats> = results.iter().map(|(_, _, view)| *view).collect();
+    let comm_stats = CommStats::from_rank_views(&views);
     println!("\nphase timings (rank 0):");
     println!("  hilbert indexing: {:>8.2} ms", res0.timings.sfc_index * 1e3);
     println!("  sort+redistribute:{:>8.2} ms", res0.timings.redistribute * 1e3);
