@@ -580,9 +580,7 @@ pub const ENTRIES: &[(&str, Option<&str>, &str)] = &[
     ("geographer_planner", Some("Planner"), "solve"),
     ("geographer_planner", Some("Planner"), "try_solve"),
     ("geographer", None, "partition_spmd"),
-    ("geographer", None, "repartition_spmd"),
     ("geographer", None, "partition_hierarchical_spmd"),
-    ("geographer", None, "repartition_hierarchical_spmd"),
     ("geographer", None, "balanced_kmeans"),
     ("geographer", None, "balanced_kmeans_warm"),
 ];

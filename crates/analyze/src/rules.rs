@@ -85,7 +85,6 @@ const SOLVER_SRC: &[&str] = &[
 const KERNEL_MODULES: &[&str] = &[
     "crates/core/src/kmeans.rs",
     "crates/core/src/pipeline.rs",
-    "crates/core/src/kdtree.rs",
     "crates/core/src/bounds.rs",
     "crates/core/src/influence.rs",
     "crates/graph/src/coarsen.rs",

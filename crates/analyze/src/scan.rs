@@ -48,7 +48,7 @@ enum State {
 }
 
 /// Split `text` into per-line code/comment views. `in_cfg_test` is filled
-/// by a second pass ([`mark_cfg_test_spans`]), which this function calls.
+/// by a second pass (`mark_cfg_test_spans`), which this function calls.
 pub fn scan(text: &str) -> Vec<Line> {
     let chars: Vec<char> = text.chars().collect();
     let mut lines: Vec<Line> = Vec::new();

@@ -5,6 +5,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use geographer::Config;
 use geographer_baselines::{partition_shared, Baseline};
 use geographer_geometry::{Point, SplitMix64, WeightedPoints};
+use geographer_parcomm::SelfComm;
 
 fn bench_partitioners(c: &mut Criterion) {
     let mut rng = SplitMix64::new(4);
@@ -21,7 +22,9 @@ fn bench_partitioners(c: &mut Criterion) {
         g.bench_function(algo.name(), |b| b.iter(|| partition_shared(algo, &wp, k)));
     }
     g.bench_function("Geographer", |b| {
-        b.iter(|| geographer::partition(&wp, k, &Config::default()))
+        b.iter(|| {
+            geographer::partition_spmd(&SelfComm, &wp.points, &wp.weights, k, None, &Config::default())
+        })
     });
     g.finish();
 }

@@ -3,15 +3,17 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use geographer::Config;
-use geographer_bench::{run_tool, Tool};
+use geographer_bench::{solve_plan_view, PlanRecipe, Tool};
 use geographer_mesh::delaunay_unit_square;
 use geographer_parcomm::{run_spmd, SelfComm};
+use geographer_planner::MeshView;
 use geographer_spmv::spmv_comm_time;
 
 fn bench_spmv(c: &mut Criterion) {
     let mesh = delaunay_unit_square(20_000, 5);
     let k = 8;
-    let out = run_tool(Tool::Geographer, &mesh, k, 1, &Config::default());
+    let recipe = PlanRecipe::flat("geo", Tool::Geographer, k, Config::default());
+    let out = solve_plan_view(MeshView::from(&mesh), &recipe, 1, None).plan;
 
     let mut g = c.benchmark_group("spmv_20k_k8");
     g.sample_size(10);

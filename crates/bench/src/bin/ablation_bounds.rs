@@ -6,9 +6,10 @@
 //! optimizations are exact); they differ only in distance evaluations and
 //! wall time.
 
-use geographer::{partition, Config};
+use geographer::{partition_spmd, Config};
 use geographer_bench::{scaled, TextTable};
 use geographer_mesh::delaunay_unit_square;
+use geographer_parcomm::SelfComm;
 
 fn main() {
     let n = scaled(40_000);
@@ -34,7 +35,7 @@ fn main() {
     let mut reference: Option<Vec<u32>> = None;
     for (name, cfg) in &variants {
         let t = std::time::Instant::now();
-        let res = partition(&wp, k, cfg);
+        let res = partition_spmd(&SelfComm, &wp.points, &wp.weights, k, None, cfg);
         let wall = t.elapsed().as_secs_f64();
         let same = match &reference {
             None => {
@@ -65,7 +66,7 @@ fn main() {
     let stats = run_spmd(p, |comm| {
         let lo = comm.rank() * n / p;
         let hi = (comm.rank() + 1) * n / p;
-        geographer::partition_spmd(&comm, &pts[lo..hi], &w[lo..hi], k, &base)
+        partition_spmd(&comm, &pts[lo..hi], &w[lo..hi], k, None, &base)
             .stats
             .reduce(&comm)
     });

@@ -3,10 +3,11 @@
 //! mesh where erosion matters ("In very heterogeneous point distributions
 //! ... anomalies such as empty or absurdly large clusters might occur").
 
-use geographer::{partition, Config};
+use geographer::{partition_spmd, Config};
 use geographer_bench::{scaled, TextTable};
 use geographer_graph::evaluate_partition;
 use geographer_mesh::climate25d;
+use geographer_parcomm::SelfComm;
 
 fn main() {
     let n = scaled(25_000);
@@ -35,7 +36,7 @@ fn main() {
     ]);
     for (name, cfg) in &variants {
         let t = std::time::Instant::now();
-        let res = partition(&wp, k, cfg);
+        let res = partition_spmd(&SelfComm, &wp.points, &wp.weights, k, None, cfg);
         let wall = t.elapsed().as_secs_f64();
         let m = evaluate_partition(&mesh.graph, &res.assignment, &mesh.weights, k);
         let mut counts = vec![0usize; k];

@@ -2,7 +2,8 @@
 //! queries — the alternative the paper dismisses (Sec. 4.3: "Nearest-
 //! neighbor data structures like kd-trees are outperformed by simpler
 //! distance bounds in most published experiments"). We implement it so the
-//! claim can be measured rather than assumed (`ablation_kdtree`).
+//! claim can be measured rather than assumed; this module is private to
+//! the `ablation_kdtree` binary, its only user.
 //!
 //! The twist relative to a plain NN tree: the metric is the *effective*
 //! distance `dist(p, center(c)) / influence(c)`. A subtree can only be
@@ -123,18 +124,20 @@ impl<const D: usize> CenterTree<D> {
         self.nodes[n].bbox.min_dist(p) / self.nodes[n].max_influence
     }
 
-    /// Find the center with minimum effective distance to `p`.
+    /// [`CenterTree::nearest_with`] by plain recursion — the reference the
+    /// tests hold it to.
+    #[cfg(test)]
     pub fn nearest(&self, p: &Point<D>) -> NearestCenter {
         let mut best = NearestCenter { center: 0, eff_dist: f64::INFINITY, evals: 0 };
         self.search(self.root, p, &mut best);
         best
     }
 
-    /// [`CenterTree::nearest`] driven through a reusable explicit stack.
-    /// The traversal is the exact depth-first order of the recursive
-    /// `search` (more promising child first, bound re-checked on entry),
-    /// so results *and* eval counts are identical — only the per-query
-    /// allocation is gone.
+    /// Find the center with minimum effective distance to `p`, driven
+    /// through a reusable explicit stack. The traversal is the exact
+    /// depth-first order of the test-only recursive `nearest` (more
+    /// promising child first, bound re-checked on entry), so results *and*
+    /// eval counts are identical — only the per-query allocation is gone.
     pub fn nearest_with(&self, p: &Point<D>, cursor: &mut TreeCursor) -> NearestCenter {
         let mut best = NearestCenter { center: 0, eff_dist: f64::INFINITY, evals: 0 };
         cursor.stack.clear();
@@ -188,6 +191,7 @@ impl<const D: usize> CenterTree<D> {
         out.extend(points.iter().map(|p| self.nearest_with(p, cursor)));
     }
 
+    #[cfg(test)]
     fn search(&self, n: usize, p: &Point<D>, best: &mut NearestCenter) {
         if self.lower_bound(n, p) >= best.eff_dist {
             return;
@@ -223,6 +227,32 @@ impl<const D: usize> CenterTree<D> {
 mod tests {
     use super::*;
     use geographer_geometry::SplitMix64;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The effective-distance kd-tree agrees with brute force for any
+        /// center layout and influence assignment.
+        #[test]
+        fn kdtree_matches_bruteforce(
+            centers in prop::collection::vec((0.0f64..1.0, 0.0f64..1.0), 1..50),
+            infl_raw in prop::collection::vec(0.1f64..5.0, 50),
+            queries in prop::collection::vec((-0.5f64..1.5, -0.5f64..1.5), 20),
+        ) {
+            let pts: Vec<Point<2>> =
+                centers.iter().map(|&(x, y)| Point::new([x, y])).collect();
+            let infl = &infl_raw[..pts.len()];
+            let tree = CenterTree::build(&pts, infl);
+            let mut cursor = TreeCursor::default();
+            for &(qx, qy) in &queries {
+                let q = Point::new([qx, qy]);
+                let want = brute_force(&q, &pts, infl).1;
+                prop_assert!((tree.nearest(&q).eff_dist - want).abs() < 1e-12);
+                prop_assert!((tree.nearest_with(&q, &mut cursor).eff_dist - want).abs() < 1e-12);
+            }
+        }
+    }
 
     fn brute_force<const D: usize>(
         p: &Point<D>,

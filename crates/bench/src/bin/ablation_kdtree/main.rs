@@ -6,20 +6,23 @@
 //! warped (influence-weighted) distances, three ways:
 //!
 //! * naive — evaluate all k centers per point;
-//! * kd-tree — [`geographer::kdtree::CenterTree`] with effective-distance
+//! * kd-tree — [`kdtree::CenterTree`] with effective-distance
 //!   pruning (rebuilt once per pass, as it would be after every center
 //!   movement);
 //! * Hamerly bounds — the per-pass *average* cost inside the real solver,
 //!   whose bounds persist across iterations (read from its counters).
 
+mod kdtree;
+
 use std::time::Instant;
 
-use geographer::kdtree::{CenterTree, TreeCursor};
 use geographer::{balanced_kmeans, Config};
 use geographer_bench::{scaled, TextTable};
 use geographer_geometry::Point;
 use geographer_mesh::delaunay_unit_square;
 use geographer_parcomm::SelfComm;
+
+use kdtree::{CenterTree, TreeCursor};
 
 fn main() {
     let n = scaled(100_000);

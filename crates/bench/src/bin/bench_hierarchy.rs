@@ -23,11 +23,12 @@ use std::fmt::Write as _;
 
 use geographer::{Config, HierarchySpec};
 use geographer_bench::{
-    level_metrics_json, run_plan_chain, scaled, solve_plan, write_bench_json, PlanRecipe,
+    level_metrics_json, run_plan_chain, scaled, solve_plan_view, write_bench_json, PlanRecipe,
     TieredCostModel, Tool,
 };
 use geographer_graph::{evaluate_levels, imbalance, LevelMetrics};
 use geographer_mesh::{families::bubbles_like, DynamicWorkload, Mesh, Scenario};
+use geographer_planner::MeshView;
 
 /// Everything one config row reports.
 struct ConfigRow {
@@ -80,7 +81,7 @@ fn main() {
     let mesh = bubbles_like(n, seed);
 
     let flat_recipe = PlanRecipe::flat("flat-k8", Tool::Geographer, 8, cfg.clone());
-    let flat = solve_plan(&mesh, &flat_recipe, 1, None);
+    let flat = solve_plan_view(MeshView::from(&mesh), &flat_recipe, 1, None);
 
     let mut rows: Vec<ConfigRow> = Vec::new();
     for arities in [vec![4usize, 2], vec![2, 2, 2]] {
@@ -99,7 +100,7 @@ fn main() {
             spec.clone(),
             cfg.clone(),
         );
-        let hier = solve_plan(&mesh, &recipe, 1, None);
+        let hier = solve_plan_view(MeshView::from(&mesh), &recipe, 1, None);
         let stats = hier.plan.stats.as_ref().expect("hierarchical plan carries stats");
         assert!(stats.balance_achieved, "hierarchical solve must balance every node");
         rows.push(row_for(
@@ -135,7 +136,7 @@ fn main() {
             r.machine,
             r.wall_s,
             r.wall_max_rank_s,
-            geographer_bench::PlanRun::<2>::ns_per_point(r.wall_max_rank_s, n),
+            geographer_bench::harness::ns_per_point(r.wall_max_rank_s, n),
             r.imbalance,
             r.inter_node_volume,
             r.intra_node_volume,

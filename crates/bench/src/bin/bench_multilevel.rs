@@ -21,10 +21,12 @@
 use std::fmt::Write as _;
 
 use geographer::Config;
-use geographer_bench::{scaled, solve_plan, write_bench_json, PlanRecipe, TextTable, Tool};
+use geographer_bench::{
+    scaled, solve_plan_view, write_bench_json, PlanRecipe, TextTable, Tool,
+};
 use geographer_graph::imbalance;
 use geographer_mesh::{families::bubbles_like, delaunay_unit_square, Mesh};
-use geographer_planner::RefineMode;
+use geographer_planner::{MeshView, RefineMode};
 use geographer_refine::{MultilevelConfig, RefineConfig};
 
 struct Row {
@@ -60,14 +62,14 @@ fn bench_one(
     // mode. The tools are deterministic (sampling off), so both start from
     // the identical partition — the assert below pins that.
     let base = PlanRecipe::flat("ml", tool, k, cfg.clone());
-    let single_run = solve_plan(
-        mesh,
+    let single_run = solve_plan_view(
+        MeshView::from(mesh),
         &base.clone().with_refine(RefineMode::Single(rcfg.clone())),
         2,
         None,
     );
-    let multi_run = solve_plan(
-        mesh,
+    let multi_run = solve_plan_view(
+        MeshView::from(mesh),
         &base.with_refine(RefineMode::Multilevel(MultilevelConfig {
             refine: rcfg.clone(),
             ..MultilevelConfig::default()
@@ -209,7 +211,7 @@ fn main() {
             r.single_wall_s,
             r.single_solve_wall_s,
             r.single_solve_max_rank_s,
-            geographer_bench::PlanRun::<2>::ns_per_point(r.single_solve_max_rank_s, n),
+            geographer_bench::harness::ns_per_point(r.single_solve_max_rank_s, n),
             r.imbalance_single,
             r.multi_cut,
             r.multi_moves,
@@ -217,7 +219,7 @@ fn main() {
             r.multi_wall_s,
             r.multi_solve_wall_s,
             r.multi_solve_max_rank_s,
-            geographer_bench::PlanRun::<2>::ns_per_point(r.multi_solve_max_rank_s, n),
+            geographer_bench::harness::ns_per_point(r.multi_solve_max_rank_s, n),
             r.imbalance_multi,
             r.levels_json
         );

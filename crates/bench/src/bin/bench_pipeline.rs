@@ -13,9 +13,12 @@
 use std::fmt::Write as _;
 
 use geographer::Config;
-use geographer_bench::{scaled, solve_plan, write_bench_json, CostModel, PlanRecipe, Tool};
+use geographer_bench::{
+    scaled, solve_plan_view, write_bench_json, CostModel, PlanRecipe, Tool,
+};
 use geographer_mesh::delaunay_unit_square;
 use geographer_parcomm::Collective;
+use geographer_planner::MeshView;
 
 fn main() {
     let n = scaled(20_000);
@@ -26,7 +29,7 @@ fn main() {
 
     let mut runs = String::new();
     for (i, p) in [1usize, 2, 4, 8].into_iter().enumerate() {
-        let run = solve_plan(&mesh, &recipe, p, None);
+        let run = solve_plan_view(MeshView::from(&mesh), &recipe, p, None);
         let comm = run.plan.comm;
         let modeled = model.modeled_seconds(run.wall_seconds, p, &comm);
         let mut per_op = String::new();
@@ -53,7 +56,7 @@ fn main() {
             k,
             run.wall_seconds,
             run.wall_max_rank_s,
-            geographer_bench::PlanRun::<2>::ns_per_point(run.wall_max_rank_s, n),
+            geographer_bench::harness::ns_per_point(run.wall_max_rank_s, n),
             modeled,
             comm.rounds(),
             comm.bytes_per_rank(),

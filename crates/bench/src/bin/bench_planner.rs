@@ -296,7 +296,7 @@ fn main() {
             s.max_imbalance,
             s.total_wall,
             s.total_max_rank_wall,
-            geographer_bench::PlanRun::<2>::ns_per_point(
+            geographer_bench::harness::ns_per_point(
                 s.total_max_rank_wall / s.steps.len().max(1) as f64,
                 n,
             ),

@@ -33,13 +33,12 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use geographer::Config;
-use geographer_bench::{
-    run_tool_backend, write_bench_json, CostModel, SpmdBackend, Tool,
-};
+use geographer_bench::{write_bench_json, CostModel, PlanRecipe, SpmdBackend, Tool};
 use geographer_mesh::delaunay_unit_square;
 use geographer_parcomm::{
     measure_alpha_beta, run_spmd, run_spmd_proc, Comm, CommStats,
 };
+use geographer_planner::MeshView;
 
 /// The fixed collective mix both backends run for the pure
 /// measured-vs-modeled comparison (no compute worth mentioning).
@@ -140,8 +139,10 @@ fn main() {
     let mut first = true;
     for p in [2usize, 4] {
         for tool in Tool::ALL {
-            let pr = run_tool_backend(tool, &mesh, k, p, &cfg, SpmdBackend::Proc);
-            let th = run_tool_backend(tool, &mesh, k, p, &cfg, SpmdBackend::Thread);
+            let recipe = PlanRecipe::flat(tool.name(), tool, k, cfg.clone());
+            let view = MeshView::from(&mesh);
+            let pr = SpmdBackend::Proc.solve_cold(view, &recipe, p);
+            let th = SpmdBackend::Thread.solve_cold(view, &recipe, p);
             let agree = pr.assignment == th.assignment;
             assert!(agree, "{} at p={p}: backends disagree", tool.name());
             // Per-rank view of the process run's counters for the model

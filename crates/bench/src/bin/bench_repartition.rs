@@ -112,7 +112,7 @@ fn main() {
                 r.step,
                 r.wall_seconds,
                 r.wall_max_rank_s,
-                geographer_bench::PlanRun::<2>::ns_per_point(r.wall_max_rank_s, n),
+                geographer_bench::harness::ns_per_point(r.wall_max_rank_s, n),
                 r.imbalance,
                 r.edge_cut,
                 r.migrated_point_fraction,

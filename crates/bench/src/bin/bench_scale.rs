@@ -25,7 +25,8 @@
 use std::fmt::Write as _;
 
 use geographer::Config;
-use geographer_bench::{solve_plan_view, write_bench_json, PlanRecipe, PlanRun, Tool};
+use geographer_bench::harness::ns_per_point;
+use geographer_bench::{solve_plan_view, write_bench_json, PlanRecipe, Tool};
 use geographer_mesh::density::sample_by_density;
 use geographer_planner::MeshView;
 
@@ -74,7 +75,7 @@ fn main() {
             let run = solve_plan_view(view, &recipe, p, None);
             let ph = run.phase_max.expect("flat stateful solve reports phase timings");
             let st = run.plan.stats.expect("geographer solve reports stats");
-            let npp = |s: f64| PlanRun::<2>::ns_per_point(s, n);
+            let npp = |s: f64| ns_per_point(s, n);
             if n == sizes[0] && p == 1 {
                 // Min over REPEATS: the machine this baseline is meant
                 // for is a noisy shared VM, and the minimum is the

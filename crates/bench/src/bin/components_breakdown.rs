@@ -28,7 +28,7 @@ fn main() {
             use geographer_parcomm::Comm;
             let lo = comm.rank() * chunk;
             let hi = if comm.rank() == p - 1 { n } else { lo + chunk };
-            let res = partition_spmd(&comm, &points[lo..hi], &weights[lo..hi], p.max(2), &cfg);
+            let res = partition_spmd(&comm, &points[lo..hi], &weights[lo..hi], p.max(2), None, &cfg);
             (res.timings, res.phase_comm)
         });
         // Phases are synchronized by collectives: sum across ranks gives the

@@ -6,8 +6,9 @@
 //! Geographer produces curved, compact blocks.
 
 use geographer::Config;
-use geographer_bench::{out_dir, run_tool, scaled, Tool};
+use geographer_bench::{out_dir, scaled, solve_plan_view, PlanRecipe, Tool};
 use geographer_mesh::families::tric_like;
+use geographer_planner::MeshView;
 use geographer_viz::render_partition_svg;
 
 fn main() {
@@ -24,8 +25,10 @@ fn main() {
     println!("wrote {}", path.display());
 
     for tool in Tool::ALL {
-        let out = run_tool(tool, &mesh, k, 1, &cfg);
-        let svg = render_partition_svg(&mesh.points, &out.assignment, k, 600, tool.name());
+        let recipe = PlanRecipe::flat(tool.name(), tool, k, cfg.clone());
+        let out = solve_plan_view(MeshView::from(&mesh), &recipe, 1, None);
+        let svg =
+            render_partition_svg(&mesh.points, &out.plan.assignment, k, 600, tool.name());
         let path = dir.join(format!("fig1_{}.svg", tool.name().to_lowercase()));
         std::fs::write(&path, svg).expect("write svg");
         println!("wrote {} ({:.2}s)", path.display(), out.wall_seconds);

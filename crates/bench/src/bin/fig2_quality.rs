@@ -12,10 +12,13 @@
 #![allow(clippy::needless_range_loop)] // metric-index loops over parallel tables
 
 use geographer::Config;
-use geographer_bench::{evaluate_run, run_tool, scaled, TextTable, Tool, ToolRow};
+use geographer_bench::{
+    evaluate_run, scaled, solve_plan_view, PlanRecipe, TextTable, Tool, ToolRow,
+};
 use geographer_graph::geometric_mean;
 use geographer_mesh::families::{climate_suite, dimacs2d_suite, three_d_suite};
 use geographer_mesh::Mesh;
+use geographer_planner::MeshView;
 
 const METRICS: [&str; 5] = ["edgeCut", "maxCommVol", "totCommVol", "harmDiam", "timeComm"];
 
@@ -37,8 +40,9 @@ fn run_class<const D: usize>(name: &str, meshes: &[(&str, Mesh<D>)], k: usize, p
         let rows: Vec<ToolRow> = Tool::ALL
             .iter()
             .map(|&tool| {
-                let out = run_tool(tool, mesh, k, p, &cfg);
-                evaluate_run(tool, mesh, &out, k, 5)
+                let recipe = PlanRecipe::flat(tool.name(), tool, k, cfg.clone());
+                let run = solve_plan_view(MeshView::from(mesh), &recipe, p, None);
+                evaluate_run(mesh, &recipe, &run, 5)
             })
             .collect();
         let base = metric_values(&rows[0]);

@@ -11,9 +11,10 @@
 //! values *measured* on that substrate by the calibration probe.
 
 use geographer::Config;
-use geographer_bench::{run_tool_backend, scaled, CostModel, SpmdBackend, TextTable, Tool};
+use geographer_bench::{scaled, CostModel, PlanRecipe, SpmdBackend, TextTable, Tool};
 use geographer_mesh::delaunay_unit_square;
 use geographer_parcomm::{measure_alpha_beta, Collective};
+use geographer_planner::MeshView;
 
 fn main() {
     let per_rank = scaled(4000);
@@ -47,7 +48,8 @@ fn main() {
         let mesh = delaunay_unit_square(n, 7 + p as u64);
         let mut cells = vec![p.to_string()];
         for tool in Tool::ALL {
-            let out = run_tool_backend(tool, &mesh, p.max(2), p, &cfg, backend);
+            let recipe = PlanRecipe::flat(tool.name(), tool, p.max(2), cfg.clone());
+            let out = backend.solve_cold(MeshView::from(&mesh), &recipe, p);
             let modeled = model.modeled_seconds(out.wall_seconds, p, &out.comm);
             cells.push(format!("{:.2}", modeled * 1e3));
             let red = out.comm.op(Collective::Allreduce);

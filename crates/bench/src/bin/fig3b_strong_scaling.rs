@@ -11,9 +11,10 @@
 //! values *measured* on that substrate by the calibration probe.
 
 use geographer::Config;
-use geographer_bench::{run_tool_backend, scaled, CostModel, SpmdBackend, TextTable, Tool};
+use geographer_bench::{scaled, CostModel, PlanRecipe, SpmdBackend, TextTable, Tool};
 use geographer_mesh::delaunay_unit_square;
 use geographer_parcomm::{measure_alpha_beta, Collective};
+use geographer_planner::MeshView;
 
 fn main() {
     let n = scaled(120_000);
@@ -42,7 +43,8 @@ fn main() {
     for &p in &ps {
         let mut cells = vec![p.to_string()];
         for tool in Tool::ALL {
-            let out = run_tool_backend(tool, &mesh, p, p, &cfg, backend);
+            let recipe = PlanRecipe::flat(tool.name(), tool, p, cfg.clone());
+            let out = backend.solve_cold(MeshView::from(&mesh), &recipe, p);
             let modeled = model.modeled_seconds(out.wall_seconds, p, &out.comm);
             cells.push(format!("{:.2}", modeled * 1e3));
             let red = out.comm.op(Collective::Allreduce);

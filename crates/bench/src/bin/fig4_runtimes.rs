@@ -4,8 +4,9 @@
 //! space (modeled time vs n).
 
 use geographer::Config;
-use geographer_bench::{run_tool, scaled, CostModel, TextTable, Tool};
+use geographer_bench::{scaled, solve_plan_view, CostModel, PlanRecipe, TextTable, Tool};
 use geographer_mesh::families::{climate_suite, dimacs2d_suite, three_d_suite};
+use geographer_planner::MeshView;
 
 /// Least-squares slope+intercept of y = a·x + b.
 fn least_squares(xs: &[f64], ys: &[f64]) -> (f64, f64) {
@@ -35,8 +36,9 @@ fn main() {
             .next_power_of_two();
         let p = k.min(16);
         for (t, tool) in Tool::ALL.iter().enumerate() {
-            let out = run_tool(*tool, mesh, k, p, &cfg);
-            let modeled = model.modeled_seconds(out.wall_seconds, p, &out.comm);
+            let recipe = PlanRecipe::flat(tool.name(), *tool, k, cfg.clone());
+            let out = solve_plan_view(MeshView::from(mesh), &recipe, p, None);
+            let modeled = model.modeled_seconds(out.wall_seconds, p, &out.plan.comm);
             samples[t].push(((mesh.n() as f64).ln(), modeled.max(1e-9).ln()));
             table.row(vec![
                 name.to_string(),
@@ -61,8 +63,9 @@ fn main() {
             .next_power_of_two();
         let p = k.min(16);
         for (t, tool) in Tool::ALL.iter().enumerate() {
-            let out = run_tool(*tool, &mesh, k, p, &cfg);
-            let modeled = model.modeled_seconds(out.wall_seconds, p, &out.comm);
+            let recipe = PlanRecipe::flat(tool.name(), *tool, k, cfg.clone());
+            let out = solve_plan_view(MeshView::from(&mesh), &recipe, p, None);
+            let modeled = model.modeled_seconds(out.wall_seconds, p, &out.plan.comm);
             samples[t].push(((mesh.n() as f64).ln(), modeled.max(1e-9).ln()));
             table.row(vec![
                 inst.name.to_string(),

@@ -6,9 +6,10 @@
 //! report the edge-cut improvement.
 
 use geographer::Config;
-use geographer_bench::{run_tool_configured, scaled, RunConfig, TextTable, Tool};
+use geographer_bench::{scaled, solve_plan_view, PlanRecipe, TextTable, Tool};
 use geographer_graph::imbalance;
 use geographer_mesh::families::{trace_like, tric_like};
+use geographer_planner::{MeshView, RefineMode};
 use geographer_refine::RefineConfig;
 
 fn main() {
@@ -19,18 +20,16 @@ fn main() {
     let mut table = TextTable::new(vec![
         "mesh", "tool", "cutBefore", "cutAfter", "improvement%", "moves", "imbalanceAfter",
     ]);
-    // The refinement post-pass is a driver-level opt-in: flag it on the run
-    // config and every tool row carries its before/after cut.
-    let rc = RunConfig {
-        core: Config::default(),
-        refine: Some(RefineConfig::default()),
-        ..RunConfig::default()
-    };
+    // The refinement post-pass is an opt-in of the recipe: every plan
+    // then carries its before/after cut.
+    let refine = RefineMode::Single(RefineConfig::default());
     for (name, mesh) in &meshes {
         for tool in Tool::ALL {
-            let out = run_tool_configured(tool, mesh, k, 2, &rc);
-            let report = out.refine.expect("refine post-pass was requested");
-            let imb = imbalance(&out.assignment, &mesh.weights, k);
+            let recipe = PlanRecipe::flat(tool.name(), tool, k, Config::default())
+                .with_refine(refine.clone());
+            let plan = solve_plan_view(MeshView::from(mesh), &recipe, 2, None).plan;
+            let report = plan.refine.expect("refine post-pass was requested");
+            let imb = imbalance(&plan.assignment, &mesh.weights, k);
             table.row(vec![
                 name.to_string(),
                 tool.name().to_string(),

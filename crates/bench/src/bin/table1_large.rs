@@ -4,29 +4,31 @@
 //! column is marked with `*`.
 
 use geographer::Config;
-use geographer_bench::{evaluate_run, run_tool, scaled, TextTable, Tool, ToolRow};
+use geographer_bench::{
+    evaluate_run, scaled, solve_plan_view, PlanRecipe, TextTable, Tool, ToolRow,
+};
 use geographer_mesh::families::{bubbles_like, trace_like};
 use geographer_mesh::knn3d::PointCloud;
 use geographer_mesh::{climate25d, delaunay_unit_square, knn3d, Mesh};
+use geographer_planner::MeshView;
 
 enum AnyMesh {
     D2(Mesh<2>),
     D3(Mesh<3>),
 }
 
+fn tool_row<const D: usize>(tool: Tool, mesh: &Mesh<D>, k: usize, p: usize) -> ToolRow {
+    let recipe = PlanRecipe::flat(tool.name(), tool, k, Config::default());
+    let run = solve_plan_view(MeshView::from(mesh), &recipe, p, None);
+    evaluate_run(mesh, &recipe, &run, 10)
+}
+
 fn run_instance(name: &str, mesh: &AnyMesh, k: usize, p: usize, table: &mut TextTable) {
-    let cfg = Config::default();
     let rows: Vec<ToolRow> = Tool::ALL
         .iter()
         .map(|&tool| match mesh {
-            AnyMesh::D2(m) => {
-                let out = run_tool(tool, m, k, p, &cfg);
-                evaluate_run(tool, m, &out, k, 10)
-            }
-            AnyMesh::D3(m) => {
-                let out = run_tool(tool, m, k, p, &cfg);
-                evaluate_run(tool, m, &out, k, 10)
-            }
+            AnyMesh::D2(m) => tool_row(tool, m, k, p),
+            AnyMesh::D3(m) => tool_row(tool, m, k, p),
         })
         .collect();
     let n = match mesh {

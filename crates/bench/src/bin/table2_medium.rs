@@ -3,9 +3,12 @@
 //! Best value per column is marked with `*`.
 
 use geographer::Config;
-use geographer_bench::{evaluate_run, run_tool, scaled, TextTable, Tool, ToolRow};
+use geographer_bench::{
+    evaluate_run, scaled, solve_plan_view, PlanRecipe, TextTable, Tool, ToolRow,
+};
 use geographer_mesh::families::{climate_suite, dimacs2d_suite, three_d_suite};
 use geographer_mesh::Mesh;
+use geographer_planner::MeshView;
 
 fn emit_rows(name: &str, rows: &[ToolRow], n: usize, table: &mut TextTable) {
     let best_cut = rows.iter().map(|r| r.metrics.edge_cut).min().unwrap();
@@ -47,8 +50,9 @@ fn run_mesh<const D: usize>(name: &str, mesh: &Mesh<D>, k: usize, table: &mut Te
     let rows: Vec<ToolRow> = Tool::ALL
         .iter()
         .map(|&tool| {
-            let out = run_tool(tool, mesh, k, 4, &cfg);
-            evaluate_run(tool, mesh, &out, k, 10)
+            let recipe = PlanRecipe::flat(tool.name(), tool, k, cfg.clone());
+            let run = solve_plan_view(MeshView::from(mesh), &recipe, 4, None);
+            evaluate_run(mesh, &recipe, &run, 10)
         })
         .collect();
     emit_rows(name, &rows, mesh.n(), table);

@@ -1,20 +1,22 @@
 //! Shared benchmark harness over the planner: recipes, single solves,
-//! warm chains, and output plumbing.
-//!
-//! Before the planner existed, every `bench_*` binary hand-rolled the same
-//! glue — SPMD launch, chunk slicing, warm-state threading, refinement
-//! dispatch, migration accounting, and `--smoke` output routing — with
-//! small drifting differences. This module is that glue, written once:
+//! warm chains, table rows, and output plumbing. Every solve a binary, a
+//! bench, an example or an integration test makes goes through here to
+//! [`Planner::solve`] — SPMD launch, warm-state threading, migration
+//! accounting, and `--smoke` output routing are written once:
 //!
 //! * [`PlanRecipe`] — a named, owned [`geographer_planner::PlanSpec`]
 //!   shape (tool, k, hierarchy, refinement, config, warm flag). Binaries
-//!   are now thin recipe tables plus a formatter.
-//! * [`solve_plan`] — run one recipe on a mesh with `p` SPMD ranks and
-//!   return rank 0's [`Plan`] plus the serialized wall time.
+//!   are thin recipe tables plus a formatter.
+//! * [`solve_plan_view`] — run one recipe on a mesh view with `p` thread
+//!   ranks and return rank 0's [`Plan`] plus the serialized wall time;
+//!   [`solve_plan_proc_view`] is the cold solve over forked ranks, and
+//!   [`SpmdBackend::solve_cold`] picks between the two.
 //! * [`run_plan_chain`] — drive a recipe over a time-stepped workload,
 //!   threading each step's returned [`PlanState`] into the next solve when
 //!   the recipe is warm, and measuring per-step quality and relabel-free
 //!   migration.
+//! * [`evaluate_run`] — the paper's metric row ([`ToolRow`]) of a finished
+//!   run: graph metrics plus the empirical SpMV benchmark.
 //! * [`write_bench_json`] / [`level_metrics_json`] — the shared output
 //!   conventions (smoke runs write under `target/` so CI never clobbers
 //!   the committed full-scale baselines).
@@ -23,10 +25,14 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use geographer::{Config, HierarchySpec};
-use geographer_graph::{edge_cut, imbalance, relabel_free_migration, LevelMetrics};
+use geographer_graph::{
+    edge_cut, evaluate_partition_with_targets, imbalance, relabel_free_migration, LevelMetrics,
+    PartitionMetrics,
+};
 use geographer_mesh::{DynamicWorkload, Mesh};
 use geographer_parcomm::{run_spmd, run_spmd_proc, CommStats, ProcError};
 use geographer_planner::{MeshView, Plan, PlanSpec, PlanState, Planner, RefineMode, Tool};
+use geographer_spmv::{spmv_comm_time, SpmvReport};
 
 /// Which SPMD substrate a benchmark launches its ranks on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -60,6 +66,36 @@ impl SpmdBackend {
             SpmdBackend::Proc
         } else {
             SpmdBackend::Thread
+        }
+    }
+
+    /// Cold-solve `recipe` on this substrate. Both backends run the
+    /// identical planner code over the identical collective algorithms, so
+    /// the assignment is the same; the process backend's wall time
+    /// includes real fork/rendezvous/socket costs. What comes back is what
+    /// can cross a process boundary ([`ProcRun`]), on either backend — the
+    /// scaling figures need no more.
+    ///
+    /// # Panics
+    /// If the process-backend job fails (a worker panicked, died or hung).
+    pub fn solve_cold<const D: usize>(
+        self,
+        view: MeshView<'_, D>,
+        recipe: &PlanRecipe,
+        p: usize,
+    ) -> ProcRun {
+        match self {
+            SpmdBackend::Thread => {
+                let run = solve_plan_view(view, recipe, p, None);
+                ProcRun {
+                    assignment: run.plan.assignment,
+                    comm: run.plan.comm,
+                    wall_seconds: run.wall_seconds,
+                    wall_max_rank_s: run.wall_max_rank_s,
+                }
+            }
+            SpmdBackend::Proc => solve_plan_proc_view(view, recipe, p)
+                .unwrap_or_else(|e| panic!("process-backend solve failed: {e}")),
         }
     }
 }
@@ -126,14 +162,9 @@ impl PlanRecipe {
         self
     }
 
-    /// Borrow this recipe as a [`PlanSpec`] over `mesh`.
-    pub fn spec<'a, const D: usize>(&self, mesh: &'a Mesh<D>) -> PlanSpec<'a, D> {
-        self.spec_view(MeshView::from(mesh))
-    }
-
-    /// Borrow this recipe as a [`PlanSpec`] over an arbitrary mesh view —
-    /// in particular one without a graph, as the scaling benchmark uses
-    /// (no Delaunay triangulation at n = 4M).
+    /// Borrow this recipe as a [`PlanSpec`] over a mesh view — possibly
+    /// one without a graph, as the scaling benchmark uses (no Delaunay
+    /// triangulation at n = 4M).
     pub fn spec_view<'a, const D: usize>(&self, view: MeshView<'a, D>) -> PlanSpec<'a, D> {
         PlanSpec {
             mesh: view,
@@ -146,7 +177,7 @@ impl PlanRecipe {
     }
 }
 
-/// One finished [`solve_plan`] run: rank 0's plan plus the wall time of
+/// One finished [`solve_plan_view`] run: rank 0's plan plus the wall time of
 /// the whole SPMD execution (serialized compute of all ranks on the
 /// single-core reproduction machine).
 #[derive(Debug, Clone)]
@@ -172,26 +203,14 @@ pub struct PlanRun<const D: usize> {
     pub phase_max: Option<geographer::PipelineTimings>,
 }
 
-impl<const D: usize> PlanRun<D> {
-    /// Nanoseconds per point for a measured seconds figure over `n` points.
-    pub fn ns_per_point(seconds: f64, n: usize) -> f64 {
-        if n == 0 { 0.0 } else { seconds * 1e9 / n as f64 }
-    }
+/// Nanoseconds per point for a measured seconds figure over `n` points.
+pub fn ns_per_point(seconds: f64, n: usize) -> f64 {
+    if n == 0 { 0.0 } else { seconds * 1e9 / n as f64 }
 }
 
-/// Run one recipe on `mesh` with `p` SPMD ranks, optionally warm-started
-/// from `state`. This is the single SPMD launch site every benchmark
-/// routes through.
-pub fn solve_plan<const D: usize>(
-    mesh: &Mesh<D>,
-    recipe: &PlanRecipe,
-    p: usize,
-    state: Option<&PlanState<D>>,
-) -> PlanRun<D> {
-    solve_plan_view(MeshView::from(mesh), recipe, p, state)
-}
-
-/// [`solve_plan`] over a bare [`MeshView`] (graph optional).
+/// Run one recipe on a mesh view (graph optional) with `p` thread ranks,
+/// optionally warm-started from `state`. This is the single thread-backend
+/// launch site every benchmark routes through.
 pub fn solve_plan_view<const D: usize>(
     view: MeshView<'_, D>,
     recipe: &PlanRecipe,
@@ -224,7 +243,7 @@ pub fn solve_plan_view<const D: usize>(
     PlanRun { plan, wall_seconds, wall_max_rank_s, phase_max }
 }
 
-/// One finished [`solve_plan_proc`] run: what a cold solve can report when
+/// One finished [`solve_plan_proc_view`] run: what a cold solve can report when
 /// every rank is a separate OS process. The rich [`Plan`] extras (warm
 /// state, refinement reports, per-phase timings) stay in the workers; the
 /// assignment, the communication counters, and the wall clocks cross the
@@ -245,20 +264,11 @@ pub struct ProcRun {
     pub wall_max_rank_s: f64,
 }
 
-/// Run one **cold** recipe on `mesh` with `p` worker *processes* — the
-/// multi-process counterpart of [`solve_plan`]. The mesh is inherited by
-/// the forked workers (no input serialization); results come back over
-/// the control sockets. A worker that panics, dies, or hangs surfaces as
-/// `Err`, never as a hang.
-pub fn solve_plan_proc<const D: usize>(
-    mesh: &Mesh<D>,
-    recipe: &PlanRecipe,
-    p: usize,
-) -> Result<ProcRun, ProcError> {
-    solve_plan_proc_view(MeshView::from(mesh), recipe, p)
-}
-
-/// [`solve_plan_proc`] over a bare [`MeshView`] (graph optional).
+/// Run one **cold** recipe on a mesh view with `p` worker *processes* —
+/// the multi-process counterpart of [`solve_plan_view`]. The mesh is
+/// inherited by the forked workers (no input serialization); results come
+/// back over the control sockets. A worker that panics, dies, or hangs
+/// surfaces as `Err`, never as a hang.
 pub fn solve_plan_proc_view<const D: usize>(
     view: MeshView<'_, D>,
     recipe: &PlanRecipe,
@@ -318,7 +328,8 @@ pub fn run_plan_chain(
     let mut prev_assignment: Option<Vec<u32>> = None;
     for step in 0..steps {
         let mesh = workload.mesh_at(step);
-        let run = solve_plan(&mesh, recipe, p, if recipe.warm { state.as_ref() } else { None });
+        let warm_state = if recipe.warm { state.as_ref() } else { None };
+        let run = solve_plan_view(MeshView::from(&mesh), recipe, p, warm_state);
         let plan = run.plan;
         let (mig_pts, mig_w) = match &prev_assignment {
             Some(prev) => {
@@ -342,6 +353,69 @@ pub fn run_plan_chain(
         });
     }
     out
+}
+
+/// One row of the paper's Tables 1–2: tool, time, cut, comm volumes,
+/// diameter, SpMV communication time.
+#[derive(Debug, Clone)]
+pub struct ToolRow {
+    /// Tool display name.
+    pub tool: &'static str,
+    /// Partitioning wall time (serialized; see [`PlanRun::wall_seconds`]).
+    pub time: f64,
+    /// Graph metrics of the produced partition.
+    pub metrics: PartitionMetrics,
+    /// SpMV halo-exchange seconds per multiplication: the *maximum* over
+    /// ranks of the per-rank average (over `spmv_reps` repetitions). The
+    /// paper's `timeSpMVComm` is bounded by the slowest rank — every rank
+    /// waits for its neighbourhood exchange to complete — so summing the
+    /// per-rank times would overstate the cost by up to a factor of `p`
+    /// (see DESIGN.md §6 erratum).
+    pub spmv_comm_seconds: f64,
+    /// Bytes moved per SpMV across all ranks (8 × total communication
+    /// volume when k = p) — a volume, so this one *is* the sum.
+    pub spmv_bytes: u64,
+}
+
+/// Aggregate per-rank SpMV reports into the row scalars: slowest-rank
+/// exchange seconds (`timeSpMVComm` semantics) and summed bytes.
+pub fn aggregate_spmv(reports: &[SpmvReport]) -> (f64, u64) {
+    let seconds = reports.iter().map(|r| r.comm_seconds_avg).fold(0.0, f64::max);
+    let bytes = reports.iter().map(|r| r.bytes_sent_per_iter).sum();
+    (seconds, bytes)
+}
+
+/// Evaluate a finished run of `recipe` on `mesh`: graph metrics + the
+/// empirical SpMV benchmark (Sec. 2 "to measure the quality of a partition
+/// empirically ..."). Imbalance is measured against the solve's own
+/// `recipe.config.target_fractions`, so a deliberately skewed solve that
+/// hits its targets reads as balanced (DESIGN.md §7 erratum b).
+pub fn evaluate_run<const D: usize>(
+    mesh: &Mesh<D>,
+    recipe: &PlanRecipe,
+    run: &PlanRun<D>,
+    spmv_reps: usize,
+) -> ToolRow {
+    let (k, assignment) = (recipe.k, &run.plan.assignment);
+    let metrics = evaluate_partition_with_targets(
+        &mesh.graph,
+        assignment,
+        &mesh.weights,
+        k,
+        recipe.config.target_fractions.as_deref(),
+    );
+    // Run the SpMV with min(k, 8) ranks: enough to exercise real exchange
+    // without massive thread oversubscription on the 1-core box.
+    let p = k.clamp(1, 8);
+    let reports = run_spmd(p, |c| spmv_comm_time(&c, &mesh.graph, assignment, k, spmv_reps));
+    let (spmv_comm_seconds, spmv_bytes) = aggregate_spmv(&reports);
+    ToolRow {
+        tool: recipe.tool.name(),
+        time: run.wall_seconds,
+        metrics,
+        spmv_comm_seconds,
+        spmv_bytes,
+    }
 }
 
 /// JSON array body for a slice of per-level metrics (the shared format of
@@ -382,20 +456,51 @@ pub fn write_bench_json(name: &str, smoke: bool, json: &str) -> String {
 mod tests {
     use super::*;
     use geographer_mesh::{delaunay_unit_square, Scenario};
+    use geographer_refine::{MultilevelConfig, RefineConfig};
+
+    fn solve(mesh: &Mesh<2>, recipe: &PlanRecipe, p: usize) -> PlanRun<2> {
+        solve_plan_view(MeshView::from(mesh), recipe, p, None)
+    }
 
     #[test]
-    fn solve_plan_matches_direct_planner_call() {
+    fn solve_plan_view_returns_the_global_plan_at_every_rank_count() {
         let mesh = delaunay_unit_square(800, 71);
         let cfg = Config { sampling_init: false, ..Config::default() };
         let recipe = PlanRecipe::flat("g", Tool::Geographer, 4, cfg);
-        let run1 = solve_plan(&mesh, &recipe, 1, None);
-        let run4 = solve_plan(&mesh, &recipe, 4, None);
+        let run1 = solve(&mesh, &recipe, 1);
+        let run4 = solve(&mesh, &recipe, 4);
         assert_eq!(run1.plan.assignment.len(), 800);
         // Global assignment on every rank count; solver agreement across
         // rank counts is pinned by tests/tool_conformance.rs.
         assert_eq!(run4.plan.assignment.len(), 800);
         assert_eq!(run4.plan.ranks, 4);
         assert!(run4.plan.comm.rounds() > 0);
+    }
+
+    #[test]
+    fn all_tools_run_and_balance_on_a_delaunay_mesh() {
+        let mesh = delaunay_unit_square(1200, 1);
+        for tool in Tool::ALL {
+            let recipe = PlanRecipe::flat(tool.name(), tool, 4, Config::default());
+            let run = solve(&mesh, &recipe, 2);
+            assert_eq!(run.plan.assignment.len(), mesh.n(), "{}", tool.name());
+            assert!(run.plan.assignment.iter().all(|&b| b < 4));
+            let row = evaluate_run(&mesh, &recipe, &run, 2);
+            assert_eq!(row.tool, tool.name());
+            assert!(row.metrics.edge_cut > 0, "{}: cut can't be zero", tool.name());
+            assert!(row.metrics.imbalance <= 0.06, "{}: imbalance", tool.name());
+        }
+    }
+
+    #[test]
+    fn comm_counters_grow_with_ranks_and_the_partition_does_not_change() {
+        let mesh = delaunay_unit_square(800, 2);
+        let recipe = PlanRecipe::flat("rcb", Tool::Rcb, 8, Config::default());
+        let p1 = solve(&mesh, &recipe, 1).plan;
+        let p4 = solve(&mesh, &recipe, 4).plan;
+        assert!(p4.comm.bytes() > p1.comm.bytes(), "multi-rank runs move bytes");
+        assert!(p4.comm.rounds() > 0, "collective rounds must be counted");
+        assert_eq!(p1.assignment, p4.assignment);
     }
 
     #[test]
@@ -410,12 +515,13 @@ mod tests {
             run_plan_chain(&wl, &PlanRecipe::flat("w", Tool::Geographer, 4, cfg.clone()).warm(), 2, 3);
         let cold = run_plan_chain(&wl, &PlanRecipe::flat("c", Tool::Geographer, 4, cfg), 2, 3);
         assert_eq!(warm.len(), 3);
-        assert_eq!(warm[0].migrated_point_fraction, 0.0);
+        assert_eq!(warm[0].migrated_point_fraction, 0.0, "step 0 has no predecessor");
         // Same bootstrap (both cold at step 0).
         assert_eq!(warm[0].plan.assignment, cold[0].plan.assignment);
         for s in warm.iter().chain(&cold) {
             assert!(s.imbalance <= 0.03 + 1e-6);
             assert!(s.edge_cut > 0);
+            assert!((0.0..=1.0).contains(&s.migrated_point_fraction));
         }
         // Warm steps must move fewer iterations than cold re-solves.
         let warm_iters: u64 =
@@ -437,5 +543,112 @@ mod tests {
             run_plan_chain(&wl, &PlanRecipe::flat("rcb", Tool::Rcb, 4, cfg).warm(), 1, 2);
         assert_eq!(steps.len(), 2);
         assert!(steps.iter().all(|s| s.plan.state.is_none()));
+    }
+
+    #[test]
+    fn spmv_seconds_are_slowest_rank_not_rank_sum() {
+        // Regression for the timeSpMVComm semantics: the reported time is
+        // the max across ranks, not the per-rank sum the pre-PR 4 code
+        // reported.
+        let reports: Vec<SpmvReport> = [0.004, 0.001, 0.003, 0.002]
+            .iter()
+            .map(|&s| SpmvReport {
+                comm_seconds_avg: s,
+                bytes_sent_per_iter: 100,
+                ..SpmvReport::default()
+            })
+            .collect();
+        // Bytes are a volume: still the sum.
+        assert_eq!(aggregate_spmv(&reports), (0.004, 400));
+        assert_eq!(aggregate_spmv(&[]), (0.0, 0));
+    }
+
+    #[test]
+    fn refinement_is_opt_in_and_multilevel_is_no_worse_than_single_level() {
+        // Same tool, same mesh, same ε: both post-passes start from the
+        // tool's own partition, and the multilevel V-cycle must reach a cut
+        // no worse than the single-level pass.
+        let mesh = delaunay_unit_square(3_000, 13);
+        let cfg = Config { sampling_init: false, ..Config::default() };
+        let plain = PlanRecipe::flat("hsfc", Tool::Hsfc, 8, cfg);
+        let single = plain.clone().with_refine(RefineMode::Single(RefineConfig::default()));
+        let multi = plain.clone().with_refine(RefineMode::Multilevel(MultilevelConfig::default()));
+
+        let plain_run = solve(&mesh, &plain, 2);
+        assert!(plain_run.plan.refine.is_none(), "refinement must be opt-in");
+        let single_run = solve(&mesh, &single, 2);
+        let multi_run = solve(&mesh, &multi, 2);
+        let sr = single_run.plan.refine.expect("post-pass must report");
+        let mr = multi_run.plan.refine.expect("post-pass must report");
+        assert_eq!(sr.cut_before, edge_cut(&mesh.graph, &plain_run.plan.assignment));
+        assert_eq!(sr.cut_before, mr.cut_before, "same tool output, same start");
+        assert!(mr.cut_after <= sr.cut_after, "multilevel must not be worse");
+        assert!(single_run.plan.multilevel.is_none());
+        assert_eq!(multi_run.plan.multilevel.as_ref().unwrap().summary(), mr);
+        // The row is evaluated on the refined assignment; balance survives.
+        let row = evaluate_run(&mesh, &multi, &multi_run, 1);
+        assert_eq!(row.metrics.edge_cut, mr.cut_after);
+        assert!(row.metrics.imbalance <= 0.06);
+    }
+
+    #[test]
+    fn skewed_solve_reads_balanced_only_with_its_targets() {
+        // Regression for the imbalance semantics (DESIGN.md §7 erratum b):
+        // measured against the uniform average, a deliberately skewed solve
+        // reads hugely "imbalanced" even when every block hits its target.
+        let mesh = delaunay_unit_square(1_500, 21);
+        let cfg = Config {
+            target_fractions: Some(vec![0.5, 0.25, 0.25]),
+            sampling_init: false,
+            ..Config::default()
+        };
+        let recipe = PlanRecipe::flat("skewed", Tool::Geographer, 3, cfg.clone());
+        let run = solve(&mesh, &recipe, 2);
+        let aware = evaluate_run(&mesh, &recipe, &run, 1);
+        let blind = PlanRecipe::flat("uniform", Tool::Geographer, 3, Config::default());
+        let uniform = evaluate_run(&mesh, &blind, &run, 1);
+        assert!(
+            uniform.metrics.imbalance > 0.3,
+            "uniform metric must expose the skew: {}",
+            uniform.metrics.imbalance
+        );
+        assert!(
+            aware.metrics.imbalance <= cfg.epsilon + 1e-3,
+            "target-aware imbalance must be within ε: {}",
+            aware.metrics.imbalance
+        );
+        // Everything else on the row is unaffected by the target change.
+        assert_eq!(uniform.metrics.edge_cut, aware.metrics.edge_cut);
+        assert_eq!(uniform.metrics.comm_volume, aware.metrics.comm_volume);
+    }
+
+    #[test]
+    fn refinement_inherits_heterogeneous_targets() {
+        // Regression: a post-pass that builds its balance capacities solely
+        // from RefineConfig legally "rebalances" a heterogeneous solve
+        // toward uniform. The planner inherits config.target_fractions when
+        // the refine config leaves them unset.
+        let mesh = delaunay_unit_square(2_000, 31);
+        let cfg = Config {
+            target_fractions: Some(vec![0.5, 0.25, 0.25]),
+            sampling_init: false,
+            ..Config::default()
+        };
+        let rcfg = RefineConfig { max_rounds: 30, ..RefineConfig::default() };
+        for refine in [
+            RefineMode::Single(rcfg.clone()),
+            RefineMode::Multilevel(MultilevelConfig { refine: rcfg, ..Default::default() }),
+        ] {
+            let recipe =
+                PlanRecipe::flat("skewed", Tool::Geographer, 3, cfg.clone()).with_refine(refine);
+            let run = solve(&mesh, &recipe, 2);
+            let row = evaluate_run(&mesh, &recipe, &run, 1);
+            assert!(
+                row.metrics.imbalance <= cfg.epsilon + 1e-3,
+                "{}: refined skewed solve must stay on target, got {}",
+                recipe.refine.name(),
+                row.metrics.imbalance
+            );
+        }
     }
 }

@@ -1,25 +1,21 @@
-//! Experiment harness: uniform driver for running all five tools
-//! (Geographer + four Zoltan-style baselines) on generated meshes, the
-//! quality/metrics rows of the paper's tables, and the α–β cost model used
-//! by the scaling figures.
+//! Experiment harness: recipes that run all five tools (Geographer + four
+//! Zoltan-style baselines) through `Planner::solve` on generated meshes,
+//! the quality/metrics rows of the paper's tables, and the α–β cost model
+//! used by the scaling figures.
 //!
 //! Every `src/bin/*` target reproduces one table or figure; see DESIGN.md's
-//! per-experiment index and EXPERIMENTS.md for paper-vs-measured results.
+//! per-experiment index.
 
 pub mod cost;
-pub mod driver;
 pub mod harness;
 pub mod table;
 
 pub use cost::{CostModel, TieredCostModel};
-pub use driver::{
-    aggregate_spmv, evaluate_run, evaluate_run_with_targets, run_tool, run_tool_backend,
-    run_tool_configured, run_tool_repartition, RefineMode, RepartitionMode, RepartitionStep,
-    RunConfig, RunOutcome, Tool, ToolRow,
-};
+pub use geographer_planner::Tool;
 pub use harness::{
-    level_metrics_json, run_plan_chain, solve_plan, solve_plan_proc, solve_plan_proc_view,
+    aggregate_spmv, evaluate_run, level_metrics_json, run_plan_chain, solve_plan_proc_view,
     solve_plan_view, write_bench_json, ChainStep, PlanRecipe, PlanRun, ProcRun, SpmdBackend,
+    ToolRow,
 };
 pub use table::TextTable;
 

@@ -10,7 +10,8 @@
 //! allocation storm — not scheduler noise on a busy machine.
 
 use geographer::Config;
-use geographer_bench::{solve_plan_view, PlanRecipe, PlanRun, Tool};
+use geographer_bench::harness::ns_per_point;
+use geographer_bench::{solve_plan_view, PlanRecipe, Tool};
 use geographer_mesh::density::sample_by_density;
 use geographer_planner::MeshView;
 
@@ -58,7 +59,7 @@ fn assignment_ns_per_point_within_committed_envelope() {
         None,
     );
     let assign_s = run.plan.stats.expect("stats").assignment_seconds;
-    let now_ns = PlanRun::<2>::ns_per_point(assign_s, n);
+    let now_ns = ns_per_point(assign_s, n);
 
     // Release envelope 2.5×; debug builds of this workspace measure
     // roughly 15–20× slower on the same path, so widen accordingly

@@ -15,17 +15,17 @@
 //! a node for free.
 //!
 //! Every node solve records its `(centers, influence)` pair, so a later
-//! [`repartition_hierarchical_spmd`] warm-starts each node the same way
-//! flat repartitioning does. See DESIGN.md §6 for the contract (per-level
+//! call handed that [`PreviousHierarchy`] warm-starts each node the same
+//! way a flat warm solve does. See DESIGN.md §6 for the contract (per-level
 //! ε semantics, warm-state reuse, per-level metric definitions).
 
-use geographer_geometry::{Point, WeightedPoints};
-use geographer_parcomm::{Comm, SelfComm};
+use geographer_geometry::Point;
+use geographer_parcomm::Comm;
 
 use crate::config::Config;
 use crate::kmeans::KMeansStats;
 use crate::pipeline::partition_spmd;
-use crate::repartition::{repartition_spmd, PreviousPartition};
+use crate::repartition::PreviousPartition;
 
 /// One level of a processor hierarchy.
 #[derive(Debug, Clone)]
@@ -191,7 +191,8 @@ pub struct HierarchicalResult<const D: usize> {
     /// Hierarchy path of every flat block id (`paths[b] =
     /// spec.path_of_block(b)` — the block→hierarchy-path map).
     pub paths: Vec<Vec<u32>>,
-    /// Reusable per-node warm state for [`repartition_hierarchical_spmd`].
+    /// Reusable per-node warm state for the next
+    /// [`partition_hierarchical_spmd`] call.
     pub previous: PreviousHierarchy<D>,
     /// Work counters aggregated over all node solves (iterations and
     /// per-point counters summed; `converged`/`balance_achieved` are the
@@ -256,17 +257,15 @@ fn solve_node<const D: usize, C: Comm>(
         idx.iter().map(|&i| walk.points[i as usize]).collect();
     let sub_weights: Vec<f64> = idx.iter().map(|&i| walk.weights[i as usize]).collect();
 
-    let res = match walk.prev {
-        Some(nodes) => {
-            let node = &nodes[walk.cursor];
-            assert_eq!(
-                node.path, *path,
-                "previous hierarchy state out of order (corrupted pre-order)"
-            );
-            repartition_spmd(comm, &sub_points, &sub_weights, &node.state, lv.arity, &level_cfg)
-        }
-        None => partition_spmd(comm, &sub_points, &sub_weights, lv.arity, &level_cfg),
-    };
+    let node_prev = walk.prev.map(|nodes| {
+        let node = &nodes[walk.cursor];
+        assert_eq!(
+            node.path, *path,
+            "previous hierarchy state out of order (corrupted pre-order)"
+        );
+        &node.state
+    });
+    let res = partition_spmd(comm, &sub_points, &sub_weights, lv.arity, node_prev, &level_cfg);
     walk.cursor += 1;
     walk.merge_stats(&res.stats, level);
     walk.seconds += res.timings.total();
@@ -293,13 +292,35 @@ fn solve_node<const D: usize, C: Comm>(
     }
 }
 
-fn run_hierarchical<const D: usize, C: Comm>(
+/// Partition a distributed point set for a processor hierarchy (SPMD
+/// collective call): solve level 0 with the full Geographer pipeline, then
+/// recurse inside each group with per-level ε/fractions from `spec`.
+///
+/// With `prev = Some(state)` every node solve resumes from the
+/// `(centers, influence)` pair the previous hierarchical solve stored for
+/// that node, so an unchanged point set reproduces its assignment and a
+/// drifting one re-balances with low migration at *every* level — the
+/// flat warm-start contract of DESIGN.md §5, applied per node. `prev` must
+/// come from a solve with the same arities (per-level ε and fractions may
+/// differ).
+///
+/// The returned assignment is input-aligned and carries flat leaf block
+/// ids (`0..spec.total_blocks()`, path-lexicographic).
+///
+/// # Panics
+/// On an invalid `spec`/`cfg`, on inconsistent input lengths, if
+/// `cfg.target_fractions` is set (per-level capacity fractions live in
+/// the spec's [`LevelSpec::fractions`], and silently ignoring the flat
+/// field would discard a requested balance), if `prev` does not match the
+/// spec's arities, or — via the canonical [`crate::validate_k`] message —
+/// if any node's global member count drops below its arity.
+pub fn partition_hierarchical_spmd<const D: usize, C: Comm>(
     comm: &C,
     points: &[Point<D>],
     weights: &[f64],
     spec: &HierarchySpec,
-    cfg: &Config,
     prev: Option<&PreviousHierarchy<D>>,
+    cfg: &Config,
 ) -> HierarchicalResult<D> {
     spec.validate();
     cfg.validate();
@@ -350,78 +371,21 @@ fn run_hierarchical<const D: usize, C: Comm>(
     }
 }
 
-/// Partition a distributed point set for a processor hierarchy (SPMD
-/// collective call): solve level 0 with the full Geographer pipeline, then
-/// recurse inside each group with per-level ε/fractions from `spec`.
-///
-/// The returned assignment is input-aligned and carries flat leaf block
-/// ids (`0..spec.total_blocks()`, path-lexicographic).
-///
-/// # Panics
-/// On an invalid `spec`/`cfg`, on inconsistent input lengths, if
-/// `cfg.target_fractions` is set (per-level capacity fractions live in
-/// the spec's [`LevelSpec::fractions`], and silently ignoring the flat
-/// field would discard a requested balance), or — via the canonical
-/// [`crate::validate_k`] message — if any node's global member count
-/// drops below its arity.
-pub fn partition_hierarchical_spmd<const D: usize, C: Comm>(
-    comm: &C,
-    points: &[Point<D>],
-    weights: &[f64],
-    spec: &HierarchySpec,
-    cfg: &Config,
-) -> HierarchicalResult<D> {
-    run_hierarchical(comm, points, weights, spec, cfg, None)
-}
-
-/// Warm-started hierarchical repartitioning: every node solve resumes from
-/// the `(centers, influence)` pair the previous hierarchical solve stored
-/// for that node, so an unchanged point set reproduces its assignment and
-/// a drifting one re-balances with low migration at *every* level —
-/// the flat warm-start contract of DESIGN.md §5, applied per node.
-///
-/// `prev` must come from a solve with the same arities (per-level ε and
-/// fractions may differ). Same collective contract as
-/// [`partition_hierarchical_spmd`].
-pub fn repartition_hierarchical_spmd<const D: usize, C: Comm>(
-    comm: &C,
-    points: &[Point<D>],
-    weights: &[f64],
-    prev: &PreviousHierarchy<D>,
-    spec: &HierarchySpec,
-    cfg: &Config,
-) -> HierarchicalResult<D> {
-    run_hierarchical(comm, points, weights, spec, cfg, Some(prev))
-}
-
-/// Shared-memory convenience wrapper around
-/// [`partition_hierarchical_spmd`] (single rank), mirroring
-/// [`crate::partition`].
-pub fn partition_hierarchical<const D: usize>(
-    pts: &WeightedPoints<D>,
-    spec: &HierarchySpec,
-    cfg: &Config,
-) -> HierarchicalResult<D> {
-    partition_hierarchical_spmd(&SelfComm, &pts.points, &pts.weights, spec, cfg)
-}
-
-/// Shared-memory convenience wrapper around
-/// [`repartition_hierarchical_spmd`] (single rank), mirroring
-/// [`crate::repartition`].
-pub fn repartition_hierarchical<const D: usize>(
-    pts: &WeightedPoints<D>,
-    prev: &PreviousHierarchy<D>,
-    spec: &HierarchySpec,
-    cfg: &Config,
-) -> HierarchicalResult<D> {
-    repartition_hierarchical_spmd(&SelfComm, &pts.points, &pts.weights, prev, spec, cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use geographer_geometry::SplitMix64;
-    use geographer_parcomm::run_spmd;
+    use geographer_geometry::{SplitMix64, WeightedPoints};
+    use geographer_parcomm::{run_spmd, SelfComm};
+
+    /// Single-rank solve of a whole point set.
+    fn solve(
+        wp: &WeightedPoints<2>,
+        spec: &HierarchySpec,
+        prev: Option<&PreviousHierarchy<2>>,
+        cfg: &Config,
+    ) -> HierarchicalResult<2> {
+        partition_hierarchical_spmd(&SelfComm, &wp.points, &wp.weights, spec, prev, cfg)
+    }
 
     fn uniform(n: usize, seed: u64) -> WeightedPoints<2> {
         let mut rng = SplitMix64::new(seed);
@@ -507,7 +471,7 @@ mod tests {
         let wp = uniform(4000, 51);
         let spec = HierarchySpec::uniform(&[4, 2]);
         let cfg = Config { sampling_init: false, ..Config::default() };
-        let res = partition_hierarchical(&wp, &spec, &cfg);
+        let res = solve(&wp, &spec, None, &cfg);
         assert_eq!(res.assignment.len(), 4000);
         assert!(res.assignment.iter().all(|&b| b < 8));
         assert!(res.stats.balance_achieved, "every node solve must balance");
@@ -534,7 +498,7 @@ mod tests {
             ],
         };
         let cfg = Config { sampling_init: false, max_iterations: 200, ..Config::default() };
-        let res = partition_hierarchical(&wp, &spec, &cfg);
+        let res = solve(&wp, &spec, None, &cfg);
         assert!(res.stats.balance_achieved);
         // Level-0 group weights follow the 2:1:1 capacities within ε=1%.
         let groups = spec.level_groups();
@@ -559,9 +523,9 @@ mod tests {
         let wp = uniform(2400, 53);
         let spec = HierarchySpec::uniform(&[2, 2]);
         let cfg = Config { sampling_init: false, max_iterations: 200, ..Config::default() };
-        let cold = partition_hierarchical(&wp, &spec, &cfg);
+        let cold = solve(&wp, &spec, None, &cfg);
         assert!(cold.stats.converged, "cold solve must converge for the fixed-point contract");
-        let warm = repartition_hierarchical(&wp, &cold.previous, &spec, &cfg);
+        let warm = solve(&wp, &spec, Some(&cold.previous), &cfg);
         assert_eq!(warm.assignment, cold.assignment, "unchanged input must not migrate");
         // One movement iteration per node: 1 root + 2 children.
         assert_eq!(warm.stats.movement_iterations, 3);
@@ -572,11 +536,11 @@ mod tests {
         let wp = uniform(3000, 54);
         let spec = HierarchySpec::uniform(&[2, 2]);
         let cfg = Config { sampling_init: false, ..Config::default() };
-        let cold = partition_hierarchical(&wp, &spec, &cfg);
+        let cold = solve(&wp, &spec, None, &cfg);
         let drifted = WeightedPoints::unweighted(
             wp.points.iter().map(|p| Point::new([p[0] + 0.008, p[1] - 0.004])).collect(),
         );
-        let warm = repartition_hierarchical(&drifted, &cold.previous, &spec, &cfg);
+        let warm = solve(&drifted, &spec, Some(&cold.previous), &cfg);
         assert!(warm.stats.balance_achieved);
         assert_levels_balanced(&warm.assignment, &drifted.weights, &spec, |_| cfg.epsilon);
         let kept = warm
@@ -593,7 +557,7 @@ mod tests {
         let wp = uniform(1600, 55);
         let spec = HierarchySpec::uniform(&[2, 2]);
         let cfg = Config { sampling_init: false, ..Config::default() };
-        let serial = partition_hierarchical(&wp, &spec, &cfg);
+        let serial = solve(&wp, &spec, None, &cfg);
         let pts = wp.points.clone();
         let spec2 = spec.clone();
         let results = run_spmd(4, move |c| {
@@ -601,7 +565,7 @@ mod tests {
             let lo = c.rank() * chunk;
             let hi = lo + chunk;
             let w = vec![1.0; hi - lo];
-            partition_hierarchical_spmd(&c, &pts[lo..hi], &w, &spec2, &cfg).assignment
+            partition_hierarchical_spmd(&c, &pts[lo..hi], &w, &spec2, None, &cfg).assignment
         });
         let distributed: Vec<u32> = results.into_iter().flatten().collect();
         assert_eq!(distributed, serial.assignment);
@@ -612,8 +576,8 @@ mod tests {
         let wp = uniform(1500, 56);
         let cfg = Config { sampling_init: false, ..Config::default() };
         let spec = HierarchySpec::uniform(&[5]);
-        let hier = partition_hierarchical(&wp, &spec, &cfg);
-        let flat = crate::pipeline::partition(&wp, 5, &cfg);
+        let hier = solve(&wp, &spec, None, &cfg);
+        let flat = partition_spmd(&SelfComm, &wp.points, &wp.weights, 5, None, &cfg);
         assert_eq!(hier.assignment, flat.assignment);
     }
 
@@ -646,7 +610,7 @@ mod tests {
             target_fractions: Some(vec![0.5, 0.25, 0.25]),
             ..Config::default()
         };
-        let _ = partition_hierarchical(&wp, &HierarchySpec::uniform(&[2, 2]), &cfg);
+        let _ = solve(&wp, &HierarchySpec::uniform(&[2, 2]), None, &cfg);
     }
 
     #[test]
@@ -654,12 +618,7 @@ mod tests {
     fn mismatched_previous_hierarchy_rejected() {
         let wp = uniform(400, 57);
         let cfg = Config { sampling_init: false, ..Config::default() };
-        let cold = partition_hierarchical(&wp, &HierarchySpec::uniform(&[2, 2]), &cfg);
-        let _ = repartition_hierarchical(
-            &wp,
-            &cold.previous,
-            &HierarchySpec::uniform(&[4, 2]),
-            &cfg,
-        );
+        let cold = solve(&wp, &HierarchySpec::uniform(&[2, 2]), None, &cfg);
+        let _ = solve(&wp, &HierarchySpec::uniform(&[4, 2]), Some(&cold.previous), &cfg);
     }
 }

@@ -12,7 +12,7 @@
 //! the block-weight sums and the bound relaxation touch only the points
 //! of the current round. A full-set round runs the blocked SoA kernel
 //! over the solve-wide coordinate lanes; a sampling round (Sec. 4.5)
-//! gathers its sample once into a [`WorkingSet`] and runs the same kernel
+//! gathers its sample once into a `WorkingSet` and runs the same kernel
 //! over that (DESIGN.md §9). That kernel is the only assignment path; in
 //! test builds a brute-force oracle checks every pass it makes.
 
@@ -843,12 +843,12 @@ pub fn balanced_kmeans<const D: usize, C: Comm>(
 /// Warm-started balanced k-means: resume from the centers *and* influence
 /// values of a previous solve instead of the neutral `I(c) = 1` start.
 ///
-/// This is the solver behind [`crate::repartition_spmd`] (DESIGN.md §5):
-/// on a converged previous solution, `(centers, influence)` exactly
-/// reproduce the previous assignment, so an unchanged point set re-balances
-/// in one assignment pass with zero migration, and a slightly drifted one
-/// converges in a handful of iterations instead of re-running the whole
-/// SFC bootstrap.
+/// This is the solver behind the warm arm of [`crate::partition_spmd`]
+/// (DESIGN.md §5): on a converged previous solution, `(centers, influence)`
+/// exactly reproduce the previous assignment, so an unchanged point set
+/// re-balances in one assignment pass with zero migration, and a slightly
+/// drifted one converges in a handful of iterations instead of re-running
+/// the whole SFC bootstrap.
 ///
 /// Same collective contract as [`balanced_kmeans`]; `initial_influence`
 /// must be replicated, length `k`, and strictly positive.

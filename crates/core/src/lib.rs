@@ -18,11 +18,22 @@
 //! bounding-box pruning, both adapted to effective distances) skip the
 //! inner loop for the vast majority of points.
 //!
-//! ## Quick start (shared memory)
+//! ## Entry points
+//!
+//! Applications solve through `geographer_planner::Planner::solve`, the
+//! one door over flat, warm, hierarchical and refined solves. This crate
+//! is its implementation layer and exports exactly two solve functions,
+//! both SPMD collectives over any [`geographer_parcomm::Comm`]:
+//! [`partition_spmd`] and [`partition_hierarchical_spmd`]. Each takes the
+//! previous solve's state as an `Option`; a cold solve is a warm one
+//! without state.
+//!
+//! ## Quick start (one rank)
 //!
 //! ```
-//! use geographer::{partition, Config};
-//! use geographer_geometry::{Point, WeightedPoints};
+//! use geographer::{partition_spmd, Config};
+//! use geographer_geometry::Point;
+//! use geographer_parcomm::SelfComm;
 //!
 //! // A thousand points on a ring.
 //! let pts: Vec<Point<2>> = (0..1000)
@@ -31,17 +42,17 @@
 //!         Point::new([a.cos(), a.sin()])
 //!     })
 //!     .collect();
-//! let result = partition(&WeightedPoints::unweighted(pts), 8, &Config::default());
+//! let w = vec![1.0; pts.len()];
+//! let result = partition_spmd(&SelfComm, &pts, &w, 8, None, &Config::default());
 //! assert_eq!(result.assignment.len(), 1000);
 //! assert!(result.stats.final_imbalance <= 0.03 + 1e-9);
 //! ```
 //!
 //! ## SPMD (distributed) mode
 //!
-//! The same algorithm runs over any [`geographer_parcomm::Comm`]; use
-//! [`geographer_parcomm::run_spmd`] to execute it with `p` threads as
-//! ranks, each owning a shard of the points — the shape of the paper's MPI
-//! deployment:
+//! Use [`geographer_parcomm::run_spmd`] to execute the same call with `p`
+//! threads as ranks, each owning a shard of the points — the shape of the
+//! paper's MPI deployment:
 //!
 //! ```
 //! use geographer::{partition_spmd, Config};
@@ -54,7 +65,7 @@
 //!         .map(|i| Point::new([(comm.rank() * 250 + i) as f64 * 1e-3, 0.5]))
 //!         .collect();
 //!     let w = vec![1.0; local.len()];
-//!     partition_spmd(&comm, &local, &w, 4, &Config::default()).assignment
+//!     partition_spmd(&comm, &local, &w, 4, None, &Config::default()).assignment
 //! });
 //! assert_eq!(results.iter().map(Vec::len).sum::<usize>(), 1000);
 //! ```
@@ -62,26 +73,27 @@
 //! ## Repartitioning a drifting point set (warm start)
 //!
 //! For time-stepped workloads, feed the previous solve's state back in:
-//! [`repartition`] / [`repartition_spmd`] skip the SFC bootstrap and
-//! warm-start from the previous centers and influences, so most points keep
+//! with `Some(&previous)`, [`partition_spmd`] skips the SFC bootstrap and
+//! warm-starts from the previous centers and influences, so most points keep
 //! their block (low migration) and convergence takes a handful of
 //! iterations (DESIGN.md §5):
 //!
 //! ```
-//! use geographer::{partition, repartition, Config};
-//! use geographer_geometry::{Point, WeightedPoints};
+//! use geographer::{partition_spmd, Config};
+//! use geographer_geometry::Point;
+//! use geographer_parcomm::SelfComm;
 //!
 //! let mut rng = geographer_geometry::SplitMix64::new(7);
 //! let pts: Vec<Point<2>> =
 //!     (0..600).map(|_| Point::new([rng.next_f64(), rng.next_f64()])).collect();
+//! let w = vec![1.0; pts.len()];
 //! let cfg = Config { sampling_init: false, ..Config::default() };
-//! let first = partition(&WeightedPoints::unweighted(pts.clone()), 4, &cfg);
+//! let first = partition_spmd(&SelfComm, &pts, &w, 4, None, &cfg);
 //!
 //! // The points drift a little between time steps…
 //! let drifted: Vec<Point<2>> =
 //!     pts.iter().map(|p| Point::new([p[0] + 0.01, p[1]])).collect();
-//! let next =
-//!     repartition(&WeightedPoints::unweighted(drifted), &first.previous(), 4, &cfg);
+//! let next = partition_spmd(&SelfComm, &drifted, &w, 4, Some(&first.previous()), &cfg);
 //! let kept = next.assignment.iter().zip(&first.assignment).filter(|(a, b)| a == b).count();
 //! assert!(kept >= 540, "warm repartitioning keeps most points in place");
 //! ```
@@ -90,23 +102,22 @@
 //!
 //! For machines with a communication hierarchy (nodes × sockets × cores),
 //! solve recursively so the expensive cut lands on the cheap links:
-//! [`partition_hierarchical`] partitions into the outermost groups first
-//! and then splits inside each group, flattening leaf paths to contiguous
-//! flat block ids (DESIGN.md §6):
+//! [`partition_hierarchical_spmd`] partitions into the outermost groups
+//! first and then splits inside each group, flattening leaf paths to
+//! contiguous flat block ids (DESIGN.md §6):
 //!
 //! ```
-//! use geographer::{partition_hierarchical, Config, HierarchySpec};
-//! use geographer_geometry::{Point, WeightedPoints};
+//! use geographer::{partition_hierarchical_spmd, Config, HierarchySpec};
+//! use geographer_geometry::Point;
+//! use geographer_parcomm::SelfComm;
 //!
 //! let mut rng = geographer_geometry::SplitMix64::new(11);
 //! let pts: Vec<Point<2>> =
 //!     (0..800).map(|_| Point::new([rng.next_f64(), rng.next_f64()])).collect();
+//! let w = vec![1.0; pts.len()];
 //! let spec = HierarchySpec::uniform(&[4, 2]); // 4 nodes × 2 cores = 8 blocks
-//! let res = partition_hierarchical(
-//!     &WeightedPoints::unweighted(pts),
-//!     &spec,
-//!     &Config { sampling_init: false, ..Config::default() },
-//! );
+//! let cfg = Config { sampling_init: false, ..Config::default() };
+//! let res = partition_hierarchical_spmd(&SelfComm, &pts, &w, &spec, None, &cfg);
 //! assert!(res.assignment.iter().all(|&b| b < 8));
 //! assert_eq!(res.paths[5], vec![2, 1]); // block 5 = node 2, core 1
 //! ```
@@ -119,19 +130,14 @@ pub mod bounds;
 pub mod config;
 pub mod hierarchy;
 pub mod influence;
-pub mod kdtree;
 pub mod kmeans;
 pub mod pipeline;
 pub mod repartition;
 
 pub use config::{validate_k, Config};
 pub use hierarchy::{
-    partition_hierarchical, partition_hierarchical_spmd, repartition_hierarchical,
-    repartition_hierarchical_spmd, HierarchicalResult, HierarchySpec, LevelSpec,
-    PreviousHierarchy,
+    partition_hierarchical_spmd, HierarchicalResult, HierarchySpec, LevelSpec, PreviousHierarchy,
 };
 pub use kmeans::{balanced_kmeans, balanced_kmeans_warm, KMeansOutput, KMeansStats};
-pub use pipeline::{
-    global_bbox, partition, partition_spmd, PhaseComm, PipelineResult, PipelineTimings,
-};
-pub use repartition::{repartition, repartition_spmd, PreviousPartition};
+pub use pipeline::{global_bbox, partition_spmd, PhaseComm, PipelineResult, PipelineTimings};
+pub use repartition::PreviousPartition;

@@ -9,18 +9,27 @@
 //! 5. route the block assignments back to the original owners (evaluation
 //!    convenience; not part of the paper's timed pipeline).
 //!
+//! Handed the previous solve's [`PreviousPartition`], the same call is the
+//! paper's reuse argument made executable: a time-stepped simulation whose
+//! points drift between steps feeds the previous centers and influence
+//! values back in, skips steps 1–3 and 5, and converges in a few warm
+//! iterations — with most points keeping their block, so little data
+//! migrates (DESIGN.md §5; `geographer_graph`'s migration metrics measure
+//! the stability gain).
+//!
 //! Per-phase wall-clock and communication counters are recorded — the
 //! "Components" breakdown of Sec. 5.3.2 reads them directly.
 
 use std::time::Instant;
 
 use geographer_dsort::{rebalance, sample_sort_by_key};
-use geographer_geometry::{Aabb, Point, WeightedPoints};
-use geographer_parcomm::{Comm, CommStats, SelfComm, Wire, WireCursor};
+use geographer_geometry::{Aabb, Point};
+use geographer_parcomm::{Comm, CommStats, Wire, WireCursor};
 use geographer_sfc::HilbertMapper;
 
-use crate::config::Config;
-use crate::kmeans::{balanced_kmeans, KMeansStats};
+use crate::config::{validate_k, Config};
+use crate::kmeans::{balanced_kmeans, balanced_kmeans_warm, KMeansStats};
+use crate::repartition::PreviousPartition;
 
 /// Bits per axis of the bootstrap Hilbert curve.
 const PIPELINE_SFC_BITS: u32 = 16;
@@ -75,8 +84,8 @@ pub struct PipelineResult<const D: usize> {
     /// Final cluster centers (replicated across ranks).
     pub centers: Vec<Point<D>>,
     /// Final influence values (replicated across ranks). Together with
-    /// `centers` this is the reusable state a later
-    /// [`crate::repartition_spmd`] warm-starts from.
+    /// `centers` this is the reusable state a later [`partition_spmd`]
+    /// warm-starts from.
     pub influence: Vec<f64>,
     /// Per-phase timings.
     pub timings: PipelineTimings,
@@ -91,12 +100,9 @@ pub struct PipelineResult<const D: usize> {
 
 impl<const D: usize> PipelineResult<D> {
     /// Snapshot the reusable solver state for a later warm-started
-    /// [`crate::repartition_spmd`] call (DESIGN.md §5).
-    pub fn previous(&self) -> crate::repartition::PreviousPartition<D> {
-        crate::repartition::PreviousPartition {
-            centers: self.centers.clone(),
-            influence: self.influence.clone(),
-        }
+    /// [`partition_spmd`] call (DESIGN.md §5).
+    pub fn previous(&self) -> PreviousPartition<D> {
+        PreviousPartition { centers: self.centers.clone(), influence: self.influence.clone() }
     }
 }
 
@@ -156,103 +162,154 @@ impl<const D: usize> Wire for Tagged<D> {
     }
 }
 
-/// Phase-boundary counter snapshot. A rank reads only its own counters,
-/// so the snapshot itself needs no synchronization; the barrier pair is
-/// kept because it also aligns the ranks' phase timers — after the first
-/// barrier every rank has finished the previous phase, and none starts the
-/// next before all have arrived.
-pub(crate) fn phase_snapshot<C: Comm>(comm: &C) -> CommStats {
+/// A phase boundary: this rank's counters and the next phase's clock. A
+/// rank reads only its own counters, so the snapshot itself needs no
+/// synchronization; the barrier pair is kept because it also aligns the
+/// ranks' phase timers — after the first barrier every rank has finished
+/// the previous phase, and none starts the next before all have arrived.
+// geo-analyze: allow(kernel-entropy): the phase timer's type — see the construction below.
+fn phase_boundary<C: Comm>(comm: &C) -> (CommStats, Instant) {
     comm.barrier();
     let s = comm.stats();
     comm.barrier();
-    s
+    // geo-analyze: allow(kernel-entropy): phase timer — the paper's reported timing, never an input to the computation.
+    (s, Instant::now())
 }
 
-/// Run the full Geographer pipeline SPMD. `points`/`weights` are this
-/// rank's shard; the returned assignment is aligned with them.
+/// Run the Geographer pipeline SPMD. `points`/`weights` are this rank's
+/// shard; the returned assignment is aligned with them.
+///
+/// With `prev = None` this is the cold solve: all five steps of the
+/// module docs. With `prev = Some(state)` it is the warm solve of a
+/// (typically drifted) point set — the same balanced k-means started from
+/// the previous centers and influences instead of from the curve:
+///
+/// * **No SFC bootstrap.** The Hilbert indexing, global sort, and
+///   redistribution phases are skipped — the previous centers already
+///   encode a good spatial decomposition. Points stay in their caller-side
+///   distribution, so there is no write-back routing either, and the
+///   skipped phases report zero time and no communication.
+/// * **No sampling initialization.** `cfg.sampling_init` is forced off:
+///   its only purpose is to cheapen the cold start, and its rank-local
+///   permutation would break the unchanged-input ⇒ zero-migration
+///   contract.
+///
+/// All ranks must call this collectively with identical `k`, `prev`, and
+/// `cfg`.
 ///
 /// # Panics
-/// If `k` exceeds the global number of points, or on inconsistent input
-/// lengths.
+/// If `k` is zero or exceeds the global point count (the canonical
+/// [`validate_k`] message), on inconsistent input lengths, or if `prev`
+/// does not carry exactly `k` centers and influences.
 pub fn partition_spmd<const D: usize, C: Comm>(
     comm: &C,
     points: &[Point<D>],
     weights: &[f64],
     k: usize,
+    prev: Option<&PreviousPartition<D>>,
     cfg: &Config,
 ) -> PipelineResult<D> {
     assert_eq!(points.len(), weights.len());
     cfg.validate();
-    let comm_before = phase_snapshot(comm);
-
-    // Phase 1: Hilbert indices.
-    // geo-analyze: allow(kernel-entropy): phase timer — the paper's reported timing, never an input to the computation.
-    let t0 = Instant::now();
-    let bb = global_bbox(comm, points);
-    let mapper = HilbertMapper::new(bb, PIPELINE_SFC_BITS);
     let local_n = points.len() as u64;
-    let id_offset = comm.exscan_sum_u64(local_n);
-    let global_n = comm.allreduce(local_n, |a, b| a + b);
-    crate::config::validate_k(k, global_n);
-    let tagged: Vec<Tagged<D>> = points
-        .iter()
-        .zip(weights)
-        .enumerate()
-        .map(|(i, (p, &w))| Tagged {
-            key: mapper.key_of(p),
-            id: id_offset + i as u64,
-            coords: *p.coords(),
-            weight: w,
-        })
-        .collect();
-    let sfc_index = t0.elapsed().as_secs_f64();
-    let comm_after_index = phase_snapshot(comm);
+    // Taken before the first collective so comm_stats covers the whole
+    // call, the global-n allreduce included.
+    let (comm_before, t0) = phase_boundary(comm);
 
-    // Phase 2: global sort by key + rebalance to n/p per rank.
-    // geo-analyze: allow(kernel-entropy): phase timer — the paper's reported timing, never an input to the computation.
-    let t1 = Instant::now();
-    let sorted = sample_sort_by_key(comm, tagged, |t| t.key);
-    let sorted = rebalance(comm, sorted);
-    let redistribute = t1.elapsed().as_secs_f64();
-    let comm_after_redistribute = phase_snapshot(comm);
+    match prev {
+        None => {
+            // Phase 1: Hilbert indices.
+            let bb = global_bbox(comm, points);
+            let mapper = HilbertMapper::new(bb, PIPELINE_SFC_BITS);
+            let id_offset = comm.exscan_sum_u64(local_n);
+            let global_n = comm.allreduce(local_n, |a, b| a + b);
+            validate_k(k, global_n);
+            let tagged: Vec<Tagged<D>> = points
+                .iter()
+                .zip(weights)
+                .enumerate()
+                .map(|(i, (p, &w))| Tagged {
+                    key: mapper.key_of(p),
+                    id: id_offset + i as u64,
+                    coords: *p.coords(),
+                    weight: w,
+                })
+                .collect();
+            let sfc_index = t0.elapsed().as_secs_f64();
+            let (comm_after_index, t1) = phase_boundary(comm);
 
-    // Phase 3: initial centers along the curve, then balanced k-means.
-    // geo-analyze: allow(kernel-entropy): phase timer — the paper's reported timing, never an input to the computation.
-    let t2 = Instant::now();
-    // One pass over the sorted run fills both exact-size arrays.
-    let mut sorted_points: Vec<Point<D>> = Vec::with_capacity(sorted.len());
-    let mut sorted_weights: Vec<f64> = Vec::with_capacity(sorted.len());
-    for t in &sorted {
-        sorted_points.push(Point::new(t.coords));
-        sorted_weights.push(t.weight);
-    }
-    let centers = initial_centers_from_sorted(comm, &sorted_points, k, global_n);
-    let out = balanced_kmeans(comm, &sorted_points, &sorted_weights, k, centers, cfg);
-    let kmeans = t2.elapsed().as_secs_f64();
-    let comm_after = phase_snapshot(comm);
+            // Phase 2: global sort by key + rebalance to n/p per rank.
+            let sorted = sample_sort_by_key(comm, tagged, |t| t.key);
+            let sorted = rebalance(comm, sorted);
+            let redistribute = t1.elapsed().as_secs_f64();
+            let (comm_after_redistribute, t2) = phase_boundary(comm);
 
-    // Phase 4 (untimed in the paper): route assignments back to the
-    // original owners so callers see blocks in input order.
-    // geo-analyze: allow(kernel-entropy): phase timer — the paper's reported timing, never an input to the computation.
-    let t3 = Instant::now();
-    let assignment =
-        route_back(comm, &sorted, &out.assignment, id_offset, local_n as usize);
-    let writeback = t3.elapsed().as_secs_f64();
-    let comm_after_writeback = phase_snapshot(comm);
+            // Phase 3: initial centers along the curve, then balanced k-means.
+            // One pass over the sorted run fills both exact-size arrays.
+            let mut sorted_points: Vec<Point<D>> = Vec::with_capacity(sorted.len());
+            let mut sorted_weights: Vec<f64> = Vec::with_capacity(sorted.len());
+            for t in &sorted {
+                sorted_points.push(Point::new(t.coords));
+                sorted_weights.push(t.weight);
+            }
+            let centers = initial_centers_from_sorted(comm, &sorted_points, k, global_n);
+            let out = balanced_kmeans(comm, &sorted_points, &sorted_weights, k, centers, cfg);
+            let kmeans = t2.elapsed().as_secs_f64();
+            let (comm_after, t3) = phase_boundary(comm);
 
-    PipelineResult {
-        assignment,
-        centers: out.centers,
-        influence: out.influence,
-        timings: PipelineTimings { sfc_index, redistribute, kmeans, writeback },
-        stats: out.stats,
-        comm_stats: comm_after.since(&comm_before),
-        phase_comm: PhaseComm {
-            sfc_index: comm_after_index.since(&comm_before),
-            redistribute: comm_after_redistribute.since(&comm_after_index),
-            kmeans: comm_after.since(&comm_after_redistribute),
-            writeback: comm_after_writeback.since(&comm_after),
-        },
+            // Phase 4 (untimed in the paper): route assignments back to the
+            // original owners so callers see blocks in input order.
+            let assignment =
+                route_back(comm, &sorted, &out.assignment, id_offset, local_n as usize);
+            let writeback = t3.elapsed().as_secs_f64();
+            let (comm_after_writeback, _) = phase_boundary(comm);
+
+            PipelineResult {
+                assignment,
+                centers: out.centers,
+                influence: out.influence,
+                timings: PipelineTimings { sfc_index, redistribute, kmeans, writeback },
+                stats: out.stats,
+                comm_stats: comm_after.since(&comm_before),
+                phase_comm: PhaseComm {
+                    sfc_index: comm_after_index.since(&comm_before),
+                    redistribute: comm_after_redistribute.since(&comm_after_index),
+                    kmeans: comm_after.since(&comm_after_redistribute),
+                    writeback: comm_after_writeback.since(&comm_after),
+                },
+            }
+        }
+        Some(prev) => {
+            // Phase 3 alone, on the points where the caller has them.
+            assert_eq!(prev.centers.len(), k, "previous partition must carry exactly k centers");
+            assert_eq!(
+                prev.influence.len(),
+                k,
+                "previous partition must carry exactly k influences"
+            );
+            validate_k(k, comm.allreduce(local_n, |a, b| a + b));
+            let warm_cfg = Config { sampling_init: false, ..cfg.clone() };
+            let out = balanced_kmeans_warm(
+                comm,
+                points,
+                weights,
+                k,
+                prev.centers.clone(),
+                prev.influence.clone(),
+                &warm_cfg,
+            );
+            let kmeans = t0.elapsed().as_secs_f64();
+            let comm_stats = phase_boundary(comm).0.since(&comm_before);
+            PipelineResult {
+                assignment: out.assignment,
+                centers: out.centers,
+                influence: out.influence,
+                timings: PipelineTimings { kmeans, ..PipelineTimings::default() },
+                stats: out.stats,
+                comm_stats,
+                phase_comm: PhaseComm { kmeans: comm_stats, ..PhaseComm::default() },
+            }
+        }
     }
 }
 
@@ -328,22 +385,21 @@ fn route_back<const D: usize, C: Comm>(
     assignment
 }
 
-/// Shared-memory convenience wrapper: partition a whole weighted point set
-/// with Geographer in one call (single rank; ranks under
-/// [`partition_spmd`] are the parallelism).
-pub fn partition<const D: usize>(
-    pts: &WeightedPoints<D>,
-    k: usize,
-    cfg: &Config,
-) -> PipelineResult<D> {
-    partition_spmd(&SelfComm, &pts.points, &pts.weights, k, cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use geographer_geometry::SplitMix64;
-    use geographer_parcomm::run_spmd;
+    use geographer_geometry::{SplitMix64, WeightedPoints};
+    use geographer_parcomm::{run_spmd, SelfComm};
+
+    /// Single-rank solve of a whole point set.
+    fn solve<const D: usize>(
+        wp: &WeightedPoints<D>,
+        k: usize,
+        prev: Option<&PreviousPartition<D>>,
+        cfg: &Config,
+    ) -> PipelineResult<D> {
+        partition_spmd(&SelfComm, &wp.points, &wp.weights, k, prev, cfg)
+    }
 
     fn uniform(n: usize, seed: u64) -> WeightedPoints<2> {
         let mut rng = SplitMix64::new(seed);
@@ -357,7 +413,7 @@ mod tests {
         let wp = uniform(3000, 1);
         let k = 8;
         let cfg = Config::default();
-        let res = partition(&wp, k, &cfg);
+        let res = solve(&wp, k, None, &cfg);
         assert_eq!(res.assignment.len(), 3000);
         let mut sizes = vec![0.0; k];
         for &b in &res.assignment {
@@ -384,7 +440,7 @@ mod tests {
             let lo = c.rank() * chunk;
             let hi = lo + chunk;
             let w = vec![1.0; hi - lo];
-            partition_spmd(&c, &pts[lo..hi], &w, k, &Config::default())
+            partition_spmd(&c, &pts[lo..hi], &w, k, None, &Config::default())
         });
         for (r, res) in results.iter().enumerate() {
             assert_eq!(res.assignment.len(), chunk);
@@ -411,14 +467,14 @@ mod tests {
         let wp = uniform(1200, 3);
         let k = 5;
         let cfg = Config { sampling_init: false, ..Config::default() };
-        let serial = partition(&wp, k, &cfg);
+        let serial = solve(&wp, k, None, &cfg);
         let pts = wp.points.clone();
         let results = run_spmd(3, |c| {
             let chunk = pts.len() / 3;
             let lo = c.rank() * chunk;
             let hi = lo + chunk;
             let w = vec![1.0; hi - lo];
-            partition_spmd(&c, &pts[lo..hi], &w, k, &cfg)
+            partition_spmd(&c, &pts[lo..hi], &w, k, None, &cfg)
         });
         let distributed: Vec<u32> =
             results.into_iter().flat_map(|r| r.assignment).collect();
@@ -437,7 +493,7 @@ mod tests {
         let wp = WeightedPoints::new(points, weights.clone());
         let k = 4;
         let cfg = Config::default();
-        let res = partition(&wp, k, &cfg);
+        let res = solve(&wp, k, None, &cfg);
         let mut bw = vec![0.0; k];
         for (&b, &w) in res.assignment.iter().zip(&weights) {
             bw[b as usize] += w;
@@ -454,7 +510,7 @@ mod tests {
             .map(|_| Point::new([rng.next_f64(), rng.next_f64(), rng.next_f64()]))
             .collect();
         let wp = WeightedPoints::unweighted(pts);
-        let res = partition(&wp, 6, &Config::default());
+        let res = solve(&wp, 6, None, &Config::default());
         let mut sizes = vec![0usize; 6];
         for &b in &res.assignment {
             sizes[b as usize] += 1;
@@ -468,13 +524,13 @@ mod tests {
     #[should_panic(expected = "geographer config: k = 13 exceeds global point count n = 12")]
     fn k_above_n_panics_with_the_canonical_message() {
         let wp = uniform(12, 6);
-        let _ = partition(&wp, 13, &Config::default());
+        let _ = solve(&wp, 13, None, &Config::default());
     }
 
     #[test]
     fn k_equal_n_every_point_its_own_block() {
         let wp = uniform(12, 6);
-        let res = partition(&wp, 12, &Config { max_iterations: 5, ..Config::default() });
+        let res = solve(&wp, 12, None, &Config { max_iterations: 5, ..Config::default() });
         let mut seen = vec![0usize; 12];
         for &b in &res.assignment {
             seen[b as usize] += 1;
@@ -482,5 +538,109 @@ mod tests {
         // ε = 3 % with unit weights and k = n means every block has exactly
         // one point.
         assert_eq!(seen, vec![1; 12], "{seen:?}");
+    }
+
+    #[test]
+    fn unmoved_points_migrate_nothing() {
+        let wp = uniform(2000, 40);
+        let k = 6;
+        let cfg = Config { sampling_init: false, max_iterations: 200, ..Config::default() };
+        let cold = solve(&wp, k, None, &cfg);
+        assert!(cold.stats.converged, "cold run must converge for the fixed-point contract");
+        let warm = solve(&wp, k, Some(&cold.previous()), &cfg);
+        assert_eq!(warm.assignment, cold.assignment, "unmoved input must not migrate");
+        assert_eq!(warm.stats.movement_iterations, 1);
+        // The warm arm spends no time in the skipped phases.
+        assert_eq!(warm.timings.sfc_index, 0.0);
+        assert_eq!(warm.timings.redistribute, 0.0);
+        assert_eq!(warm.timings.writeback, 0.0);
+    }
+
+    #[test]
+    fn warm_solve_tracks_a_small_drift_within_balance() {
+        let wp = uniform(2500, 41);
+        let k = 5;
+        let cfg = Config { sampling_init: false, ..Config::default() };
+        let cold = solve(&wp, k, None, &cfg);
+        // Translate every point slightly (rigid drift).
+        let drifted: Vec<Point<2>> =
+            wp.points.iter().map(|p| Point::new([p[0] + 0.01, p[1] - 0.005])).collect();
+        let drifted = WeightedPoints::unweighted(drifted);
+        let warm = solve(&drifted, k, Some(&cold.previous()), &cfg);
+        assert_eq!(warm.assignment.len(), 2500);
+        assert!(warm.stats.balance_achieved, "warm solve must restore balance");
+        // A rigid translation moves all clusters equally: almost every
+        // point keeps its block.
+        let same = warm
+            .assignment
+            .iter()
+            .zip(&cold.assignment)
+            .filter(|(a, b)| a == b)
+            .count();
+        assert!(same as f64 / 2500.0 > 0.95, "rigid drift migrated {} points", 2500 - same);
+    }
+
+    #[test]
+    fn spmd_and_serial_warm_solves_agree() {
+        let wp = uniform(1200, 42);
+        let k = 4;
+        let cfg = Config { sampling_init: false, ..Config::default() };
+        let prev = solve(&wp, k, None, &cfg).previous();
+        let serial = solve(&wp, k, Some(&prev), &cfg);
+        let pts = wp.points.clone();
+        let results = run_spmd(3, move |c| {
+            let chunk = pts.len() / 3;
+            let lo = c.rank() * chunk;
+            let hi = lo + chunk;
+            let w = vec![1.0; hi - lo];
+            partition_spmd(&c, &pts[lo..hi], &w, k, Some(&prev), &cfg).assignment
+        });
+        let distributed: Vec<u32> = results.into_iter().flatten().collect();
+        assert_eq!(distributed, serial.assignment);
+    }
+
+    #[test]
+    fn spmd_warm_assignment_is_input_aligned() {
+        // The warm arm performs no redistribution, so each rank's
+        // assignment must line up with its own input slice.
+        let wp = uniform(1600, 43);
+        let k = 4;
+        let cfg = Config { sampling_init: false, ..Config::default() };
+        let prev = solve(&wp, k, None, &cfg).previous();
+        let pts = wp.points.clone();
+        let results = run_spmd(4, move |c| {
+            let chunk = pts.len() / 4;
+            let lo = c.rank() * chunk;
+            let hi = lo + chunk;
+            let w = vec![1.0; hi - lo];
+            let res = partition_spmd(&c, &pts[lo..hi], &w, k, Some(&prev), &cfg);
+            (res.assignment, res.centers, lo)
+        });
+        let pts = wp.points;
+        for (asg, centers, lo) in &results {
+            assert_eq!(asg.len(), pts.len() / 4);
+            for (i, &b) in asg.iter().enumerate() {
+                let d = pts[lo + i].dist(&centers[b as usize]);
+                assert!(d < 0.9, "point {i} absurdly far from its center");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "geographer config: k = 9 exceeds global point count n = 8")]
+    fn warm_k_check_uses_the_canonical_message() {
+        let wp = uniform(8, 44);
+        let prev =
+            PreviousPartition { centers: vec![wp.points[0]; 9], influence: vec![1.0; 9] };
+        let _ = solve(&wp, 9, Some(&prev), &Config::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "previous partition must carry exactly k centers")]
+    fn mismatched_previous_state_rejected() {
+        let wp = uniform(100, 45);
+        let prev =
+            PreviousPartition { centers: vec![wp.points[0]; 3], influence: vec![1.0; 3] };
+        let _ = solve(&wp, 4, Some(&prev), &Config::default());
     }
 }

@@ -1,31 +1,15 @@
-//! Warm-start repartitioning: the paper's reuse argument made executable.
-//!
-//! The case for balanced k-means over one-shot geometric partitioners is
-//! that its output is *reusable*: a time-stepped simulation whose points
-//! drift between steps can feed the previous solve's centers and influence
-//! values back in, skip the SFC/sort bootstrap entirely, and converge in a
-//! few warm iterations — with most points keeping their block, so little
-//! data migrates. [`repartition_spmd`] is that path; see DESIGN.md §5 for
-//! the warm-start contract and `geographer_graph`'s migration metrics for
-//! how the stability gain is measured.
+//! The reusable state of a flat solve (DESIGN.md §5).
 
-use std::time::Instant;
-
-use geographer_geometry::{Point, WeightedPoints};
-use geographer_parcomm::{Comm, SelfComm};
-
-use crate::config::{validate_k, Config};
-use crate::kmeans::balanced_kmeans_warm;
-use crate::pipeline::{phase_snapshot, PhaseComm, PipelineResult, PipelineTimings};
+use geographer_geometry::Point;
 
 /// The reusable state of a previous partitioning solve: the replicated
 /// cluster centers and influence values. Obtain one from
-/// [`PipelineResult::previous`] (any rank's copy works — the state is
-/// replicated) and pass it to [`repartition_spmd`] when the point set has
-/// changed.
+/// [`crate::PipelineResult::previous`] (any rank's copy works — the state
+/// is replicated) and pass it to [`crate::partition_spmd`] when the point
+/// set has changed.
 ///
 /// On a *converged* previous solve the pair exactly reproduces the previous
-/// assignment (see [`balanced_kmeans_warm`]), which is what makes the
+/// assignment (see [`crate::balanced_kmeans_warm`]), which is what makes the
 /// zero-migration-on-unchanged-input contract hold.
 #[derive(Debug, Clone)]
 pub struct PreviousPartition<const D: usize> {
@@ -40,201 +24,5 @@ impl<const D: usize> PreviousPartition<D> {
     pub fn k(&self) -> usize {
         debug_assert_eq!(self.centers.len(), self.influence.len());
         self.centers.len()
-    }
-}
-
-/// Repartition a (typically drifted) distributed point set by warm-starting
-/// balanced k-means from `prev` instead of re-running the cold pipeline.
-///
-/// Differences from [`crate::partition_spmd`]:
-///
-/// * **No SFC bootstrap.** The Hilbert indexing, global sort, and
-///   redistribution phases are skipped — the previous centers already
-///   encode a good spatial decomposition. Points stay in their caller-side
-///   distribution, and the returned assignment is directly aligned with
-///   the input (no write-back routing either).
-/// * **No sampling initialization.** `cfg.sampling_init` is forced off:
-///   its only purpose is to cheapen the cold start, and its rank-local
-///   permutation would break the unchanged-input ⇒ zero-migration
-///   contract.
-///
-/// All ranks must call this collectively with identical `prev`, `k`, and
-/// `cfg`. `prev` must carry exactly `k` centers/influences.
-///
-/// # Panics
-/// If `k` is zero or exceeds the global point count (the canonical
-/// [`validate_k`] message), on inconsistent input lengths, or if `prev`
-/// does not match `k`.
-pub fn repartition_spmd<const D: usize, C: Comm>(
-    comm: &C,
-    points: &[Point<D>],
-    weights: &[f64],
-    prev: &PreviousPartition<D>,
-    k: usize,
-    cfg: &Config,
-) -> PipelineResult<D> {
-    assert_eq!(points.len(), weights.len());
-    assert_eq!(prev.centers.len(), k, "previous partition must carry exactly k centers");
-    assert_eq!(prev.influence.len(), k, "previous partition must carry exactly k influences");
-    cfg.validate();
-
-    let warm_cfg = Config { sampling_init: false, ..cfg.clone() };
-    // Snapshot before the first collective so comm_stats covers the whole
-    // call (the cold pipeline counts its global-n allreduce the same way).
-    let comm_before = phase_snapshot(comm);
-    let t0 = Instant::now();
-    let global_n = comm.allreduce(points.len() as u64, |a, b| a + b);
-    validate_k(k, global_n);
-    let out = balanced_kmeans_warm(
-        comm,
-        points,
-        weights,
-        k,
-        prev.centers.clone(),
-        prev.influence.clone(),
-        &warm_cfg,
-    );
-    let kmeans = t0.elapsed().as_secs_f64();
-    let comm_after = phase_snapshot(comm);
-    let comm_stats = comm_after.since(&comm_before);
-
-    PipelineResult {
-        assignment: out.assignment,
-        centers: out.centers,
-        influence: out.influence,
-        timings: PipelineTimings { kmeans, ..PipelineTimings::default() },
-        stats: out.stats,
-        comm_stats,
-        phase_comm: PhaseComm { kmeans: comm_stats, ..PhaseComm::default() },
-    }
-}
-
-/// Shared-memory convenience wrapper around [`repartition_spmd`]
-/// (single rank), mirroring [`crate::partition`].
-pub fn repartition<const D: usize>(
-    pts: &WeightedPoints<D>,
-    prev: &PreviousPartition<D>,
-    k: usize,
-    cfg: &Config,
-) -> PipelineResult<D> {
-    repartition_spmd(&SelfComm, &pts.points, &pts.weights, prev, k, cfg)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::pipeline::partition;
-    use geographer_geometry::SplitMix64;
-    use geographer_parcomm::run_spmd;
-
-    fn uniform(n: usize, seed: u64) -> WeightedPoints<2> {
-        let mut rng = SplitMix64::new(seed);
-        WeightedPoints::unweighted(
-            (0..n).map(|_| Point::new([rng.next_f64(), rng.next_f64()])).collect(),
-        )
-    }
-
-    #[test]
-    fn unmoved_points_migrate_nothing() {
-        let wp = uniform(2000, 40);
-        let k = 6;
-        let cfg = Config { sampling_init: false, max_iterations: 200, ..Config::default() };
-        let cold = partition(&wp, k, &cfg);
-        assert!(cold.stats.converged, "cold run must converge for the fixed-point contract");
-        let warm = repartition(&wp, &cold.previous(), k, &cfg);
-        assert_eq!(warm.assignment, cold.assignment, "unmoved input must not migrate");
-        assert_eq!(warm.stats.movement_iterations, 1);
-        // The warm path spends no time in the skipped phases.
-        assert_eq!(warm.timings.sfc_index, 0.0);
-        assert_eq!(warm.timings.redistribute, 0.0);
-    }
-
-    #[test]
-    fn warm_repartition_tracks_a_small_drift_within_balance() {
-        let wp = uniform(2500, 41);
-        let k = 5;
-        let cfg = Config { sampling_init: false, ..Config::default() };
-        let cold = partition(&wp, k, &cfg);
-        // Translate every point slightly (rigid drift).
-        let drifted: Vec<Point<2>> =
-            wp.points.iter().map(|p| Point::new([p[0] + 0.01, p[1] - 0.005])).collect();
-        let drifted = WeightedPoints::unweighted(drifted);
-        let warm = repartition(&drifted, &cold.previous(), k, &cfg);
-        assert_eq!(warm.assignment.len(), 2500);
-        assert!(warm.stats.balance_achieved, "warm solve must restore balance");
-        // A rigid translation moves all clusters equally: almost every
-        // point keeps its block.
-        let same = warm
-            .assignment
-            .iter()
-            .zip(&cold.assignment)
-            .filter(|(a, b)| a == b)
-            .count();
-        assert!(same as f64 / 2500.0 > 0.95, "rigid drift migrated {} points", 2500 - same);
-    }
-
-    #[test]
-    fn spmd_and_serial_repartition_agree() {
-        let wp = uniform(1200, 42);
-        let k = 4;
-        let cfg = Config { sampling_init: false, ..Config::default() };
-        let prev = partition(&wp, k, &cfg).previous();
-        let serial = repartition(&wp, &prev, k, &cfg);
-        let pts = wp.points.clone();
-        let prev_c = prev.clone();
-        let results = run_spmd(3, move |c| {
-            let chunk = pts.len() / 3;
-            let lo = c.rank() * chunk;
-            let hi = lo + chunk;
-            let w = vec![1.0; hi - lo];
-            repartition_spmd(&c, &pts[lo..hi], &w, &prev_c, k, &cfg).assignment
-        });
-        let distributed: Vec<u32> = results.into_iter().flatten().collect();
-        assert_eq!(distributed, serial.assignment);
-    }
-
-    #[test]
-    fn spmd_repartition_assignment_is_input_aligned() {
-        // The warm path performs no redistribution, so each rank's
-        // assignment must line up with its own input slice.
-        let wp = uniform(1600, 43);
-        let k = 4;
-        let cfg = Config { sampling_init: false, ..Config::default() };
-        let prev = partition(&wp, k, &cfg).previous();
-        let pts = wp.points.clone();
-        let results = run_spmd(4, move |c| {
-            let chunk = pts.len() / 4;
-            let lo = c.rank() * chunk;
-            let hi = lo + chunk;
-            let w = vec![1.0; hi - lo];
-            let res = repartition_spmd(&c, &pts[lo..hi], &w, &prev, k, &cfg);
-            (res.assignment, res.centers, lo)
-        });
-        let pts = wp.points;
-        for (asg, centers, lo) in &results {
-            assert_eq!(asg.len(), pts.len() / 4);
-            for (i, &b) in asg.iter().enumerate() {
-                let d = pts[lo + i].dist(&centers[b as usize]);
-                assert!(d < 0.9, "point {i} absurdly far from its center");
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "geographer config: k = 9 exceeds global point count n = 8")]
-    fn repartition_k_check_uses_the_canonical_message() {
-        let wp = uniform(8, 44);
-        let prev =
-            PreviousPartition { centers: vec![wp.points[0]; 9], influence: vec![1.0; 9] };
-        let _ = repartition(&wp, &prev, 9, &Config::default());
-    }
-
-    #[test]
-    #[should_panic(expected = "previous partition must carry exactly k centers")]
-    fn mismatched_previous_state_rejected() {
-        let wp = uniform(100, 45);
-        let prev =
-            PreviousPartition { centers: vec![wp.points[0]; 3], influence: vec![1.0; 3] };
-        let _ = repartition(&wp, &prev, 4, &Config::default());
     }
 }

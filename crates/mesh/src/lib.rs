@@ -8,7 +8,7 @@
 //! | hugetric / hugetrace / hugebubbles (adaptively refined 2D meshes) | [`families`] density meshes |
 //! | 333SP / AS365 / NACA0015 … (2D FEM meshes) | [`families::airfoil_like`] |
 //! | fesom 2.5D climate meshes with node weights | [`climate::climate25d`] |
-//! | 3D Delaunay & Alya meshes | [`knn3d`] + [`grid::grid3d`] (substitution, see DESIGN.md §3) |
+//! | 3D Delaunay & Alya meshes | [`knn3d()`] + [`grid::grid3d`] (substitution, see DESIGN.md §3) |
 //! | time-stepped (drifting) workloads | [`dynamic`] scenarios over any of the above |
 //!
 //! All generators return a [`Mesh`]: points + node weights + the CSR graph

@@ -39,7 +39,7 @@
 //! genuinely hung worker also becomes a clean [`ProcError`].
 //!
 //! Deadlock avoidance on the wire, all behind `sendrecv`: frames at or
-//! below [`EAGER_MAX`] bytes are written eagerly (they fit the socket
+//! below `EAGER_MAX` bytes are written eagerly (they fit the socket
 //! buffer, so the write cannot block) and read afterwards; larger pairwise
 //! exchanges fall back to a rank-ordered rendezvous (lower rank writes
 //! first while the higher rank drains), and larger ring steps overlap the
@@ -503,8 +503,8 @@ where
 /// Run `f` as an SPMD program on `p` ranks, each a forked **worker
 /// process**, and return the per-rank results indexed by rank.
 ///
-/// The closure is inherited through `fork`, so like [`run_spmd`]
-/// (crate::run_spmd) it can capture arbitrary borrowed data — but all
+/// The closure is inherited through `fork`, so like
+/// [`run_spmd`](crate::run_spmd) it can capture arbitrary borrowed data — but all
 /// rank-to-rank communication goes over Unix-domain sockets and the
 /// result crosses back to the parent [`Wire`]-encoded. Any rank that
 /// panics, dies, or hangs turns into an `Err` here instead of a deadlock:

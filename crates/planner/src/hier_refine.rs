@@ -1,5 +1,5 @@
-//! Hierarchy-aware multilevel refinement: the stacked combination the
-//! legacy entry points could not express.
+//! Hierarchy-aware multilevel refinement: the stacked combination of a
+//! hierarchical solve and the multilevel V-cycle.
 //!
 //! A hierarchical solve minimizes each level's cut *geometrically*; the
 //! multilevel V-cycle of `geographer_refine` minimizes the flat cut
@@ -104,9 +104,9 @@ const MAX_SWEEPS: usize = 4;
 /// V-cycles per hierarchy level, top-down, honoring each level's ε and
 /// capacity fractions (see the module docs for the contract). The
 /// top-down pass is iterated until a full sweep moves nothing (at most
-/// [`MAX_SWEEPS`] times): an upper-level move changes which sibling moves
+/// `MAX_SWEEPS` times): an upper-level move changes which sibling moves
 /// are profitable below, and vice versa, so a single pass leaves compound
-/// gains on the table. Each sweep is followed by a [`cross_parent_pass`]
+/// gains on the table. Each sweep is followed by a `cross_parent_pass`
 /// that takes the leaf moves no per-level digit refinement can express —
 /// a vertex whose best block lies under a different parent but whose
 /// parent-digit move alone has zero gain. `base` supplies the V-cycle
@@ -423,10 +423,17 @@ fn sweep_top_down(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use geographer::{partition_hierarchical, Config, LevelSpec};
-    use geographer_geometry::WeightedPoints;
+    use geographer::{partition_hierarchical_spmd, Config, LevelSpec};
     use geographer_graph::evaluate_levels;
     use geographer_mesh::families::bubbles_like;
+    use geographer_mesh::Mesh;
+    use geographer_parcomm::SelfComm;
+
+    /// Cold single-rank hierarchical assignment of `mesh`.
+    fn solve(mesh: &Mesh<2>, spec: &HierarchySpec, cfg: &Config) -> Vec<u32> {
+        partition_hierarchical_spmd(&SelfComm, &mesh.points, &mesh.weights, spec, None, cfg)
+            .assignment
+    }
 
     fn hier_balanced(asg: &[u32], weights: &[f64], spec: &HierarchySpec, eps: f64) {
         let groups = spec.level_groups();
@@ -459,11 +466,9 @@ mod tests {
     #[test]
     fn lowers_leaf_cut_without_raising_inter_node_cut_or_breaking_balance() {
         let mesh = bubbles_like(6_000, 41);
-        let wp = WeightedPoints::new(mesh.points.clone(), mesh.weights.clone());
         let spec = HierarchySpec::uniform(&[4, 2]);
         let cfg = Config { sampling_init: false, ..Config::default() };
-        let solved = partition_hierarchical(&wp, &spec, &cfg);
-        let mut asg = solved.assignment.clone();
+        let mut asg = solve(&mesh, &spec, &cfg);
 
         let before = evaluate_levels(&mesh.graph, &asg, &spec.level_groups());
         let reports = refine_hierarchy_multilevel(
@@ -500,12 +505,10 @@ mod tests {
     #[test]
     fn is_deterministic() {
         let mesh = bubbles_like(2_500, 42);
-        let wp = WeightedPoints::new(mesh.points.clone(), mesh.weights.clone());
         let spec = HierarchySpec::uniform(&[2, 2]);
         let cfg = Config { sampling_init: false, ..Config::default() };
-        let solved = partition_hierarchical(&wp, &spec, &cfg);
-        let mut a = solved.assignment.clone();
-        let mut b = solved.assignment.clone();
+        let mut a = solve(&mesh, &spec, &cfg);
+        let mut b = a.clone();
         let ra = refine_hierarchy_multilevel(
             &mesh.graph,
             &mut a,
@@ -527,7 +530,6 @@ mod tests {
     #[test]
     fn honors_per_level_fractions() {
         let mesh = bubbles_like(4_000, 43);
-        let wp = WeightedPoints::new(mesh.points.clone(), mesh.weights.clone());
         let spec = HierarchySpec {
             levels: vec![
                 LevelSpec { arity: 2, epsilon: Some(0.02), fractions: Some(vec![3.0, 1.0]) },
@@ -535,8 +537,7 @@ mod tests {
             ],
         };
         let cfg = Config { sampling_init: false, max_iterations: 200, ..Config::default() };
-        let solved = partition_hierarchical(&wp, &spec, &cfg);
-        let mut asg = solved.assignment.clone();
+        let mut asg = solve(&mesh, &spec, &cfg);
         refine_hierarchy_multilevel(
             &mesh.graph,
             &mut asg,

@@ -1,12 +1,11 @@
 //! # Geographer planner: one API over the paper's four pillars
 //!
-//! The reproduction grew the paper's algorithmic pillars as separate entry
-//! points — the cold pipeline (`geographer::partition_spmd`), warm-start
-//! repartitioning (`geographer::repartition_spmd`), hierarchical
-//! processor-aware solves (`geographer::partition_hierarchical_spmd`),
-//! and multilevel refinement (`geographer_refine::refine_multilevel`) —
-//! which composed only pairwise through hand-written glue. This crate
-//! collapses them behind a single surface (DESIGN.md §8):
+//! The paper's algorithmic pillars — the cold pipeline and warm-start
+//! repartitioning (`geographer::partition_spmd` without and with a
+//! previous state), hierarchical processor-aware solves
+//! (`geographer::partition_hierarchical_spmd`), and multilevel refinement
+//! (`geographer_refine::refine_multilevel`) — compose behind a single
+//! surface, the only solve API applications call (DESIGN.md §8):
 //!
 //! * [`PlanSpec`] — *what* to solve: a [`MeshView`], a [`Tool`], the block
 //!   count, an optional `HierarchySpec`, a [`RefineMode`], and the solver
@@ -18,7 +17,7 @@
 //!   the refreshed state for the next time step, and per-phase
 //!   counters/metrics.
 //!
-//! Combinations that used to require new driver code are now configuration:
+//! Combinations are configuration, not code:
 //! a warm **hierarchical** solve with a **multilevel V-cycle at every
 //! hierarchy level** under the hierarchy's own per-level targets is one
 //! `PlanSpec` ([`refine_hierarchy_multilevel`] is the new stacked kernel).

@@ -5,7 +5,7 @@
 //! `Planner::solve` is an SPMD collective call: every rank passes the same
 //! [`PlanSpec`] (the mesh view is the full replicated point set — the
 //! planner shards it internally into the same contiguous `[r·n/p, (r+1)·n/p)`
-//! chunks the bench driver always used) and receives a [`Plan`] carrying
+//! chunks every benchmark uses) and receives a [`Plan`] carrying
 //! the *global* assignment, the refreshed warm state for the next step,
 //! and per-phase counters. Refinement runs redundantly on every rank —
 //! it is deterministic, so all ranks hold the same plan without extra
@@ -112,14 +112,12 @@ impl Planner {
         let mut phase_timings = None;
         let (local, state_out, stats, level_imbalance) = match &spec.hierarchy {
             Some(h) => {
-                let res = match state {
-                    Some(PlanState::Hierarchical(prev)) => {
-                        geographer::repartition_hierarchical_spmd(
-                            comm, points, weights, prev, h, cfg,
-                        )
-                    }
-                    _ => geographer::partition_hierarchical_spmd(comm, points, weights, h, cfg),
+                let prev = match state {
+                    Some(PlanState::Hierarchical(prev)) => Some(prev),
+                    _ => None,
                 };
+                let res =
+                    geographer::partition_hierarchical_spmd(comm, points, weights, h, prev, cfg);
                 solve_seconds = res.seconds;
                 (
                     res.assignment,
@@ -129,20 +127,15 @@ impl Planner {
                 )
             }
             None if spec.tool.is_stateful() => {
-                let res = match state {
-                    Some(PlanState::Flat(prev)) => {
-                        geographer::repartition_spmd(comm, points, weights, prev, spec.k, cfg)
-                    }
-                    _ => geographer::partition_spmd(comm, points, weights, spec.k, cfg),
+                let prev = match state {
+                    Some(PlanState::Flat(prev)) => Some(prev),
+                    _ => None,
                 };
+                let res = geographer::partition_spmd(comm, points, weights, spec.k, prev, cfg);
                 solve_seconds = res.timings.total();
                 phase_timings = Some(res.timings);
-                (
-                    res.assignment.clone(),
-                    Some(PlanState::Flat(res.previous())),
-                    Some(res.stats),
-                    None,
-                )
+                let state_out = PlanState::Flat(res.previous());
+                (res.assignment, Some(state_out), Some(res.stats), None)
             }
             None => {
                 let asg = spec.tool.partition_spmd(comm, points, weights, spec.k, cfg);
@@ -155,8 +148,8 @@ impl Planner {
         }
         let comm_used = comm.stats().since(&before);
 
-        // --- Assembly: uncounted, so Plan::comm matches the legacy
-        // driver's solver-only counters.
+        // --- Assembly: uncounted, so Plan::comm holds the solver's
+        // collectives only.
         let mut assignment: Vec<u32> = if p == 1 {
             local
         } else {
@@ -262,8 +255,8 @@ impl Planner {
 
     /// [`Planner::try_solve`], panicking on an illegal spec with the
     /// error's canonical `geographer config:` text — for callers that
-    /// treat a bad spec as a programming error, matching the legacy entry
-    /// points' panic convention.
+    /// treat a bad spec as a programming error, matching the panic
+    /// convention of the layers below.
     pub fn solve<const D: usize, C: Comm>(
         spec: &PlanSpec<'_, D>,
         state: Option<&PlanState<D>>,
@@ -282,20 +275,19 @@ mod tests {
     use crate::spec::MeshView;
     use crate::tool::Tool;
     use geographer::{Config, HierarchySpec};
-    use geographer_geometry::WeightedPoints;
     use geographer_mesh::{delaunay_unit_square, families::bubbles_like};
     use geographer_parcomm::SelfComm;
     use geographer_refine::MultilevelConfig;
 
     #[test]
-    fn flat_plan_matches_the_legacy_pipeline() {
+    fn flat_plan_matches_the_core_pipeline() {
         let mesh = delaunay_unit_square(1_200, 61);
         let cfg = Config { sampling_init: false, ..Config::default() };
         let spec = PlanSpec::flat(MeshView::from(&mesh), Tool::Geographer, 5, cfg.clone());
         let plan = Planner::solve(&spec, None, &SelfComm);
-        let wp = WeightedPoints::new(mesh.points.clone(), mesh.weights.clone());
-        let legacy = geographer::partition(&wp, 5, &cfg);
-        assert_eq!(plan.assignment, legacy.assignment);
+        let core =
+            geographer::partition_spmd(&SelfComm, &mesh.points, &mesh.weights, 5, None, &cfg);
+        assert_eq!(plan.assignment, core.assignment);
         assert_eq!(plan.k, 5);
         assert!(plan.stats.is_some());
         assert!(matches!(plan.state, Some(PlanState::Flat(_))));
@@ -309,23 +301,29 @@ mod tests {
         let cfg = Config::default();
         let spec = PlanSpec::flat(MeshView::from(&mesh), Tool::Rcb, 4, cfg.clone());
         let plan = Planner::solve(&spec, None, &SelfComm);
-        let legacy =
+        let direct =
             Tool::Rcb.partition_spmd(&SelfComm, &mesh.points, &mesh.weights, 4, &cfg);
-        assert_eq!(plan.assignment, legacy);
+        assert_eq!(plan.assignment, direct);
         assert!(plan.state.is_none());
         assert!(plan.stats.is_none());
     }
 
     #[test]
-    fn hierarchical_plan_matches_the_legacy_solver_and_reports_levels() {
+    fn hierarchical_plan_matches_the_core_solver_and_reports_levels() {
         let mesh = bubbles_like(2_000, 63);
         let cfg = Config { sampling_init: false, ..Config::default() };
         let h = HierarchySpec::uniform(&[2, 2]);
         let spec = PlanSpec::hierarchical(MeshView::from(&mesh), h.clone(), cfg.clone());
         let plan = Planner::solve(&spec, None, &SelfComm);
-        let wp = WeightedPoints::new(mesh.points.clone(), mesh.weights.clone());
-        let legacy = geographer::partition_hierarchical(&wp, &h, &cfg);
-        assert_eq!(plan.assignment, legacy.assignment);
+        let core = geographer::partition_hierarchical_spmd(
+            &SelfComm,
+            &mesh.points,
+            &mesh.weights,
+            &h,
+            None,
+            &cfg,
+        );
+        assert_eq!(plan.assignment, core.assignment);
         assert!(matches!(plan.state, Some(PlanState::Hierarchical(_))));
         let levels = plan.levels.expect("hierarchy + graph must report levels");
         assert_eq!(levels.len(), 2);

@@ -60,7 +60,7 @@ pub enum RefineMode {
     /// [`geographer_refine::refine_multilevel`]; on hierarchical specs the
     /// V-cycle runs *per hierarchy level* under each level's ε and capacity
     /// fractions ([`crate::refine_hierarchy_multilevel`]) — the stacked
-    /// combination the legacy entry points could not express.
+    /// combination.
     Multilevel(MultilevelConfig),
 }
 
@@ -107,10 +107,10 @@ impl<const D: usize> PlanState<D> {
     }
 }
 
-/// Full description of one partitioning problem: what the legacy entry
-/// points (`partition`/`repartition_spmd`, `partition_hierarchical(_spmd)`,
-/// `refine_multilevel`) each solved a slice of, as one value. See
-/// DESIGN.md §8 for which combinations are legal.
+/// Full description of one partitioning problem: what the layers below
+/// (`geographer::partition_spmd`, `geographer::partition_hierarchical_spmd`,
+/// `geographer_refine::refine_multilevel`) each solve a slice of, as one
+/// value. See DESIGN.md §8 for which combinations are legal.
 #[derive(Debug, Clone)]
 pub struct PlanSpec<'a, const D: usize> {
     /// The data being partitioned.
@@ -190,7 +190,7 @@ impl<'a, const D: usize> PlanSpec<'a, D> {
     /// Parameter-range errors inside `config` and `hierarchy` keep their
     /// existing canonical panics ([`Config::validate`],
     /// [`HierarchySpec::validate`]); this function owns the *combination*
-    /// checks the legacy entry points could not express.
+    /// checks, which no single layer below can make.
     pub fn validate(&self, state: Option<&PlanState<D>>) -> Result<(), PlanError> {
         let n = self.mesh.points.len();
         if n != self.mesh.weights.len() {

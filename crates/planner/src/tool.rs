@@ -1,10 +1,9 @@
 //! The five evaluated partitioning tools behind one dispatch enum.
 //!
-//! This used to live in `geographer_bench::driver`; it moved here so the
-//! [`crate::Planner`] — the single entry point every bench binary and the
-//! future service daemon route through — can name a tool in a
-//! [`crate::PlanSpec`] without depending on the experiment harness.
-//! `geographer_bench` re-exports it, so harness callers are unaffected.
+//! It lives here so the [`crate::Planner`] — the single entry point every
+//! bench binary routes through — can name a tool in a [`crate::PlanSpec`]
+//! without depending on the experiment harness; `geographer_bench`
+//! re-exports it.
 
 use geographer::Config;
 use geographer_baselines::Baseline;
@@ -62,7 +61,7 @@ impl Tool {
     ) -> Vec<u32> {
         match self {
             Tool::Geographer => {
-                geographer::partition_spmd(comm, points, weights, k, cfg).assignment
+                geographer::partition_spmd(comm, points, weights, k, None, cfg).assignment
             }
             Tool::Hsfc => Baseline::Hsfc.partition_spmd(comm, points, weights, k),
             Tool::MultiJagged => {

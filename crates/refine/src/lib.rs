@@ -367,11 +367,15 @@ mod tests {
             sampling_init: false,
             ..geographer::Config::default()
         };
-        let wp = geographer_geometry::WeightedPoints::new(
-            mesh.points.clone(),
-            mesh.weights.clone(),
-        );
-        let mut asg = geographer::partition(&wp, 3, &cfg).assignment.clone();
+        let mut asg = geographer::partition_spmd(
+            &geographer_parcomm::SelfComm,
+            &mesh.points,
+            &mesh.weights,
+            3,
+            None,
+            &cfg,
+        )
+        .assignment;
         let rcfg = RefineConfig {
             max_rounds: 20,
             epsilon: cfg.epsilon,

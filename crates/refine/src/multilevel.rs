@@ -91,7 +91,7 @@ pub struct MultilevelReport {
 
 impl MultilevelReport {
     /// Collapse into the flat [`RefineReport`] shape (rounds summed over
-    /// levels) — what the bench driver's tool rows carry for either mode.
+    /// levels) — what a plan's `refine` field carries for either mode.
     pub fn summary(&self) -> RefineReport {
         RefineReport {
             cut_before: self.cut_before,

@@ -6,9 +6,11 @@
 //! cargo run --release --example climate_partition
 //! ```
 
-use geographer::{partition, Config};
+use geographer::Config;
 use geographer_graph::evaluate_partition;
 use geographer_mesh::climate25d;
+use geographer_parcomm::SelfComm;
+use geographer_planner::{MeshView, PlanSpec, Planner, Tool};
 
 fn main() {
     // Ocean mesh: coastal refinement + depth-proportional node weights.
@@ -22,7 +24,8 @@ fn main() {
     );
 
     let k = 12;
-    let result = partition(&mesh.weighted_points(), k, &Config::default());
+    let spec = PlanSpec::flat(MeshView::from(&mesh), Tool::Geographer, k, Config::default());
+    let result = Planner::solve(&spec, None, &SelfComm);
 
     // Per-block loads: weight balanced within ε even though vertex counts
     // differ strongly (deep-ocean blocks hold fewer, heavier vertices).

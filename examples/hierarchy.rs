@@ -13,27 +13,31 @@
 //! cargo run --release --example hierarchy
 //! ```
 
-use geographer::{partition, partition_hierarchical, Config, HierarchySpec};
+use geographer::{Config, HierarchySpec};
 use geographer_bench::TieredCostModel;
-use geographer_geometry::WeightedPoints;
 use geographer_graph::evaluate_levels;
 use geographer_mesh::families::bubbles_like;
+use geographer_parcomm::SelfComm;
+use geographer_planner::{MeshView, PlanSpec, Planner, Tool};
 
 fn main() {
     let (n, seed) = (6_000, 33);
     let mesh = bubbles_like(n, seed);
-    let wp = WeightedPoints::new(mesh.points.clone(), mesh.weights.clone());
+    let view = MeshView::from(&mesh);
     let spec = HierarchySpec::uniform(&[4, 2]);
     let cfg = Config { sampling_init: false, ..Config::default() };
     let model = TieredCostModel::default();
     println!("clustered mesh: n = {n}, machine = 4 nodes x 2 cores, ε = {}", cfg.epsilon);
 
-    let flat = partition(&wp, 8, &cfg);
-    let hier = partition_hierarchical(&wp, &spec, &cfg);
-    assert!(hier.stats.balance_achieved, "every node solve must balance");
+    let flat =
+        Planner::solve(&PlanSpec::flat(view, Tool::Geographer, 8, cfg.clone()), None, &SelfComm);
+    let hier =
+        Planner::solve(&PlanSpec::hierarchical(view, spec.clone(), cfg.clone()), None, &SelfComm);
+    let stats = hier.stats.expect("hierarchical plans carry solver counters");
+    assert!(stats.balance_achieved, "every node solve must balance");
     println!(
         "block 5 sits at hierarchy path {:?} (node 2, core 1)",
-        hier.paths[5]
+        spec.path_of_block(5)
     );
 
     println!(

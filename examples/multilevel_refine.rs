@@ -2,8 +2,8 @@
 //! project back, re-refine.
 //!
 //! An HSFC partition of a clustered mesh is refined two ways at the same
-//! ε: one flat boundary sweep (`refine_partition`) and the multilevel
-//! V-cycle (`refine_multilevel`). The flat pass only reaches minima that
+//! ε — the recipe's `RefineMode`: one flat boundary sweep (`Single`) and
+//! the multilevel V-cycle (`Multilevel`). The flat pass only reaches minima that
 //! single-vertex moves can reach; the V-cycle relocates whole clusters at
 //! the coarse levels and recovers strictly more cut at comparable cost
 //! (DESIGN.md §7).
@@ -13,10 +13,11 @@
 //! ```
 
 use geographer::Config;
-use geographer_bench::{run_tool_configured, RefineMode, RunConfig, Tool};
+use geographer_bench::{solve_plan_view, PlanRecipe, Tool};
 use geographer_graph::imbalance;
 use geographer_mesh::families::bubbles_like;
-use geographer_refine::RefineConfig;
+use geographer_planner::{MeshView, RefineMode};
+use geographer_refine::{MultilevelConfig, RefineConfig};
 
 fn main() {
     let (n, k, seed) = (8_000, 16, 55);
@@ -25,17 +26,16 @@ fn main() {
     println!("clustered mesh: n = {n}, k = {k}, ε = {}", core.epsilon);
 
     let mut outcomes = Vec::new();
-    for mode in [RefineMode::Single, RefineMode::Multilevel] {
-        let rc = RunConfig {
-            core: core.clone(),
-            refine: Some(RefineConfig::default()),
-            refine_mode: mode,
-        };
-        let out = run_tool_configured(Tool::Hsfc, &mesh, k, 2, &rc);
+    for mode in [
+        RefineMode::Single(RefineConfig::default()),
+        RefineMode::Multilevel(MultilevelConfig::default()),
+    ] {
+        let recipe = PlanRecipe::flat("hsfc", Tool::Hsfc, k, core.clone()).with_refine(mode);
+        let out = solve_plan_view(MeshView::from(&mesh), &recipe, 2, None).plan;
         let report = out.refine.expect("refine post-pass was requested");
         println!(
             "\n{:<11} cut {} -> {}  ({:.1}% of the initial cut recovered, {} moves, imb {:.4})",
-            mode.name(),
+            recipe.refine.name(),
             report.cut_before,
             report.cut_after,
             100.0 * (report.cut_before - report.cut_after) as f64 / report.cut_before as f64,

@@ -6,8 +6,9 @@
 //! ```
 
 use geographer::Config;
-use geographer_bench::{run_tool, Tool};
+use geographer_bench::{solve_plan_view, PlanRecipe, Tool};
 use geographer_mesh::families::bubbles_like;
+use geographer_planner::MeshView;
 use geographer_viz::render_partition_svg;
 
 fn main() {
@@ -20,8 +21,9 @@ fn main() {
     println!("rendering bubbles-like mesh, n = {n}, k = {k} -> {}", dir.display());
 
     for tool in Tool::ALL {
-        let out = run_tool(tool, &mesh, k, 1, &Config::default());
-        let svg = render_partition_svg(&mesh.points, &out.assignment, k, 640, tool.name());
+        let recipe = PlanRecipe::flat(tool.name(), tool, k, Config::default());
+        let out = solve_plan_view(MeshView::from(&mesh), &recipe, 1, None);
+        let svg = render_partition_svg(&mesh.points, &out.plan.assignment, k, 640, tool.name());
         let path = dir.join(format!("{}.svg", tool.name().to_lowercase()));
         std::fs::write(&path, svg).expect("write svg");
         println!("  {} ({:.2}s)", path.display(), out.wall_seconds);

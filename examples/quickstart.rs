@@ -5,9 +5,11 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use geographer::{partition, Config};
+use geographer::Config;
 use geographer_graph::evaluate_partition;
 use geographer_mesh::delaunay_unit_square;
+use geographer_parcomm::SelfComm;
+use geographer_planner::{MeshView, PlanSpec, Planner, Tool};
 
 fn main() {
     // 1. Generate a mesh: a Delaunay triangulation of 20 000 random points
@@ -18,14 +20,18 @@ fn main() {
     // 2. Partition its coordinates into k = 8 blocks, at most 3 % imbalance.
     let k = 8;
     let cfg = Config::default();
+    //    `Planner::solve` is the one solve API; `SelfComm` is the single-rank
+    //    communicator (see `spmd_cluster` for ranks).
+    let spec = PlanSpec::flat(MeshView::from(&mesh), Tool::Geographer, k, cfg.clone());
     let t = std::time::Instant::now();
-    let result = partition(&mesh.weighted_points(), k, &cfg);
+    let result = Planner::solve(&spec, None, &SelfComm);
+    let stats = result.stats.expect("Geographer plans carry solver counters");
     println!(
         "partitioned in {:.3}s ({} k-means iterations, {} converged, skip rate {:.0}%)",
         t.elapsed().as_secs_f64(),
-        result.stats.movement_iterations,
-        if result.stats.converged { "" } else { "not " },
-        result.stats.skip_rate() * 100.0,
+        stats.movement_iterations,
+        if stats.converged { "" } else { "not " },
+        stats.skip_rate() * 100.0,
     );
 
     // 3. Evaluate with the paper's graph metrics.

@@ -2,8 +2,9 @@
 //!
 //! A cluster-drift workload evolves a Delaunay mesh over 8 time steps.
 //! At every step the partition is recomputed two ways — cold (the full
-//! SFC + k-means pipeline from scratch) and warm (balanced k-means
-//! warm-started from the previous step's centers and influences) — and the
+//! SFC + k-means pipeline from scratch) and warm (the same `Planner::solve`
+//! handed the previous step's plan state: balanced k-means warm-started
+//! from the previous centers and influences) — and the
 //! relabel-free migrated-point fraction between consecutive assignments is
 //! printed for both. Warm starts track the drift, so far fewer points
 //! change block (the paper's reuse argument; DESIGN.md §5).
@@ -12,9 +13,11 @@
 //! cargo run --release --example repartition
 //! ```
 
-use geographer::{partition, repartition, Config};
+use geographer::Config;
 use geographer_graph::relabel_free_migration;
 use geographer_mesh::{delaunay_unit_square, DynamicWorkload, Scenario};
+use geographer_parcomm::SelfComm;
+use geographer_planner::{MeshView, PlanSpec, Planner, Tool};
 
 fn main() {
     let (n, k, steps, seed) = (10_000, 8, 8, 17);
@@ -28,33 +31,30 @@ fn main() {
     println!("{:>4}  {:>12} {:>10}  {:>12} {:>10}", "step", "warm migr.", "time", "cold migr.", "time");
 
     // Step 0 bootstraps both chains with the same cold solve.
-    let wp0 = geographer_geometry::WeightedPoints::new(
-        workload.points_at(0),
-        workload.weights_at(0),
-    );
+    let mesh0 = workload.mesh_at(0);
+    let spec0 = PlanSpec::flat(MeshView::from(&mesh0), Tool::Geographer, k, cfg.clone());
     let t = std::time::Instant::now();
-    let first = partition(&wp0, k, &cfg);
+    let first = Planner::solve(&spec0, None, &SelfComm);
     println!("{:>4}  {:>12} {:>9.3}s  (shared cold bootstrap)", 0, "—", t.elapsed().as_secs_f64());
 
     let mut warm_prev = first.clone();
-    let mut cold_prev_asg = first.assignment.clone();
+    let mut cold_prev_asg = first.assignment;
     let (mut warm_total, mut cold_total) = (0.0f64, 0.0f64);
     for step in 1..steps {
-        let wp = geographer_geometry::WeightedPoints::new(
-            workload.points_at(step),
-            workload.weights_at(step),
-        );
+        let mesh = workload.mesh_at(step);
+        let spec = PlanSpec::flat(MeshView::from(&mesh), Tool::Geographer, k, cfg.clone());
 
+        // Warm: the same solve, handed the previous plan's state.
         let t = std::time::Instant::now();
-        let warm = repartition(&wp, &warm_prev.previous(), k, &cfg);
+        let warm = Planner::solve(&spec, warm_prev.state.as_ref(), &SelfComm);
         let warm_secs = t.elapsed().as_secs_f64();
         let warm_mig =
-            relabel_free_migration(&warm_prev.assignment, &warm.assignment, &wp.weights, k);
+            relabel_free_migration(&warm_prev.assignment, &warm.assignment, &mesh.weights, k);
 
         let t = std::time::Instant::now();
-        let cold = partition(&wp, k, &cfg);
+        let cold = Planner::solve(&spec, None, &SelfComm);
         let cold_secs = t.elapsed().as_secs_f64();
-        let cold_mig = relabel_free_migration(&cold_prev_asg, &cold.assignment, &wp.weights, k);
+        let cold_mig = relabel_free_migration(&cold_prev_asg, &cold.assignment, &mesh.weights, k);
 
         println!(
             "{:>4}  {:>11.1}% {:>9.3}s  {:>11.1}% {:>9.3}s",
@@ -64,7 +64,7 @@ fn main() {
             cold_mig.point_fraction * 100.0,
             cold_secs,
         );
-        assert!(warm.stats.balance_achieved, "warm step {step} must stay within ε");
+        assert!(warm.imbalance <= cfg.epsilon + 1e-9, "warm step {step} must stay within ε");
         warm_total += warm_mig.point_fraction;
         cold_total += cold_mig.point_fraction;
         warm_prev = warm;

@@ -23,7 +23,7 @@ fn main() {
     let results = run_spmd(p, |comm| {
         let lo = comm.rank() * n / p;
         let hi = (comm.rank() + 1) * n / p;
-        let res = partition_spmd(&comm, &points[lo..hi], &weights[lo..hi], k, &Config::default());
+        let res = partition_spmd(&comm, &points[lo..hi], &weights[lo..hi], k, None, &Config::default());
         let stats = res.stats.reduce(&comm);
         (res, stats, comm.stats())
     });

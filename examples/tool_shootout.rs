@@ -6,8 +6,9 @@
 //! ```
 
 use geographer::Config;
-use geographer_bench::{evaluate_run, run_tool, Tool};
+use geographer_bench::{evaluate_run, solve_plan_view, PlanRecipe, Tool};
 use geographer_mesh::families::trace_like;
+use geographer_planner::MeshView;
 
 fn main() {
     let mesh = trace_like(15_000, 9);
@@ -22,8 +23,9 @@ fn main() {
         "tool", "time", "cut", "maxCommVol", "totCommVol", "harmDiam", "spmvComm"
     );
     for tool in Tool::ALL {
-        let out = run_tool(tool, &mesh, k, 4, &Config::default());
-        let row = evaluate_run(tool, &mesh, &out, k, 10);
+        let recipe = PlanRecipe::flat(tool.name(), tool, k, Config::default());
+        let run = solve_plan_view(MeshView::from(&mesh), &recipe, 4, None);
+        let row = evaluate_run(&mesh, &recipe, &run, 10);
         println!(
             "{:<12} {:>8.3}s {:>8} {:>11} {:>11} {:>9.1} {:>10.1}us",
             row.tool,

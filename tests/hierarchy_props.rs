@@ -12,10 +12,11 @@
 //!   mapping — the committed ISSUE 4 acceptance test, mirrored by
 //!   `BENCH_hierarchy.json`.
 
-use geographer::{partition, partition_hierarchical, Config, HierarchySpec};
-use geographer_geometry::WeightedPoints;
+use geographer::{Config, HierarchySpec};
 use geographer_graph::evaluate_levels;
 use geographer_mesh::families::bubbles_like;
+use geographer_parcomm::SelfComm;
+use geographer_planner::{MeshView, PlanSpec, Planner, Tool};
 use geographer_spmv::owner_of_block;
 use proptest::prelude::*;
 
@@ -104,22 +105,23 @@ proptest! {
 #[test]
 fn hierarchy_4x2_balances_every_level_and_beats_flat_inter_node_volume() {
     let mesh = bubbles_like(6_000, 33);
-    let wp = WeightedPoints::new(mesh.points.clone(), mesh.weights.clone());
+    let view = MeshView::from(&mesh);
     let spec = HierarchySpec::uniform(&[4, 2]);
     let cfg = Config { sampling_init: false, ..Config::default() };
 
-    let hier = partition_hierarchical(&wp, &spec, &cfg);
-    assert!(hier.stats.balance_achieved);
+    let hier =
+        Planner::solve(&PlanSpec::hierarchical(view, spec.clone(), cfg.clone()), None, &SelfComm);
+    assert!(hier.stats.expect("hierarchical plans carry stats").balance_achieved);
 
     // Balance at *every* level, recomputed from the assignment alone:
     // node aggregates against total/4, leaves against their node's
     // weight/2, each with the max((1+ε)·target, target + w_max) floor.
     let groups = spec.level_groups();
-    let total: f64 = wp.weights.iter().sum();
-    let w_max = wp.weights.iter().copied().fold(0.0, f64::max);
+    let total: f64 = mesh.weights.iter().sum();
+    let w_max = mesh.weights.iter().copied().fold(0.0, f64::max);
     let mut node_w = [0.0f64; 4];
     let mut leaf_w = [0.0f64; 8];
-    for (&b, &w) in hier.assignment.iter().zip(&wp.weights) {
+    for (&b, &w) in hier.assignment.iter().zip(&mesh.weights) {
         node_w[groups[0][b as usize] as usize] += w;
         leaf_w[b as usize] += w;
     }
@@ -136,7 +138,8 @@ fn hierarchy_4x2_balances_every_level_and_beats_flat_inter_node_volume() {
 
     // Inter-node communication volume: strictly below flat k = 8 under
     // the same contiguous node mapping (blocks 2b, 2b+1 → node b).
-    let flat = partition(&wp, 8, &cfg);
+    let flat =
+        Planner::solve(&PlanSpec::flat(view, Tool::Geographer, 8, cfg.clone()), None, &SelfComm);
     let hier_inter =
         evaluate_levels(&mesh.graph, &hier.assignment, &groups)[0].total_comm_volume;
     let flat_inter =

@@ -6,10 +6,11 @@
 //! mesh families).
 
 use geographer::Config;
-use geographer_bench::{run_tool, Tool};
+use geographer_bench::{solve_plan_view, PlanRecipe, Tool};
 use geographer_graph::coarsen::{contract, heavy_edge_matching, WeightedCsrGraph};
 use geographer_graph::{evaluate_partition, CsrGraph};
 use geographer_mesh::{delaunay_unit_square, families::bubbles_like};
+use geographer_planner::MeshView;
 use geographer_refine::{
     refine_multilevel, refine_partition, MultilevelConfig, RefineConfig,
 };
@@ -138,7 +139,8 @@ fn multilevel_beats_single_level_on_two_mesh_families() {
         ("bubbles-like", bubbles_like(n, 55)),
         ("delaunay", delaunay_unit_square(n, 56)),
     ] {
-        let out = run_tool(Tool::Hsfc, &mesh, k, 2, &cfg);
+        let recipe = PlanRecipe::flat("hsfc", Tool::Hsfc, k, cfg.clone());
+        let out = solve_plan_view(MeshView::from(&mesh), &recipe, 2, None).plan;
         let mut single = out.assignment.clone();
         let sr = refine_partition(&mesh.graph, &mut single, &mesh.weights, k, &rcfg);
         let mut multi = out.assignment.clone();

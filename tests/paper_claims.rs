@@ -1,11 +1,20 @@
 //! Integration: the paper's headline comparative claims, at reproduction
 //! scale. These are *shape* checks (who wins, roughly by how much), not
-//! absolute-number checks — see EXPERIMENTS.md.
+//! absolute-number checks — see DESIGN.md's experiment index.
 
 use geographer::Config;
-use geographer_bench::{evaluate_run, run_tool, Tool};
+use geographer_bench::{evaluate_run, solve_plan_view, PlanRecipe, PlanRun, Tool};
 use geographer_graph::geometric_mean;
 use geographer_mesh::families::dimacs2d_suite;
+use geographer_mesh::Mesh;
+use geographer_planner::MeshView;
+
+/// Default-config recipe of `tool` and its cold run on `mesh` at `p` ranks.
+fn run(tool: Tool, mesh: &Mesh<2>, k: usize, p: usize) -> (PlanRecipe, PlanRun<2>) {
+    let recipe = PlanRecipe::flat(tool.name(), tool, k, Config::default());
+    let run = solve_plan_view(MeshView::from(mesh), &recipe, p, None);
+    (recipe, run)
+}
 
 /// Sec. 5.3.1 / abstract: "Geographer produces partitions with a lower
 /// communication volume than state-of-the-art geometric partitioners" —
@@ -16,22 +25,15 @@ use geographer_mesh::families::dimacs2d_suite;
 #[test]
 fn geographer_wins_total_comm_volume_on_2d() {
     let k = 16;
-    let cfg = Config::default();
     let mut best_ratio = Vec::new();
     let mut all_ratios = Vec::new();
     for inst in dimacs2d_suite(4000, 10) {
-        let geo = {
-            let out = run_tool(Tool::Geographer, &inst.mesh, k, 2, &cfg);
-            evaluate_run(Tool::Geographer, &inst.mesh, &out, k, 2)
+        let volume = |tool: Tool| {
+            let (recipe, run) = run(tool, &inst.mesh, k, 2);
+            evaluate_run(&inst.mesh, &recipe, &run, 2).metrics.total_comm_volume
         };
-        let baselines: Vec<u64> = [Tool::Hsfc, Tool::MultiJagged, Tool::Rcb, Tool::Rib]
-            .iter()
-            .map(|&t| {
-                let out = run_tool(t, &inst.mesh, k, 2, &cfg);
-                evaluate_run(t, &inst.mesh, &out, k, 2).metrics.total_comm_volume
-            })
-            .collect();
-        let geo_vol = geo.metrics.total_comm_volume as f64;
+        let geo_vol = volume(Tool::Geographer) as f64;
+        let baselines = [Tool::Hsfc, Tool::MultiJagged, Tool::Rcb, Tool::Rib].map(volume);
         let best = *baselines.iter().min().unwrap() as f64;
         best_ratio.push(best / geo_vol);
         for b in &baselines {
@@ -57,12 +59,11 @@ fn geographer_wins_total_comm_volume_on_2d() {
 #[test]
 fn every_tool_respects_epsilon_everywhere() {
     let k = 8;
-    let cfg = Config::default();
     for inst in dimacs2d_suite(2500, 11) {
         for tool in Tool::ALL {
-            let out = run_tool(tool, &inst.mesh, k, 2, &cfg);
+            let plan = run(tool, &inst.mesh, k, 2).1.plan;
             let mut w = vec![0.0f64; k];
-            for (&b, &wi) in out.assignment.iter().zip(&inst.mesh.weights) {
+            for (&b, &wi) in plan.assignment.iter().zip(&inst.mesh.weights) {
                 w[b as usize] += wi;
             }
             let total: f64 = w.iter().sum();
@@ -84,8 +85,7 @@ fn every_tool_respects_epsilon_everywhere() {
 fn recursive_methods_use_more_collectives() {
     let inst = &dimacs2d_suite(3000, 12)[4]; // delaunay
     let k = 32;
-    let cfg = Config::default();
-    let collectives = |tool: Tool| run_tool(tool, &inst.mesh, k, 4, &cfg).comm.collectives();
+    let collectives = |tool: Tool| run(tool, &inst.mesh, k, 4).1.plan.comm.collectives();
     let rcb = collectives(Tool::Rcb);
     let rib = collectives(Tool::Rib);
     let mj = collectives(Tool::MultiJagged);
@@ -103,14 +103,13 @@ fn recursive_methods_use_more_collectives() {
 #[test]
 fn hamerly_skip_rate_majority() {
     let inst = &dimacs2d_suite(4000, 13)[4];
-    let res = geographer::partition(
-        &inst.mesh.weighted_points(),
-        16,
-        &Config { sampling_init: false, ..Config::default() },
-    );
+    let cfg = Config { sampling_init: false, ..Config::default() };
+    let recipe = PlanRecipe::flat("geo", Tool::Geographer, 16, cfg);
+    let plan = solve_plan_view(MeshView::from(&inst.mesh), &recipe, 1, None).plan;
+    let stats = plan.stats.expect("Geographer plans carry solver counters");
     assert!(
-        res.stats.skip_rate() > 0.5,
+        stats.skip_rate() > 0.5,
         "skip rate {:.2} — bounds ineffective",
-        res.stats.skip_rate()
+        stats.skip_rate()
     );
 }

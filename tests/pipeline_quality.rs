@@ -2,14 +2,17 @@
 //! against the paper's hard requirements (balance ≤ ε) and structural
 //! metric invariants.
 
-use geographer::{partition, Config};
+use geographer::Config;
 use geographer_graph::evaluate_partition;
 use geographer_mesh::families::{climate_suite, dimacs2d_suite, three_d_suite};
 use geographer_mesh::Mesh;
+use geographer_parcomm::SelfComm;
+use geographer_planner::{MeshView, PlanSpec, Planner, Tool};
 
 fn check_mesh<const D: usize>(name: &str, mesh: &Mesh<D>, k: usize) {
     let cfg = Config::default();
-    let res = partition(&mesh.weighted_points(), k, &cfg);
+    let spec = PlanSpec::flat(MeshView::from(mesh), Tool::Geographer, k, cfg.clone());
+    let res = Planner::solve(&spec, None, &SelfComm);
     assert_eq!(res.assignment.len(), mesh.n(), "{name}: assignment length");
     let m = evaluate_partition(&mesh.graph, &res.assignment, &mesh.weights, k);
 

@@ -13,10 +13,10 @@
 //! exactly the class of bug the unified state enum is meant to prevent.
 
 use geographer::{Config, HierarchySpec};
-use geographer_bench::{solve_plan, solve_plan_proc, PlanRecipe, Tool};
+use geographer_bench::{solve_plan_proc_view, solve_plan_view, PlanRecipe, Tool};
 use geographer_graph::evaluate_levels;
 use geographer_mesh::{delaunay_unit_square, families::bubbles_like, Mesh};
-use geographer_planner::RefineMode;
+use geographer_planner::{MeshView, RefineMode};
 use geographer_refine::MultilevelConfig;
 
 fn cfg() -> Config {
@@ -26,12 +26,12 @@ fn cfg() -> Config {
 /// Solve `recipe` cold, then warm-restart from the returned state on the
 /// same mesh, and require the assignment to reproduce bitwise.
 fn assert_fixed_point(mesh: &Mesh<2>, recipe: &PlanRecipe, p: usize) {
-    let first = solve_plan(mesh, recipe, p, None).plan;
+    let first = solve_plan_view(MeshView::from(mesh), recipe, p, None).plan;
     let state = first
         .state
         .clone()
         .unwrap_or_else(|| panic!("{}: stateful recipe must return a PlanState", recipe.name));
-    let second = solve_plan(mesh, recipe, p, Some(&state)).plan;
+    let second = solve_plan_view(MeshView::from(mesh), recipe, p, Some(&state)).plan;
     assert_eq!(
         second.assignment, first.assignment,
         "{}: warm restart on unmoved points must be a bitwise fixed point",
@@ -87,9 +87,9 @@ fn planner_spmd_ranks_agree_with_serial_for_the_stacked_spec() {
     let spec = HierarchySpec::uniform(&[2, 2]);
     let recipe = PlanRecipe::hierarchical("stacked", spec, cfg())
         .with_refine(RefineMode::Multilevel(MultilevelConfig::default()));
-    let serial = solve_plan(&mesh, &recipe, 1, None).plan;
+    let serial = solve_plan_view(MeshView::from(&mesh), &recipe, 1, None).plan;
     for p in [2, 4] {
-        let spmd = solve_plan(&mesh, &recipe, p, None).plan;
+        let spmd = solve_plan_view(MeshView::from(&mesh), &recipe, p, None).plan;
         let same = serial
             .assignment
             .iter()
@@ -112,10 +112,10 @@ fn planner_process_ranks_match_thread_ranks_for_the_stacked_spec() {
     let spec = HierarchySpec::uniform(&[2, 2]);
     let recipe = PlanRecipe::hierarchical("stacked", spec, cfg())
         .with_refine(RefineMode::Multilevel(MultilevelConfig::default()));
-    let serial = solve_plan(&mesh, &recipe, 1, None).plan;
+    let serial = solve_plan_view(MeshView::from(&mesh), &recipe, 1, None).plan;
     for p in [2, 4] {
-        let threads = solve_plan(&mesh, &recipe, p, None).plan;
-        let procs = solve_plan_proc(&mesh, &recipe, p)
+        let threads = solve_plan_view(MeshView::from(&mesh), &recipe, p, None).plan;
+        let procs = solve_plan_proc_view(MeshView::from(&mesh), &recipe, p)
             .unwrap_or_else(|e| panic!("p={p}: proc job failed: {e}"));
         assert_eq!(
             procs.assignment, threads.assignment,
@@ -137,9 +137,15 @@ fn stacked_plans_keep_every_hierarchy_level_balanced() {
     let mesh = bubbles_like(2_000, 75);
     let spec = HierarchySpec::uniform(&[2, 2]);
     let config = cfg();
-    let unrefined = solve_plan(&mesh, &PlanRecipe::hierarchical("hier", spec.clone(), config.clone()), 2, None).plan;
-    let stacked = solve_plan(
-        &mesh,
+    let unrefined = solve_plan_view(
+        MeshView::from(&mesh),
+        &PlanRecipe::hierarchical("hier", spec.clone(), config.clone()),
+        2,
+        None,
+    )
+    .plan;
+    let stacked = solve_plan_view(
+        MeshView::from(&mesh),
         &PlanRecipe::hierarchical("stacked", spec.clone(), config.clone())
             .with_refine(RefineMode::Multilevel(MultilevelConfig::default())),
         2,

@@ -97,7 +97,9 @@ fn planner_solve_trace_refines_static_summary_proc_backend() {
 
 /// `geographer::partition_spmd` has a fully concrete summary, so the
 /// refinement is falsifiable: the real trace matches, and appending,
-/// truncating, or substituting a call kind must all be rejected.
+/// truncating, or substituting a call kind must all be rejected. The one
+/// function has a state-dependent protocol: its warm arm is a word of the
+/// same summary, and moves no point (no `alltoallv`).
 #[test]
 fn partition_spmd_refinement_is_falsifiable() {
     let entries = entry_summaries();
@@ -112,22 +114,35 @@ fn partition_spmd_refinement_is_falsifiable() {
     let cfg = Config { sampling_init: false, ..Config::default() };
     let p = 2usize;
     let n = mesh.points.len();
-    let traces = run_spmd_checked(p, |c| {
-        let (lo, hi) = (c.rank() * n / p, (c.rank() + 1) * n / p);
-        let _ = geographer::partition_spmd(
-            &c,
-            &mesh.points[lo..hi],
-            &mesh.weights[lo..hi],
-            3,
-            &cfg,
-        );
-        c.trace_ids()
-    });
-    let kinds = kind_names(&traces[0]);
+    let solve = |prev: Option<&geographer::PreviousPartition<2>>| {
+        run_spmd_checked(p, |c| {
+            let (lo, hi) = (c.rank() * n / p, (c.rank() + 1) * n / p);
+            let res = geographer::partition_spmd(
+                &c,
+                &mesh.points[lo..hi],
+                &mesh.weights[lo..hi],
+                3,
+                prev,
+                &cfg,
+            );
+            (c.trace_ids(), res.previous())
+        })
+        .swap_remove(0)
+    };
+    let (cold_trace, prev) = solve(None);
+    let kinds = kind_names(&cold_trace);
     assert!(
         protocol::trace_matches(&part.proto, &kinds),
         "real partition_spmd trace rejected:\n  trace:   {kinds:?}\n  summary: {key}"
     );
+    assert!(kinds.contains(&"alltoallv"), "cold arm redistributes: {kinds:?}");
+
+    let warm_kinds = kind_names(&solve(Some(&prev)).0);
+    assert!(
+        protocol::trace_matches(&part.proto, &warm_kinds),
+        "warm partition_spmd trace rejected:\n  trace:   {warm_kinds:?}\n  summary: {key}"
+    );
+    assert!(!warm_kinds.contains(&"alltoallv"), "warm arm moved points: {warm_kinds:?}");
 
     let mut extra = kinds.clone();
     extra.push("barrier");

@@ -5,11 +5,13 @@
 //! warm-start repartitioning migrates a ≥ 2× smaller point fraction than
 //! cold re-runs at the same balance bound (the paper's reuse argument).
 
-use geographer::{partition, repartition, Config};
-use geographer_bench::{run_tool_repartition, RepartitionMode, Tool};
-use geographer_geometry::{Point, WeightedPoints};
+use geographer::Config;
+use geographer_bench::{run_plan_chain, PlanRecipe, Tool};
+use geographer_geometry::Point;
 use geographer_graph::{migration, relabel_free_migration};
 use geographer_mesh::{delaunay_unit_square, DynamicWorkload, Scenario};
+use geographer_parcomm::SelfComm;
+use geographer_planner::{MeshView, PlanSpec, Planner};
 use proptest::prelude::*;
 
 fn arb_points(max_n: usize) -> impl Strategy<Value = Vec<Point<2>>> {
@@ -38,17 +40,19 @@ proptest! {
     /// solve migrates zero points (and zero weight).
     #[test]
     fn unmoved_points_migrate_nothing(pts in arb_points(250), k in 2usize..6) {
-        let wp = WeightedPoints::unweighted(pts);
+        let weights = vec![1.0; pts.len()];
+        let view = MeshView { points: &pts, weights: &weights, graph: None };
         let cfg = Config { sampling_init: false, max_iterations: 250, ..Config::default() };
-        let cold = partition(&wp, k, &cfg);
+        let spec = PlanSpec::flat(view, Tool::Geographer, k, cfg);
+        let cold = Planner::solve(&spec, None, &SelfComm);
         // The fixed-point contract is stated for converged solves; 250
         // movement iterations make non-convergence essentially impossible
         // on these inputs, but skip (rather than fail) if it happens.
-        if !cold.stats.converged {
+        if !cold.stats.expect("Geographer plans carry stats").converged {
             return Ok(());
         }
-        let warm = repartition(&wp, &cold.previous(), k, &cfg);
-        let m = migration(&cold.assignment, &warm.assignment, &wp.weights);
+        let warm = Planner::solve(&spec, cold.state.as_ref(), &SelfComm);
+        let m = migration(&cold.assignment, &warm.assignment, &weights);
         prop_assert_eq!(m.migrated_points, 0, "fractions {:?}", m);
         prop_assert_eq!(m.migrated_weight, 0.0);
     }
@@ -112,18 +116,17 @@ fn warm_repartitioning_halves_migration_on_cluster_drift() {
             Scenario::ClusterDrift { clusters: 5, speed: 0.005 },
             seed,
         );
-        for (mode, sum) in [
-            (RepartitionMode::Warm, &mut warm_sum),
-            (RepartitionMode::Cold, &mut cold_sum),
-        ] {
-            let rows = run_tool_repartition(Tool::Geographer, &wl, k, 1, &cfg, steps, mode);
+        let cold = PlanRecipe::flat("cold", Tool::Geographer, k, cfg.clone());
+        let warm = PlanRecipe::flat("warm", Tool::Geographer, k, cfg.clone()).warm();
+        for (recipe, sum) in [(&warm, &mut warm_sum), (&cold, &mut cold_sum)] {
+            let rows = run_plan_chain(&wl, recipe, 1, steps);
             for r in &rows {
                 // Equal imbalance bound: every step of both modes must
                 // meet the configured ε.
                 assert!(
                     r.imbalance <= cfg.epsilon + 1e-6,
                     "{} seed {seed} step {}: imbalance {}",
-                    mode.name(),
+                    recipe.name,
                     r.step,
                     r.imbalance
                 );

@@ -12,8 +12,15 @@
 //! rank-local, as in the paper.)
 
 use geographer::Config;
-use geographer_bench::{run_tool, Tool};
+use geographer_bench::{solve_plan_view, PlanRecipe, Tool};
 use geographer_mesh::{climate25d, delaunay_unit_square, Mesh};
+use geographer_planner::MeshView;
+
+/// `tool`'s partition of `mesh` into `k` blocks on `p` ranks.
+fn assignment(tool: Tool, mesh: &Mesh<2>, k: usize, p: usize, cfg: &Config) -> Vec<u32> {
+    let recipe = PlanRecipe::flat(tool.name(), tool, k, cfg.clone());
+    solve_plan_view(MeshView::from(mesh), &recipe, p, None).plan.assignment
+}
 
 fn agreement(a: &[u32], b: &[u32]) -> f64 {
     let same = a.iter().zip(b).filter(|(x, y)| x == y).count();
@@ -37,9 +44,9 @@ fn exact_invariance_with_unit_weights() {
     let mesh = delaunay_unit_square(1500, 20);
     let cfg = Config { sampling_init: false, ..Config::default() };
     for tool in [Tool::Rcb, Tool::MultiJagged, Tool::Hsfc] {
-        let reference = run_tool(tool, &mesh, 6, 1, &cfg).assignment;
+        let reference = assignment(tool, &mesh, 6, 1, &cfg);
         for p in [2usize, 5] {
-            let got = run_tool(tool, &mesh, 6, p, &cfg).assignment;
+            let got = assignment(tool, &mesh, 6, p, &cfg);
             assert_eq!(got, reference, "{} differs at p={p}", tool.name());
         }
     }
@@ -52,9 +59,9 @@ fn inexact_sum_tools_invariant_up_to_fp_reduction_order() {
     let mesh = delaunay_unit_square(1500, 20);
     let cfg = Config { sampling_init: false, ..Config::default() };
     for tool in [Tool::Rib, Tool::Geographer] {
-        let reference = run_tool(tool, &mesh, 6, 1, &cfg).assignment;
+        let reference = assignment(tool, &mesh, 6, 1, &cfg);
         for p in [2usize, 5] {
-            let got = run_tool(tool, &mesh, 6, p, &cfg).assignment;
+            let got = assignment(tool, &mesh, 6, p, &cfg);
             let agree = agreement(&got, &reference);
             assert!(
                 agree >= 0.995,
@@ -72,8 +79,8 @@ fn weighted_invariance_up_to_fp_reduction_order() {
     let mesh = climate25d(1200, 30, 21);
     let cfg = Config { sampling_init: false, ..Config::default() };
     for tool in Tool::ALL {
-        let reference = run_tool(tool, &mesh, 5, 1, &cfg).assignment;
-        let got = run_tool(tool, &mesh, 5, 3, &cfg).assignment;
+        let reference = assignment(tool, &mesh, 5, 1, &cfg);
+        let got = assignment(tool, &mesh, 5, 3, &cfg);
         let agree = agreement(&got, &reference);
         assert!(
             agree >= 0.995,
@@ -92,7 +99,7 @@ fn sampling_init_still_balances_across_rank_counts() {
     let mesh = delaunay_unit_square(2000, 22);
     let cfg = Config::default();
     for p in [1usize, 2, 4] {
-        let asg = run_tool(Tool::Geographer, &mesh, 8, p, &cfg).assignment;
+        let asg = assignment(Tool::Geographer, &mesh, 8, p, &cfg);
         check_balance(&mesh, &asg, 8, "Geographer(sampling)");
     }
 }

@@ -151,29 +151,4 @@ proptest! {
         expected.sort_unstable();
         prop_assert_eq!(&got, &expected, "p={}", p);
     }
-
-    /// The effective-distance kd-tree agrees with brute force for any
-    /// center layout and influence assignment.
-    #[test]
-    fn kdtree_matches_bruteforce(
-        centers in prop::collection::vec((0.0f64..1.0, 0.0f64..1.0), 1..50),
-        infl_raw in prop::collection::vec(0.1f64..5.0, 50),
-        queries in prop::collection::vec((-0.5f64..1.5, -0.5f64..1.5), 20),
-    ) {
-        use geographer_geometry::Point;
-        let pts: Vec<Point<2>> =
-            centers.iter().map(|&(x, y)| Point::new([x, y])).collect();
-        let infl = &infl_raw[..pts.len()];
-        let tree = geographer::kdtree::CenterTree::build(&pts, infl);
-        for &(qx, qy) in &queries {
-            let q = Point::new([qx, qy]);
-            let got = tree.nearest(&q);
-            let want = pts
-                .iter()
-                .zip(infl)
-                .map(|(c, i)| q.dist(c) / i)
-                .fold(f64::INFINITY, f64::min);
-            prop_assert!((got.eff_dist - want).abs() < 1e-12);
-        }
-    }
 }

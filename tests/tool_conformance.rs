@@ -7,16 +7,15 @@
 //!
 //! Since the planner unification, every configuration here routes through
 //! [`geographer_planner::Planner::solve`] — the same entry point the bench
-//! binaries use — via the bench harness's [`PlanRecipe`]/[`solve_plan`].
-//! The legacy `run_tool` facade is pinned against the planner's answer
-//! bitwise, so the two entry points cannot drift apart.
+//! binaries use — via the bench harness's [`PlanRecipe`]/[`solve_plan_view`].
 //!
 //! The rank counts deliberately include a non-power-of-two (p = 7) so the
 //! butterfly collectives' fold/unfold path is exercised by every tool.
 
 use geographer::Config;
-use geographer_bench::{run_tool, solve_plan, solve_plan_proc, PlanRecipe, Tool};
+use geographer_bench::{solve_plan_proc_view, solve_plan_view, PlanRecipe, Tool};
 use geographer_mesh::{delaunay_unit_square, families::bubbles_like, Mesh};
+use geographer_planner::MeshView;
 
 const RANK_COUNTS: [usize; 4] = [1, 2, 4, 7];
 const K: usize = 5;
@@ -44,10 +43,10 @@ fn conformance(mesh: &Mesh<2>, family: &str) {
     for tool in Tool::ALL {
         let exact = EXACT_TOOLS.contains(&tool);
         let recipe = PlanRecipe::flat(tool.name(), tool, K, cfg.clone());
-        let reference = solve_plan(mesh, &recipe, 1, None).plan.assignment;
+        let reference = solve_plan_view(MeshView::from(mesh), &recipe, 1, None).plan.assignment;
         for p in RANK_COUNTS {
             let label = format!("{} on {family} at p={p}", tool.name());
-            let plan = solve_plan(mesh, &recipe, p, None).plan;
+            let plan = solve_plan_view(MeshView::from(mesh), &recipe, p, None).plan;
             // Assignment length preserved, ids in range, no empty block.
             assert_eq!(plan.assignment.len(), mesh.n(), "{label}: length");
             let counts = block_sizes(&plan.assignment, K, &label);
@@ -66,13 +65,6 @@ fn conformance(mesh: &Mesh<2>, family: &str) {
                     agree * 100.0
                 );
             }
-            // The legacy driver facade must agree with the planner route
-            // bitwise — one partitioning pipeline, two doors.
-            let facade = run_tool(tool, mesh, K, p, &cfg);
-            assert_eq!(
-                facade.assignment, plan.assignment,
-                "{label}: run_tool facade diverged from Planner::solve"
-            );
         }
     }
 }
@@ -89,15 +81,15 @@ fn proc_conformance(mesh: &Mesh<2>, family: &str) {
     for tool in Tool::ALL {
         let exact = EXACT_TOOLS.contains(&tool);
         let recipe = PlanRecipe::flat(tool.name(), tool, K, cfg.clone());
-        let reference = solve_plan(mesh, &recipe, 1, None).plan.assignment;
+        let reference = solve_plan_view(MeshView::from(mesh), &recipe, 1, None).plan.assignment;
         for p in [2usize, 4] {
             let label = format!("{} on {family} at p={p} (proc)", tool.name());
-            let run = solve_plan_proc(mesh, &recipe, p)
+            let run = solve_plan_proc_view(MeshView::from(mesh), &recipe, p)
                 .unwrap_or_else(|e| panic!("{label}: job failed: {e}"));
             assert_eq!(run.assignment.len(), mesh.n(), "{label}: length");
             let counts = block_sizes(&run.assignment, K, &label);
             assert!(counts.iter().all(|&c| c > 0), "{label}: empty block, sizes {counts:?}");
-            let threads = solve_plan(mesh, &recipe, p, None).plan.assignment;
+            let threads = solve_plan_view(MeshView::from(mesh), &recipe, p, None).plan.assignment;
             assert_eq!(
                 run.assignment, threads,
                 "{label}: process ranks must match thread ranks bitwise"
@@ -154,7 +146,7 @@ fn proc_backend_rank_death_fails_cleanly_under_the_full_pipeline() {
             comm.barrier();
             std::process::exit(11);
         }
-        let spec = recipe.spec(&mesh);
+        let spec = recipe.spec_view(MeshView::from(&mesh));
         geographer_planner::Planner::solve(&spec, None, &comm).assignment
     })
     .expect_err("a dead rank must fail the job");
