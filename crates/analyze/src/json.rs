@@ -1,10 +1,12 @@
-//! A minimal hand-rolled JSON reader.
+//! The workspace's one JSON type: a minimal hand-rolled reader and printer.
 //!
 //! The analyzer is dependency-free by design (it polices the rest of the
 //! workspace, so it must not need anything the offline container cannot
-//! vendor), and all it reads are the committed `BENCH_*.json` baselines —
-//! machine-written, ASCII, small. This parser covers full JSON anyway:
-//! nested containers, escapes, exponents; errors carry a byte offset.
+//! vendor). The bench binaries build every `BENCH_*.json` as a [`Value`]
+//! and print it with `Display`; [`parse`] reads them back and covers full
+//! JSON: nested containers, escapes, exponents; errors carry a byte offset.
+
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON value. Objects keep insertion order (a `Vec`, not a map):
 /// key lookup is linear, which is fine at bench-file sizes and avoids
@@ -48,6 +50,64 @@ impl Value {
     pub fn is_num(&self) -> bool {
         matches!(self, Value::Num(_))
     }
+}
+
+macro_rules! value_from {
+    ($($t:ty => |$x:ident| $make:expr),* $(,)?) => {
+        $(impl From<$t> for Value { fn from($x: $t) -> Value { $make } })*
+    };
+}
+value_from! {
+    f64 => |x| Value::Num(x), u64 => |x| Value::Num(x as f64), usize => |x| Value::Num(x as f64),
+    bool => |x| Value::Bool(x), String => |x| Value::Str(x), &str => |x| Value::Str(x.to_string()),
+    Vec<Value> => |x| Value::Arr(x),
+}
+
+/// Prints JSON that [`parse`] reads back to an equal value; a non-finite
+/// number has no JSON spelling and prints as `null`. A container of
+/// scalars stays on one line, any other indents two spaces per level.
+impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        print(self, f, 0)
+    }
+}
+
+fn print(v: &Value, f: &mut fmt::Formatter<'_>, depth: usize) -> fmt::Result {
+    let (brackets, items): (&str, Vec<(Option<&String>, &Value)>) = match v {
+        // Rust prints the shortest digits that parse back to the same f64,
+        // never an exponent, and an integral value without `.0`.
+        Value::Num(x) if x.is_finite() => return write!(f, "{x}"),
+        Value::Num(_) | Value::Null => return f.write_str("null"),
+        Value::Bool(b) => return write!(f, "{b}"),
+        Value::Str(s) => return print_str(f, s),
+        Value::Arr(items) => ("[]", items.iter().map(|v| (None, v)).collect()),
+        Value::Obj(fields) => ("{}", fields.iter().map(|(k, v)| (Some(k), v)).collect()),
+    };
+    let flat = items.iter().all(|(_, v)| !matches!(v, Value::Arr(_) | Value::Obj(_)));
+    let line = |d: usize| if flat { String::new() } else { format!("\n{:w$}", "", w = 2 * d) };
+    f.write_str(&brackets[..1])?;
+    for (i, (key, child)) in items.into_iter().enumerate() {
+        let sep = if i == 0 { "" } else if flat { ", " } else { "," };
+        write!(f, "{sep}{}", line(depth + 1))?;
+        if let Some(key) = key {
+            print_str(f, key)?;
+            f.write_str(": ")?;
+        }
+        print(child, f, depth + 1)?;
+    }
+    write!(f, "{}{}", line(depth), &brackets[1..])
+}
+
+fn print_str(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+    f.write_char('"')?;
+    for c in s.chars() {
+        match c {
+            '"' | '\\' => write!(f, "\\{c}")?,
+            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+            c => f.write_char(c)?,
+        }
+    }
+    f.write_char('"')
 }
 
 /// Parse one JSON document; trailing non-whitespace is an error.
@@ -258,5 +318,45 @@ mod tests {
     #[test]
     fn unicode_escapes_decode() {
         assert_eq!(parse("\"\\u0041\\t\"").unwrap(), Value::Str("A\t".to_string()));
+    }
+
+    fn obj(fields: Vec<(&str, Value)>) -> Value {
+        Value::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+    }
+
+    #[test]
+    fn print_then_parse_round_trips() {
+        let doc = obj(vec![
+            ("ints", vec![0u64.into(), 42usize.into(), Value::Num(-7.0), Value::Num(2f64.powi(53))].into()),
+            ("floats", vec![Value::Num(0.1), Value::Num(-2.5e-9), Value::Num(1e21), 217.5.into()].into()),
+            ("text", "quote \" backslash \\ newline \n tab \t bell \u{7} é ✓".into()),
+            ("key \"with\" escapes\n", true.into()),
+            (
+                "nested",
+                obj(vec![
+                    ("empty_arr", Value::Arr(vec![])),
+                    ("empty_obj", obj(vec![])),
+                    ("rows", vec![obj(vec![("a", Value::Null)]), obj(vec![("a", false.into())])].into()),
+                ]),
+            ),
+        ]);
+        let text = doc.to_string();
+        assert_eq!(parse(&text).expect("printer emits valid JSON"), doc, "{text}");
+        // Integral values print as integers, fractions as the shortest
+        // digits that round-trip, nothing as an exponent.
+        assert!(text.contains("\"ints\": [0, 42, -7, 9007199254740992]"), "{text}");
+        assert!(text.contains("[0.1, -0.0000000025, 1000000000000000000000, 217.5]"), "{text}");
+        // Scalar-only containers stay on one line; the rest indent.
+        assert!(text.contains("\n    \"rows\": [\n      {\"a\": null},\n      {\"a\": false}\n    ]"), "{text}");
+        assert!(text.contains("\"empty_arr\": [],") && text.contains("\"empty_obj\": {},"), "{text}");
+    }
+
+    #[test]
+    fn non_finite_numbers_print_as_null() {
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let text = Value::Arr(vec![Value::Num(x), Value::Num(1.0)]).to_string();
+            assert_eq!(text, "[null, 1]");
+            assert_eq!(parse(&text).unwrap(), Value::Arr(vec![Value::Null, Value::Num(1.0)]));
+        }
     }
 }

@@ -1,6 +1,8 @@
-//! The determinism/SPMD invariant catalog: rules D1–D10.
+//! The determinism/SPMD invariant catalog: rules D1–D10 (D2, the
+//! parallel-iterator float-reduction ban, is retired: no parallel iterator
+//! is left in the workspace to reduce over).
 //!
-//! D1–D6 are token-level properties over the scanned code/comment view of
+//! D1, D3–D6 are token-level properties over the scanned code/comment view of
 //! one file ([`crate::scan`]). D7–D9 are dataflow properties over the
 //! parsed expression tree ([`crate::parse`]): rank-taint propagation
 //! ([`crate::taint`]) and collective-protocol summaries
@@ -9,7 +11,7 @@
 //! path, so a rule only fires where the invariant it protects actually
 //! lives (DESIGN.md §11–§12 tie each rule to the PR that established its
 //! invariant). `#[cfg(test)]` modules and files under `tests/` are exempt
-//! from the rules whose hazards are production-only (D1/D2/D4/D5 and
+//! from the rules whose hazards are production-only (D1/D4/D5 and
 //! D7–D9); D3, D6, and D10 apply everywhere.
 
 use std::collections::BTreeSet;
@@ -24,10 +26,6 @@ pub const RULES: &[(&str, &str)] = &[
     (
         "hash-container",
         "D1: no HashMap/HashSet in solver crates — iteration order is nondeterministic",
-    ),
-    (
-        "unordered-float-reduce",
-        "D2: no parallel-iterator float reduction outside parcomm's fixed-tree collectives",
     ),
     ("unsafe-without-safety", "D3: every `unsafe` block carries a `// SAFETY:` comment"),
     (
@@ -125,7 +123,6 @@ pub fn apply_rules(
 ) -> Vec<Violation> {
     let mut out = Vec::new();
     d1_hash_container(path, lines, is_tests_file, &mut out);
-    d2_unordered_float_reduce(path, lines, is_tests_file, &mut out);
     d3_unsafe_without_safety(path, lines, &mut out);
     d4_kernel_entropy(path, lines, is_tests_file, &mut out);
     d5_panic_in_spmd(path, lines, is_tests_file, parsed, &mut out);
@@ -171,54 +168,6 @@ fn d1_hash_container(path: &str, lines: &[Line], is_tests_file: bool, out: &mut 
                          container is never iterated"
                     ),
                 ));
-            }
-        }
-    }
-}
-
-fn d2_unordered_float_reduce(
-    path: &str,
-    lines: &[Line],
-    is_tests_file: bool,
-    out: &mut Vec<Violation>,
-) {
-    // parcomm owns the fixed-tree reductions; the vendored shims are
-    // reference implementations, not workspace solver code.
-    if path.starts_with("crates/parcomm/") || path.starts_with("vendor/") {
-        return;
-    }
-    for (i, line) in lines.iter().enumerate() {
-        if exempt(line, is_tests_file) {
-            continue;
-        }
-        let par = ["par_iter", "par_iter_mut", "into_par_iter"]
-            .iter()
-            .any(|t| scan::has_token(&line.code, t));
-        if !par {
-            continue;
-        }
-        // Statement window: this line until the statement's `;` (bounded).
-        let mut stmt = String::new();
-        for l in lines.iter().skip(i).take(12) {
-            stmt.push_str(&l.code);
-            stmt.push(' ');
-            if l.code.contains(';') {
-                break;
-            }
-        }
-        for red in ["sum", "reduce", "fold"] {
-            if scan::has_token(&stmt, red) {
-                out.push(Violation::new(
-                    path,
-                    i + 1,
-                    "unordered-float-reduce",
-                    format!(
-                        "parallel-iterator `{red}` reduction: combination order depends on \
-                         the thread schedule, breaking bitwise reproducibility; reduce \
-                         through parcomm's fixed-tree collectives instead"
-                    ),
-                ));
-                break;
             }
         }
     }
@@ -629,17 +578,6 @@ mod tests {
     fn d1_ignores_imports_tests_and_comments() {
         let src = "use std::collections::HashMap;\n// HashMap in prose\n#[cfg(test)]\nmod tests {\n    fn t() { let m = HashMap::new(); }\n}\n";
         assert!(analyze_source("crates/core/src/x.rs", src).is_empty());
-    }
-
-    #[test]
-    fn d2_fires_on_multiline_statements() {
-        let src = "fn f(xs: &[f64]) -> f64 {\n    xs.par_iter()\n        .map(|x| x * 2.0)\n        .sum()\n}\n";
-        let v = analyze_source("crates/core/src/x.rs", src);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!((v[0].line, v[0].rule), (2, "unordered-float-reduce"));
-        // A map/collect without a reduction is fine.
-        let ok = "fn f(xs: &[f64]) -> Vec<f64> {\n    xs.par_iter().map(|x| x * 2.0).collect()\n}\n";
-        assert!(analyze_source("crates/core/src/x.rs", ok).is_empty());
     }
 
     #[test]

@@ -1,173 +1,44 @@
-//! Schema validation for the committed `BENCH_*.json` baselines.
+//! Checks on the committed `BENCH_*.json` baselines that need no per-file
+//! knowledge.
 //!
-//! Every bench binary hand-writes its JSON (the workspace has no serde),
-//! which historically let key drift ship silently: a writer renames
-//! `wall_s` → `wall_max_rank_s`, the committed baseline keeps the old
-//! shape, and the first consumer to notice is a human reading a figure.
-//! `geo-analyze bench-schema` pins the shape: each committed baseline must
-//! be well-formed JSON, carry its expected top-level keys, and carry the
-//! per-row timing keys (`wall_max_rank_s`, `ns_per_point`, …) the perf
-//! gate and the figure scripts read. Unknown `BENCH_*.json` files fail
-//! too: a new bench must register its schema here in the same PR.
+//! The *shape* of a baseline is not described here. The one record writer
+//! (`geographer_bench::harness::write_bench_json`) compares, on every
+//! `--smoke` run, the key skeleton it just wrote with the committed
+//! file's, so the schema is whatever the writer emits and a renamed key
+//! fails the bin that renamed it. `geo-analyze bench-schema` keeps what
+//! holds for every file alike: well-formed JSON, the `provenance` block
+//! the writer stamps, a numeric `ns_per_point` beside every `seconds`, and
+//! the doc ↔ disk cross-reference.
 
+use std::collections::BTreeSet;
 use std::path::Path;
 
 use crate::json::{parse, Value};
 
-/// Expected shape of one committed bench file.
-struct BenchSchema {
-    file: &'static str,
-    /// Required top-level keys.
-    top: &'static [&'static str],
-    /// `(array key path, required keys of each row)` — `path` addresses a
-    /// top-level array (or `a.b` for an array one object deep).
-    rows: &'static [(&'static str, &'static [&'static str])],
-}
+/// Keys of the `provenance` object every baseline carries, in the order
+/// the writer stamps them: which box, substrate, rank counts, toolchain
+/// and commit produced the numbers, and when.
+pub const PROVENANCE_KEYS: [&str; 6] =
+    ["logical_cores", "backend", "p", "rustc", "commit", "timestamp"];
 
-/// The registry. Key lists mirror what the perf gate
-/// (`crates/bench/tests/perf_gate.rs`) and the figure scripts consume.
-const SCHEMAS: &[BenchSchema] = &[
-    BenchSchema {
-        file: "BENCH_hierarchy.json",
-        top: &["bench", "mesh", "epsilon", "cost_model", "static", "dynamic"],
-        rows: &[(
-            "static",
-            &["config", "machine", "wall_s", "wall_max_rank_s", "ns_per_point", "imbalance"],
-        )],
-    },
-    BenchSchema {
-        file: "BENCH_multilevel.json",
-        top: &["bench", "meshes", "n", "seed", "k", "epsilon", "coarsest_vertices", "rows"],
-        rows: &[("rows", &["mesh", "tool", "cut_initial", "single", "multilevel"])],
-    },
-    BenchSchema {
-        file: "BENCH_pipeline.json",
-        top: &["bench", "tool", "mesh", "cost_model", "runs"],
-        rows: &[(
-            "runs",
-            &[
-                "p",
-                "k",
-                "wall_serialized_s",
-                "wall_max_rank_s",
-                "ns_per_point",
-                "modeled_parallel_s",
-                "rounds",
-                "bytes_per_rank",
-                "per_op",
-            ],
-        )],
-    },
-    BenchSchema {
-        file: "BENCH_planner.json",
-        top: &[
-            "bench",
-            "mesh",
-            "scenario",
-            "k",
-            "p",
-            "machine",
-            "epsilon",
-            "stacked_vs_best_single",
-            "stacked_final_levels",
-            "configs",
-        ],
-        rows: &[(
-            "configs",
-            &["config", "subsystems", "wall_s", "wall_max_rank_s", "ns_per_point", "steps"],
-        )],
-    },
-    BenchSchema {
-        file: "BENCH_proc.json",
-        top: &["experiment", "description", "calibration", "collective_workloads", "tool_runs"],
-        rows: &[
-            (
-                "collective_workloads",
-                &["p", "rounds", "bytes_per_rank", "measured_seconds"],
-            ),
-            (
-                "tool_runs",
-                &[
-                    "tool",
-                    "n",
-                    "p",
-                    "assignments_agree_with_thread_backend",
-                    "rounds",
-                    "bytes_per_rank",
-                    "proc_wall_seconds",
-                ],
-            ),
-        ],
-    },
-    BenchSchema {
-        file: "BENCH_repartition.json",
-        top: &["bench", "scenario", "k", "p", "epsilon", "cold_vs_warm", "tools"],
-        rows: &[(
-            "tools",
-            &["tool", "total_wall_s", "resteps_wall_s", "resteps_max_rank_wall_s", "steps"],
-        )],
-    },
-    BenchSchema {
-        file: "BENCH_scale.json",
-        top: &[
-            "bench",
-            "tool",
-            "mesh",
-            "k",
-            "epsilon",
-            "gate",
-            "runs",
-        ],
-        rows: &[(
-            "runs",
-            &[
-                "n",
-                "p",
-                "k",
-                "wall_serialized_s",
-                "wall_max_rank_s",
-                "total_ns_per_point",
-                "phases",
-                "assignment",
-            ],
-        )],
-    },
-];
-
-/// Validate one bench file's text against its registered schema. Returns
-/// human-readable problems (empty = clean).
+/// Validate one bench file's text. Returns human-readable problems
+/// (empty = clean).
 pub fn check_bench_file(file: &str, text: &str) -> Vec<String> {
-    let Some(schema) = SCHEMAS.iter().find(|s| s.file == file) else {
-        return vec![format!(
-            "{file}: no schema registered — add its expected keys to \
-             crates/analyze/src/schema.rs in the PR that introduces it"
-        )];
-    };
     let doc = match parse(text) {
         Ok(d) => d,
         Err(e) => return vec![format!("{file}: malformed JSON: {e}")],
     };
     let mut errs = Vec::new();
-    for key in schema.top {
-        if doc.get(key).is_none() {
-            errs.push(format!("{file}: missing top-level key `{key}`"));
-        }
-    }
-    for (path, required) in schema.rows {
-        let Some(rows) = doc.get(path).and_then(Value::items) else {
-            // Missing top-level key already reported; a non-array is new.
-            if doc.get(path).is_some() {
-                errs.push(format!("{file}: `{path}` must be an array"));
-            }
-            continue;
-        };
-        for (i, row) in rows.iter().enumerate() {
-            for key in *required {
-                if row.get(key).is_none() {
-                    errs.push(format!("{file}: `{path}[{i}]` missing key `{key}`"));
-                }
-            }
-        }
+    match doc.get("provenance") {
+        None => errs.push(format!(
+            "{file}: no `provenance` block — regenerate it through `write_bench_json`"
+        )),
+        Some(prov) => errs.extend(
+            PROVENANCE_KEYS
+                .iter()
+                .filter(|key| prov.get(key).is_none())
+                .map(|key| format!("{file}: `provenance` lacks `{key}`")),
+        ),
     }
     errs.extend(check_timing_pairs(file, &doc));
     errs
@@ -217,18 +88,23 @@ fn walk(v: &Value, path: &str, f: &mut impl FnMut(&str, &Value)) {
     }
 }
 
-/// Validate every `BENCH_*.json` directly under `root`.
-pub fn check_bench_dir(root: &Path) -> std::io::Result<Vec<String>> {
-    let mut errs = Vec::new();
-    let mut names: Vec<String> = Vec::new();
+/// Names of the `BENCH_*.json` files directly under `root`, sorted.
+fn bench_files(root: &Path) -> std::io::Result<BTreeSet<String>> {
+    let mut names = BTreeSet::new();
     for entry in std::fs::read_dir(root)? {
         let entry = entry?;
         let name = entry.file_name().to_string_lossy().into_owned();
         if name.starts_with("BENCH_") && name.ends_with(".json") && entry.path().is_file() {
-            names.push(name);
+            names.insert(name);
         }
     }
-    names.sort();
+    Ok(names)
+}
+
+/// Validate every `BENCH_*.json` directly under `root`.
+pub fn check_bench_dir(root: &Path) -> std::io::Result<Vec<String>> {
+    let mut errs = Vec::new();
+    let names = bench_files(root)?;
     if names.is_empty() {
         errs.push(format!("no BENCH_*.json files found under {}", root.display()));
     }
@@ -240,8 +116,8 @@ pub fn check_bench_dir(root: &Path) -> std::io::Result<Vec<String>> {
 }
 
 /// Names like `BENCH_foo.json` mentioned anywhere in `text`.
-pub fn bench_refs(text: &str) -> std::collections::BTreeSet<String> {
-    let mut out = std::collections::BTreeSet::new();
+pub fn bench_refs(text: &str) -> BTreeSet<String> {
+    let mut out = BTreeSet::new();
     let bytes = text.as_bytes();
     let mut i = 0;
     while let Some(off) = text[i..].find("BENCH_") {
@@ -265,15 +141,8 @@ pub fn bench_refs(text: &str) -> std::collections::BTreeSet<String> {
 /// are errors.
 pub fn check_bench_docs(root: &Path) -> std::io::Result<Vec<String>> {
     let mut errs = Vec::new();
-    let mut on_disk = std::collections::BTreeSet::new();
-    for entry in std::fs::read_dir(root)? {
-        let entry = entry?;
-        let name = entry.file_name().to_string_lossy().into_owned();
-        if name.starts_with("BENCH_") && name.ends_with(".json") && entry.path().is_file() {
-            on_disk.insert(name);
-        }
-    }
-    let mut referenced = std::collections::BTreeSet::new();
+    let on_disk = bench_files(root)?;
+    let mut referenced = BTreeSet::new();
     for doc in ["README.md", "DESIGN.md"] {
         let p = root.join(doc);
         if p.is_file() {
@@ -323,32 +192,34 @@ mod tests {
         assert!(errs[1].contains("BENCH_ghost.json") && errs[1].contains("dangling"));
     }
 
-    #[test]
-    fn unknown_bench_files_must_register() {
-        let errs = check_bench_file("BENCH_new_thing.json", "{}");
-        assert_eq!(errs.len(), 1);
-        assert!(errs[0].contains("no schema registered"), "{errs:?}");
-    }
+    const PROVENANCE: &str = r#""provenance": {"logical_cores": 2, "backend": "thread",
+        "p": [1], "rustc": "rustc 1.0.0", "commit": "0123456789ab", "timestamp": 1}"#;
 
     #[test]
-    fn missing_keys_are_reported_per_row() {
-        let text = r#"{"bench": "pipeline", "tool": "t", "mesh": {}, "cost_model": {},
-                       "runs": [{"p": 2, "k": 4, "wall_serialized_s": 0.1}]}"#;
-        let errs = check_bench_file("BENCH_pipeline.json", text);
-        assert!(errs.iter().any(|e| e.contains("`runs[0]` missing key `wall_max_rank_s`")),
-            "{errs:?}");
-        assert!(errs.iter().any(|e| e.contains("missing key `ns_per_point`")), "{errs:?}");
+    fn a_baseline_without_full_provenance_is_an_error() {
+        assert!(check_bench_file("BENCH_x.json", &format!("{{{PROVENANCE}}}")).is_empty());
+        let errs = check_bench_file("BENCH_x.json", r#"{"bench": "x"}"#);
+        assert_eq!(errs.len(), 1, "{errs:?}");
+        assert!(errs[0].contains("no `provenance` block"), "{errs:?}");
+        for key in PROVENANCE_KEYS {
+            // Renaming a key removes it from the block.
+            let text = format!("{{{}}}", PROVENANCE.replace(&format!("\"{key}\""), "\"other\""));
+            let errs = check_bench_file("BENCH_x.json", &text);
+            assert_eq!(errs, vec![format!("BENCH_x.json: `provenance` lacks `{key}`")]);
+        }
     }
 
     #[test]
     fn seconds_without_ns_per_point_is_drift() {
-        let text = r#"{"bench": "b", "tool": "t", "mesh": {}, "k": 1, "epsilon": 0.1,
-                       "gate": {},
-                       "runs": [{"n": 1, "p": 1, "k": 1, "wall_serialized_s": 1,
-                                 "wall_max_rank_s": 1, "total_ns_per_point": 1,
-                                 "phases": {"kmeans": {"seconds": 0.5}},
-                                 "assignment": {"seconds": 0.2, "ns_per_point": 3.0}}]}"#;
-        let errs = check_bench_file("BENCH_scale.json", text);
+        let text = format!(
+            r#"{{{PROVENANCE}, "bench": "b", "tool": "t", "mesh": {{}}, "k": 1, "epsilon": 0.1,
+                "gate": {{}},
+                "runs": [{{"n": 1, "p": 1, "k": 1, "wall_serialized_s": 1,
+                          "wall_max_rank_s": 1, "total_ns_per_point": 1,
+                          "phases": {{"kmeans": {{"seconds": 0.5}}}},
+                          "assignment": {{"seconds": 0.2, "ns_per_point": 3.0}}}}]}}"#
+        );
+        let errs = check_bench_file("BENCH_scale.json", &text);
         assert_eq!(errs.len(), 1, "{errs:?}");
         assert!(errs[0].contains("phases.kmeans has `seconds` but no `ns_per_point`"));
     }

@@ -1,8 +1,9 @@
-//! The committed `BENCH_*.json` baselines must conform to their schemas:
-//! every registered file present and well-formed, every timing object
-//! carrying its normalized `ns_per_point` companion, no baseline
-//! committed without a schema, and the doc ↔ disk cross-reference closed
-//! (no orphaned baselines, no dangling citations).
+//! The committed `BENCH_*.json` baselines must pass the file-independent
+//! checks: well-formed, stamped with the writer's `provenance` block,
+//! every timing object carrying its normalized `ns_per_point` companion,
+//! and the doc ↔ disk cross-reference closed (no orphaned baselines, no
+//! dangling citations). Their key skeletons are checked by the bench
+//! binaries' own `--smoke` runs.
 
 use std::path::Path;
 

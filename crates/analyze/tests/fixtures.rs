@@ -25,15 +25,6 @@ fn d1_hash_container_detected_at_exact_line() {
 }
 
 #[test]
-fn d2_unordered_float_reduce_detected_at_exact_line() {
-    check(
-        "crates/core/src/fixture.rs",
-        include_str!("fixtures/d2_unordered_float_reduce.rs"),
-        &[(5, "unordered-float-reduce")],
-    );
-}
-
-#[test]
 fn d3_unsafe_without_safety_detected_at_exact_line() {
     check(
         "crates/mesh/src/fixture.rs",

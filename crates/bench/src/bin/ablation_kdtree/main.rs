@@ -17,7 +17,7 @@ mod kdtree;
 use std::time::Instant;
 
 use geographer::{balanced_kmeans, Config};
-use geographer_bench::{scaled, TextTable};
+use geographer_bench::{scaled, Cli, TextTable};
 use geographer_geometry::Point;
 use geographer_mesh::delaunay_unit_square;
 use geographer_parcomm::SelfComm;
@@ -25,6 +25,7 @@ use geographer_parcomm::SelfComm;
 use kdtree::{CenterTree, TreeCursor};
 
 fn main() {
+    Cli::from_env(&[], &[]);
     let n = scaled(100_000);
     let k = 64;
     println!("# Ablation: kd-tree vs distance bounds (n = {n}, k = {k})");

@@ -19,60 +19,58 @@
 //! $ cargo run --release -p geographer_bench --bin bench_hierarchy -- --smoke
 //! ```
 
-use std::fmt::Write as _;
-
 use geographer::{Config, HierarchySpec};
+use geographer_analyze::json::Value;
+use geographer_bench::harness::ns_per_point;
 use geographer_bench::{
-    level_metrics_json, run_plan_chain, scaled, solve_plan_view, write_bench_json, PlanRecipe,
-    TieredCostModel, Tool,
+    level_metrics_value, num, obj, run_plan_chain, scaled, solve_plan_view, write_bench_json, Cli,
+    CostModel, PlanRecipe, PlanRun, SpmdBackend, TieredCostModel, Tool,
 };
-use geographer_graph::{evaluate_levels, imbalance, LevelMetrics};
+use geographer_graph::{evaluate_levels, imbalance};
 use geographer_mesh::{families::bubbles_like, DynamicWorkload, Mesh, Scenario};
 use geographer_planner::MeshView;
 
-/// Everything one config row reports.
-struct ConfigRow {
-    name: String,
-    machine: String,
-    wall_s: f64,
-    wall_max_rank_s: f64,
-    imbalance: f64,
-    levels: Vec<LevelMetrics>,
-    inter_node_volume: u64,
-    intra_node_volume: u64,
-    modeled_exchange_s: f64,
-}
-
-fn row_for(
+/// One row of the static comparison — `run`'s assignment sliced onto the
+/// nodes of `spec` — and its inter-node volume, which the acceptance
+/// check reads.
+fn static_row(
     name: &str,
     mesh: &Mesh<2>,
-    assignment: &[u32],
+    run: &PlanRun<2>,
     spec: &HierarchySpec,
-    wall_s: f64,
-    wall_max_rank_s: f64,
     model: &TieredCostModel,
-) -> ConfigRow {
+) -> (Value, u64) {
+    let assignment = &run.plan.assignment;
     let levels = evaluate_levels(&mesh.graph, assignment, &spec.level_groups());
-    let leaf_vol = levels.last().unwrap().total_comm_volume;
     let inter = levels[0].total_comm_volume;
-    let intra = leaf_vol - inter;
-    ConfigRow {
-        name: name.to_string(),
-        machine: format!("{:?}", spec.arities()),
-        wall_s,
-        wall_max_rank_s,
-        imbalance: imbalance(assignment, &mesh.weights, spec.total_blocks()),
-        modeled_exchange_s: model.exchange_seconds(8 * intra, 8 * inter),
-        inter_node_volume: inter,
-        intra_node_volume: intra,
-        levels,
-    }
+    let intra = levels.last().unwrap().total_comm_volume - inter;
+    let machine = format!("{:?}", spec.arities());
+    let imb = imbalance(assignment, &mesh.weights, spec.total_blocks());
+    let modeled_exchange_s = model.exchange_seconds(8 * intra, 8 * inter);
+    eprintln!(
+        "{name:<14} machine={machine:<9} inter-node vol={inter:<6} intra-node vol={intra:<6} \
+         modeled exchange={:.1}us imb={imb:.4}",
+        modeled_exchange_s * 1e6,
+    );
+    let row = obj([
+        ("config", name.into()),
+        ("machine", machine.into()),
+        ("wall_s", num(run.wall_seconds)),
+        ("wall_max_rank_s", num(run.wall_max_rank_s)),
+        ("ns_per_point", num(ns_per_point(run.wall_max_rank_s, mesh.n()))),
+        ("imbalance", num(imb)),
+        ("inter_node_volume", inter.into()),
+        ("intra_node_volume", intra.into()),
+        ("modeled_exchange_s", num(modeled_exchange_s)),
+        ("levels", level_metrics_value(&levels)),
+    ]);
+    (row, inter)
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let n = if smoke { 3_000 } else { scaled(12_000) };
-    let steps = if smoke { 3 } else { 6 };
+    let cli = Cli::from_env(&["--smoke"], &[]);
+    let n = if cli.smoke { 3_000 } else { scaled(12_000) };
+    let steps = if cli.smoke { 3 } else { 6 };
     let seed = 33;
     let cfg = Config { sampling_init: false, ..Config::default() };
     let model = TieredCostModel::default();
@@ -83,18 +81,10 @@ fn main() {
     let flat_recipe = PlanRecipe::flat("flat-k8", Tool::Geographer, 8, cfg.clone());
     let flat = solve_plan_view(MeshView::from(&mesh), &flat_recipe, 1, None);
 
-    let mut rows: Vec<ConfigRow> = Vec::new();
+    let mut rows: Vec<(Value, u64)> = Vec::new();
     for arities in [vec![4usize, 2], vec![2, 2, 2]] {
         let spec = HierarchySpec::uniform(&arities);
-        rows.push(row_for(
-            "flat-k8",
-            &mesh,
-            &flat.plan.assignment,
-            &spec,
-            flat.wall_seconds,
-            flat.wall_max_rank_s,
-            &model,
-        ));
+        rows.push(static_row("flat-k8", &mesh, &flat, &spec, &model));
         let recipe = PlanRecipe::hierarchical(
             format!("hier-{arities:?}").replace(' ', ""),
             spec.clone(),
@@ -103,57 +93,18 @@ fn main() {
         let hier = solve_plan_view(MeshView::from(&mesh), &recipe, 1, None);
         let stats = hier.plan.stats.as_ref().expect("hierarchical plan carries stats");
         assert!(stats.balance_achieved, "hierarchical solve must balance every node");
-        rows.push(row_for(
-            &recipe.name,
-            &mesh,
-            &hier.plan.assignment,
-            &spec,
-            hier.wall_seconds,
-            hier.wall_max_rank_s,
-            &model,
-        ));
+        rows.push(static_row(&recipe.name, &mesh, &hier, &spec, &model));
     }
     // The acceptance inequality of ISSUE 4 / tests/hierarchy_props.rs: on
     // the clustered mesh, [4,2]'s inter-node volume beats flat k=8's under
     // the same node mapping.
     assert!(
-        rows[1].inter_node_volume < rows[0].inter_node_volume,
+        rows[1].1 < rows[0].1,
         "hier-[4,2] inter-node volume {} must beat flat {}",
-        rows[1].inter_node_volume,
-        rows[0].inter_node_volume
+        rows[1].1,
+        rows[0].1
     );
-
-    let mut rows_json = String::new();
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            rows_json,
-            "{}    {{\"config\": \"{}\", \"machine\": \"{}\", \"wall_s\": {:.4}, \
-             \"wall_max_rank_s\": {:.4}, \"ns_per_point\": {:.1}, \
-             \"imbalance\": {:.5}, \"inter_node_volume\": {}, \"intra_node_volume\": {}, \
-             \"modeled_exchange_s\": {:.6},\n     \"levels\": [{}]}}",
-            if i > 0 { ",\n" } else { "" },
-            r.name,
-            r.machine,
-            r.wall_s,
-            r.wall_max_rank_s,
-            geographer_bench::harness::ns_per_point(r.wall_max_rank_s, n),
-            r.imbalance,
-            r.inter_node_volume,
-            r.intra_node_volume,
-            r.modeled_exchange_s,
-            level_metrics_json(&r.levels)
-        );
-        eprintln!(
-            "{:<14} machine={:<9} inter-node vol={:<6} intra-node vol={:<6} modeled \
-             exchange={:.1}us imb={:.4}",
-            r.name,
-            r.machine,
-            r.inter_node_volume,
-            r.intra_node_volume,
-            r.modeled_exchange_s * 1e6,
-            r.imbalance
-        );
-    }
+    let rows_json: Vec<Value> = rows.into_iter().map(|(row, _)| row).collect();
 
     // --- Dynamic workload: warm hierarchical vs warm flat --------------
     let spec = HierarchySpec::uniform(&[4, 2]);
@@ -176,9 +127,8 @@ fn main() {
     );
     let (mut hier_mig, mut flat_mig) = (0.0f64, 0.0f64);
     let (mut hier_vol, mut flat_vol) = (0u64, 0u64);
-    let mut steps_json = String::new();
+    let mut steps_json = Vec::new();
     for (h, f) in hier_chain.iter().zip(&flat_chain) {
-        let step = h.step;
         let graph = &workload.base.graph;
         // The hierarchical plan already evaluated its levels; the flat
         // assignment is sliced into the same node groups here.
@@ -187,13 +137,13 @@ fn main() {
         let f_inter = evaluate_levels(graph, &f.plan.assignment, &spec.level_groups())[0]
             .total_comm_volume;
         let (h_mig, f_mig) = (h.migrated_point_fraction, f.migrated_point_fraction);
-        let _ = write!(
-            steps_json,
-            "{}    {{\"step\": {step}, \"hier_inter_node_volume\": {h_inter}, \
-             \"flat_inter_node_volume\": {f_inter}, \"hier_migration\": {h_mig:.5}, \
-             \"flat_migration\": {f_mig:.5}}}",
-            if step > 0 { ",\n" } else { "" },
-        );
+        steps_json.push(obj([
+            ("step", h.step.into()),
+            ("hier_inter_node_volume", h_inter.into()),
+            ("flat_inter_node_volume", f_inter.into()),
+            ("hier_migration", num(h_mig)),
+            ("flat_migration", num(f_mig)),
+        ]));
         hier_vol += h_inter;
         flat_vol += f_inter;
         hier_mig += h_mig;
@@ -207,29 +157,27 @@ fn main() {
         flat_mig / resteps
     );
 
-    let json = format!(
-        "{{\n  \"bench\": \"hierarchy\",\n  \
-         \"mesh\": {{\"kind\": \"bubbles_like\", \"n\": {n}, \"seed\": {seed}}},\n  \
-         \"epsilon\": {:.2},\n  \
-         \"cost_model\": {{\"inter\": {{\"alpha_s\": {:.1e}, \"beta_s_per_byte\": {:.1e}}}, \
-         \"intra\": {{\"alpha_s\": {:.1e}, \"beta_s_per_byte\": {:.1e}}}}},\n  \
-         \"static\": [\n{rows_json}\n  ],\n  \
-         \"dynamic\": {{\"scenario\": \"cluster-drift\", \"machine\": \"[4, 2]\", \
-         \"steps\": {steps}, \"warm\": true,\n   \
-         \"hier_inter_node_volume_sum\": {hier_vol}, \
-         \"flat_inter_node_volume_sum\": {flat_vol}, \
-         \"hier_mean_migration\": {:.5}, \"flat_mean_migration\": {:.5},\n   \
-         \"steps_detail\": [\n{steps_json}\n   ]}}\n}}\n",
-        cfg.epsilon,
-        model.inter.alpha,
-        model.inter.beta,
-        model.intra.alpha,
-        model.intra.beta,
-        hier_mig / resteps,
-        flat_mig / resteps,
-    );
-    // Smoke runs (CI) must not clobber the committed full-scale baseline.
-    let path = write_bench_json("hierarchy", smoke, &json);
-    println!("{json}");
-    println!("wrote {path}");
+    let tier = |m: &CostModel| obj([("alpha_s", m.alpha.into()), ("beta_s_per_byte", m.beta.into())]);
+    let record = obj([
+        ("bench", "hierarchy".into()),
+        ("mesh", obj([("kind", "bubbles_like".into()), ("n", n.into()), ("seed", seed.into())])),
+        ("epsilon", cfg.epsilon.into()),
+        ("cost_model", obj([("inter", tier(&model.inter)), ("intra", tier(&model.intra))])),
+        ("static", rows_json.into()),
+        (
+            "dynamic",
+            obj([
+                ("scenario", "cluster-drift".into()),
+                ("machine", "[4, 2]".into()),
+                ("steps", steps.into()),
+                ("warm", true.into()),
+                ("hier_inter_node_volume_sum", hier_vol.into()),
+                ("flat_inter_node_volume_sum", flat_vol.into()),
+                ("hier_mean_migration", num(hier_mig / resteps)),
+                ("flat_mean_migration", num(flat_mig / resteps)),
+                ("steps_detail", Value::Arr(steps_json)),
+            ]),
+        ),
+    ]);
+    write_bench_json("hierarchy", cli.smoke, SpmdBackend::Thread, &[1], &record);
 }

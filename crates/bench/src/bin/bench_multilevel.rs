@@ -1,12 +1,17 @@
-//! Multilevel-refinement benchmark: the single-level FM-style boundary
-//! pass vs the coarsen→refine→project V-cycle, at equal ε, on the
-//! clustered-bubbles and Delaunay mesh families, emitting
-//! `BENCH_multilevel.json` in the current directory. The committed copy is
-//! the repository's refinement baseline: cuts, moves, and level counts are
-//! deterministic; wall-clock fields are machine-dependent context, not a
-//! regression gate.
+//! Refinement benchmark: every geometric tool's partition, then the
+//! single-level FM-style boundary pass vs the coarsen→refine→project
+//! V-cycle at equal ε, on the clustered-bubbles and Delaunay mesh
+//! families, emitting `BENCH_multilevel.json` in the current directory.
+//! The committed copy is the repository's refinement baseline: cuts,
+//! moves, and level counts are deterministic; wall-clock fields are
+//! machine-dependent context, not a regression gate.
 //!
-//! The question the benchmark answers is the ISSUE 5 acceptance one: does
+//! Two questions. The paper's Sec. 2 aside ("a graph-based postprocessing,
+//! for example based on the Fiduccia-Mattheyses local refinement
+//! heuristic, is easily possible, but outside the scope of this paper"):
+//! how much cut does a geometric partition leave on the table? The
+//! `cutInitial → cutSingle` columns answer it per tool (the wrinkled HSFC
+//! boundaries should gain the most). And the ISSUE 5 acceptance one: does
 //! the V-cycle reach a strictly lower edge cut than one flat boundary
 //! sweep from the *same* starting partition, at comparable wall time? Both
 //! refiners start from the identical tool output (the tools are
@@ -18,36 +23,42 @@
 //! $ cargo run --release -p geographer_bench --bin bench_multilevel -- --smoke
 //! ```
 
-use std::fmt::Write as _;
-
 use geographer::Config;
+use geographer_analyze::json::Value;
+use geographer_bench::harness::ns_per_point;
 use geographer_bench::{
-    scaled, solve_plan_view, write_bench_json, PlanRecipe, TextTable, Tool,
+    num, obj, scaled, solve_plan_view, write_bench_json, Cli, PlanRecipe, PlanRun, SpmdBackend,
+    TextTable, Tool,
 };
 use geographer_graph::imbalance;
-use geographer_mesh::{families::bubbles_like, delaunay_unit_square, Mesh};
+use geographer_mesh::{delaunay_unit_square, families::bubbles_like, Mesh};
 use geographer_planner::{MeshView, RefineMode};
-use geographer_refine::{MultilevelConfig, RefineConfig};
+use geographer_refine::{MultilevelConfig, RefineConfig, RefineReport};
+
+/// Ranks of every solve.
+const P: usize = 2;
+
+/// One refiner's side of a row.
+struct Refined {
+    report: RefineReport,
+    imbalance: f64,
+    run: PlanRun<2>,
+}
 
 struct Row {
     mesh: &'static str,
     tool: &'static str,
-    cut_initial: u64,
-    single_cut: u64,
-    single_moves: usize,
-    single_rounds: usize,
-    single_wall_s: f64,
-    single_solve_wall_s: f64,
-    single_solve_max_rank_s: f64,
-    multi_cut: u64,
-    multi_moves: usize,
-    multi_levels: usize,
-    multi_wall_s: f64,
-    multi_solve_wall_s: f64,
-    multi_solve_max_rank_s: f64,
-    imbalance_single: f64,
-    imbalance_multi: f64,
-    levels_json: String,
+    single: Refined,
+    multi: Refined,
+}
+
+fn refined(mesh: &Mesh<2>, recipe: &PlanRecipe) -> Refined {
+    let run = solve_plan_view(MeshView::from(mesh), recipe, P, None);
+    Refined {
+        report: run.plan.refine.expect("refinement report"),
+        imbalance: imbalance(&run.plan.assignment, &mesh.weights, recipe.k),
+        run,
+    }
 }
 
 fn bench_one(
@@ -62,67 +73,38 @@ fn bench_one(
     // mode. The tools are deterministic (sampling off), so both start from
     // the identical partition — the assert below pins that.
     let base = PlanRecipe::flat("ml", tool, k, cfg.clone());
-    let single_run = solve_plan_view(
-        MeshView::from(mesh),
-        &base.clone().with_refine(RefineMode::Single(rcfg.clone())),
-        2,
-        None,
+    let single = refined(mesh, &base.clone().with_refine(RefineMode::Single(rcfg.clone())));
+    let ml = MultilevelConfig { refine: rcfg.clone(), ..MultilevelConfig::default() };
+    let multi = refined(mesh, &base.with_refine(RefineMode::Multilevel(ml)));
+    assert_eq!(
+        single.report.cut_before, multi.report.cut_before,
+        "both refiners start from the same partition"
     );
-    let multi_run = solve_plan_view(
-        MeshView::from(mesh),
-        &base.with_refine(RefineMode::Multilevel(MultilevelConfig {
-            refine: rcfg.clone(),
-            ..MultilevelConfig::default()
-        })),
-        2,
-        None,
-    );
-    let (single, multi) = (single_run.plan, multi_run.plan);
+    Row { mesh: mesh_name, tool: tool.name(), single, multi }
+}
 
-    let sr = single.refine.expect("single refinement report");
-    let mr = multi.refine.expect("multilevel refinement summary");
-    let ml = multi.multilevel.as_ref().expect("multilevel level reports");
-    assert_eq!(sr.cut_before, mr.cut_before, "both refiners start from the same partition");
-    let mut levels_json = String::new();
-    for (i, l) in ml.levels.iter().enumerate() {
-        let _ = write!(
-            levels_json,
-            "{}{{\"vertices\": {}, \"edges\": {}, \"cut_before\": {}, \"cut_after\": {}, \
-             \"moves\": {}, \"rounds\": {}}}",
-            if i > 0 { ", " } else { "" },
-            l.vertices,
-            l.edges,
-            l.cut_before,
-            l.cut_after,
-            l.moves,
-            l.rounds
-        );
-    }
-    Row {
-        mesh: mesh_name,
-        tool: tool.name(),
-        cut_initial: sr.cut_before,
-        single_cut: sr.cut_after,
-        single_moves: sr.moves,
-        single_rounds: sr.rounds,
-        single_wall_s: single.refine_seconds,
-        single_solve_wall_s: single_run.wall_seconds,
-        single_solve_max_rank_s: single_run.wall_max_rank_s,
-        multi_cut: mr.cut_after,
-        multi_moves: mr.moves,
-        multi_levels: ml.levels.len(),
-        multi_wall_s: multi.refine_seconds,
-        multi_solve_wall_s: multi_run.wall_seconds,
-        multi_solve_max_rank_s: multi_run.wall_max_rank_s,
-        imbalance_single: imbalance(&single.assignment, &mesh.weights, k),
-        imbalance_multi: imbalance(&multi.assignment, &mesh.weights, k),
-        levels_json,
-    }
+/// The JSON fields both refiners report, `count` being the refiner's own
+/// effort figure (`rounds` of the flat pass, `levels` of the V-cycle).
+fn refined_fields(
+    r: &Refined,
+    n: usize,
+    count: (&'static str, usize),
+) -> Vec<(&'static str, Value)> {
+    vec![
+        ("cut_after", r.report.cut_after.into()),
+        ("moves", r.report.moves.into()),
+        (count.0, count.1.into()),
+        ("wall_s", num(r.run.plan.refine_seconds)),
+        ("solve_wall_serialized_s", num(r.run.wall_seconds)),
+        ("solve_wall_max_rank_s", num(r.run.wall_max_rank_s)),
+        ("solve_ns_per_point", num(ns_per_point(r.run.wall_max_rank_s, n))),
+        ("imbalance", num(r.imbalance)),
+    ]
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let n = if smoke { 6_000 } else { scaled(24_000) };
+    let cli = Cli::from_env(&["--smoke"], &[]);
+    let n = if cli.smoke { 6_000 } else { scaled(24_000) };
     let k = 16;
     let seed = 55;
     let cfg = Config { sampling_init: false, ..Config::default() };
@@ -135,30 +117,32 @@ fn main() {
 
     let mut rows: Vec<Row> = Vec::new();
     for (name, mesh) in &meshes {
-        for tool in [Tool::Hsfc, Tool::Geographer] {
+        for tool in Tool::ALL {
             rows.push(bench_one(name, mesh, tool, k, &cfg, &rcfg));
         }
     }
 
     let mut table = TextTable::new(vec![
-        "mesh", "tool", "cutInitial", "cutSingle", "cutMultilevel", "gainVsSingle%",
-        "levels", "wallSingle", "wallMultilevel", "imbMulti",
+        "mesh", "tool", "cutInitial", "cutSingle", "gainSingle%", "movesSingle", "imbSingle",
+        "cutMultilevel", "gainVsSingle%", "levels", "wallSingle", "wallMultilevel", "imbMulti",
     ]);
+    let gain = |from: u64, to: u64| 100.0 * (from as f64 - to as f64) / from.max(1) as f64;
     for r in &rows {
+        let (sr, mr) = (&r.single.report, &r.multi.report);
         table.row(vec![
             r.mesh.to_string(),
             r.tool.to_string(),
-            r.cut_initial.to_string(),
-            r.single_cut.to_string(),
-            r.multi_cut.to_string(),
-            format!(
-                "{:.2}",
-                100.0 * (r.single_cut as f64 - r.multi_cut as f64) / r.single_cut.max(1) as f64
-            ),
-            r.multi_levels.to_string(),
-            format!("{:.1}ms", r.single_wall_s * 1e3),
-            format!("{:.1}ms", r.multi_wall_s * 1e3),
-            format!("{:.4}", r.imbalance_multi),
+            sr.cut_before.to_string(),
+            sr.cut_after.to_string(),
+            format!("{:.1}", gain(sr.cut_before, sr.cut_after)),
+            sr.moves.to_string(),
+            format!("{:.4}", r.single.imbalance),
+            mr.cut_after.to_string(),
+            format!("{:.2}", gain(sr.cut_after, mr.cut_after)),
+            r.multi.run.plan.multilevel.as_ref().map_or(0, |ml| ml.levels.len()).to_string(),
+            format!("{:.1}ms", r.single.run.plan.refine_seconds * 1e3),
+            format!("{:.1}ms", r.multi.run.plan.refine_seconds * 1e3),
+            format!("{:.4}", r.multi.imbalance),
         ]);
     }
     eprint!("{}", table.render());
@@ -169,72 +153,55 @@ fn main() {
     // with balance intact.
     for r in &rows {
         assert!(
-            r.imbalance_multi <= rcfg.epsilon + 1e-9,
+            r.multi.imbalance <= rcfg.epsilon + 1e-9,
             "{}/{}: multilevel imbalance {} above ε",
             r.mesh,
             r.tool,
-            r.imbalance_multi
+            r.multi.imbalance
         );
         if r.tool == "HSFC" {
             assert!(
-                r.multi_cut < r.single_cut,
+                r.multi.report.cut_after < r.single.report.cut_after,
                 "{}/{}: multilevel cut {} must be strictly below single-level {}",
                 r.mesh,
                 r.tool,
-                r.multi_cut,
-                r.single_cut
+                r.multi.report.cut_after,
+                r.single.report.cut_after
             );
         }
     }
 
-    let mut rows_json = String::new();
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            rows_json,
-            "{}    {{\"mesh\": \"{}\", \"tool\": \"{}\", \"cut_initial\": {}, \
-             \"single\": {{\"cut_after\": {}, \"moves\": {}, \"rounds\": {}, \
-             \"wall_s\": {:.4}, \"solve_wall_serialized_s\": {:.4}, \
-             \"solve_wall_max_rank_s\": {:.4}, \"solve_ns_per_point\": {:.1}, \
-             \"imbalance\": {:.5}}},\n     \
-             \"multilevel\": {{\"cut_after\": {}, \"moves\": {}, \"levels\": {}, \
-             \"wall_s\": {:.4}, \"solve_wall_serialized_s\": {:.4}, \
-             \"solve_wall_max_rank_s\": {:.4}, \"solve_ns_per_point\": {:.1}, \
-             \"imbalance\": {:.5},\n      \
-             \"level_detail\": [{}]}}}}",
-            if i > 0 { ",\n" } else { "" },
-            r.mesh,
-            r.tool,
-            r.cut_initial,
-            r.single_cut,
-            r.single_moves,
-            r.single_rounds,
-            r.single_wall_s,
-            r.single_solve_wall_s,
-            r.single_solve_max_rank_s,
-            geographer_bench::harness::ns_per_point(r.single_solve_max_rank_s, n),
-            r.imbalance_single,
-            r.multi_cut,
-            r.multi_moves,
-            r.multi_levels,
-            r.multi_wall_s,
-            r.multi_solve_wall_s,
-            r.multi_solve_max_rank_s,
-            geographer_bench::harness::ns_per_point(r.multi_solve_max_rank_s, n),
-            r.imbalance_multi,
-            r.levels_json
-        );
-    }
-    let json = format!(
-        "{{\n  \"bench\": \"multilevel\",\n  \
-         \"meshes\": [\"bubbles_like\", \"delaunay_unit_square\"],\n  \
-         \"n\": {n}, \"seed\": {seed}, \"k\": {k}, \"epsilon\": {:.2},\n  \
-         \"coarsest_vertices\": {},\n  \
-         \"rows\": [\n{rows_json}\n  ]\n}}\n",
-        rcfg.epsilon,
-        MultilevelConfig::default().coarsest_vertices,
-    );
-    // Smoke runs (CI) must not clobber the committed full-scale baseline.
-    let path = write_bench_json("multilevel", smoke, &json);
-    println!("{json}");
-    println!("wrote {path}");
+    let row_json = |r: &Row| {
+        let ml = r.multi.run.plan.multilevel.as_ref().expect("multilevel level reports");
+        let level = |l: &geographer_refine::LevelReport| {
+            obj([
+                ("vertices", l.vertices.into()),
+                ("edges", l.edges.into()),
+                ("cut_before", l.cut_before.into()),
+                ("cut_after", l.cut_after.into()),
+                ("moves", l.moves.into()),
+                ("rounds", l.rounds.into()),
+            ])
+        };
+        let mut multilevel = refined_fields(&r.multi, n, ("levels", ml.levels.len()));
+        multilevel.push(("level_detail", Value::Arr(ml.levels.iter().map(level).collect())));
+        obj([
+            ("mesh", r.mesh.into()),
+            ("tool", r.tool.into()),
+            ("cut_initial", r.single.report.cut_before.into()),
+            ("single", obj(refined_fields(&r.single, n, ("rounds", r.single.report.rounds)))),
+            ("multilevel", obj(multilevel)),
+        ])
+    };
+    let record = obj([
+        ("bench", "multilevel".into()),
+        ("meshes", vec!["bubbles_like".into(), "delaunay_unit_square".into()].into()),
+        ("n", n.into()),
+        ("seed", seed.into()),
+        ("k", k.into()),
+        ("epsilon", rcfg.epsilon.into()),
+        ("coarsest_vertices", MultilevelConfig::default().coarsest_vertices.into()),
+        ("rows", Value::Arr(rows.iter().map(row_json).collect())),
+    ]);
+    write_bench_json("multilevel", cli.smoke, SpmdBackend::Thread, &[P], &record);
 }

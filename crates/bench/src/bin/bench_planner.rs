@@ -21,12 +21,12 @@
 //! $ cargo run --release -p geographer_bench --bin bench_planner -- --smoke
 //! ```
 
-use std::fmt::Write as _;
-
 use geographer::{Config, HierarchySpec};
+use geographer_analyze::json::Value;
+use geographer_bench::harness::{mean, ns_per_point};
 use geographer_bench::{
-    level_metrics_json, run_plan_chain, scaled, write_bench_json, ChainStep, PlanRecipe,
-    TextTable, Tool,
+    level_metrics_value, num, obj, run_plan_chain, scaled, write_bench_json, ChainStep, Cli,
+    PlanRecipe, SpmdBackend, TextTable, Tool,
 };
 use geographer_graph::{evaluate_levels, CsrGraph};
 use geographer_mesh::{
@@ -84,24 +84,8 @@ struct Summary {
     max_imbalance: f64,
     total_wall: f64,
     total_max_rank_wall: f64,
-    steps: Vec<StepRow>,
-}
-
-struct StepRow {
-    step: usize,
-    edge_cut: u64,
-    inter_node_volume: u64,
-    migration: f64,
-    imbalance: f64,
-}
-
-fn mean(vals: impl Iterator<Item = f64>) -> f64 {
-    let v: Vec<f64> = vals.collect();
-    if v.is_empty() {
-        0.0
-    } else {
-        v.iter().sum::<f64>() / v.len() as f64
-    }
+    /// Per-step JSON rows.
+    steps: Vec<Value>,
 }
 
 fn summarize(
@@ -112,46 +96,43 @@ fn summarize(
     spec: &HierarchySpec,
     chain: &[ChainStep<2>],
 ) -> Summary {
-    let steps: Vec<StepRow> = chain
-        .iter()
-        .map(|s| {
-            // Hierarchical plans already evaluated their levels; flat
-            // assignments are sliced into the same node groups here.
-            let inter = match &s.plan.levels {
-                Some(levels) => levels[0].total_comm_volume,
-                None => {
-                    evaluate_levels(&workload.base.graph, &s.plan.assignment, &spec.level_groups())
-                        [0]
-                    .total_comm_volume
-                }
-            };
-            StepRow {
-                step: s.step,
-                edge_cut: s.edge_cut,
-                inter_node_volume: inter,
-                migration: s.migrated_point_fraction,
-                imbalance: s.imbalance,
-            }
-        })
-        .collect();
+    // Hierarchical plans already evaluated their levels; flat
+    // assignments are sliced into the same node groups here.
+    let inter_of = |s: &ChainStep<2>| match &s.plan.levels {
+        Some(levels) => levels[0].total_comm_volume,
+        None => {
+            evaluate_levels(&workload.base.graph, &s.plan.assignment, &spec.level_groups())[0]
+                .total_comm_volume
+        }
+    };
+    let inter: Vec<u64> = chain.iter().map(inter_of).collect();
+    let step_json = |(s, &inter): (&ChainStep<2>, &u64)| {
+        obj([
+            ("step", s.step.into()),
+            ("edge_cut", s.edge_cut.into()),
+            ("inter_node_volume", inter.into()),
+            ("migration", num(s.migrated_point_fraction)),
+            ("imbalance", num(s.imbalance)),
+        ])
+    };
     Summary {
         name: name.to_string(),
         subsystems,
         single_subsystem,
-        mean_cut: mean(steps.iter().map(|s| s.edge_cut as f64)),
-        mean_inter: mean(steps.iter().map(|s| s.inter_node_volume as f64)),
-        mean_migration: mean(steps[1..].iter().map(|s| s.migration)),
-        max_imbalance: steps.iter().map(|s| s.imbalance).fold(0.0, f64::max),
+        mean_cut: mean(chain.iter().map(|s| s.edge_cut as f64)),
+        mean_inter: mean(inter.iter().map(|&v| v as f64)),
+        mean_migration: mean(chain[1..].iter().map(|s| s.migrated_point_fraction)),
+        max_imbalance: chain.iter().map(|s| s.imbalance).fold(0.0, f64::max),
         total_wall: chain.iter().map(|s| s.wall_seconds).sum(),
         total_max_rank_wall: chain.iter().map(|s| s.wall_max_rank_s).sum(),
-        steps,
+        steps: chain.iter().zip(&inter).map(step_json).collect(),
     }
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let n = if smoke { 3_000 } else { scaled(12_000) };
-    let steps = if smoke { 3 } else { 8 };
+    let cli = Cli::from_env(&["--smoke"], &[]);
+    let n = if cli.smoke { 3_000 } else { scaled(12_000) };
+    let steps = if cli.smoke { 3 } else { 8 };
     let (k, p) = (8, 2);
     let seed = 40;
     let cfg = Config { sampling_init: false, ..Config::default() };
@@ -192,13 +173,13 @@ fn main() {
     ];
 
     let mut summaries: Vec<Summary> = Vec::new();
-    let mut stacked_levels_json = String::new();
+    let mut stacked_levels = Value::Null;
     for (recipe, subsystems, single) in &rows {
         let chain = run_plan_chain(&workload, recipe, p, steps);
         if recipe.name == "stacked" {
             let last = chain.last().unwrap();
-            stacked_levels_json =
-                level_metrics_json(last.plan.levels.as_ref().expect("stacked plan has levels"));
+            stacked_levels =
+                level_metrics_value(last.plan.levels.as_ref().expect("stacked plan has levels"));
         }
         summaries.push(summarize(&recipe.name, subsystems, *single, &workload, &spec, &chain));
     }
@@ -263,62 +244,49 @@ fn main() {
         stacked.mean_cut, best_cut, stacked.mean_inter, best_inter
     );
 
-    let mut configs_json = String::new();
-    for (i, s) in summaries.iter().enumerate() {
-        let mut steps_json = String::new();
-        for (j, r) in s.steps.iter().enumerate() {
-            let _ = write!(
-                steps_json,
-                "{}{{\"step\": {}, \"edge_cut\": {}, \"inter_node_volume\": {}, \
-                 \"migration\": {:.5}, \"imbalance\": {:.5}}}",
-                if j > 0 { ", " } else { "" },
-                r.step,
-                r.edge_cut,
-                r.inter_node_volume,
-                r.migration,
-                r.imbalance
-            );
-        }
-        let _ = write!(
-            configs_json,
-            "{}    {{\"config\": \"{}\", \"subsystems\": \"{}\", \
-             \"single_subsystem\": {}, \"mean_edge_cut\": {:.1}, \
-             \"mean_inter_node_volume\": {:.1}, \"mean_migration\": {:.5}, \
-             \"max_imbalance\": {:.5}, \"wall_s\": {:.4}, \
-             \"wall_max_rank_s\": {:.4}, \"ns_per_point\": {:.1},\n     \"steps\": [{}]}}",
-            if i > 0 { ",\n" } else { "" },
-            s.name,
-            s.subsystems,
-            s.single_subsystem,
-            s.mean_cut,
-            s.mean_inter,
-            s.mean_migration,
-            s.max_imbalance,
-            s.total_wall,
-            s.total_max_rank_wall,
-            geographer_bench::harness::ns_per_point(
-                s.total_max_rank_wall / s.steps.len().max(1) as f64,
-                n,
-            ),
-            steps_json
-        );
-    }
-
-    let json = format!(
-        "{{\n  \"bench\": \"planner\",\n  \
-         \"mesh\": {{\"kind\": \"bubble_grid_4x2\", \"n\": {n}, \"seed\": {seed}}},\n  \
-         \"scenario\": {{\"kind\": \"cluster-drift\", \"clusters\": 8, \"speed\": 0.003, \
-         \"steps\": {steps}}},\n  \
-         \"k\": {k}, \"p\": {p}, \"machine\": \"[4, 2]\", \"epsilon\": {:.2},\n  \
-         \"stacked_vs_best_single\": {{\"stacked_mean_cut\": {:.1}, \
-         \"best_single_mean_cut\": {:.1}, \"stacked_mean_inter_node_volume\": {:.1}, \
-         \"best_single_mean_inter_node_volume\": {:.1}}},\n  \
-         \"stacked_final_levels\": [{stacked_levels_json}],\n  \
-         \"configs\": [\n{configs_json}\n  ]\n}}\n",
-        cfg.epsilon, stacked.mean_cut, best_cut, stacked.mean_inter, best_inter,
-    );
-    // Smoke runs (CI) must not clobber the committed full-scale baseline.
-    let path = write_bench_json("planner", smoke, &json);
-    println!("{json}");
-    println!("wrote {path}");
+    let config_json = |s: &Summary| {
+        let step_wall = s.total_max_rank_wall / s.steps.len().max(1) as f64;
+        obj([
+            ("config", s.name.as_str().into()),
+            ("subsystems", s.subsystems.into()),
+            ("single_subsystem", s.single_subsystem.into()),
+            ("mean_edge_cut", num(s.mean_cut)),
+            ("mean_inter_node_volume", num(s.mean_inter)),
+            ("mean_migration", num(s.mean_migration)),
+            ("max_imbalance", num(s.max_imbalance)),
+            ("wall_s", num(s.total_wall)),
+            ("wall_max_rank_s", num(s.total_max_rank_wall)),
+            ("ns_per_point", num(ns_per_point(step_wall, n))),
+            ("steps", Value::Arr(s.steps.clone())),
+        ])
+    };
+    let record = obj([
+        ("bench", "planner".into()),
+        ("mesh", obj([("kind", "bubble_grid_4x2".into()), ("n", n.into()), ("seed", seed.into())])),
+        (
+            "scenario",
+            obj([
+                ("kind", "cluster-drift".into()),
+                ("clusters", 8usize.into()),
+                ("speed", Value::Num(0.003)),
+                ("steps", steps.into()),
+            ]),
+        ),
+        ("k", k.into()),
+        ("p", p.into()),
+        ("machine", "[4, 2]".into()),
+        ("epsilon", cfg.epsilon.into()),
+        (
+            "stacked_vs_best_single",
+            obj([
+                ("stacked_mean_cut", num(stacked.mean_cut)),
+                ("best_single_mean_cut", num(best_cut)),
+                ("stacked_mean_inter_node_volume", num(stacked.mean_inter)),
+                ("best_single_mean_inter_node_volume", num(best_inter)),
+            ]),
+        ),
+        ("stacked_final_levels", stacked_levels),
+        ("configs", Value::Arr(summaries.iter().map(config_json).collect())),
+    ]);
+    write_bench_json("planner", cli.smoke, SpmdBackend::Thread, &[p], &record);
 }

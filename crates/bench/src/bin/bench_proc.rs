@@ -29,11 +29,13 @@
 //! $ cargo run --release -p geographer_bench --bin bench_proc -- --smoke
 //! ```
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use geographer::Config;
-use geographer_bench::{write_bench_json, CostModel, PlanRecipe, SpmdBackend, Tool};
+use geographer_analyze::json::Value;
+use geographer_bench::{
+    num, obj, write_bench_json, Cli, CostModel, PlanRecipe, SpmdBackend, Tool,
+};
 use geographer_mesh::delaunay_unit_square;
 use geographer_parcomm::{
     measure_alpha_beta, run_spmd, run_spmd_proc, Comm, CommStats,
@@ -63,8 +65,9 @@ fn collective_workload<C: Comm>(comm: &C) -> CommStats {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let reps = if smoke { 10 } else { 100 };
+    let cli = Cli::from_env(&["--smoke"], &[]);
+    let reps = if cli.smoke { 10 } else { 100 };
+    let ps = [2usize, 4];
     let defaults = CostModel::default();
 
     // 1. Calibrate the socket substrate.
@@ -76,21 +79,15 @@ fn main() {
         cal.beta * 1e9,
         defaults.beta * 1e9
     );
-    let mut samples = String::new();
-    for (i, (bytes, secs)) in cal.samples.iter().enumerate() {
-        let _ = write!(
-            samples,
-            "{}\n      {{\"bytes\": {}, \"seconds_per_exchange\": {:.3e}}}",
-            if i > 0 { "," } else { "" },
-            bytes,
-            secs
-        );
-    }
+    let sample = |&(bytes, secs): &(u64, f64)| {
+        obj([("bytes", bytes.into()), ("seconds_per_exchange", num(secs))])
+    };
+    let samples: Vec<Value> = cal.samples.iter().map(sample).collect();
 
     // 2. Pure collective workload, measured on the wire vs modeled from
     // the same run's counters.
-    let mut workloads = String::new();
-    for (i, p) in [2usize, 4].into_iter().enumerate() {
+    let mut workloads = Vec::new();
+    for p in ps {
         let mut per_rank = run_spmd_proc(p, |comm| {
             let t = Instant::now();
             let delta = collective_workload(&comm);
@@ -114,30 +111,24 @@ fn main() {
             modeled_measured * 1e3,
             thread_wall * 1e3
         );
-        let _ = write!(
-            workloads,
-            "{}\n      {{\"p\": {}, \"rounds\": {}, \"bytes_per_rank\": {:.1}, \
-             \"measured_seconds\": {:.3e}, \"modeled_seconds_default_ab\": {:.3e}, \
-             \"modeled_seconds_measured_ab\": {:.3e}, \"thread_wall_seconds\": {:.3e}}}",
-            if i > 0 { "," } else { "" },
-            p,
-            stats.rounds(),
-            stats.bytes_per_rank(),
-            measured,
-            modeled_default,
-            modeled_measured,
-            thread_wall,
-        );
+        workloads.push(obj([
+            ("p", p.into()),
+            ("rounds", stats.rounds().into()),
+            ("bytes_per_rank", stats.bytes_per_rank().into()),
+            ("measured_seconds", num(measured)),
+            ("modeled_seconds_default_ab", num(modeled_default)),
+            ("modeled_seconds_measured_ab", num(modeled_measured)),
+            ("thread_wall_seconds", num(thread_wall)),
+        ]));
     }
 
     // 3. The five tools on both backends: agreement + walls.
-    let n = if smoke { 2_000 } else { 20_000 };
+    let n = if cli.smoke { 2_000 } else { 20_000 };
     let mesh = delaunay_unit_square(n, 41);
     let cfg = Config::default();
     let k = 8;
-    let mut runs = String::new();
-    let mut first = true;
-    for p in [2usize, 4] {
+    let mut runs = Vec::new();
+    for p in ps {
         for tool in Tool::ALL {
             let recipe = PlanRecipe::flat(tool.name(), tool, k, cfg.clone());
             let view = MeshView::from(&mesh);
@@ -159,46 +150,43 @@ fn main() {
                 modeled_default * 1e3,
                 modeled_measured * 1e3
             );
-            let _ = write!(
-                runs,
-                "{}\n      {{\"tool\": \"{}\", \"n\": {}, \"p\": {}, \"k\": {}, \
-                 \"assignments_agree_with_thread_backend\": {}, \"rounds\": {}, \
-                 \"bytes_per_rank\": {:.1}, \"proc_wall_seconds\": {:.3e}, \
-                 \"thread_wall_serialized_seconds\": {:.3e}, \
-                 \"modeled_comm_seconds_default_ab\": {:.3e}, \
-                 \"modeled_comm_seconds_measured_ab\": {:.3e}}}",
-                if first { "" } else { "," },
-                tool.name(),
-                n,
-                p,
-                k,
-                agree,
-                pr.comm.rounds(),
-                pr.comm.bytes_per_rank(),
-                pr.wall_seconds,
-                th.wall_seconds,
-                modeled_default,
-                modeled_measured,
-            );
-            first = false;
+            runs.push(obj([
+                ("tool", tool.name().into()),
+                ("n", n.into()),
+                ("p", p.into()),
+                ("k", k.into()),
+                ("assignments_agree_with_thread_backend", agree.into()),
+                ("rounds", pr.comm.rounds().into()),
+                ("bytes_per_rank", pr.comm.bytes_per_rank().into()),
+                ("proc_wall_seconds", num(pr.wall_seconds)),
+                ("thread_wall_serialized_seconds", num(th.wall_seconds)),
+                ("modeled_comm_seconds_default_ab", num(modeled_default)),
+                ("modeled_comm_seconds_measured_ab", num(modeled_measured)),
+            ]));
         }
     }
 
-    let json = format!(
-        "{{\n  \"experiment\": \"proc_backend\",\n  \
-         \"description\": \"multi-process SPMD backend: measured alpha-beta on \
-         Unix-domain sockets vs the modeled constants; forked-rank runs agree \
-         bitwise with the thread backend\",\n  \
-         \"calibration\": {{\n    \"probe_reps\": {reps},\n    \
-         \"measured_alpha_seconds\": {:.3e},\n    \
-         \"measured_beta_seconds_per_byte\": {:.3e},\n    \
-         \"model_alpha_seconds\": {:.3e},\n    \
-         \"model_beta_seconds_per_byte\": {:.3e},\n    \
-         \"probe_samples\": [{samples}\n    ]\n  }},\n  \
-         \"collective_workloads\": [{workloads}\n  ],\n  \
-         \"tool_runs\": [{runs}\n  ]\n}}\n",
-        cal.alpha, cal.beta, defaults.alpha, defaults.beta,
-    );
-    let path = write_bench_json("proc", smoke, &json);
-    println!("wrote {path}");
+    let record = obj([
+        ("experiment", "proc_backend".into()),
+        (
+            "description",
+            "multi-process SPMD backend: measured alpha-beta on Unix-domain sockets vs the \
+             modeled constants; forked-rank runs agree bitwise with the thread backend"
+                .into(),
+        ),
+        (
+            "calibration",
+            obj([
+                ("probe_reps", reps.into()),
+                ("measured_alpha_seconds", num(cal.alpha)),
+                ("measured_beta_seconds_per_byte", num(cal.beta)),
+                ("model_alpha_seconds", defaults.alpha.into()),
+                ("model_beta_seconds_per_byte", defaults.beta.into()),
+                ("probe_samples", samples.into()),
+            ]),
+        ),
+        ("collective_workloads", workloads.into()),
+        ("tool_runs", runs.into()),
+    ]);
+    write_bench_json("proc", cli.smoke, SpmdBackend::Proc, &ps, &record);
 }

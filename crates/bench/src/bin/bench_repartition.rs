@@ -15,53 +15,61 @@
 //! $ cargo run --release -p geographer_bench --bin bench_repartition -- --smoke
 //! ```
 
-use std::fmt::Write as _;
-
 use geographer::Config;
+use geographer_analyze::json::Value;
+use geographer_bench::harness::{mean, ns_per_point};
 use geographer_bench::{
-    run_plan_chain, scaled, write_bench_json, ChainStep, PlanRecipe, Tool,
+    num, obj, run_plan_chain, scaled, write_bench_json, ChainStep, Cli, PlanRecipe, SpmdBackend,
+    Tool,
 };
 use geographer_mesh::{delaunay_unit_square, DynamicWorkload, Scenario};
 
-fn mean(vals: impl Iterator<Item = f64>) -> f64 {
-    let v: Vec<f64> = vals.collect();
-    if v.is_empty() {
-        0.0
-    } else {
-        v.iter().sum::<f64>() / v.len() as f64
-    }
-}
-
-struct Summary {
-    label: String,
-    total_wall: f64,
-    restep_wall: f64,
-    restep_max_rank_wall: f64,
-    migration: f64,
-    weight_migration: f64,
-    max_imbalance: f64,
-    mean_cut: f64,
-}
-
-fn summarize(label: String, steps: &[ChainStep<2>]) -> Summary {
-    Summary {
-        label,
-        total_wall: steps.iter().map(|s| s.wall_seconds).sum(),
-        // Steady-state repartitioning cost: everything after the shared
-        // cold bootstrap of step 0.
-        restep_wall: steps[1..].iter().map(|s| s.wall_seconds).sum(),
-        restep_max_rank_wall: steps[1..].iter().map(|s| s.wall_max_rank_s).sum(),
-        migration: mean(steps[1..].iter().map(|s| s.migrated_point_fraction)),
-        weight_migration: mean(steps[1..].iter().map(|s| s.migrated_weight_fraction)),
-        max_imbalance: steps.iter().map(|s| s.imbalance).fold(0.0, f64::max),
-        mean_cut: mean(steps.iter().map(|s| s.edge_cut as f64)),
-    }
+/// One recipe's chain: its JSON record, and the two figures of the
+/// steady state — everything after the shared cold bootstrap of step 0 —
+/// the cold-vs-warm comparison reads: re-step wall seconds and mean
+/// migrated point fraction.
+fn summarize(label: &str, steps: &[ChainStep<2>], n: usize) -> (Value, f64, f64) {
+    let total_wall: f64 = steps.iter().map(|s| s.wall_seconds).sum();
+    let restep_wall: f64 = steps[1..].iter().map(|s| s.wall_seconds).sum();
+    let restep_max_rank_wall: f64 = steps[1..].iter().map(|s| s.wall_max_rank_s).sum();
+    let migration = mean(steps[1..].iter().map(|s| s.migrated_point_fraction));
+    let weight_migration = mean(steps[1..].iter().map(|s| s.migrated_weight_fraction));
+    let max_imbalance = steps.iter().map(|s| s.imbalance).fold(0.0, f64::max);
+    let mean_cut = mean(steps.iter().map(|s| s.edge_cut as f64));
+    eprintln!(
+        "{label:<18} wall={total_wall:.3}s (re-steps {restep_wall:.3}s) migration={migration:.3} \
+         wmigration={weight_migration:.3} max_imb={max_imbalance:.4} cut≈{mean_cut:.0}"
+    );
+    let step_json = |r: &ChainStep<2>| {
+        obj([
+            ("step", r.step.into()),
+            ("wall_s", num(r.wall_seconds)),
+            ("wall_max_rank_s", num(r.wall_max_rank_s)),
+            ("ns_per_point", num(ns_per_point(r.wall_max_rank_s, n))),
+            ("imbalance", num(r.imbalance)),
+            ("edge_cut", r.edge_cut.into()),
+            ("migrated_point_fraction", num(r.migrated_point_fraction)),
+            ("migrated_weight_fraction", num(r.migrated_weight_fraction)),
+        ])
+    };
+    let record = obj([
+        ("tool", label.into()),
+        ("total_wall_s", num(total_wall)),
+        ("resteps_wall_s", num(restep_wall)),
+        ("resteps_max_rank_wall_s", num(restep_max_rank_wall)),
+        ("mean_migrated_point_fraction", num(migration)),
+        ("mean_migrated_weight_fraction", num(weight_migration)),
+        ("max_imbalance", num(max_imbalance)),
+        ("mean_edge_cut", num(mean_cut)),
+        ("steps", Value::Arr(steps.iter().map(step_json).collect())),
+    ]);
+    (record, restep_wall, migration)
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let n = if smoke { 2_500 } else { scaled(15_000) };
-    let steps = if smoke { 4 } else { 8 };
+    let cli = Cli::from_env(&["--smoke"], &[]);
+    let n = if cli.smoke { 2_500 } else { scaled(15_000) };
+    let steps = if cli.smoke { 4 } else { 8 };
     let (k, p) = (8, 4);
     let seed = 29;
     let scenario = Scenario::ClusterDrift { clusters: 5, speed: 0.015 };
@@ -69,98 +77,45 @@ fn main() {
     let cfg = Config { sampling_init: false, ..Config::default() };
 
     // The recipe table: warm Geographer against every cold re-run.
-    let mut recipes = vec![PlanRecipe::flat(
-        "Geographer-warm",
-        Tool::Geographer,
-        k,
-        cfg.clone(),
-    )
-    .warm()];
-    for tool in Tool::ALL {
-        recipes.push(PlanRecipe::flat(
-            format!("{}-cold", tool.name()),
-            tool,
-            k,
-            cfg.clone(),
-        ));
-    }
+    let warm = PlanRecipe::flat("Geographer-warm", Tool::Geographer, k, cfg.clone()).warm();
+    let cold = |tool: Tool| PlanRecipe::flat(format!("{}-cold", tool.name()), tool, k, cfg.clone());
+    let recipes: Vec<PlanRecipe> = std::iter::once(warm).chain(Tool::ALL.map(cold)).collect();
 
-    let mut summaries: Vec<(Summary, Vec<ChainStep<2>>)> = Vec::new();
-    for recipe in &recipes {
-        let rows = run_plan_chain(&workload, recipe, p, steps);
-        let s = summarize(recipe.name.clone(), &rows);
-        eprintln!(
-            "{:<18} wall={:.3}s (re-steps {:.3}s) migration={:.3} wmigration={:.3} \
-             max_imb={:.4} cut≈{:.0}",
-            s.label, s.total_wall, s.restep_wall, s.migration, s.weight_migration,
-            s.max_imbalance, s.mean_cut
-        );
-        summaries.push((s, rows));
-    }
-
-    let mut tools_json = String::new();
-    for (i, (s, rows)) in summaries.iter().enumerate() {
-        let mut steps_json = String::new();
-        for (j, r) in rows.iter().enumerate() {
-            let _ = write!(
-                steps_json,
-                "{}{{\"step\": {}, \"wall_s\": {:.4}, \"wall_max_rank_s\": {:.4}, \
-                 \"ns_per_point\": {:.1}, \"imbalance\": {:.5}, \
-                 \"edge_cut\": {}, \"migrated_point_fraction\": {:.5}, \
-                 \"migrated_weight_fraction\": {:.5}}}",
-                if j > 0 { ", " } else { "" },
-                r.step,
-                r.wall_seconds,
-                r.wall_max_rank_s,
-                geographer_bench::harness::ns_per_point(r.wall_max_rank_s, n),
-                r.imbalance,
-                r.edge_cut,
-                r.migrated_point_fraction,
-                r.migrated_weight_fraction
-            );
-        }
-        let _ = write!(
-            tools_json,
-            "{}    {{\"tool\": \"{}\", \"total_wall_s\": {:.4}, \"resteps_wall_s\": {:.4}, \
-             \"resteps_max_rank_wall_s\": {:.4}, \
-             \"mean_migrated_point_fraction\": {:.5}, \
-             \"mean_migrated_weight_fraction\": {:.5}, \"max_imbalance\": {:.5}, \
-             \"mean_edge_cut\": {:.1},\n     \"steps\": [{}]}}",
-            if i > 0 { ",\n" } else { "" },
-            s.label,
-            s.total_wall,
-            s.restep_wall,
-            s.restep_max_rank_wall,
-            s.migration,
-            s.weight_migration,
-            s.max_imbalance,
-            s.mean_cut,
-            steps_json
-        );
-    }
-
-    let warm = &summaries[0].0;
-    let cold = &summaries[1].0;
-    let json = format!(
-        "{{\n  \"bench\": \"repartition\",\n  \
-         \"scenario\": {{\"kind\": \"cluster-drift\", \"clusters\": 5, \"speed\": 0.015, \
-         \"base\": \"delaunay_unit_square\", \"n\": {n}, \"seed\": {seed}, \
-         \"steps\": {steps}}},\n  \
-         \"k\": {k}, \"p\": {p}, \"epsilon\": {:.2},\n  \
-         \"cold_vs_warm\": {{\"cold_resteps_wall_s\": {:.4}, \"warm_resteps_wall_s\": {:.4}, \
-         \"warm_speedup\": {:.2}, \"cold_migration\": {:.5}, \"warm_migration\": {:.5}, \
-         \"migration_ratio\": {:.2}}},\n  \
-         \"tools\": [\n{tools_json}\n  ]\n}}\n",
-        cfg.epsilon,
-        cold.restep_wall,
-        warm.restep_wall,
-        cold.restep_wall / warm.restep_wall.max(1e-12),
-        cold.migration,
-        warm.migration,
-        cold.migration / warm.migration.max(1e-12),
-    );
-    // Smoke runs (CI) must not clobber the committed full-scale baseline.
-    let path = write_bench_json("repartition", smoke, &json);
-    println!("{json}");
-    println!("wrote {path}");
+    let summaries: Vec<(Value, f64, f64)> = recipes
+        .iter()
+        .map(|recipe| summarize(&recipe.name, &run_plan_chain(&workload, recipe, p, steps), n))
+        .collect();
+    let (_, warm_wall, warm_migration) = summaries[0];
+    let (_, cold_wall, cold_migration) = summaries[1];
+    let record = obj([
+        ("bench", "repartition".into()),
+        (
+            "scenario",
+            obj([
+                ("kind", "cluster-drift".into()),
+                ("clusters", 5usize.into()),
+                ("speed", Value::Num(0.015)),
+                ("base", "delaunay_unit_square".into()),
+                ("n", n.into()),
+                ("seed", seed.into()),
+                ("steps", steps.into()),
+            ]),
+        ),
+        ("k", k.into()),
+        ("p", p.into()),
+        ("epsilon", cfg.epsilon.into()),
+        (
+            "cold_vs_warm",
+            obj([
+                ("cold_resteps_wall_s", num(cold_wall)),
+                ("warm_resteps_wall_s", num(warm_wall)),
+                ("warm_speedup", num(cold_wall / warm_wall.max(1e-12))),
+                ("cold_migration", num(cold_migration)),
+                ("warm_migration", num(warm_migration)),
+                ("migration_ratio", num(cold_migration / warm_migration.max(1e-12))),
+            ]),
+        ),
+        ("tools", Value::Arr(summaries.into_iter().map(|(record, ..)| record).collect())),
+    ]);
+    write_bench_json("repartition", cli.smoke, SpmdBackend::Thread, &[p], &record);
 }

@@ -3,7 +3,10 @@
 //! `BENCH_scale.json` with *per-phase and per-assignment nanoseconds per
 //! point* — the numbers the tier-1 perf gate
 //! (`crates/bench/tests/perf_gate.rs`) holds the assignment hot path
-//! accountable against.
+//! accountable against — next to each run's structural communication
+//! counters (rounds, bytes per rank, per-collective ops), the
+//! perf-trajectory data point: those are deterministic, so a substrate or
+//! hot-loop change shows as a diff of the committed file.
 //!
 //! The instances are raw point clouds (no Delaunay graph — triangulating
 //! 4M points is not what this benchmark measures), solved through the
@@ -22,12 +25,14 @@
 //! $ cargo run --release -p geographer_bench --bin bench_scale -- --smoke
 //! ```
 
-use std::fmt::Write as _;
-
 use geographer::Config;
+use geographer_analyze::json::Value;
 use geographer_bench::harness::ns_per_point;
-use geographer_bench::{solve_plan_view, write_bench_json, PlanRecipe, Tool};
+use geographer_bench::{
+    num, obj, solve_plan_view, write_bench_json, Cli, PlanRecipe, SpmdBackend, Tool,
+};
 use geographer_mesh::density::sample_by_density;
+use geographer_parcomm::Collective;
 use geographer_planner::MeshView;
 
 /// Repeats for the gate measurement, reporting the minimum: on a shared
@@ -35,9 +40,9 @@ use geographer_planner::MeshView;
 const REPEATS: usize = 3;
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let cli = Cli::from_env(&["--smoke"], &[]);
     let sizes: &[usize] =
-        if smoke { &[100_000] } else { &[100_000, 1_000_000, 4_000_000] };
+        if cli.smoke { &[100_000] } else { &[100_000, 1_000_000, 4_000_000] };
     let ps = [1usize, 4, 8];
     let k = 8;
     let seed = 77;
@@ -60,8 +65,7 @@ fn main() {
         );
     }
 
-    let mut runs = String::new();
-    let mut first = true;
+    let mut runs = Vec::new();
     let mut gate_kmeans_ns = 0.0f64;
     let mut gate_assign_ns = 0.0f64;
     for &n in sizes {
@@ -92,35 +96,35 @@ fn main() {
                 gate_kmeans_ns = npp(kmeans_s);
                 gate_assign_ns = npp(assign_s);
             }
-            let _ = write!(
-                runs,
-                "{}    {{\"n\": {}, \"p\": {}, \"k\": {}, \
-                 \"wall_serialized_s\": {:.4}, \"wall_max_rank_s\": {:.4}, \
-                 \"total_ns_per_point\": {:.1},\n     \"phases\": {{\
-                 \"sfc_index\": {{\"seconds\": {:.4}, \"ns_per_point\": {:.1}}}, \
-                 \"redistribute\": {{\"seconds\": {:.4}, \"ns_per_point\": {:.1}}}, \
-                 \"kmeans\": {{\"seconds\": {:.4}, \"ns_per_point\": {:.1}}}, \
-                 \"writeback\": {{\"seconds\": {:.4}, \"ns_per_point\": {:.1}}}}},\n     \
-                 \"assignment\": {{\"seconds\": {:.4}, \"ns_per_point\": {:.1}}}}}",
-                if first { "" } else { ",\n" },
-                n,
-                p,
-                k,
-                run.wall_seconds,
-                run.wall_max_rank_s,
-                npp(ph.total()),
-                ph.sfc_index,
-                npp(ph.sfc_index),
-                ph.redistribute,
-                npp(ph.redistribute),
-                ph.kmeans,
-                npp(ph.kmeans),
-                ph.writeback,
-                npp(ph.writeback),
-                st.assignment_seconds,
-                npp(st.assignment_seconds),
-            );
-            first = false;
+            let timing = |s: f64| obj([("seconds", num(s)), ("ns_per_point", num(npp(s)))]);
+            let comm = run.plan.comm;
+            let per_op = Collective::ALL.map(|kind| {
+                let op = comm.op(kind);
+                let counts =
+                    obj([("ops", op.ops.into()), ("rounds", op.rounds.into()), ("bytes", op.bytes.into())]);
+                (kind.name().to_string(), counts)
+            });
+            runs.push(obj([
+                ("n", n.into()),
+                ("p", p.into()),
+                ("k", k.into()),
+                ("wall_serialized_s", num(run.wall_seconds)),
+                ("wall_max_rank_s", num(run.wall_max_rank_s)),
+                ("total_ns_per_point", num(npp(ph.total()))),
+                (
+                    "phases",
+                    obj([
+                        ("sfc_index", timing(ph.sfc_index)),
+                        ("redistribute", timing(ph.redistribute)),
+                        ("kmeans", timing(ph.kmeans)),
+                        ("writeback", timing(ph.writeback)),
+                    ]),
+                ),
+                ("assignment", timing(st.assignment_seconds)),
+                ("rounds", comm.rounds().into()),
+                ("bytes_per_rank", comm.bytes_per_rank().into()),
+                ("per_op", Value::Obj(per_op.into())),
+            ]));
             eprintln!(
                 "n={n} p={p}: wall(serialized)={:.2}s max-rank={:.2}s \
                  kmeans={:.1} ns/pt assign={:.1} ns/pt total={:.1} ns/pt",
@@ -133,21 +137,23 @@ fn main() {
         }
     }
 
-    let json = format!(
-        "{{\n  \"bench\": \"scale\",\n  \"tool\": \"Geographer\",\n  \
-         \"mesh\": {{\"kind\": \"uniform_random\", \"seed\": {seed}}},\n  \
-         \"k\": {k}, \"epsilon\": {:.2},\n  \
-         \"gate\": {{\"n\": {}, \"p\": 1, \"repeats\": {REPEATS}, \
-         \"kmeans_ns_per_point\": {:.1}, \
-         \"assignment_ns_per_point\": {:.1}}},\n  \
-         \"runs\": [\n{runs}\n  ]\n}}\n",
-        cfg.epsilon,
-        sizes[0],
-        gate_kmeans_ns,
-        gate_assign_ns,
-    );
-    // Smoke runs (CI) must not clobber the committed full-scale baseline.
-    let path = write_bench_json("scale", smoke, &json);
-    println!("{json}");
-    println!("wrote {path}");
+    let record = obj([
+        ("bench", "scale".into()),
+        ("tool", "Geographer".into()),
+        ("mesh", obj([("kind", "uniform_random".into()), ("seed", seed.into())])),
+        ("k", k.into()),
+        ("epsilon", cfg.epsilon.into()),
+        (
+            "gate",
+            obj([
+                ("n", sizes[0].into()),
+                ("p", 1usize.into()),
+                ("repeats", REPEATS.into()),
+                ("kmeans_ns_per_point", num(gate_kmeans_ns)),
+                ("assignment_ns_per_point", num(gate_assign_ns)),
+            ]),
+        ),
+        ("runs", runs.into()),
+    ]);
+    write_bench_json("scale", cli.smoke, SpmdBackend::Thread, &ps, &record);
 }

@@ -6,12 +6,13 @@
 //! Geographer produces curved, compact blocks.
 
 use geographer::Config;
-use geographer_bench::{out_dir, scaled, solve_plan_view, PlanRecipe, Tool};
+use geographer_bench::{out_dir, scaled, solve_plan_view, Cli, PlanRecipe, Tool};
 use geographer_mesh::families::tric_like;
 use geographer_planner::MeshView;
 use geographer_viz::render_partition_svg;
 
 fn main() {
+    Cli::from_env(&[], &[]);
     let n = scaled(8000);
     let k = 8;
     println!("# Fig. 1 gallery: tric-like mesh, n = {n}, k = {k}");

@@ -17,14 +17,20 @@
 //!   migration.
 //! * [`evaluate_run`] — the paper's metric row ([`ToolRow`]) of a finished
 //!   run: graph metrics plus the empirical SpMV benchmark.
-//! * [`write_bench_json`] / [`level_metrics_json`] — the shared output
-//!   conventions (smoke runs write under `target/` so CI never clobbers
-//!   the committed full-scale baselines).
+//! * [`Cli`] — the one argument parser: an unknown argument is an error,
+//!   so a mistyped `--smoke` cannot run full scale over a committed file.
+//! * [`write_bench_json`] — the one record writer. A bin builds its
+//!   `BENCH_<name>.json` as a [`Value`] ([`obj`], [`num`]); the writer
+//!   stamps the `provenance` block, routes smoke runs under `target/` (CI
+//!   never clobbers a committed full-scale baseline) and checks their key
+//!   skeleton against the committed file ([`skeleton_diff`]).
 
-use std::fmt::Write as _;
-use std::time::Instant;
+use std::collections::BTreeSet;
+use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 use geographer::{Config, HierarchySpec};
+use geographer_analyze::json::{parse, Value};
+use geographer_analyze::schema::PROVENANCE_KEYS;
 use geographer_graph::{
     edge_cut, evaluate_partition_with_targets, imbalance, relabel_free_migration, LevelMetrics,
     PartitionMetrics,
@@ -55,17 +61,6 @@ impl SpmdBackend {
         match self {
             SpmdBackend::Thread => "thread",
             SpmdBackend::Proc => "proc",
-        }
-    }
-
-    /// Backend selected by the process's CLI arguments: `--proc` picks the
-    /// multi-process substrate, default is threads. The figure binaries
-    /// all share this switch.
-    pub fn from_cli_args() -> SpmdBackend {
-        if std::env::args().any(|a| a == "--proc") {
-            SpmdBackend::Proc
-        } else {
-            SpmdBackend::Thread
         }
     }
 
@@ -206,6 +201,12 @@ pub struct PlanRun<const D: usize> {
 /// Nanoseconds per point for a measured seconds figure over `n` points.
 pub fn ns_per_point(seconds: f64, n: usize) -> f64 {
     if n == 0 { 0.0 } else { seconds * 1e9 / n as f64 }
+}
+
+/// Arithmetic mean, 0 for an empty sequence.
+pub fn mean(vals: impl Iterator<Item = f64>) -> f64 {
+    let (sum, count) = vals.fold((0.0, 0usize), |(s, c), v| (s + v, c + 1));
+    if count == 0 { 0.0 } else { sum / count as f64 }
 }
 
 /// Run one recipe on a mesh view (graph optional) with `p` thread ranks,
@@ -418,38 +419,184 @@ pub fn evaluate_run<const D: usize>(
     }
 }
 
-/// JSON array body for a slice of per-level metrics (the shared format of
-/// `BENCH_hierarchy.json` and `BENCH_planner.json`).
-pub fn level_metrics_json(levels: &[LevelMetrics]) -> String {
-    let mut s = String::new();
-    for (i, l) in levels.iter().enumerate() {
-        let _ = write!(
-            s,
-            "{}{{\"groups\": {}, \"edge_cut\": {}, \"total_comm_volume\": {}, \
-             \"max_comm_volume\": {}}}",
-            if i > 0 { ", " } else { "" },
-            l.groups,
-            l.edge_cut,
-            l.total_comm_volume,
-            l.max_comm_volume
-        );
-    }
-    s
+/// Parsed command line of an experiment binary.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct Cli {
+    /// `--smoke`: CI sizing; the record goes under `target/` and its key
+    /// skeleton is checked against the committed baseline.
+    pub smoke: bool,
+    /// `--proc` picks the multi-process substrate, default is threads.
+    pub backend: SpmdBackend,
+    /// Sections named on the command line; none named = all of them.
+    pub sections: Vec<String>,
 }
 
-/// Write a benchmark JSON document to its canonical location and return
-/// the path: `BENCH_<name>.json` in the working directory for full runs,
-/// `target/BENCH_<name>.smoke.json` for smoke runs (CI must never clobber
-/// the committed full-scale baseline).
-pub fn write_bench_json(name: &str, smoke: bool, json: &str) -> String {
+impl Cli {
+    /// Parse `args` (without the program name) for a binary that accepts
+    /// `flags` (of `--smoke`, `--proc`) and the section names `sections`.
+    /// Anything else is an error naming the argument: a mistyped `--smok`
+    /// must not run full scale and overwrite a committed baseline.
+    pub fn parse(args: &[String], flags: &[&str], sections: &[&str]) -> Result<Cli, String> {
+        let mut cli = Cli::default();
+        for arg in args {
+            match arg.as_str() {
+                "--smoke" if flags.contains(&"--smoke") => cli.smoke = true,
+                "--proc" if flags.contains(&"--proc") => cli.backend = SpmdBackend::Proc,
+                a if sections.contains(&a) => cli.sections.push(a.to_string()),
+                a => return Err(format!("unknown argument `{a}`")),
+            }
+        }
+        Ok(cli)
+    }
+
+    /// [`Cli::parse`] over the process's arguments; an unknown argument
+    /// prints the error and a usage line and exits with status 2.
+    pub fn from_env(flags: &[&str], sections: &[&str]) -> Cli {
+        let args: Vec<String> = std::env::args().collect();
+        Cli::parse(&args[1..], flags, sections).unwrap_or_else(|e| {
+            let accepted: Vec<String> =
+                flags.iter().chain(sections).map(|a| format!("[{a}]")).collect();
+            eprintln!("{e}\nusage: {} {}", args[0], accepted.join(" "));
+            std::process::exit(2)
+        })
+    }
+
+    /// Whether `section` runs: it was named, or no section was.
+    pub fn runs(&self, section: &str) -> bool {
+        self.sections.is_empty() || self.sections.iter().any(|s| s == section)
+    }
+
+    /// `main` of a binary that is nothing but named sections: parse the
+    /// process's arguments against their names and run the ones asked for.
+    pub fn run_sections(sections: &[(&str, fn())]) {
+        let names: Vec<&str> = sections.iter().map(|(name, _)| *name).collect();
+        let cli = Cli::from_env(&[], &names);
+        sections.iter().filter(|(name, _)| cli.runs(name)).for_each(|(_, run)| run());
+    }
+}
+
+/// A JSON object from `(key, value)` pairs, in the given order.
+pub fn obj<'a>(fields: impl IntoIterator<Item = (&'a str, Value)>) -> Value {
+    Value::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+}
+
+/// A measured float as a JSON number of five significant digits: the
+/// baselines are read by people and diffed between commits, and no clock
+/// or mean here resolves more. Counts go through `Value::from` exactly.
+pub fn num(x: f64) -> Value {
+    Value::Num(format!("{x:.4e}").parse().expect("a printed float parses back"))
+}
+
+/// JSON array of per-level metrics (the shared format of
+/// `BENCH_hierarchy.json` and `BENCH_planner.json`).
+pub fn level_metrics_value(levels: &[LevelMetrics]) -> Value {
+    let level = |l: &LevelMetrics| {
+        obj([
+            ("groups", l.groups.into()),
+            ("edge_cut", l.edge_cut.into()),
+            ("total_comm_volume", l.total_comm_volume.into()),
+            ("max_comm_volume", l.max_comm_volume.into()),
+        ])
+    };
+    Value::Arr(levels.iter().map(level).collect())
+}
+
+/// Key paths of `doc` with array indices collapsed
+/// (`$.runs[].phases.kmeans.seconds`): the shape of a record whatever its
+/// row counts, so a smoke run and a full run of one writer compare equal.
+pub fn skeleton(doc: &Value) -> BTreeSet<String> {
+    fn walk(v: &Value, path: &str, out: &mut BTreeSet<String>) {
+        match v {
+            Value::Obj(fields) => {
+                for (key, child) in fields {
+                    let child_path = format!("{path}.{key}");
+                    walk(child, &child_path, out);
+                    out.insert(child_path);
+                }
+            }
+            Value::Arr(items) => items.iter().for_each(|v| walk(v, &format!("{path}[]"), out)),
+            _ => {}
+        }
+    }
+    let mut out = BTreeSet::new();
+    walk(doc, "$", &mut out);
+    out
+}
+
+/// One line per key path that only one of the two documents has.
+pub fn skeleton_diff(written: &Value, committed: &Value) -> Vec<String> {
+    let (w, c) = (skeleton(written), skeleton(committed));
+    let extra = w.difference(&c).map(|p| format!("{p}: written, but not in the committed baseline"));
+    let lost = c.difference(&w).map(|p| format!("{p}: in the committed baseline, but not written"));
+    extra.chain(lost).collect()
+}
+
+/// Trimmed stdout of a command, `unknown` if it cannot run or fails.
+fn stdout_of(program: &str, args: &[&str]) -> String {
+    std::process::Command::new(program)
+        .args(args)
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .map_or("unknown".to_string(), |out| String::from_utf8_lossy(&out.stdout).trim().to_string())
+}
+
+/// The [`PROVENANCE_KEYS`] block: what produced a record's numbers.
+fn provenance(backend: SpmdBackend, ranks: &[usize]) -> Value {
+    let values: [Value; 6] = [
+        std::thread::available_parallelism().map_or(0, |c| c.get()).into(),
+        backend.name().into(),
+        Value::Arr(ranks.iter().map(|&p| p.into()).collect()),
+        stdout_of("rustc", &["-V"]).into(),
+        stdout_of("git", &["describe", "--always", "--dirty", "--abbrev=12", "--exclude=*"]).into(),
+        SystemTime::now().duration_since(UNIX_EPOCH).map_or(0, |d| d.as_secs()).into(),
+    ];
+    Value::Obj(PROVENANCE_KEYS.iter().map(|k| k.to_string()).zip(values).collect())
+}
+
+/// Write a benchmark record — a JSON object, stamped here with the
+/// `provenance` of the `backend` and rank counts `ranks` it was measured
+/// on — to its canonical location and print it: `BENCH_<name>.json` in
+/// the working directory for full runs, `target/BENCH_<name>.smoke.json`
+/// for smoke runs.
+///
+/// # Panics
+/// On a smoke run whose key skeleton differs from the committed
+/// `BENCH_<name>.json`'s, naming each differing key path: the committed
+/// file is the schema, so a key change lands with a regenerated baseline.
+pub fn write_bench_json(
+    name: &str,
+    smoke: bool,
+    backend: SpmdBackend,
+    ranks: &[usize],
+    record: &Value,
+) {
+    let mut fields = record.fields().expect("a bench record is a JSON object").to_vec();
+    fields.insert(0, ("provenance".to_string(), provenance(backend, ranks)));
+    let doc = Value::Obj(fields);
+    let committed = format!("BENCH_{name}.json");
     let path = if smoke {
         std::fs::create_dir_all("target").expect("create target/");
         format!("target/BENCH_{name}.smoke.json")
     } else {
-        format!("BENCH_{name}.json")
+        committed.clone()
     };
-    std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    path
+    let text = format!("{doc}\n");
+    std::fs::write(&path, &text).unwrap_or_else(|e| panic!("write {path}: {e}"));
+    println!("{text}wrote {path}");
+    if smoke {
+        let baseline = std::fs::read_to_string(&committed)
+            .map_err(|e| e.to_string())
+            .and_then(|text| parse(&text))
+            .unwrap_or_else(|e| panic!("{committed} (run from the repository root): {e}"));
+        let drift = skeleton_diff(&doc, &baseline);
+        assert!(
+            drift.is_empty(),
+            "{path} and the committed {committed} differ in shape; undo the key change or \
+             regenerate the baseline with a full run:\n  {}",
+            drift.join("\n  ")
+        );
+    }
 }
 
 #[cfg(test)]
@@ -650,5 +797,82 @@ mod tests {
                 row.metrics.imbalance
             );
         }
+    }
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn cli_rejects_what_the_binary_did_not_declare() {
+        let flags = ["--smoke", "--proc"];
+        let cli = Cli::parse(&args(&["--smoke", "weak", "--proc"]), &flags, &["weak", "strong"]);
+        let cli = cli.expect("declared arguments parse");
+        assert!(cli.smoke && cli.backend == SpmdBackend::Proc);
+        assert!(cli.runs("weak") && !cli.runs("strong"));
+        let all = Cli::parse(&[], &flags, &["weak", "strong"]).unwrap();
+        assert_eq!(all, Cli::default());
+        assert!(all.runs("weak") && all.runs("strong"), "no section named = all");
+        // The bug this parser exists for: a typo used to mean "full scale".
+        for typo in ["--smok", "-smoke", "--smoke=1", "smoke", "--Proc", "week"] {
+            let err = Cli::parse(&args(&["--smoke", typo]), &flags, &["weak"]).unwrap_err();
+            assert_eq!(err, format!("unknown argument `{typo}`"));
+        }
+        // A flag the binary does not take is as unknown as a typo.
+        assert!(Cli::parse(&args(&["--proc"]), &["--smoke"], &[]).is_err());
+        assert!(Cli::parse(&args(&["--smoke"]), &[], &["bounds"]).is_err());
+    }
+
+    fn record(rows: usize, row_key: &str) -> Value {
+        let row = |i: usize| {
+            obj([("p", i.into()), (row_key, obj([("seconds", num(0.5)), ("ns_per_point", num(3.0))]))])
+        };
+        obj([
+            ("bench", "demo".into()),
+            ("gate", obj([("n", 100usize.into())])),
+            ("runs", Value::Arr((0..rows).map(row).collect())),
+        ])
+    }
+
+    #[test]
+    fn skeleton_ignores_row_counts_and_names_a_renamed_key() {
+        let full = record(9, "kmeans");
+        assert!(skeleton(&full).contains("$.runs[].kmeans.ns_per_point"));
+        // Smoke vs full: fewer rows, same shape.
+        assert_eq!(skeleton_diff(&record(1, "kmeans"), &full), Vec::<String>::new());
+        // One key renamed in the writer: both spellings are reported, each
+        // with its full path and the side it is missing from.
+        let drift = skeleton_diff(&record(1, "k_means"), &full);
+        let written = |p: &str| format!("{p}: written, but not in the committed baseline");
+        let committed = |p: &str| format!("{p}: in the committed baseline, but not written");
+        assert_eq!(
+            drift,
+            vec![
+                written("$.runs[].k_means"),
+                written("$.runs[].k_means.ns_per_point"),
+                written("$.runs[].k_means.seconds"),
+                committed("$.runs[].kmeans"),
+                committed("$.runs[].kmeans.ns_per_point"),
+                committed("$.runs[].kmeans.seconds"),
+            ]
+        );
+    }
+
+    #[test]
+    fn provenance_block_passes_the_analyzers_check() {
+        let prov = provenance(SpmdBackend::Proc, &[2, 4]);
+        assert_eq!(prov.get("backend"), Some(&Value::Str("proc".to_string())));
+        assert_eq!(prov.get("p"), Some(&Value::Arr(vec![2usize.into(), 4usize.into()])));
+        let doc = obj([("provenance", prov)]).to_string();
+        let errs = geographer_analyze::schema::check_bench_file("BENCH_demo.json", &doc);
+        assert_eq!(errs, Vec::<String>::new());
+    }
+
+    #[test]
+    fn num_keeps_five_significant_digits() {
+        assert_eq!(num(1633.7449), Value::Num(1633.7));
+        assert_eq!(num(0.000123456789), Value::Num(0.00012346));
+        assert_eq!(num(0.0), Value::Num(0.0));
+        assert_eq!(num(f64::INFINITY).to_string(), "null");
     }
 }

@@ -10,21 +10,11 @@
 //! allocation storm — not scheduler noise on a busy machine.
 
 use geographer::Config;
+use geographer_analyze::json::{parse, Value};
 use geographer_bench::harness::ns_per_point;
 use geographer_bench::{solve_plan_view, PlanRecipe, Tool};
 use geographer_mesh::density::sample_by_density;
 use geographer_planner::MeshView;
-
-/// Pull `"key": <float>` out of `block`, no serde in the workspace.
-fn json_f64(block: &str, key: &str) -> f64 {
-    let pat = format!("\"{key}\":");
-    let at = block.find(&pat).unwrap_or_else(|| panic!("no {key} in {block}"));
-    let rest = block[at + pat.len()..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().unwrap_or_else(|e| panic!("parse {key}: {e}"))
-}
 
 #[test]
 fn assignment_ns_per_point_within_committed_envelope() {
@@ -33,10 +23,14 @@ fn assignment_ns_per_point_within_committed_envelope() {
         "/../../BENCH_scale.json"
     ))
     .expect("committed BENCH_scale.json at the repo root");
-    let gate_at = baseline.find("\"gate\"").expect("baseline has a gate block");
-    let gate = &baseline[gate_at..baseline[gate_at..].find('}').unwrap() + gate_at + 1];
-    let committed_ns = json_f64(gate, "assignment_ns_per_point");
-    let n = json_f64(gate, "n") as usize;
+    let doc = parse(&baseline).expect("BENCH_scale.json is well-formed");
+    let gate = doc.get("gate").expect("baseline has a gate block");
+    let number = |key: &str| match gate.get(key) {
+        Some(Value::Num(x)) => *x,
+        other => panic!("gate.{key} must be a number, found {other:?}"),
+    };
+    let committed_ns = number("assignment_ns_per_point");
+    let n = number("n") as usize;
     assert!(committed_ns > 0.0 && n > 0, "gate block sane: {gate}");
 
     let k = 8;

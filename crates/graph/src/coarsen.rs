@@ -11,8 +11,6 @@
 //! weights accumulate the same way, so per-block weights (and therefore
 //! balance) are preserved exactly under projection.
 
-use rayon::prelude::*;
-
 use crate::csr::CsrGraph;
 use crate::cut::edge_cut_core;
 
@@ -178,10 +176,6 @@ impl Contraction {
 /// parallel coarse edges collapse into one edge carrying the summed
 /// weight; edges inside a matched pair vanish.
 ///
-/// The per-coarse-vertex adjacency build runs in parallel (each coarse
-/// vertex's list is a pure function of the fine graph and the matching,
-/// so the result is thread-count independent).
-///
 /// # Panics
 /// If `mate` is not an involution on `0..g.n()`.
 pub fn contract(g: &WeightedCsrGraph, mate: &[u32]) -> Contraction {
@@ -208,7 +202,7 @@ pub fn contract(g: &WeightedCsrGraph, mate: &[u32]) -> Contraction {
     // map them to coarse ids, drop self-loops, merge duplicates.
     let cof = &coarse_of_fine;
     let built: Vec<(Vec<(u32, u64)>, f64)> = pairs
-        .par_iter()
+        .iter()
         .map(|&(a, b)| {
             let c = cof[a as usize];
             let mut nbrs: Vec<(u32, u64)> = Vec::with_capacity(

@@ -12,8 +12,6 @@
 //!   uniformly or `w(V)·f_i` under heterogeneous target fractions (see
 //!   [`imbalance_with_targets`] and DESIGN.md §7 erratum b).
 
-use rayon::prelude::*;
-
 use crate::csr::CsrGraph;
 use crate::traversal::diameter_lower_bound;
 
@@ -185,13 +183,13 @@ pub fn evaluate_partition_with_targets(
         ..
     } = crate::hierarchy::cut_and_volume(g, assignment, k);
 
-    // Per-block vertex lists, then parallel diameter bounds.
+    // Per-block vertex lists, then one diameter bound per block.
     let mut members: Vec<Vec<u32>> = vec![Vec::new(); k];
     for (v, &b) in assignment.iter().enumerate() {
         members[b as usize].push(v as u32);
     }
     let diameters: Vec<Option<u32>> = members
-        .par_iter()
+        .iter()
         .map(|verts| {
             if verts.is_empty() {
                 return None;

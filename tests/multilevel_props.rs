@@ -171,10 +171,8 @@ fn multilevel_beats_single_level_on_two_mesh_families() {
     }
 }
 
-/// Thread-count independence: the matching, contraction, and full V-cycle
-/// are pure functions of the input (CI re-runs the suite with
-/// `RAYON_NUM_THREADS=1`; this test gives the double run real coverage
-/// over the parallel contraction path).
+/// The matching, contraction, and full V-cycle are pure functions of the
+/// input.
 #[test]
 fn multilevel_is_deterministic() {
     let mesh = delaunay_unit_square(4_000, 77);
