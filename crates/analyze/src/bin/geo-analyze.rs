@@ -1,11 +1,9 @@
 //! `geo-analyze` — run the workspace invariant analyzer from the CLI.
 //!
 //! ```text
-//! geo-analyze [--root DIR]          check every workspace .rs file (rules D1–D10)
+//! geo-analyze [--root DIR]          check every workspace .rs file (rules D1, D3–D6, D10)
 //! geo-analyze bench-schema [--root DIR]
 //!                                   validate committed BENCH_*.json baselines
-//! geo-analyze protocol [--root DIR] [--format json] [--dot PATH]
-//!                                   summarize per-entry-point collective protocols
 //! geo-analyze --list                print the rule catalog
 //! ```
 //!
@@ -14,37 +12,30 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use geographer_analyze::{analyze_workspace, callgraph, protocol, rules, schema};
+use geographer_analyze::{analyze_workspace, rules, schema};
+
+const USAGE: &str = "usage: geo-analyze [--root DIR]            analyze workspace sources\n\
+                     \x20      geo-analyze bench-schema [--root DIR]  validate BENCH_*.json\n\
+                     \x20      geo-analyze --list                 print the rule catalog";
+
+/// The live rule numbers, as the catalog spells them: "D1, D3, D4, D5, D6, D10".
+fn rule_numbers() -> String {
+    let ids: Vec<&str> =
+        rules::RULES.iter().map(|(_, what)| what.split(':').next().unwrap_or(what)).collect();
+    ids.join(", ")
+}
 
 fn main() -> ExitCode {
     let mut root = PathBuf::from(".");
     let mut bench_schema = false;
-    let mut proto_mode = false;
-    let mut format = String::from("text");
-    let mut dot_path: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "bench-schema" => bench_schema = true,
-            "protocol" => proto_mode = true,
             "--root" => match args.next() {
                 Some(dir) => root = PathBuf::from(dir),
                 None => {
-                    eprintln!("--root needs a directory");
-                    return ExitCode::from(2);
-                }
-            },
-            "--format" => match args.next() {
-                Some(f) if f == "json" || f == "text" => format = f,
-                _ => {
-                    eprintln!("--format needs `json` or `text`");
-                    return ExitCode::from(2);
-                }
-            },
-            "--dot" => match args.next() {
-                Some(p) => dot_path = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("--dot needs an output path");
+                    eprintln!("--root needs a directory\n{USAGE}");
                     return ExitCode::from(2);
                 }
             },
@@ -55,56 +46,14 @@ fn main() -> ExitCode {
                 return ExitCode::SUCCESS;
             }
             "--help" | "-h" => {
-                println!(
-                    "usage: geo-analyze [--root DIR]            analyze workspace sources\n\
-                     \x20      geo-analyze bench-schema [--root DIR]  validate BENCH_*.json\n\
-                     \x20      geo-analyze protocol [--root DIR] [--format json] [--dot PATH]\n\
-                     \x20                                         summarize entry-point protocols\n\
-                     \x20      geo-analyze --list                 print the rule catalog"
-                );
+                println!("{USAGE}\nrules: {}", rule_numbers());
                 return ExitCode::SUCCESS;
             }
             other => {
-                eprintln!("unknown argument `{other}` (try --help)");
+                eprintln!("unknown argument `{other}`\n{USAGE}");
                 return ExitCode::from(2);
             }
         }
-    }
-
-    if proto_mode {
-        let ws = match callgraph::Workspace::load(&root) {
-            Ok(ws) => ws,
-            Err(e) => {
-                eprintln!("protocol: cannot read workspace at {}: {e}", root.display());
-                return ExitCode::from(2);
-            }
-        };
-        let entries = protocol::entry_summaries(&ws);
-        if entries.is_empty() {
-            eprintln!("protocol: no entry points found under {}", root.display());
-            return ExitCode::FAILURE;
-        }
-        if let Some(p) = &dot_path {
-            let ids: Vec<_> = entries.iter().map(|e| e.id).collect();
-            if let Err(e) = std::fs::write(p, ws.dot(&ids)) {
-                eprintln!("protocol: cannot write {}: {e}", p.display());
-                return ExitCode::from(2);
-            }
-        }
-        if format == "json" {
-            print!("{}", protocol::summaries_json(&entries));
-        } else {
-            for e in &entries {
-                println!("{}", e.name);
-                println!("  protocol:   {}", protocol::key(&e.proto));
-                if e.unresolved.is_empty() {
-                    println!("  unresolved: (none)");
-                } else {
-                    println!("  unresolved: {}", e.unresolved.join(", "));
-                }
-            }
-        }
-        return ExitCode::SUCCESS;
     }
 
     if bench_schema {
@@ -133,7 +82,10 @@ fn main() -> ExitCode {
 
     match analyze_workspace(&root) {
         Ok(violations) if violations.is_empty() => {
-            println!("geo-analyze: workspace clean (rules D1-D10, zero unwaived violations)");
+            println!(
+                "geo-analyze: workspace clean (rules {}, zero unwaived violations)",
+                rule_numbers()
+            );
             ExitCode::SUCCESS
         }
         Ok(violations) => {

@@ -24,14 +24,10 @@
 //! waivers that no longer suppress anything are flagged (`stale-waiver`)
 //! so the escape hatches cannot rot in place.
 
-pub mod callgraph;
 pub mod json;
-pub mod parse;
-pub mod protocol;
 pub mod rules;
 pub mod scan;
 pub mod schema;
-pub mod taint;
 
 use std::path::{Path, PathBuf};
 
@@ -89,7 +85,7 @@ fn parse_waivers(path: &str, lines: &[scan::Line]) -> (Vec<Waiver>, Vec<Violatio
         }
         let Some(at) = line.comment.find(WAIVER_MARK) else { continue };
         let rest = line.comment[at + WAIVER_MARK.len()..].trim_start();
-        // `geo-analyze: hot-loop` is the D10 opt-in marker, not a waiver.
+        // `hot-loop` after the mark is the D10 opt-in marker, not a waiver.
         if rest.starts_with("hot-loop") {
             continue;
         }
@@ -152,10 +148,7 @@ pub fn analyze_source_opts(path: &str, text: &str, force_test: bool) -> Vec<Viol
     let lines = scan::scan(text);
     let is_tests_file =
         force_test || path.contains("/tests/") || path.contains("/benches/");
-    // One parse feeds D5 scoping and the D7–D10 dataflow rules; a file
-    // outside the supported subset degrades to the lexical rules only.
-    let parsed = parse::parse_file(&lines).ok();
-    let raw = rules::apply_rules(path, &lines, is_tests_file, parsed.as_ref());
+    let raw = rules::apply_rules(path, &lines, is_tests_file);
     let (mut waivers, mut out) = parse_waivers(path, &lines);
     for v in raw {
         match waivers.iter_mut().find(|w| w.rule == v.rule && w.target_line == v.line) {
@@ -197,10 +190,11 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Analyze every `.rs` file under `root`'s `crates/` and `vendor/` trees.
-/// The analyzer's own fixture corpus (deliberately-bad snippets under
+/// Every `.rs` file under `root`'s `crates/` and `vendor/` trees as
+/// `(workspace-relative path, text)`, sorted by path. The analyzer's own
+/// fixture corpus (deliberately-bad snippets under
 /// `crates/analyze/tests/fixtures/`) is excluded.
-pub fn analyze_workspace(root: &Path) -> std::io::Result<Vec<Violation>> {
+pub fn workspace_sources(root: &Path) -> std::io::Result<Vec<(String, String)>> {
     let mut files = Vec::new();
     collect_rs(&root.join("crates"), &mut files)?;
     collect_rs(&root.join("vendor"), &mut files)?;
@@ -219,6 +213,12 @@ pub fn analyze_workspace(root: &Path) -> std::io::Result<Vec<Violation>> {
         }
         texts.push((rel, std::fs::read_to_string(f)?));
     }
+    Ok(texts)
+}
+
+/// Analyze every source [`workspace_sources`] lists.
+pub fn analyze_workspace(root: &Path) -> std::io::Result<Vec<Violation>> {
+    let texts = workspace_sources(root)?;
     // Phase 1: find files that are out-of-line `#[cfg(test)] mod name;`
     // modules — their test-ness is declared in the *parent* file, so a
     // single-file pass would misread them as production code.

@@ -1,25 +1,23 @@
-//! The determinism/SPMD invariant catalog: rules D1–D10 (D2, the
-//! parallel-iterator float-reduction ban, is retired: no parallel iterator
-//! is left in the workspace to reduce over).
+//! The determinism/SPMD invariant catalog: rules D1, D3–D6 and D10. Three
+//! ids are retired, their numbers kept so the others keep theirs: D2 (the
+//! parallel-iterator float-reduction ban — no parallel iterator is left in
+//! the workspace to reduce over) and D7–D9 (rank-tainted guards, branch
+//! protocol divergence, rank-tainted lengths — `CheckedComm` under
+//! `tests/checked_sweep.rs` catches each of them at run time, on every
+//! collective call site of the workspace; DESIGN.md §11 has the audit).
 //!
-//! D1, D3–D6 are token-level properties over the scanned code/comment view of
-//! one file ([`crate::scan`]). D7–D9 are dataflow properties over the
-//! parsed expression tree ([`crate::parse`]): rank-taint propagation
-//! ([`crate::taint`]) and collective-protocol summaries
-//! ([`crate::protocol`]). D10 is an opt-in allocation ban over loops
+//! Every rule is a token-level property over the scanned code/comment view
+//! of one file ([`crate::scan`]), scoped where it needs a block by
+//! brace-matched line spans. D10 is an opt-in allocation ban over loops
 //! marked `// geo-analyze: hot-loop`. Scoping is by workspace-relative
 //! path, so a rule only fires where the invariant it protects actually
-//! lives (DESIGN.md §11–§12 tie each rule to the PR that established its
+//! lives (DESIGN.md §11 ties each rule to the PR that established its
 //! invariant). `#[cfg(test)]` modules and files under `tests/` are exempt
-//! from the rules whose hazards are production-only (D1/D4/D5 and
-//! D7–D9); D3, D6, and D10 apply everywhere.
+//! from the rules whose hazards are production-only (D1/D4/D5); D3, D6,
+//! and D10 apply everywhere.
 
-use std::collections::BTreeSet;
-
-use crate::parse::{CallSite, Node, ParsedFile};
 use crate::scan::{self, Line};
 use crate::Violation;
-use crate::{callgraph, protocol, taint};
 
 /// Rule ids and one-line summaries (the `--list` output).
 pub const RULES: &[(&str, &str)] = &[
@@ -37,18 +35,6 @@ pub const RULES: &[(&str, &str)] = &[
         "D5: no unwrap/expect/panic! inside SPMD rank closures and Comm implementations",
     ),
     ("wire-kind-table", "D6: frame-kind constants are collision-free and all used"),
-    (
-        "rank-tainted-guard",
-        "D7: no collective call dominated by a rank-dependent branch or loop condition",
-    ),
-    (
-        "protocol-divergence",
-        "D8: every path through a rank-dependent branch issues the same collective sequence",
-    ),
-    (
-        "rank-tainted-length",
-        "D9: collective buffer lengths and broadcast roots must not be rank-dependent",
-    ),
     (
         "hot-loop-alloc",
         "D10: no allocation inside loops marked `// geo-analyze: hot-loop`",
@@ -92,43 +78,28 @@ const KERNEL_MODULES: &[&str] = &[
     "crates/planner/src/hier_refine.rs",
 ];
 
-/// Files that contain Comm implementations. With a parse in hand, D5
-/// applies inside `impl … Comm for …` blocks — `collectives.rs`'s blanket
-/// impl over every transport is where the collective bodies live — and
-/// the `Comm` trait declaration (a panic there strands peers inside
-/// collectives — DESIGN.md §10); without one, the whole file stays in
-/// scope as before. `wire.rs`/`stats.rs` are serialization helpers, not
-/// collectives, and fail-loud on malformed frames by design.
-const PANIC_SCOPE_FILES: &[&str] = &[
-    "crates/parcomm/src/lib.rs",
-    "crates/parcomm/src/collectives.rs",
-    "crates/parcomm/src/thread.rs",
-    "crates/parcomm/src/proc.rs",
-    "crates/parcomm/src/checked.rs",
-];
+/// Where Comm implementations live. D5 applies inside this crate's
+/// `impl … Comm for …` blocks — `collectives.rs`'s blanket impl over every
+/// transport is where the collective bodies live — and the `Comm` trait
+/// declaration (a panic there strands peers inside collectives —
+/// DESIGN.md §10). Free functions beside them (`wire.rs`/`stats.rs`
+/// serialization helpers, the transports) fail loud by design.
+const COMM_IMPL_SRC: &str = "crates/parcomm/src/";
 
 /// Entry points whose closure argument runs as an SPMD rank: D5 applies
 /// inside the call span.
 const SPMD_ENTRY_POINTS: &[&str] =
     &["run_spmd", "run_spmd_proc", "run_spmd_checked", "run_spmd_proc_checked"];
 
-/// Run every rule over one scanned file. `parsed` is the expression-tree
-/// view when the file parses (D5 scoping, D7–D10); when it is `None` the
-/// dataflow rules stand down and D5 falls back to its lexical scope.
-pub fn apply_rules(
-    path: &str,
-    lines: &[Line],
-    is_tests_file: bool,
-    parsed: Option<&ParsedFile>,
-) -> Vec<Violation> {
+/// Run every rule over one scanned file.
+pub fn apply_rules(path: &str, lines: &[Line], is_tests_file: bool) -> Vec<Violation> {
     let mut out = Vec::new();
     d1_hash_container(path, lines, is_tests_file, &mut out);
     d3_unsafe_without_safety(path, lines, &mut out);
     d4_kernel_entropy(path, lines, is_tests_file, &mut out);
-    d5_panic_in_spmd(path, lines, is_tests_file, parsed, &mut out);
+    d5_panic_in_spmd(path, lines, is_tests_file, &mut out);
     d6_wire_kind_table(path, lines, &mut out);
-    d7_d8_d9_protocol(path, is_tests_file, parsed, &mut out);
-    d10_hot_loop_alloc(path, lines, parsed, &mut out);
+    d10_hot_loop_alloc(path, lines, &mut out);
     out
 }
 
@@ -140,6 +111,26 @@ fn exempt(line: &Line, is_tests_file: bool) -> bool {
 fn leading_ident(s: &str) -> &str {
     let end = s.find(|c: char| !c.is_alphanumeric() && c != '_').unwrap_or(s.len());
     &s[..end]
+}
+
+/// Byte offsets just past every whole-token occurrence of `ident` in `code`.
+fn token_ends<'a>(code: &'a str, ident: &'a str) -> impl Iterator<Item = usize> + 'a {
+    let mut from = 0usize;
+    std::iter::from_fn(move || {
+        from += scan::find_token(&code[from..], ident)? + ident.len();
+        Some(from)
+    })
+}
+
+/// Where the brace-matched block whose header starts at byte `col` of
+/// 0-based line `start` ends: one past the line of the `}` matching the
+/// first `{` at or after that position.
+fn block_end(lines: &[Line], start: usize, col: usize) -> Option<usize> {
+    let (open_line, open_col) = lines.iter().enumerate().skip(start).find_map(|(l, line)| {
+        let from = if l == start { col } else { 0 };
+        line.code[from..].find('{').map(|c| (l, from + c))
+    })?;
+    scan::match_brace(lines, open_line, open_col).map(|end| end + 1)
 }
 
 fn d1_hash_container(path: &str, lines: &[Line], is_tests_file: bool, out: &mut Vec<Violation>) {
@@ -245,28 +236,14 @@ fn d4_kernel_entropy(path: &str, lines: &[Line], is_tests_file: bool, out: &mut 
     }
 }
 
-fn d5_panic_in_spmd(
-    path: &str,
-    lines: &[Line],
-    is_tests_file: bool,
-    parsed: Option<&ParsedFile>,
-    out: &mut Vec<Violation>,
-) {
-    let spans: Vec<(usize, usize)> = if PANIC_SCOPE_FILES.contains(&path) {
-        match parsed {
-            Some(p) => {
-                let mut spans = comm_impl_spans(p);
-                spans.extend(spmd_call_spans(lines));
-                spans
-            }
-            // No parse: lexical fallback, whole file in scope.
-            None => vec![(0, lines.len())],
-        }
-    } else if path.starts_with("crates/") {
-        spmd_call_spans(lines)
-    } else {
+fn d5_panic_in_spmd(path: &str, lines: &[Line], is_tests_file: bool, out: &mut Vec<Violation>) {
+    if !path.starts_with("crates/") {
         return;
-    };
+    }
+    let mut spans = spmd_call_spans(lines);
+    if path.starts_with(COMM_IMPL_SRC) {
+        spans.extend(comm_impl_spans(lines));
+    }
     let mut flagged = vec![false; lines.len()];
     for (s, e) in spans {
         for i in s..e.min(lines.len()) {
@@ -293,14 +270,18 @@ fn d5_panic_in_spmd(
 /// 0-based line spans (start inclusive, end exclusive) of `impl … Comm
 /// for …` blocks and the `Comm` trait declaration itself (default
 /// collective bodies live there).
-fn comm_impl_spans(parsed: &ParsedFile) -> Vec<(usize, usize)> {
-    parsed
-        .impls
+fn comm_impl_spans(lines: &[Line]) -> Vec<(usize, usize)> {
+    let followed_by = |code: &str, tok: &str, next: &str| {
+        token_ends(code, tok).any(|end| leading_ident(code[end..].trim_start()) == next)
+    };
+    lines
         .iter()
-        .filter(|b| {
-            b.trait_name.as_deref() == Some("Comm") || (b.is_trait_decl && b.self_ty == "Comm")
+        .enumerate()
+        .filter(|(_, l)| {
+            (scan::has_token(&l.code, "impl") && followed_by(&l.code, "Comm", "for"))
+                || followed_by(&l.code, "trait", "Comm")
         })
-        .map(|b| (b.start_line.saturating_sub(1), b.end_line))
+        .filter_map(|(i, _)| Some((i, block_end(lines, i, 0)?)))
         .collect()
 }
 
@@ -430,134 +411,73 @@ fn parse_kind_const(code: &str) -> Option<(String, u64)> {
     digits.parse().ok().map(|v| (name.to_string(), v))
 }
 
-/// D7 (`rank-tainted-guard`), D8 (`protocol-divergence`), and D9
-/// (`rank-tainted-length`): rank-taint dataflow plus per-fn protocol
-/// comparison over the parsed tree. Production `crates/` code only;
-/// `parcomm` is exempt because collective *internals* are rank-dependent
-/// by construction (that is what a collective implementation is).
-fn d7_d8_d9_protocol(
-    path: &str,
-    is_tests_file: bool,
-    parsed: Option<&ParsedFile>,
-    out: &mut Vec<Violation>,
-) {
-    if is_tests_file || !path.starts_with("crates/") || path.starts_with("crates/parcomm/") {
-        return;
-    }
-    let Some(parsed) = parsed else { return };
-    let ws = callgraph::Workspace::from_single(path, parsed.clone());
-    let mut sm = protocol::Summarizer::new(&ws);
-    let file = &ws.files[0];
-    for f in &file.parsed.fns {
-        if f.is_test {
-            continue;
+/// Whether `line` carries a `// geo-analyze: hot-loop` marker (a plain
+/// comment; a doc comment mentioning the syntax is documentation).
+pub fn hot_loop_marker(line: &Line) -> bool {
+    let doc = matches!(line.comment.trim_start().chars().next(), Some('/') | Some('!'));
+    !doc && line.comment.contains("geo-analyze: hot-loop")
+}
+
+/// The allocating constructs D10 bans inside marked hot loops: `vec!` /
+/// `format!`, the `.collect` / `.to_vec` / `.clone` methods, and
+/// `Vec::new` / `Vec::with_capacity`.
+fn banned_alloc(code: &str) -> Option<String> {
+    for mac in ["vec", "format"] {
+        if token_ends(code, mac).any(|end| code[end..].starts_with('!')) {
+            return Some(format!("`{mac}!`"));
         }
-        let t = taint::analyze_fn(path, f, &file.parsed.toks);
-        out.extend(t.violations);
-        out.extend(protocol::check_d8_fn(path, &mut sm, 0, f, &t.tainted_conds));
     }
-}
-
-/// Whether the loop opening at 1-based `loop_line` carries a
-/// `// geo-analyze: hot-loop` marker (same line or the plain comment line
-/// directly above).
-fn hot_loop_marked(lines: &[Line], loop_line: usize) -> bool {
-    [loop_line, loop_line.saturating_sub(1)].iter().any(|&l| {
-        l >= 1
-            && lines.get(l - 1).is_some_and(|ln| {
-                let doc = matches!(ln.comment.trim_start().chars().next(), Some('/') | Some('!'));
-                !doc && ln.comment.contains("geo-analyze: hot-loop")
-            })
-    })
-}
-
-/// The allocating constructs D10 bans inside marked hot loops.
-fn banned_alloc(c: &CallSite) -> Option<String> {
-    if c.is_macro && matches!(c.name.as_str(), "vec" | "format") {
-        return Some(format!("`{}!`", c.name));
+    for method in ["collect", "to_vec", "clone"] {
+        let called = |end: usize| {
+            let rest = code[end..].trim_start();
+            code[..end - method.len()].trim_end().ends_with('.')
+                && (rest.starts_with('(') || rest.starts_with("::<"))
+        };
+        if token_ends(code, method).any(called) {
+            return Some(format!("`.{method}()`"));
+        }
     }
-    if c.is_method && matches!(c.name.as_str(), "collect" | "to_vec" | "clone") {
-        return Some(format!("`.{}()`", c.name));
-    }
-    if !c.is_method
-        && !c.is_macro
-        && matches!(c.name.as_str(), "new" | "with_capacity")
-        && c.qual.last().is_some_and(|q| q == "Vec")
-    {
-        return Some(format!("`Vec::{}()`", c.name));
+    for ctor in ["new", "with_capacity"] {
+        let path = format!("::{ctor}(");
+        if token_ends(code, "Vec").any(|end| code[end..].starts_with(&path)) {
+            return Some(format!("`Vec::{ctor}()`"));
+        }
     }
     None
 }
 
-/// D10 (`hot-loop-alloc`): loops marked `// geo-analyze: hot-loop` must
-/// not allocate — the SoA/AoS assignment kernels are sized up front, and
-/// a stray `collect`/`clone`/`vec!` in the per-point loop is a silent
-/// O(n) regression the benches only catch at scale.
-fn d10_hot_loop_alloc(
-    path: &str,
-    lines: &[Line],
-    parsed: Option<&ParsedFile>,
-    out: &mut Vec<Violation>,
-) {
-    let Some(parsed) = parsed else { return };
-    let mut seen: BTreeSet<(usize, usize)> = BTreeSet::new();
-    for f in &parsed.fns {
-        d10_walk(path, lines, &f.body, &mut seen, out);
-    }
-}
-
-fn d10_walk(
-    path: &str,
-    lines: &[Line],
-    nodes: &[Node],
-    seen: &mut BTreeSet<(usize, usize)>,
-    out: &mut Vec<Violation>,
-) {
-    for n in nodes {
-        match n {
-            Node::Seg(_) => {}
-            Node::Block(b) => d10_walk(path, lines, b, seen, out),
-            Node::Exit { value, .. } => d10_walk(path, lines, value, seen, out),
-            Node::Let { init, else_b, .. } => {
-                d10_walk(path, lines, init, seen, out);
-                d10_walk(path, lines, else_b, seen, out);
+/// D10 (`hot-loop-alloc`): loops marked `// geo-analyze: hot-loop` (on the
+/// loop line or the plain comment line directly above) must not allocate —
+/// the assignment kernel's buffers are sized up front, and a stray
+/// `collect`/`clone`/`vec!` in the per-point loop is a silent O(n)
+/// regression the benches only catch at scale.
+fn d10_hot_loop_alloc(path: &str, lines: &[Line], out: &mut Vec<Violation>) {
+    let mut flagged = vec![false; lines.len()];
+    for (m, marked) in lines.iter().enumerate() {
+        if !hot_loop_marker(marked) {
+            continue;
+        }
+        let at = if marked.has_code() { m } else { m + 1 };
+        let Some(kw) = lines.get(at).and_then(|l| {
+            ["for", "while", "loop"].iter().find_map(|kw| scan::find_token(&l.code, kw))
+        }) else {
+            continue;
+        };
+        let Some(end) = block_end(lines, at, kw) else { continue };
+        for i in at..end {
+            let Some(what) = banned_alloc(&lines[i].code) else { continue };
+            if std::mem::replace(&mut flagged[i], true) {
+                continue; // nested marked loops: report once
             }
-            Node::If { cond, then_b, else_b, .. } => {
-                d10_walk(path, lines, cond, seen, out);
-                d10_walk(path, lines, then_b, seen, out);
-                d10_walk(path, lines, else_b, seen, out);
-            }
-            Node::Match { scrutinee, arms, .. } => {
-                d10_walk(path, lines, scrutinee, seen, out);
-                for a in arms {
-                    d10_walk(path, lines, &a.guard, seen, out);
-                    d10_walk(path, lines, &a.body, seen, out);
-                }
-            }
-            Node::Loop { cond, body, line, .. } => {
-                if hot_loop_marked(lines, *line) {
-                    let mut calls = Vec::new();
-                    callgraph::collect_calls(body, &mut calls);
-                    for c in calls {
-                        let Some(what) = banned_alloc(c) else { continue };
-                        if !seen.insert((c.line, c.col)) {
-                            continue; // nested marked loops: report once
-                        }
-                        out.push(Violation::new(
-                            path,
-                            c.line,
-                            "hot-loop-alloc",
-                            format!(
-                                "{what} inside a `geo-analyze: hot-loop` kernel loop: \
-                                 allocate outside the loop and reuse the buffer \
-                                 (DESIGN.md §12)"
-                            ),
-                        ));
-                    }
-                }
-                d10_walk(path, lines, cond, seen, out);
-                d10_walk(path, lines, body, seen, out);
-            }
+            out.push(Violation::new(
+                path,
+                i + 1,
+                "hot-loop-alloc",
+                format!(
+                    "{what} inside a `geo-analyze: hot-loop` kernel loop: allocate outside \
+                     the loop and reuse the buffer (DESIGN.md §9)"
+                ),
+            ));
         }
     }
 }
@@ -640,5 +560,13 @@ mod tests {
         assert!(got.contains(&(3, "B")), "collision at decl line: {got:?}");
         assert!(got.contains(&(4, "C")), "unused kind: {got:?}");
         assert!(got.contains(&(6, "kind::D")) || got.contains(&(6, "D")), "undeclared: {got:?}");
+    }
+
+    #[test]
+    fn d10_nested_marked_loops_report_once_and_unmarked_loops_are_free() {
+        let src = "fn f(xs: &[Vec<u8>]) {\n    // geo-analyze: hot-loop\n    for x in xs {\n        for y in x { // geo-analyze: hot-loop\n            let v = x.clone();\n        }\n        let n = x.len();\n    }\n    for x in xs {\n        let w = x.to_vec();\n    }\n}\n";
+        let v = analyze_source("crates/core/src/x.rs", src);
+        let got: Vec<(usize, &str)> = v.iter().map(|v| (v.line, v.rule)).collect();
+        assert_eq!(got, [(5, "hot-loop-alloc")], "{v:?}");
     }
 }

@@ -79,38 +79,6 @@ fn d6_wire_kind_table_detected_at_exact_lines() {
 }
 
 #[test]
-fn d7_rank_tainted_guard_detected_at_exact_line() {
-    // The guarded collective fires D7 at its own line; the rank-tainted
-    // `if` with lopsided branch protocols also fires D8 at the branch.
-    check(
-        "crates/core/src/fixture.rs",
-        include_str!("fixtures/d7_rank_tainted_guard.rs"),
-        &[(5, "protocol-divergence"), (6, "rank-tainted-guard")],
-    );
-}
-
-#[test]
-fn d8_protocol_divergence_detected_through_the_call_graph() {
-    // The divergence is only visible by summarizing the helper fns:
-    // neither branch contains a collective call site itself, so D7 stays
-    // silent and D8 fires at the rank-tainted `if`.
-    check(
-        "crates/core/src/fixture.rs",
-        include_str!("fixtures/d8_protocol_divergence.rs"),
-        &[(14, "protocol-divergence")],
-    );
-}
-
-#[test]
-fn d9_rank_tainted_length_detected_at_exact_line() {
-    check(
-        "crates/core/src/fixture.rs",
-        include_str!("fixtures/d9_rank_tainted_length.rs"),
-        &[(5, "rank-tainted-length")],
-    );
-}
-
-#[test]
 fn d10_hot_loop_alloc_detected_at_exact_line() {
     check(
         "crates/core/src/fixture.rs",
@@ -125,4 +93,14 @@ fn fixtures_are_waivable_and_waivers_must_not_go_stale() {
     check("crates/core/src/fixture.rs", src, &[]);
     let stale = "pub fn f() {\n    // geo-analyze: allow(hash-container): nothing here.\n    let s = 1;\n    let _ = s;\n}\n";
     check("crates/core/src/fixture.rs", stale, &[(2, "stale-waiver")]);
+}
+
+#[test]
+fn waivers_naming_a_retired_rule_are_invalid() {
+    // D7–D9 left the catalog with the static protocol checker; a waiver
+    // that still names one of them no longer argues with anything.
+    for id in ["rank-tainted-guard", "protocol-divergence", "rank-tainted-length"] {
+        let src = format!("// geo-analyze: allow({id}): per-peer lengths differ.\npub fn f() {{}}\n");
+        check("crates/spmv/src/fixture.rs", &src, &[(1, "invalid-waiver")]);
+    }
 }

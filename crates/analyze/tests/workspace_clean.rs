@@ -6,7 +6,7 @@
 
 use std::path::Path;
 
-use geographer_analyze::analyze_workspace;
+use geographer_analyze::{analyze_workspace, rules, scan, workspace_sources};
 
 #[test]
 fn workspace_has_zero_unwaived_violations() {
@@ -20,4 +20,21 @@ fn workspace_has_zero_unwaived_violations() {
          fix each, or add `// geo-analyze: allow(rule): justification`",
         violations.len(),
     );
+}
+
+#[test]
+fn hot_loop_markers_are_pinned() {
+    // D10 is opt-in, so a deleted marker silently unguards its loop and no
+    // other guard notices (DESIGN.md §11, audit row "marker removal"):
+    // this census is the guard. Marking a new loop updates it here.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let census: Vec<(String, usize)> = workspace_sources(&root)
+        .expect("workspace sources readable")
+        .into_iter()
+        .map(|(rel, text)| {
+            (rel, scan::scan(&text).iter().filter(|l| rules::hot_loop_marker(l)).count())
+        })
+        .filter(|(_, markers)| *markers > 0)
+        .collect();
+    assert_eq!(census, [("crates/core/src/kmeans.rs".to_string(), 14)]);
 }

@@ -22,12 +22,17 @@
 //! for the typed reductions (a length mismatch would otherwise silently
 //! zip-truncate), the root for broadcast, the fan-out for alltoallv.
 //!
-//! Cost: one extra small allgather per collective — fine for tests and
-//! debugging sessions ([`run_spmd_checked`] / [`run_spmd_proc_checked`]),
-//! not for the bench hot path. What the digest cannot catch: a rank that
-//! simply *stops* calling collectives (returns early) — that remains the
-//! backends' liveness problem (EOF detection / the parent deadline on
-//! processes, communicator poisoning on threads — DESIGN.md §10).
+//! A rank that simply *stops* calling collectives (returns early) is
+//! caught the same way: a [`CheckedComm`] dropped without unwinding
+//! contributes a [`CheckedCall::Finalize`] signature to one more digest,
+//! which meets the peers' next collective (or their own finalize, when the
+//! job conformed). A rank that is unwinding from a panic contributes
+//! nothing — that stays the backends' liveness problem (communicator
+//! poisoning on threads, EOF detection on processes — DESIGN.md §10).
+//!
+//! Cost: one extra small allgather per collective plus one per job — fine
+//! for tests and debugging sessions ([`run_spmd_checked`] /
+//! [`run_spmd_proc_checked`]), not for the bench hot path.
 
 use std::cell::{Cell, RefCell};
 
@@ -54,12 +59,15 @@ pub enum CheckedCall {
     AllreduceSumU64 = 8,
     ExscanSumU64 = 9,
     Broadcast = 10,
+    /// Not a [`Comm`] method: what a [`CheckedComm`] contributes when it is
+    /// dropped, so a rank that returned early diverges from its peers'
+    /// next collective instead of leaving them blocked.
+    Finalize = 11,
 }
 
 /// Human-readable name for a wire call id: the exact [`Comm`] method
-/// name. Used for [`ProtocolError`] display and by the static-protocol
-/// refinement test to compare a runtime trace against `geo-analyze`'s
-/// collective-kind alphabet.
+/// name (`finalize` for the drop-time digest). Used for [`ProtocolError`]
+/// display and to read a [`CheckedComm::trace_ids`] trace.
 pub fn call_name(id: u64) -> &'static str {
     match id {
         1 => "barrier",
@@ -72,6 +80,7 @@ pub fn call_name(id: u64) -> &'static str {
         8 => "allreduce_sum_u64",
         9 => "exscan_sum_u64",
         10 => "broadcast",
+        11 => "finalize",
         _ => "unknown-collective",
     }
 }
@@ -140,8 +149,7 @@ pub struct CheckedComm<C: Comm> {
     inner: C,
     /// Count of checked collectives issued by this rank.
     calls: Cell<u64>,
-    /// Call-id trace of every checked collective, in issue order (the
-    /// runtime side of the static-protocol refinement contract).
+    /// Call-id trace of every checked collective, in issue order.
     trace: RefCell<Vec<u64>>,
 }
 
@@ -154,20 +162,9 @@ impl<C: Comm> CheckedComm<C> {
 
     /// The wire call ids ([`CheckedCall`] values) of every collective this
     /// rank has issued so far, in order. Map through [`call_name`] to get
-    /// the collective-kind sequence `geo-analyze protocol` summarizes.
+    /// the collective-kind sequence.
     pub fn trace_ids(&self) -> Vec<u64> {
         self.trace.borrow().clone()
-    }
-
-    /// The wrapped communicator (e.g. for backend-specific calls like
-    /// [`ProcComm::probe_exchange`]).
-    pub fn inner(&self) -> &C {
-        &self.inner
-    }
-
-    /// Unwrap.
-    pub fn into_inner(self) -> C {
-        self.inner
     }
 
     /// Exchange call signatures and fail every rank on divergence.
@@ -202,8 +199,24 @@ impl<C: Comm> CheckedComm<C> {
         };
         // Raised on every rank at once: the thread runner re-propagates
         // the typed payload, the process runner forwards it over the
-        // control socket as a PROTOCOL frame.
+        // control socket as a PROTOCOL frame. The default panic hook prints
+        // a typed payload as `Box<dyn Any>`, so rank 0 says what diverged —
+        // as one string, which the peers' hook output cannot split.
+        if self.inner.rank() == 0 {
+            let line = format!("{err}\n");
+            eprint!("{line}");
+        }
         std::panic::panic_any(err);
+    }
+}
+
+/// The finalize digest: a rank that leaves the job normally says so, and a
+/// peer still issuing collectives sees `finalize` against its own call.
+impl<C: Comm> Drop for CheckedComm<C> {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            self.check(CheckedCall::Finalize, 0);
+        }
     }
 }
 
@@ -314,9 +327,36 @@ mod tests {
         assert!(msg.contains("allreduce_sum_f64(4)"), "{msg}");
     }
 
+    /// Run `body` on a helper thread and give it 10 s: an implementation
+    /// that leaves a rank blocked fails the test instead of wedging tier-1.
+    fn within_deadline<T: Send + 'static>(body: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(std::panic::catch_unwind(std::panic::AssertUnwindSafe(body)));
+        });
+        match rx.recv_timeout(std::time::Duration::from_secs(10)) {
+            Ok(Ok(v)) => v,
+            Ok(Err(payload)) => std::panic::resume_unwind(payload),
+            Err(_) => panic!("SPMD job still blocked after 10 s"),
+        }
+    }
+
+    /// The [`ProtocolError`] a diverging thread-backend job fails with.
+    fn thread_divergence<R: Send + 'static>(
+        p: usize,
+        f: impl Fn(CheckedComm<ThreadComm>) -> R + Sync + Send + 'static,
+    ) -> ProtocolError {
+        let payload = within_deadline(move || {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_spmd_checked(p, f)))
+                .err()
+                .expect("diverging job must fail")
+        });
+        payload.downcast_ref::<ProtocolError>().expect("typed ProtocolError payload").clone()
+    }
+
     #[test]
     fn checked_comm_is_transparent_for_conforming_programs() {
-        let checked = run_spmd_checked(4, |c| {
+        fn body<C: Comm>(c: &C) -> (Vec<f64>, u64, u64, usize) {
             let mut buf = vec![c.rank() as f64, 1.0];
             c.allreduce_sum_f64(&mut buf);
             let ex = c.exscan_sum_u64(c.rank() as u64);
@@ -324,17 +364,93 @@ mod tests {
             c.barrier();
             let all = c.allgather(vec![c.rank() as u64; c.rank() + 1]);
             (buf, ex, bc, all.len())
-        });
-        let plain = run_spmd(4, |c| {
-            let mut buf = vec![c.rank() as f64, 1.0];
-            c.allreduce_sum_f64(&mut buf);
-            let ex = c.exscan_sum_u64(c.rank() as u64);
-            let bc = c.broadcast(2, (c.rank() == 2).then_some(9u64));
+        }
+        let checked = within_deadline(|| run_spmd_checked(4, |c| (body(&c), c.trace_ids())));
+        let plain = run_spmd(4, |c| body(&c));
+        // The finalize digest runs after the closure body: it neither
+        // changes a result nor shows in the trace a rank can read.
+        let calls = [
+            CheckedCall::AllreduceSumF64,
+            CheckedCall::ExscanSumU64,
+            CheckedCall::Broadcast,
+            CheckedCall::Barrier,
+            CheckedCall::Allgather,
+        ];
+        let trace: Vec<u64> = calls.iter().map(|&c| c as u64).collect();
+        for (r, (result, ids)) in checked.into_iter().enumerate() {
+            assert_eq!(result, plain[r]);
+            assert_eq!(ids, trace, "rank {r}");
+        }
+    }
+
+    #[test]
+    fn rank_that_stops_early_meets_its_peers_next_digest() {
+        // Rank 0 issues one more barrier than rank 1, whose communicator
+        // is dropped instead: `barrier` against `finalize` at call #1.
+        let e = thread_divergence(2, |c| {
             c.barrier();
-            let all = c.allgather(vec![c.rank() as u64; c.rank() + 1]);
-            (buf, ex, bc, all.len())
+            if c.rank() == 0 {
+                c.barrier();
+            }
         });
-        assert_eq!(checked, plain);
+        assert_eq!(e.seq, 1);
+        assert_eq!(e.diverging, vec![1], "the early rank diverges from the reference");
+        assert_eq!(e.calls, vec![(CheckedCall::Barrier as u64, 0), (CheckedCall::Finalize as u64, 0)]);
+        assert!(e.to_string().contains("rank 1: finalize(0)"), "{e}");
+    }
+
+    #[test]
+    fn rank_that_stops_early_is_a_protocol_error_on_processes() {
+        let err = within_deadline(|| {
+            run_spmd_proc_checked(2, |c| {
+                c.barrier();
+                if c.rank() == 0 {
+                    c.barrier();
+                }
+                0u64
+            })
+        })
+        .expect_err("early exit must fail the job");
+        match err {
+            ProcError::Protocol { error, .. } => {
+                assert_eq!((error.seq, error.diverging), (1, vec![1]));
+                assert_eq!(error.calls[1].0, CheckedCall::Finalize as u64);
+            }
+            other => panic!("expected ProcError::Protocol, got: {other}"),
+        }
+    }
+
+    #[test]
+    fn rank_that_returns_before_any_collective_is_caught() {
+        let e = thread_divergence(3, |c| {
+            if c.rank() == 1 {
+                return 0;
+            }
+            c.allgather(vec![c.rank() as u64]).len()
+        });
+        assert_eq!((e.seq, e.diverging), (0, vec![1]));
+        assert_eq!(e.calls[1].0, CheckedCall::Finalize as u64);
+        assert_eq!(e.calls[0].0, CheckedCall::Allgather as u64);
+    }
+
+    #[test]
+    fn panicking_rank_contributes_no_finalize() {
+        // Rank 2 unwinds mid-sequence: its drop stays silent, the peers
+        // are unblocked by the poison, and the original panic surfaces —
+        // not a `ProtocolError` blaming the dead rank.
+        let payload = within_deadline(|| {
+            std::panic::catch_unwind(|| {
+                run_spmd_checked(3, |c| {
+                    c.barrier();
+                    if c.rank() == 2 {
+                        panic!("rank 2 exploded");
+                    }
+                    c.barrier();
+                })
+            })
+            .expect_err("job must fail")
+        });
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"rank 2 exploded"));
     }
 
     #[test]

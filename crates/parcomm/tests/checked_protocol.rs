@@ -95,3 +95,32 @@ fn checked_results_match_unchecked_across_backends() {
     assert_eq!(plain, threads);
     assert_eq!(threads, procs);
 }
+
+/// Child half of [`divergence_report_reaches_stderr`], which runs it alone
+/// in a process of its own: a seeded kind mismatch that fails the job.
+#[test]
+#[ignore = "diverges on purpose; driven by divergence_report_reaches_stderr"]
+fn seeded_kind_mismatch() {
+    run_spmd_checked(2, |c| {
+        if c.rank() == 1 {
+            c.barrier();
+        } else {
+            c.allreduce_max_f64(&mut [0.0]);
+        }
+    });
+}
+
+#[test]
+fn divergence_report_reaches_stderr() {
+    // The panic payload is typed, so the default hook can only say
+    // `Box<dyn Any>`; the checker itself must print who diverged and how.
+    let out = std::process::Command::new(std::env::current_exe().expect("test binary path"))
+        .args(["--ignored", "--exact", "seeded_kind_mismatch", "--nocapture"])
+        .output()
+        .expect("test binary reruns");
+    assert!(!out.status.success(), "the seeded divergence must fail its process");
+    let text = String::from_utf8_lossy(&out.stderr);
+    for needle in ["call #0", "diverging: [1]", "rank 0: allreduce_max_f64(1)", "rank 1: barrier(0)"] {
+        assert!(text.contains(needle), "stderr lacks `{needle}`:\n{text}");
+    }
+}

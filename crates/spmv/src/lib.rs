@@ -177,7 +177,6 @@ pub fn spmv_comm_time_on_nodes<C: Comm>(
             .iter()
             .map(|l| l.iter().map(|&v| x[local_of[&v] as usize]).collect())
             .collect();
-        // geo-analyze: allow(rank-tainted-length): per-peer send lengths legitimately differ by rank; shape consistency is pairwise and every rank derives it from the same replicated graph and owner map.
         let received = comm.alltoallv(sends);
         for (r, vals) in received.into_iter().enumerate() {
             debug_assert_eq!(vals.len(), recv_from[r].len());
