@@ -1,8 +1,10 @@
-//! The determinism/SPMD invariant catalog: rules D1, D3–D6 and D10. Three
+//! The determinism/SPMD invariant catalog: rules D1, D3–D5 and D10. Five
 //! ids are retired, their numbers kept so the others keep theirs: D2 (the
 //! parallel-iterator float-reduction ban — no parallel iterator is left in
-//! the workspace to reduce over) and D7–D9 (rank-tainted guards, branch
-//! protocol divergence, rank-tainted lengths — `CheckedComm` under
+//! the workspace to reduce over), D6 (the frame-kind table of `proc.rs` —
+//! an enum now, so a collision, an unused and an unknown kind are the
+//! compiler's findings) and D7–D9 (rank-tainted guards, branch protocol
+//! divergence, rank-tainted lengths — `CheckedComm` under
 //! `tests/checked_sweep.rs` catches each of them at run time, on every
 //! collective call site of the workspace; DESIGN.md §11 has the audit).
 //!
@@ -13,8 +15,8 @@
 //! path, so a rule only fires where the invariant it protects actually
 //! lives (DESIGN.md §11 ties each rule to the PR that established its
 //! invariant). `#[cfg(test)]` modules and files under `tests/` are exempt
-//! from the rules whose hazards are production-only (D1/D4/D5); D3, D6,
-//! and D10 apply everywhere.
+//! from the rules whose hazards are production-only (D1/D4/D5); D3 and D10
+//! apply everywhere.
 
 use crate::scan::{self, Line};
 use crate::Violation;
@@ -34,7 +36,6 @@ pub const RULES: &[(&str, &str)] = &[
         "panic-in-spmd",
         "D5: no unwrap/expect/panic! inside SPMD rank closures and Comm implementations",
     ),
-    ("wire-kind-table", "D6: frame-kind constants are collision-free and all used"),
     (
         "hot-loop-alloc",
         "D10: no allocation inside loops marked `// geo-analyze: hot-loop`",
@@ -98,7 +99,6 @@ pub fn apply_rules(path: &str, lines: &[Line], is_tests_file: bool) -> Vec<Viola
     d3_unsafe_without_safety(path, lines, &mut out);
     d4_kernel_entropy(path, lines, is_tests_file, &mut out);
     d5_panic_in_spmd(path, lines, is_tests_file, &mut out);
-    d6_wire_kind_table(path, lines, &mut out);
     d10_hot_loop_alloc(path, lines, &mut out);
     out
 }
@@ -331,86 +331,6 @@ fn panic_pattern(code: &str) -> Option<&'static str> {
     None
 }
 
-fn d6_wire_kind_table(path: &str, lines: &[Line], out: &mut Vec<Violation>) {
-    // Applies to any file that declares a `mod kind { … }` frame table.
-    let Some((mod_line, open_col)) = lines.iter().enumerate().find_map(|(i, l)| {
-        (scan::has_token(&l.code, "mod") && scan::has_token(&l.code, "kind"))
-            .then(|| l.code.find('{').map(|c| (i, c)))
-            .flatten()
-    }) else {
-        return;
-    };
-    let Some(end_line) = scan::match_brace(lines, mod_line, open_col) else { return };
-
-    // Collect `pub const NAME: u8 = N;` declarations inside the module.
-    let mut consts: Vec<(String, u64, usize)> = Vec::new();
-    for (j, line) in lines.iter().enumerate().take(end_line + 1).skip(mod_line) {
-        if let Some((name, value)) = parse_kind_const(&line.code) {
-            if let Some((other, _, _)) = consts.iter().find(|(_, v, _)| *v == value) {
-                out.push(Violation::new(
-                    path,
-                    j + 1,
-                    "wire-kind-table",
-                    format!("frame kind `{name}` = {value} collides with `{other}`"),
-                ));
-            }
-            consts.push((name, value, j + 1));
-        }
-    }
-
-    // Every declared kind must be sent/matched somewhere in the file, and
-    // every `kind::X` reference must resolve — together: the table is
-    // exhaustive with respect to the protocol the file implements.
-    let mut referenced: Vec<(String, usize)> = Vec::new();
-    for (j, line) in lines.iter().enumerate() {
-        if (mod_line..=end_line).contains(&j) {
-            continue;
-        }
-        let mut s = line.code.as_str();
-        while let Some(p) = s.find("kind::") {
-            let name = leading_ident(&s[p + "kind::".len()..]);
-            if !name.is_empty() {
-                referenced.push((name.to_string(), j + 1));
-            }
-            s = &s[p + "kind::".len()..];
-        }
-    }
-    for (name, _, decl_line) in &consts {
-        if !referenced.iter().any(|(n, _)| n == name) {
-            out.push(Violation::new(
-                path,
-                *decl_line,
-                "wire-kind-table",
-                format!("frame kind `{name}` is declared but never used on the wire"),
-            ));
-        }
-    }
-    for (name, at) in &referenced {
-        if !consts.iter().any(|(n, _, _)| n == name) {
-            out.push(Violation::new(
-                path,
-                *at,
-                "wire-kind-table",
-                format!("`kind::{name}` is not declared in the frame-kind table"),
-            ));
-        }
-    }
-}
-
-/// Parse `pub const NAME: u8 = N` out of one code line.
-fn parse_kind_const(code: &str) -> Option<(String, u64)> {
-    let at = scan::find_token(code, "const")?;
-    let rest = code[at + "const".len()..].trim_start();
-    let name = leading_ident(rest);
-    if name.is_empty() {
-        return None;
-    }
-    let rest = rest[name.len()..].trim_start().strip_prefix(':')?.trim_start();
-    let rest = rest.strip_prefix("u8")?.trim_start().strip_prefix('=')?.trim_start();
-    let digits = &rest[..rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len())];
-    digits.parse().ok().map(|v| (name.to_string(), v))
-}
-
 /// Whether `line` carries a `// geo-analyze: hot-loop` marker (a plain
 /// comment; a doc comment mentioning the syntax is documentation).
 pub fn hot_loop_marker(line: &Line) -> bool {
@@ -548,18 +468,6 @@ mod tests {
     fn d5_does_not_fire_on_non_panicking_cousins() {
         let src = "fn f(x: Option<u8>) -> u8 { x.unwrap_or_default() }\nfn g(r: Result<u8, u8>) -> u8 { r.unwrap_or_else(|e| e) }\n";
         assert!(analyze_source("crates/parcomm/src/lib.rs", src).is_empty());
-    }
-
-    #[test]
-    fn d6_catches_collisions_unused_and_undeclared() {
-        let src = "mod kind {\n    pub const A: u8 = 1;\n    pub const B: u8 = 1;\n    pub const C: u8 = 3;\n}\nfn f() -> (u8, u8) { (kind::A, kind::D) }\n";
-        let v = analyze_source("crates/parcomm/src/x.rs", src);
-        let got: Vec<(usize, &str)> =
-            v.iter().map(|v| (v.line, v.message.split(['`']).nth(1).unwrap_or(""))).collect();
-        assert!(v.iter().all(|v| v.rule == "wire-kind-table"), "{v:?}");
-        assert!(got.contains(&(3, "B")), "collision at decl line: {got:?}");
-        assert!(got.contains(&(4, "C")), "unused kind: {got:?}");
-        assert!(got.contains(&(6, "kind::D")) || got.contains(&(6, "D")), "undeclared: {got:?}");
     }
 
     #[test]

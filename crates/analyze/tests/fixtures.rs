@@ -63,22 +63,6 @@ fn d5_comm_impl_scope_in_comm_implementation_files() {
 }
 
 #[test]
-fn d6_wire_kind_table_detected_at_exact_lines() {
-    // DATA collides with HELLO and is itself never referenced; UNUSED is
-    // never referenced; MISSING is referenced but not declared.
-    check(
-        "crates/parcomm/src/fixture.rs",
-        include_str!("fixtures/d6_wire_kind_table.rs"),
-        &[
-            (5, "wire-kind-table"),
-            (5, "wire-kind-table"),
-            (6, "wire-kind-table"),
-            (10, "wire-kind-table"),
-        ],
-    );
-}
-
-#[test]
 fn d10_hot_loop_alloc_detected_at_exact_line() {
     check(
         "crates/core/src/fixture.rs",
@@ -97,9 +81,11 @@ fn fixtures_are_waivable_and_waivers_must_not_go_stale() {
 
 #[test]
 fn waivers_naming_a_retired_rule_are_invalid() {
-    // D7–D9 left the catalog with the static protocol checker; a waiver
-    // that still names one of them no longer argues with anything.
-    for id in ["rank-tainted-guard", "protocol-divergence", "rank-tainted-length"] {
+    // D7–D9 left the catalog with the static protocol checker and D6 with
+    // the `mod kind` table it read; a waiver that still names one of them
+    // no longer argues with anything.
+    for id in ["wire-kind-table", "rank-tainted-guard", "protocol-divergence", "rank-tainted-length"]
+    {
         let src = format!("// geo-analyze: allow({id}): per-peer lengths differ.\npub fn f() {{}}\n");
         check("crates/spmv/src/fixture.rs", &src, &[(1, "invalid-waiver")]);
     }

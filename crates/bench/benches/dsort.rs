@@ -2,15 +2,18 @@
 //! rank; the collective structure is benchmarked by the scaling binaries).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use geographer_dsort::{sample_sort_by_key, weighted_quantiles_f64};
+use geographer_dsort::{sample_sort_by_key, weighted_quantiles_grouped, QuantileGroup};
 use geographer_geometry::SplitMix64;
 use geographer_parcomm::SelfComm;
 
 fn bench_dsort(c: &mut Criterion) {
     let mut rng = SplitMix64::new(2);
     let keys: Vec<u64> = (0..200_000).map(|_| rng.next_u64()).collect();
-    let values: Vec<f64> = (0..200_000).map(|_| rng.next_f64()).collect();
-    let weights: Vec<f64> = (0..200_000).map(|_| 1.0 + rng.next_f64()).collect();
+    let group = [QuantileGroup {
+        values: (0..200_000).map(|_| rng.next_f64()).collect(),
+        weights: (0..200_000).map(|_| 1.0 + rng.next_f64()).collect(),
+        alphas: (1..16).map(|i| i as f64 / 16.0).collect(),
+    }];
 
     let mut g = c.benchmark_group("dsort");
     g.sample_size(15);
@@ -19,10 +22,7 @@ fn bench_dsort(c: &mut Criterion) {
         b.iter(|| sample_sort_by_key(&SelfComm, black_box(keys.clone()), |&x| x))
     });
     g.bench_function("quantiles_200k_x15", |b| {
-        let alphas: Vec<f64> = (1..16).map(|i| i as f64 / 16.0).collect();
-        b.iter(|| {
-            weighted_quantiles_f64(&SelfComm, black_box(&values), black_box(&weights), &alphas)
-        })
+        b.iter(|| weighted_quantiles_grouped(&SelfComm, black_box(&group)))
     });
     g.finish();
 }

@@ -12,14 +12,18 @@
 //!    and fits the line: α̂ from the small-message plateau, β̂ from the
 //!    slope of the bandwidth regime. The raw probe table is committed so
 //!    the fit can be re-checked.
-//! 2. **Collective workload** — a fixed mix of allreduce / allgather /
+//! 2. **Launch** — what a job costs before its first collective and after
+//!    its last: the median wall of 20 empty `run_spmd_proc(p, |_| ())`
+//!    jobs at p ∈ {2, 4, 8} (socketpairs, forks, `p` empty results, kill
+//!    and reap).
+//! 3. **Collective workload** — a fixed mix of allreduce / allgather /
 //!    alltoallv / exscan rounds at p ∈ {2, 4}, run on the socket
 //!    substrate with the wall clock *measured* inside the workers, next
 //!    to the α–β prediction of the same run's counters under (a) the
 //!    default constants and (b) the measured ones. This is the
 //!    measured-vs-modeled comparison in its purest form: no compute term
 //!    at all.
-//! 3. **Tool runs** — the five partitioners at p ∈ {2, 4} on both
+//! 4. **Tool runs** — the five partitioners at p ∈ {2, 4} on both
 //!    backends, checking the assignments agree exactly (same collective
 //!    algorithms ⇒ same reduction trees ⇒ same bits) and reporting
 //!    measured process wall next to the modeled communication seconds.
@@ -84,7 +88,26 @@ fn main() {
     };
     let samples: Vec<Value> = cal.samples.iter().map(sample).collect();
 
-    // 2. Pure collective workload, measured on the wire vs modeled from
+    // 2. The launcher alone: jobs that do nothing.
+    let jobs = if cli.smoke { 5 } else { 20 };
+    let mut spawn = Vec::new();
+    for p in [2usize, 4, 8] {
+        let mut walls: Vec<f64> = (0..jobs)
+            .map(|_| {
+                let t = Instant::now();
+                let job = run_spmd_proc(p, |_| ());
+                let wall = t.elapsed().as_secs_f64();
+                job.expect("empty job");
+                wall
+            })
+            .collect();
+        walls.sort_by(f64::total_cmp);
+        let median = 0.5 * (walls[(jobs - 1) / 2] + walls[jobs / 2]);
+        eprintln!("spawn p={p}: {:.2}ms (median of {jobs} empty jobs)", median * 1e3);
+        spawn.push(obj([("p", p.into()), ("median_seconds", num(median))]));
+    }
+
+    // 3. Pure collective workload, measured on the wire vs modeled from
     // the same run's counters.
     let mut workloads = Vec::new();
     for p in ps {
@@ -122,7 +145,7 @@ fn main() {
         ]));
     }
 
-    // 3. The five tools on both backends: agreement + walls.
+    // 4. The five tools on both backends: agreement + walls.
     let n = if cli.smoke { 2_000 } else { 20_000 };
     let mesh = delaunay_unit_square(n, 41);
     let cfg = Config::default();
@@ -185,6 +208,7 @@ fn main() {
                 ("probe_samples", samples.into()),
             ]),
         ),
+        ("spawn", spawn.into()),
         ("collective_workloads", workloads.into()),
         ("tool_runs", runs.into()),
     ]);

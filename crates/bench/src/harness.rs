@@ -67,7 +67,7 @@ impl SpmdBackend {
     /// Cold-solve `recipe` on this substrate. Both backends run the
     /// identical planner code over the identical collective algorithms, so
     /// the assignment is the same; the process backend's wall time
-    /// includes real fork/rendezvous/socket costs. What comes back is what
+    /// includes real fork and socket costs. What comes back is what
     /// can cross a process boundary ([`ProcRun`]), on either backend — the
     /// scaling figures need no more.
     ///
@@ -258,8 +258,8 @@ pub struct ProcRun {
     /// exactly as [`PlanRun`]'s are (ops/rounds from rank 0, received
     /// bytes summed over ranks).
     pub comm: CommStats,
-    /// Parent's wall clock around the whole job, fork and rendezvous
-    /// included.
+    /// Parent's wall clock around the whole job, socketpairs, forks and
+    /// reaping included.
     pub wall_seconds: f64,
     /// Maximum over ranks of each worker's own solve wall clock.
     pub wall_max_rank_s: f64,

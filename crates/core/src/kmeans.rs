@@ -943,10 +943,11 @@ pub fn balanced_kmeans_warm<const D: usize, C: Comm>(
     }
 
     let mut iterations_left = cfg.max_iterations;
+    let mut sampled = true; // no round yet: nothing is assigned
     while iterations_left > 0 {
         iterations_left -= 1;
         solver.stats.movement_iterations += 1;
-        let sampled = sample_len < n_local;
+        sampled = sample_len < n_local;
         if sampled {
             solver.ws.load(
                 &perm[..sample_len],
@@ -1006,10 +1007,10 @@ pub fn balanced_kmeans_warm<const D: usize, C: Comm>(
     }
 
     // If the iteration budget ran out mid-sampling, points outside the
-    // sample have never been assigned: finish with one full pass. The
-    // decision must be global so the collectives stay matched.
-    let local_full = u64::from(sample_len >= n_local);
-    let all_full = comm.allreduce(local_full, u64::min) == 1;
+    // sample have never been assigned: finish with one full pass. What
+    // counts is the round that ran last — `sample_len` is already the next
+    // round's. The decision must be global so the collectives stay matched.
+    let all_full = comm.allreduce(u64::from(!sampled), u64::min) == 1;
     if !all_full {
         solver.assign_and_balance(comm, false);
     }
@@ -1535,6 +1536,37 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn budget_ending_on_the_last_sampling_round_still_assigns_every_point() {
+        // Regression: one movement iteration over 100 of each rank's 200
+        // points, whose doubling reaches `n_local`. The tail check read
+        // the doubled length, skipped the full pass and left every point
+        // outside the sample in block 0 — imbalance 1.51 behind a reported
+        // 0.027, the sample's.
+        let (n, p, k) = (600, 3, 4);
+        let pts = family_points::<2>(n, 44, false);
+        let w = vec![1.0; n];
+        let cfg = Config { max_iterations: 1, initial_sample: 100, ..Config::default() };
+        let outs = geographer_parcomm::run_spmd(p, |c| {
+            let (lo, hi) = (c.rank() * n / p, (c.rank() + 1) * n / p);
+            balanced_kmeans(&c, &pts[lo..hi], &w[lo..hi], k, spread_centers(&pts, k), &cfg)
+        });
+        let mut sizes = vec![0.0f64; k];
+        for &block in outs.iter().flat_map(|out| &out.assignment) {
+            sizes[block as usize] += 1.0;
+        }
+        assert!(sizes.iter().all(|&s| s > 0.0), "an empty block: {sizes:?}");
+        let imbalance = sizes.iter().copied().fold(0.0, f64::max) / (n / k) as f64 - 1.0;
+        for out in &outs {
+            assert_eq!(out.stats.movement_iterations, 1);
+            assert!(
+                (out.stats.final_imbalance - imbalance).abs() < 1e-12,
+                "reported {} for a partition of imbalance {imbalance}",
+                out.stats.final_imbalance
+            );
         }
     }
 

@@ -7,7 +7,7 @@
 //!   4–6). The paper uses the schizophrenic quicksort of Axtmann et al.;
 //!   sample sort plays the same role (one splitter-selection round, one
 //!   personalized exchange) with simpler machinery. See DESIGN.md §3.
-//! * [`weighted_quantiles_f64`] / [`weighted_quantiles_u64`] — distributed
+//! * [`weighted_quantiles_grouped`] / [`weighted_quantiles_u64`] — distributed
 //!   weighted quantile selection by bisection, the communication kernel
 //!   inside the RCB/RIB/MultiJagged/HSFC baselines (this is also how
 //!   Zoltan's RCB finds its median cuts: iterated weight counting).
@@ -137,69 +137,6 @@ where
 /// range.
 const F64_BISECT_ITERS: usize = 60;
 
-/// Distributed weighted quantiles over `f64` values.
-///
-/// For each `alpha` in `alphas` (each in `[0, 1]`), find a threshold `x`
-/// such that the global weight of `{v_i ≤ x}` is as close as possible to
-/// `alpha · total_weight`. All ranks receive identical thresholds.
-///
-/// One collective per bisection iteration, vectorized over all alphas —
-/// exactly the communication pattern of a multi-way Zoltan cut search.
-pub fn weighted_quantiles_f64<C: Comm>(
-    comm: &C,
-    values: &[f64],
-    weights: &[f64],
-    alphas: &[f64],
-) -> Vec<f64> {
-    assert_eq!(values.len(), weights.len());
-    if alphas.is_empty() {
-        return Vec::new();
-    }
-    // Global range (one min-reduce carries both bounds via the min(-max)
-    // trick) and global total weight.
-    let local_min = values.iter().copied().fold(f64::INFINITY, f64::min);
-    let local_max = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    let mut minmax = [local_min, -local_max];
-    comm.allreduce_min_f64(&mut minmax);
-    let (glo, ghi) = (minmax[0], -minmax[1]);
-    let mut wsum = [weights.iter().sum::<f64>()];
-    comm.allreduce_sum_f64(&mut wsum);
-    let total_w = wsum[0];
-
-    if !glo.is_finite() || !ghi.is_finite() || total_w <= 0.0 {
-        // Empty global input: any threshold works.
-        return vec![0.0; alphas.len()];
-    }
-
-    let m = alphas.len();
-    let mut lo = vec![glo; m];
-    let mut hi = vec![ghi; m];
-    for _ in 0..F64_BISECT_ITERS {
-        let mids: Vec<f64> = lo.iter().zip(&hi).map(|(a, b)| 0.5 * (a + b)).collect();
-        // Local weight at or below each mid.
-        let mut below = vec![0.0; m];
-        for (v, w) in values.iter().zip(weights) {
-            for (j, mid) in mids.iter().enumerate() {
-                if v <= mid {
-                    below[j] += w;
-                }
-            }
-        }
-        comm.allreduce_sum_f64(&mut below);
-        for j in 0..m {
-            if below[j] < alphas[j] * total_w {
-                lo[j] = mids[j];
-            } else {
-                hi[j] = mids[j];
-            }
-        }
-        if lo.iter().zip(&hi).all(|(a, b)| b - a <= f64::EPSILON * (ghi - glo).abs()) {
-            break;
-        }
-    }
-    lo.iter().zip(&hi).map(|(a, b)| 0.5 * (a + b)).collect()
-}
-
 /// One independent quantile problem inside a batched
 /// [`weighted_quantiles_grouped`] call.
 #[derive(Debug, Clone, Default)]
@@ -212,13 +149,20 @@ pub struct QuantileGroup {
     pub alphas: Vec<f64>,
 }
 
-/// Batched distributed weighted quantiles: solve many independent quantile
-/// problems (e.g. all region cuts of one recursion level of RCB or
-/// MultiJagged) with a *single* shared bisection — one allreduce per
-/// iteration regardless of the number of groups. This level-synchronous
-/// batching is what keeps the collective count of recursive partitioners at
-/// `O(levels)` instead of `O(k)`, the property behind their scaling
-/// behaviour in the paper's Fig. 3.
+/// Distributed weighted quantiles over `f64` values, batched.
+///
+/// For each group and each of its `alphas` (each in `[0, 1]`), find a
+/// threshold `x` such that the global weight of the group's `{v_i ≤ x}` is
+/// as close as possible to `alpha · total_weight`; a group that is empty
+/// on every rank gets `0.0`. All ranks receive identical thresholds.
+///
+/// Many independent quantile problems (e.g. all region cuts of one
+/// recursion level of RCB or MultiJagged) share a *single* bisection — one
+/// allreduce per iteration regardless of the number of groups, exactly the
+/// communication pattern of a multi-way Zoltan cut search. This
+/// level-synchronous batching is what keeps the collective count of
+/// recursive partitioners at `O(levels)` instead of `O(k)`, the property
+/// behind their scaling behaviour in the paper's Fig. 3.
 pub fn weighted_quantiles_grouped<C: Comm>(
     comm: &C,
     groups: &[QuantileGroup],
@@ -309,7 +253,7 @@ pub fn weighted_quantiles_grouped<C: Comm>(
 }
 
 /// Distributed weighted quantiles over `u64` keys (exact integer bisection).
-/// Semantics as [`weighted_quantiles_f64`], with thresholds `x` such that
+/// Semantics as [`weighted_quantiles_grouped`], with thresholds `x` such that
 /// keys `≤ x` hold approximately `alpha · total_weight`.
 pub fn weighted_quantiles_u64<C: Comm>(
     comm: &C,
@@ -365,6 +309,16 @@ pub fn weighted_quantiles_u64<C: Comm>(
 mod tests {
     use super::*;
     use geographer_parcomm::{run_spmd, SelfComm};
+
+    /// The quantiles of one group, through the batched search.
+    fn one_group<C: Comm>(c: &C, values: &[f64], weights: &[f64], alphas: &[f64]) -> Vec<f64> {
+        let group = QuantileGroup {
+            values: values.to_vec(),
+            weights: weights.to_vec(),
+            alphas: alphas.to_vec(),
+        };
+        weighted_quantiles_grouped(c, &[group]).remove(0)
+    }
 
     fn seq_weighted_quantile(mut vw: Vec<(f64, f64)>, alpha: f64) -> f64 {
         vw.sort_by(|a, b| a.0.total_cmp(&b.0));
@@ -455,7 +409,7 @@ mod tests {
                 .map(|i| ((c.rank() * per_rank + i) as f64 * 0.731).sin() * 100.0)
                 .collect();
             let weights: Vec<f64> = (0..per_rank).map(|i| 1.0 + (i % 5) as f64).collect();
-            let q = weighted_quantiles_f64(&c, &values, &weights, &[0.25, 0.5, 0.9]);
+            let q = one_group(&c, &values, &weights, &[0.25, 0.5, 0.9]);
             (values, weights, q)
         });
         let all: Vec<(f64, f64)> = results
@@ -498,14 +452,8 @@ mod tests {
 
     #[test]
     fn quantiles_empty_input_all_ranks() {
-        let results = run_spmd(2, |c| {
-            (
-                weighted_quantiles_f64(&c, &[], &[], &[0.5]),
-                weighted_quantiles_u64(&c, &[], &[], &[0.5]),
-            )
-        });
-        assert_eq!(results[0].0, vec![0.0]);
-        assert_eq!(results[0].1, vec![0]);
+        let results = run_spmd(2, |c| weighted_quantiles_u64(&c, &[], &[], &[0.5]));
+        assert_eq!(results[0], vec![0]);
     }
 
     #[test]
@@ -527,8 +475,8 @@ mod tests {
                     QuantileGroup { values: v2.clone(), weights: w2.clone(), alphas: vec![0.5] },
                 ],
             );
-            let single1 = weighted_quantiles_f64(&c, &v1, &w1, &[0.3, 0.7]);
-            let single2 = weighted_quantiles_f64(&c, &v2, &w2, &[0.5]);
+            let single1 = one_group(&c, &v1, &w1, &[0.3, 0.7]);
+            let single2 = one_group(&c, &v2, &w2, &[0.5]);
             (grouped, single1, single2)
         });
         for (grouped, s1, s2) in results {
@@ -562,12 +510,7 @@ mod tests {
     fn quantiles_skewed_weights() {
         // One huge-weight element dominates: every quantile ≤ its mass lands
         // on it.
-        let q = weighted_quantiles_f64(
-            &SelfComm,
-            &[1.0, 2.0, 3.0],
-            &[1.0, 100.0, 1.0],
-            &[0.5, 0.95],
-        );
+        let q = one_group(&SelfComm, &[1.0, 2.0, 3.0], &[1.0, 100.0, 1.0], &[0.5, 0.95]);
         assert!((q[0] - 2.0).abs() < 1e-6);
         assert!((q[1] - 2.0).abs() < 1e-6);
     }

@@ -16,11 +16,11 @@
 //! is the same wire operation regardless of which user-level collective
 //! the rank was about to issue, so the side channel itself stays aligned
 //! even when the user calls diverge; every rank then holds the full
-//! signature table and, on mismatch, panics with the same
-//! [`ProtocolError`] simultaneously — no rank is left blocked. The
-//! `detail` slot carries what must agree per collective: element count
-//! for the typed reductions (a length mismatch would otherwise silently
-//! zip-truncate), the root for broadcast, the fan-out for alltoallv.
+//! signature table and, on mismatch, raises the same [`ProtocolError`]
+//! — no rank is left blocked. The `detail` slot carries what must agree
+//! per collective: element count for the typed reductions (a length
+//! mismatch would otherwise silently zip-truncate), the root for
+//! broadcast, the fan-out for alltoallv.
 //!
 //! A rank that simply *stops* calling collectives (returns early) is
 //! caught the same way: a [`CheckedComm`] dropped without unwinding
@@ -199,14 +199,18 @@ impl<C: Comm> CheckedComm<C> {
         };
         // Raised on every rank at once: the thread runner re-propagates
         // the typed payload, the process runner forwards it over the
-        // control socket as a PROTOCOL frame. The default panic hook prints
-        // a typed payload as `Box<dyn Any>`, so rank 0 says what diverged —
-        // as one string, which the peers' hook output cannot split.
+        // control socket as a PROTOCOL frame. Neither prints it, so rank 0
+        // says what diverged — before anyone raises: the first rank to
+        // unwind poisons a thread job (closes its sockets, on processes)
+        // and would cut a slower rank 0 short. Nobody leaves a barrier
+        // before rank 0 has entered it, and every rank holds the same
+        // table, so they all take this path.
         if self.inner.rank() == 0 {
             let line = format!("{err}\n");
             eprint!("{line}");
         }
-        std::panic::panic_any(err);
+        self.inner.barrier();
+        crate::raise(err)
     }
 }
 

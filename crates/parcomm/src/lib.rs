@@ -103,6 +103,17 @@ pub trait Comm {
     fn broadcast<T: Wire>(&self, root: usize, value: Option<T>) -> T;
 }
 
+/// Fail this rank with `payload`, without the panic hook: the unwind is
+/// the one `panic_any` starts — `thread::panicking()` holds, the runners
+/// catch and downcast it — but nothing is printed and, the reason it
+/// exists, the hook's process-global lock is never taken. A forked worker
+/// may have inherited that lock held (DESIGN.md §10), so the failures this
+/// crate raises *itself* — a dead peer, a lockstep divergence — go
+/// through here.
+pub(crate) fn raise<P: std::any::Any + Send>(payload: P) -> ! {
+    std::panic::resume_unwind(Box::new(payload))
+}
+
 /// The trivial communicator: one rank, nobody to talk to. Its collectives
 /// are the generic layer's `p = 1` paths, which return their input and
 /// record one op of zero rounds and zero bytes — what any size-1

@@ -7,15 +7,12 @@
 //! numbers the substrate reports can be *measured* against real kernel
 //! round-trips instead of modeled from counters alone.
 //!
-//! The substrate has three layers:
+//! Every socket exists before the first fork: the parent makes the
+//! p(p−1)/2 links of the full mesh and one control pair per rank as
+//! `UnixStream::pair()`s, a worker keeps its own row and closes every
+//! other end it inherited (DESIGN.md §10 has who closes what). On top of
+//! that the substrate has two layers:
 //!
-//! * **Rendezvous** — the parent forks workers that meet in a private
-//!   socket directory: each rank binds its own listener, dials every
-//!   lower rank (with retry until the peer has bound), and both sides
-//!   exchange a `HELLO` frame carrying the rank id and a per-job token,
-//!   yielding a full mesh of per-peer streams. A control socketpair per
-//!   rank (created before the fork) carries the final result or panic
-//!   back to the parent.
 //! * **Framing** — every message is `[magic, kind, seq, len]` +
 //!   payload. `kind` is the collective the message belongs to, `seq`
 //!   counts the frames sent so far on that link in that direction:
@@ -31,46 +28,45 @@
 //!
 //! Failure semantics (the part a shared-memory simulation cannot give
 //! you): a rank that panics reports through its control socket and exits;
-//! a rank that *dies* (kill -9, `process::exit`) just disappears — its
-//! sockets close, peers' blocking reads return EOF, and they panic with a
-//! "peer hung up" error that propagates the failure instead of hanging
-//! the job. The parent additionally enforces a deadline
-//! (`GEO_PROC_TIMEOUT_SECS`, default 120 s) and SIGKILLs stragglers, so a
-//! genuinely hung worker also becomes a clean [`ProcError`].
+//! a rank that *dies* (kill -9, `_exit`) just disappears — its sockets
+//! close, peers' blocking reads return EOF, and they raise a "peer hung
+//! up" error that propagates the failure instead of hanging the job. The
+//! parent additionally enforces a deadline (`GEO_PROC_TIMEOUT_SECS`,
+//! default 120 s), so a genuinely hung worker also becomes a clean
+//! [`ProcError`]; on every path, success included, it ends the job by
+//! SIGKILLing and reaping every worker.
 //!
-//! Deadlock avoidance on the wire, all behind `sendrecv`: frames at or
-//! below `EAGER_MAX` bytes are written eagerly (they fit the socket
-//! buffer, so the write cannot block) and read afterwards; larger pairwise
-//! exchanges fall back to a rank-ordered rendezvous (lower rank writes
-//! first while the higher rank drains), and larger ring steps overlap the
-//! write on a scoped thread — the same eager/rendezvous split real MPI
-//! implementations use.
+//! **Fork safety.** `fork` copies one thread of a process whose other
+//! threads may each hold a process-global std lock; the copy of such a
+//! lock is never released. So a worker never takes a lock another parent
+//! thread could have held: it starts no thread, leaves through `_exit`
+//! (no exit handlers), and raises its own failures with `crate::raise`
+//! (no panic hook). What is left is a closure's *genuine* panic, which
+//! still runs the hook: if a foreign thread was inside it at fork time
+//! the worker blocks and the job ends at the deadline as
+//! [`ProcError::Timeout`].
 
 #![cfg(unix)]
 
 use std::cell::Cell;
 use std::io::{self, Read, Write};
-use std::os::unix::net::{UnixListener, UnixStream};
+use std::os::unix::net::UnixStream;
 use std::panic::AssertUnwindSafe;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant, SystemTime};
+use std::sync::{Mutex, PoisonError};
+use std::time::{Duration, Instant};
 
 use crate::collectives::Tag;
 use crate::stats::{Collective, StatsCell};
 use crate::wire::{from_wire, to_wire, Wire};
 
-/// Largest frame payload written eagerly (before reading): must stay
-/// comfortably under the kernel's default Unix-socket buffer so an eager
-/// write can never block against an un-drained peer.
+/// Largest piece of a frame written before the next read: must stay
+/// comfortably under the kernel's default Unix-socket buffer, so that a
+/// chunk always fits an *empty* buffer (see `ProcComm::sendrecv_frames`).
 const EAGER_MAX: usize = 64 * 1024;
 
 /// Seconds a job may run before the parent kills the workers
 /// (override with `GEO_PROC_TIMEOUT_SECS`).
 const DEFAULT_TIMEOUT_SECS: f64 = 120.0;
-
-/// Seconds the mesh rendezvous may take before a worker gives up.
-const RENDEZVOUS_TIMEOUT_SECS: f64 = 20.0;
 
 /// Raw process primitives, declared directly against the platform libc
 /// that std already links (the workspace builds offline; no `libc` crate).
@@ -79,27 +75,17 @@ mod sys {
         pub fn fork() -> i32;
         pub fn waitpid(pid: i32, status: *mut i32, options: i32) -> i32;
         pub fn kill(pid: i32, sig: i32) -> i32;
+        pub fn _exit(code: i32) -> !;
     }
 
     pub const SIGKILL: i32 = 9;
-
-    /// Decode a `waitpid` status into a human-readable failure, or `None`
-    /// for a clean zero exit.
-    pub fn failure_of(status: i32) -> Option<String> {
-        if status & 0x7f == 0 {
-            let code = (status >> 8) & 0xff;
-            (code != 0).then(|| format!("exited with code {code}"))
-        } else {
-            Some(format!("killed by signal {}", status & 0x7f))
-        }
-    }
 }
 
 /// Why a multi-process SPMD job failed.
 #[derive(Debug)]
 pub enum ProcError {
-    /// The workers could not be spawned or the rendezvous directory could
-    /// not be set up.
+    /// A socketpair could not be made (`EMFILE` past the descriptor
+    /// limit) or a worker could not be forked; no worker is left running.
     Spawn(io::Error),
     /// A rank died, panicked, or broke the protocol; `detail` carries the
     /// panic message or exit status.
@@ -148,21 +134,38 @@ impl std::fmt::Display for ProcError {
 
 impl std::error::Error for ProcError {}
 
-/// Frame kinds on the wire (one byte).
-mod kind {
-    pub const HELLO: u8 = 1;
-    pub const BARRIER: u8 = 2;
-    pub const ALLGATHER: u8 = 3;
-    pub const ALLREDUCE: u8 = 4;
-    pub const BROADCAST: u8 = 5;
-    pub const EXSCAN: u8 = 6;
-    pub const ALLTOALLV: u8 = 7;
-    pub const PROBE: u8 = 8;
-    pub const RESULT: u8 = 9;
-    pub const PANIC: u8 = 10;
+/// Frame kinds on the wire (one byte). An enum, so the compiler keeps the
+/// table: two kinds with one value do not compile (E0081), a kind nothing
+/// sends is a `dead_code` warning, an unknown one is an unresolved name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
+enum Kind {
+    Barrier = 1,
+    Allgather = 2,
+    Allreduce = 3,
+    Broadcast = 4,
+    Exscan = 5,
+    Alltoallv = 6,
+    Probe = 7,
+    Result = 8,
+    Panic = 9,
     /// A worker's `CheckedComm` lockstep check failed: the payload is a
     /// wire-encoded [`crate::checked::ProtocolError`], not a panic string.
-    pub const PROTOCOL: u8 = 11;
+    Protocol = 10,
+}
+
+/// The frame kind a message of `tag` travels under.
+impl From<Tag> for Kind {
+    fn from(tag: Tag) -> Kind {
+        match tag {
+            Tag::Barrier => Kind::Barrier,
+            Tag::Op(Collective::Allgather) => Kind::Allgather,
+            Tag::Op(Collective::Allreduce) => Kind::Allreduce,
+            Tag::Op(Collective::Broadcast) => Kind::Broadcast,
+            Tag::Op(Collective::Exscan) => Kind::Exscan,
+            Tag::Op(Collective::Alltoallv) => Kind::Alltoallv,
+        }
+    }
 }
 
 /// Length-prefixed framing over a stream: `[magic u32][kind u8][pad ×3]
@@ -176,24 +179,27 @@ mod frame {
     /// fails fast instead of attempting a matching allocation.
     const MAX_LEN: u64 = 1 << 33;
 
-    pub fn write(stream: &UnixStream, kind: u8, seq: u64, payload: &[u8]) -> io::Result<()> {
-        let mut head = [0u8; HEADER];
-        head[..4].copy_from_slice(&MAGIC.to_le_bytes());
-        head[4] = kind;
-        head[8..16].copy_from_slice(&seq.to_le_bytes());
-        head[16..24].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+    /// A frame as the byte stream carries it, cut after its first
+    /// [`EAGER_MAX`] bytes: the header with the head of the payload behind
+    /// it in one buffer (a small message is one write), and the rest of
+    /// the payload.
+    pub fn split(kind: Kind, seq: u64, payload: &[u8]) -> (Vec<u8>, &[u8]) {
+        let (head, rest) = payload.split_at(payload.len().min(EAGER_MAX - HEADER));
+        let mut first = Vec::with_capacity(HEADER + head.len());
+        first.extend_from_slice(&MAGIC.to_le_bytes());
+        first.extend_from_slice(&[kind as u8, 0, 0, 0]);
+        first.extend_from_slice(&seq.to_le_bytes());
+        first.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        first.extend_from_slice(head);
+        (first, rest)
+    }
+
+    /// Write one whole frame, blocking until the peer has taken it.
+    pub fn write(stream: &UnixStream, kind: Kind, seq: u64, payload: &[u8]) -> io::Result<()> {
+        let (first, rest) = split(kind, seq, payload);
         let mut w = stream;
-        if payload.len() <= EAGER_MAX {
-            // One buffer, one write: eager frames must hit the socket in a
-            // single syscall so the "cannot block" reasoning holds.
-            let mut buf = Vec::with_capacity(HEADER + payload.len());
-            buf.extend_from_slice(&head);
-            buf.extend_from_slice(payload);
-            w.write_all(&buf)
-        } else {
-            w.write_all(&head)?;
-            w.write_all(payload)
-        }
+        w.write_all(&first)?;
+        w.write_all(rest)
     }
 
     /// Read and validate one header: `(kind, seq, len)`. The one place a
@@ -221,28 +227,29 @@ mod frame {
         }
     }
 
+    /// Read one header, requiring `kind` and `seq` to match what the SPMD
+    /// call order predicts: the length of the payload that follows.
+    pub fn expect_header(stream: &UnixStream, kind: Kind, seq: u64) -> io::Result<usize> {
+        let (got_kind, got_seq, len) = read_header(stream)?;
+        if got_kind != kind as u8 || got_seq != seq {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "frame desync: got (kind {got_kind}, seq {got_seq}), \
+                     expected ({kind:?} = {}, seq {seq})",
+                    kind as u8
+                ),
+            ));
+        }
+        Ok(len)
+    }
+
     /// Read the `len` payload bytes a validated header announced.
     pub fn read_payload(stream: &UnixStream, len: usize) -> io::Result<Vec<u8>> {
         let mut r = stream;
         let mut payload = vec![0u8; len];
         r.read_exact(&mut payload)?;
         Ok(payload)
-    }
-
-    /// Read one frame, requiring `kind` and `seq` to match what the SPMD
-    /// call order predicts.
-    pub fn read(stream: &UnixStream, kind: u8, seq: u64) -> io::Result<Vec<u8>> {
-        let (got_kind, got_seq, len) = read_header(stream)?;
-        if got_kind != kind || got_seq != seq {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "frame desync: got (kind {got_kind}, seq {got_seq}), \
-                     expected (kind {kind}, seq {seq})"
-                ),
-            ));
-        }
-        read_payload(stream, len)
     }
 }
 
@@ -279,123 +286,88 @@ pub struct ProcComm {
 }
 
 impl ProcComm {
-    /// Worker-side rendezvous: bind own listener, dial every lower rank,
-    /// accept every higher rank, handshake with `HELLO{rank}` frames
-    /// carrying the job token.
-    fn connect(dir: &Path, rank: usize, size: usize, job: u64) -> io::Result<ProcComm> {
-        let deadline = Instant::now() + Duration::from_secs_f64(RENDEZVOUS_TIMEOUT_SECS);
-        let sock = |r: usize| dir.join(format!("r{r}.sock"));
-        let mut peers: Vec<Option<Peer>> = (0..size).map(|_| None).collect();
-        let listener = UnixListener::bind(sock(rank))?;
-        listener.set_nonblocking(true)?;
-        // Dial lower ranks, retrying until the peer has bound its path.
-        #[allow(clippy::needless_range_loop)] // `s` is a rank id, not just an index
-        for s in 0..rank {
-            let stream = loop {
-                match UnixStream::connect(sock(s)) {
-                    Ok(st) => break st,
-                    Err(e) => {
-                        if Instant::now() >= deadline {
-                            return Err(io::Error::new(
-                                e.kind(),
-                                format!("rank {rank}: rendezvous with rank {s} timed out: {e}"),
-                            ));
-                        }
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                }
-            };
-            frame::write(&stream, kind::HELLO, job, &to_wire(&(rank as u64)))?;
-            peers[s] = Some(Peer::new(stream));
-        }
-        // Accept higher ranks; the hello tells us which one dialed in.
-        for _ in rank + 1..size {
-            let stream = loop {
-                match listener.accept() {
-                    Ok((st, _)) => break st,
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        if Instant::now() >= deadline {
-                            return Err(io::Error::new(
-                                io::ErrorKind::TimedOut,
-                                format!("rank {rank}: rendezvous accept timed out"),
-                            ));
-                        }
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                    Err(e) => return Err(e),
-                }
-            };
-            stream.set_nonblocking(false)?;
-            stream.set_read_timeout(Some(deadline.saturating_duration_since(Instant::now())))?;
-            let hello = frame::read(&stream, kind::HELLO, job)?;
-            let s = from_wire::<u64>(&hello) as usize;
-            if s <= rank || s >= size || peers[s].is_some() {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("rank {rank}: bogus hello from rank {s}"),
-                ));
-            }
-            stream.set_read_timeout(None)?;
-            peers[s] = Some(Peer::new(stream));
-        }
-        Ok(ProcComm { rank, size, peers, stats: StatsCell::default() })
-    }
-
     fn peer(&self, r: usize) -> &Peer {
         // Infallible — the mesh is full except s == rank, and no collective addresses self.
         self.peers[r].as_ref().unwrap_or_else(|| panic!("rank {} has no stream to {r}", self.rank))
     }
 
-    fn send_frame(&self, to: usize, k: u8, payload: &[u8]) {
-        let peer = self.peer(to);
-        let seq = bump(&peer.sent);
-        frame::write(&peer.stream, k, seq, payload).unwrap_or_else(|e| {
-            // Deliberate fail-loud abort — a wire fault means a peer died; the parent reports a ProcError (DESIGN.md §10).
-            panic!("rank {}: send to rank {to} failed (kind {k}, seq {seq}): {e}", self.rank)
-        });
+    /// Deliberate fail-loud abort — a wire fault means a peer died; the
+    /// parent reports a ProcError (DESIGN.md §10).
+    fn send_failed(&self, to: usize, k: Kind, seq: u64, e: io::Error) -> ! {
+        crate::raise(format!("rank {}: send to rank {to} failed ({k:?}, seq {seq}): {e}", self.rank))
     }
 
-    fn recv_frame(&self, from: usize, k: u8) -> Vec<u8> {
+    /// Deliberate fail-loud abort — EOF here is the designed dead-peer
+    /// signal; the parent reports a ProcError (DESIGN.md §10).
+    fn recv_failed(&self, from: usize, k: Kind, seq: u64, e: io::Error) -> ! {
+        let why = if e.kind() == io::ErrorKind::UnexpectedEof {
+            "peer hung up mid-collective (rank died?)".to_string()
+        } else {
+            e.to_string()
+        };
+        crate::raise(format!(
+            "rank {}: recv from rank {from} failed ({k:?}, seq {seq}): {why}",
+            self.rank
+        ))
+    }
+
+    fn send_frame(&self, to: usize, k: Kind, payload: &[u8]) {
+        let peer = self.peer(to);
+        let seq = bump(&peer.sent);
+        frame::write(&peer.stream, k, seq, payload)
+            .unwrap_or_else(|e| self.send_failed(to, k, seq, e));
+    }
+
+    fn recv_frame(&self, from: usize, k: Kind) -> Vec<u8> {
         let peer = self.peer(from);
         let seq = bump(&peer.received);
-        frame::read(&peer.stream, k, seq).unwrap_or_else(|e| {
-            let why = if e.kind() == io::ErrorKind::UnexpectedEof {
-                "peer hung up mid-collective (rank died?)".to_string()
-            } else {
-                e.to_string()
-            };
-            // Deliberate fail-loud abort — EOF here is the designed dead-peer signal; the parent reports a ProcError (DESIGN.md §10).
-            panic!("rank {}: recv from rank {from} failed (kind {k}, seq {seq}): {why}", self.rank)
-        })
+        frame::expect_header(&peer.stream, k, seq)
+            .and_then(|len| frame::read_payload(&peer.stream, len))
+            .unwrap_or_else(|e| self.recv_failed(from, k, seq, e))
     }
 
     /// Send `payload` to `to` while receiving a same-kind frame from
-    /// `from`, without ever blocking forever against a full socket buffer:
-    /// eager for small payloads; for large ones a pairwise exchange
-    /// (`to == from`) is a rank-ordered rendezvous — the lower rank writes
-    /// while the higher drains — and a ring step (`to != from`) overlaps
-    /// the write on a scoped thread, because a ring of blocking writes can
-    /// cycle.
-    fn sendrecv_frames(&self, to: usize, k: u8, payload: &[u8], from: usize) -> Vec<u8> {
-        if payload.len() <= EAGER_MAX || (to == from && self.rank < to) {
-            self.send_frame(to, k, payload);
-            self.recv_frame(from, k)
-        } else if to == from {
-            let got = self.recv_frame(from, k);
-            self.send_frame(to, k, payload);
-            got
-        } else {
-            let peer = self.peer(to);
-            let (stream, seq, me) = (&peer.stream, bump(&peer.sent), self.rank);
-            std::thread::scope(|sc| {
-                sc.spawn(move || {
-                    frame::write(stream, k, seq, payload).unwrap_or_else(|e| {
-                        // Deliberate fail-loud abort — same dead-peer policy as send_frame() (DESIGN.md §10).
-                        panic!("rank {me}: send to rank {to} failed (kind {k}, seq {seq}): {e}")
-                    });
-                });
-                self.recv_frame(from, k)
-            })
+    /// `from`, in lockstep: write one chunk of at most [`EAGER_MAX`] bytes
+    /// of the outgoing frame, read one of the incoming frame, and repeat
+    /// until both directions are done.
+    ///
+    /// Deadlock-free for any two lengths and any schedule stride
+    /// (`to == from` in a butterfly, `to != from` in a ring): a chunk fits
+    /// an empty socket buffer, so a write blocks only behind data its
+    /// reader has not taken yet. Take the rank that is least far along. If
+    /// it is writing chunk `i`, its reader — further along — has read
+    /// every chunk before `i`, the buffer is empty and the write
+    /// completes; if it is reading chunk `i`, its writer has written it.
+    /// Put the other way round: a cycle of blocked writers would need
+    /// every rank ahead of its successor.
+    fn sendrecv_frames(&self, to: usize, k: Kind, payload: &[u8], from: usize) -> Vec<u8> {
+        let (out, inc) = (self.peer(to), self.peer(from));
+        let (out_seq, in_seq) = (bump(&out.sent), bump(&inc.received));
+        let write = |chunk: &[u8]| {
+            (&out.stream).write_all(chunk).unwrap_or_else(|e| self.send_failed(to, k, out_seq, e))
+        };
+        let read = |buf: &mut [u8]| {
+            (&inc.stream).read_exact(buf).unwrap_or_else(|e| self.recv_failed(from, k, in_seq, e))
+        };
+
+        let (first, rest) = frame::split(k, out_seq, payload);
+        let mut chunks = rest.chunks(EAGER_MAX);
+        write(&first);
+        let len = frame::expect_header(&inc.stream, k, in_seq)
+            .unwrap_or_else(|e| self.recv_failed(from, k, in_seq, e));
+        let mut got = vec![0u8; len];
+        // The incoming frame is cut where its writer cut it: the first
+        // chunk carried the header.
+        let (mut filled, mut room) = (0, EAGER_MAX - frame::HEADER);
+        loop {
+            let end = len.min(filled + room);
+            read(&mut got[filled..end]);
+            (filled, room) = (end, EAGER_MAX);
+            match chunks.next() {
+                Some(chunk) => write(chunk),
+                None if filled == len => return got,
+                None => {}
+            }
         }
     }
 
@@ -405,19 +377,7 @@ impl ProcComm {
     pub fn probe_exchange(&self, payload: &[u8]) -> Vec<u8> {
         assert!(self.size >= 2, "probe needs a partner rank");
         let partner = self.rank ^ 1;
-        self.sendrecv_frames(partner, kind::PROBE, payload, partner)
-    }
-}
-
-/// The frame kind a message of `tag` travels under.
-fn kind_of(tag: Tag) -> u8 {
-    match tag {
-        Tag::Barrier => kind::BARRIER,
-        Tag::Op(Collective::Allgather) => kind::ALLGATHER,
-        Tag::Op(Collective::Allreduce) => kind::ALLREDUCE,
-        Tag::Op(Collective::Broadcast) => kind::BROADCAST,
-        Tag::Op(Collective::Exscan) => kind::EXSCAN,
-        Tag::Op(Collective::Alltoallv) => kind::ALLTOALLV,
+        self.sendrecv_frames(partner, Kind::Probe, payload, partner)
     }
 }
 
@@ -431,25 +391,21 @@ impl crate::collectives::Transport for ProcComm {
     }
 
     fn send<T: Wire>(&self, tag: Tag, to: usize, value: T) {
-        self.send_frame(to, kind_of(tag), &to_wire(&value));
+        self.send_frame(to, tag.into(), &to_wire(&value));
     }
 
     fn recv<T: Wire>(&self, tag: Tag, from: usize) -> T {
-        from_wire(&self.recv_frame(from, kind_of(tag)))
+        from_wire(&self.recv_frame(from, tag.into()))
     }
 
     fn sendrecv<T: Wire>(&self, tag: Tag, to: usize, value: T, from: usize) -> T {
-        from_wire(&self.sendrecv_frames(to, kind_of(tag), &to_wire(&value), from))
+        from_wire(&self.sendrecv_frames(to, tag.into(), &to_wire(&value), from))
     }
 
     fn with_stats<R>(&self, f: impl FnOnce(&StatsCell) -> R) -> R {
         f(&self.stats)
     }
 }
-
-/// Monotone job counter, so concurrent/nested jobs in one process get
-/// distinct rendezvous directories.
-static JOB_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 fn job_timeout() -> f64 {
     std::env::var("GEO_PROC_TIMEOUT_SECS")
@@ -459,31 +415,21 @@ fn job_timeout() -> f64 {
         .unwrap_or(DEFAULT_TIMEOUT_SECS)
 }
 
-/// Worker body after the fork: rendezvous, run `f`, report the result (or
-/// the panic message) over the control socket, and exit without returning
-/// into the caller's stack.
-fn child_main<R, F>(ctrl: UnixStream, dir: PathBuf, rank: usize, size: usize, job: u64, f: F) -> !
+/// Worker body after the fork: run `f`, report the result (or what it
+/// failed with) over the control socket, and leave without returning into
+/// the caller's stack or running an exit handler.
+fn child_main<R, F>(ctrl: UnixStream, comm: ProcComm, f: F) -> !
 where
     R: Wire,
     F: Fn(ProcComm) -> R,
 {
-    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        let comm = ProcComm::connect(&dir, rank, size, job)
-            // Deliberate fail-loud abort — caught by this catch_unwind and reported to the parent as a PANIC frame.
-            .unwrap_or_else(|e| panic!("rank {rank}: rendezvous failed: {e}"));
-        f(comm)
-    }));
-    let code = match outcome {
-        Ok(v) => {
-            let _ = frame::write(&ctrl, kind::RESULT, job, &to_wire(&v));
-            0
-        }
+    let _ = match std::panic::catch_unwind(AssertUnwindSafe(|| f(comm))) {
+        Ok(v) => frame::write(&ctrl, Kind::Result, 0, &to_wire(&v)),
         Err(payload) => {
             // A CheckedComm lockstep report crosses the control socket
             // typed, not flattened to a panic string.
             if let Some(pe) = payload.downcast_ref::<crate::checked::ProtocolError>() {
-                let _ = frame::write(&ctrl, kind::PROTOCOL, job, &to_wire(pe));
-                102
+                frame::write(&ctrl, Kind::Protocol, 0, &to_wire(pe))
             } else {
                 let msg: &str = if let Some(s) = payload.downcast_ref::<&str>() {
                     s
@@ -492,13 +438,91 @@ where
                 } else {
                     "worker panicked (non-string payload)"
                 };
-                let _ = frame::write(&ctrl, kind::PANIC, job, msg.as_bytes());
-                101
+                frame::write(&ctrl, Kind::Panic, 0, msg.as_bytes())
             }
         }
     };
-    std::process::exit(code)
+    // SAFETY: _exit(2) takes no pointer and does not return. The frame
+    // above is already in the parent's socket buffer; nothing else this
+    // process owns outlives it.
+    unsafe { sys::_exit(0) }
 }
+
+/// SIGKILL and reap every worker: how a job ends, whatever its outcome. A
+/// worker that has delivered its frame has nothing left to do, and a
+/// killed process cannot keep the `waitpid` waiting.
+fn kill_all(pids: &[i32]) {
+    for &pid in pids {
+        // SAFETY: plain kill(2) on a pid this parent forked and has
+        // not yet reaped; on an already-dead pid it is a harmless
+        // ESRCH. No memory is touched.
+        unsafe {
+            sys::kill(pid, sys::SIGKILL);
+        }
+    }
+    for &pid in pids {
+        let mut status = 0i32;
+        // SAFETY: waitpid(2) on a child of this process; the status
+        // out-pointer refers to a live i32 on this stack frame.
+        unsafe {
+            sys::waitpid(pid, &mut status, 0);
+        }
+    }
+}
+
+/// Wait for rank `rank`'s control frame until `deadline`: its
+/// [`Wire`]-encoded result, or the error it stands for.
+fn read_result(
+    ctrl: &UnixStream,
+    rank: usize,
+    deadline: Instant,
+    timeout: f64,
+) -> Result<Vec<u8>, ProcError> {
+    let failed = |detail: String| ProcError::RankFailed { rank, detail };
+    let remaining = deadline.saturating_duration_since(Instant::now());
+    // `set_read_timeout` rejects a zero duration.
+    if remaining.is_zero() {
+        return Err(ProcError::Timeout { rank, seconds: timeout });
+    }
+    ctrl.set_read_timeout(Some(remaining))
+        .map_err(|_| failed("control socket unusable".into()))?;
+    let frame = frame::read_header(ctrl)
+        .and_then(|(k, _, len)| Ok((k, frame::read_payload(ctrl, len)?)));
+    match frame {
+        Ok((k, payload)) if k == Kind::Result as u8 => Ok(payload),
+        Ok((k, payload)) if k == Kind::Panic as u8 => {
+            Err(failed(String::from_utf8_lossy(&payload).into_owned()))
+        }
+        Ok((k, payload)) if k == Kind::Protocol as u8 => {
+            Err(ProcError::Protocol { rank, error: from_wire(&payload) })
+        }
+        Ok((k, _)) => Err(failed(format!("protocol violation: unexpected frame kind {k}"))),
+        Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
+            Err(ProcError::Timeout { rank, seconds: timeout })
+        }
+        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => {
+            Err(failed("worker process died without reporting a result".into()))
+        }
+        Err(e) => Err(failed(e.to_string())),
+    }
+}
+
+/// Make rank `rank`'s links to every higher rank, one end into each of the
+/// two rows, and its control pair.
+fn make_ends(rows: &mut [Vec<Option<Peer>>], rank: usize) -> io::Result<(UnixStream, UnixStream)> {
+    #[allow(clippy::needless_range_loop)] // `s` is a rank id, not just an index
+    for s in rank + 1..rows.len() {
+        let (mine, theirs) = UnixStream::pair()?;
+        rows[rank][s] = Some(Peer::new(mine));
+        rows[s][rank] = Some(Peer::new(theirs));
+    }
+    UnixStream::pair()
+}
+
+/// Held from a job's first socketpair to its last parent-side close: a
+/// worker forked meanwhile by *another* job would inherit a copy of a link
+/// end, and a dead rank's peers would then never see EOF.
+static SPAWN: Mutex<()> = Mutex::new(());
 
 /// Run `f` as an SPMD program on `p` ranks, each a forked **worker
 /// process**, and return the per-rank results indexed by rank.
@@ -510,156 +534,74 @@ where
 /// panics, dies, or hangs turns into an `Err` here instead of a deadlock:
 /// peers of a dead rank fail on EOF, and the parent SIGKILLs the job at
 /// the `GEO_PROC_TIMEOUT_SECS` deadline (default 120 s).
+///
+/// Descriptors: the links are made row by row — rank `r`'s to every
+/// `s > r` just before fork `r`, the parent dropping `r`'s ends right
+/// after — so the parent and a newborn worker hold at most ≈ p²/4 + 2p at
+/// once (≈ 1 150 at p = 64), a running worker `p`. Past the limit the job
+/// fails up front as [`ProcError::Spawn`].
 pub fn run_spmd_proc<R, F>(p: usize, f: F) -> Result<Vec<R>, ProcError>
 where
     R: Wire,
     F: Fn(ProcComm) -> R,
 {
     assert!(p > 0, "communicator needs at least one rank");
-    let job = JOB_COUNTER.fetch_add(1, Ordering::Relaxed);
-    let token = {
-        let nanos = SystemTime::now()
-            .duration_since(SystemTime::UNIX_EPOCH)
-            .map(|d| d.subsec_nanos() as u64)
-            .unwrap_or(0);
-        (std::process::id() as u64) << 32 ^ job << 8 ^ nanos
-    };
-    let dir = std::env::temp_dir().join(format!("geo-spmd-{}-{job}", std::process::id()));
-    std::fs::create_dir_all(&dir).map_err(ProcError::Spawn)?;
-
-    let mut parents: Vec<UnixStream> = Vec::with_capacity(p);
+    // Taken before any socket exists and declared first, so that an early
+    // return closes every end before releasing it.
+    let spawning = SPAWN.lock().unwrap_or_else(PoisonError::into_inner);
+    // `rows[r]` is the `peers` vector of a rank not yet forked, as far as
+    // its links have been made.
+    let mut rows: Vec<Vec<Option<Peer>>> =
+        (0..p).map(|_| (0..p).map(|_| None).collect()).collect();
+    let mut ctrls: Vec<UnixStream> = Vec::with_capacity(p);
     let mut pids: Vec<i32> = Vec::with_capacity(p);
-    let kill_all = |pids: &[i32]| {
-        for &pid in pids {
-            // SAFETY: plain kill(2) on a pid this parent forked and has
-            // not yet reaped; on an already-dead pid it is a harmless
-            // ESRCH. No memory is touched.
-            unsafe {
-                sys::kill(pid, sys::SIGKILL);
-            }
-        }
-        for &pid in pids {
-            let mut status = 0i32;
-            // SAFETY: waitpid(2) on a child of this process; the status
-            // out-pointer refers to a live i32 on this stack frame.
-            unsafe {
-                sys::waitpid(pid, &mut status, 0);
-            }
-        }
+    let spawn_failed = |pids: &[i32], e: io::Error| {
+        kill_all(pids);
+        Err(ProcError::Spawn(e))
     };
     for rank in 0..p {
-        let (pa, ch) = match UnixStream::pair() {
+        let (ctrl, report) = match make_ends(&mut rows, rank) {
             Ok(pair) => pair,
-            Err(e) => {
-                kill_all(&pids);
-                let _ = std::fs::remove_dir_all(&dir);
-                return Err(ProcError::Spawn(e));
-            }
+            Err(e) => return spawn_failed(&pids, e),
         };
         // SAFETY: direct fork(2). The child never returns into the
-        // caller's stack: it drops the inherited parent-side endpoints
-        // and diverges into `child_main`, which ends in process::exit —
-        // so no foreign Drop impls or locks from the parent run in the
-        // child, and the parent side only inspects the returned pid.
+        // caller's stack: it diverges into `child_main`, which ends in
+        // _exit — so no foreign Drop impls, exit handlers or locks from
+        // the parent run in the child, and the parent side only inspects
+        // the returned pid.
         let pid = unsafe { sys::fork() };
         if pid < 0 {
-            kill_all(&pids);
-            let _ = std::fs::remove_dir_all(&dir);
-            return Err(ProcError::Spawn(io::Error::last_os_error()));
+            return spawn_failed(&pids, io::Error::last_os_error());
         }
         if pid == 0 {
-            // Worker: close the inherited parent-side endpoints of ranks
-            // forked before us, keep only our child end, and never return.
-            drop(std::mem::take(&mut parents));
-            drop(pa);
-            child_main(ch, dir, rank, p, token, f)
+            // Worker: keep our row and our control end, close every other
+            // end we inherited — the rows of ranks not yet forked and the
+            // parent's control ends — and release our copy of the spawn
+            // lock (this thread took it) for a job nested in `f`.
+            let peers = std::mem::take(&mut rows[rank]);
+            drop((rows, ctrls, ctrl, spawning));
+            child_main(report, ProcComm { rank, size: p, peers, stats: StatsCell::default() }, f)
         }
-        parents.push(pa);
-        drop(ch);
+        // The parent keeps none of the new worker's ends.
+        rows[rank].clear();
+        drop(report);
+        ctrls.push(ctrl);
         pids.push(pid);
     }
+    drop(spawning);
 
-    // Collect one result or panic frame per rank, under a job deadline.
+    // One control frame per rank under the job deadline, up to the first
+    // that is not a result.
     let timeout = job_timeout();
     let deadline = Instant::now() + Duration::from_secs_f64(timeout);
-    let mut failure: Option<ProcError> = None;
-    let mut payloads: Vec<Option<Vec<u8>>> = (0..p).map(|_| None).collect();
-    for (rank, ctrl) in parents.iter().enumerate() {
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        if remaining.is_zero() {
-            failure.get_or_insert(ProcError::Timeout { rank, seconds: timeout });
-            continue;
-        }
-        // `set_read_timeout` rejects a zero duration; remaining > 0 here.
-        if ctrl.set_read_timeout(Some(remaining)).is_err() {
-            failure.get_or_insert(ProcError::RankFailed {
-                rank,
-                detail: "control socket unusable".into(),
-            });
-            continue;
-        }
-        let outcome = frame::read_header(ctrl)
-            .and_then(|(k, _, len)| Ok((k, frame::read_payload(ctrl, len)?)));
-        match outcome {
-            Ok((k, payload)) if k == kind::RESULT => payloads[rank] = Some(payload),
-            Ok((k, payload)) if k == kind::PANIC => {
-                failure.get_or_insert(ProcError::RankFailed {
-                    rank,
-                    detail: String::from_utf8_lossy(&payload).into_owned(),
-                });
-            }
-            Ok((k, payload)) if k == kind::PROTOCOL => {
-                failure.get_or_insert(ProcError::Protocol { rank, error: from_wire(&payload) });
-            }
-            Ok((k, _)) => {
-                failure.get_or_insert(ProcError::RankFailed {
-                    rank,
-                    detail: format!("protocol violation: unexpected frame kind {k}"),
-                });
-            }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                failure.get_or_insert(ProcError::Timeout { rank, seconds: timeout });
-            }
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => {
-                failure.get_or_insert(ProcError::RankFailed {
-                    rank,
-                    detail: "worker process died without reporting a result".into(),
-                });
-            }
-            Err(e) => {
-                failure.get_or_insert(ProcError::RankFailed { rank, detail: e.to_string() });
-            }
-        }
-    }
-
-    if failure.is_some() {
-        // Stragglers may be blocked on a dead peer; put the job down hard.
-        kill_all(&pids);
-    } else {
-        for (rank, &pid) in pids.iter().enumerate() {
-            let mut status = 0i32;
-            // SAFETY: waitpid(2) on a child this parent forked and has
-            // not reaped; the status out-pointer is a live stack i32.
-            let r = unsafe { sys::waitpid(pid, &mut status, 0) };
-            if r == pid {
-                if let Some(detail) = sys::failure_of(status) {
-                    failure.get_or_insert(ProcError::RankFailed { rank, detail });
-                }
-            }
-        }
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-    if let Some(e) = failure {
-        return Err(e);
-    }
-    Ok(payloads
-        .into_iter()
-        // Infallible — reached only when `failure` is None, which requires a RESULT frame from every rank.
-        .map(|b| from_wire::<R>(&b.expect("result frame present for every rank")))
-        .collect())
+    let results: Result<Vec<Vec<u8>>, ProcError> = ctrls
+        .iter()
+        .enumerate()
+        .map(|(rank, ctrl)| read_result(ctrl, rank, deadline, timeout))
+        .collect();
+    kill_all(&pids);
+    // Consumed one by one: an encoded result is freed as soon as it is decoded.
+    Ok(results?.into_iter().map(|bytes| from_wire::<R>(&bytes)).collect())
 }
 
 /// Measured α–β constants of the process substrate, from wire-level
@@ -724,7 +666,7 @@ mod tests {
         let header = |magic: u32, len: u64| {
             let mut head = [0u8; frame::HEADER];
             head[..4].copy_from_slice(&magic.to_le_bytes());
-            head[4] = kind::RESULT;
+            head[4] = Kind::Result as u8;
             head[16..].copy_from_slice(&len.to_le_bytes());
             head
         };
@@ -737,13 +679,14 @@ mod tests {
             let err = frame::read_header(&b).expect_err(what);
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
             (&a).write_all(&head).expect("header fits the socket buffer");
-            let err = frame::read(&b, kind::RESULT, 0).expect_err(what);
+            let err = frame::expect_header(&b, Kind::Result, 0).expect_err(what);
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
         }
         // A well-formed frame still round-trips through the same reader.
         let (a, b) = UnixStream::pair().expect("socketpair");
-        frame::write(&a, kind::RESULT, 7, b"ok").expect("write");
-        assert_eq!(frame::read(&b, kind::RESULT, 7).expect("read"), b"ok");
+        frame::write(&a, Kind::Result, 7, b"ok").expect("write");
+        let len = frame::expect_header(&b, Kind::Result, 7).expect("header");
+        assert_eq!(frame::read_payload(&b, len).expect("payload"), b"ok");
     }
 
     #[test]
@@ -759,9 +702,9 @@ mod tests {
         }
     }
 
-    /// Every collective of [`Comm`] plus the barrier, once each (twice
-    /// where a payload above `EAGER_MAX` takes another wire path): the
-    /// results' bits and this rank's counters for the lot.
+    /// Every collective of [`Comm`] plus the barrier, the exchanging ones
+    /// at frame lengths on every side of the lockstep loop's chunk
+    /// boundaries: the results' bits and this rank's counters for the lot.
     fn every_collective<C: Comm>(c: &C) -> (Vec<u64>, CommStats) {
         let (p, r) = (c.size(), c.rank());
         let f = |i: usize| 0.1 * (r * 13 + i) as f64;
@@ -790,11 +733,22 @@ mod tests {
         for row in c.allgather(vec![f(6); r + 1]) {
             out.extend(bits(&row));
         }
-        for row in c.allgather(vec![r as u64; EAGER_MAX / 8 + 1]) {
-            out.extend([row.len() as u64, row[0]]);
+        // A byte vector travels as its 8-byte length plus its bytes, behind
+        // a 24-byte header: an empty and a one-byte vector, then frames
+        // that end with the first chunk, 24 and 25 bytes into the second,
+        // and 31 into the fourth.
+        for payload in [8, 9, EAGER_MAX - 24, EAGER_MAX, EAGER_MAX + 1, 3 * EAGER_MAX + 7] {
+            for row in c.allgather(vec![r as u8 + 1; payload - 8]) {
+                out.extend([row.len() as u64, u64::from(row.iter().all(|&b| b == row[0]))]);
+            }
         }
         for row in c.alltoallv((0..p).map(|d| vec![(100 * r + d) as u64; d + 1]).collect()) {
             out.extend(row);
+        }
+        // Unequal lengths on the two directions of every ring step.
+        let mine = |d: usize| if d == r { Vec::new() } else { vec![r as u8; (r + 1) * 100 * 1024] };
+        for row in c.alltoallv((0..p).map(mine).collect()) {
+            out.extend([row.len() as u64, row.iter().map(|&b| u64::from(b)).sum()]);
         }
         c.barrier();
         (out, c.stats().since(&before))
@@ -811,7 +765,7 @@ mod tests {
             for (r, (t, q)) in thread.iter().zip(&procs).enumerate() {
                 assert_eq!(t.0, q.0, "p={p} rank {r}: backends disagree bitwise");
                 assert_eq!(t.1, q.1, "p={p} rank {r}: counters disagree");
-                assert_eq!(t.1.collectives(), 11, "p={p} rank {r}");
+                assert_eq!(t.1.collectives(), 17, "p={p} rank {r}");
                 assert_eq!(t.1.rounds() > 0, p > 1, "p={p} rank {r}");
             }
         }
@@ -862,8 +816,7 @@ mod tests {
 
     #[test]
     fn proc_large_payload_exchange() {
-        // Above EAGER_MAX: exercises the rank-ordered rendezvous and the
-        // scoped-thread ring path.
+        // Above EAGER_MAX: five chunks each way per message.
         let n = 40_000; // 320 KB of f64 per message
         let results = run_spmd_proc(2, |c| {
             let mut buf = vec![1.5f64; n];
@@ -895,21 +848,46 @@ mod tests {
 
     #[test]
     fn proc_killed_rank_is_a_clean_error_not_a_hang() {
-        // A worker that dies without unwinding (exit ≈ kill -9 as far as
-        // peers can tell: sockets close, no panic report).
-        let err = run_spmd_proc(3, |c| {
-            if c.rank() == 2 {
-                std::process::exit(7);
-            }
-            let mut buf = vec![1.0];
-            c.allreduce_sum_f64(&mut buf);
-            buf[0]
-        })
-        .expect_err("job must fail");
-        match err {
-            ProcError::RankFailed { .. } | ProcError::Timeout { .. } => {}
+        // A worker that dies without unwinding or reporting (`_exit` ≈
+        // kill -9 as far as peers can tell: its sockets close) — while
+        // another thread spawns a job whose workers stay alive until
+        // released. Had one of *them* inherited an end of this job's links,
+        // the survivors would wait for an EOF that cannot come.
+        let (release, gate) = UnixStream::pair().expect("socketpair");
+        let together = std::sync::Barrier::new(2);
+        let (outcome, seconds) = std::thread::scope(|sc| {
+            sc.spawn(|| {
+                let wait = |_: ProcComm| (&gate).read_exact(&mut [0u8]).is_ok();
+                together.wait();
+                assert_eq!(run_spmd_proc(2, wait).expect("bystander job runs"), [true, true]);
+            });
+            together.wait();
+            let t = Instant::now();
+            let outcome = run_spmd_proc(3, |c| {
+                if c.rank() == 2 {
+                    // SAFETY: _exit(2) takes no pointer and does not return.
+                    unsafe { sys::_exit(7) }
+                }
+                let mut buf = vec![1.0];
+                c.allreduce_sum_f64(&mut buf);
+                buf[0]
+            });
+            let seconds = t.elapsed().as_secs_f64();
+            (&release).write_all(&[0u8; 2]).expect("release the bystanders");
+            (outcome, seconds)
+        });
+        match outcome.expect_err("job must fail") {
+            ProcError::RankFailed { .. } => {}
             other => panic!("unexpected error shape: {other}"),
         }
+        assert!(seconds < 5.0, "a dead rank took {seconds:.1} s to notice");
+    }
+
+    #[test]
+    fn proc_sixteen_idle_ranks_launch_and_are_reaped() {
+        // 120 links and 16 control pairs, made row by row; nothing is sent.
+        let ranks = run_spmd_proc(16, |c| c.rank()).expect("job runs");
+        assert_eq!(ranks, (0..16).collect::<Vec<_>>());
     }
 
     #[test]

@@ -16,9 +16,7 @@
 use std::any::Any;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-
-use parking_lot::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use crate::collectives::Tag;
 use crate::stats::StatsCell;
@@ -37,6 +35,15 @@ struct Inbox {
     queues: Mutex<Vec<VecDeque<Parcel>>>,
     /// Signalled on every push, and by [`CommCore::poison`].
     arrived: Condvar,
+}
+
+impl Inbox {
+    /// Lock the queues, poisoned or not: [`CommCore::check_poison`] panics
+    /// *while holding this lock* by design, so a poisoned mutex is the
+    /// ordinary state of a failed job, and the queues behind it are whole.
+    fn lock(&self) -> MutexGuard<'_, Vec<VecDeque<Parcel>>> {
+        self.queues.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// Shared state of one communicator instance.
@@ -77,7 +84,7 @@ impl CommCore {
         for inbox in &self.inboxes {
             // Take the queue lock before notifying so a waiter cannot slip
             // between its poison check and its wait and miss the wakeup.
-            let _guard = inbox.queues.lock();
+            let _guard = inbox.lock();
             inbox.arrived.notify_all();
         }
     }
@@ -119,13 +126,13 @@ impl crate::collectives::Transport for ThreadComm {
 
     fn send<T: Wire>(&self, _tag: Tag, to: usize, value: T) {
         let inbox = &self.core.inboxes[to];
-        inbox.queues.lock()[self.rank].push_back(Box::new(value));
+        inbox.lock()[self.rank].push_back(Box::new(value));
         inbox.arrived.notify_all();
     }
 
     fn recv<T: Wire>(&self, _tag: Tag, from: usize) -> T {
         let inbox = &self.core.inboxes[self.rank];
-        let mut queues = inbox.queues.lock();
+        let mut queues = inbox.lock();
         let parcel = loop {
             // Checked under the lock on every pass: a poisoner wakes all
             // waiters without pushing anything.
@@ -133,7 +140,8 @@ impl crate::collectives::Transport for ThreadComm {
             if let Some(parcel) = queues[from].pop_front() {
                 break parcel;
             }
-            inbox.arrived.wait(&mut queues);
+            // Same policy as `Inbox::lock` for the re-acquired guard.
+            queues = inbox.arrived.wait(queues).unwrap_or_else(PoisonError::into_inner);
         };
         drop(queues);
         // Fail-loud SPMD-contract check — ranks disagreeing on T must not silently reinterpret a value.

@@ -8,14 +8,13 @@
 //! checker turns any breach — a rank-guarded call, a min/max swap, a
 //! rank-dependent length, a rank that stops early — into a
 //! [`ProtocolError`] on every rank. Between them the cases below execute
-//! all 37 production collective call sites outside `parcomm` (DESIGN.md
+//! all 34 production collective call sites outside `parcomm` (DESIGN.md
 //! §11 has the reachability audit), so a divergence seeded at any of them
 //! fails this file with the diverging ranks and call kinds in the message.
 
 use std::fmt::Debug;
 
 use geographer::{Config, HierarchySpec};
-use geographer_dsort::weighted_quantiles_f64;
 use geographer_mesh::{delaunay_unit_square, Mesh};
 use geographer_parcomm::checked::call_name;
 use geographer_parcomm::{
@@ -126,28 +125,33 @@ fn every_tool_cold_and_warm_stays_in_lockstep_on_process_ranks() {
 
 /// The paths a flat full-set solve does not take: a `[2,2]` hierarchy cold
 /// and warm; a sampling solve whose one movement iteration ends
-/// mid-sampling (50 of ≥ 150 local points, 100 after doubling), so
+/// mid-sampling (100 of 300, 200 or 150 local points — from p = 3 on the
+/// doubling reaches them all, which once skipped the pass), so
 /// `balanced_kmeans_warm` finishes with its full tail pass; and the
-/// collective layers beside the planner — the stats reduction, one SpMV
-/// halo exchange, the `f64` quantile bisection.
+/// collective layers beside the planner — the stats reduction and one
+/// SpMV halo exchange.
 fn off_the_flat_path<C: Comm>(mesh: &Mesh<2>, c: &CheckedComm<C>) -> Vec<u64> {
     let view = MeshView::from(mesh);
     let hier = PlanSpec::hierarchical(view, HierarchySpec::uniform(&[2, 2]), full_set());
     let (_, warm) = cold_then_warm(&hier, c);
     assert!(!warm.is_empty(), "hierarchical plans return warm state");
 
-    let one_round = Config { max_iterations: 1, initial_sample: 50, ..Config::default() };
+    let one_round = Config { max_iterations: 1, initial_sample: 100, ..Config::default() };
     let tail = Planner::solve(&PlanSpec::flat(view, Tool::Geographer, K, one_round), None, c);
     let stats = tail.stats.expect("Geographer reports solver stats");
     assert!(!stats.converged && stats.movement_iterations == 1, "budget must run out: {stats:?}");
-    // Without the tail pass every point outside the sample sits in block 0.
-    assert!(tail.imbalance < 0.5, "tail pass must assign every point: {}", tail.imbalance);
+    // Without the tail pass every point outside the sample sits in block 0
+    // and the solver reports the sample's imbalance.
+    assert!((0..K as u32).all(|b| tail.assignment.contains(&b)), "an empty block");
+    assert!(
+        (stats.final_imbalance - tail.imbalance).abs() < 1e-9 && tail.imbalance < 0.5,
+        "reported {} for a partition of imbalance {}",
+        stats.final_imbalance,
+        tail.imbalance
+    );
 
     stats.reduce(c);
     spmv_comm_time(c, &mesh.graph, &tail.assignment, K, 1);
-    let (lo, hi) = (c.rank() * mesh.n() / c.size(), (c.rank() + 1) * mesh.n() / c.size());
-    let xs: Vec<f64> = mesh.points[lo..hi].iter().map(|p| p[0]).collect();
-    weighted_quantiles_f64(c, &xs, &mesh.weights[lo..hi], &[0.5]);
     c.trace_ids()
 }
 

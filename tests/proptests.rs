@@ -87,9 +87,13 @@ proptest! {
         vals in prop::collection::vec(-100.0f64..100.0, 20..200),
         alpha in 0.05f64..0.95,
     ) {
-        let weights = vec![1.0; vals.len()];
-        let q = geographer_dsort::weighted_quantiles_f64(&SelfComm, &vals, &weights, &[alpha]);
-        let below = vals.iter().filter(|v| **v <= q[0]).count() as f64;
+        let group = geographer_dsort::QuantileGroup {
+            weights: vec![1.0; vals.len()],
+            values: vals.clone(),
+            alphas: vec![alpha],
+        };
+        let q = geographer_dsort::weighted_quantiles_grouped(&SelfComm, &[group])[0][0];
+        let below = vals.iter().filter(|v| **v <= q).count() as f64;
         let frac = below / vals.len() as f64;
         // Within one element of the target fraction.
         prop_assert!((frac - alpha).abs() <= 1.5 / vals.len() as f64 + 1e-9,
