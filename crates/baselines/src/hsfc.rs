@@ -91,10 +91,8 @@ mod tests {
         let asg = hsfc_partition(&SelfComm, &pts, &w, k);
         // Sort points by key; block ids must be non-decreasing.
         let bb = global_bounding_box(&SelfComm, &pts);
-        let mapper = HilbertMapper::new(bb, 16);
-        let mut order: Vec<usize> = (0..pts.len()).collect();
-        order.sort_by_key(|&i| mapper.key_of(&pts[i]));
-        let seq: Vec<u32> = order.iter().map(|&i| asg[i]).collect();
+        let order = HilbertMapper::new(bb, 16).order(&pts);
+        let seq: Vec<u32> = order.iter().map(|&i| asg[i as usize]).collect();
         assert!(seq.windows(2).all(|w| w[0] <= w[1]), "blocks must be curve-contiguous");
     }
 

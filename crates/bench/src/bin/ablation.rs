@@ -168,9 +168,7 @@ fn seeding() {
     let pts = &mesh.points;
 
     // The paper's seeding: equidistant along the Hilbert order.
-    let mapper = HilbertMapper::new(Aabb::from_points(pts).unwrap(), 16);
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    order.sort_by_key(|&i| mapper.key_of(&pts[i as usize]));
+    let order = HilbertMapper::new(Aabb::from_points(pts).unwrap(), 16).order(pts);
     let mid = |i: usize| i * n / k + n / (2 * k);
 
     let config = Config { sampling_init: false, max_iterations: 300, ..Config::default() };

@@ -2,11 +2,12 @@
 //! point sets at n ∈ {100k, 1M, 4M} and p ∈ {1, 4, 8}, emitting
 //! `BENCH_scale.json` with *per-phase and per-assignment nanoseconds per
 //! point* — the numbers the tier-1 perf gate
-//! (`crates/bench/tests/perf_gate.rs`) holds the assignment hot path
-//! accountable against — next to each run's structural communication
-//! counters (rounds, bytes per rank, per-collective ops), the
-//! perf-trajectory data point: those are deterministic, so a substrate or
-//! hot-loop change shows as a diff of the committed file.
+//! (`crates/bench/tests/perf_gate.rs`) holds the assignment hot path and
+//! the SFC bootstrap (`sfc_index` + `redistribute`) accountable against —
+//! next to each run's structural communication counters (rounds, bytes
+//! per rank, per-collective ops), the perf-trajectory data point: those
+//! are deterministic, so a substrate or hot-loop change shows as a diff
+//! of the committed file.
 //!
 //! The instances are raw point clouds (no Delaunay graph — triangulating
 //! 4M points is not what this benchmark measures), solved through the
@@ -68,6 +69,7 @@ fn main() {
     let mut runs = Vec::new();
     let mut gate_kmeans_ns = 0.0f64;
     let mut gate_assign_ns = 0.0f64;
+    let mut gate_bootstrap_ns = 0.0f64;
     for &n in sizes {
         // Uniform density ⇒ every rejection-sampling attempt accepts:
         // O(n) generation, same RNG family as the mesh benches.
@@ -85,16 +87,19 @@ fn main() {
                 // for is a noisy shared VM, and the minimum is the
                 // noise-robust estimator of the undisturbed cost — the
                 // gate envelope is anchored to it.
-                let (mut kmeans_s, mut assign_s) =
-                    (ph.kmeans, st.assignment_seconds);
+                let (mut kmeans_s, mut assign_s, mut bootstrap_s) =
+                    (ph.kmeans, st.assignment_seconds, ph.sfc_index + ph.redistribute);
                 for _ in 1..REPEATS {
                     let r = solve_plan_view(view, &recipe, p, None);
-                    kmeans_s = kmeans_s.min(r.phase_max.unwrap().kmeans);
+                    let rp = r.phase_max.unwrap();
+                    kmeans_s = kmeans_s.min(rp.kmeans);
                     assign_s =
                         assign_s.min(r.plan.stats.unwrap().assignment_seconds);
+                    bootstrap_s = bootstrap_s.min(rp.sfc_index + rp.redistribute);
                 }
                 gate_kmeans_ns = npp(kmeans_s);
                 gate_assign_ns = npp(assign_s);
+                gate_bootstrap_ns = npp(bootstrap_s);
             }
             let timing = |s: f64| obj([("seconds", num(s)), ("ns_per_point", num(npp(s)))]);
             let comm = run.plan.comm;
@@ -151,6 +156,7 @@ fn main() {
                 ("repeats", REPEATS.into()),
                 ("kmeans_ns_per_point", num(gate_kmeans_ns)),
                 ("assignment_ns_per_point", num(gate_assign_ns)),
+                ("bootstrap_ns_per_point", num(gate_bootstrap_ns)),
             ]),
         ),
         ("runs", runs.into()),

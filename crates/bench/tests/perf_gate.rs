@@ -1,13 +1,16 @@
-//! Tier-1 perf gate: the k-means assignment hot path must stay inside a
-//! generous envelope of the committed `BENCH_scale.json` baseline.
+//! Tier-1 perf gate: the k-means assignment hot path and the SFC bootstrap
+//! must stay inside a generous envelope of the committed
+//! `BENCH_scale.json` baseline.
 //!
 //! The gate instance is the committed `gate` block — n = 100k, p = 1,
 //! k = 8, seed 77, default config — re-solved here and compared as
-//! assignment ns/point. The envelope is deliberately loose (2.5× in
-//! release, a further 20× under debug assertions, where tier-1 runs):
-//! it exists to catch order-of-magnitude regressions — an accidental
-//! O(n·k) reintroduction, a lost pruning bound, a per-iteration
-//! allocation storm — not scheduler noise on a busy machine.
+//! assignment ns/point and as bootstrap (`sfc_index` + `redistribute`)
+//! ns/point. The envelope is deliberately loose (2.5× in release, a
+//! further 20× under debug assertions, where tier-1 runs): it exists to
+//! catch order-of-magnitude regressions — an accidental O(n·k)
+//! reintroduction, a lost pruning bound, a per-iteration allocation
+//! storm, a key recomputed per comparison — not scheduler noise on a busy
+//! machine.
 
 use geographer::Config;
 use geographer_analyze::json::{parse, Value};
@@ -30,8 +33,12 @@ fn assignment_ns_per_point_within_committed_envelope() {
         other => panic!("gate.{key} must be a number, found {other:?}"),
     };
     let committed_ns = number("assignment_ns_per_point");
+    let committed_bootstrap_ns = number("bootstrap_ns_per_point");
     let n = number("n") as usize;
-    assert!(committed_ns > 0.0 && n > 0, "gate block sane: {gate}");
+    assert!(
+        committed_ns > 0.0 && committed_bootstrap_ns > 0.0 && n > 0,
+        "gate block sane: {gate}"
+    );
 
     let k = 8;
     let cfg = Config::default();
@@ -54,6 +61,8 @@ fn assignment_ns_per_point_within_committed_envelope() {
     );
     let assign_s = run.plan.stats.expect("stats").assignment_seconds;
     let now_ns = ns_per_point(assign_s, n);
+    let phases = run.phase_max.expect("flat solve reports phase timings");
+    let now_bootstrap_ns = ns_per_point(phases.sfc_index + phases.redistribute, n);
 
     // Release envelope 2.5×; debug builds of this workspace measure
     // roughly 15–20× slower on the same path, so widen accordingly
@@ -63,5 +72,10 @@ fn assignment_ns_per_point_within_committed_envelope() {
         now_ns <= committed_ns * envelope,
         "assignment hot path regressed: {now_ns:.1} ns/point vs committed \
          {committed_ns:.1} ns/point (envelope {envelope}×)"
+    );
+    assert!(
+        now_bootstrap_ns <= committed_bootstrap_ns * envelope,
+        "SFC bootstrap regressed: {now_bootstrap_ns:.1} ns/point vs committed \
+         {committed_bootstrap_ns:.1} ns/point (envelope {envelope}×)"
     );
 }

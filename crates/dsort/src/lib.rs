@@ -6,7 +6,11 @@
 //!   and redistribution step of Geographer's bootstrap (Algorithm 2, lines
 //!   4–6). The paper uses the schizophrenic quicksort of Axtmann et al.;
 //!   sample sort plays the same role (one splitter-selection round, one
-//!   personalized exchange) with simpler machinery. See DESIGN.md §3.
+//!   personalized exchange) with simpler machinery. Locally it is an LSD
+//!   radix sort on `(key, index)` pairs before the exchange and a p-way
+//!   merge of the received runs after it: a record moves once per stage,
+//!   and equal keys keep (source rank, input position) order. See
+//!   DESIGN.md §3.
 //! * [`weighted_quantiles_grouped`] / [`weighted_quantiles_u64`] — distributed
 //!   weighted quantile selection by bisection, the communication kernel
 //!   inside the RCB/RIB/MultiJagged/HSFC baselines (this is also how
@@ -25,26 +29,91 @@
 // iterator-zip rewrites of those loops are less readable, not more.
 #![allow(clippy::needless_range_loop)]
 
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
+
 use geographer_parcomm::{Comm, Wire};
 
 /// Oversampling factor for splitter selection. Higher values buy better
 /// balance for one slightly larger allgather.
 const OVERSAMPLE: usize = 16;
 
+/// `items` in ascending `key` order, equal keys in input order — the order
+/// of `slice::sort_by_key`, from an LSD radix sort that never moves a
+/// record until the end.
+///
+/// Each key is extracted once into a `(key, index)` pair; one xor-fold over
+/// the pairs finds the key bytes that vary at all (4 of 8 for the
+/// pipeline's 32-bit Hilbert keys) and an already ascending input returns
+/// as it came; each varying byte then costs one counting pass and one
+/// scatter of 16-byte pairs between two buffers. A counting scatter keeps
+/// the order of equal bytes, so every pass is stable, and so is their
+/// composition. The records themselves — 40 bytes in the pipeline — move
+/// once, in the closing gather.
+fn sort_by_u64_key<T: Clone>(items: Vec<T>, key: impl Fn(&T) -> u64) -> Vec<T> {
+    assert!(items.len() <= u32::MAX as usize, "radix sort indexes items by u32");
+    let mut pairs: Vec<(u64, u32)> = items.iter().zip(0..).map(|(t, i)| (key(t), i)).collect();
+    let Some(&(first, _)) = pairs.first() else { return items };
+    let (mut varying, mut ascending, mut prev) = (0u64, true, first);
+    // geo-analyze: hot-loop
+    for &(k, _) in &pairs {
+        varying |= k ^ first;
+        ascending &= prev <= k;
+        prev = k;
+    }
+    if ascending {
+        return items;
+    }
+
+    let mut scratch = vec![(0u64, 0u32); pairs.len()];
+    for shift in (0..u64::BITS).step_by(8) {
+        if (varying >> shift) & 0xff == 0 {
+            continue;
+        }
+        let byte = |k: u64| (k >> shift) as usize & 0xff;
+        let mut next = [0usize; 256];
+        // geo-analyze: hot-loop
+        for &(k, _) in &pairs {
+            next[byte(k)] += 1;
+        }
+        // Counts to first output positions.
+        let mut sum = 0;
+        for slot in &mut next {
+            sum += std::mem::replace(slot, sum);
+        }
+        // geo-analyze: hot-loop
+        for &pair in &pairs {
+            let slot = &mut next[byte(pair.0)];
+            scratch[*slot] = pair;
+            *slot += 1;
+        }
+        std::mem::swap(&mut pairs, &mut scratch);
+    }
+    drop(scratch); // before the gather allocates its output
+    pairs.iter().map(|&(_, i)| items[i as usize].clone()).collect()
+}
+
 /// Globally sort `items` by `key` across all ranks of `comm`.
 ///
 /// On return, each rank holds a contiguous run of the global sorted order,
 /// runs ascending with rank. Run lengths are approximately balanced (use
-/// [`rebalance`] for exact `n/p` splits). Stable within nothing — ties are
-/// ordered arbitrarily between ranks.
-pub fn sample_sort_by_key<T, C, K>(comm: &C, mut items: Vec<T>, key: K) -> Vec<T>
+/// [`rebalance`] for exact `n/p` splits).
+///
+/// **Tie order is part of the contract:** items with equal keys end up on
+/// one rank, ordered by (source rank, position in that rank's input) — at
+/// p = 1 exactly `slice::sort_by_key`. The local sort is stable and the
+/// merge of the received runs breaks ties by source rank, which is all it
+/// takes; the thread ≡ process bitwise contract and the golden digests
+/// rest on it, because 16-bit-per-axis Hilbert keys do collide
+/// (DESIGN.md §3).
+pub fn sample_sort_by_key<T, C, K>(comm: &C, items: Vec<T>, key: K) -> Vec<T>
 where
     T: Wire,
     C: Comm,
     K: Fn(&T) -> u64,
 {
     let p = comm.size();
-    items.sort_by_key(|t| key(t));
+    let mut items = sort_by_u64_key(items, &key);
     if p == 1 {
         return items;
     }
@@ -88,9 +157,33 @@ where
     }
     sends.push(items);
     sends.reverse();
-    let mut received: Vec<T> = comm.alltoallv(sends).into_iter().flatten().collect();
-    received.sort_by_key(|t| key(t));
-    received
+    merge_sorted_runs(&comm.alltoallv(sends), &key)
+}
+
+/// Merge runs that are each ascending in `key` into one, equal keys in
+/// (run, position) order — what a stable sort of the concatenation yields,
+/// in one pass that moves every record once: a heap holds the head key of
+/// each unfinished run, and its `(key, run)` order is the tie order.
+fn merge_sorted_runs<T: Clone>(runs: &[Vec<T>], key: impl Fn(&T) -> u64) -> Vec<T> {
+    let mut heads: BinaryHeap<Reverse<(u64, usize)>> = runs
+        .iter()
+        .enumerate()
+        .filter_map(|(r, run)| run.first().map(|t| Reverse((key(t), r))))
+        .collect();
+    let mut taken = vec![0usize; runs.len()];
+    let mut merged = Vec::with_capacity(runs.iter().map(Vec::len).sum());
+    while let Some(mut head) = heads.peek_mut() {
+        let r = head.0 .1;
+        merged.push(runs[r][taken[r]].clone());
+        taken[r] += 1;
+        match runs[r].get(taken[r]) {
+            Some(t) => head.0 .0 = key(t),
+            None => {
+                PeekMut::pop(head);
+            }
+        }
+    }
+    merged
 }
 
 /// Redistribute globally ordered data so rank `r` owns exactly the global
@@ -341,40 +434,76 @@ mod tests {
     }
 
     #[test]
+    fn radix_sort_is_slice_sort_by_key() {
+        // Fibonacci hashing: pseudo-random bits in every byte.
+        fn mix(i: usize) -> u64 {
+            (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        }
+        type Shape = fn(usize, usize) -> u64; // (i, n) -> key of item i
+        let shapes: [(&str, Shape); 6] = [
+            ("all equal", |_, _| 42),
+            ("ascending", |i, _| i as u64 / 3),
+            ("descending", |i, n| (n - i) as u64 / 3),
+            ("top byte only", |i, _| mix(i) & 0xff << 56),
+            ("full width", |i, _| mix(i)),
+            // The pipeline's shape: 32-bit keys, each shared by ~4 items.
+            ("32-bit with duplicates", |i, n| mix(mix(i) as usize % (n / 4 + 1)) >> 32),
+        ];
+        for n in [0, 1, 2, 255, 256, 257, 70_000] {
+            for (name, shape) in shapes {
+                // Payload = original index, so stability is compared too.
+                let items: Vec<(u64, usize)> = (0..n).map(|i| (shape(i, n), i)).collect();
+                let mut expected = items.clone();
+                expected.sort_by_key(|t| t.0);
+                assert_eq!(sort_by_u64_key(items, |t| t.0), expected, "{name}, n = {n}");
+            }
+        }
+    }
+
+    #[test]
     fn sample_sort_multi_rank_matches_sequential() {
-        let p = 4;
         let per_rank = 500;
-        let results = run_spmd(p, |c| {
-            // Deterministic pseudo-random input, different per rank.
-            let items: Vec<u64> = (0..per_rank)
-                .map(|i| {
-                    let x = (c.rank() as u64 * 1_000_003 + i as u64)
-                        .wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                    x >> 16
-                })
-                .collect();
-            let mine = sample_sort_by_key(&c, items.clone(), |&x| x);
-            (items, mine)
-        });
-        let mut expected: Vec<u64> = results.iter().flat_map(|(inp, _)| inp.clone()).collect();
-        expected.sort_unstable();
-        let got: Vec<u64> = results.iter().flat_map(|(_, out)| out.clone()).collect();
-        assert_eq!(got, expected, "concatenated rank outputs must equal global sort");
-        // Balance check: no rank should be grossly overloaded.
-        for (_, out) in &results {
-            assert!(out.len() < 3 * per_rank, "splitters badly unbalanced");
+        for p in [1, 4] {
+            let results = run_spmd(p, |c| {
+                // Deterministic pseudo-random input, different per rank; at
+                // p > 1 the last rank has nothing to contribute.
+                let mine = if p > 1 && c.rank() == p - 1 { 0 } else { per_rank };
+                let items: Vec<u64> = (0..mine)
+                    .map(|i| {
+                        let x = (c.rank() as u64 * 1_000_003 + i as u64)
+                            .wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                        x >> 16
+                    })
+                    .collect();
+                let mine = sample_sort_by_key(&c, items.clone(), |&x| x);
+                (items, mine)
+            });
+            let mut expected: Vec<u64> =
+                results.iter().flat_map(|(inp, _)| inp.clone()).collect();
+            expected.sort_unstable();
+            let got: Vec<u64> = results.iter().flat_map(|(_, out)| out.clone()).collect();
+            assert_eq!(got, expected, "concatenated rank outputs must equal global sort");
+            // Balance check: no rank should be grossly overloaded.
+            for (_, out) in &results {
+                assert!(p == 1 || out.len() < 3 * per_rank, "splitters badly unbalanced");
+            }
         }
     }
 
     #[test]
     fn sample_sort_with_heavy_duplicates() {
-        let results = run_spmd(3, |c| {
-            let items: Vec<u64> = (0..300).map(|i| (i % 4) as u64).collect();
-            sample_sort_by_key(&c, items, |&x| x)
-        });
-        let got: Vec<u64> = results.iter().flatten().copied().collect();
-        assert_eq!(got.len(), 900);
-        assert!(got.windows(2).all(|w| w[0] <= w[1]));
+        // Four distinct keys: the global order is decided by the tie
+        // contract — (key, source rank, position in the source's input).
+        for p in [1, 3, 4] {
+            let results = run_spmd(p, |c| {
+                let items: Vec<(u64, u64, u64)> =
+                    (0..300).map(|i| (i % 4, c.rank() as u64, i)).collect();
+                sample_sort_by_key(&c, items, |t| t.0)
+            });
+            let got: Vec<(u64, u64, u64)> = results.into_iter().flatten().collect();
+            assert_eq!(got.len(), 300 * p);
+            assert!(got.windows(2).all(|w| w[0] < w[1]), "p = {p}: not in (key, rank, position) order");
+        }
     }
 
     #[test]

@@ -247,9 +247,7 @@ pub fn delaunay_edges(points: &[Point<2>]) -> Vec<(u32, u32)> {
     assert!(points.len() >= 3, "need at least 3 points");
     // Hilbert-ordered insertion for walk locality.
     let bb = Aabb::from_points(points).expect("nonempty");
-    let mapper = HilbertMapper::new(bb, 16);
-    let mut order: Vec<u32> = (0..points.len() as u32).collect();
-    order.sort_by_key(|&i| mapper.key_of(&points[i as usize]));
+    let order = HilbertMapper::new(bb, 16).order(points);
 
     let mut tr = Triangulator::new(points);
     for &pid in &order {
@@ -332,8 +330,12 @@ mod tests {
         let pts = random_points(60, 42);
         let bb = Aabb::from_points(&pts).unwrap();
         let mapper = HilbertMapper::new(bb, 16);
-        let mut order: Vec<u32> = (0..pts.len() as u32).collect();
-        order.sort_by_key(|&i| mapper.key_of(&pts[i as usize]));
+        let order = mapper.order(&pts);
+        // The insertion order is the stable sort of the indices by key.
+        let keys: Vec<u64> = pts.iter().map(|p| mapper.key_of(p)).collect();
+        let mut by_key: Vec<u32> = (0..pts.len() as u32).collect();
+        by_key.sort_by_key(|&i| keys[i as usize]);
+        assert_eq!(order, by_key);
         let mut tr = Triangulator::new(&pts);
         for &pid in &order {
             tr.insert(pid);
