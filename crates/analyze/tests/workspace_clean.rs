@@ -36,10 +36,14 @@ fn hot_loop_markers_are_pinned() {
         })
         .filter(|(_, markers)| *markers > 0)
         .collect();
-    // kmeans: the assignment kernel's loops; dsort: the radix sort's fold,
-    // counting and scatter passes; sfc: the two loops of the key walk.
+    // kmeans: `Round::grow`'s rank and back-to-front loops, the two loops
+    // of the sum-order helper (the closures handed to it are their
+    // bodies), `scan_batch` and `process_block`'s survivor, bound, pair
+    // and branching loops under the per-block loop; dsort: the radix
+    // sort's fold, counting and scatter passes; sfc: the two loops of the
+    // key walk.
     let pinned = [
-        ("crates/core/src/kmeans.rs", 14),
+        ("crates/core/src/kmeans.rs", 10),
         ("crates/dsort/src/lib.rs", 3),
         ("crates/sfc/src/curve.rs", 2),
     ];

@@ -24,7 +24,7 @@
 //!
 //! The paper's Eqs. (4)–(5) print the opposite signs (they would *tighten*
 //! the bounds on movement, making the skip unsound); see DESIGN.md,
-//! errata 2–3. The property tests in `tests/bound_soundness.rs` verify the
+//! errata 2–3. `bounds_stay_sound_under_random_updates` below verifies the
 //! versions here against brute force.
 
 /// Per-cluster relaxation inputs for one update step.
@@ -45,14 +45,8 @@ impl Relaxation {
         Relaxation { ratio: Vec::with_capacity(k), shift: Vec::with_capacity(k) }
     }
 
-    /// Relaxation for an influence-only change (no center movement).
-    pub fn influence_only(old_influence: &[f64], new_influence: &[f64]) -> Self {
-        let mut r = Relaxation::with_capacity(old_influence.len());
-        r.set_influence_only(old_influence, new_influence);
-        r
-    }
-
-    /// Refill as an influence-only relaxation, reusing the buffers.
+    /// Refill as the relaxation for an influence-only change (no center
+    /// movement), reusing the buffers.
     pub fn set_influence_only(&mut self, old_influence: &[f64], new_influence: &[f64]) {
         debug_assert_eq!(old_influence.len(), new_influence.len());
         self.ratio.clear();
@@ -61,19 +55,8 @@ impl Relaxation {
         self.shift.resize(old_influence.len(), 0.0);
     }
 
-    /// Relaxation for center movement `delta[c]` combined with an influence
-    /// change.
-    pub fn movement(
-        delta: &[f64],
-        old_influence: &[f64],
-        new_influence: &[f64],
-    ) -> Self {
-        let mut r = Relaxation::with_capacity(delta.len());
-        r.set_movement(delta, old_influence, new_influence);
-        r
-    }
-
-    /// Refill as a movement relaxation, reusing the buffers.
+    /// Refill as the relaxation for center movement `delta[c]` combined
+    /// with an influence change, reusing the buffers.
     pub fn set_movement(
         &mut self,
         delta: &[f64],
@@ -97,16 +80,15 @@ impl Relaxation {
     }
 
     /// Relax the bound arrays in place. `assignment[p]` selects the own
-    /// cluster of point `p`. Only the first `active` entries are touched.
+    /// cluster of point `p`.
     ///
-    /// The solver passes the arrays of the points a round works on — the
-    /// working set of a sampling round, every local point otherwise — and
-    /// their length. A point no round has activated yet holds the initial
+    /// The solver passes the arrays of the points the current round works
+    /// on. A point no round has reached yet holds the initial
     /// `(ub, lb) = (∞, 0)`, which is a fixed point of this map for any
     /// positive finite ratio and shift: leaving it out changes nothing.
-    pub fn apply(&self, ub: &mut [f64], lb: &mut [f64], assignment: &[u32], active: usize) {
+    pub fn apply(&self, ub: &mut [f64], lb: &mut [f64], assignment: &[u32]) {
         let (min_ratio, max_shift) = self.lb_scalars();
-        for p in 0..active {
+        for p in 0..assignment.len() {
             let c = assignment[p] as usize;
             ub[p] = ub[p] * self.ratio[c] + self.shift[c];
             lb[p] = (lb[p] * min_ratio - max_shift).max(0.0);
@@ -118,9 +100,16 @@ impl Relaxation {
 mod tests {
     use super::*;
 
+    fn movement(delta: &[f64], old_influence: &[f64], new_influence: &[f64]) -> Relaxation {
+        let mut r = Relaxation::with_capacity(delta.len());
+        r.set_movement(delta, old_influence, new_influence);
+        r
+    }
+
     #[test]
     fn influence_only_has_zero_shift() {
-        let r = Relaxation::influence_only(&[1.0, 2.0], &[2.0, 1.0]);
+        let mut r = Relaxation::with_capacity(2);
+        r.set_influence_only(&[1.0, 2.0], &[2.0, 1.0]);
         assert_eq!(r.ratio, vec![0.5, 2.0]);
         assert_eq!(r.shift, vec![0.0, 0.0]);
         let (mr, ms) = r.lb_scalars();
@@ -130,44 +119,43 @@ mod tests {
 
     #[test]
     fn movement_combines_delta_and_influence() {
-        let r = Relaxation::movement(&[0.5, 0.0], &[1.0, 1.0], &[2.0, 1.0]);
+        let r = movement(&[0.5, 0.0], &[1.0, 1.0], &[2.0, 1.0]);
         assert_eq!(r.ratio, vec![0.5, 1.0]);
         assert_eq!(r.shift, vec![0.25, 0.0]);
     }
 
     #[test]
     fn apply_respects_assignment_and_active_window() {
-        let r = Relaxation::movement(&[1.0, 0.0], &[1.0, 1.0], &[1.0, 1.0]);
-        let mut ub = vec![2.0, 2.0, 2.0];
-        let mut lb = vec![3.0, 3.0, 3.0];
-        let assignment = vec![0, 1, 0];
-        r.apply(&mut ub, &mut lb, &assignment, 2);
+        let r = movement(&[1.0, 0.0], &[1.0, 1.0], &[1.0, 1.0]);
+        let mut ub = [2.0, 2.0, 2.0];
+        let mut lb = [3.0, 3.0, 3.0];
+        r.apply(&mut ub[..2], &mut lb[..2], &[0, 1]);
         // Point 0 in cluster 0 (moved by 1): ub grows.
         assert_eq!(ub[0], 3.0);
         // Point 1 in cluster 1 (stationary): ub unchanged.
         assert_eq!(ub[1], 2.0);
-        // lb shrinks by the max shift for everyone active.
+        // lb shrinks by the max shift for everyone in the slices.
         assert_eq!(lb[0], 2.0);
         assert_eq!(lb[1], 2.0);
-        // Inactive point untouched.
+        // The point outside them is untouched.
         assert_eq!(ub[2], 2.0);
         assert_eq!(lb[2], 3.0);
     }
 
     #[test]
     fn never_activated_bounds_are_a_fixed_point() {
-        // What lets the solver relax only the round's working set: the
+        // What lets the solver relax only the current round's points: the
         // initial (∞, 0) survives any positive finite ratio and shift
-        // bitwise, and entries past `active` are not touched at all.
+        // bitwise, so relaxing such a point or leaving it out is the same.
         for (delta, old, new) in [
             ([0.0, 0.0], [1.0, 1.0], [1.05, 0.95]),
             ([0.3, 1e-9], [0.2, 7.0], [0.21, 6.5]),
             ([1e6, 0.0], [1e-3, 1e3], [1e3, 1e-3]),
         ] {
-            let r = Relaxation::movement(&delta, &old, &new);
-            let mut ub = vec![f64::INFINITY, f64::INFINITY, 2.0, f64::INFINITY];
-            let mut lb = vec![0.0, 0.0, 3.0, 0.0];
-            r.apply(&mut ub, &mut lb, &[0, 1, 1, 0], 2);
+            let r = movement(&delta, &old, &new);
+            let mut ub = [f64::INFINITY, f64::INFINITY, 2.0, f64::INFINITY];
+            let mut lb = [0.0, 0.0, 3.0, 0.0];
+            r.apply(&mut ub[..2], &mut lb[..2], &[0, 1]);
             for p in [0, 1, 3] {
                 assert_eq!(ub[p], f64::INFINITY);
                 assert_eq!(lb[p].to_bits(), 0.0f64.to_bits());
@@ -178,10 +166,10 @@ mod tests {
 
     #[test]
     fn lb_never_negative() {
-        let r = Relaxation::movement(&[100.0], &[1.0], &[1.0]);
+        let r = movement(&[100.0], &[1.0], &[1.0]);
         let mut ub = vec![1.0];
         let mut lb = vec![0.5];
-        r.apply(&mut ub, &mut lb, &[0], 1);
+        r.apply(&mut ub, &mut lb, &[0]);
         assert_eq!(lb[0], 0.0);
     }
 
@@ -233,8 +221,8 @@ mod tests {
                 centers[c] = moved;
                 infl[c] *= 1.0 + (rng.next_f64() - 0.5) * 0.1;
             }
-            let relax = Relaxation::movement(&delta, &old_infl, &infl);
-            relax.apply(&mut ub, &mut lb, &assignment, n);
+            let relax = movement(&delta, &old_infl, &infl);
+            relax.apply(&mut ub, &mut lb, &assignment);
 
             for p in 0..n {
                 let own = assignment[p] as usize;

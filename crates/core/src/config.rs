@@ -132,18 +132,25 @@ impl Config {
     /// # Panics
     /// If explicit fractions were supplied with a length other than `k`.
     pub fn fractions(&self, k: usize) -> Vec<f64> {
-        match &self.target_fractions {
-            None => vec![1.0 / k as f64; k],
-            Some(f) => {
-                assert!(
-                    f.len() == k,
-                    "geographer config: target_fractions length must equal k \
-                     (got {}, k = {k})",
-                    f.len()
-                );
-                let sum: f64 = f.iter().sum();
-                f.iter().map(|x| x / sum).collect()
-            }
+        normalized_fractions(self.target_fractions.as_deref(), k)
+    }
+}
+
+/// Target fractions for `k` blocks, normalized to sum 1 (`None` =
+/// uniform) — the one spelling behind [`Config::fractions`] and
+/// [`crate::LevelSpec::normalized_fractions`].
+pub(crate) fn normalized_fractions(fractions: Option<&[f64]>, k: usize) -> Vec<f64> {
+    match fractions {
+        None => vec![1.0 / k as f64; k],
+        Some(f) => {
+            assert!(
+                f.len() == k,
+                "geographer config: target_fractions length must equal k \
+                 (got {}, k = {k})",
+                f.len()
+            );
+            let sum: f64 = f.iter().sum();
+            f.iter().map(|x| x / sum).collect()
         }
     }
 }

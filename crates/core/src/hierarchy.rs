@@ -22,7 +22,7 @@
 use geographer_geometry::Point;
 use geographer_parcomm::Comm;
 
-use crate::config::Config;
+use crate::config::{normalized_fractions, Config};
 use crate::kmeans::KMeansStats;
 use crate::pipeline::partition_spmd;
 use crate::repartition::PreviousPartition;
@@ -50,6 +50,12 @@ impl LevelSpec {
     /// Uniform level: equal capacity children, inherited ε.
     pub fn uniform(arity: usize) -> Self {
         LevelSpec { arity, epsilon: None, fractions: None }
+    }
+
+    /// The per-child capacity fractions normalized to sum 1 (uniform
+    /// `1/arity` for `None`) — [`Config::fractions`] for this level.
+    pub fn normalized_fractions(&self) -> Vec<f64> {
+        normalized_fractions(self.fractions.as_deref(), self.arity)
     }
 }
 

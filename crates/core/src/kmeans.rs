@@ -8,13 +8,15 @@
 //! weighted centroids — matching the blue-marked lines of the paper's
 //! pseudocode.
 //!
-//! Every pass of the balance loop costs O(active): the assignment pass,
-//! the block-weight sums and the bound relaxation touch only the points
-//! of the current round. A full-set round runs the blocked SoA kernel
-//! over the solve-wide coordinate lanes; a sampling round (Sec. 4.5)
-//! gathers its sample once into a `WorkingSet` and runs the same kernel
-//! over that (DESIGN.md §9). That kernel is the only assignment path; in
-//! test builds a brute-force oracle checks every pass it makes.
+//! The points of a movement round — a Sec. 4.5 sample, or every local
+//! point — live in one `Round`, laid out for the blocked SoA kernel:
+//! coordinate lanes, block boxes and the points' `assignment`/`ub`/`lb`.
+//! Samples are nested, so the next round grows the current one in place
+//! and the full set is simply the last growth (DESIGN.md §9). Every pass
+//! of the balance loop — the assignment pass, the block-weight sums, the
+//! bound relaxation — runs over the round and costs O(round). The kernel
+//! is the only assignment path; in test builds a brute-force oracle
+//! checks every pass it makes.
 
 use geographer_geometry::{Aabb, Point, SplitMix64};
 use geographer_parcomm::Comm;
@@ -68,34 +70,19 @@ impl KMeansStats {
 
     /// Sum counters across ranks (call from every rank).
     pub fn reduce<C: Comm>(&self, comm: &C) -> KMeansStats {
-        let mut buf = [
-            self.movement_iterations, // identical on all ranks; max below
-            self.balance_iterations,
-            self.distance_evals,
-            self.hamerly_skips,
-            self.bbox_breaks,
-            self.points_visited,
-        ];
-        // movement/balance iterations are replicated — take them from this
-        // rank; sum the per-point counters.
-        let mut sums = [buf[2], buf[3], buf[4], buf[5]];
+        let mut sums =
+            [self.distance_evals, self.hamerly_skips, self.bbox_breaks, self.points_visited];
         comm.allreduce_sum_u64(&mut sums);
-        buf[2] = sums[0];
-        buf[3] = sums[1];
-        buf[4] = sums[2];
-        buf[5] = sums[3];
+        let [distance_evals, hamerly_skips, bbox_breaks, points_visited] = sums;
         KMeansStats {
-            movement_iterations: buf[0],
-            balance_iterations: buf[1],
-            distance_evals: buf[2],
-            hamerly_skips: buf[3],
-            bbox_breaks: buf[4],
-            points_visited: buf[5],
+            distance_evals,
+            hamerly_skips,
+            bbox_breaks,
+            points_visited,
             // The slowest rank bounds the phase: max, not sum.
             assignment_seconds: comm.allreduce(self.assignment_seconds, f64::max),
-            converged: self.converged,
-            final_imbalance: self.final_imbalance,
-            balance_achieved: self.balance_achieved,
+            // Iteration counts, convergence and balance are replicated.
+            ..*self
         }
     }
 }
@@ -165,31 +152,37 @@ impl<const D: usize> Lanes<D> {
     }
 }
 
-/// The active sample of one sampling round, laid out for the blocked
-/// kernel: the sample's point ids in ascending order (after the Hilbert
-/// redistribution id order is curve order, so a block of consecutive
-/// sampled ids is still spatially tight), their gathered coordinate lanes
-/// and block boxes, and the sample's `assignment`/`ub`/`lb`, which live
-/// here for the whole round and are written back when it ends.
+/// The points of the current movement round, laid out for the blocked
+/// kernel: their coordinate lanes and block boxes, and their
+/// `assignment`/`ub`/`lb` — the only copy the solver holds. Points sit in
+/// ascending id order (after the Hilbert redistribution id order is curve
+/// order, so a block of consecutive sample ids is still spatially tight).
 ///
-/// The order-sensitive sums (block weights, centroids) run in the
-/// shuffled order of the `active` list, through `slot`: the order the
-/// golden digests were recorded in.
-///
-/// Owned by the solver and sized once per solve for the largest partial
-/// sample; a round refills it in place.
-struct WorkingSet<const D: usize> {
-    /// Sampled point ids, ascending.
-    ids: Vec<u32>,
-    /// `slot[i]`: position of `active[i]` in `ids`.
-    slot: Vec<u32>,
-    /// `weights[i]`: weight of `active[i]` — in `active` order, the order
-    /// the sums read it in.
-    weights: Vec<f64>,
+/// Samples are nested prefixes of one permutation and a point no round
+/// has reached holds the constant `(assignment, ub, lb) = (0, ∞, 0)`, so
+/// [`Round::grow`] turns one round into the next in place; nothing is
+/// written back anywhere.
+struct Round<const D: usize> {
     lanes: Lanes<D>,
     assignment: Vec<u32>,
     ub: Vec<f64>,
     lb: Vec<f64>,
+    /// What only a sample has; all empty once the round covers every
+    /// local point, where position is id and `active` is array order.
+    sample: Sample,
+}
+
+/// The sample-only part of a [`Round`], grown to the shuffled list `active`.
+#[derive(Default)]
+struct Sample {
+    /// The round's point ids, ascending.
+    ids: Vec<u32>,
+    /// The ids of the round being grown to; swapped with `ids`.
+    grown: Vec<u32>,
+    /// `slot[i]`: position of `active[i]` in `ids`.
+    slot: Vec<u32>,
+    /// `weights[i]`: weight of `active[i]`.
+    weights: Vec<f64>,
     /// Membership bitmap over the local ids; with `before` it ranks the
     /// sample without sorting it.
     member: Vec<u64>,
@@ -197,84 +190,120 @@ struct WorkingSet<const D: usize> {
     before: Vec<u32>,
 }
 
-impl<const D: usize> WorkingSet<D> {
-    fn with_capacity(cap: usize) -> Self {
-        WorkingSet {
-            ids: Vec::with_capacity(cap),
-            slot: Vec::with_capacity(cap),
-            weights: Vec::with_capacity(cap),
+impl<const D: usize> Round<D> {
+    /// An empty round whose per-point arrays never reallocate while it
+    /// grows to `n_local` points, through samples of up to `sample_cap`;
+    /// only the boxes grow by `push` (DESIGN.md §9: the shape is measured).
+    fn with_capacity(n_local: usize, sample_cap: usize) -> Self {
+        Round {
             lanes: Lanes {
-                coords: (0..D).map(|_| Vec::with_capacity(cap)).collect(),
-                boxes: Vec::with_capacity(cap.div_ceil(SOA_BLOCK)),
+                coords: (0..D).map(|_| Vec::with_capacity(n_local)).collect(),
+                boxes: Vec::new(),
             },
-            assignment: Vec::with_capacity(cap),
-            ub: Vec::with_capacity(cap),
-            lb: Vec::with_capacity(cap),
-            member: Vec::new(),
-            before: Vec::new(),
+            assignment: Vec::with_capacity(n_local),
+            ub: Vec::with_capacity(n_local),
+            lb: Vec::with_capacity(n_local),
+            sample: Sample {
+                ids: Vec::with_capacity(sample_cap),
+                grown: Vec::with_capacity(sample_cap),
+                slot: Vec::with_capacity(sample_cap),
+                weights: Vec::with_capacity(sample_cap),
+                ..Sample::default()
+            },
         }
     }
 
-    /// Refill from the sample `active` (distinct ids below `points.len()`).
-    fn load(
-        &mut self,
-        active: &[u32],
-        points: &[Point<D>],
-        weights: &[f64],
-        assignment: &[u32],
-        ub: &[f64],
-        lb: &[f64],
-    ) {
-        self.member.clear();
-        self.member.resize(points.len().div_ceil(64), 0);
-        for &p in active {
-            self.member[p as usize / 64] |= 1 << (p % 64);
+    /// Grow the round in place to the sample `active` (distinct ids below
+    /// `points.len()`, a superset of the current round), or to every
+    /// local point (`None`). Members keep their `assignment`/`ub`/`lb`,
+    /// newcomers start from `(0, ∞, 0)`.
+    fn grow(&mut self, active: Option<&[u32]>, points: &[Point<D>], weights: &[f64]) {
+        let old_len = self.assignment.len();
+        let len = active.map_or(points.len(), <[u32]>::len);
+        if len == old_len {
+            return; // nested: the same size is the same set
         }
-        self.before.clear();
-        self.ids.clear();
-        for (w, &word) in self.member.iter().enumerate() {
-            self.before.push(self.ids.len() as u32);
-            let mut rest = word;
-            while rest != 0 {
-                self.ids.push(w as u32 * 64 + rest.trailing_zeros());
-                rest &= rest - 1;
+        let s = &mut self.sample;
+        if let Some(active) = active {
+            s.member.clear();
+            s.member.resize(points.len().div_ceil(64), 0);
+            for &p in active {
+                s.member[p as usize / 64] |= 1 << (p % 64);
             }
-        }
-        self.slot.clear();
-        self.weights.clear();
-        // geo-analyze: hot-loop
-        for &p in active {
-            let w = p as usize / 64;
-            let below = self.member[w] & ((1 << (p % 64)) - 1);
-            self.slot.push(self.before[w] + below.count_ones());
-            self.weights.push(weights[p as usize]);
-        }
-        for (d, lane) in self.lanes.coords.iter_mut().enumerate() {
-            lane.clear();
+            s.before.clear();
+            s.grown.clear();
+            for (w, &word) in s.member.iter().enumerate() {
+                s.before.push(s.grown.len() as u32);
+                let mut rest = word;
+                while rest != 0 {
+                    s.grown.push(w as u32 * 64 + rest.trailing_zeros());
+                    rest &= rest - 1;
+                }
+            }
+            s.slot.clear();
+            s.weights.clear();
             // geo-analyze: hot-loop
-            for &p in &self.ids {
-                lane.push(points[p as usize][d]);
+            for &p in active {
+                let w = p as usize / 64;
+                let below = s.member[w] & ((1 << (p % 64)) - 1);
+                s.slot.push(s.before[w] + below.count_ones());
+                s.weights.push(weights[p as usize]);
             }
+        }
+        self.assignment.resize(len, 0);
+        self.ub.resize(len, f64::INFINITY);
+        self.lb.resize(len, 0.0);
+        self.lanes.coords.iter_mut().for_each(|lane| lane.resize(len, 0.0));
+        // Back to front, the new ids descending against the old: a member
+        // never moves to a lower position and every old position above
+        // the one being read has been read, so no write lands on a value
+        // still to be carried.
+        let grown = active.map(|_| &s.grown[..]);
+        let mut old = old_len;
+        // geo-analyze: hot-loop
+        for j in (0..len).rev() {
+            let id = grown.map_or(j, |ids| ids[j] as usize);
+            if old > 0 && s.ids[old - 1] as usize == id {
+                old -= 1;
+                self.assignment[j] = self.assignment[old];
+                self.ub[j] = self.ub[old];
+                self.lb[j] = self.lb[old];
+                for lane in &mut self.lanes.coords {
+                    lane[j] = lane[old];
+                }
+            } else {
+                self.assignment[j] = 0;
+                self.ub[j] = f64::INFINITY;
+                self.lb[j] = 0.0;
+                for (d, lane) in self.lanes.coords.iter_mut().enumerate() {
+                    lane[j] = points[id][d];
+                }
+            }
+        }
+        match active {
+            Some(_) => std::mem::swap(&mut s.ids, &mut s.grown),
+            None => *s = Sample::default(),
         }
         self.lanes.rebuild_boxes();
-        self.assignment.clear();
-        self.ub.clear();
-        self.lb.clear();
-        // geo-analyze: hot-loop
-        for &p in &self.ids {
-            self.assignment.push(assignment[p as usize]);
-            self.ub.push(ub[p as usize]);
-            self.lb.push(lb[p as usize]);
-        }
     }
 
-    /// Write the sample's assignment and bounds back to the full arrays.
-    fn store(&self, assignment: &mut [u32], ub: &mut [f64], lb: &mut [f64]) {
-        // geo-analyze: hot-loop
-        for (j, &p) in self.ids.iter().enumerate() {
-            assignment[p as usize] = self.assignment[j];
-            ub[p as usize] = self.ub[j];
-            lb[p as usize] = self.lb[j];
+    /// Call `f(position, weight)` for every point of the round in the one
+    /// order the golden digests pin for sums that round (block weights,
+    /// centroids): a sample in the shuffled order of its `active` list,
+    /// every local point in array order — what the sorted permutation
+    /// spells. `weights` are the local points'; a sample has a slot each.
+    #[inline(always)]
+    fn for_each_in_sum_order(&self, weights: &[f64], mut f: impl FnMut(usize, f64)) {
+        if self.sample.slot.len() == self.assignment.len() {
+            // geo-analyze: hot-loop
+            for (&j, &w) in self.sample.slot.iter().zip(&self.sample.weights) {
+                f(j as usize, w);
+            }
+        } else {
+            // geo-analyze: hot-loop
+            for (j, &w) in weights.iter().enumerate() {
+                f(j, w);
+            }
         }
     }
 }
@@ -343,28 +372,20 @@ const SOA_BATCH_K: usize = 24;
 
 /// The SPMD solver state for one `balanced_kmeans` call.
 struct Solver<'a, const D: usize> {
+    /// The caller's points: what the test oracle measures distances from.
+    #[cfg(test)]
     points: &'a [Point<D>],
     weights: &'a [f64],
     k: usize,
     cfg: &'a Config,
     centers: Vec<Point<D>>,
     influence: Vec<f64>,
-    assignment: Vec<u32>,
-    ub: Vec<f64>,
-    lb: Vec<f64>,
     /// Global maximum point weight (balance-feasibility granularity).
     w_max: f64,
     /// Normalized per-block target weight fractions (uniform = 1/k each).
     fractions: Vec<f64>,
-    /// Coordinate lanes and block boxes of all local points, built once
-    /// per solve — coordinates never move, so no assignment pass
-    /// recomputes them.
-    lanes: Lanes<D>,
-    /// The current sampling round's sample.
-    ws: WorkingSet<D>,
-    /// Bounding box of `lanes`, computed once per solve: the active box
-    /// of every full-set round.
-    full_bbox: Option<Aabb<D>>,
+    /// The current movement round's points and their state.
+    round: Round<D>,
     /// Center shortlist scratch (bbox-sorted order/coords/influence/ids).
     cscratch: CenterScratch,
     kscratch: KernelScratch,
@@ -418,11 +439,10 @@ fn scan_batch(
 }
 
 /// One block of the SoA kernel: derive a per-center pruning bound from
-/// the block's precomputed bounding box (`bbox`, built once per solve or,
-/// for a working set, once per sampling round — coordinates never move
-/// between balance iterations), then scan every
-/// non-skipped point of the block against the (globally bbox-sorted)
-/// center shortlist. `assign`/`ub`/`lb` hold the current values on entry
+/// the block's precomputed bounding box (`bbox`, built when the round
+/// was grown — coordinates never move between balance iterations), then
+/// scan every non-skipped point of the block against the (globally
+/// bbox-sorted) center shortlist. `assign`/`ub`/`lb` hold the current values on entry
 /// and the updated values on exit.
 ///
 /// Exact: effective distances accumulate in the order of `Point::dist`,
@@ -511,9 +531,11 @@ fn process_block<const D: usize>(
         let slen = sidx.len();
         let mut t = 0;
         // geo-analyze: hot-loop
-        while t + 1 < slen {
+        while t < slen {
+            // An odd tail pairs the last survivor with itself and commits
+            // it once.
             let i0 = sidx[t] as usize;
-            let i1 = sidx[t + 1] as usize;
+            let i1 = sidx[(t + 1).min(slen - 1)] as usize;
             let pv0: [f64; D] = std::array::from_fn(|d| lanes[d][i0]);
             let pv1: [f64; D] = std::array::from_fn(|d| lanes[d][i1]);
             for j in 0..k {
@@ -530,7 +552,7 @@ fn process_block<const D: usize>(
                 e0[j] = a0.sqrt() / f;
                 e1[j] = a1.sqrt() / f;
             }
-            for (i, eb) in [(i0, &*e0), (i1, &*e1)] {
+            for (i, eb) in [(i0, &*e0), (i1, &*e1)].into_iter().take(slen - t) {
                 let (best, second, best_c, evals, pruned) =
                     scan_batch(pruning, cbound, eb, &cs.ids, assign[i]);
                 assign[i] = best_c;
@@ -540,25 +562,6 @@ fn process_block<const D: usize>(
                 stats.bbox_breaks += u64::from(pruned);
             }
             t += 2;
-        }
-        if t < slen {
-            let i = sidx[t] as usize;
-            let pv: [f64; D] = std::array::from_fn(|d| lanes[d][i]);
-            for j in 0..k {
-                let mut acc = 0.0;
-                for d in 0..D {
-                    let diff = pv[d] - clanes[d][j];
-                    acc += diff * diff;
-                }
-                e0[j] = acc.sqrt() / infl[j];
-            }
-            let (best, second, best_c, evals, pruned) =
-                scan_batch(pruning, cbound, e0, &cs.ids, assign[i]);
-            assign[i] = best_c;
-            ub[i] = best;
-            lb[i] = second;
-            stats.distance_evals += evals;
-            stats.bbox_breaks += u64::from(pruned);
         }
     } else {
         // Large shortlists: branching skip-scan — the batch would spend
@@ -603,21 +606,14 @@ fn process_block<const D: usize>(
 }
 
 impl<const D: usize> Solver<'_, D> {
-    /// One assignment pass through the blocked SoA kernel over the round's
-    /// points: the sample held in the working set when `sampled`, else all
-    /// local points. Either way the kernel slices contiguous coordinate
-    /// lanes and bound arrays — the working set was gathered once when the
-    /// round began, so no balance iteration gathers or scatters.
-    fn soa_assignment_pass(&mut self, sampled: bool) {
+    /// One assignment pass through the blocked SoA kernel over the round:
+    /// the kernel slices contiguous coordinate lanes and bound arrays, so
+    /// no balance iteration gathers or scatters.
+    fn soa_assignment_pass(&mut self) {
         #[cfg(test)]
-        let before = tests::oracle_snapshot(self, sampled);
-        let (lanes, assign, ub, lb) = if sampled {
-            let ws = &mut self.ws;
-            (&ws.lanes, &mut ws.assignment[..], &mut ws.ub[..], &mut ws.lb[..])
-        } else {
-            (&self.lanes, &mut self.assignment[..], &mut self.ub[..], &mut self.lb[..])
-        };
-        let len = assign.len();
+        let before = tests::oracle_snapshot(self);
+        let Round { lanes, assignment, ub, lb, .. } = &mut self.round;
+        let len = assignment.len();
         let mut b = 0;
         // geo-analyze: hot-loop
         while b < len {
@@ -631,7 +627,7 @@ impl<const D: usize> Solver<'_, D> {
                 &lanes.boxes[b / SOA_BLOCK],
                 &self.cscratch,
                 &mut self.kscratch,
-                &mut assign[b..e],
+                &mut assignment[b..e],
                 &mut ub[b..e],
                 &mut lb[b..e],
                 &mut self.stats,
@@ -640,17 +636,13 @@ impl<const D: usize> Solver<'_, D> {
         }
         self.stats.points_visited += len as u64;
         #[cfg(test)]
-        tests::oracle_check(self, sampled, &before);
+        tests::oracle_check(self, &before);
     }
 
     /// Algorithm 1: assign points, rebalance influences until the partition
     /// is balanced or `max_balance_iterations` is hit. The final global
     /// block weights are left in `self.global_sizes`.
-    ///
-    /// `sampled` says the round covers the shuffled sample that the caller
-    /// has loaded into the working set; otherwise it covers every local
-    /// point, in array order.
-    fn assign_and_balance<C: Comm>(&mut self, comm: &C, sampled: bool) {
+    fn assign_and_balance<C: Comm>(&mut self, comm: &C) {
         let k = self.k;
         self.global_sizes.clear();
         self.global_sizes.resize(k, 0.0);
@@ -658,7 +650,7 @@ impl<const D: usize> Solver<'_, D> {
         self.local_sizes.resize(k, 0.0);
         // Bounding box around the active local points (Alg. 1 line 1).
         // Points never move, so one box serves every balance iteration.
-        let bb = if sampled { self.ws.lanes.bbox() } else { self.full_bbox };
+        let bb = self.round.lanes.bbox();
         for balance_iter in 0..self.cfg.max_balance_iterations {
             self.stats.balance_iterations += 1;
 
@@ -685,23 +677,14 @@ impl<const D: usize> Solver<'_, D> {
             // geo-analyze: allow(kernel-entropy): this clock IS the assignment-phase measurement; it never influences control flow or output.
             let assign_t0 = std::time::Instant::now();
             self.cscratch.fill_sorted::<D>(&self.centers, &self.influence);
-            self.soa_assignment_pass(sampled);
+            self.soa_assignment_pass();
             // Block-weight accumulation is a single serial pass in the
-            // round's order (shuffled for a sample, array order for the
-            // full set), which fixes the bits of the sums.
+            // round's order, which fixes the bits of the sums.
             self.local_sizes.iter_mut().for_each(|s| *s = 0.0);
-            if sampled {
-                let ws = &self.ws;
-                // geo-analyze: hot-loop
-                for (&j, &w) in ws.slot.iter().zip(&ws.weights) {
-                    self.local_sizes[ws.assignment[j as usize] as usize] += w;
-                }
-            } else {
-                // geo-analyze: hot-loop
-                for (&c, &w) in self.assignment.iter().zip(self.weights) {
-                    self.local_sizes[c as usize] += w;
-                }
-            }
+            let (round, sizes) = (&self.round, &mut self.local_sizes);
+            round.for_each_in_sum_order(self.weights, |j, w| {
+                sizes[round.assignment[j] as usize] += w;
+            });
             self.stats.assignment_seconds += assign_t0.elapsed().as_secs_f64();
 
             // The only communication of the balance loop (Alg. 1 line 31).
@@ -751,21 +734,17 @@ impl<const D: usize> Solver<'_, D> {
             );
             if self.cfg.hamerly_bounds {
                 self.relax.set_influence_only(&self.old_influence, &self.influence);
-                self.relax_bounds(sampled);
+                self.relax_bounds();
             }
         }
     }
 
-    /// Apply `self.relax` to the bounds of the round's points: the working
-    /// set when `sampled`, else the full arrays.
-    fn relax_bounds(&mut self, sampled: bool) {
-        let (ub, lb, assignment) = if sampled {
-            let ws = &mut self.ws;
-            (&mut ws.ub, &mut ws.lb, &ws.assignment)
-        } else {
-            (&mut self.ub, &mut self.lb, &self.assignment)
-        };
-        self.relax.apply(ub, lb, assignment, assignment.len());
+    /// Apply `self.relax` to the bounds of the round's points. A point no
+    /// round has reached holds `(ub, lb) = (∞, 0)`, a fixed point of the
+    /// map: leaving it out changes nothing.
+    fn relax_bounds(&mut self) {
+        let Round { ub, lb, assignment, .. } = &mut self.round;
+        self.relax.apply(ub, lb, assignment);
     }
 
     /// New centers = weighted mean of the active points of each cluster
@@ -773,33 +752,20 @@ impl<const D: usize> Solver<'_, D> {
     /// Clusters with zero active weight keep their old center. The result
     /// lands in `self.new_centers_buf` and the per-center movement in
     /// `self.delta`; returns the maximum movement.
-    fn compute_new_centers<C: Comm>(&mut self, comm: &C, sampled: bool) -> f64 {
+    fn compute_new_centers<C: Comm>(&mut self, comm: &C) -> f64 {
         let k = self.k;
         let stride = D + 1;
         self.center_sums.clear();
         self.center_sums.resize(k * stride, 0.0);
-        if sampled {
-            // In the sample's shuffled order, like the block weights.
-            let ws = &self.ws;
-            // geo-analyze: hot-loop
-            for (&j, &w) in ws.slot.iter().zip(&ws.weights) {
-                let j = j as usize;
-                let c = ws.assignment[j] as usize;
-                for d in 0..D {
-                    self.center_sums[c * stride + d] += w * ws.lanes.coords[d][j];
-                }
-                self.center_sums[c * stride + D] += w;
+        // In the round's order, like the block weights.
+        let (round, sums) = (&self.round, &mut self.center_sums);
+        round.for_each_in_sum_order(self.weights, |j, w| {
+            let c = round.assignment[j] as usize;
+            for d in 0..D {
+                sums[c * stride + d] += w * round.lanes.coords[d][j];
             }
-        } else {
-            // geo-analyze: hot-loop
-            for ((pt, &w), &c) in self.points.iter().zip(self.weights).zip(&self.assignment) {
-                let c = c as usize;
-                for d in 0..D {
-                    self.center_sums[c * stride + d] += w * pt[d];
-                }
-                self.center_sums[c * stride + D] += w;
-            }
-        }
+            sums[c * stride + D] += w;
+        });
         comm.allreduce_sum_f64(&mut self.center_sums);
         let (sums, centers, buf) =
             (&self.center_sums, &self.centers, &mut self.new_centers_buf);
@@ -882,40 +848,28 @@ pub fn balanced_kmeans_warm<const D: usize, C: Comm>(
     let beta = 2.0 * diag / (k as f64).powf(1.0 / D as f64);
     let delta_threshold = cfg.delta_threshold * diag;
 
-    // Structure-of-arrays coordinate lanes for the blocked kernel, built
-    // once per solve (DESIGN.md §9).
-    let mut lanes = Lanes {
-        coords: (0..D).map(|d| points.iter().map(|p| p[d]).collect()).collect(),
-        boxes: Vec::new(),
-    };
-    lanes.rebuild_boxes();
-    let full_bbox = lanes.bbox();
-    // The working set is sized once, for the largest sample short of the
-    // full set (the last `initial_sample·2^j < n_local`): growing it round
-    // by round would hold the old and the new buffers at once.
-    let mut ws_cap = 0;
+    // The sample-only arrays are sized once, for the largest sample short
+    // of the full set (the last `initial_sample·2^j < n_local`): growing
+    // them round by round would hold the old and the new buffers at once.
+    let mut sample_cap = 0;
     if cfg.sampling_init && cfg.initial_sample < n_local {
-        ws_cap = cfg.initial_sample;
-        while ws_cap * 2 < n_local {
-            ws_cap *= 2;
+        sample_cap = cfg.initial_sample;
+        while sample_cap * 2 < n_local {
+            sample_cap *= 2;
         }
     }
 
     let mut solver = Solver {
+        #[cfg(test)]
         points,
         weights,
         k,
         cfg,
         centers: initial_centers,
         influence: initial_influence,
-        assignment: vec![0u32; n_local],
-        ub: vec![f64::INFINITY; n_local],
-        lb: vec![0.0; n_local],
         w_max,
         fractions: cfg.fractions(k),
-        lanes,
-        ws: WorkingSet::with_capacity(ws_cap),
-        full_bbox,
+        round: Round::with_capacity(n_local, sample_cap),
         cscratch: CenterScratch::default(),
         kscratch: KernelScratch::new(k),
         old_influence: Vec::with_capacity(k),
@@ -929,10 +883,10 @@ pub fn balanced_kmeans_warm<const D: usize, C: Comm>(
     };
 
     // Sampling initialization (Sec. 4.5): a random local permutation whose
-    // prefix is the active sample, doubling every movement round; the
-    // kernel runs over the round's working set. Once the sample covers
-    // every local point the permutation is dropped: a full-set round runs
-    // over the solve-wide lanes and sums in array order.
+    // prefix is the active sample, doubling every movement round; each
+    // round grows the last one in place. Once the sample covers every
+    // local point the permutation is dropped: the round over all points
+    // needs no index list and sums in array order.
     let mut perm: Vec<u32> = Vec::new();
     let mut sample_len = n_local;
     if cfg.sampling_init {
@@ -948,25 +902,17 @@ pub fn balanced_kmeans_warm<const D: usize, C: Comm>(
         iterations_left -= 1;
         solver.stats.movement_iterations += 1;
         sampled = sample_len < n_local;
-        if sampled {
-            solver.ws.load(
-                &perm[..sample_len],
-                points,
-                weights,
-                &solver.assignment,
-                &solver.ub,
-                &solver.lb,
-            );
-        } else {
+        if !sampled {
             perm = Vec::new();
         }
+        solver.round.grow(sampled.then(|| &perm[..sample_len]), points, weights);
 
         // Everyone must agree whether this is still a sampling round.
         let all_full = comm.allreduce(u64::from(!sampled), u64::min) == 1;
 
-        solver.assign_and_balance(comm, sampled);
+        solver.assign_and_balance(comm);
 
-        let max_delta = solver.compute_new_centers(comm, sampled);
+        let max_delta = solver.compute_new_centers(comm);
 
         // Converged = centers stationary AND the balance constraint met.
         // (A stationary-but-imbalanced state keeps iterating: the influence
@@ -995,10 +941,7 @@ pub fn balanced_kmeans_warm<const D: usize, C: Comm>(
                 &solver.old_influence,
                 &solver.influence,
             );
-            solver.relax_bounds(sampled);
-        }
-        if sampled {
-            solver.ws.store(&mut solver.assignment, &mut solver.ub, &mut solver.lb);
+            solver.relax_bounds();
         }
 
         if !all_full {
@@ -1007,16 +950,18 @@ pub fn balanced_kmeans_warm<const D: usize, C: Comm>(
     }
 
     // If the iteration budget ran out mid-sampling, points outside the
-    // sample have never been assigned: finish with one full pass. What
-    // counts is the round that ran last — `sample_len` is already the next
-    // round's. The decision must be global so the collectives stay matched.
+    // sample have never been assigned: finish with one pass over all of
+    // them. What counts is the round that ran last — `sample_len` is
+    // already the next round's. The decision must be global so the
+    // collectives stay matched.
     let all_full = comm.allreduce(u64::from(!sampled), u64::min) == 1;
     if !all_full {
-        solver.assign_and_balance(comm, false);
+        solver.round.grow(None, points, weights);
+        solver.assign_and_balance(comm);
     }
 
     KMeansOutput {
-        assignment: solver.assignment,
+        assignment: solver.round.assignment,
         centers: solver.centers,
         influence: solver.influence,
         stats: solver.stats,
@@ -1037,41 +982,30 @@ mod tests {
     type RoundState = (Vec<u32>, Vec<f64>, Vec<f64>);
 
     /// The round's `(assignment, ub, lb)` as a pass finds them.
-    pub(super) fn oracle_snapshot<const D: usize>(s: &Solver<'_, D>, sampled: bool) -> RoundState {
-        if sampled {
-            (s.ws.assignment.clone(), s.ws.ub.clone(), s.ws.lb.clone())
-        } else {
-            (s.assignment.clone(), s.ub.clone(), s.lb.clone())
-        }
+    pub(super) fn oracle_snapshot<const D: usize>(s: &Solver<'_, D>) -> RoundState {
+        (s.round.assignment.clone(), s.round.ub.clone(), s.round.lb.clone())
     }
 
     /// The oracle every assignment pass of every unit-test solve runs
     /// under: recompute all k effective distances of each round point from
-    /// the solver's own points, centers and influences — no bounds, no box
-    /// sort, no break — and hold the pass to [`oracle_check_point`].
-    pub(super) fn oracle_check<const D: usize>(
-        s: &Solver<'_, D>,
-        sampled: bool,
-        before: &RoundState,
-    ) {
-        let (assign, ub, lb) = if sampled {
-            (&s.ws.assignment, &s.ws.ub, &s.ws.lb)
-        } else {
-            (&s.assignment, &s.ub, &s.lb)
-        };
+    /// the caller's points (never the round's gathered lanes) and the
+    /// solver's centers and influences — no bounds, no box sort, no break
+    /// — and hold the pass to [`oracle_check_point`].
+    pub(super) fn oracle_check<const D: usize>(s: &Solver<'_, D>, before: &RoundState) {
+        let Round { assignment, ub, lb, sample, .. } = &s.round;
         let mut e = Vec::with_capacity(s.k);
-        for i in 0..assign.len() {
-            let p = if sampled { s.ws.ids[i] as usize } else { i };
+        for i in 0..assignment.len() {
+            let p = sample.ids.get(i).map_or(i, |&id| id as usize);
             e.clear();
             e.extend(s.centers.iter().zip(&s.influence).map(|(c, f)| s.points[p].dist(c) / f));
             oracle_check_point(
                 &e,
                 s.cfg.hamerly_bounds,
                 (before.0[i], before.1[i], before.2[i]),
-                (assign[i], ub[i], lb[i]),
+                (assignment[i], ub[i], lb[i]),
             );
         }
-        ORACLE_VISITS.with(|v| v.set(v.get() + assign.len() as u64));
+        ORACLE_VISITS.with(|v| v.set(v.get() + assignment.len() as u64));
     }
 
     /// One point against its k effective distances `e`: the assigned
@@ -1133,6 +1067,81 @@ mod tests {
     #[should_panic(expected = "a Hamerly-skipped point changed")]
     fn oracle_rejects_a_skipped_point_that_moved() {
         oracle_check_point(&[3.0, 1.0, 2.0], true, (1, 1.5, 1.75), (1, 1.0, 2.0));
+    }
+
+    /// Walk one round through `steps` (`Some(len)`: the sample
+    /// `perm[..len]`, `None`: every point) and hold each growth to a
+    /// from-scratch gather of `points`. After each check every
+    /// `(assignment, ub, lb)` is overwritten with a value unique to its
+    /// point and step, so the next growth must carry exactly those bits.
+    fn check_growths<const D: usize>(n: usize, steps: &[Option<usize>]) {
+        let points = family_points::<D>(n, 61, true);
+        let mut rng = SplitMix64::new(62);
+        let weights: Vec<f64> = (0..n).map(|_| 1.0 + rng.next_f64()).collect();
+        let mut perm: Vec<u32> = (0..n as u32).collect();
+        rng.shuffle(&mut perm);
+        // What every local point holds, reached by a round yet or not.
+        let mut home = vec![(0u32, f64::INFINITY.to_bits(), 0.0f64.to_bits()); n];
+        let mut round = Round::<D>::with_capacity(n, 0);
+        for (step, &len) in steps.iter().enumerate() {
+            let active = len.map(|len| &perm[..len]);
+            round.grow(active, &points, &weights);
+            let ids: Vec<usize> = match active {
+                Some(active) => {
+                    assert!(round.sample.ids.windows(2).all(|w| w[0] < w[1]), "ids ascend");
+                    let mut sorted = active.to_vec();
+                    sorted.sort_unstable();
+                    assert_eq!(round.sample.ids, sorted);
+                    sorted.into_iter().map(|id| id as usize).collect()
+                }
+                None => {
+                    let s = &round.sample;
+                    assert!(s.ids.is_empty() && s.slot.is_empty() && s.weights.is_empty());
+                    (0..n).collect()
+                }
+            };
+            let tag = format!("D={D} n={n} step {step} ({len:?})");
+            let mut gathered = Lanes::<D> {
+                coords: (0..D).map(|d| ids.iter().map(|&id| points[id][d]).collect()).collect(),
+                boxes: Vec::new(),
+            };
+            gathered.rebuild_boxes();
+            assert_eq!(round.lanes.coords, gathered.coords, "{tag}");
+            assert_eq!(round.lanes.boxes, gathered.boxes, "{tag}");
+            let held: Vec<_> = (0..ids.len())
+                .map(|j| (round.assignment[j], round.ub[j].to_bits(), round.lb[j].to_bits()))
+                .collect();
+            let expected: Vec<_> = ids.iter().map(|&id| home[id]).collect();
+            assert_eq!(held, expected, "{tag}: members carry their state, newcomers (0, ∞, 0)");
+            let mut order = Vec::new();
+            round.for_each_in_sum_order(&weights, |j, w| order.push((ids[j], w.to_bits())));
+            let spelled: Vec<_> = match active {
+                Some(active) => active.iter().map(|&p| p as usize).collect(),
+                None => (0..n).collect(),
+            };
+            assert!(
+                order.iter().copied().eq(spelled.iter().map(|&p| (p, weights[p].to_bits()))),
+                "{tag}: the sums run in `active` order"
+            );
+            for (j, &id) in ids.iter().enumerate() {
+                let x = (id * 31 + step) as f64;
+                (round.assignment[j], round.ub[j], round.lb[j]) = (x as u32 % 7, x + 0.5, x / 3.0);
+                home[id] = (round.assignment[j], round.ub[j].to_bits(), round.lb[j].to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn grow_carries_members_and_gathers_newcomers() {
+        // Nested prefixes across block boundaries (257, then a length
+        // that is no multiple of `SOA_BLOCK`) up to every point, which
+        // repeats while a peer still samples; sampling off, and a shard
+        // below the first sample, go from empty to full in one step; a
+        // rank may hold nothing at all.
+        check_growths::<2>(1000, &[Some(0), Some(1), Some(257), Some(600), None, None]);
+        check_growths::<3>(777, &[Some(100), Some(200), Some(400), None]);
+        check_growths::<2>(57, &[None, None]);
+        check_growths::<3>(0, &[Some(0), None]);
     }
 
     fn uniform_points(n: usize, seed: u64) -> Vec<Point<2>> {
@@ -1446,7 +1455,7 @@ mod tests {
     }
 
     #[test]
-    fn golden_digests_match_the_last_commit_with_two_assignment_paths() {
+    fn golden_digests_match_the_recorded_solves() {
         // Eight cells of the grid `oracle_holds_…` sweeps — both
         // dimensions, both rank counts, both families, every first-sample
         // size, both budgets, k = 32, and each pruning switch off — plus
@@ -1491,7 +1500,7 @@ mod tests {
         // dependency) of seeded instances under the per-pass oracle:
         // D ∈ {2, 3}, p ∈ {1, 4}, both families, and first samples of 1,
         // 100 and 257 points — sampling rounds run the kernel over a
-        // gathered working set. A budget of 3 movement iterations runs out
+        // round grown in place. A budget of 3 movement iterations runs out
         // mid-sampling and ends in the final full pass; 15 reaches the
         // full set even from a single point (11 doublings). k = 32 takes
         // the branching scan (k > `SOA_BATCH_K`), k = 5 the paired batch.

@@ -33,9 +33,9 @@
 //!   deterministic — results are independent of thread count, which is
 //!   what lets the planner run refinement redundantly on every rank.
 
-use geographer::HierarchySpec;
+use geographer::{HierarchySpec, LevelSpec};
 use geographer_graph::CsrGraph;
-use geographer_refine::{refine_multilevel, MultilevelConfig, RefineReport};
+use geographer_refine::{block_capacities, refine_multilevel, MultilevelConfig, RefineReport};
 
 /// Move vertices out of over-capacity children into the least-loaded
 /// sibling until every child respects `allowed`. Needed because an
@@ -196,17 +196,8 @@ fn cross_parent_pass(
         (0..depth).map(|l| spec.levels[l + 1..].iter().map(|s| s.arity).product()).collect();
     let eps: Vec<f64> =
         spec.levels.iter().map(|lv| lv.epsilon.unwrap_or(base.refine.epsilon)).collect();
-    let fractions: Vec<Vec<f64>> = spec
-        .levels
-        .iter()
-        .map(|lv| match &lv.fractions {
-            None => vec![1.0 / lv.arity as f64; lv.arity],
-            Some(f) => {
-                let sum: f64 = f.iter().sum();
-                f.iter().map(|x| x / sum).collect()
-            }
-        })
-        .collect();
+    let fractions: Vec<Vec<f64>> =
+        spec.levels.iter().map(LevelSpec::normalized_fractions).collect();
     let group_of = |b: usize, l: usize| b / strides[l];
 
     // Group weights per level, maintained incrementally.
@@ -374,20 +365,7 @@ fn sweep_top_down(
             // Re-seat any child an upper-level move pushed over its floor.
             let total: f64 = sub_w.iter().sum();
             let w_max = sub_w.iter().copied().fold(0.0, f64::max);
-            let fractions: Vec<f64> = match &lv.fractions {
-                None => vec![1.0 / arity as f64; arity],
-                Some(f) => {
-                    let sum: f64 = f.iter().sum();
-                    f.iter().map(|x| x / sum).collect()
-                }
-            };
-            let allowed: Vec<f64> = fractions
-                .iter()
-                .map(|frac| {
-                    let target = total * frac;
-                    ((1.0 + epsilon) * target).max(target + w_max)
-                })
-                .collect();
+            let allowed = block_capacities(total, w_max, arity, epsilon, &lv.fractions);
             let mut block_w = vec![0.0f64; arity];
             for (&d, &w) in digits.iter().zip(&sub_w) {
                 block_w[d as usize] += w;

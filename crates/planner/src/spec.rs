@@ -168,15 +168,13 @@ impl<'a, const D: usize> PlanSpec<'a, D> {
                 if h.levels.iter().all(|l| l.fractions.is_none()) {
                     return None;
                 }
-                let total = h.total_blocks();
-                let mut fractions = vec![1.0f64; total];
-                for (b, f) in fractions.iter_mut().enumerate() {
-                    let path = h.path_of_block(b as u32);
-                    for (l, lv) in h.levels.iter().enumerate() {
-                        if let Some(lf) = &lv.fractions {
-                            let sum: f64 = lf.iter().sum();
-                            *f *= lf[path[l] as usize] / sum;
-                        }
+                let mut fractions = vec![1.0f64; h.total_blocks()];
+                // A level without explicit fractions contributes no factor.
+                for (l, lv) in h.levels.iter().enumerate().filter(|(_, lv)| lv.fractions.is_some())
+                {
+                    let lf = lv.normalized_fractions();
+                    for (b, f) in fractions.iter_mut().enumerate() {
+                        *f *= lf[h.path_of_block(b as u32)[l] as usize];
                     }
                 }
                 Some(fractions)

@@ -76,10 +76,10 @@ pub fn edge_cut(g: &CsrGraph, assignment: &[u32]) -> u64 {
 /// Per-block capacities `max((1+ε)·target, target + w_max)` — the same
 /// feasibility floor as `geographer`'s kmeans.rs, with targets either
 /// uniform or the configured heterogeneous fractions of the total. Shared
-/// by the flat pass and every level of the multilevel V-cycle (which
-/// passes the *fine* level's `w_max` so no coarse move can overshoot the
-/// bound the caller asked for).
-pub(crate) fn block_capacities(
+/// by the flat pass, every level of the multilevel V-cycle (which passes
+/// the *fine* level's `w_max` so no coarse move can overshoot the bound
+/// the caller asked for) and the planner's per-parent hierarchical sweep.
+pub fn block_capacities(
     total: f64,
     w_max: f64,
     k: usize,
