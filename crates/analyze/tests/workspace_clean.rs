@@ -40,11 +40,16 @@ fn hot_loop_markers_are_pinned() {
     // of the sum-order helper (the closures handed to it are their
     // bodies), `scan_batch` and `process_block`'s survivor, bound, pair
     // and branching loops under the per-block loop; dsort: the radix
-    // sort's fold, counting and scatter passes; sfc: the two loops of the
-    // key walk.
+    // sort's fold, counting and scatter passes; graph: the matching scan
+    // and the contraction gather; planner: the cross-parent vertex loop
+    // and the sub-CSR extraction; refine: the sweep loop; sfc: the two
+    // loops of the key walk.
     let pinned = [
         ("crates/core/src/kmeans.rs", 10),
         ("crates/dsort/src/lib.rs", 3),
+        ("crates/graph/src/coarsen.rs", 2),
+        ("crates/planner/src/hier_refine.rs", 2),
+        ("crates/refine/src/lib.rs", 1),
         ("crates/sfc/src/curve.rs", 2),
     ];
     assert_eq!(census, pinned.map(|(rel, markers)| (rel.to_string(), markers)));

@@ -1,11 +1,18 @@
 //! Microbenchmark: one shared-memory partitioning run per tool on the same
-//! input (the single-rank cost baseline of Fig. 4).
+//! input (the single-rank cost baseline of Fig. 4), and the refinement
+//! kernels on the repo benchmark's `hier_refine_p2` mesh (group `refine`:
+//! one fine-level coarsening step, one flat V-cycle, the stacked
+//! hierarchical refinement).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use geographer::Config;
+use geographer::{Config, HierarchySpec};
 use geographer_baselines::{partition_shared, Baseline};
 use geographer_geometry::{Point, SplitMix64, WeightedPoints};
+use geographer_graph::coarsen::{contract, heavy_edge_matching, WeightedCsrGraph};
+use geographer_mesh::families::bubbles_like;
 use geographer_parcomm::SelfComm;
+use geographer_planner::refine_hierarchy_multilevel;
+use geographer_refine::{refine_multilevel, MultilevelConfig};
 
 fn bench_partitioners(c: &mut Criterion) {
     let mut rng = SplitMix64::new(4);
@@ -29,5 +36,43 @@ fn bench_partitioners(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_partitioners);
+fn bench_refine(c: &mut Criterion) {
+    let n = 30_000;
+    let mesh = bubbles_like(n, 2018);
+    let spec = HierarchySpec::uniform(&[4, 4]);
+    let cfg = Config { sampling_init: false, ..Config::default() };
+    let solved = geographer::partition_hierarchical_spmd(
+        &SelfComm,
+        &mesh.points,
+        &mesh.weights,
+        &spec,
+        None,
+        &cfg,
+    )
+    .assignment;
+    let nodes: Vec<u32> = solved.iter().map(|b| b / 4).collect();
+    let lifted = WeightedCsrGraph::from_csr(&mesh.graph, mesh.weights.clone());
+    let mate = heavy_edge_matching(&lifted, Some(&nodes));
+    let ml = MultilevelConfig::default();
+
+    let mut g = c.benchmark_group("refine_30k");
+    g.sample_size(20);
+    g.throughput(Throughput::Elements(n as u64));
+    g.bench_function("heavy_edge_matching", |b| {
+        b.iter(|| heavy_edge_matching(&lifted, Some(&nodes)))
+    });
+    g.bench_function("contract", |b| b.iter(|| contract(&lifted, &mate)));
+    g.bench_function("vcycle_k4", |b| {
+        b.iter(|| refine_multilevel(&mesh.graph, &mut nodes.clone(), &mesh.weights, 4, &ml))
+    });
+    g.bench_function("stacked_4x4", |b| {
+        b.iter(|| {
+            let mut asg = solved.clone();
+            refine_hierarchy_multilevel(&SelfComm, &mesh.graph, &mut asg, &mesh.weights, &spec, &ml)
+        })
+    });
+    g.finish();
+}
+
+criterion_group!(benches, bench_partitioners, bench_refine);
 criterion_main!(benches);

@@ -84,6 +84,11 @@ struct Summary {
     max_imbalance: f64,
     total_wall: f64,
     total_max_rank_wall: f64,
+    /// What refinement did over the chain, in counts: top-down sweeps,
+    /// V-cycles run, coarse levels built, sweep rounds (all zero for a
+    /// configuration that does not refine), and rank 0's seconds in it.
+    refine_counts: [usize; 4],
+    refine_seconds: f64,
     /// Per-step JSON rows.
     steps: Vec<Value>,
 }
@@ -115,6 +120,16 @@ fn summarize(
             ("imbalance", num(s.imbalance)),
         ])
     };
+    let mut refine_counts = [0usize; 4];
+    for plan in chain.iter().map(|s| &s.plan) {
+        let work = plan.refine_work.unwrap_or_default();
+        let rounds = plan.refine.map_or(0, |r| r.rounds);
+        for (sum, x) in
+            refine_counts.iter_mut().zip([work.sweeps, work.vcycles, work.coarse_levels, rounds])
+        {
+            *sum += x;
+        }
+    }
     Summary {
         name: name.to_string(),
         subsystems,
@@ -125,6 +140,8 @@ fn summarize(
         max_imbalance: chain.iter().map(|s| s.imbalance).fold(0.0, f64::max),
         total_wall: chain.iter().map(|s| s.wall_seconds).sum(),
         total_max_rank_wall: chain.iter().map(|s| s.wall_max_rank_s).sum(),
+        refine_counts,
+        refine_seconds: chain.iter().map(|s| s.plan.refine_seconds).sum(),
         steps: chain.iter().zip(&inter).map(step_json).collect(),
     }
 }
@@ -257,6 +274,19 @@ fn main() {
             ("wall_s", num(s.total_wall)),
             ("wall_max_rank_s", num(s.total_max_rank_wall)),
             ("ns_per_point", num(ns_per_point(step_wall, n))),
+            (
+                "refine",
+                obj([
+                    ("sweeps", s.refine_counts[0].into()),
+                    ("vcycles", s.refine_counts[1].into()),
+                    ("coarse_levels", s.refine_counts[2].into()),
+                    ("rounds", s.refine_counts[3].into()),
+                    (
+                        "ns_per_point",
+                        num(ns_per_point(s.refine_seconds / s.steps.len().max(1) as f64, n)),
+                    ),
+                ]),
+            ),
             ("steps", Value::Arr(s.steps.clone())),
         ])
     };

@@ -32,6 +32,14 @@ pub struct WeightedCsrGraph {
     pub vwgt: Vec<f64>,
 }
 
+/// The empty graph (`xadj == [0]`), the state of a level buffer before its
+/// first contraction.
+impl Default for WeightedCsrGraph {
+    fn default() -> Self {
+        WeightedCsrGraph { xadj: vec![0], adj: Vec::new(), ewgt: Vec::new(), vwgt: Vec::new() }
+    }
+}
+
 impl WeightedCsrGraph {
     /// Lift an unweighted graph to the weighted form: unit edge weights,
     /// caller-provided vertex weights.
@@ -46,6 +54,11 @@ impl WeightedCsrGraph {
             ewgt: vec![1; g.adj.len()],
             vwgt,
         }
+    }
+
+    /// The borrowed form every kernel reads.
+    pub fn view(&self) -> LevelView<'_> {
+        LevelView { xadj: &self.xadj, adj: &self.adj, ewgt: Some(&self.ewgt), vwgt: &self.vwgt }
     }
 
     /// Number of vertices.
@@ -78,8 +91,7 @@ impl WeightedCsrGraph {
     /// [`WeightedCsrGraph::from_csr`] lift this equals the unweighted
     /// [`crate::edge_cut`] of the underlying graph.
     pub fn edge_cut(&self, assignment: &[u32]) -> u64 {
-        assert_eq!(assignment.len(), self.n());
-        edge_cut_core(&self.xadj, &self.adj, Some(&self.ewgt), assignment)
+        self.view().edge_cut(assignment)
     }
 }
 
@@ -87,6 +99,50 @@ impl WeightedCsrGraph {
 /// [`WeightedCsrGraph::edge_cut`], mirroring [`crate::edge_cut`]).
 pub fn edge_cut_weighted(g: &WeightedCsrGraph, assignment: &[u32]) -> u64 {
     g.edge_cut(assignment)
+}
+
+/// Borrowed form of one level of the coarsening hierarchy: what the
+/// matching, the contraction and the refinement sweeps read. `ewgt = None`
+/// is the unit-weight fast path, so the fine level of a mesh graph is
+/// *viewed* ([`LevelView::unit`]) rather than lifted into an owned
+/// [`WeightedCsrGraph`] with an all-ones weight array.
+#[derive(Debug, Clone, Copy)]
+pub struct LevelView<'a> {
+    /// Offsets into `adj`/`ewgt`; `xadj.len() == n + 1`.
+    pub xadj: &'a [usize],
+    /// Concatenated adjacency lists.
+    pub adj: &'a [u32],
+    /// Edge weights parallel to `adj`; `None` = every edge weighs 1.
+    pub ewgt: Option<&'a [u64]>,
+    /// Vertex weights.
+    pub vwgt: &'a [f64],
+}
+
+impl<'a> LevelView<'a> {
+    /// View an unweighted graph as a level with unit edge weights.
+    ///
+    /// # Panics
+    /// If `vwgt.len() != g.n()`.
+    pub fn unit(g: &'a CsrGraph, vwgt: &'a [f64]) -> Self {
+        assert_eq!(vwgt.len(), g.n(), "one vertex weight per vertex");
+        LevelView { xadj: &g.xadj, adj: &g.adj, ewgt: None, vwgt }
+    }
+
+    /// Number of vertices.
+    pub fn n(&self) -> usize {
+        self.xadj.len() - 1
+    }
+
+    /// Number of undirected edges.
+    pub fn m(&self) -> usize {
+        self.adj.len() / 2
+    }
+
+    /// Weighted edge cut of `assignment` (see [`edge_cut_core`]).
+    pub fn edge_cut(&self, assignment: &[u32]) -> u64 {
+        assert_eq!(assignment.len(), self.n());
+        edge_cut_core(self.xadj, self.adj, self.ewgt, assignment)
+    }
 }
 
 /// Deterministic greedy heavy-edge matching.
@@ -107,28 +163,36 @@ pub fn edge_cut_weighted(g: &WeightedCsrGraph, assignment: &[u32]) -> u64 {
 /// Entirely sequential and a pure function of the graph + labels, so the
 /// result is independent of thread count by construction.
 pub fn heavy_edge_matching(g: &WeightedCsrGraph, labels: Option<&[u32]>) -> Vec<u32> {
-    if let Some(l) = labels {
-        assert_eq!(l.len(), g.n(), "one label per vertex");
-    }
+    let mut mate = Vec::new();
+    match_into(g.view(), labels, &mut mate);
+    mate
+}
+
+/// [`heavy_edge_matching`] over a view, into a reused `mate`.
+fn match_into(g: LevelView<'_>, labels: Option<&[u32]>, mate: &mut Vec<u32>) {
     let n = g.n();
-    let mut mate: Vec<u32> = (0..n as u32).collect();
-    for v in 0..n as u32 {
-        if mate[v as usize] != v {
+    if let Some(l) = labels {
+        assert_eq!(l.len(), n, "one label per vertex");
+    }
+    mate.clear();
+    mate.extend(0..n as u32);
+    // geo-analyze: hot-loop
+    for v in 0..n {
+        if mate[v] != v as u32 {
             continue; // already matched
         }
         // (edge weight desc, vertex weight asc, id asc) — encoded as a
         // max-search on (ewgt, Reverse(vwgt), Reverse(id)).
         let mut best: Option<(u64, f64, u32)> = None;
-        for (i, &u) in g.neighbors(v).iter().enumerate() {
-            if u == v || mate[u as usize] != u {
+        for i in g.xadj[v]..g.xadj[v + 1] {
+            let u = g.adj[i];
+            if u as usize == v || mate[u as usize] != u {
                 continue;
             }
-            if let Some(l) = labels {
-                if l[u as usize] != l[v as usize] {
-                    continue;
-                }
+            if labels.is_some_and(|l| l[u as usize] != l[v]) {
+                continue;
             }
-            let w = g.edge_weights(v)[i];
+            let w = g.ewgt.map_or(1, |w| w[i]);
             let vw = g.vwgt[u as usize];
             let better = match best {
                 None => true,
@@ -141,11 +205,10 @@ pub fn heavy_edge_matching(g: &WeightedCsrGraph, labels: Option<&[u32]>) -> Vec<
             }
         }
         if let Some((_, _, u)) = best {
-            mate[v as usize] = u;
-            mate[u as usize] = v;
+            mate[v] = u;
+            mate[u as usize] = v as u32;
         }
     }
-    mate
 }
 
 /// Result of one contraction step: the coarse graph plus the fine→coarse
@@ -179,96 +242,143 @@ impl Contraction {
 /// # Panics
 /// If `mate` is not an involution on `0..g.n()`.
 pub fn contract(g: &WeightedCsrGraph, mate: &[u32]) -> Contraction {
-    let n = g.n();
-    assert_eq!(mate.len(), n);
-    // Coarse numbering: representative = smaller endpoint of the pair.
-    let mut coarse_of_fine = vec![u32::MAX; n];
-    let mut pairs: Vec<(u32, u32)> = Vec::new();
-    for v in 0..n as u32 {
-        let m = mate[v as usize];
-        assert!(
-            (m as usize) < n && mate[m as usize] == v,
-            "mate must be an involution"
-        );
-        if v <= m {
-            let c = pairs.len() as u32;
-            coarse_of_fine[v as usize] = c;
-            coarse_of_fine[m as usize] = c;
-            pairs.push((v, m));
-        }
-    }
+    let mut c = Contraction { coarse: WeightedCsrGraph::default(), coarse_of_fine: Vec::new() };
+    contract_into(g.view(), mate, &mut Vec::new(), &mut c.coarse, &mut c.coarse_of_fine);
+    // The public form keeps `neighbors` sorted; the V-cycle's levels skip
+    // this (see `contract_into`).
+    sort_rows(&mut c.coarse);
+    c
+}
 
-    // Per-coarse-vertex adjacency: gather both constituents' neighbours,
-    // map them to coarse ids, drop self-loops, merge duplicates.
-    let cof = &coarse_of_fine;
-    let built: Vec<(Vec<(u32, u64)>, f64)> = pairs
-        .iter()
-        .map(|&(a, b)| {
-            let c = cof[a as usize];
-            let mut nbrs: Vec<(u32, u64)> = Vec::with_capacity(
-                g.degree_hint(a) + if a == b { 0 } else { g.degree_hint(b) },
-            );
-            let mut push_all = |v: u32| {
-                for (i, &u) in g.neighbors(v).iter().enumerate() {
-                    let cu = cof[u as usize];
-                    if cu != c {
-                        nbrs.push((cu, g.edge_weights(v)[i]));
-                    }
-                }
-            };
-            push_all(a);
-            if b != a {
-                push_all(b);
-            }
-            nbrs.sort_unstable_by_key(|&(u, _)| u);
-            let vw = if b != a {
-                g.vwgt[a as usize] + g.vwgt[b as usize]
-            } else {
-                g.vwgt[a as usize]
-            };
-            (nbrs, vw)
-        })
-        .collect();
-
-    // Duplicate neighbours are merged here, during the serial
-    // concatenation, writing straight into pre-reserved output arrays —
-    // one gather buffer per pair above, no per-pair adj/wgt temporaries.
-    let nc = pairs.len();
-    let upper: usize = built.iter().map(|(nbrs, _)| nbrs.len()).sum();
-    let mut xadj = Vec::with_capacity(nc + 1);
-    xadj.push(0usize);
-    let mut adj: Vec<u32> = Vec::with_capacity(upper);
-    let mut ewgt: Vec<u64> = Vec::with_capacity(upper);
-    let mut vwgt = Vec::with_capacity(nc);
-    for (nbrs, vw) in built {
-        let row_start = adj.len();
-        for (u, w) in nbrs {
-            if adj.len() > row_start && *adj.last().unwrap() == u {
-                *ewgt.last_mut().unwrap() += w;
-            } else {
-                adj.push(u);
-                ewgt.push(w);
-            }
+/// Sort every adjacency row, with its parallel weights, by neighbour id.
+fn sort_rows(g: &mut WeightedCsrGraph) {
+    let mut row: Vec<(u32, u64)> = Vec::new();
+    for v in 0..g.n() {
+        let span = g.xadj[v]..g.xadj[v + 1];
+        row.clear();
+        row.extend(g.adj[span.clone()].iter().copied().zip(g.ewgt[span.clone()].iter().copied()));
+        row.sort_unstable_by_key(|&(u, _)| u);
+        for (i, &(u, w)) in span.zip(&row) {
+            g.adj[i] = u;
+            g.ewgt[i] = w;
         }
-        xadj.push(adj.len());
-        vwgt.push(vw);
-    }
-    Contraction {
-        coarse: WeightedCsrGraph { xadj, adj, ewgt, vwgt },
-        coarse_of_fine,
     }
 }
 
-impl WeightedCsrGraph {
-    /// Degree of `v` (capacity hint for the contraction gather).
-    fn degree_hint(&self, v: u32) -> usize {
-        self.xadj[v as usize + 1] - self.xadj[v as usize]
+/// [`contract`] over a view, into reused outputs, with every coarse row
+/// left in the order its arcs were first met (the pair's smaller endpoint
+/// first, each endpoint's arcs in fine order) rather than sorted.
+///
+/// `slot[cu]` names the last row that gained an arc to coarse vertex `cu`
+/// and where that arc sits: `(row << 32) | position`. An arc whose target
+/// carries the current row's stamp is a parallel edge and adds its weight
+/// in place; any other stamp is stale, so nothing is reset between rows.
+/// Both constituents' arcs are thus gathered and merged in one pass,
+/// straight into `coarse` — no per-row vector, no concatenation.
+///
+/// No kernel of the V-cycle depends on the order of a row: edge weights
+/// are integers, so cut, gain and merge sums are order-free; the matching
+/// picks by a strict total order on (weight, vertex weight, id); the
+/// sweeps pick the best block by (weight, id). Sorting every row of every
+/// level would cost a fifth of the contraction and change no result
+/// (`row_order_changes_no_result` in `geographer_refine` pins it).
+fn contract_into(
+    g: LevelView<'_>,
+    mate: &[u32],
+    slot: &mut Vec<u64>,
+    coarse: &mut WeightedCsrGraph,
+    coarse_of_fine: &mut Vec<u32>,
+) {
+    let n = g.n();
+    assert_eq!(mate.len(), n);
+    assert!(g.adj.len() < u32::MAX as usize, "arc positions are stamped as u32");
+    // Coarse numbering: representative = smaller endpoint of the pair.
+    coarse_of_fine.clear();
+    coarse_of_fine.resize(n, u32::MAX);
+    let mut nc = 0u32;
+    for v in 0..n {
+        let m = mate[v] as usize;
+        assert!(m < n && mate[m] as usize == v, "mate must be an involution");
+        if v <= m {
+            coarse_of_fine[v] = nc;
+            coarse_of_fine[m] = nc;
+            nc += 1;
+        }
+    }
+    let cof = &coarse_of_fine[..];
+    // No row is numbered u32::MAX, so this stamp is stale for all of them.
+    slot.clear();
+    slot.resize(nc as usize, u64::MAX);
+
+    let WeightedCsrGraph { xadj, adj, ewgt, vwgt } = coarse;
+    xadj.clear();
+    xadj.push(0);
+    adj.clear();
+    ewgt.clear();
+    vwgt.clear();
+    adj.reserve(g.adj.len());
+    ewgt.reserve(g.adj.len());
+    // geo-analyze: hot-loop
+    for a in 0..n {
+        let b = mate[a] as usize;
+        if b < a {
+            continue; // the pair was built at its smaller endpoint
+        }
+        let c = cof[a];
+        for v in [a, b].into_iter().take(if a == b { 1 } else { 2 }) {
+            for i in g.xadj[v]..g.xadj[v + 1] {
+                let cu = cof[g.adj[i] as usize];
+                if cu == c {
+                    continue; // inside the pair: vanishes
+                }
+                let w = g.ewgt.map_or(1, |w| w[i]);
+                let stamp = slot[cu as usize];
+                if (stamp >> 32) as u32 == c {
+                    ewgt[stamp as u32 as usize] += w;
+                } else {
+                    slot[cu as usize] = (u64::from(c) << 32) | adj.len() as u64;
+                    adj.push(cu);
+                    ewgt.push(w);
+                }
+            }
+        }
+        xadj.push(adj.len());
+        vwgt.push(if a == b { g.vwgt[a] } else { g.vwgt[a] + g.vwgt[b] });
+    }
+}
+
+/// The buffers one coarsening step works in, owned by the caller across
+/// steps, V-cycles and graphs of any size (DESIGN.md §7 "Scratch
+/// ownership").
+#[derive(Debug, Default)]
+pub struct CoarsenScratch {
+    mate: Vec<u32>,
+    slot: Vec<u64>,
+}
+
+impl CoarsenScratch {
+    /// One coarsening step: [`heavy_edge_matching`] within `labels`, then
+    /// [`contract`] — the same code as the two public functions, writing
+    /// into `coarse` and `coarse_of_fine`, whose allocations are reused.
+    /// The rows of `coarse` hold the arcs [`contract`] would, **unsorted**
+    /// (no consumer of a level needs them sorted; `contract_into` says
+    /// why), so [`WeightedCsrGraph::neighbors`] is not ascending here.
+    pub fn coarsen(
+        &mut self,
+        g: LevelView<'_>,
+        labels: Option<&[u32]>,
+        coarse: &mut WeightedCsrGraph,
+        coarse_of_fine: &mut Vec<u32>,
+    ) {
+        match_into(g, labels, &mut self.mate);
+        contract_into(g, &self.mate, &mut self.slot, coarse, coarse_of_fine);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use geographer_geometry::SplitMix64;
 
     fn grid_2x4() -> CsrGraph {
         CsrGraph::from_edges(
@@ -358,6 +468,148 @@ mod tests {
         assert!((c.coarse.total_vertex_weight() - 3.0).abs() < 1e-15);
         // The surviving coarse edge stands for the fine edge 1-2.
         assert_eq!(c.coarse.edge_cut(&[0, 1]), 1);
+    }
+
+    /// The contraction this module shipped before the marker gather: one
+    /// `(coarse id, weight)` vector per coarse vertex, sorted, then merged
+    /// during concatenation. Kept as the oracle of [`contract_into`].
+    fn contract_gather_sort(g: &WeightedCsrGraph, mate: &[u32]) -> Contraction {
+        let n = g.n();
+        let mut coarse_of_fine = vec![u32::MAX; n];
+        let mut pairs: Vec<(u32, u32)> = Vec::new();
+        for v in 0..n as u32 {
+            let m = mate[v as usize];
+            assert!((m as usize) < n && mate[m as usize] == v, "mate must be an involution");
+            if v <= m {
+                coarse_of_fine[v as usize] = pairs.len() as u32;
+                coarse_of_fine[m as usize] = pairs.len() as u32;
+                pairs.push((v, m));
+            }
+        }
+        let mut coarse = WeightedCsrGraph::default();
+        for &(a, b) in &pairs {
+            let c = coarse_of_fine[a as usize];
+            let mut nbrs: Vec<(u32, u64)> = Vec::new();
+            for v in if a == b { vec![a] } else { vec![a, b] } {
+                for (&u, &w) in g.neighbors(v).iter().zip(g.edge_weights(v)) {
+                    if coarse_of_fine[u as usize] != c {
+                        nbrs.push((coarse_of_fine[u as usize], w));
+                    }
+                }
+            }
+            nbrs.sort_unstable_by_key(|&(u, _)| u);
+            let row_start = coarse.adj.len();
+            for (u, w) in nbrs {
+                if coarse.adj.len() > row_start && *coarse.adj.last().unwrap() == u {
+                    *coarse.ewgt.last_mut().unwrap() += w;
+                } else {
+                    coarse.adj.push(u);
+                    coarse.ewgt.push(w);
+                }
+            }
+            coarse.xadj.push(coarse.adj.len());
+            coarse.vwgt.push(if a == b {
+                g.vwgt[a as usize]
+            } else {
+                g.vwgt[a as usize] + g.vwgt[b as usize]
+            });
+        }
+        Contraction { coarse, coarse_of_fine }
+    }
+
+    /// Random graph on `n` vertices with about `edges` edges, symmetric
+    /// edge weights in `1..=9` and vertex weights in `1..=5`; sparse draws
+    /// leave isolated vertices, dense ones make parallel coarse edges.
+    fn random_weighted(n: usize, edges: usize, rng: &mut SplitMix64) -> WeightedCsrGraph {
+        let list: Vec<(u32, u32)> = (0..edges)
+            .map(|_| (rng.next_below(n as u64) as u32, rng.next_below(n as u64) as u32))
+            .collect();
+        let g = CsrGraph::from_edges(n, &list);
+        let mut wg = WeightedCsrGraph::from_csr(
+            &g,
+            (0..n).map(|_| (1 + rng.next_below(5)) as f64).collect(),
+        );
+        for v in 0..n as u32 {
+            for (i, &u) in g.neighbors(v).iter().enumerate() {
+                let (lo, hi) = (u64::from(v.min(u)), u64::from(v.max(u)));
+                wg.ewgt[g.xadj[v as usize] + i] = 1 + (lo * 31 + hi * 17) % 9;
+            }
+        }
+        wg
+    }
+
+    /// `g` with every row sorted by neighbour id — what [`contract`] adds
+    /// to [`contract_into`].
+    fn rows_sorted(g: &WeightedCsrGraph) -> WeightedCsrGraph {
+        let mut g = g.clone();
+        sort_rows(&mut g);
+        g
+    }
+
+    #[test]
+    fn marker_contraction_equals_the_gather_sort_oracle() {
+        let mut rng = SplitMix64::new(0xC0A25E);
+        // One scratch and one pair of outputs for the whole corpus: sizes
+        // go up and down between calls.
+        let mut scratch = CoarsenScratch::default();
+        let mut coarse = WeightedCsrGraph::default();
+        let mut cof = Vec::new();
+        for case in 0..300 {
+            let n = 1 + rng.next_below(if case % 7 == 0 { 400 } else { 40 }) as usize;
+            let edges = rng.next_below(6 * n as u64) as usize;
+            let g = random_weighted(n, edges, &mut rng);
+            let blocks = 1 + rng.next_below(4) as u32;
+            let labels: Vec<u32> = (0..n).map(|_| rng.next_below(u64::from(blocks)) as u32).collect();
+
+            // Matchings: heavy-edge with and without labels, all
+            // singletons, and an arbitrary involution (pairs need not be
+            // edges for the contraction to be defined).
+            let mut order: Vec<u32> = (0..n as u32).collect();
+            rng.shuffle(&mut order);
+            let mut arbitrary: Vec<u32> = (0..n as u32).collect();
+            for pair in order.chunks_exact(2).take(n / 3) {
+                arbitrary[pair[0] as usize] = pair[1];
+                arbitrary[pair[1] as usize] = pair[0];
+            }
+            for mate in [
+                heavy_edge_matching(&g, None),
+                heavy_edge_matching(&g, Some(&labels)),
+                (0..n as u32).collect(),
+                arbitrary,
+            ] {
+                let want = contract_gather_sort(&g, &mate);
+                contract_into(g.view(), &mate, &mut scratch.slot, &mut coarse, &mut cof);
+                assert_eq!(rows_sorted(&coarse), want.coarse, "case {case}");
+                assert_eq!(cof, want.coarse_of_fine, "case {case}");
+                let public = contract(&g, &mate);
+                assert_eq!((public.coarse, public.coarse_of_fine), (want.coarse, want.coarse_of_fine));
+            }
+
+            // The fused step is the two public functions back to back.
+            scratch.coarsen(g.view(), Some(&labels), &mut coarse, &mut cof);
+            let want = contract_gather_sort(&g, &heavy_edge_matching(&g, Some(&labels)));
+            assert_eq!((rows_sorted(&coarse), &cof), (want.coarse, &want.coarse_of_fine), "case {case}");
+        }
+    }
+
+    #[test]
+    fn a_unit_view_coarsens_like_its_lift() {
+        let mut rng = SplitMix64::new(77);
+        let mut scratch = CoarsenScratch::default();
+        for _ in 0..40 {
+            let n = 2 + rng.next_below(60) as usize;
+            let list: Vec<(u32, u32)> = (0..3 * n)
+                .map(|_| (rng.next_below(n as u64) as u32, rng.next_below(n as u64) as u32))
+                .collect();
+            let g = CsrGraph::from_edges(n, &list);
+            let vwgt: Vec<f64> = (0..n).map(|_| (1 + rng.next_below(3)) as f64).collect();
+            let lift = WeightedCsrGraph::from_csr(&g, vwgt.clone());
+            let (mut a, mut b) = (WeightedCsrGraph::default(), WeightedCsrGraph::default());
+            let (mut ma, mut mb) = (Vec::new(), Vec::new());
+            scratch.coarsen(LevelView::unit(&g, &vwgt), None, &mut a, &mut ma);
+            scratch.coarsen(lift.view(), None, &mut b, &mut mb);
+            assert_eq!((a, ma), (b, mb));
+        }
     }
 
     #[test]

@@ -28,14 +28,28 @@
 //!   A level-`l` move does carry a vertex's old *lower* digits into its
 //!   new group; a deterministic pre-pass at each level re-seats any child
 //!   pushed over its capacity before the V-cycle runs.
-//! * **Deterministic.** Parents are processed in path-lexicographic
-//!   order, vertices in input order, and the V-cycle itself is
-//!   deterministic — results are independent of thread count, which is
-//!   what lets the planner run refinement redundantly on every rank.
+//! * **Deterministic.** Vertices are visited in input order and the
+//!   V-cycle itself is deterministic, so a parent's refined digits are a
+//!   pure function of the assembled assignment — whichever rank computes
+//!   them.
+//!
+//! **What is SPMD and what is redundant.** The parents of one level are
+//! independent subproblems: each reads and writes only its own members'
+//! level-`l` digit. A level with more than one parent therefore deals its
+//! parents round-robin to the ranks (`parent % p == rank`), and one
+//! allgather per level per sweep hands every rank every parent's digits
+//! and report — the same code at every `p`, the identity on one rank,
+//! idle ranks when `p` exceeds the parents. Level 0 (one parent: the whole
+//! graph) and `cross_parent_pass` (whose moves couple the parents) run
+//! redundantly on every rank, as does the bucketing. The result is the
+//! serial one bit for bit (`tests/stacked_refine.rs`).
 
 use geographer::{HierarchySpec, LevelSpec};
 use geographer_graph::CsrGraph;
-use geographer_refine::{block_capacities, refine_multilevel, MultilevelConfig, RefineReport};
+use geographer_parcomm::Comm;
+use geographer_refine::{
+    block_capacities, MultilevelConfig, RefineConfig, RefineReport, RefineScratch,
+};
 
 /// Move vertices out of over-capacity children into the least-loaded
 /// sibling until every child respects `allowed`. Needed because an
@@ -100,9 +114,38 @@ fn repair_capacities(
 /// the tail.
 const MAX_SWEEPS: usize = 4;
 
+/// How much work a refinement did, in counts (the same on every rank and
+/// at every rank count): what `bench_planner`'s `refine` breakdown
+/// reports next to the seconds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct RefineWork {
+    /// Top-down sweeps over the hierarchy (1 for a flat refinement).
+    pub sweeps: usize,
+    /// V-cycles run: one per non-empty parent per level per sweep.
+    pub vcycles: usize,
+    /// Coarse levels built, summed over the V-cycles.
+    pub coarse_levels: usize,
+}
+
+/// Everything hierarchical refinement allocates per V-cycle, owned across
+/// parents, levels and sweeps.
+struct Scratch {
+    refine: RefineScratch,
+    /// `members[p]` = the vertices under parent `p`, ascending;
+    /// `parent_of[v]` = `v`'s parent, `local_of[v]` its position there.
+    members: Vec<Vec<u32>>,
+    parent_of: Vec<u32>,
+    local_of: Vec<u32>,
+    /// The parent being refined: induced subgraph and vertex weights.
+    sub: CsrGraph,
+    sub_w: Vec<f64>,
+}
+
 /// Refine a hierarchical flat-leaf assignment in place with multilevel
 /// V-cycles per hierarchy level, top-down, honoring each level's ε and
-/// capacity fractions (see the module docs for the contract). The
+/// capacity fractions (see the module docs for the contract, and for which
+/// part is dealt to the ranks of `comm` — a collective call: every rank
+/// passes the same arguments and returns the same result). The
 /// top-down pass is iterated until a full sweep moves nothing (at most
 /// `MAX_SWEEPS` times): an upper-level move changes which sibling moves
 /// are profitable below, and vice versa, so a single pass leaves compound
@@ -119,14 +162,15 @@ const MAX_SWEEPS: usize = 4;
 /// induced-subgraph units: intra-parent edges crossing a level-`l` group
 /// boundary — cross-parent edges are excluded because no level-`l` move
 /// can uncut them; `cut_before` from the first sweep, `cut_after` from the
-/// last, moves and rounds summed over sweeps).
-pub fn refine_hierarchy_multilevel(
+/// last, moves and rounds summed over sweeps) and the work counters.
+pub fn refine_hierarchy_multilevel<C: Comm>(
+    comm: &C,
     g: &CsrGraph,
     assignment: &mut [u32],
     weights: &[f64],
     spec: &HierarchySpec,
     base: &MultilevelConfig,
-) -> Vec<RefineReport> {
+) -> (Vec<RefineReport>, RefineWork) {
     assert_eq!(assignment.len(), g.n());
     assert_eq!(weights.len(), g.n());
     assert!(
@@ -135,10 +179,21 @@ pub fn refine_hierarchy_multilevel(
          HierarchySpec's levels; Config::target_fractions must be None"
     );
     spec.validate();
+    let mut scratch = Scratch {
+        refine: RefineScratch::default(),
+        members: Vec::new(),
+        parent_of: vec![0; g.n()],
+        local_of: vec![0; g.n()],
+        sub: CsrGraph { xadj: vec![0], adj: Vec::new() },
+        sub_w: Vec::new(),
+    };
     let mut reports =
         vec![RefineReport { cut_before: 0, cut_after: 0, moves: 0, rounds: 0 }; spec.depth()];
+    let mut work = RefineWork::default();
     for sweep in 0..MAX_SWEEPS {
-        let pass = sweep_top_down(g, assignment, weights, spec, base);
+        work.sweeps += 1;
+        let pass =
+            sweep_top_down(comm, g, assignment, weights, spec, base, &mut scratch, &mut work);
         let swept: usize = pass.iter().map(|r| r.moves).sum();
         for (agg, r) in reports.iter_mut().zip(&pass) {
             if sweep == 0 {
@@ -159,7 +214,7 @@ pub fn refine_hierarchy_multilevel(
             break;
         }
     }
-    reports
+    (reports, work)
 }
 
 /// Leaf moves the per-level digit sweeps structurally cannot make: a
@@ -187,18 +242,17 @@ fn cross_parent_pass(
         return 0;
     }
     let n = g.n();
-    let k = spec.total_blocks();
     let total: f64 = weights.iter().sum();
     let w_max = weights.iter().copied().fold(0.0, f64::max);
 
-    // Per-level digit stride, ε, and normalized capacity fractions.
-    let strides: Vec<usize> =
-        (0..depth).map(|l| spec.levels[l + 1..].iter().map(|s| s.arity).product()).collect();
+    // Per-level group of every leaf block, ε, and normalized capacity
+    // fractions.
+    let groups = spec.level_groups();
     let eps: Vec<f64> =
         spec.levels.iter().map(|lv| lv.epsilon.unwrap_or(base.refine.epsilon)).collect();
     let fractions: Vec<Vec<f64>> =
         spec.levels.iter().map(LevelSpec::normalized_fractions).collect();
-    let group_of = |b: usize, l: usize| b / strides[l];
+    let group_of = |b: usize, l: usize| groups[l][b] as usize;
 
     // Group weights per level, maintained incrementally.
     let mut gw: Vec<Vec<f64>> = (0..depth).map(|l| vec![0.0f64; spec.groups_at(l)]).collect();
@@ -215,43 +269,47 @@ fn cross_parent_pass(
     };
 
     let mut moves = 0usize;
-    let mut cnt = vec![0i64; k];
+    // Neighbors of the current vertex per leaf block (`cnt[depth - 1]`)
+    // and per group of every upper level, all reset sparsely through
+    // `touched`.
+    let mut cnt: Vec<Vec<i64>> = (0..depth).map(|l| vec![0i64; spec.groups_at(l)]).collect();
+    let mut touched: Vec<usize> = Vec::new();
     const MAX_ROUNDS: usize = 8;
     for _round in 0..MAX_ROUNDS {
         let mut moved_this_round = 0usize;
+        // geo-analyze: hot-loop
         for v in 0..n {
             let cur = assignment[v] as usize;
-            cnt.iter_mut().for_each(|c| *c = 0);
-            let mut touched: Vec<usize> = Vec::new();
-            for &u in g.neighbors(v as u32) {
+            let parent = group_of(cur, depth - 2);
+            let nbrs = g.neighbors(v as u32);
+            if nbrs.iter().all(|&u| group_of(assignment[u as usize] as usize, depth - 2) == parent) {
+                continue; // no block under another parent: the digit sweeps own the rest
+            }
+            touched.clear();
+            for &u in nbrs {
                 let b = assignment[u as usize] as usize;
-                if cnt[b] == 0 {
+                if cnt[depth - 1][b] == 0 {
                     touched.push(b);
                 }
-                cnt[b] += 1;
+                for l in 0..depth {
+                    cnt[l][group_of(b, l)] += 1;
+                }
             }
             touched.sort_unstable();
             let mut best: Option<(i64, usize)> = None;
             for &nb in &touched {
-                if nb == cur || group_of(nb, depth - 2) == group_of(cur, depth - 2) {
+                if nb == cur || group_of(nb, depth - 2) == parent {
                     continue; // same parent: the digit sweeps own these
                 }
-                let leaf_gain = cnt[nb] - cnt[cur];
+                let leaf_gain = cnt[depth - 1][nb] - cnt[depth - 1][cur];
                 if leaf_gain <= 0 {
                     continue;
                 }
                 // Upper levels must not get worse: the move needs at
                 // least as many neighbors under every ancestor of `nb` as
                 // under the matching ancestor of `cur`.
-                let upper_ok = (0..depth - 1).all(|l| {
-                    let (gc, gn) = (group_of(cur, l), group_of(nb, l));
-                    gc == gn || {
-                        let in_group = |gx: usize| -> i64 {
-                            (0..k).filter(|&b| group_of(b, l) == gx).map(|b| cnt[b]).sum()
-                        };
-                        in_group(gn) >= in_group(gc)
-                    }
-                });
+                let upper_ok = (0..depth - 1)
+                    .all(|l| cnt[l][group_of(nb, l)] >= cnt[l][group_of(cur, l)]);
                 if !upper_ok || best.map(|(bg, _)| leaf_gain <= bg).unwrap_or(false) {
                     continue;
                 }
@@ -263,19 +321,19 @@ fn cross_parent_pass(
                     gw[l][group_of(nb, l)] += w;
                 }
                 let fits = (0..depth).all(|l| {
-                    let arity = spec.levels[l].arity;
-                    let mut check: Vec<usize> = if l == 0 {
-                        vec![group_of(cur, 0), group_of(nb, 0)]
+                    let (gc, gn) = (group_of(cur, l), group_of(nb, l));
+                    // Level 0: the two groups whose weight changed. Below:
+                    // all children of both changed parents, whose targets
+                    // moved with the parent weights (once, if one parent).
+                    let (first, second) = if l == 0 {
+                        (gc..gc + 1, gn..gn + 1)
                     } else {
-                        // All children of both changed parents: their
-                        // targets moved with the parent weights.
-                        let (pc, pn) = (group_of(cur, l - 1), group_of(nb, l - 1));
-                        (pc * arity..(pc + 1) * arity)
-                            .chain(pn * arity..(pn + 1) * arity)
-                            .collect()
+                        let arity = spec.levels[l].arity;
+                        let (pc, pn) = (gc / arity, gn / arity);
+                        let second = if pn == pc { 0..0 } else { pn * arity..(pn + 1) * arity };
+                        (pc * arity..(pc + 1) * arity, second)
                     };
-                    check.dedup();
-                    check.into_iter().all(|grp| gw[l][grp] <= allowed(l, grp, &gw) + 1e-9)
+                    first.chain(second).all(|grp| gw[l][grp] <= allowed(l, grp, &gw) + 1e-9)
                 });
                 for l in 0..depth {
                     gw[l][group_of(cur, l)] += w;
@@ -283,6 +341,11 @@ fn cross_parent_pass(
                 }
                 if fits {
                     best = Some((leaf_gain, nb));
+                }
+            }
+            for &b in &touched {
+                for l in 0..depth {
+                    cnt[l][group_of(b, l)] = 0;
                 }
             }
             if let Some((_, nb)) = best {
@@ -303,13 +366,74 @@ fn cross_parent_pass(
     moves
 }
 
+/// The subgraph of `g` induced by `members` (ascending ids, all under
+/// parent `p`), written into `sub`. `local_of` is monotone on the members,
+/// so each filtered row of the parent CSR is already sorted and
+/// duplicate-free: no edge list, no counting pass, no sort.
+fn induced_rows(
+    g: &CsrGraph,
+    members: &[u32],
+    p: u32,
+    parent_of: &[u32],
+    local_of: &[u32],
+    sub: &mut CsrGraph,
+) {
+    sub.xadj.clear();
+    sub.xadj.push(0);
+    sub.adj.clear();
+    // geo-analyze: hot-loop
+    for &v in members {
+        for &u in g.neighbors(v) {
+            if parent_of[u as usize] == p {
+                sub.adj.push(local_of[u as usize]);
+            }
+        }
+        sub.xadj.push(sub.adj.len());
+    }
+}
+
+/// One parent's result as it travels through the allgather: the parent,
+/// its members' refined digits, and `[cut_before, cut_after, moves,
+/// rounds, coarse levels built]` of its V-cycle.
+type ParentResult = (u32, Vec<u32>, [u64; 5]);
+
+/// Repair and refine the level-`l` digits of one parent's members on its
+/// induced subgraph.
+fn refine_parent(
+    scratch: &mut RefineScratch,
+    sub: &CsrGraph,
+    sub_w: &[f64],
+    digits: &mut [u32],
+    arity: usize,
+    mcfg: &MultilevelConfig,
+) -> [u64; 5] {
+    // Re-seat any child an upper-level move pushed over its floor.
+    let total: f64 = sub_w.iter().sum();
+    let w_max = sub_w.iter().copied().fold(0.0, f64::max);
+    let allowed =
+        block_capacities(total, w_max, arity, mcfg.refine.epsilon, &mcfg.refine.target_fractions);
+    let mut block_w = vec![0.0f64; arity];
+    for (&d, &w) in digits.iter().zip(sub_w) {
+        block_w[d as usize] += w;
+    }
+    repair_capacities(sub, digits, sub_w, &allowed, &mut block_w);
+
+    let r = scratch.refine_multilevel(sub, digits, sub_w, arity, mcfg);
+    let rounds: usize = r.levels.iter().map(|lr| lr.rounds).sum();
+    [r.cut_before, r.cut_after, r.moves as u64, rounds as u64, r.levels.len() as u64 - 1]
+}
+
 /// One top-down pass over all levels (see [`refine_hierarchy_multilevel`]).
-fn sweep_top_down(
+#[allow(clippy::too_many_arguments)]
+fn sweep_top_down<C: Comm>(
+    comm: &C,
     g: &CsrGraph,
     assignment: &mut [u32],
     weights: &[f64],
     spec: &HierarchySpec,
     base: &MultilevelConfig,
+    scratch: &mut Scratch,
+    work: &mut RefineWork,
 ) -> Vec<RefineReport> {
     let n = g.n();
     let mut reports = Vec::with_capacity(spec.depth());
@@ -321,76 +445,79 @@ fn sweep_top_down(
         let stride: usize = spec.levels[l + 1..].iter().map(|s| s.arity).product();
         let parent_div = arity * stride;
         let parents = if l == 0 { 1 } else { spec.groups_at(l - 1) };
-        let epsilon = lv.epsilon.unwrap_or(base.refine.epsilon);
 
         if arity == 1 {
             reports.push(RefineReport { cut_before: 0, cut_after: 0, moves: 0, rounds: 0 });
             continue;
         }
+        let mcfg = MultilevelConfig {
+            refine: RefineConfig {
+                epsilon: lv.epsilon.unwrap_or(base.refine.epsilon),
+                target_fractions: lv.fractions.clone(),
+                ..base.refine.clone()
+            },
+            ..base.clone()
+        };
+        let digit_of = |b: u32| (b as usize / stride % arity) as u32;
 
-        // Bucket vertices by parent group (input order within each bucket)
-        // and assign local ids.
-        let mut members: Vec<Vec<u32>> = vec![Vec::new(); parents];
-        let mut local_of = vec![0u32; n];
-        for v in 0..n {
-            let p = assignment[v] as usize / parent_div;
-            local_of[v] = members[p].len() as u32;
-            members[p].push(v as u32);
-        }
-        // One pass over the edges, routed to the owning parent (edges that
-        // cross parents are cut at this level regardless — dropped).
-        let mut edges: Vec<Vec<(u32, u32)>> = vec![Vec::new(); parents];
-        for v in 0..n as u32 {
-            let pv = assignment[v as usize] as usize / parent_div;
-            for &u in g.neighbors(v) {
-                if v < u && assignment[u as usize] as usize / parent_div == pv {
-                    edges[pv].push((local_of[v as usize], local_of[u as usize]));
+        let results: Vec<Vec<ParentResult>> = if parents == 1 {
+            // The whole graph under the root: no bucketing, no subgraph,
+            // and nothing to deal — every rank refines it.
+            let mut digits: Vec<u32> = assignment.iter().map(|&b| digit_of(b)).collect();
+            let r = refine_parent(&mut scratch.refine, g, weights, &mut digits, arity, &mcfg);
+            vec![vec![(0, digits, r)]]
+        } else {
+            // Bucket vertices by parent group (input order within each
+            // bucket) and assign local ids.
+            let Scratch { refine, members, parent_of, local_of, sub, sub_w } = &mut *scratch;
+            members.resize_with(members.len().max(parents), Vec::new);
+            members[..parents].iter_mut().for_each(Vec::clear);
+            for v in 0..n {
+                let p = assignment[v] as usize / parent_div;
+                parent_of[v] = p as u32;
+                local_of[v] = members[p].len() as u32;
+                members[p].push(v as u32);
+            }
+            // This rank's share of the parents; edges that cross parents
+            // are cut at this level regardless — dropped.
+            let mut mine: Vec<ParentResult> = Vec::new();
+            for p in (comm.rank()..parents).step_by(comm.size()) {
+                let idx = &members[p];
+                if idx.is_empty() {
+                    continue;
                 }
+                induced_rows(g, idx, p as u32, parent_of, local_of, sub);
+                sub_w.clear();
+                sub_w.extend(idx.iter().map(|&v| weights[v as usize]));
+                let mut digits: Vec<u32> =
+                    idx.iter().map(|&v| digit_of(assignment[v as usize])).collect();
+                let r = refine_parent(refine, sub, sub_w, &mut digits, arity, &mcfg);
+                mine.push((p as u32, digits, r));
             }
-        }
+            comm.allgather(mine)
+        };
 
+        // Write every parent's refined digits back into the flat ids.
         let mut level = RefineReport { cut_before: 0, cut_after: 0, moves: 0, rounds: 0 };
-        for p in 0..parents {
-            let idx = &members[p];
-            if idx.is_empty() {
-                continue;
-            }
-            let sub_g = CsrGraph::from_edges(idx.len(), &edges[p]);
-            let sub_w: Vec<f64> = idx.iter().map(|&v| weights[v as usize]).collect();
-            let mut digits: Vec<u32> = idx
-                .iter()
-                .map(|&v| (assignment[v as usize] as usize / stride % arity) as u32)
-                .collect();
-
-            // Re-seat any child an upper-level move pushed over its floor.
-            let total: f64 = sub_w.iter().sum();
-            let w_max = sub_w.iter().copied().fold(0.0, f64::max);
-            let allowed = block_capacities(total, w_max, arity, epsilon, &lv.fractions);
-            let mut block_w = vec![0.0f64; arity];
-            for (&d, &w) in digits.iter().zip(&sub_w) {
-                block_w[d as usize] += w;
-            }
-            repair_capacities(&sub_g, &mut digits, &sub_w, &allowed, &mut block_w);
-
-            let mcfg = MultilevelConfig {
-                refine: geographer_refine::RefineConfig {
-                    epsilon,
-                    target_fractions: lv.fractions.clone(),
-                    ..base.refine.clone()
-                },
-                ..base.clone()
+        for (p, digits, [cut_before, cut_after, moves, rounds, coarse]) in
+            results.into_iter().flatten()
+        {
+            level.cut_before += cut_before;
+            level.cut_after += cut_after;
+            level.moves += moves as usize;
+            level.rounds += rounds as usize;
+            work.vcycles += 1;
+            work.coarse_levels += coarse as usize;
+            let base_id = p as usize * parent_div;
+            let write = |b: &mut u32, d: u32| {
+                *b = (base_id + d as usize * stride + *b as usize % stride) as u32;
             };
-            let r = refine_multilevel(&sub_g, &mut digits, &sub_w, arity, &mcfg);
-            level.cut_before += r.cut_before;
-            level.cut_after += r.cut_after;
-            level.moves += r.moves;
-            level.rounds += r.levels.iter().map(|lr| lr.rounds).sum::<usize>();
-
-            // Write the refined digit back into the flat ids.
-            for (&v, &d) in idx.iter().zip(&digits) {
-                let old = assignment[v as usize] as usize;
-                let below = old % stride;
-                assignment[v as usize] = (p * parent_div + d as usize * stride + below) as u32;
+            if parents == 1 {
+                assignment.iter_mut().zip(digits).for_each(|(b, d)| write(b, d));
+            } else {
+                for (&v, d) in scratch.members[p as usize].iter().zip(digits) {
+                    write(&mut assignment[v as usize], d);
+                }
             }
         }
         reports.push(level);
@@ -404,6 +531,7 @@ mod tests {
     use geographer::{partition_hierarchical_spmd, Config, LevelSpec};
     use geographer_graph::evaluate_levels;
     use geographer_mesh::families::bubbles_like;
+    use geographer_geometry::SplitMix64;
     use geographer_mesh::Mesh;
     use geographer_parcomm::SelfComm;
 
@@ -449,7 +577,8 @@ mod tests {
         let mut asg = solve(&mesh, &spec, &cfg);
 
         let before = evaluate_levels(&mesh.graph, &asg, &spec.level_groups());
-        let reports = refine_hierarchy_multilevel(
+        let (reports, work) = refine_hierarchy_multilevel(
+            &SelfComm,
             &mesh.graph,
             &mut asg,
             &mesh.weights,
@@ -475,6 +604,11 @@ mod tests {
             after[1].edge_cut
         );
         assert!(reports.iter().any(|r| r.moves > 0));
+        // One V-cycle for the root and one per node, every sweep; the
+        // root's 6 000 vertices are above the coarsening floor.
+        assert!(work.sweeps >= 2, "a sweep that moved is followed by another: {work:?}");
+        assert_eq!(work.vcycles, 5 * work.sweeps);
+        assert!(work.coarse_levels >= work.sweeps);
         hier_balanced(&asg, &mesh.weights, &spec, cfg.epsilon);
         // Block ids stay in range.
         assert!(asg.iter().all(|&b| b < 8));
@@ -488,6 +622,7 @@ mod tests {
         let mut a = solve(&mesh, &spec, &cfg);
         let mut b = a.clone();
         let ra = refine_hierarchy_multilevel(
+            &SelfComm,
             &mesh.graph,
             &mut a,
             &mesh.weights,
@@ -495,6 +630,7 @@ mod tests {
             &MultilevelConfig::default(),
         );
         let rb = refine_hierarchy_multilevel(
+            &SelfComm,
             &mesh.graph,
             &mut b,
             &mesh.weights,
@@ -517,6 +653,7 @@ mod tests {
         let cfg = Config { sampling_init: false, max_iterations: 200, ..Config::default() };
         let mut asg = solve(&mesh, &spec, &cfg);
         refine_hierarchy_multilevel(
+            &SelfComm,
             &mesh.graph,
             &mut asg,
             &mesh.weights,
@@ -558,7 +695,8 @@ mod tests {
         let weights = [1.0; 20];
 
         let before = evaluate_levels(&g, &asg, &spec.level_groups());
-        let reports = refine_hierarchy_multilevel(
+        let (reports, work) = refine_hierarchy_multilevel(
+            &SelfComm,
             &g,
             &mut asg,
             &weights,
@@ -572,6 +710,7 @@ mod tests {
         assert_eq!(after[1].edge_cut, 4, "leaf cut must drop via the compound move");
         assert_eq!(after[0].edge_cut, before[0].edge_cut, "inter-parent cut unchanged");
         assert!(reports[1].moves >= 1);
+        assert_eq!((work.vcycles, work.coarse_levels), (3 * work.sweeps, 0));
         hier_balanced(&asg, &weights, &spec, Config::default().epsilon);
     }
 
@@ -591,7 +730,8 @@ mod tests {
         let mut asg = vec![0, 0, 0, 0, 1, 1, 1, 1];
         let before = asg.clone();
         let spec = HierarchySpec::uniform(&[2]);
-        let reports = refine_hierarchy_multilevel(
+        let (reports, work) = refine_hierarchy_multilevel(
+            &SelfComm,
             &g,
             &mut asg,
             &[1.0; 8],
@@ -602,5 +742,207 @@ mod tests {
         assert_eq!(reports[0].moves, 0);
         assert_eq!(reports[0].cut_before, 1);
         assert_eq!(reports[0].cut_after, 1);
+        assert_eq!(work, RefineWork { sweeps: 1, vcycles: 1, coarse_levels: 0 });
+    }
+
+    /// `cross_parent_pass` as it was before its counts were kept sparse
+    /// and per level: all `k` counters zeroed per vertex, a fresh
+    /// `touched` per vertex, an O(k) filter per candidate per level, a
+    /// `check` vector per level. The oracle of the pass.
+    fn cross_parent_pass_oracle(
+        g: &CsrGraph,
+        assignment: &mut [u32],
+        weights: &[f64],
+        spec: &HierarchySpec,
+        base: &MultilevelConfig,
+    ) -> usize {
+        let depth = spec.depth();
+        if depth < 2 {
+            return 0;
+        }
+        let n = g.n();
+        let k = spec.total_blocks();
+        let total: f64 = weights.iter().sum();
+        let w_max = weights.iter().copied().fold(0.0, f64::max);
+
+        // Per-level digit stride, ε, and normalized capacity fractions.
+        let strides: Vec<usize> =
+            (0..depth).map(|l| spec.levels[l + 1..].iter().map(|s| s.arity).product()).collect();
+        let eps: Vec<f64> =
+            spec.levels.iter().map(|lv| lv.epsilon.unwrap_or(base.refine.epsilon)).collect();
+        let fractions: Vec<Vec<f64>> =
+            spec.levels.iter().map(LevelSpec::normalized_fractions).collect();
+        let group_of = |b: usize, l: usize| b / strides[l];
+
+        // Group weights per level, maintained incrementally.
+        let mut gw: Vec<Vec<f64>> = (0..depth).map(|l| vec![0.0f64; spec.groups_at(l)]).collect();
+        for (&b, &w) in assignment.iter().zip(weights) {
+            for l in 0..depth {
+                gw[l][group_of(b as usize, l)] += w;
+            }
+        }
+        let allowed = |l: usize, grp: usize, gw: &[Vec<f64>]| -> f64 {
+            let arity = spec.levels[l].arity;
+            let parent_w = if l == 0 { total } else { gw[l - 1][grp / arity] };
+            let target = parent_w * fractions[l][grp % arity];
+            ((1.0 + eps[l]) * target).max(target + w_max)
+        };
+
+        let mut moves = 0usize;
+        let mut cnt = vec![0i64; k];
+        const MAX_ROUNDS: usize = 8;
+        for _round in 0..MAX_ROUNDS {
+            let mut moved_this_round = 0usize;
+            for v in 0..n {
+                let cur = assignment[v] as usize;
+                cnt.iter_mut().for_each(|c| *c = 0);
+                let mut touched: Vec<usize> = Vec::new();
+                for &u in g.neighbors(v as u32) {
+                    let b = assignment[u as usize] as usize;
+                    if cnt[b] == 0 {
+                        touched.push(b);
+                    }
+                    cnt[b] += 1;
+                }
+                touched.sort_unstable();
+                let mut best: Option<(i64, usize)> = None;
+                for &nb in &touched {
+                    if nb == cur || group_of(nb, depth - 2) == group_of(cur, depth - 2) {
+                        continue; // same parent: the digit sweeps own these
+                    }
+                    let leaf_gain = cnt[nb] - cnt[cur];
+                    if leaf_gain <= 0 {
+                        continue;
+                    }
+                    // Upper levels must not get worse: the move needs at
+                    // least as many neighbors under every ancestor of `nb` as
+                    // under the matching ancestor of `cur`.
+                    let upper_ok = (0..depth - 1).all(|l| {
+                        let (gc, gn) = (group_of(cur, l), group_of(nb, l));
+                        gc == gn || {
+                            let in_group = |gx: usize| -> i64 {
+                                (0..k).filter(|&b| group_of(b, l) == gx).map(|b| cnt[b]).sum()
+                            };
+                            in_group(gn) >= in_group(gc)
+                        }
+                    });
+                    if !upper_ok || best.map(|(bg, _)| leaf_gain <= bg).unwrap_or(false) {
+                        continue;
+                    }
+                    // Capacity at every level, with post-move weights and
+                    // post-move (parent-dependent) floors.
+                    let w = weights[v];
+                    for l in 0..depth {
+                        gw[l][group_of(cur, l)] -= w;
+                        gw[l][group_of(nb, l)] += w;
+                    }
+                    let fits = (0..depth).all(|l| {
+                        let arity = spec.levels[l].arity;
+                        let mut check: Vec<usize> = if l == 0 {
+                            vec![group_of(cur, 0), group_of(nb, 0)]
+                        } else {
+                            // All children of both changed parents: their
+                            // targets moved with the parent weights.
+                            let (pc, pn) = (group_of(cur, l - 1), group_of(nb, l - 1));
+                            (pc * arity..(pc + 1) * arity)
+                                .chain(pn * arity..(pn + 1) * arity)
+                                .collect()
+                        };
+                        check.dedup();
+                        check.into_iter().all(|grp| gw[l][grp] <= allowed(l, grp, &gw) + 1e-9)
+                    });
+                    for l in 0..depth {
+                        gw[l][group_of(cur, l)] += w;
+                        gw[l][group_of(nb, l)] -= w;
+                    }
+                    if fits {
+                        best = Some((leaf_gain, nb));
+                    }
+                }
+                if let Some((_, nb)) = best {
+                    let w = weights[v];
+                    for l in 0..depth {
+                        gw[l][group_of(cur, l)] -= w;
+                        gw[l][group_of(nb, l)] += w;
+                    }
+                    assignment[v] = nb as u32;
+                    moved_this_round += 1;
+                }
+            }
+            moves += moved_this_round;
+            if moved_this_round == 0 {
+                break;
+            }
+        }
+        moves
+    }
+
+    /// Random connected-ish graph, a random hierarchy of depth 2 or 3 and
+    /// a random leaf assignment with non-integer weights.
+    fn random_instance(rng: &mut SplitMix64) -> (CsrGraph, Vec<f64>, HierarchySpec, Vec<u32>) {
+        let n = 20 + rng.next_below(180) as usize;
+        let mut edges: Vec<(u32, u32)> = (1..n as u32).map(|v| (v - 1, v)).collect();
+        for _ in 0..rng.next_below(4 * n as u64) {
+            edges.push((rng.next_below(n as u64) as u32, rng.next_below(n as u64) as u32));
+        }
+        let g = CsrGraph::from_edges(n, &edges);
+        let weights: Vec<f64> = (0..n).map(|_| 0.5 + rng.next_f64()).collect();
+        let arities: Vec<usize> =
+            (0..2 + rng.next_below(2)).map(|_| 1 + rng.next_below(3) as usize).collect();
+        let mut spec = HierarchySpec::uniform(&arities);
+        if rng.next_below(2) == 0 {
+            let a = spec.levels[0].arity;
+            spec.levels[0].fractions = Some((0..a).map(|i| 1.0 + i as f64).collect());
+            spec.levels[1].epsilon = Some(0.2);
+        }
+        let k = spec.total_blocks() as u64;
+        // Mostly contiguous runs of blocks, so that there is a boundary
+        // structure to work on, with some noise.
+        let asg: Vec<u32> = (0..n as u64)
+            .map(|v| if rng.next_below(5) == 0 { rng.next_below(k) } else { v * k / n as u64 } as u32)
+            .collect();
+        (g, weights, spec, asg)
+    }
+
+    #[test]
+    fn cross_parent_pass_equals_its_oracle_on_random_hierarchies() {
+        let mut rng = SplitMix64::new(0xC2055);
+        let mut moved = 0;
+        for case in 0..300 {
+            let (g, weights, spec, start) = random_instance(&mut rng);
+            let base = MultilevelConfig {
+                refine: RefineConfig { epsilon: [0.03, 0.3, 1.0][case % 3], ..RefineConfig::default() },
+                ..MultilevelConfig::default()
+            };
+            let (mut want, mut got) = (start.clone(), start);
+            let want_moves = cross_parent_pass_oracle(&g, &mut want, &weights, &spec, &base);
+            let got_moves = cross_parent_pass(&g, &mut got, &weights, &spec, &base);
+            assert_eq!(got, want, "case {case}: {:?}", spec.levels);
+            assert_eq!(got_moves, want_moves, "case {case}");
+            moved += got_moves;
+        }
+        assert!(moved > 100, "the corpus must exercise accepted moves: {moved}");
+    }
+
+    #[test]
+    fn induced_rows_equal_the_induced_subgraph() {
+        let mut rng = SplitMix64::new(0x1D5);
+        let mut sub = CsrGraph { xadj: vec![0], adj: Vec::new() };
+        for case in 0..100 {
+            let (g, _, _, asg) = random_instance(&mut rng);
+            let parents = 1 + rng.next_below(5) as u32;
+            let parent_of: Vec<u32> = asg.iter().map(|&b| b % parents).collect();
+            let mut members: Vec<Vec<u32>> = vec![Vec::new(); parents as usize];
+            let mut local_of = vec![0u32; g.n()];
+            for v in 0..g.n() {
+                local_of[v] = members[parent_of[v] as usize].len() as u32;
+                members[parent_of[v] as usize].push(v as u32);
+            }
+            for p in 0..parents {
+                let idx = &members[p as usize];
+                induced_rows(&g, idx, p, &parent_of, &local_of, &mut sub);
+                assert_eq!(sub, g.induced_subgraph(idx), "case {case}, parent {p}");
+            }
+        }
     }
 }

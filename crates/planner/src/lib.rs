@@ -44,7 +44,7 @@ pub mod solve;
 pub mod spec;
 pub mod tool;
 
-pub use hier_refine::refine_hierarchy_multilevel;
+pub use hier_refine::{refine_hierarchy_multilevel, RefineWork};
 pub use solve::{Plan, Planner};
 pub use spec::{MeshView, PlanError, PlanSpec, PlanState, RefineMode};
 pub use tool::Tool;

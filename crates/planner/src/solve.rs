@@ -7,12 +7,16 @@
 //! planner shards it internally into the same contiguous `[r·n/p, (r+1)·n/p)`
 //! chunks every benchmark uses) and receives a [`Plan`] carrying
 //! the *global* assignment, the refreshed warm state for the next step,
-//! and per-phase counters. Refinement runs redundantly on every rank —
-//! it is deterministic, so all ranks hold the same plan without extra
-//! communication rounds being charged to the solver.
+//! and per-phase counters. Refinement works on the assembled (global)
+//! assignment and is deterministic, so all ranks hold the same plan. The
+//! flat modes run redundantly on every rank; the stacked mode deals the
+//! parents of each hierarchy level to the ranks and allgathers their
+//! digits, with level 0 and the cross-parent pass still redundant
+//! (`hier_refine`'s module docs say which part is which).
 //!
 //! `Plan::comm` counts the solver's collectives only (snapshot-diffed
-//! around the solve, before the assembly allgather), so the counters are
+//! around the solve, before the assembly allgather — so refinement's
+//! allgathers are not in it either), and the counters stay
 //! directly comparable with the paper's communication model and with the
 //! pre-planner committed benchmark numbers.
 
@@ -25,7 +29,7 @@ use geographer_refine::{
     refine_multilevel, refine_partition, MultilevelReport, RefineReport,
 };
 
-use crate::hier_refine::refine_hierarchy_multilevel;
+use crate::hier_refine::{refine_hierarchy_multilevel, RefineWork};
 use crate::spec::{PlanError, PlanSpec, PlanState, RefineMode};
 
 /// A finished plan: the assignment plus everything the next step and the
@@ -45,7 +49,7 @@ pub struct Plan<const D: usize> {
     /// hierarchical aggregate for hierarchical specs).
     pub stats: Option<KMeansStats>,
     /// This rank's view of the solve phase's communication counters (the
-    /// assembly allgather and the rank-redundant refinement are excluded;
+    /// assembly allgather and the refinement phase are excluded;
     /// see the module docs): ops and rounds are the job's, bytes are what
     /// this rank received. `CommStats::from_rank_views` over the ranks'
     /// plans gives the job-wide view.
@@ -71,6 +75,8 @@ pub struct Plan<const D: usize> {
     /// Per-hierarchy-level refinement reports, when the stacked
     /// hierarchical multilevel mode ran (outermost level first).
     pub level_refine: Option<Vec<RefineReport>>,
+    /// Work counters of the refinement, when one ran.
+    pub refine_work: Option<RefineWork>,
     /// Worst node-local solver imbalance per hierarchy level (from the
     /// hierarchical solver; `None` for flat specs).
     pub level_imbalance: Option<Vec<f64>>,
@@ -157,12 +163,14 @@ impl Planner {
         };
         debug_assert_eq!(assignment.len(), n);
 
-        // --- Refinement phase: deterministic, rank-redundant.
+        // --- Refinement phase: deterministic on the assembled assignment;
+        // only the stacked mode communicates (uncounted, like assembly).
         // geo-analyze: allow(kernel-entropy): refine-phase timer — reported in Plan, never an input to the computation.
         let rt = Instant::now();
         let mut refine = None;
         let mut multilevel = None;
         let mut level_refine = None;
+        let mut refine_work = None;
         match &spec.refine {
             RefineMode::None => {}
             RefineMode::Single(rcfg) => {
@@ -178,12 +186,14 @@ impl Planner {
                     spec.k,
                     &rcfg,
                 ));
+                refine_work = Some(RefineWork { sweeps: 1, vcycles: 0, coarse_levels: 0 });
             }
             RefineMode::Multilevel(mcfg) => {
                 let g = spec.mesh.graph.expect("validated: refinement has a graph");
                 match &spec.hierarchy {
                     Some(h) => {
-                        let reports = refine_hierarchy_multilevel(
+                        let (reports, work) = refine_hierarchy_multilevel(
+                            comm,
                             g,
                             &mut assignment,
                             spec.mesh.weights,
@@ -197,6 +207,7 @@ impl Planner {
                             rounds: reports.iter().map(|r| r.rounds).sum(),
                         });
                         level_refine = Some(reports);
+                        refine_work = Some(work);
                     }
                     None => {
                         let mut mcfg = mcfg.clone();
@@ -211,6 +222,11 @@ impl Planner {
                             &mcfg,
                         );
                         refine = Some(report.summary());
+                        refine_work = Some(RefineWork {
+                            sweeps: 1,
+                            vcycles: 1,
+                            coarse_levels: report.levels.len() - 1,
+                        });
                         multilevel = Some(report);
                     }
                 }
@@ -247,6 +263,7 @@ impl Planner {
             refine,
             multilevel,
             level_refine,
+            refine_work,
             level_imbalance,
             levels,
             imbalance,

@@ -18,12 +18,13 @@
 //! — which reaches strictly deeper minima at comparable cost (DESIGN.md
 //! §7).
 
+use geographer_graph::coarsen::LevelView;
 use geographer_graph::CsrGraph;
 
 pub mod multilevel;
 
 pub use multilevel::{
-    refine_multilevel, LevelReport, MultilevelConfig, MultilevelReport,
+    refine_multilevel, LevelReport, MultilevelConfig, MultilevelReport, RefineScratch,
 };
 
 /// Parameters of the refinement pass.
@@ -111,96 +112,129 @@ pub fn block_capacities(
         .collect()
 }
 
-/// Borrowed CSR view the sweep kernel walks: adjacency plus optional
-/// edge weights (`None` = unit weights, the unweighted fast path).
-pub(crate) struct SweepGraph<'a> {
-    pub xadj: &'a [usize],
-    pub adj: &'a [u32],
-    pub ewgt: Option<&'a [u64]>,
+/// The arrays one call of [`refine_sweeps`] works in, owned by the caller
+/// across levels and V-cycles.
+#[derive(Debug, Default)]
+pub(crate) struct SweepScratch {
+    /// Edge weight towards each block seen at the current vertex (sparse:
+    /// reset only the touched entries).
+    cnt: Vec<u64>,
+    touched: Vec<u32>,
+    /// `due[v]` = the round in which `v` has to be evaluated next.
+    due: Vec<u32>,
+    /// Weight of every block, summed in vertex order at entry and kept
+    /// current move by move.
+    block_w: Vec<f64>,
+}
+
+/// What a run of sweeps did. `gain` is the summed gain of the accepted
+/// moves — exactly the cut it removed, since a move's gain *is* its change
+/// of the weighted cut.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct SweepOutcome {
+    pub moves: usize,
+    pub rounds: usize,
+    pub gain: u64,
 }
 
 /// One bounded sequence of greedy boundary sweeps over a (possibly
-/// edge-weighted) CSR adjacency: the single refinement kernel behind both
+/// edge-weighted) level: the single refinement kernel behind both
 /// [`refine_partition`] (unweighted fast path, `ewgt = None`) and every
-/// level of [`refine_multilevel`] (`ewgt = Some`, gains in accumulated
-/// fine-edge units). Moves with strictly positive gain that respect
-/// `allowed` are applied in fixed vertex order — deterministic and
-/// thread-count independent. Returns `(moves, rounds)` and updates
-/// `block_w` in place.
+/// level of [`refine_multilevel`] (gains in accumulated fine-edge units).
+/// Moves with strictly positive gain that respect `allowed` are applied in
+/// ascending vertex order — deterministic and thread-count independent.
+///
+/// The sweeps follow the boundary. A vertex's evaluation — best foreign
+/// block and its gain — is a function of its own block and its
+/// neighbours' blocks, so after the first round (everything) a vertex is
+/// evaluated again only if one of those changed since, or if it had a
+/// positive-gain move that a capacity refused (block weights may have
+/// shifted since). A vertex that moves puts its later neighbours into the
+/// current round and itself and its earlier neighbours into the next, so
+/// every evaluation that could accept a move happens exactly when the
+/// all-vertex loop would have made it: moves, rounds and the final
+/// assignment are those of visiting every vertex in every round.
 pub(crate) fn refine_sweeps(
-    g: &SweepGraph<'_>,
+    g: &LevelView<'_>,
     assignment: &mut [u32],
-    weights: &[f64],
     k: usize,
     max_rounds: usize,
     allowed: &[f64],
-    block_w: &mut [f64],
-) -> (usize, usize) {
-    let SweepGraph { xadj, adj, ewgt } = *g;
+    scratch: &mut SweepScratch,
+) -> SweepOutcome {
+    let LevelView { xadj, adj, ewgt, vwgt } = *g;
     let n = xadj.len() - 1;
-    let mut moves = 0usize;
-    let mut rounds = 0usize;
-    // Per-sweep scratch: edge weight towards each block seen at the
-    // current vertex (sparse: reset only the touched entries).
-    let mut cnt = vec![0u64; k];
-    let mut touched: Vec<u32> = Vec::with_capacity(8);
+    let SweepScratch { cnt, touched, due, block_w } = scratch;
+    cnt.clear();
+    cnt.resize(k, 0);
+    due.clear();
+    due.resize(n, 1);
+    block_w.clear();
+    block_w.resize(k, 0.0);
+    for (&b, &w) in assignment.iter().zip(vwgt) {
+        block_w[b as usize] += w;
+    }
+    let mut out = SweepOutcome { moves: 0, rounds: 0, gain: 0 };
 
-    for _ in 0..max_rounds {
-        rounds += 1;
-        let mut moved_this_round = 0usize;
+    for round in 1..=max_rounds as u32 {
+        out.rounds += 1;
+        let moves_before = out.moves;
+        // geo-analyze: hot-loop
         for v in 0..n {
+            if due[v] < round {
+                continue;
+            }
             let own = assignment[v];
+            let (lo, hi) = (xadj[v], xadj[v + 1]);
+            if adj[lo..hi].iter().all(|&u| assignment[u as usize] == own) {
+                continue; // interior: no foreign block to move to
+            }
             // Accumulate edge weight to each adjacent block.
             touched.clear();
-            let mut is_boundary = false;
-            for (i, &u) in adj[xadj[v]..xadj[v + 1]].iter().enumerate() {
-                let b = assignment[u as usize];
+            for i in lo..hi {
+                let b = assignment[adj[i] as usize];
                 if cnt[b as usize] == 0 {
                     touched.push(b);
                 }
-                cnt[b as usize] += ewgt.map_or(1, |w| w[xadj[v] + i]);
-                if b != own {
-                    is_boundary = true;
+                cnt[b as usize] += ewgt.map_or(1, |w| w[i]);
+            }
+            // Best foreign block by connecting edge weight, ties to the
+            // smaller id for determinism.
+            let mut best = (0u64, u32::MAX); // (weight, block)
+            for &b in touched.iter() {
+                let c = cnt[b as usize];
+                if b != own && (c > best.0 || (c == best.0 && b < best.1)) {
+                    best = (c, b);
                 }
             }
-            if is_boundary {
-                let own_cnt = cnt[own as usize];
-                // Best foreign block by connecting edge weight, ties to the
-                // smaller id for determinism.
-                let mut best: Option<(u64, u32)> = None; // (weight, block)
-                for &b in &touched {
-                    if b == own {
-                        continue;
-                    }
-                    let c = cnt[b as usize];
-                    if best
-                        .map(|(bc, bb)| (c, std::cmp::Reverse(b)) > (bc, std::cmp::Reverse(bb)))
-                        .unwrap_or(true)
-                    {
-                        best = Some((c, b));
-                    }
-                }
-                if let Some((c, b)) = best {
-                    let gain = c as i64 - own_cnt as i64;
-                    let w = weights[v];
-                    if gain > 0 && block_w[b as usize] + w <= allowed[b as usize] + 1e-12 {
-                        assignment[v] = b;
-                        block_w[own as usize] -= w;
-                        block_w[b as usize] += w;
-                        moved_this_round += 1;
-                    }
-                }
-            }
-            for &b in &touched {
+            let own_cnt = cnt[own as usize];
+            for &b in touched.iter() {
                 cnt[b as usize] = 0;
             }
+            let (c, b) = best;
+            if c <= own_cnt {
+                continue; // no positive gain
+            }
+            let w = vwgt[v];
+            if block_w[b as usize] + w > allowed[b as usize] + 1e-12 {
+                due[v] = round + 1; // refused by capacity: ask again
+                continue;
+            }
+            assignment[v] = b;
+            block_w[own as usize] -= w;
+            block_w[b as usize] += w;
+            out.moves += 1;
+            out.gain += c - own_cnt;
+            due[v] = round + 1;
+            for &u in &adj[lo..hi] {
+                due[u as usize] = if u as usize > v { round } else { round + 1 };
+            }
         }
-        moves += moved_this_round;
-        if moved_this_round == 0 {
+        if out.moves == moves_before {
             break;
         }
     }
-    (moves, rounds)
+    out
 }
 
 /// Refine `assignment` in place: repeatedly move boundary vertices to the
@@ -216,30 +250,25 @@ pub fn refine_partition(
     cfg: &RefineConfig,
 ) -> RefineReport {
     assert_eq!(assignment.len(), g.n());
-    assert_eq!(weights.len(), g.n());
     assert!(k >= 1);
-    let cut_before = edge_cut(g, assignment);
+    let level = LevelView::unit(g, weights);
+    let cut_before = level.edge_cut(assignment);
 
     let total: f64 = weights.iter().sum();
     let w_max = weights.iter().copied().fold(0.0, f64::max);
     let allowed = block_capacities(total, w_max, k, cfg.epsilon, &cfg.target_fractions);
 
-    let mut block_w = vec![0.0f64; k];
-    for (&b, &w) in assignment.iter().zip(weights) {
-        block_w[b as usize] += w;
-    }
-
-    let (moves, rounds) = refine_sweeps(
-        &SweepGraph { xadj: &g.xadj, adj: &g.adj, ewgt: None },
+    let swept = refine_sweeps(
+        &level,
         assignment,
-        weights,
         k,
         cfg.max_rounds,
         &allowed,
-        &mut block_w,
+        &mut SweepScratch::default(),
     );
-
-    RefineReport { cut_before, cut_after: edge_cut(g, assignment), moves, rounds }
+    let cut_after = cut_before - swept.gain;
+    debug_assert_eq!(cut_after, level.edge_cut(assignment));
+    RefineReport { cut_before, cut_after, moves: swept.moves, rounds: swept.rounds }
 }
 
 #[cfg(test)]
@@ -249,6 +278,133 @@ mod tests {
     fn path(n: usize) -> CsrGraph {
         let edges: Vec<(u32, u32)> = (0..n as u32 - 1).map(|i| (i, i + 1)).collect();
         CsrGraph::from_edges(n, &edges)
+    }
+
+    /// The sweep kernel as it was before it followed the boundary: every
+    /// vertex evaluated in every round. The oracle of [`refine_sweeps`].
+    fn sweep_all_vertices(
+        g: &LevelView<'_>,
+        assignment: &mut [u32],
+        k: usize,
+        max_rounds: usize,
+        allowed: &[f64],
+        block_w: &mut [f64],
+    ) -> (usize, usize) {
+        let LevelView { xadj, adj, ewgt, vwgt } = *g;
+        let (mut moves, mut rounds) = (0usize, 0usize);
+        for _ in 0..max_rounds {
+            rounds += 1;
+            let mut moved_this_round = 0usize;
+            for v in 0..xadj.len() - 1 {
+                let own = assignment[v];
+                let mut cnt = vec![0u64; k];
+                for i in xadj[v]..xadj[v + 1] {
+                    cnt[assignment[adj[i] as usize] as usize] += ewgt.map_or(1, |w| w[i]);
+                }
+                let best = (0..k as u32)
+                    .filter(|&b| b != own && cnt[b as usize] > 0)
+                    .max_by_key(|&b| (cnt[b as usize], std::cmp::Reverse(b)));
+                if let Some(b) = best {
+                    let gain = cnt[b as usize] as i64 - cnt[own as usize] as i64;
+                    let w = vwgt[v];
+                    if gain > 0 && block_w[b as usize] + w <= allowed[b as usize] + 1e-12 {
+                        assignment[v] = b;
+                        block_w[own as usize] -= w;
+                        block_w[b as usize] += w;
+                        moved_this_round += 1;
+                    }
+                }
+            }
+            moves += moved_this_round;
+            if moved_this_round == 0 {
+                break;
+            }
+        }
+        (moves, rounds)
+    }
+
+    fn block_weights(assignment: &[u32], vwgt: &[f64], k: usize) -> Vec<f64> {
+        let mut bw = vec![0.0f64; k];
+        for (&b, &w) in assignment.iter().zip(vwgt) {
+            bw[b as usize] += w;
+        }
+        bw
+    }
+
+    #[test]
+    fn boundary_sweeps_equal_the_all_vertex_loop() {
+        use geographer_graph::coarsen::{CoarsenScratch, WeightedCsrGraph};
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x5EE9);
+        let mut scratch = SweepScratch::default();
+        let mut coarsen = CoarsenScratch::default();
+        for case in 0..200 {
+            let n = rng.random_range(2..120usize);
+            let edges: Vec<(u32, u32)> = (0..rng.random_range(0..5 * n))
+                .map(|_| (rng.random_range(0..n as u32), rng.random_range(0..n as u32)))
+                .collect();
+            let g = CsrGraph::from_edges(n, &edges);
+            let vwgt: Vec<f64> = (0..n).map(|_| rng.random_range(1..4u32) as f64).collect();
+            let k = rng.random_range(1..7usize);
+            let start: Vec<u32> = (0..n).map(|_| rng.random_range(0..k as u32)).collect();
+            // Every other case sweeps a contracted level, where edges and
+            // vertices carry accumulated weights.
+            let (mut coarse, mut map) = (WeightedCsrGraph::default(), Vec::new());
+            let (level, start) = if case % 2 == 0 {
+                (LevelView::unit(&g, &vwgt), start)
+            } else {
+                coarsen.coarsen(LevelView::unit(&g, &vwgt), Some(&start), &mut coarse, &mut map);
+                let mut coarse_start = vec![0u32; coarse.n()];
+                for (&cv, &b) in map.iter().zip(&start) {
+                    coarse_start[cv as usize] = b;
+                }
+                (coarse.view(), coarse_start)
+            };
+            // Capacities from generous to tighter than the start, so that
+            // refusals are common.
+            let total: f64 = level.vwgt.iter().sum();
+            let slack = [0.5, 0.05, 0.0, -0.1][case % 4];
+            let allowed = vec![(1.0 + slack) * total / k as f64 + 1.0; k];
+            let max_rounds = rng.random_range(0..12usize);
+
+            let (mut want, mut got) = (start.clone(), start.clone());
+            let mut want_w = block_weights(&start, level.vwgt, k);
+            let (moves, rounds) =
+                sweep_all_vertices(&level, &mut want, k, max_rounds, &allowed, &mut want_w);
+            let out = refine_sweeps(&level, &mut got, k, max_rounds, &allowed, &mut scratch);
+            assert_eq!(got, want, "case {case}: assignment");
+            assert_eq!(scratch.block_w, want_w, "case {case}: block weights, bit for bit");
+            assert_eq!((out.moves, out.rounds), (moves, rounds), "case {case}");
+            assert_eq!(
+                out.gain,
+                level.edge_cut(&start) - level.edge_cut(&got),
+                "case {case}: gains are the cut removed"
+            );
+        }
+    }
+
+    #[test]
+    fn a_refused_move_is_asked_again_once_capacity_frees_up() {
+        // Two triangles. Vertex 0 (block 0) would gain 2 in block 1, which
+        // is full; vertex 3 (block 1) gains 2 in block 0, which has room.
+        // Round 1 refuses 0 and moves 3; nothing next to 0 changes, so
+        // only the refusal itself brings 0 back in round 2, where it fits.
+        let g = CsrGraph::from_edges(6, &[(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]);
+        let vwgt = [1.0; 6];
+        let level = LevelView::unit(&g, &vwgt);
+        let start = vec![0, 1, 1, 1, 0, 0];
+        let allowed = [4.0, 3.0];
+        let mut got = start.clone();
+        let mut scratch = SweepScratch::default();
+        let out = refine_sweeps(&level, &mut got, 2, 10, &allowed, &mut scratch);
+        assert_eq!(got, [1, 1, 1, 0, 0, 0]);
+        assert_eq!((out.moves, out.rounds, out.gain), (2, 3, 4));
+        assert_eq!(scratch.block_w, [3.0, 3.0]);
+        let mut want = start.clone();
+        let mut want_w = block_weights(&start, &vwgt, 2);
+        assert_eq!(sweep_all_vertices(&level, &mut want, 2, 10, &allowed, &mut want_w), (2, 3));
+        assert_eq!((want, want_w), (got, scratch.block_w));
     }
 
     #[test]

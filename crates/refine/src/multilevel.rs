@@ -26,10 +26,10 @@
 //!   input in fixed vertex order; the parallel contraction is
 //!   order-preserving. Results are independent of thread count.
 
-use geographer_graph::coarsen::{contract, heavy_edge_matching, WeightedCsrGraph};
+use geographer_graph::coarsen::{CoarsenScratch, LevelView, WeightedCsrGraph};
 use geographer_graph::CsrGraph;
 
-use crate::{block_capacities, refine_sweeps, RefineConfig, RefineReport, SweepGraph};
+use crate::{block_capacities, refine_sweeps, RefineConfig, RefineReport, SweepScratch};
 
 /// Parameters of the multilevel V-cycle.
 #[derive(Debug, Clone)]
@@ -108,6 +108,9 @@ impl MultilevelReport {
 /// then project the assignment up and re-refine at each level with
 /// edge-weighted gains. The cut never increases, and balance stays within
 /// the fine-level feasibility floor at every level (see module docs).
+///
+/// One-shot form of [`RefineScratch::refine_multilevel`]: the scratch
+/// lives for this call.
 pub fn refine_multilevel(
     g: &CsrGraph,
     assignment: &mut [u32],
@@ -115,89 +118,132 @@ pub fn refine_multilevel(
     k: usize,
     cfg: &MultilevelConfig,
 ) -> MultilevelReport {
-    assert_eq!(assignment.len(), g.n());
-    assert_eq!(weights.len(), g.n());
-    assert!(k >= 1);
+    RefineScratch::default().refine_multilevel(g, assignment, weights, k, cfg)
+}
 
-    let fine = WeightedCsrGraph::from_csr(g, weights.to_vec());
-    let cut_before = fine.edge_cut(assignment);
+/// Everything a V-cycle allocates: the coarse level graphs and projection
+/// maps, the label buffers, the contraction marker and the sweep arrays.
+/// A caller that runs many V-cycles (the planner's hierarchical
+/// refinement: one per parent per level per sweep) owns one of these and
+/// every cycle reuses the allocations of the largest one so far —
+/// results do not depend on what a previous cycle left behind (DESIGN.md
+/// §7 "Scratch ownership").
+#[derive(Debug, Default)]
+pub struct RefineScratch {
+    coarsen: CoarsenScratch,
+    /// `graphs[l]` is coarse level `l + 1`; `maps[l]` projects level `l`
+    /// onto level `l + 1`. Both may be longer than the current cycle's
+    /// hierarchy.
+    graphs: Vec<WeightedCsrGraph>,
+    maps: Vec<Vec<u32>>,
+    /// Assignment of the level being worked on, and the buffer the next
+    /// level's is written into.
+    labels: Vec<u32>,
+    next_labels: Vec<u32>,
+    sweep: SweepScratch,
+}
 
-    // Fine-level balance floor, shared by every level.
-    let total: f64 = weights.iter().sum();
-    let w_max = weights.iter().copied().fold(0.0, f64::max);
-    let allowed =
-        block_capacities(total, w_max, k, cfg.refine.epsilon, &cfg.refine.target_fractions);
+impl RefineScratch {
+    /// The free function [`refine_multilevel`] in this scratch's buffers.
+    pub fn refine_multilevel(
+        &mut self,
+        g: &CsrGraph,
+        assignment: &mut [u32],
+        weights: &[f64],
+        k: usize,
+        cfg: &MultilevelConfig,
+    ) -> MultilevelReport {
+        assert_eq!(assignment.len(), g.n());
+        assert!(k >= 1);
+        // The fine level is the caller's graph, viewed with unit edge
+        // weights; coarse level `l ≥ 1` is `graphs[l - 1]`.
+        let fine = LevelView::unit(g, weights);
+        let cut_before = fine.edge_cut(assignment);
 
-    // --- Coarsening phase: graphs[0] is the fine graph; maps[l] projects
-    // level l onto level l+1 (fine → coarse vertex ids); `labels` is the
-    // current (deepest) level's initial assignment, well-defined because
-    // the matching is block-respecting — only the deepest one is ever
-    // needed (as matching labels, then as the coarsest starting point).
-    let mut graphs: Vec<WeightedCsrGraph> = vec![fine];
-    let mut maps: Vec<Vec<u32>> = Vec::new();
-    let mut labels: Vec<u32> = assignment.to_vec();
-    while graphs.last().unwrap().n() > cfg.coarsest_vertices
-        && graphs.len() < cfg.max_levels
-    {
-        let gl = graphs.last().unwrap();
-        let mate = heavy_edge_matching(gl, Some(&labels));
-        let c = contract(gl, &mate);
-        // Diminishing returns: stop when matching barely shrinks the graph
-        // (dense same-block neighbourhoods exhausted).
-        if c.coarse.n() as f64 > 0.95 * gl.n() as f64 {
-            break;
+        // Fine-level balance floor, shared by every level.
+        let total: f64 = weights.iter().sum();
+        let w_max = weights.iter().copied().fold(0.0, f64::max);
+        let allowed =
+            block_capacities(total, w_max, k, cfg.refine.epsilon, &cfg.refine.target_fractions);
+
+        // --- Coarsening phase. `labels` is the deepest level's initial
+        // assignment, well-defined because the matching is
+        // block-respecting — only the deepest one is ever needed (as
+        // matching labels, then as the coarsest starting point).
+        let mut depth = 0; // coarse levels of this cycle
+        while depth + 1 < cfg.max_levels {
+            if self.graphs.len() == depth {
+                self.graphs.push(WeightedCsrGraph::default());
+                self.maps.push(Vec::new());
+            }
+            let (built, coarse) = self.graphs.split_at_mut(depth);
+            let (coarse, map) = (&mut coarse[0], &mut self.maps[depth]);
+            let (level, labels) = match built.last() {
+                None => (fine, &*assignment),
+                Some(deepest) => (deepest.view(), &self.labels[..]),
+            };
+            if level.n() <= cfg.coarsest_vertices {
+                break;
+            }
+            self.coarsen.coarsen(level, Some(labels), coarse, map);
+            // Diminishing returns: stop when matching barely shrinks the
+            // graph (dense same-block neighbourhoods exhausted).
+            if coarse.n() as f64 > 0.95 * level.n() as f64 {
+                break;
+            }
+            self.next_labels.clear();
+            self.next_labels.resize(coarse.n(), 0);
+            for (&cv, &b) in map.iter().zip(labels) {
+                self.next_labels[cv as usize] = b;
+            }
+            std::mem::swap(&mut self.labels, &mut self.next_labels);
+            depth += 1;
         }
-        let mut coarse_asg = vec![0u32; c.coarse.n()];
-        for (v, &cv) in c.coarse_of_fine.iter().enumerate() {
-            coarse_asg[cv as usize] = labels[v];
-        }
-        graphs.push(c.coarse);
-        maps.push(c.coarse_of_fine);
-        labels = coarse_asg;
-    }
 
-    // --- Refinement phase: coarsest level first, projecting down.
-    let coarsest = graphs.len() - 1;
-    let mut cur = labels;
-    let mut levels = Vec::with_capacity(graphs.len());
-    let mut moves_total = 0usize;
-    for l in (0..graphs.len()).rev() {
-        if l < coarsest {
+        // --- Refinement phase: coarsest level first, projecting down. The
+        // cut is carried, not recounted: projection preserves it and a
+        // move's gain is its change of the cut.
+        let mut levels = Vec::with_capacity(depth + 1);
+        let mut cut = cut_before;
+        for l in (0..=depth).rev() {
+            let level = if l == 0 { fine } else { self.graphs[l - 1].view() };
             // Project the refined level-(l+1) assignment onto level l.
-            cur = maps[l].iter().map(|&cv| cur[cv as usize]).collect();
+            let cur: &mut [u32] = if l == 0 {
+                if depth > 0 {
+                    for (a, &cv) in assignment.iter_mut().zip(&self.maps[0]) {
+                        *a = self.labels[cv as usize];
+                    }
+                }
+                &mut *assignment
+            } else {
+                if l < depth {
+                    self.next_labels.clear();
+                    self.next_labels.extend(self.maps[l].iter().map(|&cv| self.labels[cv as usize]));
+                    std::mem::swap(&mut self.labels, &mut self.next_labels);
+                }
+                &mut self.labels
+            };
+            debug_assert_eq!(cut, level.edge_cut(cur), "projection preserves the cut");
+            let swept =
+                refine_sweeps(&level, cur, k, cfg.refine.max_rounds, &allowed, &mut self.sweep);
+            levels.push(LevelReport {
+                vertices: level.n(),
+                edges: level.m(),
+                cut_before: cut,
+                cut_after: cut - swept.gain,
+                moves: swept.moves,
+                rounds: swept.rounds,
+            });
+            cut -= swept.gain;
+            debug_assert_eq!(cut, level.edge_cut(cur), "gains account for the cut");
         }
-        let gl = &graphs[l];
-        let cut_at_entry = gl.edge_cut(&cur);
-        let mut block_w = vec![0.0f64; k];
-        for (&b, &w) in cur.iter().zip(&gl.vwgt) {
-            block_w[b as usize] += w;
-        }
-        let (moves, rounds) = refine_sweeps(
-            &SweepGraph { xadj: &gl.xadj, adj: &gl.adj, ewgt: Some(&gl.ewgt) },
-            &mut cur,
-            &gl.vwgt,
-            k,
-            cfg.refine.max_rounds,
-            &allowed,
-            &mut block_w,
-        );
-        moves_total += moves;
-        levels.push(LevelReport {
-            vertices: gl.n(),
-            edges: gl.m(),
-            cut_before: cut_at_entry,
-            cut_after: gl.edge_cut(&cur),
-            moves,
-            rounds,
-        });
-    }
 
-    assignment.copy_from_slice(&cur);
-    MultilevelReport {
-        cut_before,
-        cut_after: levels.last().map_or(cut_before, |l| l.cut_after),
-        moves: moves_total,
-        levels,
+        MultilevelReport {
+            cut_before,
+            cut_after: cut,
+            moves: levels.iter().map(|l| l.moves).sum(),
+            levels,
+        }
     }
 }
 
@@ -354,6 +400,59 @@ mod tests {
             bw[b as usize] += w;
         }
         assert!(bw[0] > 1.8 * bw[1], "2:1 skew erased: {bw:?}");
+    }
+
+    #[test]
+    fn row_order_changes_no_result() {
+        // Scramble every adjacency row of the fine graph: the matching
+        // scans, the contraction gathers and the sweeps count in another
+        // order at every level (coarse rows are never sorted, so they
+        // inherit it), and nothing observable moves.
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x0DE2);
+        for (n, k, seed) in [(1_500, 5, 31), (4_000, 8, 32)] {
+            let mesh = geographer_mesh::families::bubbles_like(n, seed);
+            let mut scrambled = mesh.graph.clone();
+            for v in 0..n {
+                let row = &mut scrambled.adj[mesh.graph.xadj[v]..mesh.graph.xadj[v + 1]];
+                for i in (1..row.len()).rev() {
+                    row.swap(i, rng.random_range(0..i + 1));
+                }
+            }
+            assert_ne!(scrambled, mesh.graph);
+            // Vertical stripes: a start with a real boundary to refine.
+            let start: Vec<u32> =
+                mesh.points.iter().map(|p| ((p[0] * k as f64) as u32).min(k as u32 - 1)).collect();
+            let cfg = MultilevelConfig { coarsest_vertices: 100, ..MultilevelConfig::default() };
+            let (mut a, mut b) = (start.clone(), start);
+            let ra = refine_multilevel(&mesh.graph, &mut a, &mesh.weights, k, &cfg);
+            let rb = refine_multilevel(&scrambled, &mut b, &mesh.weights, k, &cfg);
+            assert!(ra.levels.len() >= 4 && ra.moves > 0, "{ra:?}");
+            assert_eq!(a, b, "n={n}");
+            assert_eq!(ra, rb, "n={n}");
+        }
+    }
+
+    #[test]
+    fn a_reused_scratch_changes_nothing() {
+        // One scratch across V-cycles on graphs that grow and shrink, with
+        // different depths and block counts: every assignment and report
+        // equals the one-shot call's, which starts from empty buffers.
+        let mut scratch = RefineScratch::default();
+        for (n, k, coarsest, seed) in
+            [(900, 4, 100, 1), (3_000, 7, 150, 2), (400, 3, 2_000, 3), (2_000, 5, 60, 4), (900, 4, 100, 1)]
+        {
+            let mesh = geographer_mesh::delaunay_unit_square(n, seed);
+            let start: Vec<u32> = (0..n).map(|v| ((v * 7 + v / 13) % k) as u32).collect();
+            let cfg = MultilevelConfig { coarsest_vertices: coarsest, ..MultilevelConfig::default() };
+            let (mut fresh, mut reused) = (start.clone(), start);
+            let want = refine_multilevel(&mesh.graph, &mut fresh, &mesh.weights, k, &cfg);
+            let got = scratch.refine_multilevel(&mesh.graph, &mut reused, &mesh.weights, k, &cfg);
+            assert_eq!(reused, fresh, "n={n}");
+            assert_eq!(got, want, "n={n}");
+            assert_eq!(got.cut_after, edge_cut(&mesh.graph, &reused));
+        }
     }
 
     #[test]

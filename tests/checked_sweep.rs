@@ -1,5 +1,6 @@
 //! The one protocol checker at work: every tool's `Planner::solve`, cold
-//! and warm, the hierarchy, the sampling tail pass, and the collective
+//! and warm, the hierarchy with and without its stacked refinement, the
+//! sampling tail pass, and the collective
 //! layers that sit beside the planner all run under [`CheckedComm`], on
 //! thread ranks at p ∈ {2, 3, 4} and on forked process ranks at p ∈ {2, 4}.
 //!
@@ -8,7 +9,7 @@
 //! checker turns any breach — a rank-guarded call, a min/max swap, a
 //! rank-dependent length, a rank that stops early — into a
 //! [`ProtocolError`] on every rank. Between them the cases below execute
-//! all 34 production collective call sites outside `parcomm` (DESIGN.md
+//! all 35 production collective call sites outside `parcomm` (DESIGN.md
 //! §11 has the reachability audit), so a divergence seeded at any of them
 //! fails this file with the diverging ranks and call kinds in the message.
 
@@ -21,7 +22,8 @@ use geographer_parcomm::{
     run_spmd_checked, run_spmd_proc_checked, CheckedComm, Comm, ProcComm, ProtocolError,
     ThreadComm, Wire,
 };
-use geographer_planner::{MeshView, PlanSpec, Planner, Tool};
+use geographer_planner::{MeshView, PlanSpec, Planner, RefineMode, Tool};
+use geographer_refine::MultilevelConfig;
 use geographer_spmv::spmv_comm_time;
 
 const K: usize = 4;
@@ -124,7 +126,9 @@ fn every_tool_cold_and_warm_stays_in_lockstep_on_process_ranks() {
 }
 
 /// The paths a flat full-set solve does not take: a `[2,2]` hierarchy cold
-/// and warm; a sampling solve whose one movement iteration ends
+/// and warm, then with its stacked refinement, which deals the two level-1
+/// parents to the ranks (one idle from p = 3 on) and allgathers their
+/// digits once per sweep; a sampling solve whose one movement iteration ends
 /// mid-sampling (100 of 300, 200 or 150 local points — from p = 3 on the
 /// doubling reaches them all, which once skipped the pass), so
 /// `balanced_kmeans_warm` finishes with its full tail pass; and the
@@ -133,8 +137,18 @@ fn every_tool_cold_and_warm_stays_in_lockstep_on_process_ranks() {
 fn off_the_flat_path<C: Comm>(mesh: &Mesh<2>, c: &CheckedComm<C>) -> Vec<u64> {
     let view = MeshView::from(mesh);
     let hier = PlanSpec::hierarchical(view, HierarchySpec::uniform(&[2, 2]), full_set());
-    let (_, warm) = cold_then_warm(&hier, c);
+    let (cold, warm) = cold_then_warm(&hier, c);
     assert!(!warm.is_empty(), "hierarchical plans return warm state");
+    let solved = c.trace_ids().len();
+    let stacked = hier.with_refine(RefineMode::Multilevel(MultilevelConfig::default()));
+    let work = Planner::solve(&stacked, None, c).refine_work.expect("stacked plans count work");
+    let refined = kinds(&c.trace_ids().split_off(solved));
+    let gathers = |trace: &[&str]| trace.iter().filter(|&&k| k == "allgather").count();
+    assert_eq!(
+        gathers(&refined),
+        gathers(&kinds(&cold)) + work.sweeps,
+        "one allgather per sweep for the level with two parents: {refined:?}"
+    );
 
     let one_round = Config { max_iterations: 1, initial_sample: 100, ..Config::default() };
     let tail = Planner::solve(&PlanSpec::flat(view, Tool::Geographer, K, one_round), None, c);

@@ -1,0 +1,105 @@
+//! Determinism guards of the stacked path (hierarchical solve + per-level
+//! multilevel refinement, DESIGN.md §8).
+//!
+//! Hierarchical refinement is integer-gain local search in vertex-id
+//! order, so its result is one bit pattern: the same on a repeat run, the
+//! same however the parents of a level are dealt to ranks, and the same
+//! before and after any change that only makes it cheaper. Nothing else in
+//! tier-1 would notice a run-dependent tie-break there (the mutation audit
+//! of DESIGN.md §11, row D1), so this file pins all three.
+
+use geographer::{Config, HierarchySpec};
+use geographer_bench::{solve_plan_view, PlanRecipe};
+use geographer_mesh::{families::bubbles_like, Mesh};
+use geographer_parcomm::{run_spmd, run_spmd_proc, Comm, SelfComm};
+use geographer_planner::{refine_hierarchy_multilevel, MeshView, RefineMode};
+use geographer_refine::MultilevelConfig;
+
+/// FNV-1a over the assignment's little-endian block ids (the digest of
+/// `count_guard`).
+fn digest(assignment: &[u32]) -> u64 {
+    assignment
+        .iter()
+        .flat_map(|b| b.to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
+fn stacked_4x4() -> PlanRecipe {
+    let cfg = Config { sampling_init: false, ..Config::default() };
+    PlanRecipe::hierarchical("stacked", HierarchySpec::uniform(&[4, 4]), cfg)
+        .with_refine(RefineMode::Multilevel(MultilevelConfig::default()))
+}
+
+/// The repeat-run guard ROADMAP 4f asked for, and the pin that makes
+/// "bit-identical" a `cargo test -q` fact: digest and reports of the
+/// stacked `[4, 4]` plan at p = 2, recorded at commit 8eda87d (the last
+/// one whose refinement gathered, sorted and cloned its way through every
+/// V-cycle on every rank).
+#[test]
+fn stacked_4x4_plan_repeats_bitwise_and_matches_the_digest_pinned_at_8eda87d() {
+    let mesh = bubbles_like(6_000, 22);
+    let run = || solve_plan_view(MeshView::from(&mesh), &stacked_4x4(), 2, None).plan;
+    let (first, second) = (run(), run());
+    assert_eq!(digest(&first.assignment), digest(&second.assignment), "repeat run differs");
+    assert_eq!(first.refine, second.refine);
+    assert_eq!(first.level_refine, second.level_refine);
+
+    let d = digest(&first.assignment);
+    assert_eq!(d, 0x919c_38b1_32b0_9e56, "stacked plan digest {d:#018x}");
+    let reports: Vec<[u64; 4]> = first
+        .level_refine
+        .expect("stacked plans report per level")
+        .iter()
+        .map(|r| [r.cut_before, r.cut_after, r.moves as u64, r.rounds as u64])
+        .collect();
+    assert_eq!(reports, [[255, 225, 22, 14], [779, 642, 74, 19]]);
+}
+
+/// One rank's outcome of refining `start` over `comm`, in a form that
+/// crosses a process boundary: the assignment, the per-level reports and
+/// the work counters.
+type Outcome = (Vec<u32>, Vec<[u64; 4]>, [u64; 3]);
+
+fn refine_over<C: Comm>(comm: &C, mesh: &Mesh<2>, spec: &HierarchySpec, start: &[u32]) -> Outcome {
+    let mut asg = start.to_vec();
+    let (reports, work) = refine_hierarchy_multilevel(
+        comm,
+        &mesh.graph,
+        &mut asg,
+        &mesh.weights,
+        spec,
+        &MultilevelConfig { coarsest_vertices: 300, ..MultilevelConfig::default() },
+    );
+    let reports =
+        reports.iter().map(|r| [r.cut_before, r.cut_after, r.moves as u64, r.rounds as u64]);
+    (asg, reports.collect(), [work.sweeps as u64, work.vcycles as u64, work.coarse_levels as u64])
+}
+
+/// Dealing a level's parents to ranks changes who computes a parent's
+/// digits, never what they are: on thread ranks and on forked ranks, at
+/// rank counts that divide the parents, do not divide them, and exceed
+/// them (idle ranks), every rank ends with the single-rank assignment,
+/// reports and work counters.
+#[test]
+fn dealt_parents_reproduce_the_single_rank_refinement_on_both_backends() {
+    let mesh = bubbles_like(3_000, 23);
+    for arities in [&[4usize, 4][..], &[3, 1, 2], &[2, 2, 2]] {
+        let spec = HierarchySpec::uniform(arities);
+        let cfg = Config { sampling_init: false, ..Config::default() };
+        let recipe = PlanRecipe::hierarchical("hier", spec.clone(), cfg);
+        let start = solve_plan_view(MeshView::from(&mesh), &recipe, 1, None).plan.assignment;
+
+        let serial = refine_over(&SelfComm, &mesh, &spec, &start);
+        assert!(serial.1.iter().any(|r| r[2] > 0), "{arities:?}: the corpus must move something");
+        for p in [1, 2, 3, 5] {
+            for (r, got) in run_spmd(p, |c| refine_over(&c, &mesh, &spec, &start)).iter().enumerate() {
+                assert_eq!(got, &serial, "{arities:?}: thread rank {r} of {p}");
+            }
+            let procs = run_spmd_proc(p, |c| refine_over(&c, &mesh, &spec, &start))
+                .unwrap_or_else(|e| panic!("{arities:?}, p={p}: proc job failed: {e}"));
+            for (r, got) in procs.iter().enumerate() {
+                assert_eq!(got, &serial, "{arities:?}: process rank {r} of {p}");
+            }
+        }
+    }
+}
