@@ -38,14 +38,15 @@ fn hot_loop_markers_are_pinned() {
         .collect();
     // kmeans: `Round::grow`'s rank and back-to-front loops, the two loops
     // of the sum-order helper (the closures handed to it are their
-    // bodies), `scan_batch` and `process_block`'s survivor, bound, pair
-    // and branching loops under the per-block loop; dsort: the radix
+    // bodies), `scan_batch`, `shortlist`'s bound, rank, pick and
+    // compaction loops, `process_block`'s survivor loop and
+    // `scan_survivors`' pair loop under the per-block loop; dsort: the radix
     // sort's fold, counting and scatter passes; graph: the matching scan
     // and the contraction gather; planner: the cross-parent vertex loop
     // and the sub-CSR extraction; refine: the sweep loop; sfc: the two
     // loops of the key walk.
     let pinned = [
-        ("crates/core/src/kmeans.rs", 10),
+        ("crates/core/src/kmeans.rs", 12),
         ("crates/dsort/src/lib.rs", 3),
         ("crates/graph/src/coarsen.rs", 2),
         ("crates/planner/src/hier_refine.rs", 2),

@@ -4,8 +4,11 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use geographer::{balanced_kmeans, Config};
-use geographer_geometry::{Point, SplitMix64};
+use geographer_bench::FOUR_BUBBLES;
+use geographer_geometry::{Aabb, Point, SplitMix64};
+use geographer_mesh::density::{bubbles_density, sample_by_density};
 use geographer_parcomm::SelfComm;
+use geographer_sfc::HilbertMapper;
 
 fn bench_kmeans(c: &mut Criterion) {
     let mut rng = SplitMix64::new(3);
@@ -25,6 +28,27 @@ fn bench_kmeans(c: &mut Criterion) {
         b.iter(|| balanced_kmeans(&SelfComm, &pts, &w, k, centers.clone(), &base))
     });
     let naive = Config { hamerly_bounds: false, bbox_pruning: false, ..base.clone() };
+    g.bench_function("naive", |b| {
+        b.iter(|| balanced_kmeans(&SelfComm, &pts, &w, k, centers.clone(), &naive))
+    });
+    g.finish();
+
+    // The regime the pipeline runs the kernel in: points along the Hilbert
+    // curve, dense in four bubbles, k = 64 — a block's box is small and
+    // its center shortlist a handful of the 64.
+    let cloud = sample_by_density(n, 3, bubbles_density(&FOUR_BUBBLES));
+    let bb = Aabb::from_points(&cloud).expect("points");
+    let order = HilbertMapper::new(bb, 16).order(&cloud);
+    let pts: Vec<Point<2>> = order.iter().map(|&i| cloud[i as usize]).collect();
+    let k = 64;
+    let centers: Vec<Point<2>> = (0..k).map(|i| pts[i * n / k + n / (2 * k)]).collect();
+
+    let mut g = c.benchmark_group("balanced_kmeans_30k_k64_curve_clustered");
+    g.sample_size(10);
+    g.throughput(Throughput::Elements(n as u64));
+    g.bench_function("optimized", |b| {
+        b.iter(|| balanced_kmeans(&SelfComm, &pts, &w, k, centers.clone(), &base))
+    });
     g.bench_function("naive", |b| {
         b.iter(|| balanced_kmeans(&SelfComm, &pts, &w, k, centers.clone(), &naive))
     });

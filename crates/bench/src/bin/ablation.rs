@@ -131,8 +131,8 @@ fn bounds() {
     });
     let s = &stats[0];
     println!(
-        "\nSPMD p = {p}: {} bbox early-breaks over {} full evaluations \
-         ({:.1}% of inner loops cut short), skip rate {:.1}%",
+        "\nSPMD p = {p}: a box bound ruled out a center for {} of {} evaluated \
+         points ({:.1}%), skip rate {:.1}%",
         s.bbox_breaks,
         s.points_visited - s.hamerly_skips,
         100.0 * s.bbox_breaks as f64 / (s.points_visited - s.hamerly_skips).max(1) as f64,

@@ -17,7 +17,14 @@
 //! `assignment` is the wall time spent inside k-means assignment passes
 //! (kernel + block-weight accumulation), max-reduced across ranks.
 //!
-//! The gate figures are minima over [`REPEATS`] runs — on a shared VM a
+//! The `k_sweep` block holds n and p at the gate's values and varies k ∈
+//! {8, 64, 256} on a clustered cloud (the four refinement bubbles of the
+//! repo benchmark's `cold_clustered_k64_p2`): k-means and assignment
+//! ns/point and distance evaluations per point — what the assignment
+//! kernel costs as the center count grows, which the k = 8 rows above
+//! cannot show.
+//!
+//! The gate and sweep figures are minima over [`REPEATS`] runs — on a shared VM a
 //! single measurement is at the mercy of whichever run catches a noisy
 //! window, and the minimum estimates the undisturbed cost.
 //!
@@ -30,9 +37,9 @@ use geographer::Config;
 use geographer_analyze::json::Value;
 use geographer_bench::harness::ns_per_point;
 use geographer_bench::{
-    num, obj, solve_plan_view, write_bench_json, Cli, PlanRecipe, SpmdBackend, Tool,
+    num, obj, solve_plan_view, write_bench_json, Cli, PlanRecipe, SpmdBackend, Tool, FOUR_BUBBLES,
 };
-use geographer_mesh::density::sample_by_density;
+use geographer_mesh::density::{bubbles_density, sample_by_density};
 use geographer_parcomm::Collective;
 use geographer_planner::MeshView;
 
@@ -142,6 +149,43 @@ fn main() {
         }
     }
 
+    // The kernel against k, on points dense where the bubbles are.
+    let n = sizes[0];
+    let points = sample_by_density(n, seed, bubbles_density(&FOUR_BUBBLES));
+    let weights = vec![1.0f64; n];
+    let view = MeshView { points: &points, weights: &weights, graph: None };
+    let k_sweep: Vec<Value> = [8usize, 64, 256]
+        .into_iter()
+        .map(|k| {
+            let recipe = PlanRecipe::flat("k_sweep", Tool::Geographer, k, cfg.clone());
+            // Times are minima over the repeats; the counts repeat exactly.
+            let runs: Vec<_> =
+                (0..REPEATS).map(|_| solve_plan_view(view, &recipe, 1, None)).collect();
+            let stats = |i: usize| runs[i].plan.stats.expect("geographer solve reports stats");
+            let st = stats(0);
+            let kmeans_s = (0..REPEATS)
+                .map(|i| runs[i].phase_max.expect("phase timings").kmeans)
+                .fold(f64::INFINITY, f64::min);
+            let assign_s =
+                (0..REPEATS).map(|i| stats(i).assignment_seconds).fold(f64::INFINITY, f64::min);
+            let npp = |s: f64| ns_per_point(s, n);
+            eprintln!(
+                "k_sweep k={k}: kmeans={:.1} ns/pt assign={:.1} ns/pt evals/pt={:.1}",
+                npp(kmeans_s),
+                npp(assign_s),
+                st.distance_evals as f64 / n as f64,
+            );
+            obj([
+                ("k", k.into()),
+                ("kmeans_ns_per_point", num(npp(kmeans_s))),
+                ("assignment_ns_per_point", num(npp(assign_s))),
+                ("distance_evals_per_point", num(st.distance_evals as f64 / n as f64)),
+                ("balance_iterations", st.balance_iterations.into()),
+                ("hamerly_skip_rate", num(st.skip_rate())),
+            ])
+        })
+        .collect();
+
     let record = obj([
         ("bench", "scale".into()),
         ("tool", "Geographer".into()),
@@ -160,6 +204,16 @@ fn main() {
             ]),
         ),
         ("runs", runs.into()),
+        (
+            "k_sweep",
+            obj([
+                ("n", n.into()),
+                ("p", 1usize.into()),
+                ("mesh", "four_bubbles".into()),
+                ("repeats", REPEATS.into()),
+                ("rows", k_sweep.into()),
+            ]),
+        ),
     ]);
     write_bench_json("scale", cli.smoke, SpmdBackend::Thread, &ps, &record);
 }

@@ -20,6 +20,12 @@ pub use harness::{
 };
 pub use table::TextTable;
 
+/// The clustered cloud of the kernel benches: refinement bubbles
+/// `(centre x, centre y, radius)` for `density::bubbles_density` — the four
+/// of the repo benchmark's `cold_clustered_k64_p2`.
+pub const FOUR_BUBBLES: [(f64, f64, f64); 4] =
+    [(0.25, 0.25, 0.2), (0.75, 0.3, 0.15), (0.5, 0.7, 0.2), (0.15, 0.8, 0.1)];
+
 /// Global instance-size multiplier, read from `GEO_SCALE` (default 1.0).
 /// `GEO_SCALE=4 cargo run --release --bin tables -- table1` runs the same
 /// experiments on 4× larger instances.

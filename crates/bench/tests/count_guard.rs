@@ -1,15 +1,19 @@
 //! Tier-1 count guard, the clock-free companion of `perf_gate.rs`: on the
 //! same gate instance (n = 100k, p = 1, k = 8, seed 77) the default config
-//! must do exactly the iterations, point visits, Hamerly skips and
-//! distance evaluations — and produce exactly the partition — recorded at
-//! commit bd8a563, the last one that still carried the per-point AoS
-//! reference scan (which did the same iterations, visits and skips there,
-//! with 3 945 528 distance evaluations).
+//! must do exactly the iterations, point visits and Hamerly skips — and
+//! produce exactly the partition — recorded at commit bd8a563, the last
+//! one that still carried the per-point AoS reference scan (which did the
+//! same iterations, visits and skips there, with 3 945 528 distance
+//! evaluations). Those four trajectory counts and the digest have not
+//! moved since.
 //!
 //! `points_visited` pins that no pass visits a point outside the round's
-//! active set; `distance_evals` at equal skips pins what the blocked
-//! kernel's per-block bound prunes, sampling rounds included. Counts
-//! repeat exactly, so there is no envelope.
+//! active set; `distance_evals` and `bbox_breaks` at equal skips pin what
+//! the blocked kernel's box bounds prune, sampling rounds included. They
+//! were re-recorded once, when the per-block center shortlist went in:
+//! the per-point bound alone evaluated 2 361 162 distances and cut
+//! 480 133 scans short here. Counts repeat exactly, so there is no
+//! envelope.
 
 use geographer::Config;
 use geographer_bench::{solve_plan_view, PlanRecipe, Tool};
@@ -29,8 +33,9 @@ fn default_config_repeats_the_recorded_counts_and_partition() {
     assert_eq!(s.balance_iterations, 183);
     assert_eq!(s.points_visited, 3_542_200);
     assert_eq!(s.hamerly_skips, 3_049_009);
-    assert_eq!(s.distance_evals, 2_361_162);
-    assert_eq!(s.bbox_breaks, 480_133);
+    assert_eq!(s.distance_evals, 1_270_726);
+    assert!(s.distance_evals < 2_361_162, "the shortlist prunes less than the per-point bound did");
+    assert_eq!(s.bbox_breaks, 488_033);
     // FNV-1a over the assignment's little-endian block ids.
     let digest = plan
         .assignment

@@ -38,7 +38,10 @@ pub struct KMeansStats {
     pub distance_evals: u64,
     /// Points whose inner loop was skipped by the Hamerly bound test.
     pub hamerly_skips: u64,
-    /// Inner loops cut short by the bounding-box sort (Algorithm 1 line 16).
+    /// Evaluated points for which a box bound ruled out at least one
+    /// center: for the point's whole block (its center shortlist is shorter
+    /// than k) or for the point alone, inside the shortlist — what Algorithm
+    /// 1 line 16's early break became in the blocked kernel.
     pub bbox_breaks: u64,
     /// Point visits in assignment passes (skipped or not).
     pub points_visited: u64,
@@ -100,11 +103,9 @@ pub struct KMeansOutput<const D: usize> {
     pub stats: KMeansStats,
 }
 
-/// Block width of the SoA kernel: points are processed in fixed-size runs
-/// whose coordinate lanes, bounds, and center shortlist fit in L1/L2.
-/// After the Hilbert redistribution consecutive points are spatial
-/// neighbours, so a block's bounding box is tiny and its per-center
-/// pruning bound eliminates most of the shortlist.
+/// Block width of the SoA kernel: fixed-size runs whose lanes and bounds fit
+/// in L1. After the Hilbert redistribution consecutive points are neighbours,
+/// so a block's bounding box is tiny and reaches a handful of the k centers.
 const SOA_BLOCK: usize = 256;
 
 /// Dimension-major coordinate lanes (`coords[d][i]` is point i's
@@ -308,7 +309,7 @@ impl<const D: usize> Round<D> {
     }
 }
 
-/// The center shortlist laid out for the SoA kernel, in bbox-sorted order.
+/// The k centers laid out for the SoA kernel, in bbox-sorted order.
 #[derive(Default)]
 struct CenterScratch {
     /// `(min effective distance to the active bbox, center id)`, ascending
@@ -321,6 +322,8 @@ struct CenterScratch {
     influence: Vec<f64>,
     /// Original center ids in sorted order.
     ids: Vec<u32>,
+    /// `1 / influence²` in sorted order ([`shortlist`] ranks centers by it).
+    inv_sq: Vec<f64>,
 }
 
 impl CenterScratch {
@@ -332,6 +335,7 @@ impl CenterScratch {
         self.coords.resize(D * k, 0.0);
         self.influence.clear();
         self.ids.clear();
+        self.inv_sq.clear();
         for (j, &(_, c)) in self.order.iter().enumerate() {
             let ci = c as usize;
             for d in 0..D {
@@ -339,36 +343,39 @@ impl CenterScratch {
             }
             self.influence.push(influence[ci]);
             self.ids.push(c);
+            self.inv_sq.push(1.0 / (influence[ci] * influence[ci]));
         }
     }
 }
 
-/// Scratch of the SoA kernel.
+/// Scratch of the SoA kernel, O(k): every vector holds k entries per lane.
 struct KernelScratch {
-    /// Effective distances for the branch-free batch sweep — two slabs of
-    /// `k`, one per point of the pair the batch path evaluates together.
+    /// The pair's effective distances (2k); before that, the centers' rank ([`shortlist`]).
     ebuf: Vec<f64>,
-    /// Per-center lower bound against the current block's bounding box.
+    /// Per-center lower bound of the effective distance to any point of
+    /// the current block's box; compacted in place with the shortlist.
     cbound: Vec<f64>,
     /// Survivor indices of the current block (points not Hamerly-skipped).
     sidx: Vec<u32>,
+    /// The centers the block can reach, compacted from [`CenterScratch`] in
+    /// its order: coordinates (lane `d` at `coords[d*k..]`), influences, ids.
+    coords: Vec<f64>,
+    influence: Vec<f64>,
+    ids: Vec<u32>,
 }
 
 impl KernelScratch {
-    fn new(k: usize) -> Self {
+    fn new(k: usize, dims: usize) -> Self {
         KernelScratch {
             ebuf: vec![0.0; 2 * k],
             cbound: vec![0.0; k],
             sidx: Vec::with_capacity(SOA_BLOCK),
+            coords: vec![0.0; dims * k],
+            influence: vec![0.0; k],
+            ids: vec![0; k],
         }
     }
 }
-
-/// Largest center count for which the kernel computes every effective
-/// distance branch-free (then scans the batch with the pruning skips).
-/// Beyond this the skipped `sqrt`/`div` work outweighs the vectorization
-/// win and the kernel falls back to the branching scan.
-const SOA_BATCH_K: usize = 24;
 
 /// The SPMD solver state for one `balanced_kmeans` call.
 struct Solver<'a, const D: usize> {
@@ -386,7 +393,7 @@ struct Solver<'a, const D: usize> {
     fractions: Vec<f64>,
     /// The current movement round's points and their state.
     round: Round<D>,
-    /// Center shortlist scratch (bbox-sorted order/coords/influence/ids).
+    /// The k centers in scan order (bbox-sorted order/coords/influence/ids).
     cscratch: CenterScratch,
     kscratch: KernelScratch,
     /// Balance/movement scratch reused across iterations — the hot loops
@@ -401,31 +408,19 @@ struct Solver<'a, const D: usize> {
     stats: KMeansStats,
 }
 
-/// Reduce one point's batch of effective distances to
-/// `(best, second, best_c, evals, pruned)` — the select-based equivalent
-/// of the strict-comparison chain the branching scan in [`process_block`]
-/// spells out. Under the invariant `second >= best`, on `e < best` the
-/// old best demotes to second and on ties nothing moves, exactly as
-/// `else if e < second` would. (Selects, not full arithmetic masking: the
-/// comparison branches predict well once best/second stabilize, and
-/// speculation past them beats a serialized min/max chain.)
+/// Reduce one point's batch of effective distances to `(best, second,
+/// best_c, evals)`, skipping what its running second-best rules out — the
+/// select form of `if e < best { … } else if e < second { … }`: under
+/// `second >= best` the old best demotes on `e < best`, a tie moves nothing.
+/// (Selects, not arithmetic masks: the branches predict well once best and
+/// second settle, and speculating past them beats a min/max chain.)
 #[inline(always)]
-fn scan_batch(
-    pruning: bool,
-    cbound: &[f64],
-    ebuf: &[f64],
-    ids: &[u32],
-    init_c: u32,
-) -> (f64, f64, u32, u64, bool) {
-    let mut best = f64::INFINITY;
-    let mut second = f64::INFINITY;
-    let mut best_c = init_c;
-    let mut evals = 0u64;
-    let mut pruned = false;
+fn scan_batch(bound: &[f64], ebuf: &[f64], ids: &[u32], init_c: u32) -> (f64, f64, u32, u64) {
+    let (mut best, mut second) = (f64::INFINITY, f64::INFINITY);
+    let (mut best_c, mut evals) = (init_c, 0u64);
     // geo-analyze: hot-loop
     for j in 0..ebuf.len() {
-        if pruning && cbound[j] > second {
-            pruned = true;
+        if bound[j] > second {
             continue;
         }
         let e = ebuf[j];
@@ -435,23 +430,108 @@ fn scan_batch(
         second = if lt { best } else { second.min(e) };
         best = if lt { e } else { best };
     }
-    (best, second, best_c, evals, pruned)
+    (best, second, best_c, evals)
 }
 
-/// One block of the SoA kernel: derive a per-center pruning bound from
-/// the block's precomputed bounding box (`bbox`, built when the round
-/// was grown — coordinates never move between balance iterations), then
-/// scan every non-skipped point of the block against the (globally
-/// bbox-sorted) center shortlist. `assign`/`ub`/`lb` hold the current values on entry
-/// and the updated values on exit.
+/// Compact into `sc` the centers a block with bounding box `(lo, hi)` can
+/// reach, in `cs`'s scan order, and return how many there are — k when the
+/// block reaches every center, which the caller then scans in `cs` itself.
 ///
-/// Exact: effective distances accumulate in the order of `Point::dist`,
-/// so every evaluated point ends with `ub`/`lb` bitwise equal to the best
-/// and second-best of all k distances. A center is only skipped when its
-/// block bound exceeds the current `second` — in which case evaluating it
-/// could not have changed `best`/`second`/`best_c` (the block bound is a
-/// lower bound on every effective distance within the block). The test
-/// oracle (`tests::oracle_check`) holds every pass to this.
+/// Sound because the arithmetic rounds monotonically (DESIGN.md §9):
+/// `cbound[j] = minDist(box, c_j)/I(j) ≤ e_j(x) ≤ maxDist(box, c_j)/I(j)`
+/// for every point x of the box, in the kernel's own floating point. With
+/// U the larger `maxDist/I` of any two centers, `second-best(x) ≤ U`, so a
+/// center with `cbound[j] > U` is strictly farther from every x and could
+/// change neither `best`, `second` nor a tie. Any two are sound; the two
+/// smallest by `rank[j]` ≈ `(maxDist/I)²` (a multiply per center, not a
+/// `sqrt` and a division) make U tight. A NaN never excludes.
+#[inline(always)]
+fn shortlist<const D: usize>(
+    pruning: bool,
+    k: usize,
+    (lo, hi): &([f64; D], [f64; D]),
+    cs: &CenterScratch,
+    sc: &mut KernelScratch,
+) -> usize {
+    let (cbound, rank) = (&mut sc.cbound[..k], &mut sc.ebuf[..k]);
+    let clanes: [&[f64]; D] = std::array::from_fn(|d| &cs.coords[d * k..(d + 1) * k]);
+    let infl = &cs.influence[..k];
+    if !pruning {
+        cbound.fill(0.0);
+        return k;
+    }
+    // geo-analyze: hot-loop
+    for j in 0..k {
+        let mut near = 0.0;
+        for d in 0..D {
+            let c = clanes[d][j];
+            // `Aabb::min_dist`'s case split, spelled as selects.
+            let gap = (lo[d] - c).max(c - hi[d]).max(0.0);
+            near += gap * gap;
+        }
+        cbound[j] = near.sqrt() / infl[j];
+    }
+    // Every center inside the box (unsorted points): none is beyond any U.
+    if !cbound.iter().any(|&b| b > 0.0) {
+        return k;
+    }
+    // `maxDist²(box, c_j)`, accumulated like `Point::dist_sq`.
+    let far_sq = |j: usize| {
+        let mut far = 0.0;
+        for d in 0..D {
+            let c = clanes[d][j];
+            let span = (c - lo[d]).abs().max((hi[d] - c).abs());
+            far += span * span;
+        }
+        far
+    };
+    // geo-analyze: hot-loop
+    for j in 0..k {
+        rank[j] = far_sq(j) * cs.inv_sq[j];
+    }
+    let (mut r0, mut r1, mut j0, mut j1) = (f64::INFINITY, f64::INFINITY, k, k);
+    // geo-analyze: hot-loop
+    for (j, &r) in rank.iter().enumerate() {
+        if r < r1 {
+            (r1, j1) = (r, j);
+        }
+        if r1 < r0 {
+            ((r0, j0), (r1, j1)) = ((r1, j1), (r0, j0));
+        }
+    }
+    if j1 == k {
+        return k;
+    }
+    let (u0, u1) = (far_sq(j0).sqrt() / infl[j0], far_sq(j1).sqrt() / infl[j1]);
+    let reach = if u1 > u0 || u1.is_nan() { u1 } else { u0 };
+    // Branchless like the survivors: always write, advance on a keep.
+    let mut m = 0;
+    // geo-analyze: hot-loop
+    for j in 0..k {
+        for d in 0..D {
+            sc.coords[d * k + m] = clanes[d][j];
+        }
+        sc.influence[m] = infl[j];
+        sc.ids[m] = cs.ids[j];
+        // False when either side is NaN: the center stays.
+        let beyond = cbound[j] > reach;
+        cbound[m] = cbound[j];
+        m += usize::from(!beyond);
+    }
+    m
+}
+
+/// One block of the SoA kernel: compact the points the Hamerly test does
+/// not skip, shortlist the centers the block's bounding box (`bbox`, built
+/// when the round was grown) can reach, then scan every survivor against
+/// the shortlist. `assign`/`ub`/`lb` are the values on entry, updated on exit.
+///
+/// Exact: effective distances accumulate in the order of `Point::dist`, so
+/// every evaluated point ends with `ub`/`lb` bitwise the best and second-best
+/// of all k distances. A center is only left out — of the shortlist, or of
+/// one point's scan when its block bound exceeds the current `second` — when
+/// it could not have changed `best`/`second`/`best_c`; the shortlist keeps the
+/// scan order, so a tie still goes to the earlier position (`oracle_check`).
 #[allow(clippy::too_many_arguments)]
 // Outlined on purpose: one call per 256-point block amortizes the call,
 // and the measured kernel numbers were taken in this shape.
@@ -470,16 +550,10 @@ fn process_block<const D: usize>(
     stats: &mut KMeansStats,
 ) {
     let blen = assign.len();
-    let KernelScratch { ebuf, cbound, sidx } = sc;
-    let (ebuf, cbound) = (&mut ebuf[..2 * k], &mut cbound[..k]);
-    // Center coordinate lanes: `clanes[d][j]` is center j's d-coordinate,
-    // contiguous in j for the vectorizable batch loop below.
-    let clanes: [&[f64]; D] = std::array::from_fn(|d| &cs.coords[d * k..(d + 1) * k]);
-    let infl = &cs.influence[..k];
-    // Compact the points that survive the Hamerly skip; only they are
-    // scanned against the shortlist. Branchless: always write the
-    // candidate index, advance the cursor only for survivors — the
-    // skip pattern is data-dependent and would mispredict as a branch.
+    // Compact the points that survive the Hamerly skip. Branchless: always
+    // write the candidate index, advance the cursor only for survivors —
+    // the skip pattern is data-dependent and would mispredict as a branch.
+    let sidx = &mut sc.sidx;
     sidx.clear();
     sidx.resize(blen, 0);
     let mut slen = 0usize;
@@ -494,114 +568,70 @@ fn process_block<const D: usize>(
     if slen == 0 {
         return;
     }
-    let (lo, hi) = bbox;
-    if pruning {
-        // Same arithmetic as `Aabb::min_dist` over the (precomputed) block
-        // box. The box covers every block point, hence every survivor, so
-        // `cbound[j]` lower-bounds center j's effective distance to any
-        // scanned point: skipping on `cbound[j] > second` is sound.
-        // geo-analyze: hot-loop
-        for j in 0..k {
-            let mut acc = 0.0;
+    let m = shortlist::<D>(pruning, k, bbox, cs, sc);
+    // One scan, inlined at both calls: one set of slices for either source,
+    // or copying all k, ran 5–7 % slower on blocks that reach every center.
+    if m == k {
+        let all = (&cs.coords[..], &cs.influence[..k], &cs.ids[..k], &sc.cbound[..k]);
+        scan_survivors::<D>(k, lanes, all, &sc.sidx, &mut sc.ebuf, (assign, ub, lb, stats));
+    } else {
+        let short = (&sc.coords[..], &sc.influence[..m], &sc.ids[..m], &sc.cbound[..m]);
+        scan_survivors::<D>(k, lanes, short, &sc.sidx, &mut sc.ebuf, (assign, ub, lb, stats));
+    }
+}
+
+/// Scan the survivors `sidx` against m centers (lanes of stride `k`, influences, ids, bounds).
+#[inline(always)]
+fn scan_survivors<const D: usize>(
+    k: usize,
+    lanes: &[&[f64]; D],
+    (coords, infl, ids, bound): (&[f64], &[f64], &[u32], &[f64]),
+    sidx: &[u32],
+    ebuf: &mut [f64],
+    (assign, ub, lb, stats): (&mut [u32], &mut [f64], &mut [f64], &mut KMeansStats),
+) {
+    let (m, slen) = (infl.len(), sidx.len());
+    let clanes: [&[f64]; D] = std::array::from_fn(|d| &coords[d * k..d * k + m]);
+    let cut = u64::from(m < k);
+    // Branch-free batch sweep, two survivors at a time: every effective
+    // distance of the pair in one vectorizable loop over the center lanes
+    // (the op order of `Point::dist`, exact per lane, so identical values),
+    // center coordinates loaded once for both points, the two sqrt/div
+    // chains overlapping in the divider. `scan_batch` then resolves each
+    // point; the `sqrt`/`div` it skips cost less than branching around
+    // them, at every m (DESIGN.md §9).
+    let (e0, e1) = ebuf[..2 * m].split_at_mut(m);
+    let mut t = 0;
+    // geo-analyze: hot-loop
+    while t < slen {
+        // An odd tail pairs the last survivor with itself, committed once.
+        let i0 = sidx[t] as usize;
+        let i1 = sidx[(t + 1).min(slen - 1)] as usize;
+        let pv0: [f64; D] = std::array::from_fn(|d| lanes[d][i0]);
+        let pv1: [f64; D] = std::array::from_fn(|d| lanes[d][i1]);
+        for j in 0..m {
+            let mut a0 = 0.0;
+            let mut a1 = 0.0;
             for d in 0..D {
                 let c = clanes[d][j];
-                let diff = if c < lo[d] {
-                    lo[d] - c
-                } else if c > hi[d] {
-                    c - hi[d]
-                } else {
-                    0.0
-                };
-                acc += diff * diff;
+                let d0 = pv0[d] - c;
+                a0 += d0 * d0;
+                let d1 = pv1[d] - c;
+                a1 += d1 * d1;
             }
-            cbound[j] = acc.sqrt() / infl[j];
+            let f = infl[j];
+            e0[j] = a0.sqrt() / f;
+            e1[j] = a1.sqrt() / f;
         }
-    }
-    if k <= SOA_BATCH_K {
-        // Branch-free batch sweep, two survivors at a time: every
-        // effective distance of the pair in one vectorizable loop over
-        // the contiguous center lanes (the same per-center op order as
-        // `Point::dist` — sqrt and division are exact per lane, so the
-        // values are identical), center coordinates loaded once for both
-        // points and the two sqrt/div dependency chains overlapping in
-        // the divider. A scalar reduction scan with the pruning skips
-        // then resolves each point (`scan_batch`). At small k the
-        // skipped work is cheaper than the branches.
-        let (e0, e1) = ebuf.split_at_mut(k);
-        let slen = sidx.len();
-        let mut t = 0;
-        // geo-analyze: hot-loop
-        while t < slen {
-            // An odd tail pairs the last survivor with itself and commits
-            // it once.
-            let i0 = sidx[t] as usize;
-            let i1 = sidx[(t + 1).min(slen - 1)] as usize;
-            let pv0: [f64; D] = std::array::from_fn(|d| lanes[d][i0]);
-            let pv1: [f64; D] = std::array::from_fn(|d| lanes[d][i1]);
-            for j in 0..k {
-                let mut a0 = 0.0;
-                let mut a1 = 0.0;
-                for d in 0..D {
-                    let c = clanes[d][j];
-                    let d0 = pv0[d] - c;
-                    a0 += d0 * d0;
-                    let d1 = pv1[d] - c;
-                    a1 += d1 * d1;
-                }
-                let f = infl[j];
-                e0[j] = a0.sqrt() / f;
-                e1[j] = a1.sqrt() / f;
-            }
-            for (i, eb) in [(i0, &*e0), (i1, &*e1)].into_iter().take(slen - t) {
-                let (best, second, best_c, evals, pruned) =
-                    scan_batch(pruning, cbound, eb, &cs.ids, assign[i]);
-                assign[i] = best_c;
-                ub[i] = best;
-                lb[i] = second;
-                stats.distance_evals += evals;
-                stats.bbox_breaks += u64::from(pruned);
-            }
-            t += 2;
-        }
-    } else {
-        // Large shortlists: branching skip-scan — the batch would spend
-        // sqrt/div on centers the evolving `second` bound rules out.
-        // geo-analyze: hot-loop
-        for &i in sidx.iter() {
-            let i = i as usize;
-            let mut best = f64::INFINITY;
-            let mut second = f64::INFINITY;
-            let mut best_c = assign[i];
-            let mut evals = 0u64;
-            let mut pruned = false;
-            for j in 0..k {
-                if pruning && cbound[j] > second {
-                    pruned = true;
-                    continue;
-                }
-                // Explicit distance-squared over the contiguous lanes, same
-                // accumulation order as `Point::dist_sq`.
-                let mut acc = 0.0;
-                for d in 0..D {
-                    let diff = lanes[d][i] - clanes[d][j];
-                    acc += diff * diff;
-                }
-                let e = acc.sqrt() / infl[j];
-                evals += 1;
-                if e < best {
-                    second = best;
-                    best = e;
-                    best_c = cs.ids[j];
-                } else if e < second {
-                    second = e;
-                }
-            }
+        for (i, eb) in [(i0, &*e0), (i1, &*e1)].into_iter().take(slen - t) {
+            let (best, second, best_c, evals) = scan_batch(bound, eb, ids, assign[i]);
             assign[i] = best_c;
             ub[i] = best;
             lb[i] = second;
             stats.distance_evals += evals;
-            stats.bbox_breaks += u64::from(pruned);
+            stats.bbox_breaks += cut | u64::from(evals < m as u64);
         }
+        t += 2;
     }
 }
 
@@ -871,7 +901,7 @@ pub fn balanced_kmeans_warm<const D: usize, C: Comm>(
         fractions: cfg.fractions(k),
         round: Round::with_capacity(n_local, sample_cap),
         cscratch: CenterScratch::default(),
-        kscratch: KernelScratch::new(k),
+        kscratch: KernelScratch::new(k, D),
         old_influence: Vec::with_capacity(k),
         delta: Vec::with_capacity(k),
         center_sums: Vec::with_capacity(k * (D + 1)),
@@ -1430,8 +1460,11 @@ mod tests {
         })
     }
 
-    /// FNV-1a over every rank's assignment and work counters.
-    fn digest<const D: usize>(ranks: &[KMeansOutput<D>]) -> String {
+    /// FNV-1a over every rank's assignment and trajectory counters — what
+    /// a kernel edit must not move — and, apart from it, the distance
+    /// evaluations summed over the ranks, which an edit to the pruning
+    /// re-pins on purpose.
+    fn digest<const D: usize>(ranks: &[KMeansOutput<D>]) -> (String, u64) {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         let mut eat = |v: u64| {
             for b in v.to_le_bytes() {
@@ -1441,17 +1474,11 @@ mod tests {
         for out in ranks {
             out.assignment.iter().for_each(|&a| eat(u64::from(a)));
             let s = &out.stats;
-            [
-                s.movement_iterations,
-                s.balance_iterations,
-                s.hamerly_skips,
-                s.points_visited,
-                s.distance_evals,
-            ]
-            .into_iter()
-            .for_each(&mut eat);
+            [s.movement_iterations, s.balance_iterations, s.hamerly_skips, s.points_visited]
+                .into_iter()
+                .for_each(&mut eat);
         }
-        format!("{h:#018x}")
+        (format!("{h:#018x}"), ranks.iter().map(|out| out.stats.distance_evals).sum())
     }
 
     #[test]
@@ -1459,9 +1486,11 @@ mod tests {
         // Eight cells of the grid `oracle_holds_…` sweeps — both
         // dimensions, both rank counts, both families, every first-sample
         // size, both budgets, k = 32, and each pruning switch off — plus
-        // one default-config solve run to convergence. Recorded at
-        // bd8a563, where the AoS reference scan still existed and produced
-        // the same partitions and visit/skip counts.
+        // one default-config solve run to convergence. The trajectory
+        // digests were recorded at 5e6fcda, before the per-block center
+        // shortlist went in, and held across it; the evaluation counts
+        // beside them are the shortlist's, each at or below the count the
+        // full per-point scan made there (in the trailing comments).
         let cfg = |initial_sample, max_iterations| Config {
             initial_sample,
             max_iterations,
@@ -1481,17 +1510,17 @@ mod tests {
             digest(&solve_instance::<2>(4, 42, true, 5, &Config::default())),
         ];
         let golden = [
-            "0xed2c08c1e6c9f2ff",
-            "0x5828dcc0b26f4cbb",
-            "0x65cf09599eb631db",
-            "0x0ca7804361fcfce9",
-            "0x51db372338116831",
-            "0xfbd94b6155c6b65b",
-            "0x174670b15231ce31",
-            "0x2591c3f6cb96971d",
-            "0x07b51af17bdf68b1",
+            ("0xe632f05b3125f4e9", 29985),
+            ("0xc31b256ee388d451", 283694), // 283 922 without the shortlist
+            ("0x6ebb65940352eafb", 33661),
+            ("0x3d29047844e8b0db", 12290),
+            ("0x4c5dfbd1f5c99d81", 2977760),
+            ("0x56107675738b1c80", 2322341),
+            ("0xc9b7791eae745533", 319000),
+            ("0x931f73ca7c71363c", 278625),
+            ("0x8c4b9d05d8d01406", 154005),
         ];
-        assert_eq!(got, golden);
+        assert_eq!(got.each_ref().map(|(h, evals)| (&h[..], *evals)), golden);
     }
 
     #[test]
@@ -1502,8 +1531,9 @@ mod tests {
         // 100 and 257 points — sampling rounds run the kernel over a
         // round grown in place. A budget of 3 movement iterations runs out
         // mid-sampling and ends in the final full pass; 15 reaches the
-        // full set even from a single point (11 doublings). k = 32 takes
-        // the branching scan (k > `SOA_BATCH_K`), k = 5 the paired batch.
+        // full set even from a single point (11 doublings). These points
+        // are unsorted, so a block's box spans the domain and its
+        // shortlist holds nearly all of k = 5 or 32 centers.
         // With `hamerly_bounds` off every point survives, so the odd
         // shards (57 and 543 points) end in an odd batch tail on every
         // pass. The paper's claim is that bounds and pruning never change
@@ -1546,6 +1576,155 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `points` along the Hilbert curve — the order a rank holds them in
+    /// after the redistribution, where a 256-point block is spatially
+    /// tight and its center shortlist short.
+    fn curve_ordered<const D: usize>(points: &[Point<D>]) -> Vec<Point<D>> {
+        let bb = Aabb::from_points(points).expect("points");
+        let order = geographer_sfc::HilbertMapper::new(bb, 16).order(points);
+        order.into_iter().map(|i| points[i as usize]).collect()
+    }
+
+    #[test]
+    fn oracle_holds_where_the_shortlist_is_short() {
+        // The grid above solves 1 200 unsorted points, whose blocks span
+        // the domain and reach every center. Here the points are curve
+        // ordered, the influences spread over 1e-3…1e3, and the blocks
+        // built on purpose (sampling off, so array blocks are kernel
+        // blocks): block 0 is 256 copies of one point — a zero-extent box
+        // — with center 0 inside it; block 1's box has center 1 on a face
+        // and, for k > 2, center 2 at its middle; the tail block holds 43
+        // points. Every pass runs under the oracle, and pruning on must
+        // reproduce pruning off, work counters apart.
+        fn check<const D: usize>(clustered: bool, k: usize) {
+            let mut pts = curve_ordered(&family_points::<D>(1323, 71, clustered));
+            pts.splice(0..0, std::iter::repeat_n(pts[700], SOA_BLOCK));
+            let w = vec![1.0; pts.len()];
+            let bb = Aabb::from_points(&pts[SOA_BLOCK..2 * SOA_BLOCK]).unwrap();
+            let mut centers = spread_centers(&pts, k);
+            centers[0] = pts[0];
+            if k > 1 {
+                let mut face = bb.center();
+                face[0] = bb.min[0];
+                centers[1] = face;
+            }
+            if k > 2 {
+                centers[2] = bb.center();
+            }
+            let influence: Vec<f64> =
+                (0..k).map(|c| 10f64.powf(((c * 7) % 13) as f64 / 2.0 - 3.0)).collect();
+            let cfg = Config {
+                sampling_init: false,
+                max_iterations: 3,
+                max_balance_iterations: 6,
+                ..Config::default()
+            };
+            let solve = |cfg: &Config| {
+                let (c, i) = (centers.clone(), influence.clone());
+                balanced_kmeans_warm(&SelfComm, &pts, &w, k, c, i, cfg)
+            };
+            let on = solve(&cfg);
+            let off = solve(&Config { bbox_pruning: false, ..cfg.clone() });
+            let tag = format!("D={D} clustered={clustered} k={k}");
+            assert_eq!(on.assignment, off.assignment, "{tag}");
+            assert_eq!(on.centers, off.centers, "{tag}");
+            assert_eq!(on.influence, off.influence, "{tag}");
+            assert_eq!(off.stats.bbox_breaks, 0, "{tag}");
+            let evaluated = off.stats.points_visited - off.stats.hamerly_skips;
+            assert_eq!(off.stats.distance_evals, evaluated * k as u64, "{tag}");
+            if k > 2 {
+                assert!(on.stats.distance_evals < off.stats.distance_evals, "{tag}");
+                assert!(on.stats.bbox_breaks > 0, "{tag}");
+            }
+            // Sampling on: the blocks of a sparse sample are wider.
+            solve(&Config { sampling_init: true, max_iterations: 6, ..cfg });
+        }
+        for clustered in [false, true] {
+            for k in [1, 2, 5, 32, 64, 200] {
+                check::<2>(clustered, k);
+                check::<3>(clustered, k);
+            }
+        }
+    }
+
+    #[test]
+    fn shortlist_excludes_only_centers_beyond_every_second_best() {
+        // The shortlist on its own: random boxes (one in four with zero
+        // extent), centers in and around them (center 0 inside, center 1
+        // on a face), influences over 1e-3…1e3. Every excluded center is
+        // strictly farther, in `Point::dist / influence` arithmetic, than
+        // the brute-force second-best of every sampled point of the box —
+        // corners included — and the kept ones are the scan order's own
+        // entries, in that order.
+        fn check<const D: usize>(rng: &mut SplitMix64, k: usize) -> usize {
+            let lo: [f64; D] = std::array::from_fn(|_| rng.next_f64());
+            let extent = if rng.next_u64().is_multiple_of(4) { 0.0 } else { 0.3 * rng.next_f64() };
+            let hi: [f64; D] = std::array::from_fn(|d| lo[d] + extent * rng.next_f64());
+            let inside = |rng: &mut SplitMix64| -> [f64; D] {
+                std::array::from_fn(|d| lo[d] + (hi[d] - lo[d]) * rng.next_f64())
+            };
+            let mut centers: Vec<Point<D>> = (0..k)
+                .map(|_| Point::new(std::array::from_fn(|_| 1.6 * rng.next_f64() - 0.3)))
+                .collect();
+            centers[0] = Point::new(inside(rng));
+            if k > 1 {
+                let mut face = inside(rng);
+                face[0] = hi[0];
+                centers[1] = Point::new(face);
+            }
+            let influence: Vec<f64> =
+                (0..k).map(|_| 10f64.powf(6.0 * rng.next_f64() - 3.0)).collect();
+            let mut cs = CenterScratch::default();
+            cs.order.extend((0..k as u32).map(|c| (0.0, c)));
+            rng.shuffle(&mut cs.order);
+            cs.fill_sorted::<D>(&centers, &influence);
+            let mut sc = KernelScratch::new(k, D);
+            let m = shortlist::<D>(true, k, &(lo, hi), &cs, &mut sc);
+            // The caller's rule: m = k means "scan `cs`", nothing copied.
+            let kept: &[u32] = if m == k { &cs.ids } else { &sc.ids[..m] };
+            let mut rest = kept.iter().peekable();
+            for id in &cs.ids {
+                if rest.next_if_eq(&id).is_some() && m < k {
+                    let (at, c) = (m - rest.len() - 1, *id as usize);
+                    let lanes: [f64; D] = std::array::from_fn(|d| sc.coords[d * k + at]);
+                    assert_eq!(Point::new(lanes), centers[c]);
+                    assert_eq!(sc.influence[at], influence[c]);
+                    let bb = Aabb { min: Point::new(lo), max: Point::new(hi) };
+                    let near = bb.min_dist(&centers[c]);
+                    assert_eq!(sc.cbound[at].to_bits(), (near / influence[c]).to_bits());
+                }
+            }
+            assert!(rest.next().is_none(), "kept ids are a subsequence of the scan order");
+            for sample in 0..(1usize << D) + 24 {
+                let x = Point::new(if sample < 1 << D {
+                    std::array::from_fn(|d| if sample >> d & 1 == 0 { lo[d] } else { hi[d] })
+                } else {
+                    inside(rng)
+                });
+                let e: Vec<f64> =
+                    centers.iter().zip(&influence).map(|(c, f)| x.dist(c) / f).collect();
+                let mut sorted = e.clone();
+                sorted.sort_by(f64::total_cmp);
+                let second = sorted.get(1).copied().unwrap_or(f64::INFINITY);
+                for (c, &e) in e.iter().enumerate() {
+                    assert!(
+                        kept.contains(&(c as u32)) || e > second,
+                        "D={D} k={k}: center {c} at {e} excluded, second-best {second}"
+                    );
+                }
+            }
+            k - m
+        }
+        let mut rng = SplitMix64::new(81);
+        let mut excluded = 0;
+        for _ in 0..300 {
+            for k in [1, 2, 3, 17, 64] {
+                excluded += check::<2>(&mut rng, k) + check::<3>(&mut rng, k);
+            }
+        }
+        assert!(excluded > 20_000, "the property is vacuous: {excluded} exclusions");
     }
 
     #[test]
