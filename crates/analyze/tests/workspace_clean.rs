@@ -37,16 +37,18 @@ fn hot_loop_markers_are_pinned() {
         .filter(|(_, markers)| *markers > 0)
         .collect();
     // kmeans: `Round::grow`'s rank and back-to-front loops, the two loops
-    // of the sum-order helper (the closures handed to it are their
-    // bodies), `scan_batch`, `shortlist`'s bound, rank, pick and
-    // compaction loops, `process_block`'s survivor loop and
-    // `scan_survivors`' pair loop under the per-block loop; dsort: the radix
-    // sort's fold, counting and scatter passes; graph: the matching scan
+    // of `Round::add_rows` (a sample's in slot order, the run-structured
+    // one in array order), `scan_batch`, `shortlist`'s bound, rank, pick
+    // and compaction loops, `process_block`'s survivor loop and
+    // `scan_survivors`' pair loop under the per-block loop; pipeline: the
+    // warm arm's key loop; dsort: the fold, counting and scatter passes of
+    // `stable_order`, the one pair radix sort; graph: the matching scan
     // and the contraction gather; planner: the cross-parent vertex loop
     // and the sub-CSR extraction; refine: the sweep loop; sfc: the two
     // loops of the key walk.
     let pinned = [
         ("crates/core/src/kmeans.rs", 12),
+        ("crates/core/src/pipeline.rs", 1),
         ("crates/dsort/src/lib.rs", 3),
         ("crates/graph/src/coarsen.rs", 2),
         ("crates/planner/src/hier_refine.rs", 2),

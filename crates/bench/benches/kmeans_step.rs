@@ -3,7 +3,7 @@
 //! `time` column and the Sec. 4.3 skip-rate claim).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use geographer::{balanced_kmeans, Config};
+use geographer::{balanced_kmeans, partition_spmd, Config};
 use geographer_bench::FOUR_BUBBLES;
 use geographer_geometry::{Aabb, Point, SplitMix64};
 use geographer_mesh::density::{bubbles_density, sample_by_density};
@@ -52,6 +52,34 @@ fn bench_kmeans(c: &mut Criterion) {
     g.bench_function("naive", |b| {
         b.iter(|| balanced_kmeans(&SelfComm, &pts, &w, k, centers.clone(), &naive))
     });
+    g.finish();
+
+    // One warm re-step of the pipeline (n = 50k, k = 16, p = 1): a cold
+    // boot, then the drifted points handed back in generator order — the
+    // warm arm keys, sorts and gathers them along its local curve — and
+    // handed back already in that order (8 bits per axis over the rank's
+    // own box, ties in input order), where it finds them ascending and
+    // solves them where they are. The gap is the price of the order.
+    let n = 50_000;
+    let k = 16;
+    let w = vec![1.0; n];
+    let warm = Config { sampling_init: false, ..Config::default() };
+    let cloud = sample_by_density(n, 77, |_| 1.0);
+    let prev = partition_spmd(&SelfComm, &cloud, &w, k, None, &warm).previous();
+    let drifted: Vec<Point<2>> =
+        cloud.iter().map(|p| Point::new([p[0] + 0.01 * p[1], p[1] - 0.005])).collect();
+    let bb = Aabb::from_points(&drifted).expect("points");
+    let order = HilbertMapper::new(bb, 8).order(&drifted);
+    let ordered: Vec<Point<2>> = order.iter().map(|&i| drifted[i as usize]).collect();
+
+    let mut g = c.benchmark_group("warm_step_50k_k16");
+    g.sample_size(10);
+    g.throughput(Throughput::Elements(n as u64));
+    for (name, pts) in [("generator_order", &drifted), ("curve_order", &ordered)] {
+        g.bench_function(name, |b| {
+            b.iter(|| partition_spmd(&SelfComm, pts, &w, k, Some(&prev), &warm))
+        });
+    }
     g.finish();
 }
 

@@ -6,9 +6,9 @@
 //! context, not a regression gate.
 //!
 //! The benchmark exercises the paper's reuse claim: warm-started balanced
-//! k-means should repartition a drifting point set both *faster* (no SFC
-//! bootstrap, few iterations) and *stabler* (lower migrated fraction) than
-//! any cold re-run, at the same balance bound.
+//! k-means should repartition a drifting point set both *faster* (no global
+//! sort or redistribution, few iterations) and *stabler* (lower migrated
+//! fraction) than any cold re-run, at the same balance bound.
 //!
 //! ```console
 //! $ cargo run --release -p geographer_bench --bin bench_repartition
@@ -41,7 +41,7 @@ fn summarize(label: &str, steps: &[ChainStep<2>], n: usize) -> (Value, f64, f64)
          wmigration={weight_migration:.3} max_imb={max_imbalance:.4} cut≈{mean_cut:.0}"
     );
     let step_json = |r: &ChainStep<2>| {
-        obj([
+        let mut fields = vec![
             ("step", r.step.into()),
             ("wall_s", num(r.wall_seconds)),
             ("wall_max_rank_s", num(r.wall_max_rank_s)),
@@ -50,7 +50,21 @@ fn summarize(label: &str, steps: &[ChainStep<2>], n: usize) -> (Value, f64, f64)
             ("edge_cut", r.edge_cut.into()),
             ("migrated_point_fraction", num(r.migrated_point_fraction)),
             ("migrated_weight_fraction", num(r.migrated_weight_fraction)),
-        ])
+        ];
+        // Why a Geographer step costs what it does, from rank 0's plan
+        // over the n/p points rank 0 solved: the distances its kernel
+        // evaluated, and what putting its points in curve order took —
+        // Hilbert indexing on a cold step (the global sort is the
+        // redistribution phase's), the rank-local order on a warm one.
+        if let (Some(stats), Some(phases)) = (r.plan.stats, r.plan.phase_timings) {
+            let local = n / r.plan.ranks;
+            fields.push((
+                "distance_evals_per_point",
+                num(stats.distance_evals as f64 / local as f64),
+            ));
+            fields.push(("order_ns_per_point", num(ns_per_point(phases.sfc_index, local))));
+        }
+        obj(fields)
     };
     let record = obj([
         ("tool", label.into()),

@@ -538,6 +538,31 @@ mod tests {
     }
 
     #[test]
+    fn warm_restart_is_a_fixed_point_on_uneven_thread_ranks() {
+        // Every node's warm solve orders its sub-points rank by rank: an
+        // empty rank, one below a kernel block and one with the rest must
+        // leave unchanged input where it was, in one iteration per node.
+        let wp = uniform(2400, 59);
+        let spec = HierarchySpec::uniform(&[2, 2]);
+        let cfg = Config { sampling_init: false, max_iterations: 200, ..Config::default() };
+        let cuts = [0, 0, 90, 2400];
+        let solve_all = |prev: Option<&PreviousHierarchy<2>>| {
+            run_spmd(3, |c| {
+                let (lo, hi) = (cuts[c.rank()], cuts[c.rank() + 1]);
+                let (points, weights) = (&wp.points[lo..hi], &wp.weights[lo..hi]);
+                partition_hierarchical_spmd(&c, points, weights, &spec, prev, &cfg)
+            })
+        };
+        let cold = solve_all(None);
+        assert!(cold[0].stats.converged, "cold solve must converge for the fixed-point contract");
+        let warm = solve_all(Some(&cold[0].previous));
+        for (w, c) in warm.iter().zip(&cold) {
+            assert_eq!(w.assignment, c.assignment, "unchanged input must not migrate");
+            assert_eq!(w.stats.movement_iterations, 3);
+        }
+    }
+
+    #[test]
     fn warm_restart_tracks_drift_within_balance() {
         let wp = uniform(3000, 54);
         let spec = HierarchySpec::uniform(&[2, 2]);

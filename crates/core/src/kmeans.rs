@@ -104,7 +104,7 @@ pub struct KMeansOutput<const D: usize> {
 }
 
 /// Block width of the SoA kernel: fixed-size runs whose lanes and bounds fit
-/// in L1. After the Hilbert redistribution consecutive points are neighbours,
+/// in L1. In the pipeline's curve order consecutive points are neighbours,
 /// so a block's bounding box is tiny and reaches a handful of the k centers.
 const SOA_BLOCK: usize = 256;
 
@@ -156,8 +156,9 @@ impl<const D: usize> Lanes<D> {
 /// The points of the current movement round, laid out for the blocked
 /// kernel: their coordinate lanes and block boxes, and their
 /// `assignment`/`ub`/`lb` — the only copy the solver holds. Points sit in
-/// ascending id order (after the Hilbert redistribution id order is curve
-/// order, so a block of consecutive sample ids is still spatially tight).
+/// ascending id order; the pipeline orders them along the curve on both
+/// arms (the Hilbert redistribution, the warm arm's rank-local order), so
+/// a block of consecutive sample ids is still spatially tight.
 ///
 /// Samples are nested prefixes of one permutation and a point no round
 /// has reached holds the constant `(assignment, ub, lb) = (0, ∞, 0)`, so
@@ -288,24 +289,62 @@ impl<const D: usize> Round<D> {
         self.lanes.rebuild_boxes();
     }
 
-    /// Call `f(position, weight)` for every point of the round in the one
-    /// order the golden digests pin for sums that round (block weights,
-    /// centroids): a sample in the shuffled order of its `active` list,
-    /// every local point in array order — what the sorted permutation
-    /// spells. `weights` are the local points'; a sample has a slot each.
-    #[inline(always)]
-    fn for_each_in_sum_order(&self, weights: &[f64], mut f: impl FnMut(usize, f64)) {
-        if self.sample.slot.len() == self.assignment.len() {
+    /// Add every point of the round into row `assignment[j]` of `rows`: its
+    /// weight `w` into the row's last entry and, with `XS`, `w·x` into the
+    /// D before it — in the one order the golden digests pin for a round's
+    /// sums (block weights, centroids): a sample in the shuffled order of
+    /// its `active` list, through `slot`; every local point in array order.
+    /// `weights` are the local points'.
+    ///
+    /// Array order is curve order (see [`Round`]), so a cluster's points
+    /// come in runs: the row stays in registers until the cluster changes —
+    /// the adds of `rows[c] += …` per point, in its order, without the
+    /// store-to-load round trip. A sample's runs have length 1, and the
+    /// run test there only costs (DESIGN.md §9).
+    fn add_rows<const XS: bool>(&self, weights: &[f64], rows: &mut [f64]) {
+        let stride = if XS { D + 1 } else { 1 };
+        let lanes: [&[f64]; D] = std::array::from_fn(|d| &self.lanes.coords[d][..]);
+        let asg = &self.assignment[..];
+        if self.sample.slot.len() == asg.len() {
             // geo-analyze: hot-loop
             for (&j, &w) in self.sample.slot.iter().zip(&self.sample.weights) {
-                f(j as usize, w);
+                let row = &mut rows[asg[j as usize] as usize * stride..][..stride];
+                if XS {
+                    for d in 0..D {
+                        row[d] += w * lanes[d][j as usize];
+                    }
+                }
+                row[stride - 1] += w;
             }
-        } else {
-            // geo-analyze: hot-loop
-            for (j, &w) in weights.iter().enumerate() {
-                f(j, w);
-            }
+            return;
         }
+        let Some(&first) = asg.first() else { return };
+        let load = |rows: &[f64], c: usize| -> ([f64; D], f64) {
+            let row = &rows[c * stride..][..stride];
+            (std::array::from_fn(|d| if XS { row[d] } else { 0.0 }), row[stride - 1])
+        };
+        let store = |rows: &mut [f64], c: usize, (xs, w): ([f64; D], f64)| {
+            let row = &mut rows[c * stride..][..stride];
+            row[..stride - 1].copy_from_slice(&xs[..stride - 1]);
+            row[stride - 1] = w;
+        };
+        let mut cur = first as usize;
+        let (mut xs, mut ws) = load(rows, cur);
+        // geo-analyze: hot-loop
+        for (j, (&c, &w)) in asg.iter().zip(weights).enumerate() {
+            if c as usize != cur {
+                store(rows, cur, (xs, ws));
+                cur = c as usize;
+                (xs, ws) = load(rows, cur);
+            }
+            if XS {
+                for d in 0..D {
+                    xs[d] += w * lanes[d][j];
+                }
+            }
+            ws += w;
+        }
+        store(rows, cur, (xs, ws));
     }
 }
 
@@ -711,10 +750,7 @@ impl<const D: usize> Solver<'_, D> {
             // Block-weight accumulation is a single serial pass in the
             // round's order, which fixes the bits of the sums.
             self.local_sizes.iter_mut().for_each(|s| *s = 0.0);
-            let (round, sizes) = (&self.round, &mut self.local_sizes);
-            round.for_each_in_sum_order(self.weights, |j, w| {
-                sizes[round.assignment[j] as usize] += w;
-            });
+            self.round.add_rows::<false>(self.weights, &mut self.local_sizes);
             self.stats.assignment_seconds += assign_t0.elapsed().as_secs_f64();
 
             // The only communication of the balance loop (Alg. 1 line 31).
@@ -788,14 +824,7 @@ impl<const D: usize> Solver<'_, D> {
         self.center_sums.clear();
         self.center_sums.resize(k * stride, 0.0);
         // In the round's order, like the block weights.
-        let (round, sums) = (&self.round, &mut self.center_sums);
-        round.for_each_in_sum_order(self.weights, |j, w| {
-            let c = round.assignment[j] as usize;
-            for d in 0..D {
-                sums[c * stride + d] += w * round.lanes.coords[d][j];
-            }
-            sums[c * stride + D] += w;
-        });
+        self.round.add_rows::<true>(self.weights, &mut self.center_sums);
         comm.allreduce_sum_f64(&mut self.center_sums);
         let (sums, centers, buf) =
             (&self.center_sums, &self.centers, &mut self.new_centers_buf);
@@ -1143,22 +1172,91 @@ mod tests {
                 .collect();
             let expected: Vec<_> = ids.iter().map(|&id| home[id]).collect();
             assert_eq!(held, expected, "{tag}: members carry their state, newcomers (0, ∞, 0)");
-            let mut order = Vec::new();
-            round.for_each_in_sum_order(&weights, |j, w| order.push((ids[j], w.to_bits())));
-            let spelled: Vec<_> = match active {
-                Some(active) => active.iter().map(|&p| p as usize).collect(),
-                None => (0..n).collect(),
-            };
-            assert!(
-                order.iter().copied().eq(spelled.iter().map(|&p| (p, weights[p].to_bits()))),
-                "{tag}: the sums run in `active` order"
-            );
             for (j, &id) in ids.iter().enumerate() {
                 let x = (id * 31 + step) as f64;
                 (round.assignment[j], round.ub[j], round.lb[j]) = (x as u32 % 7, x + 0.5, x / 3.0);
                 home[id] = (round.assignment[j], round.ub[j].to_bits(), round.lb[j].to_bits());
             }
+            assert_rows_are_the_naive_loop(&round, &points, &weights, active, 7, &tag);
         }
+    }
+
+    /// Hold both forms of `add_rows` to the loop it replaced — `rows[c] += …`
+    /// point by point, a sample in the order of its `active` list, every
+    /// local point in array order — from the same arbitrary starting rows,
+    /// bit for bit.
+    fn assert_rows_are_the_naive_loop<const D: usize>(
+        round: &Round<D>,
+        points: &[Point<D>],
+        weights: &[f64],
+        active: Option<&[u32]>,
+        k: usize,
+        tag: &str,
+    ) {
+        let spelled: Vec<usize> = match active {
+            Some(active) => active.iter().map(|&p| p as usize).collect(),
+            None => (0..points.len()).collect(),
+        };
+        let ids = &round.sample.ids;
+        let position = |id: usize| match ids.binary_search(&(id as u32)) {
+            Ok(j) => j,
+            Err(_) => id, // every local point: position is id
+        };
+        let stride = D + 1;
+        let mut rng = SplitMix64::new(63);
+        let start: Vec<f64> = (0..k * stride).map(|_| rng.next_f64() - 0.5).collect();
+        let (mut naive_sums, mut naive_sizes) = (start.clone(), start[..k].to_vec());
+        for id in spelled {
+            let (c, w) = (round.assignment[position(id)] as usize, weights[id]);
+            for d in 0..D {
+                naive_sums[c * stride + d] += w * points[id][d];
+            }
+            naive_sums[c * stride + D] += w;
+            naive_sizes[c] += w;
+        }
+        let (mut sums, mut sizes) = (start.clone(), start[..k].to_vec());
+        round.add_rows::<true>(weights, &mut sums);
+        round.add_rows::<false>(weights, &mut sizes);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&sums), bits(&naive_sums), "{tag}: center sums");
+        assert_eq!(bits(&sizes), bits(&naive_sizes), "{tag}: block weights");
+    }
+
+    #[test]
+    fn add_rows_is_the_naive_loop_bit_for_bit() {
+        /// A round of `sample` (or all) of n points whose clusters come in
+        /// runs of `run` consecutive positions, each run's cluster random.
+        fn check<const D: usize>(n: usize, k: usize, sample: Option<usize>, run: usize) {
+            let points = family_points::<D>(n, 64, false);
+            let mut rng = SplitMix64::new(65);
+            let weights: Vec<f64> = (0..n).map(|_| 0.5 + rng.next_f64()).collect();
+            let mut perm: Vec<u32> = (0..n as u32).collect();
+            rng.shuffle(&mut perm);
+            let active = sample.map(|len| &perm[..len]);
+            let mut round = Round::<D>::with_capacity(n, sample.unwrap_or(0));
+            round.grow(active, &points, &weights);
+            let mut c = 0;
+            for (j, a) in round.assignment.iter_mut().enumerate() {
+                if j % run == 0 {
+                    c = (rng.next_u64() % k as u64) as u32;
+                }
+                *a = c;
+            }
+            let tag = format!("D={D} n={n} k={k} sample={sample:?} run={run}");
+            assert_rows_are_the_naive_loop(&round, &points, &weights, active, k, &tag);
+        }
+        // Runs of length 1, long runs (one ending at the last point, one
+        // of a single point after it), one cluster, an empty round, and a
+        // sample — summed in slot order, whatever its runs.
+        check::<2>(1000, 7, None, 1);
+        check::<3>(1000, 7, None, 1);
+        check::<2>(1000, 7, None, 250);
+        check::<3>(1001, 5, None, 250);
+        check::<2>(600, 1, None, 1);
+        check::<3>(0, 3, None, 1);
+        check::<2>(1000, 7, Some(600), 1);
+        check::<3>(1000, 7, Some(600), 40);
+        check::<2>(1000, 7, Some(0), 1);
     }
 
     #[test]

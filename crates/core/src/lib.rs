@@ -73,10 +73,11 @@
 //! ## Repartitioning a drifting point set (warm start)
 //!
 //! For time-stepped workloads, feed the previous solve's state back in:
-//! with `Some(&previous)`, [`partition_spmd`] skips the SFC bootstrap and
-//! warm-starts from the previous centers and influences, so most points keep
-//! their block (low migration) and convergence takes a handful of
-//! iterations (DESIGN.md §5):
+//! with `Some(&previous)`, [`partition_spmd`] skips the global sort and the
+//! redistribution — each rank only orders its own points along a coarse
+//! curve — and warm-starts from the previous centers and influences, so most
+//! points keep their block (low migration) and convergence takes a handful
+//! of iterations (DESIGN.md §5):
 //!
 //! ```
 //! use geographer::{partition_spmd, Config};

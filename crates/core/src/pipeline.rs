@@ -12,17 +12,21 @@
 //! Handed the previous solve's [`PreviousPartition`], the same call is the
 //! paper's reuse argument made executable: a time-stepped simulation whose
 //! points drift between steps feeds the previous centers and influence
-//! values back in, skips steps 1–3 and 5, and converges in a few warm
-//! iterations — with most points keeping their block, so little data
-//! migrates (DESIGN.md §5; `geographer_graph`'s migration metrics measure
-//! the stability gain).
+//! values back in and converges in a few warm iterations — with most
+//! points keeping their block, so little data migrates (DESIGN.md §5;
+//! `geographer_graph`'s migration metrics measure the stability gain).
+//! That arm has no global sort, no redistribution, no center placement and
+//! no write-back: of steps 1–3 it keeps a *local* order — each rank sorts
+//! its own points along a coarse curve over its own bounding box, without
+//! a collective — because step 4's kernel prunes by the bounding boxes of
+//! consecutive points on either arm.
 //!
 //! Per-phase wall-clock and communication counters are recorded — the
 //! "Components" breakdown of Sec. 5.3.2 reads them directly.
 
 use std::time::Instant;
 
-use geographer_dsort::{rebalance, sample_sort_by_key};
+use geographer_dsort::{rebalance, sample_sort_by_key, stable_order};
 use geographer_geometry::{Aabb, Point};
 use geographer_parcomm::{Comm, CommStats, Wire, WireCursor};
 use geographer_sfc::HilbertMapper;
@@ -39,7 +43,8 @@ const PIPELINE_SFC_BITS: u32 = 16;
 /// effectively the maximum across ranks).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PipelineTimings {
-    /// Hilbert index computation.
+    /// Hilbert index computation; on the warm arm, the rank-local curve
+    /// order (key, sort, gather, scatter back).
     pub sfc_index: f64,
     /// Global sort + redistribution.
     pub redistribute: f64,
@@ -184,11 +189,17 @@ fn phase_boundary<C: Comm>(comm: &C) -> (CommStats, Instant) {
 /// (typically drifted) point set — the same balanced k-means started from
 /// the previous centers and influences instead of from the curve:
 ///
-/// * **No SFC bootstrap.** The Hilbert indexing, global sort, and
-///   redistribution phases are skipped — the previous centers already
-///   encode a good spatial decomposition. Points stay in their caller-side
-///   distribution, so there is no write-back routing either, and the
-///   skipped phases report zero time and no communication.
+/// * **No global sort, no redistribution — a local order.** The previous
+///   centers already encode a good spatial decomposition, so no point
+///   leaves its rank and nothing is routed back: `redistribute` and
+///   `writeback` report zero time, and neither they nor `sfc_index` any
+///   communication. What k-means still needs is *consecutive points that
+///   are neighbours* (its kernel prunes centers by the bounding box of
+///   each 256-point block), so every rank sorts its own points along a
+///   coarse Hilbert curve over its own bounding box (16 key bits in all,
+///   ties in input order; an input that already ascends is solved where
+///   it is), solves, and scatters the blocks back to input order. That
+///   key, sort, gather and scatter are what `sfc_index` times on this arm.
 /// * **No sampling initialization.** `cfg.sampling_init` is forced off:
 ///   its only purpose is to cheapen the cold start, and its rank-local
 ///   permutation would break the unchanged-input ⇒ zero-migration
@@ -280,7 +291,7 @@ pub fn partition_spmd<const D: usize, C: Comm>(
             }
         }
         Some(prev) => {
-            // Phase 3 alone, on the points where the caller has them.
+            // Phase 3 alone, on the rank the caller has the points on.
             assert_eq!(prev.centers.len(), k, "previous partition must carry exactly k centers");
             assert_eq!(
                 prev.influence.len(),
@@ -289,28 +300,84 @@ pub fn partition_spmd<const D: usize, C: Comm>(
             );
             validate_k(k, comm.allreduce(local_n, |a, b| a + b));
             let warm_cfg = Config { sampling_init: false, ..cfg.clone() };
+            // k-means sees curve-ordered points on this arm too: the
+            // kernel's block boxes prune only when consecutive points are
+            // neighbours. The order is this rank's own — a coarse curve
+            // over its own box — so no point and no key leaves the rank.
+            // What outlives the sort is allocated before it: the pair
+            // buffers then come off the top of the heap and go back to
+            // it, where after them they would leave holes under the
+            // k-means arrays (peak RSS of a warm chain +10 %, not +4 %).
+            let mut assignment = vec![0; points.len()];
+            let mut sorted_points: Vec<Point<D>> = Vec::with_capacity(points.len());
+            let mut sorted_weights: Vec<f64> = Vec::with_capacity(points.len());
+            let order = local_curve_order(points);
+            let (pts, wts) = match &order {
+                Some(order) => {
+                    sorted_points.extend(order.iter().map(|&i| points[i as usize]));
+                    sorted_weights.extend(order.iter().map(|&i| weights[i as usize]));
+                    (&sorted_points[..], &sorted_weights[..])
+                }
+                None => (points, weights),
+            };
+            let ordered = t0.elapsed().as_secs_f64();
             let out = balanced_kmeans_warm(
                 comm,
-                points,
-                weights,
+                pts,
+                wts,
                 k,
                 prev.centers.clone(),
                 prev.influence.clone(),
                 &warm_cfg,
             );
-            let kmeans = t0.elapsed().as_secs_f64();
+            let solved = t0.elapsed().as_secs_f64();
+            // Back to input order; an input that already ascends kept it.
+            match &order {
+                Some(order) => {
+                    for (&i, &b) in order.iter().zip(&out.assignment) {
+                        assignment[i as usize] = b;
+                    }
+                }
+                None => assignment = out.assignment,
+            }
+            let sfc_index = ordered + (t0.elapsed().as_secs_f64() - solved);
             let comm_stats = phase_boundary(comm).0.since(&comm_before);
             PipelineResult {
-                assignment: out.assignment,
+                assignment,
                 centers: out.centers,
                 influence: out.influence,
-                timings: PipelineTimings { kmeans, ..PipelineTimings::default() },
+                timings: PipelineTimings {
+                    sfc_index,
+                    kmeans: solved - ordered,
+                    ..PipelineTimings::default()
+                },
                 stats: out.stats,
                 comm_stats,
                 phase_comm: PhaseComm { kmeans: comm_stats, ..PhaseComm::default() },
             }
         }
     }
+}
+
+/// Bits of the warm arm's curve key, all axes together: two byte passes of
+/// the pair sort. The order only has to make the kernel's 256-point blocks
+/// compact, and at this resolution it prunes what 16 bits per axis prune.
+const LOCAL_ORDER_KEY_BITS: u32 = 16;
+
+/// This rank's points in the order of a coarse Hilbert curve over their
+/// own bounding box, ties in input order — `None` when they already are
+/// (an empty rank, coincident points, a caller that keeps them sorted).
+fn local_curve_order<const D: usize>(points: &[Point<D>]) -> Option<Vec<u32>> {
+    assert!(points.len() <= u32::MAX as usize, "the local order indexes points by u32");
+    let mapper = HilbertMapper::new(Aabb::from_points(points)?, LOCAL_ORDER_KEY_BITS / D as u32);
+    let mut pairs = Vec::with_capacity(points.len());
+    // geo-analyze: hot-loop
+    for (p, i) in points.iter().zip(0..) {
+        pairs.push((mapper.key_of(p), i));
+    }
+    // Both pair buffers are gone before the caller gathers: what it holds
+    // through the solve is 4 bytes per point.
+    Some(stable_order(pairs)?.iter().map(|&(_, i)| i).collect())
 }
 
 /// Initial center selection (Algorithm 2, line 7): the points at global
@@ -389,7 +456,7 @@ fn route_back<const D: usize, C: Comm>(
 mod tests {
     use super::*;
     use geographer_geometry::{SplitMix64, WeightedPoints};
-    use geographer_parcomm::{run_spmd, SelfComm};
+    use geographer_parcomm::{run_spmd, Collective, SelfComm};
 
     /// Single-rank solve of a whole point set.
     fn solve<const D: usize>(
@@ -550,10 +617,143 @@ mod tests {
         let warm = solve(&wp, k, Some(&cold.previous()), &cfg);
         assert_eq!(warm.assignment, cold.assignment, "unmoved input must not migrate");
         assert_eq!(warm.stats.movement_iterations, 1);
-        // The warm arm spends no time in the skipped phases.
-        assert_eq!(warm.timings.sfc_index, 0.0);
+        // The warm arm orders its points where they are: no
+        // redistribution, no write-back, no collective in the order, and
+        // none anywhere that moves a point.
         assert_eq!(warm.timings.redistribute, 0.0);
         assert_eq!(warm.timings.writeback, 0.0);
+        let phases = warm.phase_comm;
+        for skipped in [phases.sfc_index, phases.redistribute, phases.writeback] {
+            assert_eq!(skipped.collectives(), 0);
+        }
+        for moving in [Collective::Alltoallv, Collective::Allgather, Collective::Exscan] {
+            assert_eq!(warm.comm_stats.op(moving).ops, 0, "{moving:?}");
+        }
+        assert!(warm.comm_stats.collectives() > 0, "the counters do count on this backend");
+    }
+
+    /// Effective distance of `p` to block `b` under a solve's result.
+    fn eff<const D: usize>(res: &PipelineResult<D>, p: &Point<D>, b: usize) -> f64 {
+        p.dist(&res.centers[b]) / res.influence[b]
+    }
+
+    /// Solve `points` cold, then twice warm — unchanged, then drifted —
+    /// with thread rank r holding `cuts[r]..cuts[r + 1]` of them, and hold
+    /// the warm arm's local order to its contract: it is invisible.
+    fn check_warm_arm(points: &[Point<2>], k: usize, cuts: &[usize]) {
+        let p = cuts.len() - 1;
+        let tag = format!("n = {}, k = {k}, cuts {cuts:?}", points.len());
+        let cfg = Config { sampling_init: false, max_iterations: 300, ..Config::default() };
+        let shard = |pts: &[Point<2>], r: usize| pts[cuts[r]..cuts[r + 1]].to_vec();
+        let solve_all = |pts: &[Point<2>], prev: Option<&PreviousPartition<2>>| {
+            run_spmd(p, |c| {
+                let mine = shard(pts, c.rank());
+                partition_spmd(&c, &mine, &vec![1.0; mine.len()], k, prev, &cfg)
+            })
+        };
+        let cold = solve_all(points, None);
+        assert!(cold[0].stats.converged, "{tag}: the fixed point needs a converged cold solve");
+
+        // Unchanged input: one movement iteration, nothing migrates.
+        let prev = cold[0].previous();
+        let warm = solve_all(points, Some(&prev));
+        for (r, (w, c)) in warm.iter().zip(&cold).enumerate() {
+            assert_eq!(w.assignment, c.assignment, "{tag}: rank {r} migrated unmoved points");
+            assert_eq!(w.stats.movement_iterations, 1, "{tag}");
+        }
+
+        // Drifted input: every rank's assignment is aligned with its own
+        // input — each point sits in the block nearest by effective
+        // distance under the returned state (a converged solve's centers
+        // and influences are the ones its last pass assigned with) — and
+        // the blocks are balanced.
+        let drifted: Vec<Point<2>> = points
+            .iter()
+            .map(|q| Point::new([q[0] + 0.02 * (1.0 - q[1]), q[1] - 0.01 * q[0]]))
+            .collect();
+        let warm = solve_all(&drifted, Some(&prev));
+        let mut sizes = vec![0usize; k];
+        for (r, res) in warm.iter().enumerate() {
+            assert!(res.stats.converged && res.stats.balance_achieved, "{tag}: {:?}", res.stats);
+            let mine = shard(&drifted, r);
+            assert_eq!(res.assignment.len(), mine.len(), "{tag}");
+            for (i, (q, &b)) in mine.iter().zip(&res.assignment).enumerate() {
+                sizes[b as usize] += 1;
+                let own = eff(res, q, b as usize);
+                let best = (0..k).map(|c| eff(res, q, c)).fold(f64::INFINITY, f64::min);
+                assert!(own <= best * (1.0 + 1e-9), "{tag}: rank {r} point {i} in block {b}");
+            }
+        }
+        let allowed = (1.0 + cfg.epsilon) * points.len() as f64 / k as f64;
+        assert!(sizes.iter().all(|&s| s as f64 <= allowed.max(1.0) + 1e-9), "{tag}: {sizes:?}");
+    }
+
+    #[test]
+    fn warm_arm_order_is_invisible_on_awkward_shards() {
+        let n = 3000;
+        let wp = uniform(n, 46);
+        // One rank: every block of the kernel is a curve-ordered block.
+        check_warm_arm(&wp.points, 6, &[0, n]);
+        // An empty rank, a rank below one 256-point block, the rest.
+        check_warm_arm(&wp.points, 6, &[0, 100, n]);
+        check_warm_arm(&wp.points, 6, &[0, 0, n]);
+        check_warm_arm(&wp.points, 5, &[0, 0, 100, n]);
+        check_warm_arm(&wp.points, 5, &[0, 1700, 1700, n]);
+
+        // Heavy duplicates: a 40×40 lattice under 3000 points, so most
+        // locations (and nearly every coarse key) repeat.
+        let snap = |x: f64| (x * 40.0).floor() / 40.0;
+        let lattice: Vec<Point<2>> =
+            wp.points.iter().map(|q| Point::new([snap(q[0]), snap(q[1])])).collect();
+        check_warm_arm(&lattice, 4, &[0, n]);
+        check_warm_arm(&lattice, 4, &[0, 900, 1000, n]);
+
+        // A rank whose points all coincide has a zero-extent box: one key.
+        let mut pinned = wp.points.clone();
+        pinned[1000..1200].fill(Point::new([0.25, 0.75]));
+        check_warm_arm(&pinned, 4, &[0, 1000, 1200, n]);
+        // Every point coincident: one block is all k-means can make of it
+        // (and a zero diagonal leaves no movement below the threshold, so
+        // the solve runs out its budget instead of converging).
+        let spot = Point::new([0.5, 0.5]);
+        let prev = PreviousPartition { centers: vec![spot], influence: vec![1.0] };
+        let cfg = Config { max_iterations: 3, ..Config::default() };
+        for res in run_spmd(2, |c| {
+            let mine = vec![spot; [10, 290][c.rank()]];
+            partition_spmd(&c, &mine, &vec![1.0; mine.len()], 1, Some(&prev), &cfg)
+        }) {
+            assert!(res.assignment.iter().all(|&b| b == 0));
+            assert!(res.stats.balance_achieved);
+        }
+
+        // An input already in the local curve order is solved where it is.
+        let order = local_curve_order(&wp.points).expect("random points are not curve-ordered");
+        let sorted: Vec<Point<2>> = order.iter().map(|&i| wp.points[i as usize]).collect();
+        assert!(local_curve_order(&sorted).is_none());
+        check_warm_arm(&sorted, 6, &[0, n]);
+        check_warm_arm(&sorted, 6, &[0, 1500, n]);
+    }
+
+    #[test]
+    fn local_curve_order_is_a_stable_permutation_into_compact_blocks() {
+        let wp = uniform(5000, 47);
+        let order = local_curve_order(&wp.points).expect("random points are not curve-ordered");
+        let mut seen = order.clone();
+        seen.sort_unstable();
+        assert!(seen.iter().copied().eq(0..5000), "a permutation of the local indices");
+        // 256 consecutive points of the order span a small box; 256
+        // consecutive generator-ordered points span the unit square.
+        let diag = |ids: &[u32]| {
+            let pts: Vec<Point<2>> = ids.iter().map(|&i| wp.points[i as usize]).collect();
+            Aabb::from_points(&pts).expect("non-empty").diagonal()
+        };
+        let worst = order.chunks(256).map(diag).fold(0.0, f64::max);
+        assert!(worst < 0.5, "curve-ordered blocks are compact: {worst}");
+        assert!(diag(&(0..256).collect::<Vec<u32>>()) > 1.2);
+        // Equal keys keep input order: duplicates of one point stay sorted.
+        let twins = [wp.points[7]; 40];
+        assert!(local_curve_order(&twins).is_none());
+        assert!(local_curve_order::<2>(&[]).is_none());
     }
 
     #[test]

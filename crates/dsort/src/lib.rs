@@ -40,20 +40,34 @@ const OVERSAMPLE: usize = 16;
 
 /// `items` in ascending `key` order, equal keys in input order — the order
 /// of `slice::sort_by_key`, from an LSD radix sort that never moves a
-/// record until the end.
-///
-/// Each key is extracted once into a `(key, index)` pair; one xor-fold over
-/// the pairs finds the key bytes that vary at all (4 of 8 for the
-/// pipeline's 32-bit Hilbert keys) and an already ascending input returns
-/// as it came; each varying byte then costs one counting pass and one
-/// scatter of 16-byte pairs between two buffers. A counting scatter keeps
-/// the order of equal bytes, so every pass is stable, and so is their
-/// composition. The records themselves — 40 bytes in the pipeline — move
-/// once, in the closing gather.
+/// record until the end: each key is extracted once into a `(key, index)`
+/// pair, [`stable_order`] sorts the pairs, and the records themselves — 40
+/// bytes in the pipeline — move once, in the closing gather.
 fn sort_by_u64_key<T: Clone>(items: Vec<T>, key: impl Fn(&T) -> u64) -> Vec<T> {
     assert!(items.len() <= u32::MAX as usize, "radix sort indexes items by u32");
-    let mut pairs: Vec<(u64, u32)> = items.iter().zip(0..).map(|(t, i)| (key(t), i)).collect();
-    let Some(&(first, _)) = pairs.first() else { return items };
+    let pairs = items.iter().zip(0..).map(|(t, i)| (key(t), i)).collect();
+    match stable_order(pairs) {
+        Some(sorted) => sorted.iter().map(|&(_, i)| items[i as usize].clone()).collect(),
+        None => items,
+    }
+}
+
+/// `(key, index)` pairs in ascending key order, equal keys in input order:
+/// their index halves are the permutation a stable sort by key applies.
+/// `None` when the keys already ascend (an empty input does), so the
+/// caller keeps its data where it is. Both of the workspace's curve orders
+/// come from here: the bootstrap's global sort above and the rank-local
+/// order of the pipeline's warm arm.
+///
+/// One xor-fold over the pairs finds the key bytes that vary at all (4 of
+/// 8 for the pipeline's 32-bit Hilbert keys, 2 for the warm arm's coarse
+/// ones); each varying byte then costs one counting pass and one scatter
+/// of 16-byte pairs between two buffers. A counting scatter keeps the
+/// order of equal bytes, so every pass is stable, and so is their
+/// composition. The second buffer is freed on return, before the caller
+/// allocates what it gathers into.
+pub fn stable_order(mut pairs: Vec<(u64, u32)>) -> Option<Vec<(u64, u32)>> {
+    let &(first, _) = pairs.first()?;
     let (mut varying, mut ascending, mut prev) = (0u64, true, first);
     // geo-analyze: hot-loop
     for &(k, _) in &pairs {
@@ -62,7 +76,7 @@ fn sort_by_u64_key<T: Clone>(items: Vec<T>, key: impl Fn(&T) -> u64) -> Vec<T> {
         prev = k;
     }
     if ascending {
-        return items;
+        return None;
     }
 
     let mut scratch = vec![(0u64, 0u32); pairs.len()];
@@ -89,8 +103,7 @@ fn sort_by_u64_key<T: Clone>(items: Vec<T>, key: impl Fn(&T) -> u64) -> Vec<T> {
         }
         std::mem::swap(&mut pairs, &mut scratch);
     }
-    drop(scratch); // before the gather allocates its output
-    pairs.iter().map(|&(_, i)| items[i as usize].clone()).collect()
+    Some(pairs)
 }
 
 /// Globally sort `items` by `key` across all ranks of `comm`.
@@ -455,6 +468,9 @@ mod tests {
                 let items: Vec<(u64, usize)> = (0..n).map(|i| (shape(i, n), i)).collect();
                 let mut expected = items.clone();
                 expected.sort_by_key(|t| t.0);
+                // An input that already ascends is told so, not permuted.
+                let pairs = items.iter().zip(0..).map(|(t, i)| (t.0, i)).collect();
+                assert_eq!(stable_order(pairs).is_none(), items == expected, "{name}, n = {n}");
                 assert_eq!(sort_by_u64_key(items, |t| t.0), expected, "{name}, n = {n}");
             }
         }
