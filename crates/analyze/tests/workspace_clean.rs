@@ -40,9 +40,11 @@ fn hot_loop_markers_are_pinned() {
     // of `Round::add_rows` (a sample's in slot order, the run-structured
     // one in array order), `scan_batch`, `shortlist`'s bound, rank, pick
     // and compaction loops, `process_block`'s survivor loop and
-    // `scan_survivors`' pair loop under the per-block loop; pipeline: the
-    // warm arm's key loop; dsort: the fold, counting and scatter passes of
-    // `stable_order`, the one pair radix sort; graph: the matching scan
+    // `scan_survivors`' pair loop under the per-block loop; pipeline:
+    // `curve_pairs`, the key loop of the cold and the warm arm alike;
+    // dsort: the fold, counting and scatter passes of `stable_order`, the
+    // one pair radix sort, which ping-pongs between the two halves of one
+    // buffer; graph: the matching scan
     // and the contraction gather; planner: the cross-parent vertex loop
     // and the sub-CSR extraction; refine: the sweep loop; sfc: the two
     // loops of the key walk.

@@ -1,0 +1,145 @@
+//! Live-byte budget of the cold bootstrap, read off a counting global
+//! allocator rather than RSS: what the allocator hands out is what the
+//! code holds, independent of how glibc maps, trims or keeps it.
+//!
+//! A cold p = 1 `partition_spmd` at n = 20k (uniform points, k = 16,
+//! default config) must peak at no more than ¾ of the live bytes per
+//! point the record-carrying bootstrap peaked at (`RECORD_PATH_COLD`:
+//! 40-byte records in input order, a sorted copy of them, both pair
+//! buffers, and the sorted copy held through k-means). At p = 1 no
+//! record is built at all, so no allocation of the solve is as large as
+//! one 40-byte record per point. A warm step of the same instance peaks
+//! exactly where it did (`RECORD_PATH_WARM`): its buffers did not change
+//! shape.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::sync::Mutex;
+
+use geographer::{partition_spmd, Config, PipelineResult};
+use geographer_geometry::Point;
+use geographer_mesh::density::sample_by_density;
+use geographer_parcomm::SelfComm;
+
+/// Peak live bytes above the caller's, per point, of the cold solve
+/// while the bootstrap still carried records (85 since).
+const RECORD_PATH_COLD: usize = 117;
+/// The same for one warm step after that cold solve.
+const RECORD_PATH_WARM: usize = 68;
+
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+static LARGEST: AtomicUsize = AtomicUsize::new(0);
+
+/// `System`, counting live bytes, their peak and the largest block.
+struct Counting;
+
+fn grew(size: usize) {
+    let live = LIVE.fetch_add(size, Relaxed) + size;
+    PEAK.fetch_max(live, Relaxed);
+    LARGEST.fetch_max(size, Relaxed);
+}
+
+// SAFETY: every method forwards to `System` with the caller's pointer and
+// layout unchanged, so `System`'s guarantees are this allocator's; the
+// counters are bookkeeping beside it and never touch the memory.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        let ptr = unsafe { System.alloc(layout) };
+        if !ptr.is_null() {
+            grew(layout.size());
+        }
+        ptr
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
+        let ptr = unsafe { System.alloc_zeroed(layout) };
+        if !ptr.is_null() {
+            grew(layout.size());
+        }
+        ptr
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`, with
+        // this layout.
+        unsafe { System.dealloc(ptr, layout) };
+        LIVE.fetch_sub(layout.size(), Relaxed);
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // SAFETY: `ptr` came from `System` with this layout; the caller
+        // upholds the rest of `GlobalAlloc::realloc`'s contract.
+        let moved = unsafe { System.realloc(ptr, layout, new_size) };
+        if !moved.is_null() {
+            // Old and new block counted live together: a copying realloc
+            // holds both.
+            grew(new_size);
+            LIVE.fetch_sub(layout.size(), Relaxed);
+        }
+        moved
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// The harness runs tests on parallel threads; the counters are global.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// `f`'s result, its peak live bytes above the live bytes at entry, and
+/// its largest single allocation.
+fn measure<R>(f: impl FnOnce() -> R) -> (R, usize, usize) {
+    let base = LIVE.load(Relaxed);
+    PEAK.store(base, Relaxed);
+    LARGEST.store(0, Relaxed);
+    let out = f();
+    (out, PEAK.load(Relaxed) - base, LARGEST.load(Relaxed))
+}
+
+const N: usize = 20_000;
+const K: usize = 16;
+
+fn solve(
+    points: &[Point<2>],
+    weights: &[f64],
+    warm_from: Option<&PipelineResult<2>>,
+) -> PipelineResult<2> {
+    let prev = warm_from.map(PipelineResult::previous);
+    partition_spmd(&SelfComm, points, weights, K, prev.as_ref(), &Config::default())
+}
+
+#[test]
+fn cold_bootstrap_holds_a_quarter_less_and_builds_no_record() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let points = sample_by_density(N, 2018, |_| 1.0);
+    let weights = vec![1.0; N];
+    let _ = solve(&points, &weights, None);
+    let (_, peak, largest) = measure(|| solve(&points, &weights, None));
+    let per_point = peak / N;
+    println!("cold: {per_point} live bytes per point at peak, largest block {largest}");
+    assert!(
+        4 * per_point <= 3 * RECORD_PATH_COLD,
+        "cold p = 1 solve peaks at {per_point} B/point, \
+         the record path at {RECORD_PATH_COLD}"
+    );
+    // A record is 40 bytes (key, id, two coordinates, weight): no array
+    // of them may exist at p = 1.
+    assert!(largest < 40 * N, "a {largest}-byte block: records were built at p = 1");
+}
+
+#[test]
+fn warm_step_peak_is_unchanged() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let points = sample_by_density(N, 2018, |_| 1.0);
+    let weights = vec![1.0; N];
+    let cold = solve(&points, &weights, None);
+    let drifted: Vec<Point<2>> =
+        points.iter().map(|q| Point::new([q[0] + 0.01 * q[1], q[1] - 0.005])).collect();
+    let (_, peak, _) = measure(|| solve(&drifted, &weights, Some(&cold)));
+    let per_point = peak / N;
+    println!("warm: {per_point} live bytes per point at peak");
+    assert_eq!(per_point, RECORD_PATH_WARM, "a warm step's peak moved");
+}

@@ -2,12 +2,15 @@
 //!
 //! 1. compute Hilbert indices of all points (over the global bounding box);
 //! 2. globally sort and redistribute the points by Hilbert index, so every
-//!    rank owns a spatially coherent, equally sized shard;
+//!    rank owns a spatially coherent, equally sized shard — the sort runs
+//!    on `(key, index)` pairs, and a point travels as a record only where
+//!    it crosses a wire (p > 1);
 //! 3. place the k initial centers at equal distances along the sorted
 //!    order (`C[i] = sortedPoints[i·n/k + n/2k]`);
 //! 4. run balanced k-means;
 //! 5. route the block assignments back to the original owners (evaluation
-//!    convenience; not part of the paper's timed pipeline).
+//!    convenience; not part of the paper's timed pipeline) — a rank's own
+//!    points are written in place, only the others travel.
 //!
 //! Handed the previous solve's [`PreviousPartition`], the same call is the
 //! paper's reuse argument made executable: a time-stepped simulation whose
@@ -26,7 +29,7 @@
 
 use std::time::Instant;
 
-use geographer_dsort::{rebalance, sample_sort_by_key, stable_order};
+use geographer_dsort::{exchange_sorted, rebalance, stable_order};
 use geographer_geometry::{Aabb, Point};
 use geographer_parcomm::{Comm, CommStats, Wire, WireCursor};
 use geographer_sfc::HilbertMapper;
@@ -138,8 +141,9 @@ pub fn global_bbox<const D: usize, C: Comm>(comm: &C, points: &[Point<D>]) -> Aa
     Aabb::new(Point::new(lo), Point::new(hi))
 }
 
-/// A point travelling through the sort/exchange, tagged with its Hilbert
-/// key and original global id.
+/// A point crossing the wire in the sort/exchange at p > 1, tagged with its
+/// Hilbert key and original global id. Built straight into the run bound
+/// for its rank and unpacked on arrival; p = 1 never builds one.
 #[derive(Debug, Clone, Copy)]
 struct Tagged<const D: usize> {
     key: u64,
@@ -185,7 +189,17 @@ fn phase_boundary<C: Comm>(comm: &C) -> (CommStats, Instant) {
 /// shard; the returned assignment is aligned with them.
 ///
 /// With `prev = None` this is the cold solve: all five steps of the
-/// module docs. With `prev = Some(state)` it is the warm solve of a
+/// module docs. Its sort and redistribution (phase 2) sorts `(key, local
+/// index)` pairs; at p = 1 that sort *is* the redistribution and the
+/// points and weights are gathered through it, so no record is ever
+/// built, while at p > 1 each point becomes a 40-byte record only to
+/// cross the wire and is unpacked on arrival. Through k-means a rank then
+/// holds its sorted points and weights and one origin per point (a `u32`
+/// input index at p = 1, a `u64` global id at p > 1). The write-back
+/// (phase 4) stores the blocks of the rank's own input points in place
+/// and sends only the others: at p = 1 it is one scatter.
+///
+/// With `prev = Some(state)` it is the warm solve of a
 /// (typically drifted) point set — the same balanced k-means started from
 /// the previous centers and influences instead of from the curve:
 ///
@@ -229,40 +243,50 @@ pub fn partition_spmd<const D: usize, C: Comm>(
 
     match prev {
         None => {
-            // Phase 1: Hilbert indices.
+            // Phase 1: Hilbert keys, as (key, local index) pairs — no
+            // record is built here, and at p = 1 none is built at all.
             let bb = global_bbox(comm, points);
             let mapper = HilbertMapper::new(bb, PIPELINE_SFC_BITS);
             let id_offset = comm.exscan_sum_u64(local_n);
             let global_n = comm.allreduce(local_n, |a, b| a + b);
             validate_k(k, global_n);
-            let tagged: Vec<Tagged<D>> = points
-                .iter()
-                .zip(weights)
-                .enumerate()
-                .map(|(i, (p, &w))| Tagged {
-                    key: mapper.key_of(p),
-                    id: id_offset + i as u64,
-                    coords: *p.coords(),
-                    weight: w,
-                })
-                .collect();
+            // What outlives the sort is allocated before the pair buffer —
+            // first all the result keeps, then at p = 1 the permutation —
+            // so the buffer is the last block on the heap and what is
+            // gathered once it is freed takes its place. A warm step
+            // allocates in the same order and so peaks where this solve
+            // did, and the small vectors a caller keeps sit below every
+            // buffer freed after them, where they pin nothing (DESIGN.md
+            // §9).
+            let mut kept_centers = Vec::with_capacity(k);
+            let mut kept_influence = Vec::with_capacity(k);
+            let mut assignment = vec![u32::MAX; points.len()];
+            let mut ids = Vec::with_capacity(if comm.size() == 1 { points.len() } else { 0 });
+            let mut order = curve_pairs(&mapper, points);
             let sfc_index = t0.elapsed().as_secs_f64();
             let (comm_after_index, t1) = phase_boundary(comm);
 
-            // Phase 2: global sort by key + rebalance to n/p per rank.
-            let sorted = sample_sort_by_key(comm, tagged, |t| t.key);
-            let sorted = rebalance(comm, sorted);
+            // Phase 2: global sort by key + rebalance to n/p per rank. At
+            // p = 1 both are the local sort, so the points are gathered
+            // straight through it; at p > 1 records exist only to cross
+            // the wire, and are unpacked as soon as they have.
+            stable_order(&mut order);
+            let (sorted_points, sorted_weights, origins) = if comm.size() == 1 {
+                fill_permutation(&mut ids, order);
+                (gather(points, &ids), gather(weights, &ids), Origins::Local(ids))
+            } else {
+                let record = |&(key, i): &(u64, u32)| Tagged {
+                    key,
+                    id: id_offset + u64::from(i),
+                    coords: *points[i as usize].coords(),
+                    weight: weights[i as usize],
+                };
+                unpack(rebalance(comm, exchange_sorted(comm, order, record, |t| t.key)))
+            };
             let redistribute = t1.elapsed().as_secs_f64();
             let (comm_after_redistribute, t2) = phase_boundary(comm);
 
             // Phase 3: initial centers along the curve, then balanced k-means.
-            // One pass over the sorted run fills both exact-size arrays.
-            let mut sorted_points: Vec<Point<D>> = Vec::with_capacity(sorted.len());
-            let mut sorted_weights: Vec<f64> = Vec::with_capacity(sorted.len());
-            for t in &sorted {
-                sorted_points.push(Point::new(t.coords));
-                sorted_weights.push(t.weight);
-            }
             let centers = initial_centers_from_sorted(comm, &sorted_points, k, global_n);
             let out = balanced_kmeans(comm, &sorted_points, &sorted_weights, k, centers, cfg);
             let kmeans = t2.elapsed().as_secs_f64();
@@ -270,15 +294,20 @@ pub fn partition_spmd<const D: usize, C: Comm>(
 
             // Phase 4 (untimed in the paper): route assignments back to the
             // original owners so callers see blocks in input order.
-            let assignment =
-                route_back(comm, &sorted, &out.assignment, id_offset, local_n as usize);
+            let blocks = &out.assignment;
+            match &origins {
+                Origins::Local(ids) => route_back(comm, ids, blocks, id_offset, &mut assignment),
+                Origins::Global(ids) => route_back(comm, ids, blocks, id_offset, &mut assignment),
+            }
             let writeback = t3.elapsed().as_secs_f64();
             let (comm_after_writeback, _) = phase_boundary(comm);
 
+            kept_centers.extend_from_slice(&out.centers);
+            kept_influence.extend_from_slice(&out.influence);
             PipelineResult {
                 assignment,
-                centers: out.centers,
-                influence: out.influence,
+                centers: kept_centers,
+                influence: kept_influence,
                 timings: PipelineTimings { sfc_index, redistribute, kmeans, writeback },
                 stats: out.stats,
                 comm_stats: comm_after.since(&comm_before),
@@ -304,20 +333,15 @@ pub fn partition_spmd<const D: usize, C: Comm>(
             // kernel's block boxes prune only when consecutive points are
             // neighbours. The order is this rank's own — a coarse curve
             // over its own box — so no point and no key leaves the rank.
-            // What outlives the sort is allocated before it: the pair
-            // buffers then come off the top of the heap and go back to
-            // it, where after them they would leave holes under the
-            // k-means arrays (peak RSS of a warm chain +10 %, not +4 %).
+            // The allocation order is the cold arm's at p = 1: the result,
+            // the permutation, the pair buffer, and — the buffer freed —
+            // the gathers. The two arms then peak at the same heap extent,
+            // so a warm chain after a cold boot finds its pages mapped.
             let mut assignment = vec![0; points.len()];
-            let mut sorted_points: Vec<Point<D>> = Vec::with_capacity(points.len());
-            let mut sorted_weights: Vec<f64> = Vec::with_capacity(points.len());
             let order = local_curve_order(points);
-            let (pts, wts) = match &order {
-                Some(order) => {
-                    sorted_points.extend(order.iter().map(|&i| points[i as usize]));
-                    sorted_weights.extend(order.iter().map(|&i| weights[i as usize]));
-                    (&sorted_points[..], &sorted_weights[..])
-                }
+            let sorted = order.as_ref().map(|ids| (gather(points, ids), gather(weights, ids)));
+            let (pts, wts) = match &sorted {
+                Some((pts, wts)) => (&pts[..], &wts[..]),
                 None => (points, weights),
             };
             let ordered = t0.elapsed().as_secs_f64();
@@ -368,16 +392,64 @@ const LOCAL_ORDER_KEY_BITS: u32 = 16;
 /// own bounding box, ties in input order — `None` when they already are
 /// (an empty rank, coincident points, a caller that keeps them sorted).
 fn local_curve_order<const D: usize>(points: &[Point<D>]) -> Option<Vec<u32>> {
-    assert!(points.len() <= u32::MAX as usize, "the local order indexes points by u32");
     let mapper = HilbertMapper::new(Aabb::from_points(points)?, LOCAL_ORDER_KEY_BITS / D as u32);
-    let mut pairs = Vec::with_capacity(points.len());
+    let mut ids = Vec::with_capacity(points.len());
+    let mut pairs = curve_pairs(&mapper, points);
+    stable_order(&mut pairs).then(|| {
+        fill_permutation(&mut ids, pairs);
+        ids
+    })
+}
+
+/// `(curve key, local index)` of every point, in input order, in the one
+/// buffer of 2n pairs [`stable_order`] sorts in — the key loop of both
+/// arms. Inlined so each arm's key walk is compiled for its own constant
+/// resolution; called through a shared copy, the warm arm's order took
+/// 8–11 % longer at n = 50k.
+#[inline(always)]
+fn curve_pairs<const D: usize>(mapper: &HilbertMapper<D>, points: &[Point<D>]) -> Vec<(u64, u32)> {
+    assert!(points.len() <= u32::MAX as usize, "the local sort indexes points by u32");
+    let mut pairs = Vec::with_capacity(2 * points.len());
     // geo-analyze: hot-loop
     for (p, i) in points.iter().zip(0..) {
         pairs.push((mapper.key_of(p), i));
     }
-    // Both pair buffers are gone before the caller gathers: what it holds
-    // through the solve is 4 bytes per point.
-    Some(stable_order(pairs)?.iter().map(|&(_, i)| i).collect())
+    pairs
+}
+
+/// Fill `ids` with the permutation sorted pairs stand for, and free the
+/// pair buffer: what a rank holds through the solve is 4 bytes per point,
+/// not 32. Both arms reserve `ids` before they allocate the buffer.
+fn fill_permutation(ids: &mut Vec<u32>, pairs: Vec<(u64, u32)>) {
+    ids.extend(pairs.iter().map(|&(_, i)| i));
+}
+
+/// `src` in the order `ids` names.
+fn gather<T: Copy>(src: &[T], ids: &[u32]) -> Vec<T> {
+    ids.iter().map(|&i| src[i as usize]).collect()
+}
+
+/// Where each point of a rank's share of the curve came from — 4 bytes
+/// per point at p = 1, 8 at p > 1, in place of the 40-byte record.
+enum Origins {
+    /// p = 1: its index in the caller's input.
+    Local(Vec<u32>),
+    /// p > 1: its global id.
+    Global(Vec<u64>),
+}
+
+/// p > 1: the points, weights and origins of the records this rank
+/// received; the records are freed here.
+fn unpack<const D: usize>(records: Vec<Tagged<D>>) -> (Vec<Point<D>>, Vec<f64>, Origins) {
+    let n = records.len();
+    let (mut points, mut weights, mut ids) =
+        (Vec::with_capacity(n), Vec::with_capacity(n), Vec::with_capacity(n));
+    for t in &records {
+        points.push(Point::new(t.coords));
+        weights.push(t.weight);
+        ids.push(t.id);
+    }
+    (points, weights, Origins::Global(ids))
 }
 
 /// Initial center selection (Algorithm 2, line 7): the points at global
@@ -406,15 +478,18 @@ fn initial_centers_from_sorted<const D: usize, C: Comm>(
     all.into_iter().map(|(_, c)| Point::new(c)).collect()
 }
 
-/// Send `(original id, block)` pairs back to the original owners (who are
-/// identified by the global id ranges of the input distribution).
-fn route_back<const D: usize, C: Comm>(
+/// Return each sorted point's block to the rank that owns its input
+/// position: `origins[j]` is the global id of sorted point `j`, and the
+/// owners are identified by the global id ranges of the input
+/// distribution. A block whose point this rank owns is written in place;
+/// only the others travel, as `(id, block)` pairs in one alltoallv.
+fn route_back<C: Comm, O: Copy + Into<u64>>(
     comm: &C,
-    sorted: &[Tagged<D>],
+    origins: &[O],
     blocks: &[u32],
     my_id_offset: u64,
-    my_input_len: usize,
-) -> Vec<u32> {
+    assignment: &mut [u32],
+) {
     // Original ownership boundaries: allgather every rank's offset.
     let offsets: Vec<u64> =
         comm.allgather(vec![my_id_offset]).into_iter().map(|v| v[0]).collect();
@@ -434,22 +509,23 @@ fn route_back<const D: usize, C: Comm>(
             Err(ins) => ins - 1,
         }
     };
-    let p = comm.size();
-    let mut sends: Vec<Vec<(u64, u32)>> = vec![Vec::new(); p];
-    for (t, &b) in sorted.iter().zip(blocks) {
-        sends[owner_of(t.id)].push((t.id, b));
+    let mine = my_id_offset..my_id_offset + assignment.len() as u64;
+    let mut sends: Vec<Vec<(u64, u32)>> = vec![Vec::new(); comm.size()];
+    for (&origin, &b) in origins.iter().zip(blocks) {
+        let id = origin.into();
+        if mine.contains(&id) {
+            assignment[(id - my_id_offset) as usize] = b;
+        } else {
+            sends[owner_of(id)].push((id, b));
+        }
     }
-    let received = comm.alltoallv(sends);
-    let mut assignment = vec![u32::MAX; my_input_len];
-    for (id, b) in received.into_iter().flatten() {
-        let local = (id - my_id_offset) as usize;
-        assignment[local] = b;
+    for (id, b) in comm.alltoallv(sends).into_iter().flatten() {
+        assignment[(id - my_id_offset) as usize] = b;
     }
     assert!(
         assignment.iter().all(|&b| b != u32::MAX),
         "every input point must receive its block"
     );
-    assignment
 }
 
 #[cfg(test)]
@@ -526,26 +602,80 @@ mod tests {
         }
     }
 
+    /// Solve `points` cold on thread ranks, rank r holding
+    /// `cuts[r]..cuts[r + 1]`, and hold the concatenated assignment to the
+    /// single-rank one bit for bit.
+    fn check_agrees_with_one_rank(points: &[Point<2>], k: usize, cuts: &[usize]) {
+        let cfg = Config { sampling_init: false, ..Config::default() };
+        let serial = partition_spmd(&SelfComm, points, &vec![1.0; points.len()], k, None, &cfg);
+        let results = run_spmd(cuts.len() - 1, |c| {
+            let mine = &points[cuts[c.rank()]..cuts[c.rank() + 1]];
+            partition_spmd(&c, mine, &vec![1.0; mine.len()], k, None, &cfg).assignment
+        });
+        let distributed: Vec<u32> = results.into_iter().flatten().collect();
+        assert_eq!(distributed, serial.assignment, "k = {k}, cuts {cuts:?}");
+    }
+
     #[test]
     fn spmd_and_serial_agree_globally() {
         // The pipeline is rank-count invariant by construction (global
         // sort, identical center seeds, collective-driven iterations) as
         // long as sampling init is off (its permutation is rank-local).
         let wp = uniform(1200, 3);
-        let k = 5;
-        let cfg = Config { sampling_init: false, ..Config::default() };
-        let serial = solve(&wp, k, None, &cfg);
-        let pts = wp.points.clone();
-        let results = run_spmd(3, |c| {
-            let chunk = pts.len() / 3;
-            let lo = c.rank() * chunk;
-            let hi = lo + chunk;
-            let w = vec![1.0; hi - lo];
-            partition_spmd(&c, &pts[lo..hi], &w, k, None, &cfg)
-        });
-        let distributed: Vec<u32> =
-            results.into_iter().flat_map(|r| r.assignment).collect();
-        assert_eq!(distributed, serial.assignment);
+        check_agrees_with_one_rank(&wp.points, 5, &[0, 400, 800, 1200]);
+        // An empty rank and a rank below one 256-point block.
+        check_agrees_with_one_rank(&wp.points, 5, &[0, 0, 1200]);
+        check_agrees_with_one_rank(&wp.points, 5, &[0, 100, 100, 1200]);
+
+        // Heavy duplicates: a 30×30 lattice under 1200 points, so most
+        // 16-bit keys repeat and the sort's tie order — (source rank,
+        // input position) — decides where equal keys land.
+        let snap = |x: f64| (x * 30.0).floor() / 30.0;
+        let lattice: Vec<Point<2>> =
+            wp.points.iter().map(|q| Point::new([snap(q[0]), snap(q[1])])).collect();
+        check_agrees_with_one_rank(&lattice, 4, &[0, 1200]);
+        check_agrees_with_one_rank(&lattice, 4, &[0, 700, 1200]);
+        check_agrees_with_one_rank(&lattice, 4, &[0, 0, 1200]);
+        check_agrees_with_one_rank(&lattice, 4, &[0, 50, 50, 1200]);
+        check_agrees_with_one_rank(&lattice, 4, &[0, 500, 700, 1200]);
+    }
+
+    #[test]
+    fn route_back_returns_every_block_home() {
+        // Input ids: rank 0 owns 0..10, rank 1 none, rank 2 10..30. Each
+        // case says which ids every rank holds after the sort; the block
+        // of id g is a function of g, so a misrouted block shows.
+        let block = |g: u64| (g * 7 % 11) as u32;
+        let inputs = [10, 0, 20];
+        let cases: [(&str, [Vec<u64>; 3]); 3] = [
+            ("all home", [(0..10).collect(), vec![], (10..30).collect()]),
+            ("none home", [(10..30).rev().collect(), (0..10).collect(), vec![]]),
+            (
+                "some home",
+                [(0..10).rev().collect(), (5..15).collect(), (15..30).chain(0..5).collect()],
+            ),
+        ];
+        for (name, held) in cases {
+            let results = run_spmd(3, |c| {
+                let r = c.rank();
+                let offset: usize = inputs[..r].iter().sum();
+                let blocks: Vec<u32> = held[r].iter().map(|&g| block(g)).collect();
+                let mut assignment = vec![u32::MAX; inputs[r]];
+                route_back(&c, &held[r], &blocks, offset as u64, &mut assignment);
+                (offset, assignment)
+            });
+            for (r, (offset, assignment)) in results.into_iter().enumerate() {
+                let expected: Vec<u32> =
+                    (offset..offset + inputs[r]).map(|g| block(g as u64)).collect();
+                assert_eq!(assignment, expected, "{name}: rank {r}");
+            }
+        }
+        // p = 1 reads local u32 indices and sends nothing.
+        let ids: Vec<u32> = (0..10).rev().collect();
+        let mut assignment = vec![u32::MAX; 10];
+        let blocks: Vec<u32> = ids.iter().map(|&i| block(u64::from(i))).collect();
+        route_back(&SelfComm, &ids, &blocks, 0, &mut assignment);
+        assert_eq!(assignment, (0..10).map(block).collect::<Vec<_>>());
     }
 
     #[test]

@@ -9,8 +9,10 @@
 //!   personalized exchange) with simpler machinery. Locally it is an LSD
 //!   radix sort on `(key, index)` pairs before the exchange and a p-way
 //!   merge of the received runs after it: a record moves once per stage,
-//!   and equal keys keep (source rank, input position) order. See
-//!   DESIGN.md §3.
+//!   and equal keys keep (source rank, input position) order. The two
+//!   halves are public on their own — [`stable_order`] and
+//!   [`exchange_sorted`] — so the pipeline can sort its keys as pairs and
+//!   build a record only where one crosses the wire. See DESIGN.md §3.
 //! * [`weighted_quantiles_grouped`] / [`weighted_quantiles_u64`] — distributed
 //!   weighted quantile selection by bisection, the communication kernel
 //!   inside the RCB/RIB/MultiJagged/HSFC baselines (this is also how
@@ -38,48 +40,40 @@ use geographer_parcomm::{Comm, Wire};
 /// balance for one slightly larger allgather.
 const OVERSAMPLE: usize = 16;
 
-/// `items` in ascending `key` order, equal keys in input order — the order
-/// of `slice::sort_by_key`, from an LSD radix sort that never moves a
-/// record until the end: each key is extracted once into a `(key, index)`
-/// pair, [`stable_order`] sorts the pairs, and the records themselves — 40
-/// bytes in the pipeline — move once, in the closing gather.
-fn sort_by_u64_key<T: Clone>(items: Vec<T>, key: impl Fn(&T) -> u64) -> Vec<T> {
-    assert!(items.len() <= u32::MAX as usize, "radix sort indexes items by u32");
-    let pairs = items.iter().zip(0..).map(|(t, i)| (key(t), i)).collect();
-    match stable_order(pairs) {
-        Some(sorted) => sorted.iter().map(|&(_, i)| items[i as usize].clone()).collect(),
-        None => items,
-    }
-}
-
-/// `(key, index)` pairs in ascending key order, equal keys in input order:
-/// their index halves are the permutation a stable sort by key applies.
-/// `None` when the keys already ascend (an empty input does), so the
-/// caller keeps its data where it is. Both of the workspace's curve orders
-/// come from here: the bootstrap's global sort above and the rank-local
-/// order of the pipeline's warm arm.
+/// Sort `(key, index)` pairs by key in place, equal keys in their input
+/// order; `false`, with nothing moved, when the keys already ascend (an
+/// empty input does). Built with each index its position, the index halves
+/// are then the permutation a stable sort by key applies, and `false`
+/// says it is the identity. Both of the workspace's curve orders come from
+/// here: the bootstrap's local sort and the rank-local order of the
+/// pipeline's warm arm.
 ///
 /// One xor-fold over the pairs finds the key bytes that vary at all (4 of
 /// 8 for the pipeline's 32-bit Hilbert keys, 2 for the warm arm's coarse
 /// ones); each varying byte then costs one counting pass and one scatter
-/// of 16-byte pairs between two buffers. A counting scatter keeps the
-/// order of equal bytes, so every pass is stable, and so is their
-/// composition. The second buffer is freed on return, before the caller
-/// allocates what it gathers into.
-pub fn stable_order(mut pairs: Vec<(u64, u32)>) -> Option<Vec<(u64, u32)>> {
-    let &(first, _) = pairs.first()?;
+/// of 16-byte pairs between the two halves of **one** buffer of 2n pairs.
+/// A caller that reserved `2 * pairs.len()` lets the sort allocate
+/// nothing; otherwise the vector grows once. On return it holds the n
+/// sorted pairs at that capacity: drop it before allocating what outlives
+/// it. A counting scatter keeps the order of equal bytes, so every pass
+/// is stable, and so is their composition.
+pub fn stable_order(pairs: &mut Vec<(u64, u32)>) -> bool {
+    let n = pairs.len();
+    let Some(&(first, _)) = pairs.first() else { return false };
     let (mut varying, mut ascending, mut prev) = (0u64, true, first);
     // geo-analyze: hot-loop
-    for &(k, _) in &pairs {
+    for &(k, _) in pairs.iter() {
         varying |= k ^ first;
         ascending &= prev <= k;
         prev = k;
     }
     if ascending {
-        return None;
+        return false;
     }
 
-    let mut scratch = vec![(0u64, 0u32); pairs.len()];
+    pairs.resize(2 * n, (0, 0));
+    let (mut src, mut dst) = pairs.split_at_mut(n);
+    let mut in_lower = true;
     for shift in (0..u64::BITS).step_by(8) {
         if (varying >> shift) & 0xff == 0 {
             continue;
@@ -87,7 +81,7 @@ pub fn stable_order(mut pairs: Vec<(u64, u32)>) -> Option<Vec<(u64, u32)>> {
         let byte = |k: u64| (k >> shift) as usize & 0xff;
         let mut next = [0usize; 256];
         // geo-analyze: hot-loop
-        for &(k, _) in &pairs {
+        for &(k, _) in src.iter() {
             next[byte(k)] += 1;
         }
         // Counts to first output positions.
@@ -96,14 +90,19 @@ pub fn stable_order(mut pairs: Vec<(u64, u32)>) -> Option<Vec<(u64, u32)>> {
             sum += std::mem::replace(slot, sum);
         }
         // geo-analyze: hot-loop
-        for &pair in &pairs {
+        for &pair in src.iter() {
             let slot = &mut next[byte(pair.0)];
-            scratch[*slot] = pair;
+            dst[*slot] = pair;
             *slot += 1;
         }
-        std::mem::swap(&mut pairs, &mut scratch);
+        std::mem::swap(&mut src, &mut dst);
+        in_lower = !in_lower;
     }
-    Some(pairs)
+    if !in_lower {
+        pairs.copy_within(n.., 0);
+    }
+    pairs.truncate(n);
+    true
 }
 
 /// Globally sort `items` by `key` across all ranks of `comm`.
@@ -119,27 +118,59 @@ pub fn stable_order(mut pairs: Vec<(u64, u32)>) -> Option<Vec<(u64, u32)>> {
 /// takes; the thread ≡ process bitwise contract and the golden digests
 /// rest on it, because 16-bit-per-axis Hilbert keys do collide
 /// (DESIGN.md §3).
+///
+/// The local half is [`stable_order`] on `(key, index)` pairs; the
+/// exchange half is [`exchange_sorted`], which gathers each item once,
+/// straight into the run bound for its rank.
 pub fn sample_sort_by_key<T, C, K>(comm: &C, items: Vec<T>, key: K) -> Vec<T>
 where
     T: Wire,
     C: Comm,
     K: Fn(&T) -> u64,
 {
-    let p = comm.size();
-    let mut items = sort_by_u64_key(items, &key);
-    if p == 1 {
+    assert!(items.len() <= u32::MAX as usize, "the local sort indexes items by u32");
+    let mut order = Vec::with_capacity(2 * items.len());
+    order.extend(items.iter().zip(0..).map(|(t, i)| (key(t), i)));
+    if !stable_order(&mut order) && comm.size() == 1 {
         return items;
     }
+    // Hand the sort's second half back before the items are gathered
+    // (in place: a shrinking realloc does not copy), so the gather peaks
+    // over n pairs, not 2n.
+    order.shrink_to_fit();
+    exchange_sorted(comm, order, move |&(_, i)| items[i as usize].clone(), key)
+}
 
-    // Regular sampling of the locally sorted run.
-    let s = OVERSAMPLE * (p - 1);
-    let mut samples = Vec::with_capacity(s.min(items.len()));
-    if !items.is_empty() {
-        for j in 0..s {
-            let idx = (j * items.len()) / s;
-            samples.push(key(&items[idx]));
-        }
+/// The exchange half of [`sample_sort_by_key`]. `order` is this rank's
+/// `(key, index)` pairs as [`stable_order`] left them, `record` makes the
+/// item a pair stands for, and `key` reads the key back off an item. Each
+/// item is made once, directly into the run for the rank that owns its
+/// key; `order` and `record` (with whatever it owns) are dropped before
+/// the exchange, and the received runs are merged by `(key, source rank)`.
+/// At p = 1 this is the local gather and no collective.
+pub fn exchange_sorted<T, C>(
+    comm: &C,
+    order: Vec<(u64, u32)>,
+    record: impl Fn(&(u64, u32)) -> T,
+    key: impl Fn(&T) -> u64,
+) -> Vec<T>
+where
+    T: Wire,
+    C: Comm,
+{
+    let p = comm.size();
+    let gather = |run: &[(u64, u32)]| -> Vec<T> { run.iter().map(&record).collect() };
+    if p == 1 {
+        return gather(&order);
     }
+
+    // Regular sampling of the locally sorted keys.
+    let s = OVERSAMPLE * (p - 1);
+    let samples: Vec<u64> = if order.is_empty() {
+        Vec::new()
+    } else {
+        (0..s).map(|j| order[(j * order.len()) / s].0).collect()
+    };
     let mut all_samples: Vec<u64> = comm.allgather(samples).into_iter().flatten().collect();
     all_samples.sort_unstable();
 
@@ -152,25 +183,20 @@ where
             .collect()
     };
 
-    // Partition the local run by splitter and exchange. The run is
-    // sorted, so destinations are monotone: an item with key `k` goes to
+    // The keys are sorted, so destinations are monotone: key `k` goes to
     // rank `#{sp ≤ k}`, and the p−1 run boundaries fall out of binary
-    // searches. Each run is then moved out wholesale (`split_off`) —
-    // exact-size send vectors, no per-item destination search or
-    // p-growing-vector churn.
+    // searches. Each run is gathered into an exact-size send vector.
     let mut bounds = Vec::with_capacity(p + 1);
     bounds.push(0);
     for &sp in &splitters {
-        bounds.push(items.partition_point(|t| key(t) < sp));
+        bounds.push(order.partition_point(|&(k, _)| k < sp));
     }
+    bounds.push(order.len());
     debug_assert!(bounds.windows(2).all(|w| w[0] <= w[1]));
-    let mut sends: Vec<Vec<T>> = Vec::with_capacity(p);
-    for r in (1..p).rev() {
-        sends.push(items.split_off(bounds[r]));
-    }
-    sends.push(items);
-    sends.reverse();
-    merge_sorted_runs(&comm.alltoallv(sends), &key)
+    let sends: Vec<Vec<T>> = bounds.windows(2).map(|w| gather(&order[w[0]..w[1]])).collect();
+    drop(order);
+    drop(record);
+    merge_sorted_runs(&comm.alltoallv(sends), key)
 }
 
 /// Merge runs that are each ascending in `key` into one, equal keys in
@@ -235,8 +261,14 @@ where
     sends.push(items);
     sends.reverse();
     // Concatenating by source rank preserves global order: sources hold
-    // ascending disjoint runs.
-    comm.alltoallv(sends).into_iter().flatten().collect()
+    // ascending disjoint runs. One exact-size buffer: the result is held
+    // through the caller's whole solve.
+    let received = comm.alltoallv(sends);
+    let mut out = Vec::with_capacity(received.iter().map(Vec::len).sum());
+    for run in received {
+        out.extend(run);
+    }
+    out
 }
 
 /// Result tolerance of the floating-point bisection, relative to the value
@@ -468,10 +500,18 @@ mod tests {
                 let items: Vec<(u64, usize)> = (0..n).map(|i| (shape(i, n), i)).collect();
                 let mut expected = items.clone();
                 expected.sort_by_key(|t| t.0);
-                // An input that already ascends is told so, not permuted.
-                let pairs = items.iter().zip(0..).map(|(t, i)| (t.0, i)).collect();
-                assert_eq!(stable_order(pairs).is_none(), items == expected, "{name}, n = {n}");
-                assert_eq!(sort_by_u64_key(items, |t| t.0), expected, "{name}, n = {n}");
+                // An input that already ascends is told so, not permuted;
+                // the 2n reserved up front is the only buffer, whether an
+                // odd or an even number of byte passes ran.
+                let mut pairs = Vec::with_capacity(2 * n);
+                pairs.extend(items.iter().zip(0..).map(|(t, i)| (t.0, i)));
+                let buffer = pairs.as_ptr();
+                assert_eq!(stable_order(&mut pairs), items != expected, "{name}, n = {n}");
+                assert_eq!((pairs.as_ptr(), pairs.len()), (buffer, n), "{name}, n = {n}");
+                let by_pairs: Vec<_> = pairs.iter().map(|&(_, i)| items[i as usize]).collect();
+                assert_eq!(by_pairs, expected, "{name}, n = {n}");
+                let sorted = sample_sort_by_key(&SelfComm, items, |t| t.0);
+                assert_eq!(sorted, expected, "{name}, n = {n}");
             }
         }
     }
@@ -537,6 +577,24 @@ mod tests {
         }
         let flat: Vec<u64> = results.iter().flatten().copied().collect();
         assert_eq!(flat, (0..60).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn rebalance_returns_an_exact_size_buffer() {
+        // Rank r starts with r·7 items, so rank 0 is empty at every p.
+        for p in [1, 3, 4] {
+            let results = run_spmd(p, |c| {
+                let start: u64 = (0..c.rank() as u64).map(|r| r * 7).sum();
+                let items: Vec<u64> = (start..start + c.rank() as u64 * 7).collect();
+                let out = rebalance(&c, items);
+                (out.capacity(), out)
+            });
+            for (r, (capacity, out)) in results.iter().enumerate() {
+                assert_eq!(*capacity, out.len(), "p = {p}, rank {r}");
+            }
+            let flat: Vec<u64> = results.into_iter().flat_map(|(_, out)| out).collect();
+            assert_eq!(flat, (0..flat.len() as u64).collect::<Vec<_>>(), "p = {p}");
+        }
     }
 
     #[test]

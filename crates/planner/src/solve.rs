@@ -22,7 +22,7 @@
 
 use std::time::Instant;
 
-use geographer::{KMeansStats, PipelineTimings};
+use geographer::{KMeansStats, PipelineTimings, PreviousPartition};
 use geographer_graph::{imbalance_with_targets, LevelMetrics};
 use geographer_parcomm::{Comm, CommStats};
 use geographer_refine::{
@@ -140,7 +140,14 @@ impl Planner {
                 let res = geographer::partition_spmd(comm, points, weights, spec.k, prev, cfg);
                 solve_seconds = res.timings.total();
                 phase_timings = Some(res.timings);
-                let state_out = PlanState::Flat(res.previous());
+                // Moved, not cloned: a clone made here would come from
+                // wherever this rank's allocator last freed a block of its
+                // size, and the caller that drops it could keep a thread
+                // rank's whole arena resident (DESIGN.md §9).
+                let state_out = PlanState::Flat(PreviousPartition {
+                    centers: res.centers,
+                    influence: res.influence,
+                });
                 (res.assignment, Some(state_out), Some(res.stats), None)
             }
             None => {
