@@ -1,5 +1,5 @@
 //! Scaling benchmark: the full Geographer pipeline on uniform random
-//! point sets at n ∈ {100k, 1M, 4M} and p ∈ {1, 4, 8}, emitting
+//! point sets at n ∈ {100k, 1M, 4M} and p ∈ {1, 2, 4, 8}, emitting
 //! `BENCH_scale.json` with *per-phase and per-assignment nanoseconds per
 //! point* — the numbers the tier-1 perf gate
 //! (`crates/bench/tests/perf_gate.rs`) holds the assignment hot path and
@@ -15,7 +15,10 @@
 //! maximum across ranks of each rank's own pipeline timings; ns/point
 //! divides by the *global* n, so the figure is comparable across p.
 //! `assignment` is the wall time spent inside k-means assignment passes
-//! (kernel + block-weight accumulation), max-reduced across ranks.
+//! (kernel + block-weight accumulation), max-reduced across ranks. A row
+//! with more ranks than the machine has logical cores is stamped
+//! `"oversubscribed": true`: its rank threads share cores, so its phase
+//! times include waiting for one, and no gate reads it.
 //!
 //! The `k_sweep` block holds n and p at the gate's values and varies k ∈
 //! {8, 64, 256} on a clustered cloud (the four refinement bubbles of the
@@ -51,7 +54,8 @@ fn main() {
     let cli = Cli::from_env(&["--smoke"], &[]);
     let sizes: &[usize] =
         if cli.smoke { &[100_000] } else { &[100_000, 1_000_000, 4_000_000] };
-    let ps = [1usize, 4, 8];
+    let ps = [1usize, 2, 4, 8];
+    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
     let k = 8;
     let seed = 77;
     let cfg = Config::default();
@@ -119,6 +123,7 @@ fn main() {
             runs.push(obj([
                 ("n", n.into()),
                 ("p", p.into()),
+                ("oversubscribed", (p > cores).into()),
                 ("k", k.into()),
                 ("wall_serialized_s", num(run.wall_seconds)),
                 ("wall_max_rank_s", num(run.wall_max_rank_s)),

@@ -11,6 +11,16 @@
 //! one 40-byte record per point. A warm step of the same instance peaks
 //! exactly where it did (`RECORD_PATH_WARM`): its buffers did not change
 //! shape.
+//!
+//! At p = 2 the solve runs on forked ranks (n = 40k, k = 16): each child
+//! is single-threaded, so its copy of the counters is exact for its rank
+//! and repeats run to run. While every point became a record and the
+//! received records were merged, rebalanced and unpacked, a rank peaked in
+//! the exchange (`RECORD_MERGE_P2`). Now the exchange stays below what
+//! k-means holds, so a rank peaks where a p = 1 solve does plus the 4
+//! bytes per point of a `u64` origin in place of a `u32` one
+//! (`SHARD_P2`), and no block is as large as one 40-byte record per local
+//! point (the merged record array).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
@@ -19,13 +29,22 @@ use std::sync::Mutex;
 use geographer::{partition_spmd, Config, PipelineResult};
 use geographer_geometry::Point;
 use geographer_mesh::density::sample_by_density;
-use geographer_parcomm::SelfComm;
+use geographer_parcomm::{run_spmd_proc, Comm, SelfComm};
 
 /// Peak live bytes above the caller's, per point, of the cold solve
 /// while the bootstrap still carried records (85 since).
 const RECORD_PATH_COLD: usize = 117;
 /// The same for one warm step after that cold solve.
 const RECORD_PATH_WARM: usize = 68;
+/// Peak live bytes above a forked rank's level at entry, per local point,
+/// of the cold p = 2 solve while the exchange built a record for every
+/// point and merged them into a record array.
+const RECORD_MERGE_P2: usize = 110;
+/// The same since the merge writes the solve's arrays. The peak is now
+/// k-means': the 53 it adds at p = 1 (85 − 32) on top of what a rank holds
+/// through it, 36 here — sorted points 16, weights 8, `u64` origins 8 and
+/// the result 4 — where p = 1 holds 32 with `u32` origins.
+const SHARD_P2: usize = 89;
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
@@ -142,4 +161,31 @@ fn warm_step_peak_is_unchanged() {
     let per_point = peak / N;
     println!("warm: {per_point} live bytes per point at peak");
     assert_eq!(per_point, RECORD_PATH_WARM, "a warm step's peak moved");
+}
+
+#[test]
+fn cold_p2_ranks_peak_in_kmeans_and_merge_no_record_array() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let n = 2 * N;
+    let points = sample_by_density(n, 2018, |_| 1.0);
+    let weights = vec![1.0; n];
+    let ranks = run_spmd_proc(2, |c| {
+        let mine = c.rank() * N..(c.rank() + 1) * N;
+        let (points, weights) = (&points[mine.clone()], &weights[mine]);
+        let solve = || partition_spmd(&c, points, weights, K, None, &Config::default());
+        let _ = solve();
+        let (_, peak, largest) = measure(solve);
+        (peak as u64, largest as u64)
+    })
+    .expect("forked ranks run the solve");
+    for (r, &(peak, largest)) in ranks.iter().enumerate() {
+        let per_point = peak as usize / N;
+        println!("p = 2, rank {r}: {per_point} live bytes per local point, largest block {largest}");
+        assert!(
+            per_point <= SHARD_P2,
+            "rank {r} peaks at {per_point} B/point: above k-means' {SHARD_P2} \
+             (the record merge peaked at {RECORD_MERGE_P2})"
+        );
+        assert!((largest as usize) < 40 * N, "rank {r}: a {largest}-byte block, a record array");
+    }
 }

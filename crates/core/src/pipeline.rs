@@ -29,9 +29,9 @@
 
 use std::time::Instant;
 
-use geographer_dsort::{exchange_sorted, rebalance, stable_order};
+use geographer_dsort::{exchange_sorted, stable_order, Share};
 use geographer_geometry::{Aabb, Point};
-use geographer_parcomm::{Comm, CommStats, Wire, WireCursor};
+use geographer_parcomm::{Comm, CommStats};
 use geographer_sfc::HilbertMapper;
 
 use crate::config::{validate_k, Config};
@@ -141,35 +141,11 @@ pub fn global_bbox<const D: usize, C: Comm>(comm: &C, points: &[Point<D>]) -> Aa
     Aabb::new(Point::new(lo), Point::new(hi))
 }
 
-/// A point crossing the wire in the sort/exchange at p > 1, tagged with its
-/// Hilbert key and original global id. Built straight into the run bound
-/// for its rank and unpacked on arrival; p = 1 never builds one.
-#[derive(Debug, Clone, Copy)]
-struct Tagged<const D: usize> {
-    key: u64,
-    id: u64,
-    coords: [f64; D],
-    weight: f64,
-}
-
-// Tagged points cross rank boundaries in the sort/exchange, so they need a
-// byte encoding for the process backend (field order, little-endian).
-impl<const D: usize> Wire for Tagged<D> {
-    fn wire_write(&self, out: &mut Vec<u8>) {
-        self.key.wire_write(out);
-        self.id.wire_write(out);
-        self.coords.wire_write(out);
-        self.weight.wire_write(out);
-    }
-    fn wire_read(r: &mut WireCursor<'_>) -> Self {
-        Tagged {
-            key: u64::wire_read(r),
-            id: u64::wire_read(r),
-            coords: <[f64; D]>::wire_read(r),
-            weight: f64::wire_read(r),
-        }
-    }
-}
+/// A point crossing the wire in the exchange at p > 1: its Hilbert key,
+/// original global id, coordinates and weight (40 bytes at D = 2, encoded
+/// in that order). Made only for a point bound to another rank, straight
+/// into the run for that rank; p = 1 never makes one.
+type Tagged<const D: usize> = (u64, u64, [f64; D], f64);
 
 /// A phase boundary: this rank's counters and the next phase's clock. A
 /// rank reads only its own counters, so the snapshot itself needs no
@@ -192,10 +168,13 @@ fn phase_boundary<C: Comm>(comm: &C) -> (CommStats, Instant) {
 /// module docs. Its sort and redistribution (phase 2) sorts `(key, local
 /// index)` pairs; at p = 1 that sort *is* the redistribution and the
 /// points and weights are gathered through it, so no record is ever
-/// built, while at p > 1 each point becomes a 40-byte record only to
-/// cross the wire and is unpacked on arrival. Through k-means a rank then
-/// holds its sorted points and weights and one origin per point (a `u32`
-/// input index at p = 1, a `u64` global id at p > 1). The write-back
+/// built. At p > 1 a point becomes a 40-byte record only if it is bound
+/// for another rank, and one merge of the rank's own pairs with the
+/// records it received writes every point straight into exact-size arrays
+/// of its n/p share, or into the boundary exchange with the rank that
+/// owns it. Through k-means a rank then holds its sorted points and
+/// weights and one origin per point (a `u32` input index at p = 1, a
+/// `u64` global id at p > 1). The write-back
 /// (phase 4) stores the blocks of the rank's own input points in place
 /// and sends only the others: at p = 1 it is one scatter.
 ///
@@ -256,8 +235,9 @@ pub fn partition_spmd<const D: usize, C: Comm>(
             // gathered once it is freed takes its place. A warm step
             // allocates in the same order and so peaks where this solve
             // did, and the small vectors a caller keeps sit below every
-            // buffer freed after them, where they pin nothing (DESIGN.md
-            // §9).
+            // buffer freed after them, where they pin nothing. At p > 1
+            // the exchange makes the sorted arrays once it has freed the
+            // pairs it sent and the wire's buffers (DESIGN.md §9).
             let mut kept_centers = Vec::with_capacity(k);
             let mut kept_influence = Vec::with_capacity(k);
             let mut assignment = vec![u32::MAX; points.len()];
@@ -266,22 +246,21 @@ pub fn partition_spmd<const D: usize, C: Comm>(
             let sfc_index = t0.elapsed().as_secs_f64();
             let (comm_after_index, t1) = phase_boundary(comm);
 
-            // Phase 2: global sort by key + rebalance to n/p per rank. At
-            // p = 1 both are the local sort, so the points are gathered
+            // Phase 2: global sort by key, to exactly n/p per rank. At
+            // p = 1 it is the local sort, so the points are gathered
             // straight through it; at p > 1 records exist only to cross
-            // the wire, and are unpacked as soon as they have.
+            // the wire, and one merge writes every point into the shard.
             stable_order(&mut order);
             let (sorted_points, sorted_weights, origins) = if comm.size() == 1 {
                 fill_permutation(&mut ids, order);
                 (gather(points, &ids), gather(weights, &ids), Origins::Local(ids))
             } else {
-                let record = |&(key, i): &(u64, u32)| Tagged {
-                    key,
-                    id: id_offset + u64::from(i),
-                    coords: *points[i as usize].coords(),
-                    weight: weights[i as usize],
+                let record = |&(key, i): &(u64, u32)| {
+                    let i = i as usize;
+                    (key, id_offset + i as u64, *points[i].coords(), weights[i])
                 };
-                unpack(rebalance(comm, exchange_sorted(comm, order, record, |t| t.key)))
+                let shard = exchange_sorted(comm, order, global_n, record, |t| t.0, Shard::new);
+                (shard.points, shard.weights, Origins::Global(shard.ids))
             };
             let redistribute = t1.elapsed().as_secs_f64();
             let (comm_after_redistribute, t2) = phase_boundary(comm);
@@ -438,18 +417,28 @@ enum Origins {
     Global(Vec<u64>),
 }
 
-/// p > 1: the points, weights and origins of the records this rank
-/// received; the records are freed here.
-fn unpack<const D: usize>(records: Vec<Tagged<D>>) -> (Vec<Point<D>>, Vec<f64>, Origins) {
-    let n = records.len();
-    let (mut points, mut weights, mut ids) =
-        (Vec::with_capacity(n), Vec::with_capacity(n), Vec::with_capacity(n));
-    for t in &records {
-        points.push(Point::new(t.coords));
-        weights.push(t.weight);
-        ids.push(t.id);
+/// p > 1: a rank's share of the sorted points, their weights and global
+/// ids, each reserved at its exact size once the exchange has freed its
+/// buffers.
+struct Shard<const D: usize> {
+    points: Vec<Point<D>>,
+    weights: Vec<f64>,
+    ids: Vec<u64>,
+}
+
+impl<const D: usize> Shard<D> {
+    fn new(len: usize) -> Self {
+        let (points, weights) = (Vec::with_capacity(len), Vec::with_capacity(len));
+        Shard { points, weights, ids: Vec::with_capacity(len) }
     }
-    (points, weights, Origins::Global(ids))
+}
+
+impl<const D: usize> Share<Tagged<D>> for Shard<D> {
+    fn put(&mut self, slot: usize, (_, id, coords, weight): Tagged<D>) {
+        self.points.put(slot, Point::new(coords));
+        self.weights.put(slot, weight);
+        self.ids.put(slot, id);
+    }
 }
 
 /// Initial center selection (Algorithm 2, line 7): the points at global
@@ -493,22 +482,9 @@ fn route_back<C: Comm, O: Copy + Into<u64>>(
     // Original ownership boundaries: allgather every rank's offset.
     let offsets: Vec<u64> =
         comm.allgather(vec![my_id_offset]).into_iter().map(|v| v[0]).collect();
-    let owner_of = |id: u64| -> usize {
-        // Last rank whose offset is <= id.
-        match offsets.binary_search(&id) {
-            Ok(r) => {
-                // Ranks with zero points share offsets; pick the last one
-                // whose range actually contains id (the one before the next
-                // strictly greater offset).
-                let mut r = r;
-                while r + 1 < offsets.len() && offsets[r + 1] <= id {
-                    r += 1;
-                }
-                r
-            }
-            Err(ins) => ins - 1,
-        }
-    };
+    // The last rank whose offset is ≤ id: ranks with no points share an
+    // offset with the next one, which owns the id.
+    let owner_of = |id: u64| offsets.partition_point(|&o| o <= id) - 1;
     let mine = my_id_offset..my_id_offset + assignment.len() as u64;
     let mut sends: Vec<Vec<(u64, u32)>> = vec![Vec::new(); comm.size()];
     for (&origin, &b) in origins.iter().zip(blocks) {
@@ -626,6 +602,10 @@ mod tests {
         // An empty rank and a rank below one 256-point block.
         check_agrees_with_one_rank(&wp.points, 5, &[0, 0, 1200]);
         check_agrees_with_one_rank(&wp.points, 5, &[0, 100, 100, 1200]);
+        // p ∈ {5, 7}. At p = 7 five ranks hold one point or none, so the
+        // boundary exchange fills their shares.
+        check_agrees_with_one_rank(&wp.points, 5, &[0, 240, 480, 720, 960, 1200]);
+        check_agrees_with_one_rank(&wp.points, 5, &[0, 0, 1, 1, 600, 601, 1200, 1200]);
 
         // Heavy duplicates: a 30×30 lattice under 1200 points, so most
         // 16-bit keys repeat and the sort's tie order — (source rank,
@@ -638,6 +618,8 @@ mod tests {
         check_agrees_with_one_rank(&lattice, 4, &[0, 0, 1200]);
         check_agrees_with_one_rank(&lattice, 4, &[0, 50, 50, 1200]);
         check_agrees_with_one_rank(&lattice, 4, &[0, 500, 700, 1200]);
+        check_agrees_with_one_rank(&lattice, 4, &[0, 0, 300, 300, 900, 1200]);
+        check_agrees_with_one_rank(&lattice, 4, &[0, 171, 342, 513, 684, 855, 1026, 1200]);
     }
 
     #[test]

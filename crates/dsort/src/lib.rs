@@ -2,26 +2,31 @@
 //!
 //! Two primitives back most of the workspace:
 //!
-//! * [`sample_sort_by_key`] + [`rebalance`] — the global sort-by-Hilbert-key
-//!   and redistribution step of Geographer's bootstrap (Algorithm 2, lines
-//!   4–6). The paper uses the schizophrenic quicksort of Axtmann et al.;
-//!   sample sort plays the same role (one splitter-selection round, one
-//!   personalized exchange) with simpler machinery. Locally it is an LSD
-//!   radix sort on `(key, index)` pairs before the exchange and a p-way
-//!   merge of the received runs after it: a record moves once per stage,
-//!   and equal keys keep (source rank, input position) order. The two
-//!   halves are public on their own — [`stable_order`] and
-//!   [`exchange_sorted`] — so the pipeline can sort its keys as pairs and
-//!   build a record only where one crosses the wire. See DESIGN.md §3.
+//! * [`sample_sort_by_key`] — the global sort-by-Hilbert-key and
+//!   redistribution step of Geographer's bootstrap (Algorithm 2, lines
+//!   4–6), ending with exactly the rank's n/p share of the order. The
+//!   paper uses the schizophrenic quicksort of Axtmann et al.; sample sort
+//!   plays the same role (one splitter-selection round, one personalized
+//!   exchange) with simpler machinery. Locally it is an LSD radix sort on
+//!   `(key, index)` pairs before the exchange; after it, one p-way merge
+//!   of the rank's own run and the received runs puts every item straight
+//!   where it ends: into the rank's share, or into a boundary exchange
+//!   with the rank that owns it. Equal keys keep (source rank, input
+//!   position) order. The two halves are public on their own —
+//!   [`stable_order`] and [`exchange_sorted`] — so the pipeline can sort
+//!   its keys as pairs, build a record only where one crosses the wire and
+//!   merge into its own arrays; [`rebalance`] is the placement alone. See
+//!   DESIGN.md §3.
 //! * [`weighted_quantiles_grouped`] / [`weighted_quantiles_u64`] — distributed
 //!   weighted quantile selection by bisection, the communication kernel
 //!   inside the RCB/RIB/MultiJagged/HSFC baselines (this is also how
 //!   Zoltan's RCB finds its median cuts: iterated weight counting).
 //!
 //! Both primitives run on the native collectives of `geographer_parcomm`
-//! (DESIGN.md §4): the sample-sort exchange is one move-once `alltoallv`
-//! plus a recursive-doubling exscan/allreduce pair in [`rebalance`], and
-//! every bisection iteration costs one `O(m·log p)`-volume allreduce. Range
+//! (DESIGN.md §4): the sample sort is a sample allgather, a move-once
+//! `alltoallv`, one recursive-doubling exscan and the boundary
+//! `alltoallv`, and every bisection iteration costs one
+//! `O(m·log p)`-volume allreduce. Range
 //! discovery is fused into a single reduction per search — the f64 paths
 //! pack `(min, −max)` pairs into one min-reduce, the u64 path reduces a
 //! `(min, max)` tuple — so a quantile search never spends two latency
@@ -33,6 +38,8 @@
 
 use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
+use std::ops::Range;
+use std::vec::IntoIter;
 
 use geographer_parcomm::{Comm, Wire};
 
@@ -105,23 +112,45 @@ pub fn stable_order(pairs: &mut Vec<(u64, u32)>) -> bool {
     true
 }
 
-/// Globally sort `items` by `key` across all ranks of `comm`.
+/// Where [`exchange_sorted`] and [`rebalance`] write a rank's share of the
+/// global order. Slots at or past the length come in ascending order; the
+/// ones they skip (items from lower ranks, which arrive last) are written
+/// later.
+pub trait Share<T> {
+    /// Write `item` at `slot`.
+    fn put(&mut self, slot: usize, item: T);
+}
+
+impl<T: Clone> Share<T> for Vec<T> {
+    fn put(&mut self, slot: usize, item: T) {
+        if slot < self.len() {
+            self[slot] = item;
+            return;
+        }
+        if slot > self.len() {
+            self.resize(slot, item.clone());
+        }
+        self.push(item);
+    }
+}
+
+/// The global positions rank `r` of `p` owns in an order of `n` items,
+/// `⌈r·n/p⌉..⌈(r+1)·n/p⌉`: position `g` belongs to rank `⌊g·p/n⌋`.
+fn owned(r: usize, p: usize, n: u64) -> Range<u64> {
+    let start = |r: usize| (r as u128 * n as u128).div_ceil(p as u128) as u64;
+    start(r)..start(r + 1)
+}
+
+/// Globally sort `items` by `key` across all ranks of `comm`: rank `r`
+/// ends with exactly the positions `⌈r·n/p⌉..⌈(r+1)·n/p⌉` of the order,
+/// in an exact-size vector, so a [`rebalance`] after it moves nothing.
 ///
-/// On return, each rank holds a contiguous run of the global sorted order,
-/// runs ascending with rank. Run lengths are approximately balanced (use
-/// [`rebalance`] for exact `n/p` splits).
-///
-/// **Tie order is part of the contract:** items with equal keys end up on
-/// one rank, ordered by (source rank, position in that rank's input) — at
-/// p = 1 exactly `slice::sort_by_key`. The local sort is stable and the
-/// merge of the received runs breaks ties by source rank, which is all it
-/// takes; the thread ≡ process bitwise contract and the golden digests
-/// rest on it, because 16-bit-per-axis Hilbert keys do collide
-/// (DESIGN.md §3).
-///
-/// The local half is [`stable_order`] on `(key, index)` pairs; the
-/// exchange half is [`exchange_sorted`], which gathers each item once,
-/// straight into the run bound for its rank.
+/// **Tie order is part of the contract:** equal keys end up in (source
+/// rank, position in that rank's input) order — at p = 1 exactly
+/// `slice::sort_by_key`. The local sort ([`stable_order`]) is stable and
+/// the merge in [`exchange_sorted`] breaks ties by source rank; the
+/// thread ≡ process bitwise contract and the golden digests rest on it,
+/// because 16-bit-per-axis Hilbert keys do collide (DESIGN.md §3).
 pub fn sample_sort_by_key<T, C, K>(comm: &C, items: Vec<T>, key: K) -> Vec<T>
 where
     T: Wire,
@@ -129,146 +158,164 @@ where
     K: Fn(&T) -> u64,
 {
     assert!(items.len() <= u32::MAX as usize, "the local sort indexes items by u32");
+    let (p, local_n) = (comm.size(), items.len() as u64);
+    let n = if p == 1 { local_n } else { comm.allreduce(local_n, |a, b| a + b) };
     let mut order = Vec::with_capacity(2 * items.len());
     order.extend(items.iter().zip(0..).map(|(t, i)| (key(t), i)));
-    if !stable_order(&mut order) && comm.size() == 1 {
+    if !stable_order(&mut order) && p == 1 {
         return items;
     }
-    // Hand the sort's second half back before the items are gathered
-    // (in place: a shrinking realloc does not copy), so the gather peaks
-    // over n pairs, not 2n.
-    order.shrink_to_fit();
-    exchange_sorted(comm, order, move |&(_, i)| items[i as usize].clone(), key)
+    exchange_sorted(comm, order, n, |&(_, i)| items[i as usize].clone(), key, Vec::with_capacity)
 }
 
 /// The exchange half of [`sample_sort_by_key`]. `order` is this rank's
-/// `(key, index)` pairs as [`stable_order`] left them, `record` makes the
-/// item a pair stands for, and `key` reads the key back off an item. Each
-/// item is made once, directly into the run for the rank that owns its
-/// key; `order` and `record` (with whatever it owns) are dropped before
-/// the exchange, and the received runs are merged by `(key, source rank)`.
-/// At p = 1 this is the local gather and no collective.
-pub fn exchange_sorted<T, C>(
+/// `(key, index)` pairs as [`stable_order`] left them, `n` the global item
+/// count, `record` makes the item a pair stands for, and `key` reads the
+/// key back off an item. Only an item bound for another rank becomes a
+/// record before the merge, straight into the run for the rank that owns
+/// its key; the own run stays as pairs, and the rest of the pair buffer
+/// is handed back before the exchange. One merge of the own and the
+/// received runs by `(key, source rank)` then writes each item into the
+/// rank's n/p share — `out(len)` makes it, once the exchange has
+/// freed its buffers — or sends it to the rank that owns it. At p = 1 this
+/// is the local gather and no collective.
+pub fn exchange_sorted<T, C, S>(
     comm: &C,
-    order: Vec<(u64, u32)>,
+    mut order: Vec<(u64, u32)>,
+    n: u64,
     record: impl Fn(&(u64, u32)) -> T,
     key: impl Fn(&T) -> u64,
-) -> Vec<T>
+    out: impl FnOnce(usize) -> S,
+) -> S
 where
     T: Wire,
     C: Comm,
+    S: Share<T>,
 {
-    let p = comm.size();
-    let gather = |run: &[(u64, u32)]| -> Vec<T> { run.iter().map(&record).collect() };
+    let (p, me) = (comm.size(), comm.rank());
+    // In place: a shrinking realloc does not copy.
+    order.shrink_to_fit();
     if p == 1 {
-        return gather(&order);
+        let mut out = out(order.len());
+        order.iter().enumerate().for_each(|(slot, pair)| out.put(slot, record(pair)));
+        return out;
     }
-
-    // Regular sampling of the locally sorted keys.
-    let s = OVERSAMPLE * (p - 1);
-    let samples: Vec<u64> = if order.is_empty() {
-        Vec::new()
-    } else {
-        (0..s).map(|j| order[(j * order.len()) / s].0).collect()
-    };
-    let mut all_samples: Vec<u64> = comm.allgather(samples).into_iter().flatten().collect();
-    all_samples.sort_unstable();
-
-    // p-1 splitters at regular positions in the gathered sample.
-    let splitters: Vec<u64> = if all_samples.is_empty() {
-        vec![0; p - 1]
-    } else {
-        (1..p)
-            .map(|r| all_samples[(r * all_samples.len()) / p])
-            .collect()
-    };
-
-    // The keys are sorted, so destinations are monotone: key `k` goes to
-    // rank `#{sp ≤ k}`, and the p−1 run boundaries fall out of binary
-    // searches. Each run is gathered into an exact-size send vector.
-    let mut bounds = Vec::with_capacity(p + 1);
-    bounds.push(0);
-    for &sp in &splitters {
-        bounds.push(order.partition_point(|&(k, _)| k < sp));
-    }
+    // Regular sampling of the locally sorted keys, then p−1 splitters at
+    // regular positions in the gathered sample. Key `k` goes to rank
+    // `#{splitters ≤ k}`: the keys are sorted, so the run boundaries fall
+    // out of binary searches.
+    let s = if order.is_empty() { 0 } else { OVERSAMPLE * (p - 1) };
+    let samples = (0..s).map(|j| order[(j * order.len()) / s].0).collect();
+    let mut all = comm.allgather(samples).concat();
+    all.sort_unstable();
+    let splitter = |r: usize| all.get((r * all.len()) / p).map_or(0, |&k| k);
+    let mut bounds: Vec<usize> =
+        (0..p).map(|r| order.partition_point(|&(k, _)| r > 0 && k < splitter(r))).collect();
     bounds.push(order.len());
-    debug_assert!(bounds.windows(2).all(|w| w[0] <= w[1]));
-    let sends: Vec<Vec<T>> = bounds.windows(2).map(|w| gather(&order[w[0]..w[1]])).collect();
-    drop(order);
-    drop(record);
-    merge_sorted_runs(&comm.alltoallv(sends), key)
+    let run = |r: usize| bounds[r]..bounds[r + 1];
+    let sends: Vec<Vec<T>> =
+        (0..p).map(|r| order[run(r)].iter().filter(|_| r != me).map(&record).collect()).collect();
+    order.copy_within(run(me), 0);
+    order.truncate(run(me).len());
+    order.shrink_to_fit();
+    let runs = comm.alltoallv(sends);
+    let len = (order.len() + runs.iter().map(Vec::len).sum::<usize>()) as u64;
+    let offset = comm.exscan_sum_u64(len);
+    let mine = owned(me, p, n);
+    let mut out = out((mine.end - mine.start) as usize);
+    place(comm, n, offset..offset + len, merge(me, order, record, runs, key), &mut out);
+    out
 }
 
-/// Merge runs that are each ascending in `key` into one, equal keys in
-/// (run, position) order — what a stable sort of the concatenation yields,
-/// in one pass that moves every record once: a heap holds the head key of
-/// each unfinished run, and its `(key, run)` order is the tie order.
-fn merge_sorted_runs<T: Clone>(runs: &[Vec<T>], key: impl Fn(&T) -> u64) -> Vec<T> {
-    let mut heads: BinaryHeap<Reverse<(u64, usize)>> = runs
-        .iter()
-        .enumerate()
-        .filter_map(|(r, run)| run.first().map(|t| Reverse((key(t), r))))
-        .collect();
-    let mut taken = vec![0usize; runs.len()];
-    let mut merged = Vec::with_capacity(runs.iter().map(Vec::len).sum());
-    while let Some(mut head) = heads.peek_mut() {
-        let r = head.0 .1;
-        merged.push(runs[r][taken[r]].clone());
-        taken[r] += 1;
-        match runs[r].get(taken[r]) {
-            Some(t) => head.0 .0 = key(t),
-            None => {
-                PeekMut::pop(head);
-            }
+/// This rank's own run (pairs, made into items by `record`) and the runs
+/// it received, merged by `(key, source rank)` — what a stable sort of
+/// their concatenation in rank order yields — by a heap over the head key
+/// of each unfinished run. The runs are freed with the iterator.
+fn merge<'a, T: 'a>(
+    me: usize,
+    own: Vec<(u64, u32)>,
+    record: impl Fn(&(u64, u32)) -> T + 'a,
+    runs: Vec<Vec<T>>,
+    key: impl Fn(&T) -> u64 + 'a,
+) -> impl Iterator<Item = T> + 'a {
+    let mut own = own.into_iter();
+    let mut runs: Vec<_> = runs.into_iter().map(Vec::into_iter).collect();
+    let head = move |r: usize, own: &IntoIter<(u64, u32)>, runs: &[IntoIter<T>]| match r == me {
+        true => own.as_slice().first().map(|q| q.0),
+        false => runs[r].as_slice().first().map(&key),
+    };
+    let mut heads: BinaryHeap<_> =
+        (0..runs.len()).filter_map(|r| Some(Reverse((head(r, &own, &runs)?, r)))).collect();
+    std::iter::from_fn(move || {
+        let mut top = heads.peek_mut()?;
+        let r = top.0 .1;
+        let item = if r == me { record(&own.next()?) } else { runs[r].next()? };
+        match head(r, &own, &runs) {
+            Some(k) => top.0 .0 = k,
+            None => drop(PeekMut::pop(top)),
         }
-    }
-    merged
+        Some(item)
+    })
 }
 
-/// Redistribute globally ordered data so rank `r` owns exactly the global
-/// slice `[r·n/p, (r+1)·n/p)`, preserving order. Input must already be
-/// globally ordered by rank (e.g. the output of [`sample_sort_by_key`]).
+/// Redistribute data already ordered across ranks (a sort's output, say)
+/// so rank `r` owns exactly its positions `⌈r·n/p⌉..⌈(r+1)·n/p⌉`, in an
+/// exact-size vector: the placement half of [`exchange_sorted`] on its
+/// own, which sends only what another rank owns.
 pub fn rebalance<T, C>(comm: &C, items: Vec<T>) -> Vec<T>
 where
     T: Wire,
     C: Comm,
 {
-    let p = comm.size();
+    let (p, local_n) = (comm.size(), items.len() as u64);
     if p == 1 {
         return items;
     }
-    let local_n = items.len() as u64;
     let offset = comm.exscan_sum_u64(local_n);
-    let total = comm.allreduce(local_n, |a, b| a + b);
-    if total == 0 {
-        return items;
-    }
-
-    // Global element g belongs to rank r = ⌊g·p/total⌋, i.e. rank r owns
-    // the contiguous global range [⌈r·total/p⌉, ⌈(r+1)·total/p⌉). The
-    // local run covers [offset, offset + n): slice it at the arithmetic
-    // boundaries directly — no per-element owner computation, no growing
-    // send vectors.
-    let start =
-        |r: usize| -> u64 { (r as u128 * total as u128).div_ceil(p as u128) as u64 };
-    let end_g = offset + local_n;
-    let mut items = items;
-    let mut sends: Vec<Vec<T>> = Vec::with_capacity(p);
-    for r in (1..p).rev() {
-        let lo = start(r).clamp(offset, end_g) - offset;
-        sends.push(items.split_off(lo as usize));
-    }
-    sends.push(items);
-    sends.reverse();
-    // Concatenating by source rank preserves global order: sources hold
-    // ascending disjoint runs. One exact-size buffer: the result is held
-    // through the caller's whole solve.
-    let received = comm.alltoallv(sends);
-    let mut out = Vec::with_capacity(received.iter().map(Vec::len).sum());
-    for run in received {
-        out.extend(run);
-    }
+    let n = comm.allreduce(local_n, |a, b| a + b);
+    let mine = owned(comm.rank(), p, n);
+    let mut out = Vec::with_capacity((mine.end - mine.start) as usize);
+    place(comm, n, offset..offset + local_n, items.into_iter(), &mut out);
     out
+}
+
+/// Deal this rank's run of the global order — `items`, at the global
+/// positions `run` — to their [`owned`] places. An item this rank owns is
+/// written into `out` at once; the others cross one alltoallv, whose
+/// arrivals fill the rest of `out`: those from lower ranks the slots
+/// before the run, those from higher ranks the slots after it.
+fn place<T: Wire, C: Comm>(
+    comm: &C,
+    n: u64,
+    run: Range<u64>,
+    items: impl Iterator<Item = T>,
+    out: &mut impl Share<T>,
+) {
+    let (p, me) = (comm.size(), comm.rank());
+    let starts: Vec<u64> = (0..=p).map(|r| owned(r, p, n).start).collect();
+    let clip = |g: u64| g.clamp(run.start, run.end);
+    let piece = |r: usize| if r == me { 0 } else { (clip(starts[r + 1]) - clip(starts[r])) as usize };
+    let mut sends: Vec<Vec<T>> = (0..p).map(|r| Vec::with_capacity(piece(r))).collect();
+    let mut dest = 0;
+    for (g, item) in run.clone().zip(items) {
+        while g >= starts[dest + 1] {
+            dest += 1;
+        }
+        if dest == me {
+            out.put((g - starts[me]) as usize, item);
+        } else {
+            sends[dest].push(item);
+        }
+    }
+    let mut below = 0;
+    let mut above = (run.end.clamp(starts[me], starts[me + 1]) - starts[me]) as usize;
+    for (r, arrived) in comm.alltoallv(sends).into_iter().enumerate() {
+        let slot = if r < me { &mut below } else { &mut above };
+        for item in arrived {
+            out.put(*slot, item);
+            *slot += 1;
+        }
+    }
 }
 
 /// Result tolerance of the floating-point bisection, relative to the value
@@ -325,22 +372,18 @@ pub fn weighted_quantiles_grouped<C: Comm>(
     comm.allreduce_sum_f64(&mut wsum);
 
     // Flattened per-alpha bisection state.
-    let offsets: Vec<usize> = {
-        let mut off = vec![0usize];
-        for grp in groups {
-            off.push(off.last().unwrap() + grp.alphas.len());
-        }
-        off
-    };
-    let total = *offsets.last().unwrap();
+    let mut offsets = vec![0usize];
+    for grp in groups {
+        offsets.push(offsets[offsets.len() - 1] + grp.alphas.len());
+    }
+    let total = offsets[g];
     let mut lo = vec![0.0f64; total];
     let mut hi = vec![0.0f64; total];
     let mut valid = vec![false; total];
-    for (j, grp) in groups.iter().enumerate() {
+    for j in 0..g {
         let (glo, ghi) = (minmax[2 * j], -minmax[2 * j + 1]);
         let ok = glo.is_finite() && ghi.is_finite() && wsum[j] > 0.0;
-        for (a, _) in grp.alphas.iter().enumerate() {
-            let idx = offsets[j] + a;
+        for idx in offsets[j]..offsets[j + 1] {
             valid[idx] = ok;
             lo[idx] = if ok { glo } else { 0.0 };
             hi[idx] = if ok { ghi } else { 0.0 };
@@ -362,32 +405,14 @@ pub fn weighted_quantiles_grouped<C: Comm>(
         }
         comm.allreduce_sum_f64(&mut below);
         for (j, grp) in groups.iter().enumerate() {
-            for (a, &alpha) in grp.alphas.iter().enumerate() {
-                let idx = offsets[j] + a;
-                if !valid[idx] {
-                    continue;
-                }
-                if below[idx] < alpha * wsum[j] {
-                    lo[idx] = mids[idx];
-                } else {
-                    hi[idx] = mids[idx];
-                }
+            for (idx, &alpha) in (offsets[j]..).zip(&grp.alphas).filter(|&(idx, _)| valid[idx]) {
+                let side = if below[idx] < alpha * wsum[j] { &mut lo } else { &mut hi };
+                side[idx] = mids[idx];
             }
         }
     }
 
-    groups
-        .iter()
-        .enumerate()
-        .map(|(j, grp)| {
-            (0..grp.alphas.len())
-                .map(|a| {
-                    let idx = offsets[j] + a;
-                    0.5 * (lo[idx] + hi[idx])
-                })
-                .collect()
-        })
-        .collect()
+    (0..g).map(|j| (offsets[j]..offsets[j + 1]).map(|i| 0.5 * (lo[i] + hi[i])).collect()).collect()
 }
 
 /// Distributed weighted quantiles over `u64` keys (exact integer bisection).
@@ -431,12 +456,10 @@ pub fn weighted_quantiles_u64<C: Comm>(
         }
         comm.allreduce_sum_f64(&mut below);
         for j in 0..m {
-            if lo[j] < hi[j] {
-                if below[j] < alphas[j] * total_w {
-                    lo[j] = mids[j] + 1;
-                } else {
-                    hi[j] = mids[j];
-                }
+            if lo[j] < hi[j] && below[j] < alphas[j] * total_w {
+                lo[j] = mids[j] + 1;
+            } else if lo[j] < hi[j] {
+                hi[j] = mids[j];
             }
         }
     }
@@ -446,7 +469,7 @@ pub fn weighted_quantiles_u64<C: Comm>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use geographer_parcomm::{run_spmd, SelfComm};
+    use geographer_parcomm::{run_spmd, Collective, SelfComm};
 
     /// The quantiles of one group, through the batched search.
     fn one_group<C: Comm>(c: &C, values: &[f64], weights: &[f64], alphas: &[f64]) -> Vec<f64> {
@@ -559,6 +582,52 @@ mod tests {
             let got: Vec<(u64, u64, u64)> = results.into_iter().flatten().collect();
             assert_eq!(got.len(), 300 * p);
             assert!(got.windows(2).all(|w| w[0] < w[1]), "p = {p}: not in (key, rank, position) order");
+        }
+    }
+
+    #[test]
+    fn sample_sort_places_exactly_under_bad_splitters() {
+        // Items are (key, source rank, position): the expected order is the
+        // tuple order, and an item's place is its rank in it.
+        type Keys = fn(usize, usize) -> Vec<u64>; // (rank, p) -> keys
+        let inputs: [(&str, Keys); 4] = [
+            ("all keys on one rank", |r, _| {
+                if r == 1 { (0..300).map(|i| i * 37 % 101).collect() } else { Vec::new() }
+            }),
+            // Most items share one key, so splitters sit inside its run.
+            ("one key shared by most", |r, _| {
+                (0..200u64).map(|i| if i % 9 == 0 { i * 13 % 50 + r as u64 } else { 42 }).collect()
+            }),
+            ("an empty rank", |r, _| {
+                let mix = |i: u64| (i + 1000 * r as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
+                if r == 0 { Vec::new() } else { (0..150).map(mix).collect() }
+            }),
+            ("n < p", |r, p| if r % 2 == 1 { vec![(p - r) as u64 % 3] } else { Vec::new() }),
+        ];
+        for p in [2, 3, 4, 5, 7] {
+            for (name, keys) in inputs {
+                let results = run_spmd(p, |c| {
+                    let rank = c.rank() as u64;
+                    let items: Vec<(u64, u64, u64)> =
+                        keys(c.rank(), p).into_iter().zip(0..).map(|(k, i)| (k, rank, i)).collect();
+                    let sorted = sample_sort_by_key(&c, items.clone(), |t| t.0);
+                    let capacity = sorted.capacity();
+                    let before = c.stats();
+                    let again = rebalance(&c, sorted.clone());
+                    let moved = c.stats().since(&before).op(Collective::Alltoallv).bytes;
+                    (items, sorted, capacity, again, moved)
+                });
+                let mut all: Vec<_> = results.iter().flat_map(|r| r.0.clone()).collect();
+                all.sort_unstable();
+                let n = all.len() as u64;
+                for (r, (_, sorted, capacity, again, moved)) in results.into_iter().enumerate() {
+                    let mine = owned(r, p, n);
+                    let tag = format!("{name}, p = {p}, rank {r}");
+                    assert_eq!(sorted, all[mine.start as usize..mine.end as usize], "{tag}");
+                    assert_eq!(capacity, sorted.len(), "{tag}: not an exact-size buffer");
+                    assert_eq!((again, moved), (sorted, 0), "{tag}: rebalance moved items");
+                }
+            }
         }
     }
 

@@ -399,7 +399,14 @@ impl crate::collectives::Transport for ProcComm {
     }
 
     fn sendrecv<T: Wire>(&self, tag: Tag, to: usize, value: T, from: usize) -> T {
-        from_wire(&self.sendrecv_frames(to, tag.into(), &to_wire(&value), from))
+        // Each copy is freed as soon as the next one exists, so a rank
+        // holds two of the value, its encoding, the received bytes and
+        // their decoding at a time, not all four.
+        let payload = to_wire(&value);
+        drop(value);
+        let got = self.sendrecv_frames(to, tag.into(), &payload, from);
+        drop(payload);
+        from_wire(&got)
     }
 
     fn with_stats<R>(&self, f: impl FnOnce(&StatsCell) -> R) -> R {
