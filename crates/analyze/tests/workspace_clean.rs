@@ -36,9 +36,8 @@ fn hot_loop_markers_are_pinned() {
         })
         .filter(|(_, markers)| *markers > 0)
         .collect();
-    // kmeans: `Round::grow`'s rank and back-to-front loops, the two loops
-    // of `Round::add_rows` (a sample's in slot order, the run-structured
-    // one in array order), `scan_batch`, `shortlist`'s bound, rank, pick
+    // kmeans: `Round::grow`'s back-to-front walk, `Round::add_rows`'
+    // run-structured loop, `scan_batch`, `shortlist`'s bound, rank, pick
     // and compaction loops, `process_block`'s survivor loop and
     // `scan_survivors`' pair loop under the per-block loop; pipeline:
     // `curve_pairs`, the key loop of the cold and the warm arm alike;
@@ -49,7 +48,7 @@ fn hot_loop_markers_are_pinned() {
     // and the sub-CSR extraction; refine: the sweep loop; sfc: the two
     // loops of the key walk.
     let pinned = [
-        ("crates/core/src/kmeans.rs", 12),
+        ("crates/core/src/kmeans.rs", 10),
         ("crates/core/src/pipeline.rs", 1),
         ("crates/dsort/src/lib.rs", 3),
         ("crates/graph/src/coarsen.rs", 2),
@@ -72,7 +71,7 @@ fn line_budgets_only_move_down() {
         text.lines().take_while(|line| *line != "#[cfg(test)]").count()
     };
     let budgets = [
-        (vec!["crates/core/src/kmeans.rs"], 1029),
+        (vec!["crates/core/src/kmeans.rs"], 998),
         (vec!["crates/core/src/pipeline.rs", "crates/dsort/src/lib.rs"], 974),
     ];
     for (files, budget) in budgets {

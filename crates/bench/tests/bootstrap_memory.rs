@@ -16,11 +16,10 @@
 //! is single-threaded, so its copy of the counters is exact for its rank
 //! and repeats run to run. While every point became a record and the
 //! received records were merged, rebalanced and unpacked, a rank peaked in
-//! the exchange (`RECORD_MERGE_P2`). Now the exchange stays below what
-//! k-means holds, so a rank peaks where a p = 1 solve does plus the 4
-//! bytes per point of a `u64` origin in place of a `u32` one
-//! (`SHARD_P2`), and no block is as large as one 40-byte record per local
-//! point (the merged record array).
+//! the exchange (`RECORD_MERGE_P2`). Now a rank peaks at `SHARD_P2` —
+//! within 7 bytes per point of a p = 1 solve, whose origins are `u32`
+//! where a rank's are `u64` — and no block is as large as one 40-byte
+//! record per local point (the merged record array).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
@@ -32,7 +31,8 @@ use geographer_mesh::density::sample_by_density;
 use geographer_parcomm::{run_spmd_proc, Comm, SelfComm};
 
 /// Peak live bytes above the caller's, per point, of the cold solve
-/// while the bootstrap still carried records (85 since).
+/// while the bootstrap still carried records (85 since, 77 since k-means
+/// keys its sample by the points and holds no permutation).
 const RECORD_PATH_COLD: usize = 117;
 /// The same for one warm step after that cold solve.
 const RECORD_PATH_WARM: usize = 68;
@@ -40,11 +40,12 @@ const RECORD_PATH_WARM: usize = 68;
 /// of the cold p = 2 solve while the exchange built a record for every
 /// point and merged them into a record array.
 const RECORD_MERGE_P2: usize = 110;
-/// The same since the merge writes the solve's arrays. The peak is now
-/// k-means': the 53 it adds at p = 1 (85 − 32) on top of what a rank holds
-/// through it, 36 here — sorted points 16, weights 8, `u64` origins 8 and
-/// the result 4 — where p = 1 holds 32 with `u32` origins.
-const SHARD_P2: usize = 89;
+/// The same since the merge writes the solve's arrays, and k-means keys
+/// its sample by the points: 89 while it held a per-rank permutation and
+/// the sample's id lists. A rank holds 36 through k-means — sorted points
+/// 16, weights 8, `u64` origins 8 and the result 4 — where p = 1 holds 32
+/// with `u32` origins.
+const SHARD_P2: usize = 84;
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);

@@ -1,26 +1,31 @@
 //! Tier-1 count guard, the clock-free companion of `perf_gate.rs`: on the
-//! same gate instance (n = 100k, p = 1, k = 8, seed 77) the default config
-//! must do exactly the iterations, point visits and Hamerly skips — and
-//! produce exactly the partition — recorded at commit bd8a563, the last
-//! one that still carried the per-point AoS reference scan (which did the
-//! same iterations, visits and skips there, with 3 945 528 distance
-//! evaluations). Those four trajectory counts and the digest have not
-//! moved since.
+//! same gate instance (n = 100k, k = 8, seed 77) the default config must
+//! do exactly the recorded iterations, point visits and Hamerly skips, and
+//! produce exactly the recorded partition — at p = 1 and on two ranks
+//! alike, since k-means' sums are exact and its sample is keyed by the
+//! points (DESIGN.md §2). Visits and skips are summed over the ranks.
 //!
 //! `points_visited` pins that no pass visits a point outside the round's
 //! active set; `distance_evals` and `bbox_breaks` at equal skips pin what
-//! the blocked kernel's box bounds prune, sampling rounds included. They
-//! were re-recorded once, when the per-block center shortlist went in:
-//! the per-point bound alone evaluated 2 361 162 distances and cut
-//! 480 133 scans short here. Counts repeat exactly, so there is no
-//! envelope.
+//! the blocked kernel's box bounds prune, sampling rounds included — per
+//! p, since they depend on the blocks each rank's points form. Counts
+//! repeat exactly, so there is no envelope.
 
 use geographer::{Config, KMeansStats};
 use geographer_bench::{solve_plan_view, PlanRecipe, Tool};
 use geographer_graph::CsrGraph;
 use geographer_mesh::density::sample_by_density;
 use geographer_mesh::{DynamicWorkload, Mesh, Scenario};
-use geographer_planner::{MeshView, PlanState};
+use geographer_parcomm::run_spmd;
+use geographer_planner::{MeshView, PlanState, Planner};
+
+/// FNV-1a over the assignment's little-endian block ids, continuing `h`.
+fn fnv(h: u64, assignment: &[u32]) -> u64 {
+    assignment
+        .iter()
+        .flat_map(|b| b.to_le_bytes())
+        .fold(h, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
 
 #[test]
 fn default_config_repeats_the_recorded_counts_and_partition() {
@@ -29,22 +34,27 @@ fn default_config_repeats_the_recorded_counts_and_partition() {
     let weights = vec![1.0f64; n];
     let view = MeshView { points: &points, weights: &weights, graph: None };
     let recipe = PlanRecipe::flat("count_guard", Tool::Geographer, k, Config::default());
-    let plan = solve_plan_view(view, &recipe, 1, None).plan;
-    let s = plan.stats.expect("stats");
-    assert_eq!(s.movement_iterations, 35);
-    assert_eq!(s.balance_iterations, 183);
-    assert_eq!(s.points_visited, 3_542_200);
-    assert_eq!(s.hamerly_skips, 3_049_009);
-    assert_eq!(s.distance_evals, 1_270_726);
-    assert!(s.distance_evals < 2_361_162, "the shortlist prunes less than the per-point bound did");
-    assert_eq!(s.bbox_breaks, 488_033);
-    // FNV-1a over the assignment's little-endian block ids.
-    let digest = plan
-        .assignment
-        .iter()
-        .flat_map(|b| b.to_le_bytes())
-        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3));
-    assert_eq!(digest, 0x3787_4eca_8c3c_fd14, "partition digest {digest:#018x}");
+    // Rank 0's assignment (the global one) and the ranks' counters summed
+    // (the iteration counts are replicated: rank 0's).
+    let solve = |p: usize| {
+        let plans = run_spmd(p, |comm| Planner::solve(&recipe.spec_view(view), None, &comm));
+        let stats: Vec<KMeansStats> = plans.iter().map(|plan| plan.stats.expect("stats")).collect();
+        let sum = |f: fn(&KMeansStats) -> u64| stats.iter().map(f).sum::<u64>();
+        let counts = [
+            stats[0].movement_iterations,
+            stats[0].balance_iterations,
+            sum(|s| s.points_visited),
+            sum(|s| s.hamerly_skips),
+        ];
+        let pruning = [sum(|s| s.distance_evals), sum(|s| s.bbox_breaks)];
+        (fnv(0xcbf2_9ce4_8422_2325, &plans[0].assignment), counts, pruning)
+    };
+    for (p, pruning) in [(1, [1_293_647, 492_903]), (2, [1_264_557, 500_100])] {
+        let (digest, counts, got) = solve(p);
+        assert_eq!(digest, 0x86ee_5c07_8f49_d006, "p = {p}: partition digest {digest:#018x}");
+        assert_eq!(counts, [40, 217, 3_984_931, 3_483_490], "p = {p}: trajectory");
+        assert_eq!(got, pruning, "p = {p}: distance evaluations and box breaks");
+    }
 }
 
 /// The warm companion: a cold boot at step 0 of a cluster-drift workload
@@ -83,11 +93,7 @@ fn warm_chain_repeats_the_recorded_counts_and_partitions() {
         sum.hamerly_skips += s.hamerly_skips;
         sum.distance_evals += s.distance_evals;
         sum.bbox_breaks += s.bbox_breaks;
-        digest = plan
-            .assignment
-            .iter()
-            .flat_map(|b| b.to_le_bytes())
-            .fold(digest, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3));
+        digest = fnv(digest, &plan.assignment);
         state = plan.state;
     }
     // Recorded at d18cb9a, where the warm arm solved the points in

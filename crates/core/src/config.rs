@@ -4,7 +4,8 @@
 ///
 /// Defaults follow the paper: ε = 3 % imbalance (Sec. 5.2.5), influence
 /// change capped at 5 % per balance step (Sec. 4.2), sampling
-/// initialization starting from 100 points per process (Sec. 4.5), and the
+/// initialization starting from 100 points (Sec. 4.5; counted over all
+/// ranks, where the paper counts per process), and the
 /// geometric optimizations (Hamerly bounds, bounding-box pruning) enabled.
 /// The feature switches exist for the ablation experiments. Every field
 /// is a parameter of the paper's algorithm; none selects an implementation
@@ -35,12 +36,15 @@ pub struct Config {
     /// Enable center-to-bounding-box pruning (Sec. 4.4).
     pub bbox_pruning: bool,
     /// Enable the geometric-progression sampling initialization: start with
-    /// `initial_sample` random local points, double after every movement
+    /// about `initial_sample` random points, double after every movement
     /// round (Sec. 4.5). Disabled = every round uses the full point set.
     pub sampling_init: bool,
-    /// Sample size of the first sampling round.
+    /// Expected size of the first sampling round, counted over all ranks
+    /// (the paper counts it per process): the sample is keyed by the
+    /// points, so the same set is drawn at every rank count.
     pub initial_sample: usize,
-    /// Seed for the local permutation used by the sampling initialization.
+    /// Seed of the sampling initialization, mixed with each point's
+    /// coordinate bits into the key that decides the round it joins in.
     pub seed: u64,
     /// Per-block target weight fractions for non-uniform block sizes (the
     /// paper's footnote 1: "When non-uniform block sizes are desired, for

@@ -12,11 +12,11 @@
 //! point — live in one `Round`, laid out for the blocked SoA kernel:
 //! coordinate lanes, block boxes and the points' `assignment`/`ub`/`lb`.
 //! Samples are nested, so the next round grows the current one in place
-//! and the full set is simply the last growth (DESIGN.md §9). Every pass
-//! of the balance loop — the assignment pass, the block-weight sums, the
-//! bound relaxation — runs over the round and costs O(round). The kernel
-//! is the only assignment path; in test builds a brute-force oracle
-//! checks every pass it makes.
+//! and the full set is simply the last growth (DESIGN.md §9). Samples are
+//! keyed by the points and sums are exact, so the result is the same at
+//! every rank count (§2). Every pass of the balance loop runs over the
+//! round and costs O(round). The kernel is the only assignment path; in
+//! test builds a brute-force oracle checks every pass it makes.
 
 use geographer_geometry::{Aabb, Point, SplitMix64};
 use geographer_parcomm::Comm;
@@ -156,47 +156,35 @@ impl<const D: usize> Lanes<D> {
 /// The points of the current movement round, laid out for the blocked
 /// kernel: their coordinate lanes and block boxes, and their
 /// `assignment`/`ub`/`lb` — the only copy the solver holds. Points sit in
-/// ascending id order; the pipeline orders them along the curve on both
-/// arms (the Hilbert redistribution, the warm arm's rank-local order), so
-/// a block of consecutive sample ids is still spatially tight.
+/// array order; the pipeline orders them along the curve on both arms (the
+/// Hilbert redistribution, the warm arm's rank-local order), so a block of
+/// consecutive sample points is still spatially tight.
 ///
-/// Samples are nested prefixes of one permutation and a point no round
-/// has reached holds the constant `(assignment, ub, lb) = (0, ∞, 0)`, so
-/// [`Round::grow`] turns one round into the next in place; nothing is
+/// A point joins the sample in round `join[i]` and stays, and a point no
+/// round has reached holds the constant `(assignment, ub, lb) = (0, ∞, 0)`,
+/// so [`Round::grow`] turns one round into the next in place; nothing is
 /// written back anywhere.
 struct Round<const D: usize> {
     lanes: Lanes<D>,
     assignment: Vec<u32>,
     ub: Vec<f64>,
     lb: Vec<f64>,
-    /// What only a sample has; all empty once the round covers every
-    /// local point, where position is id and `active` is array order.
-    sample: Sample,
-}
-
-/// The sample-only part of a [`Round`], grown to the shuffled list `active`.
-#[derive(Default)]
-struct Sample {
-    /// The round's point ids, ascending.
-    ids: Vec<u32>,
-    /// The ids of the round being grown to; swapped with `ids`.
-    grown: Vec<u32>,
-    /// `slot[i]`: position of `active[i]` in `ids`.
-    slot: Vec<u32>,
-    /// `weights[i]`: weight of `active[i]`.
+    /// The sample round this is: it holds the points with `join[i] ≤ r`.
+    r: u8,
+    /// `join[i]`: the round in which local point i joins the sample
+    /// ([`sample_joins`]); empty once the round holds every local point,
+    /// and with sampling off.
+    join: Vec<u8>,
+    /// A sample's weights, in round order; empty once the round holds
+    /// every local point, whose weights are the caller's.
     weights: Vec<f64>,
-    /// Membership bitmap over the local ids; with `before` it ranks the
-    /// sample without sorting it.
-    member: Vec<u64>,
-    /// Number of members before each word of `member`.
-    before: Vec<u32>,
 }
 
 impl<const D: usize> Round<D> {
-    /// An empty round whose per-point arrays never reallocate while it
-    /// grows to `n_local` points, through samples of up to `sample_cap`;
-    /// only the boxes grow by `push` (DESIGN.md §9: the shape is measured).
-    fn with_capacity(n_local: usize, sample_cap: usize) -> Self {
+    /// An empty round over `n_local` points joining in rounds `join`, whose
+    /// per-point arrays never reallocate while it grows; only the boxes
+    /// grow by `push` (DESIGN.md §9: the shape is measured).
+    fn new(n_local: usize, join: Vec<u8>) -> Self {
         Round {
             lanes: Lanes {
                 coords: (0..D).map(|_| Vec::with_capacity(n_local)).collect(),
@@ -205,119 +193,84 @@ impl<const D: usize> Round<D> {
             assignment: Vec::with_capacity(n_local),
             ub: Vec::with_capacity(n_local),
             lb: Vec::with_capacity(n_local),
-            sample: Sample {
-                ids: Vec::with_capacity(sample_cap),
-                grown: Vec::with_capacity(sample_cap),
-                slot: Vec::with_capacity(sample_cap),
-                weights: Vec::with_capacity(sample_cap),
-                ..Sample::default()
-            },
+            r: 0,
+            weights: Vec::with_capacity(if join.is_empty() { 0 } else { n_local }),
+            join,
         }
     }
 
-    /// Grow the round in place to the sample `active` (distinct ids below
-    /// `points.len()`, a superset of the current round), or to every
-    /// local point (`None`). Members keep their `assignment`/`ub`/`lb`,
+    /// Grow the round in place to sample round `r` (the points with
+    /// `join[i] ≤ r`, a superset of the current round), or to every local
+    /// point (`None`). Members keep their `assignment`/`ub`/`lb`,
     /// newcomers start from `(0, ∞, 0)`.
-    fn grow(&mut self, active: Option<&[u32]>, points: &[Point<D>], weights: &[f64]) {
-        let old_len = self.assignment.len();
-        let len = active.map_or(points.len(), <[u32]>::len);
-        if len == old_len {
-            return; // nested: the same size is the same set
-        }
-        let s = &mut self.sample;
-        if let Some(active) = active {
-            s.member.clear();
-            s.member.resize(points.len().div_ceil(64), 0);
-            for &p in active {
-                s.member[p as usize / 64] |= 1 << (p % 64);
+    fn grow(&mut self, r: Option<u8>, points: &[Point<D>], weights: &[f64]) {
+        let Round { lanes, assignment, ub, lb, join, weights: sample_weights, .. } = self;
+        let (old_len, old_r) = (assignment.len(), self.r);
+        let len = r.map_or(points.len(), |r| join.iter().filter(|&&j| j <= r).count());
+        if len != old_len {
+            assignment.resize(len, 0);
+            ub.resize(len, f64::INFINITY);
+            lb.resize(len, 0.0);
+            lanes.coords.iter_mut().for_each(|lane| lane.resize(len, 0.0));
+            if r.is_some() {
+                sample_weights.resize(len, 0.0);
             }
-            s.before.clear();
-            s.grown.clear();
-            for (w, &word) in s.member.iter().enumerate() {
-                s.before.push(s.grown.len() as u32);
-                let mut rest = word;
-                while rest != 0 {
-                    s.grown.push(w as u32 * 64 + rest.trailing_zeros());
-                    rest &= rest - 1;
-                }
-            }
-            s.slot.clear();
-            s.weights.clear();
+            // Back to front, in array order: a member never moves to a
+            // lower position and every old position above the one being
+            // written has been read, so no write lands on a value still to
+            // be carried.
+            let (mut j, mut old) = (len, old_len);
             // geo-analyze: hot-loop
-            for &p in active {
-                let w = p as usize / 64;
-                let below = s.member[w] & ((1 << (p % 64)) - 1);
-                s.slot.push(s.before[w] + below.count_ones());
-                s.weights.push(weights[p as usize]);
-            }
-        }
-        self.assignment.resize(len, 0);
-        self.ub.resize(len, f64::INFINITY);
-        self.lb.resize(len, 0.0);
-        self.lanes.coords.iter_mut().for_each(|lane| lane.resize(len, 0.0));
-        // Back to front, the new ids descending against the old: a member
-        // never moves to a lower position and every old position above
-        // the one being read has been read, so no write lands on a value
-        // still to be carried.
-        let grown = active.map(|_| &s.grown[..]);
-        let mut old = old_len;
-        // geo-analyze: hot-loop
-        for j in (0..len).rev() {
-            let id = grown.map_or(j, |ids| ids[j] as usize);
-            if old > 0 && s.ids[old - 1] as usize == id {
-                old -= 1;
-                self.assignment[j] = self.assignment[old];
-                self.ub[j] = self.ub[old];
-                self.lb[j] = self.lb[old];
-                for lane in &mut self.lanes.coords {
-                    lane[j] = lane[old];
+            for i in (0..points.len()).rev() {
+                let joins = join.get(i).copied().unwrap_or(0);
+                if r.is_some_and(|r| joins > r) {
+                    continue;
                 }
-            } else {
-                self.assignment[j] = 0;
-                self.ub[j] = f64::INFINITY;
-                self.lb[j] = 0.0;
-                for (d, lane) in self.lanes.coords.iter_mut().enumerate() {
-                    lane[j] = points[id][d];
+                j -= 1;
+                if old_len > 0 && joins <= old_r {
+                    old -= 1;
+                    assignment[j] = assignment[old];
+                    ub[j] = ub[old];
+                    lb[j] = lb[old];
+                    for lane in lanes.coords.iter_mut() {
+                        lane[j] = lane[old];
+                    }
+                } else {
+                    assignment[j] = 0;
+                    ub[j] = f64::INFINITY;
+                    lb[j] = 0.0;
+                    for (d, lane) in lanes.coords.iter_mut().enumerate() {
+                        lane[j] = points[i][d];
+                    }
+                }
+                if r.is_some() {
+                    sample_weights[j] = weights[i];
                 }
             }
+            lanes.rebuild_boxes();
         }
-        match active {
-            Some(_) => std::mem::swap(&mut s.ids, &mut s.grown),
-            None => *s = Sample::default(),
+        match r {
+            Some(r) => self.r = r,
+            None => (self.join, self.weights) = (Vec::new(), Vec::new()),
         }
-        self.lanes.rebuild_boxes();
     }
 
-    /// Add every point of the round into row `assignment[j]` of `rows`: its
-    /// weight `w` into the row's last entry and, with `XS`, `w·x` into the
-    /// D before it — in the one order the golden digests pin for a round's
-    /// sums (block weights, centroids): a sample in the shuffled order of
-    /// its `active` list, through `slot`; every local point in array order.
+    /// Add every point of the round, in array order, into row
+    /// `assignment[j]` of `rows`: its weight `w` into the row's last entry
+    /// and, with `XS`, `w·(x − mid)` into the D before it — each term pre-rounded
+    /// onto `grid`, so every sum is exact and its bits do not depend on
+    /// the order of the terms or on how the ranks share them.
     /// `weights` are the local points'.
     ///
     /// Array order is curve order (see [`Round`]), so a cluster's points
     /// come in runs: the row stays in registers until the cluster changes —
-    /// the adds of `rows[c] += …` per point, in its order, without the
-    /// store-to-load round trip. A sample's runs have length 1, and the
-    /// run test there only costs (DESIGN.md §9).
-    fn add_rows<const XS: bool>(&self, weights: &[f64], rows: &mut [f64]) {
+    /// the adds of `rows[c] += …` per point, without the store-to-load
+    /// round trip (DESIGN.md §9).
+    fn add_rows<const XS: bool>(&self, weights: &[f64], grid: &Grid<D>, rows: &mut [f64]) {
         let stride = if XS { D + 1 } else { 1 };
+        let weights = if self.join.is_empty() { weights } else { &self.weights[..] };
         let lanes: [&[f64]; D] = std::array::from_fn(|d| &self.lanes.coords[d][..]);
         let asg = &self.assignment[..];
-        if self.sample.slot.len() == asg.len() {
-            // geo-analyze: hot-loop
-            for (&j, &w) in self.sample.slot.iter().zip(&self.sample.weights) {
-                let row = &mut rows[asg[j as usize] as usize * stride..][..stride];
-                if XS {
-                    for d in 0..D {
-                        row[d] += w * lanes[d][j as usize];
-                    }
-                }
-                row[stride - 1] += w;
-            }
-            return;
-        }
         let Some(&first) = asg.first() else { return };
         let load = |rows: &[f64], c: usize| -> ([f64; D], f64) {
             let row = &rows[c * stride..][..stride];
@@ -339,13 +292,73 @@ impl<const D: usize> Round<D> {
             }
             if XS {
                 for d in 0..D {
-                    xs[d] += w * lanes[d][j];
+                    xs[d] += (w * (lanes[d][j] - grid.mid[d]) + grid.wx[d]) - grid.wx[d];
                 }
             }
-            ws += w;
+            ws += (w + grid.w) - grid.w;
         }
         store(rows, cur, (xs, ws));
     }
+}
+
+/// The grids a round's sums pre-round their terms onto (DESIGN.md §2), a
+/// weight by `w`, a term `w·(x_d − mid_d)` by `wx[d]` (from the box's
+/// middle: the grid scales with its extent, not its offset): multiples of
+/// a power of two that every partial sum of at most `n_global` terms stays
+/// an exact multiple of, so a sum has one value in any order and at any p.
+struct Grid<const D: usize> {
+    w: f64,
+    wx: [f64; D],
+    mid: [f64; D],
+}
+
+impl<const D: usize> Grid<D> {
+    /// The grids for `n_global` terms of weight at most `w_max` over points
+    /// in `bb`, all global values. Rounding is monotone, so a computed
+    /// `|x_d − mid_d|` is at most `half(d)`.
+    fn new(n_global: u64, w_max: f64, bb: &Aabb<D>) -> Self {
+        let bound = n_global as f64 * w_max;
+        let mid: [f64; D] = std::array::from_fn(|d| 0.5 * bb.min[d] + 0.5 * bb.max[d]);
+        let half = |d: usize| (bb.max[d] - mid[d]).max(mid[d] - bb.min[d]);
+        Grid { w: snap(bound), wx: std::array::from_fn(|d| snap(bound * half(d))), mid }
+    }
+}
+
+/// `1.5·2^e` for the least `e ≥ −1022` with `2^(e−1) ≥ bound`, capped at
+/// `e = 1022`. `(x + g) − g` rounds any `|x| ≤ 2^(e−1)` exactly to a
+/// multiple of `ulp(g) = 2^(e−52)`, and sums of such multiples whose
+/// magnitudes total at most `2^(e+1)` are exact. Total: a zero, NaN or
+/// infinite bound gives a finite grid.
+fn snap(bound: f64) -> f64 {
+    let mut s = f64::MIN_POSITIVE;
+    while s < 2.0 * bound && s < 2f64.powi(1022) {
+        s *= 2.0;
+    }
+    1.5 * s
+}
+
+/// The Sec. 4.5 sample, keyed by the points themselves: point i joins in
+/// round `join[i]`, the first j whose threshold its key (`cfg.seed` mixed
+/// with its coordinate bits) falls below. Round j's threshold is the
+/// fraction `initial_sample·2^j / n` of the key range (n: the global point
+/// count), so the expected sample doubles from `initial_sample` and the
+/// first j with `initial_sample·2^j ≥ n` holds every point, whichever rank
+/// holds which. Returns `join` (empty if that j is 0) and the round count.
+fn sample_joins<const D: usize>(points: &[Point<D>], cfg: &Config, n: u64) -> (Vec<u8>, u8) {
+    let mut thresholds = Vec::new();
+    let mut size = cfg.initial_sample as u128;
+    while cfg.sampling_init && size < u128::from(n) {
+        thresholds.push(((size << 64) / u128::from(n)) as u64);
+        size *= 2;
+    }
+    if thresholds.is_empty() {
+        return (Vec::new(), 0);
+    }
+    let join = points.iter().map(|p| {
+        let key = (0..D).fold(cfg.seed, |h, d| SplitMix64::new(h ^ p[d].to_bits()).next_u64());
+        thresholds.iter().map(|&t| u8::from(t <= key)).sum()
+    });
+    (join.collect(), thresholds.len() as u8)
 }
 
 /// The k centers laid out for the SoA kernel, in bbox-sorted order.
@@ -428,6 +441,8 @@ struct Solver<'a, const D: usize> {
     influence: Vec<f64>,
     /// Global maximum point weight (balance-feasibility granularity).
     w_max: f64,
+    /// What the round's sums pre-round their terms onto.
+    grid: Grid<D>,
     /// Normalized per-block target weight fractions (uniform = 1/k each).
     fractions: Vec<f64>,
     /// The current movement round's points and their state.
@@ -724,33 +739,25 @@ impl<const D: usize> Solver<'_, D> {
             self.stats.balance_iterations += 1;
 
             // Centers sorted by their *minimum* effective distance to the
-            // active box (see DESIGN.md erratum 4 — the paper prints
-            // maxDist, which would make the early break unsound).
+            // active box (DESIGN.md erratum 4). The box is the rank's, so an
+            // exact tie may resolve differently at another p (§1).
             let (centers, influence) = (&self.centers, &self.influence);
             self.cscratch.order.clear();
             self.cscratch.order.extend((0..k as u32).map(|c| {
-                let d = match &bb {
-                    Some(bb) => {
-                        bb.min_dist(&centers[c as usize]) / influence[c as usize]
-                    }
-                    None => 0.0,
-                };
-                (d, c)
+                let near = bb.as_ref().map_or(0.0, |bb| bb.min_dist(&centers[c as usize]));
+                (near / influence[c as usize], c)
             }));
             if self.cfg.bbox_pruning {
-                self.cscratch
-                    .order
-                    .sort_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
+                self.cscratch.order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
             }
 
             // geo-analyze: allow(kernel-entropy): this clock IS the assignment-phase measurement; it never influences control flow or output.
             let assign_t0 = std::time::Instant::now();
             self.cscratch.fill_sorted::<D>(&self.centers, &self.influence);
             self.soa_assignment_pass();
-            // Block-weight accumulation is a single serial pass in the
-            // round's order, which fixes the bits of the sums.
+            // Block weights: exact sums, whatever the order or the ranks.
             self.local_sizes.iter_mut().for_each(|s| *s = 0.0);
-            self.round.add_rows::<false>(self.weights, &mut self.local_sizes);
+            self.round.add_rows::<false>(self.weights, &self.grid, &mut self.local_sizes);
             self.stats.assignment_seconds += assign_t0.elapsed().as_secs_f64();
 
             // The only communication of the balance loop (Alg. 1 line 31).
@@ -771,18 +778,14 @@ impl<const D: usize> Solver<'_, D> {
                 // Weighted form of the paper's Lmax = (1+ε)·⌈w(V)/k⌉: the
                 // `target + w_max` floor is what makes the constraint
                 // feasible when single point weights exceed ε·target.
-                let allowed =
-                    ((1.0 + self.cfg.epsilon) * target).max(target + self.w_max);
-                if self.global_sizes[c] > allowed + 1e-12 {
+                let allowed = ((1.0 + self.cfg.epsilon) * target).max(target + self.w_max);
+                if self.global_sizes[c] > allowed {
                     all_within = false;
                 }
             }
             self.stats.final_imbalance = (worst_ratio - 1.0).max(0.0);
             self.stats.balance_achieved = all_within;
-            if all_within {
-                return;
-            }
-            if balance_iter + 1 == self.cfg.max_balance_iterations {
+            if all_within || balance_iter + 1 == self.cfg.max_balance_iterations {
                 return;
             }
 
@@ -823,19 +826,18 @@ impl<const D: usize> Solver<'_, D> {
         let stride = D + 1;
         self.center_sums.clear();
         self.center_sums.resize(k * stride, 0.0);
-        // In the round's order, like the block weights.
-        self.round.add_rows::<true>(self.weights, &mut self.center_sums);
+        // Exact, like the block weights.
+        self.round.add_rows::<true>(self.weights, &self.grid, &mut self.center_sums);
         comm.allreduce_sum_f64(&mut self.center_sums);
         let (sums, centers, buf) =
             (&self.center_sums, &self.centers, &mut self.new_centers_buf);
+        let mid = self.grid.mid;
         buf.clear();
         for c in 0..k {
             let w = sums[c * stride + D];
-            buf.push(if w > 0.0 {
-                let mut coords = [0.0; D];
-                for d in 0..D {
-                    coords[d] = sums[c * stride + d] / w;
-                }
+            let coords: [f64; D] = std::array::from_fn(|d| mid[d] + sums[c * stride + d] / w);
+            // An empty cluster, or sums past the f64 range, keep the center.
+            buf.push(if w > 0.0 && coords.iter().all(|x| x.is_finite()) {
                 Point::new(coords)
             } else {
                 centers[c]
@@ -902,21 +904,13 @@ pub fn balanced_kmeans_warm<const D: usize, C: Comm>(
     // paper's "average cluster diameter" (DESIGN.md §2).
     let bb = crate::pipeline::global_bbox(comm, points);
     let local_w_max = weights.iter().copied().fold(0.0, f64::max);
-    let w_max = comm.allreduce(local_w_max, f64::max);
+    let (w_max, n_global) = comm.allreduce((local_w_max, n_local as u64), |a, b| {
+        (a.0.max(b.0), a.1 + b.1)
+    });
     let diag = bb.diagonal();
     let beta = 2.0 * diag / (k as f64).powf(1.0 / D as f64);
     let delta_threshold = cfg.delta_threshold * diag;
-
-    // The sample-only arrays are sized once, for the largest sample short
-    // of the full set (the last `initial_sample·2^j < n_local`): growing
-    // them round by round would hold the old and the new buffers at once.
-    let mut sample_cap = 0;
-    if cfg.sampling_init && cfg.initial_sample < n_local {
-        sample_cap = cfg.initial_sample;
-        while sample_cap * 2 < n_local {
-            sample_cap *= 2;
-        }
-    }
+    let (join, sample_rounds) = sample_joins(points, cfg, n_global);
 
     let mut solver = Solver {
         #[cfg(test)]
@@ -927,8 +921,9 @@ pub fn balanced_kmeans_warm<const D: usize, C: Comm>(
         centers: initial_centers,
         influence: initial_influence,
         w_max,
+        grid: Grid::new(n_global, w_max, &bb),
         fractions: cfg.fractions(k),
-        round: Round::with_capacity(n_local, sample_cap),
+        round: Round::new(n_local, join),
         cscratch: CenterScratch::default(),
         kscratch: KernelScratch::new(k, D),
         old_influence: Vec::with_capacity(k),
@@ -941,33 +936,16 @@ pub fn balanced_kmeans_warm<const D: usize, C: Comm>(
         stats: KMeansStats::default(),
     };
 
-    // Sampling initialization (Sec. 4.5): a random local permutation whose
-    // prefix is the active sample, doubling every movement round; each
-    // round grows the last one in place. Once the sample covers every
-    // local point the permutation is dropped: the round over all points
-    // needs no index list and sums in array order.
-    let mut perm: Vec<u32> = Vec::new();
-    let mut sample_len = n_local;
-    if cfg.sampling_init {
-        perm = (0..n_local as u32).collect();
-        let mut rng = SplitMix64::new(cfg.seed ^ (comm.rank() as u64).wrapping_mul(0xA24B_AED4));
-        rng.shuffle(&mut perm);
-        sample_len = cfg.initial_sample.min(n_local);
-    }
-
-    let mut iterations_left = cfg.max_iterations;
+    // Sampling initialization (Sec. 4.5): movement round r runs on sample
+    // round r, each growing the last one in place, until round
+    // `sample_rounds` holds every point — the same round on every rank,
+    // since it depends on the global point count alone.
+    let mut r = 0;
     let mut sampled = true; // no round yet: nothing is assigned
-    while iterations_left > 0 {
-        iterations_left -= 1;
+    for _ in 0..cfg.max_iterations {
         solver.stats.movement_iterations += 1;
-        sampled = sample_len < n_local;
-        if !sampled {
-            perm = Vec::new();
-        }
-        solver.round.grow(sampled.then(|| &perm[..sample_len]), points, weights);
-
-        // Everyone must agree whether this is still a sampling round.
-        let all_full = comm.allreduce(u64::from(!sampled), u64::min) == 1;
+        sampled = r < sample_rounds;
+        solver.round.grow(sampled.then_some(r), points, weights);
 
         solver.assign_and_balance(comm);
 
@@ -979,7 +957,7 @@ pub fn balanced_kmeans_warm<const D: usize, C: Comm>(
         // boundaries even with fixed centers; cf. the paper's Sec. 4.5
         // "balance was always achieved when allowing a sufficient number of
         // balance and movement iterations".)
-        if all_full && max_delta < delta_threshold && solver.stats.balance_achieved {
+        if !sampled && max_delta < delta_threshold && solver.stats.balance_achieved {
             solver.stats.converged = true;
             break;
         }
@@ -995,26 +973,17 @@ pub fn balanced_kmeans_warm<const D: usize, C: Comm>(
             }
         }
         if cfg.hamerly_bounds {
-            solver.relax.set_movement(
-                &solver.delta,
-                &solver.old_influence,
-                &solver.influence,
-            );
+            solver.relax.set_movement(&solver.delta, &solver.old_influence, &solver.influence);
             solver.relax_bounds();
         }
-
-        if !all_full {
-            sample_len = (sample_len * 2).min(n_local);
-        }
+        r += u8::from(sampled);
     }
 
     // If the iteration budget ran out mid-sampling, points outside the
     // sample have never been assigned: finish with one pass over all of
-    // them. What counts is the round that ran last — `sample_len` is
-    // already the next round's. The decision must be global so the
-    // collectives stay matched.
-    let all_full = comm.allreduce(u64::from(!sampled), u64::min) == 1;
-    if !all_full {
+    // them. What counts is the round that ran last, and it ran on every
+    // rank.
+    if sampled {
         solver.round.grow(None, points, weights);
         solver.assign_and_balance(comm);
     }
@@ -1051,10 +1020,11 @@ mod tests {
     /// solver's centers and influences — no bounds, no box sort, no break
     /// — and hold the pass to [`oracle_check_point`].
     pub(super) fn oracle_check<const D: usize>(s: &Solver<'_, D>, before: &RoundState) {
-        let Round { assignment, ub, lb, sample, .. } = &s.round;
+        let Round { assignment, ub, lb, .. } = &s.round;
+        let ids = members(&s.round, s.points.len());
+        assert_eq!(ids.len(), assignment.len(), "the round holds its members");
         let mut e = Vec::with_capacity(s.k);
-        for i in 0..assignment.len() {
-            let p = sample.ids.get(i).map_or(i, |&id| id as usize);
+        for (i, &p) in ids.iter().enumerate() {
             e.clear();
             e.extend(s.centers.iter().zip(&s.influence).map(|(c, f)| s.points[p].dist(c) / f));
             oracle_check_point(
@@ -1065,6 +1035,12 @@ mod tests {
             );
         }
         ORACLE_VISITS.with(|v| v.set(v.get() + assignment.len() as u64));
+    }
+
+    /// The local ids the round holds, ascending: the points with
+    /// `join[i] ≤ r`, or all `n` once `join` is gone.
+    fn members<const D: usize>(round: &Round<D>, n: usize) -> Vec<usize> {
+        (0..n).filter(|&i| round.join.get(i).is_none_or(|&j| j <= round.r)).collect()
     }
 
     /// One point against its k effective distances `e`: the assigned
@@ -1128,38 +1104,26 @@ mod tests {
         oracle_check_point(&[3.0, 1.0, 2.0], true, (1, 1.5, 1.75), (1, 1.0, 2.0));
     }
 
-    /// Walk one round through `steps` (`Some(len)`: the sample
-    /// `perm[..len]`, `None`: every point) and hold each growth to a
-    /// from-scratch gather of `points`. After each check every
-    /// `(assignment, ub, lb)` is overwritten with a value unique to its
-    /// point and step, so the next growth must carry exactly those bits.
-    fn check_growths<const D: usize>(n: usize, steps: &[Option<usize>]) {
+    /// Walk one round over points joining in rounds `join` through
+    /// `steps` (`Some(r)`: sample round r, `None`: every point) and hold
+    /// each growth to a from-scratch gather of `points`. After each check
+    /// every `(assignment, ub, lb)` is overwritten with a value unique to
+    /// its point and step, so the next growth must carry exactly those bits.
+    fn check_growths<const D: usize>(join: Vec<u8>, steps: &[Option<u8>]) {
+        let n = join.len();
         let points = family_points::<D>(n, 61, true);
         let mut rng = SplitMix64::new(62);
         let weights: Vec<f64> = (0..n).map(|_| 1.0 + rng.next_f64()).collect();
-        let mut perm: Vec<u32> = (0..n as u32).collect();
-        rng.shuffle(&mut perm);
         // What every local point holds, reached by a round yet or not.
         let mut home = vec![(0u32, f64::INFINITY.to_bits(), 0.0f64.to_bits()); n];
-        let mut round = Round::<D>::with_capacity(n, 0);
-        for (step, &len) in steps.iter().enumerate() {
-            let active = len.map(|len| &perm[..len]);
-            round.grow(active, &points, &weights);
-            let ids: Vec<usize> = match active {
-                Some(active) => {
-                    assert!(round.sample.ids.windows(2).all(|w| w[0] < w[1]), "ids ascend");
-                    let mut sorted = active.to_vec();
-                    sorted.sort_unstable();
-                    assert_eq!(round.sample.ids, sorted);
-                    sorted.into_iter().map(|id| id as usize).collect()
-                }
-                None => {
-                    let s = &round.sample;
-                    assert!(s.ids.is_empty() && s.slot.is_empty() && s.weights.is_empty());
-                    (0..n).collect()
-                }
-            };
-            let tag = format!("D={D} n={n} step {step} ({len:?})");
+        let mut round = Round::<D>::new(n, join);
+        for (step, &r) in steps.iter().enumerate() {
+            round.grow(r, &points, &weights);
+            let ids = members(&round, n);
+            if r.is_none() {
+                assert!(round.join.is_empty() && round.weights.is_empty());
+            }
+            let tag = format!("D={D} n={n} step {step} ({r:?})");
             let mut gathered = Lanes::<D> {
                 coords: (0..D).map(|d| ids.iter().map(|&id| points[id][d]).collect()).collect(),
                 boxes: Vec::new(),
@@ -1177,64 +1141,77 @@ mod tests {
                 (round.assignment[j], round.ub[j], round.lb[j]) = (x as u32 % 7, x + 0.5, x / 3.0);
                 home[id] = (round.assignment[j], round.ub[j].to_bits(), round.lb[j].to_bits());
             }
-            assert_rows_are_the_naive_loop(&round, &points, &weights, active, 7, &tag);
+            assert_rows_are_exact_sums(&round, &points, &weights, 7, &tag);
         }
     }
 
-    /// Hold both forms of `add_rows` to the loop it replaced — `rows[c] += …`
-    /// point by point, a sample in the order of its `active` list, every
-    /// local point in array order — from the same arbitrary starting rows,
-    /// bit for bit.
-    fn assert_rows_are_the_naive_loop<const D: usize>(
+    /// Hold both forms of `add_rows` to the exact sums of their pre-rounded
+    /// terms: a naive `rows[c] += …` loop over the round's members in
+    /// reverse, and over the members dealt round-robin to three "ranks"
+    /// whose rows are added afterwards, must give the same bits. The
+    /// grids are built for the round's own points and weights.
+    fn assert_rows_are_exact_sums<const D: usize>(
         round: &Round<D>,
         points: &[Point<D>],
         weights: &[f64],
-        active: Option<&[u32]>,
         k: usize,
         tag: &str,
     ) {
-        let spelled: Vec<usize> = match active {
-            Some(active) => active.iter().map(|&p| p as usize).collect(),
-            None => (0..points.len()).collect(),
-        };
-        let ids = &round.sample.ids;
-        let position = |id: usize| match ids.binary_search(&(id as u32)) {
-            Ok(j) => j,
-            Err(_) => id, // every local point: position is id
-        };
+        let ids = members(round, points.len());
+        let w_max = weights.iter().copied().fold(0.0, f64::max);
+        let unit = Aabb { min: Point::new([0.0; D]), max: Point::new([1.0; D]) };
+        let bb = Aabb::from_points(points).unwrap_or(unit);
+        let grid = Grid::new(points.len() as u64, w_max, &bb);
         let stride = D + 1;
-        let mut rng = SplitMix64::new(63);
-        let start: Vec<f64> = (0..k * stride).map(|_| rng.next_f64() - 0.5).collect();
-        let (mut naive_sums, mut naive_sizes) = (start.clone(), start[..k].to_vec());
-        for id in spelled {
-            let (c, w) = (round.assignment[position(id)] as usize, weights[id]);
-            for d in 0..D {
-                naive_sums[c * stride + d] += w * points[id][d];
+        let naive = |order: &mut dyn Iterator<Item = usize>| {
+            let (mut sums, mut sizes) = (vec![0.0; k * stride], vec![0.0; k]);
+            for j in order {
+                let (c, w) = (round.assignment[j] as usize, weights[ids[j]]);
+                for d in 0..D {
+                    let x = points[ids[j]][d] - grid.mid[d];
+                    sums[c * stride + d] += (w * x + grid.wx[d]) - grid.wx[d];
+                }
+                sums[c * stride + D] += (w + grid.w) - grid.w;
+                sizes[c] += (w + grid.w) - grid.w;
             }
-            naive_sums[c * stride + D] += w;
-            naive_sizes[c] += w;
-        }
-        let (mut sums, mut sizes) = (start.clone(), start[..k].to_vec());
-        round.add_rows::<true>(weights, &mut sums);
-        round.add_rows::<false>(weights, &mut sizes);
+            (sums, sizes)
+        };
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&sums), bits(&naive_sums), "{tag}: center sums");
-        assert_eq!(bits(&sizes), bits(&naive_sizes), "{tag}: block weights");
+        let (mut sums, mut sizes) = (vec![0.0; k * stride], vec![0.0; k]);
+        round.add_rows::<true>(weights, &grid, &mut sums);
+        round.add_rows::<false>(weights, &grid, &mut sizes);
+        let (back_sums, back_sizes) = naive(&mut (0..ids.len()).rev());
+        assert_eq!(bits(&sums), bits(&back_sums), "{tag}: center sums");
+        assert_eq!(bits(&sizes), bits(&back_sizes), "{tag}: block weights");
+        let (mut dealt_sums, mut dealt_sizes) = (vec![0.0; k * stride], vec![0.0; k]);
+        for rank in (0..3).rev() {
+            let (s, z) = naive(&mut (rank..ids.len()).step_by(3));
+            dealt_sums.iter_mut().zip(s).for_each(|(a, b)| *a += b);
+            dealt_sizes.iter_mut().zip(z).for_each(|(a, b)| *a += b);
+        }
+        assert_eq!(bits(&sums), bits(&dealt_sums), "{tag}: center sums, dealt");
+        assert_eq!(bits(&sizes), bits(&dealt_sizes), "{tag}: block weights, dealt");
+    }
+
+    /// Join rounds over `n` points as [`sample_joins`] makes them: about
+    /// half of the points join only with the last of `rounds` rounds.
+    fn random_joins(n: usize, rounds: u8, seed: u64) -> Vec<u8> {
+        let mut rng = SplitMix64::new(seed);
+        (0..n).map(|_| rounds - (rng.next_u64() | 1 << rounds).trailing_zeros() as u8).collect()
     }
 
     #[test]
-    fn add_rows_is_the_naive_loop_bit_for_bit() {
-        /// A round of `sample` (or all) of n points whose clusters come in
-        /// runs of `run` consecutive positions, each run's cluster random.
-        fn check<const D: usize>(n: usize, k: usize, sample: Option<usize>, run: usize) {
+    fn add_rows_sums_exactly_in_any_order() {
+        /// A round of sample round `r` (or all) of n points whose clusters
+        /// come in runs of `run` consecutive positions, each run's cluster
+        /// random.
+        fn check<const D: usize>(n: usize, k: usize, r: Option<u8>, run: usize) {
             let points = family_points::<D>(n, 64, false);
             let mut rng = SplitMix64::new(65);
-            let weights: Vec<f64> = (0..n).map(|_| 0.5 + rng.next_f64()).collect();
-            let mut perm: Vec<u32> = (0..n as u32).collect();
-            rng.shuffle(&mut perm);
-            let active = sample.map(|len| &perm[..len]);
-            let mut round = Round::<D>::with_capacity(n, sample.unwrap_or(0));
-            round.grow(active, &points, &weights);
+            let weights: Vec<f64> = (0..n).map(|_| 0.5 + 1e3 * rng.next_f64()).collect();
+            let join = if r.is_some() { random_joins(n, 4, 66) } else { Vec::new() };
+            let mut round = Round::<D>::new(n, join);
+            round.grow(r, &points, &weights);
             let mut c = 0;
             for (j, a) in round.assignment.iter_mut().enumerate() {
                 if j % run == 0 {
@@ -1242,34 +1219,94 @@ mod tests {
                 }
                 *a = c;
             }
-            let tag = format!("D={D} n={n} k={k} sample={sample:?} run={run}");
-            assert_rows_are_the_naive_loop(&round, &points, &weights, active, k, &tag);
+            let tag = format!("D={D} n={n} k={k} r={r:?} run={run}");
+            assert_rows_are_exact_sums(&round, &points, &weights, k, &tag);
         }
         // Runs of length 1, long runs (one ending at the last point, one
-        // of a single point after it), one cluster, an empty round, and a
-        // sample — summed in slot order, whatever its runs.
+        // of a single point after it), one cluster, an empty round, and
+        // samples.
         check::<2>(1000, 7, None, 1);
         check::<3>(1000, 7, None, 1);
         check::<2>(1000, 7, None, 250);
         check::<3>(1001, 5, None, 250);
         check::<2>(600, 1, None, 1);
         check::<3>(0, 3, None, 1);
-        check::<2>(1000, 7, Some(600), 1);
-        check::<3>(1000, 7, Some(600), 40);
+        check::<2>(1000, 7, Some(3), 1);
+        check::<3>(1000, 7, Some(2), 40);
         check::<2>(1000, 7, Some(0), 1);
     }
 
     #[test]
     fn grow_carries_members_and_gathers_newcomers() {
-        // Nested prefixes across block boundaries (257, then a length
-        // that is no multiple of `SOA_BLOCK`) up to every point, which
-        // repeats while a peer still samples; sampling off, and a shard
-        // below the first sample, go from empty to full in one step; a
-        // rank may hold nothing at all.
-        check_growths::<2>(1000, &[Some(0), Some(1), Some(257), Some(600), None, None]);
-        check_growths::<3>(777, &[Some(100), Some(200), Some(400), None]);
-        check_growths::<2>(57, &[None, None]);
-        check_growths::<3>(0, &[Some(0), None]);
+        // Nested rounds across block boundaries up to every point; sampling
+        // off goes from empty to full in one step; a round may hold
+        // nothing, and a rank may hold nothing at all.
+        check_growths::<2>(random_joins(1000, 5, 67), &[Some(0), Some(1), Some(3), Some(4), None]);
+        check_growths::<3>(random_joins(777, 3, 68), &[Some(0), Some(2), None]);
+        check_growths::<2>(Vec::new(), &[None]);
+        check_growths::<2>(vec![2; 300], &[Some(0), Some(1), None]);
+        check_growths::<3>(Vec::new(), &[None]);
+    }
+
+    #[test]
+    fn grids_are_total() {
+        // All-zero weights, fewer than four points, and a `w·x` bound past
+        // the f64 range (heavy points far out) each end in finite centers.
+        let cases: [(Vec<Point<2>>, Vec<f64>); 4] = [
+            (uniform_points(50, 91), vec![0.0; 50]),
+            (uniform_points(3, 92), vec![1.0; 3]),
+            (uniform_points(1, 93), vec![0.0]),
+            (
+                uniform_points(40, 94).iter().map(|p| Point::new([p[0] * 1e150, p[1]])).collect(),
+                vec![1e200; 40],
+            ),
+        ];
+        for (pts, w) in cases {
+            let k = 2.min(pts.len());
+            let centers = sfc_like_centers(&pts, k);
+            let out = balanced_kmeans(&SelfComm, &pts, &w, k, centers, &Config::default());
+            assert!(out.centers.iter().all(|c| c.coords().iter().all(|x| x.is_finite())));
+            assert!(out.influence.iter().all(|i| i.is_finite() && *i > 0.0));
+        }
+        for bound in [0.0, 1.0, f64::MIN_POSITIVE, f64::MAX, f64::INFINITY, f64::NAN] {
+            let g = snap(bound);
+            assert!(g.is_finite() && g > 0.0, "grid {g} for bound {bound}");
+        }
+    }
+
+    #[test]
+    fn centroid_error_scales_with_the_extent_not_the_offset() {
+        // The unit square moved out to 1e6 and beyond (projected or ECEF
+        // coordinates look like this): a grid sized from |x| would quantise
+        // each term to ~n·1e6·2^-52 and the centroid to ~1e-8; counted from
+        // the box's middle, to ~n·2^-52. Offsets that are powers of two move
+        // the middle exactly and leave the grids' bits alone.
+        let n = 1 << 16;
+        // Coordinates on a 2^-26 grid, so `x + offset` is exact.
+        let q = 2f64.powi(26);
+        let unit: Vec<Point<2>> = uniform_points(n, 95)
+            .iter()
+            .map(|p| Point::new([(p[0] * q).round() / q, p[1]]))
+            .collect();
+        let weights = vec![1.0; n];
+        let unit_bb = Aabb::from_points(&unit).unwrap();
+        for offset in [1e6, -3.5e7, 2f64.powi(20)] {
+            let pts: Vec<Point<2>> = unit.iter().map(|p| Point::new([p[0] + offset, p[1]])).collect();
+            let grid = Grid::new(n as u64, 1.0, &Aabb::from_points(&pts).unwrap());
+            let mut round = Round::<2>::new(n, Vec::new());
+            round.grow(None, &pts, &weights);
+            let mut sums = vec![0.0; 3];
+            round.add_rows::<true>(&weights, &grid, &mut sums);
+            // Measured from the offset, which `mid − offset` is exactly.
+            let centroid = (grid.mid[0] - offset) + sums[0] / sums[2];
+            let exact = unit.iter().map(|p| p[0]).sum::<f64>() / n as f64;
+            let err = (centroid - exact).abs();
+            assert!(err < 1e-9, "offset {offset}: centroid off by {err}");
+            if offset == 2f64.powi(20) {
+                let at_origin = Grid::new(n as u64, 1.0, &unit_bb);
+                assert_eq!(grid.wx.map(f64::to_bits), at_origin.wx.map(f64::to_bits));
+            }
+        }
     }
 
     fn uniform_points(n: usize, seed: u64) -> Vec<Point<2>> {
@@ -1558,9 +1595,11 @@ mod tests {
         })
     }
 
-    /// FNV-1a over every rank's assignment and trajectory counters — what
-    /// a kernel edit must not move — and, apart from it, the distance
-    /// evaluations summed over the ranks, which an edit to the pruning
+    /// FNV-1a over the global assignment (the ranks' in rank order) and
+    /// the trajectory counters summed over the ranks — what a kernel edit
+    /// must not move and what must not depend on p — and, apart from it,
+    /// the distance evaluations summed over the ranks, which depend on
+    /// how the ranks' blocks prune and which an edit to the pruning
     /// re-pins on purpose.
     fn digest<const D: usize>(ranks: &[KMeansOutput<D>]) -> (String, u64) {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -1569,26 +1608,29 @@ mod tests {
                 h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
             }
         };
-        for out in ranks {
-            out.assignment.iter().for_each(|&a| eat(u64::from(a)));
-            let s = &out.stats;
-            [s.movement_iterations, s.balance_iterations, s.hamerly_skips, s.points_visited]
-                .into_iter()
-                .for_each(&mut eat);
-        }
-        (format!("{h:#018x}"), ranks.iter().map(|out| out.stats.distance_evals).sum())
+        ranks.iter().flat_map(|out| &out.assignment).for_each(|&a| eat(u64::from(a)));
+        let sum = |f: fn(&KMeansStats) -> u64| ranks.iter().map(|out| f(&out.stats)).sum();
+        [
+            ranks[0].stats.movement_iterations,
+            ranks[0].stats.balance_iterations,
+            sum(|s| s.hamerly_skips),
+            sum(|s| s.points_visited),
+        ]
+        .into_iter()
+        .for_each(&mut eat);
+        (format!("{h:#018x}"), sum(|s| s.distance_evals))
     }
 
     #[test]
-    fn golden_digests_match_the_recorded_solves() {
+    fn golden_digests_match_the_recorded_solves_at_every_p() {
         // Eight cells of the grid `oracle_holds_…` sweeps — both
-        // dimensions, both rank counts, both families, every first-sample
-        // size, both budgets, k = 32, and each pruning switch off — plus
-        // one default-config solve run to convergence. The trajectory
-        // digests were recorded at 5e6fcda, before the per-block center
-        // shortlist went in, and held across it; the evaluation counts
-        // beside them are the shortlist's, each at or below the count the
-        // full per-point scan made there (in the trailing comments).
+        // dimensions, both families, every first-sample size, both
+        // budgets, k = 32, and each pruning switch off — plus one
+        // default-config solve run to convergence, each solved on one
+        // rank and on four uneven ones: the digest is one value at both,
+        // the evaluation counts are per p. Recorded when the sums became
+        // exact and the sample point-keyed (CHANGES.md has the values
+        // they replaced).
         let cfg = |initial_sample, max_iterations| Config {
             initial_sample,
             max_iterations,
@@ -1596,29 +1638,34 @@ mod tests {
         };
         let no_hamerly = Config { hamerly_bounds: false, ..cfg(100, 15) };
         let no_bbox = Config { bbox_pruning: false, ..cfg(257, 15) };
-        let got = [
-            digest(&solve_instance::<2>(1, 41, false, 5, &cfg(100, 15))),
-            digest(&solve_instance::<3>(4, 42, true, 5, &cfg(257, 15))),
-            digest(&solve_instance::<2>(4, 43, true, 5, &cfg(1, 3))),
-            digest(&solve_instance::<3>(1, 41, false, 5, &cfg(100, 3))),
-            digest(&solve_instance::<2>(4, 42, false, 32, &cfg(100, 15))),
-            digest(&solve_instance::<3>(1, 43, true, 32, &cfg(1, 15))),
-            digest(&solve_instance::<2>(1, 43, true, 5, &no_hamerly)),
-            digest(&solve_instance::<3>(4, 41, true, 5, &no_bbox)),
-            digest(&solve_instance::<2>(4, 42, true, 5, &Config::default())),
-        ];
+        let cell = |p: usize, c: usize| match c {
+            0 => digest(&solve_instance::<2>(p, 41, false, 5, &cfg(100, 15))),
+            1 => digest(&solve_instance::<3>(p, 42, true, 5, &cfg(257, 15))),
+            2 => digest(&solve_instance::<2>(p, 43, true, 5, &cfg(1, 3))),
+            3 => digest(&solve_instance::<3>(p, 41, false, 5, &cfg(100, 3))),
+            4 => digest(&solve_instance::<2>(p, 42, false, 32, &cfg(100, 15))),
+            5 => digest(&solve_instance::<3>(p, 43, true, 32, &cfg(1, 15))),
+            6 => digest(&solve_instance::<2>(p, 43, true, 5, &no_hamerly)),
+            7 => digest(&solve_instance::<3>(p, 41, true, 5, &no_bbox)),
+            _ => digest(&solve_instance::<2>(p, 42, true, 5, &Config::default())),
+        };
+        let got: [_; 9] = std::array::from_fn(|c| {
+            let ((h1, evals1), (h4, evals4)) = (cell(1, c), cell(4, c));
+            assert_eq!(h1, h4, "cell {c}: the digest depends on p");
+            (h1, evals1, evals4)
+        });
         let golden = [
-            ("0xe632f05b3125f4e9", 29985),
-            ("0xc31b256ee388d451", 283694), // 283 922 without the shortlist
-            ("0x6ebb65940352eafb", 33661),
-            ("0x3d29047844e8b0db", 12290),
-            ("0x4c5dfbd1f5c99d81", 2977760),
-            ("0x56107675738b1c80", 2322341),
-            ("0xc9b7791eae745533", 319000),
-            ("0x931f73ca7c71363c", 278625),
-            ("0x8c4b9d05d8d01406", 154005),
+            ("0xa71d3179fbbb83a1", 46015, 46015),
+            ("0xee364585d1f7eada", 173020, 173020),
+            ("0xcaf7e032a9860d09", 38589, 38578),
+            ("0xb1f59db3854597c6", 13155, 13149),
+            ("0x897862e91385872f", 2851392, 2847974),
+            ("0x0b32a6a4b35e34ec", 2074961, 2072916),
+            ("0xf26ec4b4cb68a419", 408525, 408425),
+            ("0x76920a013d2c5845", 122685, 122685),
+            ("0x83bdc6f11248a2d6", 80905, 80900),
         ];
-        assert_eq!(got.each_ref().map(|(h, evals)| (&h[..], *evals)), golden);
+        assert_eq!(got.each_ref().map(|(h, e1, e4)| (&h[..], *e1, *e4)), golden);
     }
 
     #[test]

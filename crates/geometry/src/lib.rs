@@ -6,8 +6,8 @@
 //! ([`WeightedPoints`]).
 //!
 //! The crate is dependency-free; the deterministic [`rng::SplitMix64`]
-//! generator exists so that algorithm crates can shuffle/sample without
-//! pulling in `rand`.
+//! generator exists so that algorithm crates can sample and hash, and tests
+//! can shuffle, without pulling in `rand`.
 
 // Fixed-dimension coordinate loops index several parallel arrays at once;
 // iterator-zip rewrites of those loops are less readable, not more.

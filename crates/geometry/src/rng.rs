@@ -1,10 +1,11 @@
 //! A minimal deterministic PRNG (SplitMix64) so that algorithm crates can
-//! shuffle and subsample reproducibly without a `rand` dependency.
+//! subsample and hash, and tests can shuffle, reproducibly without a `rand`
+//! dependency.
 //!
-//! The balanced k-means sampling initialization (Sec. 4.5 of the paper:
-//! "each process permutes its local points randomly and then picks the
-//! first 100 as initial sample") only needs an unbiased shuffle; SplitMix64
-//! passes BigCrush-level statistical tests and is two instructions per word.
+//! The balanced k-means sampling initialization (Sec. 4.5 of the paper)
+//! keys each point by mixing the seed with its coordinate bits through
+//! this generator's output function; SplitMix64 passes BigCrush-level
+//! statistical tests and is two instructions per word.
 
 /// SplitMix64 generator (Steele, Lea & Flood; the JDK's `SplittableRandom`).
 #[derive(Debug, Clone)]
@@ -50,7 +51,8 @@ impl SplitMix64 {
         }
     }
 
-    /// Fisher–Yates shuffle of `slice`.
+    /// Fisher–Yates shuffle of `slice`. Test support: no partitioner
+    /// permutes its input.
     pub fn shuffle<T>(&mut self, slice: &mut [T]) {
         for i in (1..slice.len()).rev() {
             let j = self.next_below(i as u64 + 1) as usize;

@@ -15,7 +15,7 @@
 use geographer::{Config, HierarchySpec};
 use geographer_bench::{solve_plan_proc_view, solve_plan_view, PlanRecipe, Tool};
 use geographer_graph::evaluate_levels;
-use geographer_mesh::{delaunay_unit_square, families::bubbles_like, Mesh};
+use geographer_mesh::{climate25d, delaunay_unit_square, families::bubbles_like, Mesh};
 use geographer_planner::{MeshView, RefineMode};
 use geographer_refine::MultilevelConfig;
 
@@ -184,5 +184,26 @@ fn stacked_plans_keep_every_hierarchy_level_balanced() {
             assert!(w <= allowed + 1e-9, "level {l} group {gi}: {w} > {allowed}");
         }
         parent_w = gw;
+    }
+}
+
+#[test]
+fn power_of_two_weight_scaling_leaves_the_partition_bitwise_unchanged() {
+    // Metamorphic: k-means' grid follows `w_max`, so scaling every weight
+    // by 2^j scales every pre-rounded term, sum, target and bound by 2^j
+    // exactly, and the partition — sampling on, one rank or three — is the
+    // same bit pattern.
+    let mesh = climate25d(1500, 30, 23);
+    let recipe = PlanRecipe::flat("geographer", Tool::Geographer, 6, Config::default());
+    let solve = |weights: &[f64], p: usize| {
+        let view = MeshView { points: &mesh.points, weights, graph: None };
+        solve_plan_view(view, &recipe, p, None).plan.assignment
+    };
+    let reference = solve(&mesh.weights, 1);
+    for j in [-20, 3, 40] {
+        let scaled: Vec<f64> = mesh.weights.iter().map(|w| w * 2f64.powi(j)).collect();
+        for p in [1, 3] {
+            assert_eq!(solve(&scaled, p), reference, "weights × 2^{j} at p = {p}");
+        }
     }
 }

@@ -1,22 +1,24 @@
 //! Integration: rank-count invariance. Every partitioner in the workspace
 //! is a deterministic function of the *global* point set, so running it on
-//! 1, 2 or 5 SPMD ranks must produce the same partition — with one honest
-//! caveat shared with every MPI code: cross-rank floating-point reductions
-//! are not associative, so algorithms whose cuts depend on *inexact* sums
-//! (RIB's covariance; anything under non-integer weights) may flip
-//! individual points that lie exactly on a cut boundary. We therefore
-//! require bitwise equality where the arithmetic is exact (unit weights,
-//! coordinate cuts, integer Hilbert keys) and ≥ 99.5 % agreement plus an
-//! intact balance guarantee elsewhere. (Geographer needs
-//! `sampling_init = false` here: the sampling permutation is intentionally
-//! rank-local, as in the paper.)
+//! any number of SPMD ranks must produce the same partition. Bitwise:
+//! RCB and MultiJagged cut on raw coordinates, HSFC on integer Hilbert
+//! keys, and Geographer's k-means sums its terms exactly on a fixed grid
+//! and keys its sample by the points themselves (DESIGN.md §1–§2), so all
+//! four are one bit pattern at every p, with sampling on and under
+//! non-integer weights. RIB is the one exception: its covariance sums are
+//! plain floating-point reductions across ranks, whose association depends
+//! on p, so it may flip a point lying exactly on a cut; it is held to
+//! ≥ 99.5 % agreement plus an intact balance guarantee.
 
 use geographer::Config;
-use geographer_bench::{solve_plan_view, PlanRecipe, Tool};
+use geographer_bench::{solve_plan_proc_view, solve_plan_view, PlanRecipe, Tool};
 use geographer_mesh::{climate25d, delaunay_unit_square, Mesh};
 use geographer_planner::MeshView;
 
-/// `tool`'s partition of `mesh` into `k` blocks on `p` ranks.
+/// The tools whose partition is bitwise the same at every p.
+const EXACT_TOOLS: [Tool; 4] = [Tool::Rcb, Tool::MultiJagged, Tool::Hsfc, Tool::Geographer];
+
+/// `tool`'s partition of `mesh` into `k` blocks on `p` thread ranks.
 fn assignment(tool: Tool, mesh: &Mesh<2>, k: usize, p: usize, cfg: &Config) -> Vec<u32> {
     let recipe = PlanRecipe::flat(tool.name(), tool, k, cfg.clone());
     solve_plan_view(MeshView::from(mesh), &recipe, p, None).plan.assignment
@@ -37,69 +39,62 @@ fn check_balance<const D: usize>(mesh: &Mesh<D>, asg: &[u32], k: usize, label: &
     assert!(imb <= 0.03 + 1e-6, "{label}: imbalance {imb}");
 }
 
-#[test]
-fn exact_invariance_with_unit_weights() {
-    // Unit weights make every weight sum exact in f64, and RCB/MJ cut on
-    // raw coordinates, HSFC on integer keys: bitwise identical partitions.
-    let mesh = delaunay_unit_square(1500, 20);
-    let cfg = Config { sampling_init: false, ..Config::default() };
-    for tool in [Tool::Rcb, Tool::MultiJagged, Tool::Hsfc] {
-        let reference = assignment(tool, &mesh, 6, 1, &cfg);
-        for p in [2usize, 5] {
-            let got = assignment(tool, &mesh, 6, p, &cfg);
-            assert_eq!(got, reference, "{} differs at p={p}", tool.name());
+/// Every exact tool, under the default config (Geographer samples), on
+/// `p` ∈ {2, 4, 5, 7} thread ranks must reproduce its p = 1 partition.
+fn exact_on_thread_ranks(mesh: &Mesh<2>, k: usize, family: &str) {
+    let cfg = Config::default();
+    for tool in EXACT_TOOLS {
+        let reference = assignment(tool, mesh, k, 1, &cfg);
+        check_balance(mesh, &reference, k, tool.name());
+        for p in [2usize, 4, 5, 7] {
+            let got = assignment(tool, mesh, k, p, &cfg);
+            assert_eq!(got, reference, "{} on {family} differs at p={p}", tool.name());
         }
     }
+}
+
+#[test]
+fn exact_invariance_with_unit_weights() {
+    exact_on_thread_ranks(&delaunay_unit_square(1500, 20), 6, "delaunay");
+}
+
+#[test]
+fn weighted_invariance_is_bitwise_for_every_tool_but_rib() {
+    // Non-integer weights: every tool but RIB is still bitwise invariant.
+    exact_on_thread_ranks(&climate25d(1200, 30, 21), 5, "climate25d");
 }
 
 #[test]
 fn inexact_sum_tools_invariant_up_to_fp_reduction_order() {
-    // RIB (covariance sums) and Geographer (centroid sums) reduce inexact
-    // floating-point quantities across ranks.
-    let mesh = delaunay_unit_square(1500, 20);
-    let cfg = Config { sampling_init: false, ..Config::default() };
-    for tool in [Tool::Rib, Tool::Geographer] {
-        let reference = assignment(tool, &mesh, 6, 1, &cfg);
-        for p in [2usize, 5] {
-            let got = assignment(tool, &mesh, 6, p, &cfg);
+    // RIB reduces its covariance sums across ranks in plain floating point.
+    let cfg = Config::default();
+    for (mesh, k) in [(delaunay_unit_square(1500, 20), 6), (climate25d(1200, 30, 21), 5)] {
+        let reference = assignment(Tool::Rib, &mesh, k, 1, &cfg);
+        for p in [2usize, 3, 5] {
+            let got = assignment(Tool::Rib, &mesh, k, p, &cfg);
             let agree = agreement(&got, &reference);
-            assert!(
-                agree >= 0.995,
-                "{} at p={p}: only {:.2}% agreement with p=1",
-                tool.name(),
-                agree * 100.0
-            );
-            check_balance(&mesh, &got, 6, tool.name());
+            assert!(agree >= 0.995, "RIB at p={p}: only {:.2}% agreement", agree * 100.0);
+            check_balance(&mesh, &got, k, "RIB");
         }
     }
 }
 
 #[test]
-fn weighted_invariance_up_to_fp_reduction_order() {
-    let mesh = climate25d(1200, 30, 21);
-    let cfg = Config { sampling_init: false, ..Config::default() };
-    for tool in Tool::ALL {
-        let reference = assignment(tool, &mesh, 5, 1, &cfg);
-        let got = assignment(tool, &mesh, 5, 3, &cfg);
-        let agree = agreement(&got, &reference);
-        assert!(
-            agree >= 0.995,
-            "{}: only {:.2}% agreement on weighted input",
-            tool.name(),
-            agree * 100.0
-        );
-        check_balance(&mesh, &got, 5, tool.name());
-    }
-}
-
-#[test]
-fn sampling_init_still_balances_across_rank_counts() {
-    // With sampling on, the partition may differ between rank counts, but
-    // the balance guarantee must hold for every p.
-    let mesh = delaunay_unit_square(2000, 22);
+fn sampling_geographer_is_bitwise_invariant_on_forked_ranks() {
+    // Geographer with sampling on, on forked ranks: p ∈ {2, 4} reproduce
+    // the p = 1 thread-rank partition bitwise, on both mesh families.
     let cfg = Config::default();
-    for p in [1usize, 2, 4] {
-        let asg = assignment(Tool::Geographer, &mesh, 8, p, &cfg);
-        check_balance(&mesh, &asg, 8, "Geographer(sampling)");
+    for (mesh, k, family) in [
+        (delaunay_unit_square(2000, 22), 8, "delaunay"),
+        (climate25d(1200, 30, 21), 5, "climate25d"),
+    ] {
+        let recipe = PlanRecipe::flat("geographer", Tool::Geographer, k, cfg.clone());
+        let reference = assignment(Tool::Geographer, &mesh, k, 1, &cfg);
+        check_balance(&mesh, &reference, k, family);
+        for p in [2usize, 4] {
+            let run = solve_plan_proc_view(MeshView::from(&mesh), &recipe, p)
+                .unwrap_or_else(|e| panic!("{family} at p={p}: job failed: {e}"));
+            assert_eq!(run.assignment, reference, "{family} on {p} forked ranks differs from p=1");
+        }
     }
 }

@@ -1,9 +1,9 @@
 //! Cross-tool SPMD conformance suite: every tool × every rank count ×
 //! two mesh families must satisfy the basic partitioner contract —
 //! complete in-range assignments, no empty block, and rank-count
-//! invariance (bitwise for the exact-arithmetic baselines, ≥ 99.5 %
-//! agreement for the tools whose cuts depend on inexact cross-rank
-//! floating-point sums; see DESIGN.md §1 for the policy).
+//! invariance (bitwise for every tool but RIB, ≥ 99.5 % agreement for
+//! RIB, whose cuts depend on inexact cross-rank floating-point sums; see
+//! DESIGN.md §1 for the policy). Geographer runs with sampling on.
 //!
 //! Since the planner unification, every configuration here routes through
 //! [`geographer_planner::Planner::solve`] — the same entry point the bench
@@ -17,12 +17,13 @@ use geographer_bench::{solve_plan_proc_view, solve_plan_view, PlanRecipe, Tool};
 use geographer_mesh::{delaunay_unit_square, families::bubbles_like, Mesh};
 use geographer_planner::MeshView;
 
-const RANK_COUNTS: [usize; 4] = [1, 2, 4, 7];
+const RANK_COUNTS: [usize; 5] = [1, 2, 4, 5, 7];
 const K: usize = 5;
 
-/// Tools whose SPMD arithmetic is exact on unit weights (coordinate cuts,
-/// integer Hilbert keys): rank-count invariance must be bitwise.
-const EXACT_TOOLS: [Tool; 3] = [Tool::Hsfc, Tool::MultiJagged, Tool::Rcb];
+/// Tools whose SPMD arithmetic is exact (coordinate cuts, integer Hilbert
+/// keys, k-means' grid sums and point-keyed sample): rank-count
+/// invariance must be bitwise.
+const EXACT_TOOLS: [Tool; 4] = [Tool::Geographer, Tool::Hsfc, Tool::MultiJagged, Tool::Rcb];
 
 fn agreement(a: &[u32], b: &[u32]) -> f64 {
     let same = a.iter().zip(b).filter(|(x, y)| x == y).count();
@@ -39,7 +40,7 @@ fn block_sizes(asg: &[u32], k: usize, label: &str) -> Vec<usize> {
 }
 
 fn conformance(mesh: &Mesh<2>, family: &str) {
-    let cfg = Config { sampling_init: false, ..Config::default() };
+    let cfg = Config::default();
     for tool in Tool::ALL {
         let exact = EXACT_TOOLS.contains(&tool);
         let recipe = PlanRecipe::flat(tool.name(), tool, K, cfg.clone());
@@ -75,9 +76,9 @@ fn conformance(mesh: &Mesh<2>, family: &str) {
 /// identical rank-ordered reduction trees, so even the inexact tools'
 /// floating-point sums come out bit-for-bit equal. Against the p=1
 /// reference the usual policy applies (bitwise for exact tools, ≥ 99.5 %
-/// for the rest).
+/// for RIB).
 fn proc_conformance(mesh: &Mesh<2>, family: &str) {
-    let cfg = Config { sampling_init: false, ..Config::default() };
+    let cfg = Config::default();
     for tool in Tool::ALL {
         let exact = EXACT_TOOLS.contains(&tool);
         let recipe = PlanRecipe::flat(tool.name(), tool, K, cfg.clone());
@@ -138,8 +139,7 @@ fn proc_backend_rank_death_fails_cleanly_under_the_full_pipeline() {
     // come back as a clean error well within the CI timeout, never hang.
     use geographer_parcomm::{run_spmd_proc, Comm};
     let mesh = delaunay_unit_square(600, 35);
-    let cfg = Config { sampling_init: false, ..Config::default() };
-    let recipe = PlanRecipe::flat("doomed", Tool::Geographer, K, cfg);
+    let recipe = PlanRecipe::flat("doomed", Tool::Geographer, K, Config::default());
     let err = run_spmd_proc(4, |comm| {
         if comm.rank() == 3 {
             // Die after the first collective so peers are mid-stream.
