@@ -14,7 +14,7 @@
 
 use geographer::Config;
 use geographer_bench::{solve_plan_proc_view, solve_plan_view, PlanRecipe, Tool};
-use geographer_mesh::{delaunay_unit_square, families::bubbles_like, Mesh};
+use geographer_mesh::{climate25d, delaunay_unit_square, families::bubbles_like, Mesh};
 use geographer_planner::MeshView;
 
 const RANK_COUNTS: [usize; 5] = [1, 2, 4, 5, 7];
@@ -108,6 +108,57 @@ fn proc_conformance(mesh: &Mesh<2>, family: &str) {
             // Real sockets moved real bytes: the counters cannot be empty.
             assert!(run.comm.rounds() > 0, "{label}: no rounds recorded");
             assert!(run.comm.bytes() > 0, "{label}: no bytes recorded");
+        }
+    }
+}
+
+/// FNV-1a over the assignment's little-endian block ids (the digest of
+/// `count_guard`).
+fn digest(assignment: &[u32]) -> u64 {
+    assignment
+        .iter()
+        .flat_map(|b| b.to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// The four baselines' global assignments pinned as digests at p = 1 and
+/// p = 4 thread ranks, on two mesh families, at an odd k (RCB splits 7 as
+/// 3 + 4, MultiJagged as 3 + 2 + 2) and at k = 12. The exact tools read
+/// one digest at both rank counts; RIB's inexact sums give it one per
+/// rank count. A refactor of the recursive cuts leaves every digest
+/// unedited.
+#[test]
+fn baseline_assignments_match_their_pinned_digests() {
+    use Tool::{Hsfc, MultiJagged, Rcb, Rib};
+    #[rustfmt::skip]
+    let pinned: [(&str, usize, Tool, [u64; 2]); 16] = [
+        ("delaunay", 7, Hsfc, [0xf344_d03e_ae3d_b2e6; 2]),
+        ("delaunay", 7, MultiJagged, [0xe0cf_9bfc_d81c_cb23; 2]),
+        ("delaunay", 7, Rcb, [0xc144_e5d4_b477_f4b3; 2]),
+        ("delaunay", 7, Rib, [0xe898_1f59_63c2_53d5, 0x2c5c_9b4b_9d70_09a3]),
+        ("delaunay", 12, Hsfc, [0x626e_ac2c_ada9_10a5; 2]),
+        ("delaunay", 12, MultiJagged, [0x8d63_feeb_056f_bb95; 2]),
+        ("delaunay", 12, Rcb, [0xe7e2_53cf_cded_8fb4; 2]),
+        ("delaunay", 12, Rib, [0xc8dd_40d6_dee0_1fea, 0xfa76_bb71_71c3_112c]),
+        ("climate", 7, Hsfc, [0x2513_640c_6189_3cd1; 2]),
+        ("climate", 7, MultiJagged, [0x1402_ce9f_6e05_0ce7; 2]),
+        ("climate", 7, Rcb, [0xa805_be11_b926_a501; 2]),
+        ("climate", 7, Rib, [0x3cc6_046b_b3a1_a5e6; 2]),
+        ("climate", 12, Hsfc, [0xa140_9394_5da7_b81d; 2]),
+        ("climate", 12, MultiJagged, [0x54d8_9af7_f842_c8ed; 2]),
+        ("climate", 12, Rcb, [0x52fb_82eb_829f_2d3d; 2]),
+        ("climate", 12, Rib, [0x360c_072d_83e2_f86b, 0xb587_3e6e_4445_438f]),
+    ];
+    let delaunay = delaunay_unit_square(1500, 20);
+    let climate = climate25d(1200, 30, 21);
+    for (family, k, tool, digests) in pinned {
+        let mesh = if family == "delaunay" { &delaunay } else { &climate };
+        let recipe = PlanRecipe::flat(tool.name(), tool, k, Config::default());
+        for (p, want) in [1usize, 4].into_iter().zip(digests) {
+            let plan = solve_plan_view(MeshView::from(mesh), &recipe, p, None).plan;
+            let got = digest(&plan.assignment);
+            let label = format!("{} on {family}, k = {k}, p = {p}", tool.name());
+            assert_eq!(got, want, "{label}: digest {got:#018x}");
         }
     }
 }
