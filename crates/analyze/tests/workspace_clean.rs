@@ -70,9 +70,16 @@ fn line_budgets_only_move_down() {
         let text = std::fs::read_to_string(root.join(rel)).expect("workspace source readable");
         text.lines().take_while(|line| *line != "#[cfg(test)]").count()
     };
-    let budgets = [
-        (vec!["crates/core/src/kmeans.rs"], 998),
-        (vec!["crates/core/src/pipeline.rs", "crates/dsort/src/lib.rs"], 974),
+    // Every file of the baselines crate, present or future.
+    let baselines: Vec<String> = std::fs::read_dir(root.join("crates/baselines/src"))
+        .expect("baselines sources readable")
+        .map(|entry| entry.expect("directory entry").file_name().to_string_lossy().into_owned())
+        .map(|name| format!("crates/baselines/src/{name}"))
+        .collect();
+    let budgets: [(Vec<String>, usize); 3] = [
+        (vec!["crates/core/src/kmeans.rs".into()], 997),
+        (vec!["crates/core/src/pipeline.rs".into(), "crates/dsort/src/lib.rs".into()], 969),
+        (baselines, 417),
     ];
     for (files, budget) in budgets {
         let lines: usize = files.iter().map(|rel| non_test(rel)).sum();

@@ -6,8 +6,8 @@
 //! the same "bin and refine" idea as Zoltan's HSFC, collapsed into a
 //! bisection.
 
-use geographer_dsort::weighted_quantiles_u64;
-use geographer_geometry::{Aabb, Point};
+use geographer_dsort::{global_bbox, weighted_quantiles_u64};
+use geographer_geometry::Point;
 use geographer_parcomm::Comm;
 use geographer_sfc::HilbertMapper;
 
@@ -15,34 +15,6 @@ use geographer_sfc::HilbertMapper;
 /// ample separation for reproduction-scale instances while keeping keys
 /// comfortably inside u64 in 3D too.
 const HSFC_BITS: u32 = 16;
-
-/// Compute the global bounding box of a distributed point set — a single
-/// fused min-reduce over `[mins | −maxs]`, like `geographer::global_bbox`.
-pub fn global_bounding_box<const D: usize, C: Comm>(
-    comm: &C,
-    points: &[Point<D>],
-) -> Aabb<D> {
-    let mut buf = vec![f64::INFINITY; 2 * D];
-    for p in points {
-        for d in 0..D {
-            buf[d] = buf[d].min(p[d]);
-            buf[D + d] = buf[D + d].min(-p[d]);
-        }
-    }
-    comm.allreduce_min_f64(&mut buf);
-    let mut lo = [0.0; D];
-    let mut hi = [0.0; D];
-    for d in 0..D {
-        let (mut mn, mut mx) = (buf[d], -buf[D + d]);
-        // Empty global sets produce an empty unit box at the origin.
-        if mn > mx {
-            (mn, mx) = (0.0, 1.0);
-        }
-        lo[d] = mn;
-        hi[d] = mx;
-    }
-    Aabb::new(Point::new(lo), Point::new(hi))
-}
 
 /// Partition the rank-local `points` into `k` blocks by cutting the Hilbert
 /// curve into weighted chunks.
@@ -57,7 +29,7 @@ pub fn hsfc_partition<const D: usize, C: Comm>(
     if k == 1 {
         return vec![0; points.len()];
     }
-    let bb = global_bounding_box(comm, points);
+    let bb = global_bbox(comm, points);
     let mapper = HilbertMapper::new(bb, HSFC_BITS);
     let keys: Vec<u64> = points.iter().map(|p| mapper.key_of(p)).collect();
 
@@ -90,7 +62,7 @@ mod tests {
         let k = 8;
         let asg = hsfc_partition(&SelfComm, &pts, &w, k);
         // Sort points by key; block ids must be non-decreasing.
-        let bb = global_bounding_box(&SelfComm, &pts);
+        let bb = global_bbox(&SelfComm, &pts);
         let order = HilbertMapper::new(bb, 16).order(&pts);
         let seq: Vec<u32> = order.iter().map(|&i| asg[i as usize]).collect();
         assert!(seq.windows(2).all(|w| w[0] <= w[1]), "blocks must be curve-contiguous");
@@ -128,21 +100,5 @@ mod tests {
         });
         let distributed: Vec<u32> = results.into_iter().flatten().collect();
         assert_eq!(distributed, serial);
-    }
-
-    #[test]
-    fn global_bbox_merges_ranks() {
-        let results = run_spmd(2, |c| {
-            let pts = if c.rank() == 0 {
-                vec![Point::new([0.0, -1.0])]
-            } else {
-                vec![Point::new([5.0, 3.0])]
-            };
-            global_bounding_box(&c, &pts)
-        });
-        for bb in results {
-            assert_eq!(bb.min.coords(), &[0.0, -1.0]);
-            assert_eq!(bb.max.coords(), &[5.0, 3.0]);
-        }
     }
 }

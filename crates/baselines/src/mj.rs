@@ -7,11 +7,10 @@
 //! which gives MJ its shallow recursion depth — the property behind its
 //! superior scaling in the paper's Fig. 3.
 
-use geographer_dsort::{weighted_quantiles_grouped, QuantileGroup};
 use geographer_geometry::Point;
 use geographer_parcomm::Comm;
 
-use crate::Region;
+use crate::{recursive_cuts, Cut};
 
 /// Choose how many parts to cut a region with `k` target blocks into, with
 /// `levels_left` recursion levels remaining (≥ 1).
@@ -42,78 +41,23 @@ pub fn multi_jagged<const D: usize, C: Comm>(
     weights: &[f64],
     k: usize,
 ) -> Vec<u32> {
-    assert!(k >= 1);
     assert_eq!(points.len(), weights.len());
-    let mut assignment = vec![0u32; points.len()];
-    // (region, dimension to cut, levels left in this sweep)
-    let root = Region { k, offset: 0, idx: (0..points.len() as u32).collect() };
-    let mut level: Vec<(Region, usize, usize)> = vec![(root, 0usize, D)];
-
-    while !level.is_empty() {
-        let mut active: Vec<(Region, usize, usize)> = Vec::new();
-        for (region, dim, levels_left) in level.drain(..) {
-            if region.k == 1 {
-                for &i in &region.idx {
-                    assignment[i as usize] = region.offset;
-                }
-            } else {
-                active.push((region, dim, levels_left));
-            }
-        }
-        if active.is_empty() {
-            break;
-        }
-
-        // One grouped multi-cut search for the whole level.
-        let mut parts_per_region = Vec::with_capacity(active.len());
-        let groups: Vec<QuantileGroup> = active
+    // A region's state: the dimension it is cut along and the levels left
+    // in the current sweep over the dimensions.
+    recursive_cuts(comm, weights, k, (0, D), |level| {
+        level
             .iter()
-            .map(|(region, dim, levels_left)| {
-                let m = fanout(region.k, (*levels_left).max(1));
-                let parts = split_k(region.k, m);
-                // Cut fractions are cumulative block counts.
-                let mut alphas = Vec::with_capacity(m - 1);
-                let mut acc = 0usize;
-                for &part in &parts[..m - 1] {
-                    acc += part;
-                    alphas.push(acc as f64 / region.k as f64);
-                }
-                parts_per_region.push(parts);
-                QuantileGroup {
-                    values: region.idx.iter().map(|&i| points[i as usize][*dim]).collect(),
-                    weights: region.idx.iter().map(|&i| weights[i as usize]).collect(),
-                    alphas,
+            .map(|region| {
+                let (dim, levels_left) = region.state;
+                let next_levels = if levels_left > 1 { levels_left - 1 } else { D };
+                Cut {
+                    values: region.idx.iter().map(|&i| points[i as usize][dim]).collect(),
+                    parts: split_k(region.k, fanout(region.k, levels_left)),
+                    child: ((dim + 1) % D, next_levels),
                 }
             })
-            .collect();
-        let all_cuts = weighted_quantiles_grouped(comm, &groups);
-
-        for (((region, dim, levels_left), group), (cuts, parts)) in active
-            .iter()
-            .zip(&groups)
-            .zip(all_cuts.iter().zip(&parts_per_region))
-        {
-            let m = parts.len();
-            // Route points into the m slabs.
-            let mut slabs: Vec<Vec<u32>> = vec![Vec::new(); m];
-            for (&i, &v) in region.idx.iter().zip(&group.values) {
-                let s = cuts.partition_point(|&c| c < v);
-                slabs[s].push(i);
-            }
-            let next_dim = (dim + 1) % D;
-            let next_levels = if *levels_left > 1 { levels_left - 1 } else { D };
-            let mut offset = region.offset;
-            for (slab, &part_k) in slabs.into_iter().zip(parts) {
-                level.push((
-                    Region { k: part_k, offset, idx: slab },
-                    next_dim,
-                    next_levels,
-                ));
-                offset += part_k as u32;
-            }
-        }
-    }
-    assignment
+            .collect()
+    })
 }
 
 #[cfg(test)]

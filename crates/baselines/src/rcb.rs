@@ -7,19 +7,18 @@
 //! coordinate with one weight-count allreduce per step), which is exactly
 //! how Zoltan's RCB finds cuts in parallel.
 
-use geographer_dsort::{weighted_quantiles_grouped, QuantileGroup};
-use geographer_geometry::Point;
+use geographer_geometry::{Aabb, Point};
 use geographer_parcomm::Comm;
 
-use crate::{split_indices, Region};
+use crate::{halves, recursive_cuts, Cut};
 
 /// Partition the rank-local `points` into `k` blocks with RCB.
 /// Returns the block of each local point.
 ///
 /// The recursion is processed *level-synchronously*: all regions at the
-/// same tree depth find their cuts in one batched quantile search (two
-/// bounding-box reductions plus one shared bisection per level), so the
-/// collective count is `O(log k)`, matching the structure of Zoltan's
+/// same tree depth find their cuts in one batched quantile search (one
+/// fused bounding-box reduction plus one shared bisection per level), so
+/// the collective count is `O(log k)`, matching the structure of Zoltan's
 /// parallel RCB.
 pub fn rcb_partition<const D: usize, C: Comm>(
     comm: &C,
@@ -27,36 +26,15 @@ pub fn rcb_partition<const D: usize, C: Comm>(
     weights: &[f64],
     k: usize,
 ) -> Vec<u32> {
-    assert!(k >= 1);
     assert_eq!(points.len(), weights.len());
-    let mut assignment = vec![0u32; points.len()];
-    let mut level =
-        vec![Region { k, offset: 0, idx: (0..points.len() as u32).collect() }];
-
-    // Every rank processes the identical region tree in the identical
-    // order: the collectives inside stay matched.
-    while !level.is_empty() {
-        let mut active: Vec<Region> = Vec::new();
-        for region in level.drain(..) {
-            if region.k == 1 {
-                for &i in &region.idx {
-                    assignment[i as usize] = region.offset;
-                }
-            } else {
-                active.push(region);
-            }
-        }
-        if active.is_empty() {
-            break;
-        }
-        let g = active.len();
-
+    recursive_cuts(comm, weights, k, (), |level| {
         // Batched global bounding boxes → widest dimension per region. One
         // fused min-reduce carries the mins and the negated maxs of every
         // region at this level.
+        let g = level.len();
         let mut bounds = vec![f64::INFINITY; 2 * g * D];
         let (mins, neg_maxs) = bounds.split_at_mut(g * D);
-        for (j, region) in active.iter().enumerate() {
+        for (j, region) in level.iter().enumerate() {
             for &i in &region.idx {
                 let p = &points[i as usize];
                 for d in 0..D {
@@ -67,43 +45,25 @@ pub fn rcb_partition<const D: usize, C: Comm>(
         }
         comm.allreduce_min_f64(&mut bounds);
         let (mins, neg_maxs) = bounds.split_at(g * D);
-        let maxs: Vec<f64> = neg_maxs.iter().map(|x| -x).collect();
-
-        // One grouped median search for the whole level.
-        let mut dims = Vec::with_capacity(g);
-        let groups: Vec<QuantileGroup> = active
+        level
             .iter()
             .enumerate()
             .map(|(j, region)| {
-                let dim = (0..D)
-                    .max_by(|&a, &b| {
-                        (maxs[j * D + a] - mins[j * D + a])
-                            .total_cmp(&(maxs[j * D + b] - mins[j * D + b]))
-                    })
-                    .expect("D > 0");
-                dims.push(dim);
-                let k_low = region.k / 2;
-                QuantileGroup {
+                // A region empty on every rank has an inverted box, which
+                // `Aabb::new` rejects; any axis cuts it.
+                let bb = Aabb::<D> {
+                    min: Point::new(std::array::from_fn(|d| mins[j * D + d])),
+                    max: Point::new(std::array::from_fn(|d| -neg_maxs[j * D + d])),
+                };
+                let dim = bb.widest_dim();
+                Cut {
                     values: region.idx.iter().map(|&i| points[i as usize][dim]).collect(),
-                    weights: region.idx.iter().map(|&i| weights[i as usize]).collect(),
-                    alphas: vec![k_low as f64 / region.k as f64],
+                    parts: halves(region.k),
+                    child: (),
                 }
             })
-            .collect();
-        let cuts = weighted_quantiles_grouped(comm, &groups);
-
-        for ((region, group), cut) in active.iter().zip(&groups).zip(&cuts) {
-            let k_low = region.k / 2;
-            let (low, high) = split_indices(region, &group.values, cut[0]);
-            level.push(Region { k: k_low, offset: region.offset, idx: low });
-            level.push(Region {
-                k: region.k - k_low,
-                offset: region.offset + k_low as u32,
-                idx: high,
-            });
-        }
-    }
-    assignment
+            .collect()
+    })
 }
 
 #[cfg(test)]

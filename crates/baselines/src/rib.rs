@@ -7,11 +7,10 @@
 //! dominant eigenvector we extract with a deterministic power iteration, so
 //! all ranks agree on the axis bit-for-bit.
 
-use geographer_dsort::{weighted_quantiles_grouped, QuantileGroup};
 use geographer_geometry::Point;
 use geographer_parcomm::Comm;
 
-use crate::{split_indices, Region};
+use crate::{halves, recursive_cuts, Cut};
 
 /// Power-iteration steps for the dominant eigenvector. The covariance
 /// matrices here are tiny (D ≤ 3) and well-separated for real meshes;
@@ -23,10 +22,7 @@ const POWER_ITERS: usize = 64;
 pub(crate) fn dominant_eigenvector<const D: usize>(m: &[[f64; D]; D]) -> [f64; D] {
     // Start from a fixed, slightly asymmetric vector so we don't sit on an
     // eigenvector boundary of symmetric inputs.
-    let mut v = [0.0f64; D];
-    for (i, x) in v.iter_mut().enumerate() {
-        *x = 1.0 + 0.1 * (i as f64 + 1.0);
-    }
+    let mut v: [f64; D] = std::array::from_fn(|i| 1.0 + 0.1 * (i as f64 + 1.0));
     for _ in 0..POWER_ITERS {
         let mut next = [0.0f64; D];
         for r in 0..D {
@@ -41,10 +37,7 @@ pub(crate) fn dominant_eigenvector<const D: usize>(m: &[[f64; D]; D]) -> [f64; D
             e0[0] = 1.0;
             return e0;
         }
-        for x in &mut next {
-            *x /= norm;
-        }
-        v = next;
+        v = next.map(|x| x / norm);
     }
     v
 }
@@ -60,32 +53,13 @@ pub fn rib_partition<const D: usize, C: Comm>(
     weights: &[f64],
     k: usize,
 ) -> Vec<u32> {
-    assert!(k >= 1);
     assert_eq!(points.len(), weights.len());
-    let mut assignment = vec![0u32; points.len()];
-    let mut level =
-        vec![Region { k, offset: 0, idx: (0..points.len() as u32).collect() }];
-
-    while !level.is_empty() {
-        let mut active: Vec<Region> = Vec::new();
-        for region in level.drain(..) {
-            if region.k == 1 {
-                for &i in &region.idx {
-                    assignment[i as usize] = region.offset;
-                }
-            } else {
-                active.push(region);
-            }
-        }
-        if active.is_empty() {
-            break;
-        }
-        let g = active.len();
-
+    recursive_cuts(comm, weights, k, (), |level| {
+        let g = level.len();
         // Batched weighted means: one allreduce of g·(D+1) sums.
         let stride = D + 1;
         let mut sums = vec![0.0f64; g * stride];
-        for (j, region) in active.iter().enumerate() {
+        for (j, region) in level.iter().enumerate() {
             for &i in &region.idx {
                 let (p, w) = (&points[i as usize], weights[i as usize]);
                 for d in 0..D {
@@ -95,22 +69,14 @@ pub fn rib_partition<const D: usize, C: Comm>(
             }
         }
         comm.allreduce_sum_f64(&mut sums);
-        let means: Vec<[f64; D]> = (0..g)
-            .map(|j| {
-                let total_w = sums[j * stride + D];
-                let mut mean = [0.0f64; D];
-                if total_w > 0.0 {
-                    for d in 0..D {
-                        mean[d] = sums[j * stride + d] / total_w;
-                    }
-                }
-                mean
-            })
+        let means: Vec<[f64; D]> = sums
+            .chunks_exact(stride)
+            .map(|s| std::array::from_fn(|d| if s[D] > 0.0 { s[d] / s[D] } else { 0.0 }))
             .collect();
 
         // Batched weighted covariances: one allreduce of g·D² sums.
         let mut cov_flat = vec![0.0f64; g * D * D];
-        for (j, region) in active.iter().enumerate() {
+        for (j, region) in level.iter().enumerate() {
             let mean = &means[j];
             for &i in &region.idx {
                 let (p, w) = (&points[i as usize], weights[i as usize]);
@@ -124,45 +90,24 @@ pub fn rib_partition<const D: usize, C: Comm>(
         }
         comm.allreduce_sum_f64(&mut cov_flat);
 
-        // Principal axes + one grouped median search for the level.
-        let groups: Vec<QuantileGroup> = active
+        // Each region is cut along its principal axis.
+        level
             .iter()
             .enumerate()
             .map(|(j, region)| {
-                let mut cov = [[0.0f64; D]; D];
-                for r in 0..D {
-                    for c in r..D {
-                        cov[r][c] = cov_flat[j * D * D + r * D + c];
-                        cov[c][r] = cov[r][c];
-                    }
-                }
+                // The upper triangle, mirrored.
+                let cov: [[f64; D]; D] = std::array::from_fn(|r| {
+                    std::array::from_fn(|c| cov_flat[j * D * D + r.min(c) * D + r.max(c)])
+                });
                 let axis = Point::new(dominant_eigenvector(&cov));
-                let k_low = region.k / 2;
-                QuantileGroup {
-                    values: region
-                        .idx
-                        .iter()
-                        .map(|&i| points[i as usize].dot(&axis))
-                        .collect(),
-                    weights: region.idx.iter().map(|&i| weights[i as usize]).collect(),
-                    alphas: vec![k_low as f64 / region.k as f64],
+                Cut {
+                    values: region.idx.iter().map(|&i| points[i as usize].dot(&axis)).collect(),
+                    parts: halves(region.k),
+                    child: (),
                 }
             })
-            .collect();
-        let cuts = weighted_quantiles_grouped(comm, &groups);
-
-        for ((region, group), cut) in active.iter().zip(&groups).zip(&cuts) {
-            let k_low = region.k / 2;
-            let (low, high) = split_indices(region, &group.values, cut[0]);
-            level.push(Region { k: k_low, offset: region.offset, idx: low });
-            level.push(Region {
-                k: region.k - k_low,
-                offset: region.offset + k_low as u32,
-                idx: high,
-            });
-        }
-    }
-    assignment
+            .collect()
+    })
 }
 
 #[cfg(test)]

@@ -6,12 +6,11 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use geographer::{Config, HierarchySpec};
-use geographer_baselines::{partition_shared, Baseline};
 use geographer_geometry::{Point, SplitMix64, WeightedPoints};
 use geographer_graph::coarsen::{contract, heavy_edge_matching, WeightedCsrGraph};
 use geographer_mesh::families::bubbles_like;
 use geographer_parcomm::SelfComm;
-use geographer_planner::refine_hierarchy_multilevel;
+use geographer_planner::{refine_hierarchy_multilevel, Tool};
 use geographer_refine::{refine_multilevel, MultilevelConfig};
 
 fn bench_partitioners(c: &mut Criterion) {
@@ -25,14 +24,12 @@ fn bench_partitioners(c: &mut Criterion) {
     let mut g = c.benchmark_group("partition_50k_k16");
     g.sample_size(10);
     g.throughput(Throughput::Elements(n as u64));
-    for algo in Baseline::ALL {
-        g.bench_function(algo.name(), |b| b.iter(|| partition_shared(algo, &wp, k)));
+    let cfg = Config::default();
+    for tool in Tool::ALL {
+        g.bench_function(tool.name(), |b| {
+            b.iter(|| tool.partition_spmd(&SelfComm, &wp.points, &wp.weights, k, &cfg))
+        });
     }
-    g.bench_function("Geographer", |b| {
-        b.iter(|| {
-            geographer::partition_spmd(&SelfComm, &wp.points, &wp.weights, k, None, &Config::default())
-        })
-    });
     g.finish();
 }
 

@@ -38,25 +38,15 @@ pub struct Relaxation {
 
 impl Relaxation {
     /// Empty relaxation scratch with room for `k` clusters, to be refilled
-    /// in place by [`Relaxation::set_influence_only`] /
-    /// [`Relaxation::set_movement`] every iteration — the solver owns one
-    /// and the update loops allocate nothing.
+    /// in place by [`Relaxation::set_movement`] every iteration — the
+    /// solver owns one and the update loops allocate nothing.
     pub fn with_capacity(k: usize) -> Self {
         Relaxation { ratio: Vec::with_capacity(k), shift: Vec::with_capacity(k) }
     }
 
-    /// Refill as the relaxation for an influence-only change (no center
-    /// movement), reusing the buffers.
-    pub fn set_influence_only(&mut self, old_influence: &[f64], new_influence: &[f64]) {
-        debug_assert_eq!(old_influence.len(), new_influence.len());
-        self.ratio.clear();
-        self.ratio.extend(old_influence.iter().zip(new_influence).map(|(o, n)| o / n));
-        self.shift.clear();
-        self.shift.resize(old_influence.len(), 0.0);
-    }
-
     /// Refill as the relaxation for center movement `delta[c]` combined
-    /// with an influence change, reusing the buffers.
+    /// with an influence change, reusing the buffers. An influence-only
+    /// change is an all-zero `delta`: its shift `0.0 / I` is `+0.0`.
     pub fn set_movement(
         &mut self,
         delta: &[f64],
@@ -108,10 +98,11 @@ mod tests {
 
     #[test]
     fn influence_only_has_zero_shift() {
-        let mut r = Relaxation::with_capacity(2);
-        r.set_influence_only(&[1.0, 2.0], &[2.0, 1.0]);
+        let r = movement(&[0.0, 0.0], &[1.0, 2.0], &[2.0, 1.0]);
         assert_eq!(r.ratio, vec![0.5, 2.0]);
-        assert_eq!(r.shift, vec![0.0, 0.0]);
+        // +0.0 to the bit, as a zero-filled shift would be.
+        let bits: Vec<u64> = r.shift.iter().map(|s| s.to_bits()).collect();
+        assert_eq!(bits, vec![0.0f64.to_bits(); 2]);
         let (mr, ms) = r.lb_scalars();
         assert_eq!(mr, 0.5);
         assert_eq!(ms, 0.0);

@@ -166,7 +166,7 @@ pub(crate) fn normalized_fractions(fractions: Option<&[f64]>, k: usize) -> Vec<f
 /// matter which layer catches the bad `k` first.
 ///
 /// `global_n = 0` with `k = 1` is allowed (the degenerate empty input that
-/// [`crate::pipeline::global_bbox`] maps to a unit box).
+/// [`crate::global_bbox`] maps to a unit box).
 ///
 /// # Panics
 /// If `k` is zero or exceeds the global point count.

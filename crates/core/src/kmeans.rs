@@ -791,8 +791,6 @@ impl<const D: usize> Solver<'_, D> {
 
             // Adapt influences (Eq. 1, corrected) and relax bounds — all
             // through solver-owned scratch.
-            self.old_influence.clear();
-            self.old_influence.extend_from_slice(&self.influence);
             adapt_influences(
                 &mut self.influence,
                 &self.global_sizes,
@@ -802,16 +800,19 @@ impl<const D: usize> Solver<'_, D> {
                 self.cfg.influence_change_cap,
             );
             if self.cfg.hamerly_bounds {
-                self.relax.set_influence_only(&self.old_influence, &self.influence);
                 self.relax_bounds();
             }
         }
     }
 
-    /// Apply `self.relax` to the bounds of the round's points. A point no
-    /// round has reached holds `(ub, lb) = (∞, 0)`, a fixed point of the
-    /// map: leaving it out changes nothing.
+    /// Relax the round's bounds for the center movement in `delta` and the
+    /// influence change since `old_influence`, then reset both to "no
+    /// change" (a zero `delta` is an influence-only change). A point no
+    /// round has reached holds `(ub, lb) = (∞, 0)`, a fixed point.
     fn relax_bounds(&mut self) {
+        self.relax.set_movement(&self.delta, &self.old_influence, &self.influence);
+        self.delta.fill(0.0);
+        self.old_influence.copy_from_slice(&self.influence);
         let Round { ub, lb, assignment, .. } = &mut self.round;
         self.relax.apply(ub, lb, assignment);
     }
@@ -902,7 +903,7 @@ pub fn balanced_kmeans_warm<const D: usize, C: Comm>(
     // Neighbourhood scale β(C) for the erosion sigmoid: the expected
     // cluster cell size, 2·diag/k^(1/D). A deterministic proxy for the
     // paper's "average cluster diameter" (DESIGN.md §2).
-    let bb = crate::pipeline::global_bbox(comm, points);
+    let bb = crate::global_bbox(comm, points);
     let local_w_max = weights.iter().copied().fold(0.0, f64::max);
     let (w_max, n_global) = comm.allreduce((local_w_max, n_local as u64), |a, b| {
         (a.0.max(b.0), a.1 + b.1)
@@ -927,7 +928,7 @@ pub fn balanced_kmeans_warm<const D: usize, C: Comm>(
         cscratch: CenterScratch::default(),
         kscratch: KernelScratch::new(k, D),
         old_influence: Vec::with_capacity(k),
-        delta: Vec::with_capacity(k),
+        delta: vec![0.0; k],
         center_sums: Vec::with_capacity(k * (D + 1)),
         new_centers_buf: Vec::with_capacity(k),
         relax: Relaxation::with_capacity(k),
@@ -935,6 +936,7 @@ pub fn balanced_kmeans_warm<const D: usize, C: Comm>(
         global_sizes: Vec::with_capacity(k),
         stats: KMeansStats::default(),
     };
+    solver.old_influence.extend_from_slice(&solver.influence);
 
     // Sampling initialization (Sec. 4.5): movement round r runs on sample
     // round r, each growing the last one in place, until round
@@ -964,8 +966,6 @@ pub fn balanced_kmeans_warm<const D: usize, C: Comm>(
 
         // Move centers; erode influences (Eqs. 2–3); relax bounds (Eqs.
         // 4–5, corrected) — all through solver-owned scratch.
-        solver.old_influence.clear();
-        solver.old_influence.extend_from_slice(&solver.influence);
         std::mem::swap(&mut solver.centers, &mut solver.new_centers_buf);
         if cfg.influence_erosion {
             for (inf, &d) in solver.influence.iter_mut().zip(&solver.delta) {
@@ -973,7 +973,6 @@ pub fn balanced_kmeans_warm<const D: usize, C: Comm>(
             }
         }
         if cfg.hamerly_bounds {
-            solver.relax.set_movement(&solver.delta, &solver.old_influence, &solver.influence);
             solver.relax_bounds();
         }
         r += u8::from(sampled);

@@ -136,9 +136,10 @@ pub mod pipeline;
 pub mod repartition;
 
 pub use config::{validate_k, Config};
+pub use geographer_dsort::global_bbox;
 pub use hierarchy::{
     partition_hierarchical_spmd, HierarchicalResult, HierarchySpec, LevelSpec, PreviousHierarchy,
 };
 pub use kmeans::{balanced_kmeans, balanced_kmeans_warm, KMeansOutput, KMeansStats};
-pub use pipeline::{global_bbox, partition_spmd, PhaseComm, PipelineResult, PipelineTimings};
+pub use pipeline::{partition_spmd, PhaseComm, PipelineResult, PipelineTimings};
 pub use repartition::PreviousPartition;

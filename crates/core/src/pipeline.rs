@@ -29,7 +29,7 @@
 
 use std::time::Instant;
 
-use geographer_dsort::{exchange_sorted, stable_order, Share};
+use geographer_dsort::{exchange_sorted, global_bbox, stable_order, Share};
 use geographer_geometry::{Aabb, Point};
 use geographer_parcomm::{Comm, CommStats};
 use geographer_sfc::HilbertMapper;
@@ -114,33 +114,6 @@ impl<const D: usize> PipelineResult<D> {
     }
 }
 
-/// Global bounding box of a distributed point set — a single min-reduce:
-/// the buffer carries `[min_0…min_{D−1}, −max_0…−max_{D−1}]`, so one
-/// collective finds both corners (the min(−max) trick also used by the
-/// quantile searches in `geographer_dsort`).
-pub fn global_bbox<const D: usize, C: Comm>(comm: &C, points: &[Point<D>]) -> Aabb<D> {
-    let mut buf = vec![f64::INFINITY; 2 * D];
-    for p in points {
-        for d in 0..D {
-            buf[d] = buf[d].min(p[d]);
-            buf[D + d] = buf[D + d].min(-p[d]);
-        }
-    }
-    comm.allreduce_min_f64(&mut buf);
-    let mut lo = [0.0; D];
-    let mut hi = [0.0; D];
-    for d in 0..D {
-        let (mut mn, mut mx) = (buf[d], -buf[D + d]);
-        if mn > mx {
-            // Globally empty input: unit box.
-            (mn, mx) = (0.0, 1.0);
-        }
-        lo[d] = mn;
-        hi[d] = mx;
-    }
-    Aabb::new(Point::new(lo), Point::new(hi))
-}
-
 /// A point crossing the wire in the exchange at p > 1: its Hilbert key,
 /// original global id, coordinates and weight (40 bytes at D = 2, encoded
 /// in that order). Made only for a point bound to another rank, straight
@@ -194,9 +167,10 @@ fn phase_boundary<C: Comm>(comm: &C) -> (CommStats, Instant) {
 ///   it is), solves, and scatters the blocks back to input order. That
 ///   key, sort, gather and scatter are what `sfc_index` times on this arm.
 /// * **No sampling initialization.** `cfg.sampling_init` is forced off:
-///   its only purpose is to cheapen the cold start, and its rank-local
-///   permutation would break the unchanged-input ⇒ zero-migration
-///   contract.
+///   its only purpose is to cheapen the cold start, and a sample's
+///   centroids are not the full set's, so its rounds would move the
+///   centers even on an unchanged input, which would then not be a fixed
+///   point (the unchanged-input ⇒ zero-migration contract).
 ///
 /// All ranks must call this collectively with identical `k`, `prev`, and
 /// `cfg`.
@@ -579,33 +553,37 @@ mod tests {
     }
 
     /// Solve `points` cold on thread ranks, rank r holding
-    /// `cuts[r]..cuts[r + 1]`, and hold the concatenated assignment to the
-    /// single-rank one bit for bit.
-    fn check_agrees_with_one_rank(points: &[Point<2>], k: usize, cuts: &[usize]) {
-        let cfg = Config { sampling_init: false, ..Config::default() };
-        let serial = partition_spmd(&SelfComm, points, &vec![1.0; points.len()], k, None, &cfg);
+    /// `cuts[r]..cuts[r + 1]`, under `cfg`, and hold the concatenated
+    /// assignment to the single-rank one bit for bit.
+    fn check_agrees_with_one_rank(points: &[Point<2>], k: usize, cuts: &[usize], cfg: &Config) {
+        let serial = partition_spmd(&SelfComm, points, &vec![1.0; points.len()], k, None, cfg);
         let results = run_spmd(cuts.len() - 1, |c| {
             let mine = &points[cuts[c.rank()]..cuts[c.rank() + 1]];
-            partition_spmd(&c, mine, &vec![1.0; mine.len()], k, None, &cfg).assignment
+            partition_spmd(&c, mine, &vec![1.0; mine.len()], k, None, cfg).assignment
         });
         let distributed: Vec<u32> = results.into_iter().flatten().collect();
-        assert_eq!(distributed, serial.assignment, "k = {k}, cuts {cuts:?}");
+        let sampling = cfg.sampling_init;
+        assert_eq!(distributed, serial.assignment, "k = {k}, cuts {cuts:?}, sampling {sampling}");
     }
 
     #[test]
     fn spmd_and_serial_agree_globally() {
         // The pipeline is rank-count invariant by construction (global
-        // sort, identical center seeds, collective-driven iterations) as
-        // long as sampling init is off (its permutation is rank-local).
+        // sort, identical center seeds, collective-driven iterations), and
+        // so is the sample, which is keyed by the points (DESIGN.md §2):
+        // the uniform cases run with sampling on and off.
+        let full_set = Config { sampling_init: false, ..Config::default() };
         let wp = uniform(1200, 3);
-        check_agrees_with_one_rank(&wp.points, 5, &[0, 400, 800, 1200]);
-        // An empty rank and a rank below one 256-point block.
-        check_agrees_with_one_rank(&wp.points, 5, &[0, 0, 1200]);
-        check_agrees_with_one_rank(&wp.points, 5, &[0, 100, 100, 1200]);
-        // p ∈ {5, 7}. At p = 7 five ranks hold one point or none, so the
-        // boundary exchange fills their shares.
-        check_agrees_with_one_rank(&wp.points, 5, &[0, 240, 480, 720, 960, 1200]);
-        check_agrees_with_one_rank(&wp.points, 5, &[0, 0, 1, 1, 600, 601, 1200, 1200]);
+        for cfg in [&full_set, &Config::default()] {
+            check_agrees_with_one_rank(&wp.points, 5, &[0, 400, 800, 1200], cfg);
+            // An empty rank and a rank below one 256-point block.
+            check_agrees_with_one_rank(&wp.points, 5, &[0, 0, 1200], cfg);
+            check_agrees_with_one_rank(&wp.points, 5, &[0, 100, 100, 1200], cfg);
+            // p ∈ {5, 7}. At p = 7 five ranks hold one point or none, so
+            // the boundary exchange fills their shares.
+            check_agrees_with_one_rank(&wp.points, 5, &[0, 240, 480, 720, 960, 1200], cfg);
+            check_agrees_with_one_rank(&wp.points, 5, &[0, 0, 1, 1, 600, 601, 1200, 1200], cfg);
+        }
 
         // Heavy duplicates: a 30×30 lattice under 1200 points, so most
         // 16-bit keys repeat and the sort's tie order — (source rank,
@@ -613,13 +591,14 @@ mod tests {
         let snap = |x: f64| (x * 30.0).floor() / 30.0;
         let lattice: Vec<Point<2>> =
             wp.points.iter().map(|q| Point::new([snap(q[0]), snap(q[1])])).collect();
-        check_agrees_with_one_rank(&lattice, 4, &[0, 1200]);
-        check_agrees_with_one_rank(&lattice, 4, &[0, 700, 1200]);
-        check_agrees_with_one_rank(&lattice, 4, &[0, 0, 1200]);
-        check_agrees_with_one_rank(&lattice, 4, &[0, 50, 50, 1200]);
-        check_agrees_with_one_rank(&lattice, 4, &[0, 500, 700, 1200]);
-        check_agrees_with_one_rank(&lattice, 4, &[0, 0, 300, 300, 900, 1200]);
-        check_agrees_with_one_rank(&lattice, 4, &[0, 171, 342, 513, 684, 855, 1026, 1200]);
+        let on_lattice = |cuts: &[usize]| check_agrees_with_one_rank(&lattice, 4, cuts, &full_set);
+        on_lattice(&[0, 1200]);
+        on_lattice(&[0, 700, 1200]);
+        on_lattice(&[0, 0, 1200]);
+        on_lattice(&[0, 50, 50, 1200]);
+        on_lattice(&[0, 500, 700, 1200]);
+        on_lattice(&[0, 0, 300, 300, 900, 1200]);
+        on_lattice(&[0, 171, 342, 513, 684, 855, 1026, 1200]);
     }
 
     #[test]

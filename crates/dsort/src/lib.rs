@@ -30,7 +30,8 @@
 //! discovery is fused into a single reduction per search — the f64 paths
 //! pack `(min, −max)` pairs into one min-reduce, the u64 path reduces a
 //! `(min, max)` tuple — so a quantile search never spends two latency
-//! rounds where one suffices.
+//! rounds where one suffices. [`global_bbox`] is the same trick for a
+//! point set's box, the one the curve keys, k-means and HSFC all use.
 
 // Fixed-dimension coordinate loops index several parallel arrays at once;
 // iterator-zip rewrites of those loops are less readable, not more.
@@ -41,6 +42,7 @@ use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::ops::Range;
 use std::vec::IntoIter;
 
+use geographer_geometry::{Aabb, Point};
 use geographer_parcomm::{Comm, Wire};
 
 /// Oversampling factor for splitter selection. Higher values buy better
@@ -318,6 +320,25 @@ fn place<T: Wire, C: Comm>(
     }
 }
 
+/// Global bounding box of a distributed point set — a single min-reduce:
+/// the buffer carries `[min_0…min_{D−1}, −max_0…−max_{D−1}]`, so one
+/// collective finds both corners (the min(−max) trick of the quantile
+/// searches below). A globally empty set gets the unit box at the origin.
+pub fn global_bbox<const D: usize, C: Comm>(comm: &C, points: &[Point<D>]) -> Aabb<D> {
+    let mut buf = vec![f64::INFINITY; 2 * D];
+    for p in points {
+        for d in 0..D {
+            buf[d] = buf[d].min(p[d]);
+            buf[D + d] = buf[D + d].min(-p[d]);
+        }
+    }
+    comm.allreduce_min_f64(&mut buf);
+    let empty = |d: usize| buf[d] > -buf[D + d];
+    let lo = std::array::from_fn(|d| if empty(d) { 0.0 } else { buf[d] });
+    let hi = std::array::from_fn(|d| if empty(d) { 1.0 } else { -buf[D + d] });
+    Aabb::new(Point::new(lo), Point::new(hi))
+}
+
 /// Result tolerance of the floating-point bisection, relative to the value
 /// range.
 const F64_BISECT_ITERS: usize = 60;
@@ -470,6 +491,24 @@ pub fn weighted_quantiles_u64<C: Comm>(
 mod tests {
     use super::*;
     use geographer_parcomm::{run_spmd, Collective, SelfComm};
+
+    #[test]
+    fn global_bbox_merges_ranks_and_boxes_an_empty_set() {
+        let results = run_spmd(2, |c| {
+            let pts = if c.rank() == 0 {
+                vec![Point::new([0.0, -1.0])]
+            } else {
+                vec![Point::new([5.0, 3.0])]
+            };
+            global_bbox(&c, &pts)
+        });
+        for bb in results {
+            assert_eq!(bb.min.coords(), &[0.0, -1.0]);
+            assert_eq!(bb.max.coords(), &[5.0, 3.0]);
+        }
+        let empty = global_bbox::<2, _>(&SelfComm, &[]);
+        assert_eq!((empty.min.coords(), empty.max.coords()), (&[0.0; 2], &[1.0; 2]));
+    }
 
     /// The quantiles of one group, through the batched search.
     fn one_group<C: Comm>(c: &C, values: &[f64], weights: &[f64], alphas: &[f64]) -> Vec<f64> {

@@ -6,7 +6,7 @@
 //! re-exports it.
 
 use geographer::Config;
-use geographer_baselines::Baseline;
+use geographer_baselines::{hsfc_partition, multi_jagged, rcb_partition, rib_partition};
 use geographer_geometry::Point;
 use geographer_parcomm::Comm;
 
@@ -63,12 +63,10 @@ impl Tool {
             Tool::Geographer => {
                 geographer::partition_spmd(comm, points, weights, k, None, cfg).assignment
             }
-            Tool::Hsfc => Baseline::Hsfc.partition_spmd(comm, points, weights, k),
-            Tool::MultiJagged => {
-                Baseline::MultiJagged.partition_spmd(comm, points, weights, k)
-            }
-            Tool::Rcb => Baseline::Rcb.partition_spmd(comm, points, weights, k),
-            Tool::Rib => Baseline::Rib.partition_spmd(comm, points, weights, k),
+            Tool::Hsfc => hsfc_partition(comm, points, weights, k),
+            Tool::MultiJagged => multi_jagged(comm, points, weights, k),
+            Tool::Rcb => rcb_partition(comm, points, weights, k),
+            Tool::Rib => rib_partition(comm, points, weights, k),
         }
     }
 }

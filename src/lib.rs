@@ -14,7 +14,8 @@
 //!   solver front-end over pipeline, warm start, hierarchy, and
 //!   refinement;
 //! * [`geographer_refine`] — graph-aware boundary refinement;
-//! * [`geographer_dsort`] — distributed sorting/selection;
+//! * [`geographer_dsort`] — distributed sorting/selection and the global
+//!   bounding box;
 //! * [`geographer_sfc`] — Hilbert curves;
 //! * [`geographer_spmv`] — the SpMV communication benchmark;
 //! * [`geographer_viz`] — SVG partition rendering;

@@ -2,9 +2,9 @@
 //! and parameters must never break the partitioners' contracts.
 
 use geographer::{balanced_kmeans, Config};
-use geographer_baselines::{partition_shared, Baseline};
-use geographer_geometry::{Point, WeightedPoints};
+use geographer_geometry::Point;
 use geographer_parcomm::SelfComm;
+use geographer_planner::Tool;
 use geographer_sfc::{hilbert_coords, hilbert_index};
 use proptest::prelude::*;
 
@@ -35,9 +35,9 @@ proptest! {
     #[test]
     fn baselines_contract(pts in arb_points(400), k in 2usize..9) {
         let n = pts.len();
-        let wp = WeightedPoints::unweighted(pts);
-        for algo in Baseline::ALL {
-            let asg = partition_shared(algo, &wp, k);
+        let w = vec![1.0; n];
+        for tool in [Tool::Hsfc, Tool::MultiJagged, Tool::Rcb, Tool::Rib] {
+            let asg = tool.partition_spmd(&SelfComm, &pts, &w, k, &Config::default());
             prop_assert_eq!(asg.len(), n);
             let mut counts = vec![0usize; k];
             for &b in &asg {
@@ -47,7 +47,7 @@ proptest! {
             // Quantile cuts put each block within one point of its target.
             let max = *counts.iter().max().unwrap() as f64;
             let avg = n as f64 / k as f64;
-            prop_assert!(max <= avg + (k as f64), "{}: {:?}", algo.name(), counts);
+            prop_assert!(max <= avg + (k as f64), "{}: {:?}", tool.name(), counts);
         }
     }
 
