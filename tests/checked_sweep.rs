@@ -9,9 +9,10 @@
 //! checker turns any breach — a rank-guarded call, a min/max swap, a
 //! rank-dependent length, a rank that stops early — into a
 //! [`ProtocolError`] on every rank. Between them the cases below execute
-//! all 35 production collective call sites outside `parcomm` (DESIGN.md
-//! §11 has the reachability audit), so a divergence seeded at any of them
-//! fails this file with the diverging ranks and call kinds in the message.
+//! all 31 production collective call sites outside `parcomm` that a solve
+//! or a side layer reaches (DESIGN.md §11 has the reachability audit), so
+//! a divergence seeded at any of them fails this file with the diverging
+//! ranks and call kinds in the message.
 
 use std::fmt::Debug;
 
