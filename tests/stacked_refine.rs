@@ -12,8 +12,8 @@ use geographer::{Config, HierarchySpec};
 use geographer_bench::{solve_plan_view, PlanRecipe};
 use geographer_mesh::{families::bubbles_like, Mesh};
 use geographer_parcomm::{run_spmd, run_spmd_proc, Comm, SelfComm};
-use geographer_planner::{refine_hierarchy_multilevel, MeshView, RefineMode};
-use geographer_refine::MultilevelConfig;
+use geographer_planner::{refine_hierarchy_multilevel, MeshView, RefineMode, Tool};
+use geographer_refine::{MultilevelConfig, RefineConfig};
 
 /// FNV-1a over the assignment's little-endian block ids (the digest of
 /// `count_guard`).
@@ -53,6 +53,36 @@ fn stacked_4x4_plan_repeats_bitwise_and_matches_the_digest_pinned_at_8eda87d() {
         .map(|r| [r.cut_before, r.cut_after, r.moves as u64, r.rounds as u64])
         .collect();
     assert_eq!(reports, [[255, 225, 22, 14], [779, 642, 74, 19]]);
+}
+
+/// Flat plan on `bubbles_like(6_000, 22)`, k = 16, refined by one
+/// boundary sweep.
+fn one_sweep(tool: Tool) -> PlanRecipe {
+    let cfg = Config { sampling_init: false, ..Config::default() };
+    PlanRecipe::flat("one-sweep", tool, 16, cfg)
+        .with_refine(RefineMode::Single(RefineConfig::default()))
+}
+
+/// Digest and `[cut_before, cut_after, moves, rounds]` of one-sweep flat
+/// plans at p ∈ {1, 2}, recorded at commit 0bec469, where one sweep was
+/// its own refinement mode and not a one-level V-cycle.
+#[test]
+fn one_sweep_plans_match_the_digests_pinned_at_0bec469() {
+    let mesh = bubbles_like(6_000, 22);
+    let pinned = [
+        (Tool::Geographer, 0x1605_4b15_da38_a268u64, [885u64, 797, 59, 4]),
+        (Tool::Hsfc, 0x4d3d_5a48_11cb_601c, [1356, 1135, 131, 4]),
+    ];
+    for (tool, want_digest, want_report) in pinned {
+        for p in [1, 2] {
+            let plan = solve_plan_view(MeshView::from(&mesh), &one_sweep(tool), p, None).plan;
+            let d = digest(&plan.assignment);
+            assert_eq!(d, want_digest, "{} at p = {p}: digest {d:#018x}", tool.name());
+            let r = plan.refine.expect("a refined plan reports");
+            let got = [r.cut_before, r.cut_after, r.moves as u64, r.rounds as u64];
+            assert_eq!(got, want_report, "{} at p = {p}", tool.name());
+        }
+    }
 }
 
 /// One rank's outcome of refining `start` over `comm`, in a form that
