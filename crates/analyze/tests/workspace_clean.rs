@@ -76,10 +76,21 @@ fn line_budgets_only_move_down() {
         .map(|entry| entry.expect("directory entry").file_name().to_string_lossy().into_owned())
         .map(|name| format!("crates/baselines/src/{name}"))
         .collect();
-    let budgets: [(Vec<String>, usize); 3] = [
+    // The refinement stack: the sweep, the V-cycle, coarsening and the
+    // hierarchical pass.
+    let refinement: Vec<String> = [
+        "crates/refine/src/lib.rs",
+        "crates/refine/src/multilevel.rs",
+        "crates/graph/src/coarsen.rs",
+        "crates/planner/src/hier_refine.rs",
+    ]
+    .map(String::from)
+    .to_vec();
+    let budgets: [(Vec<String>, usize); 4] = [
         (vec!["crates/core/src/kmeans.rs".into()], 997),
         (vec!["crates/core/src/pipeline.rs".into(), "crates/dsort/src/lib.rs".into()], 969),
         (baselines, 417),
+        (refinement, 1333),
     ];
     for (files, budget) in budgets {
         let lines: usize = files.iter().map(|rel| non_test(rel)).sum();

@@ -1,13 +1,13 @@
 //! Microbenchmark: one shared-memory partitioning run per tool on the same
 //! input (the single-rank cost baseline of Fig. 4), and the refinement
 //! kernels on the repo benchmark's `hier_refine_p2` mesh (group `refine`:
-//! one fine-level coarsening step, one flat V-cycle, the stacked
-//! hierarchical refinement).
+//! one fine-level coarsening step into reused buffers, one flat V-cycle,
+//! the stacked hierarchical refinement).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use geographer::{Config, HierarchySpec};
 use geographer_geometry::{Point, SplitMix64, WeightedPoints};
-use geographer_graph::coarsen::{contract, heavy_edge_matching, WeightedCsrGraph};
+use geographer_graph::coarsen::{CoarsenScratch, LevelView, WeightedCsrGraph};
 use geographer_mesh::families::bubbles_like;
 use geographer_parcomm::SelfComm;
 use geographer_planner::{refine_hierarchy_multilevel, Tool};
@@ -48,17 +48,17 @@ fn bench_refine(c: &mut Criterion) {
     )
     .assignment;
     let nodes: Vec<u32> = solved.iter().map(|b| b / 4).collect();
-    let lifted = WeightedCsrGraph::from_csr(&mesh.graph, mesh.weights.clone());
-    let mate = heavy_edge_matching(&lifted, Some(&nodes));
+    let fine = LevelView::unit(&mesh.graph, &mesh.weights);
+    let (mut scratch, mut coarse, mut coarse_of_fine) =
+        (CoarsenScratch::default(), WeightedCsrGraph::default(), Vec::new());
     let ml = MultilevelConfig::default();
 
     let mut g = c.benchmark_group("refine_30k");
     g.sample_size(20);
     g.throughput(Throughput::Elements(n as u64));
-    g.bench_function("heavy_edge_matching", |b| {
-        b.iter(|| heavy_edge_matching(&lifted, Some(&nodes)))
+    g.bench_function("coarsen", |b| {
+        b.iter(|| scratch.coarsen(fine, Some(&nodes), &mut coarse, &mut coarse_of_fine))
     });
-    g.bench_function("contract", |b| b.iter(|| contract(&lifted, &mate)));
     g.bench_function("vcycle_k4", |b| {
         b.iter(|| refine_multilevel(&mesh.graph, &mut nodes.clone(), &mesh.weights, 4, &ml))
     });

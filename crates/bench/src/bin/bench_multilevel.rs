@@ -1,7 +1,7 @@
 //! Refinement benchmark: every geometric tool's partition, then the
-//! single-level FM-style boundary pass vs the coarsen→refine→project
-//! V-cycle at equal ε, on the clustered-bubbles and Delaunay mesh
-//! families, emitting `BENCH_multilevel.json` in the current directory.
+//! coarsen→refine→project V-cycle at one level (`max_levels: 1`, a
+//! single FM-style boundary pass) vs at its default depth, at equal ε, on
+//! the clustered-bubbles and Delaunay mesh families, emitting `BENCH_multilevel.json` in the current directory.
 //! The committed copy is the repository's refinement baseline: cuts,
 //! moves, and level counts are deterministic; wall-clock fields are
 //! machine-dependent context, not a regression gate.
@@ -69,12 +69,13 @@ fn bench_one(
     cfg: &Config,
     rcfg: &RefineConfig,
 ) -> Row {
-    // Two plans from the same recipe, differing only in the refinement
-    // mode. The tools are deterministic (sampling off), so both start from
+    // Two plans from the same recipe, differing only in the V-cycle's
+    // depth. The tools are deterministic (sampling off), so both start from
     // the identical partition — the assert below pins that.
     let base = PlanRecipe::flat("ml", tool, k, cfg.clone());
-    let single = refined(mesh, &base.clone().with_refine(RefineMode::Single(rcfg.clone())));
     let ml = MultilevelConfig { refine: rcfg.clone(), ..MultilevelConfig::default() };
+    let one_level = MultilevelConfig { max_levels: 1, ..ml.clone() };
+    let single = refined(mesh, &base.clone().with_refine(RefineMode::Multilevel(one_level)));
     let multi = refined(mesh, &base.with_refine(RefineMode::Multilevel(ml)));
     assert_eq!(
         single.report.cut_before, multi.report.cut_before,

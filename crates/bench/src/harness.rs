@@ -718,7 +718,8 @@ mod tests {
         let mesh = delaunay_unit_square(3_000, 13);
         let cfg = Config { sampling_init: false, ..Config::default() };
         let plain = PlanRecipe::flat("hsfc", Tool::Hsfc, 8, cfg);
-        let single = plain.clone().with_refine(RefineMode::Single(RefineConfig::default()));
+        let one_level = MultilevelConfig { max_levels: 1, ..MultilevelConfig::default() };
+        let single = plain.clone().with_refine(RefineMode::Multilevel(one_level));
         let multi = plain.clone().with_refine(RefineMode::Multilevel(MultilevelConfig::default()));
 
         let plain_run = solve(&mesh, &plain, 2);
@@ -730,7 +731,6 @@ mod tests {
         assert_eq!(sr.cut_before, edge_cut(&mesh.graph, &plain_run.plan.assignment));
         assert_eq!(sr.cut_before, mr.cut_before, "same tool output, same start");
         assert!(mr.cut_after <= sr.cut_after, "multilevel must not be worse");
-        assert!(single_run.plan.multilevel.is_none());
         assert_eq!(multi_run.plan.multilevel.as_ref().unwrap().summary(), mr);
         // The row is evaluated on the refined assignment; balance survives.
         let row = evaluate_run(&mesh, &multi, &multi_run, 1);
@@ -782,18 +782,15 @@ mod tests {
             ..Config::default()
         };
         let rcfg = RefineConfig { max_rounds: 30, ..RefineConfig::default() };
-        for refine in [
-            RefineMode::Single(rcfg.clone()),
-            RefineMode::Multilevel(MultilevelConfig { refine: rcfg, ..Default::default() }),
-        ] {
-            let recipe =
-                PlanRecipe::flat("skewed", Tool::Geographer, 3, cfg.clone()).with_refine(refine);
+        for max_levels in [1, MultilevelConfig::default().max_levels] {
+            let mcfg = MultilevelConfig { max_levels, refine: rcfg.clone(), ..Default::default() };
+            let recipe = PlanRecipe::flat("skewed", Tool::Geographer, 3, cfg.clone())
+                .with_refine(RefineMode::Multilevel(mcfg));
             let run = solve(&mesh, &recipe, 2);
             let row = evaluate_run(&mesh, &recipe, &run, 1);
             assert!(
                 row.metrics.imbalance <= cfg.epsilon + 1e-3,
-                "{}: refined skewed solve must stay on target, got {}",
-                recipe.refine.name(),
+                "max_levels {max_levels}: refined skewed solve must stay on target, got {}",
                 row.metrics.imbalance
             );
         }

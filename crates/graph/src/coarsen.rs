@@ -4,22 +4,23 @@
 //! The multilevel V-cycle of `geographer_refine` rests on one invariant:
 //! for any assignment of the *coarse* vertices, the weighted edge cut of
 //! the coarse graph equals the (weighted) edge cut of its projection onto
-//! the fine graph. [`contract`] guarantees it structurally — a coarse edge
-//! carries the summed weight of every fine edge between the two merged
-//! vertex sets, and edges internal to a merged pair disappear (their
-//! endpoints can never be separated by a coarse assignment). Vertex
-//! weights accumulate the same way, so per-block weights (and therefore
-//! balance) are preserved exactly under projection.
+//! the fine graph. The contraction of [`CoarsenScratch::coarsen`]
+//! guarantees it structurally — a coarse edge carries the summed weight of
+//! every fine edge between the two merged vertex sets, and edges internal
+//! to a merged pair disappear (their endpoints can never be separated by a
+//! coarse assignment). Vertex weights accumulate the same way, so
+//! per-block weights (and therefore balance) are preserved exactly under
+//! projection.
 
 use crate::csr::CsrGraph;
 use crate::cut::edge_cut_core;
 
 /// An undirected CSR graph with vertex and edge weights — the level type
-/// of the coarsening hierarchy. The fine level of a mesh graph has unit
-/// edge weights ([`WeightedCsrGraph::from_csr`]); contraction accumulates
-/// them (a coarse edge's weight is the number of fine mesh edges it
-/// stands for), which is what makes coarse-level refinement gains equal to
-/// fine-level cut improvements.
+/// of the coarsening hierarchy below the fine level. The fine level of a
+/// mesh graph is *viewed* with unit edge weights ([`LevelView::unit`]);
+/// contraction accumulates them (a coarse edge's weight is the number of
+/// fine mesh edges it stands for), which is what makes coarse-level
+/// refinement gains equal to fine-level cut improvements.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WeightedCsrGraph {
     /// Offsets into `adj`/`ewgt`; `xadj.len() == n + 1`.
@@ -41,21 +42,6 @@ impl Default for WeightedCsrGraph {
 }
 
 impl WeightedCsrGraph {
-    /// Lift an unweighted graph to the weighted form: unit edge weights,
-    /// caller-provided vertex weights.
-    ///
-    /// # Panics
-    /// If `vwgt.len() != g.n()`.
-    pub fn from_csr(g: &CsrGraph, vwgt: Vec<f64>) -> Self {
-        assert_eq!(vwgt.len(), g.n(), "one vertex weight per vertex");
-        WeightedCsrGraph {
-            xadj: g.xadj.clone(),
-            adj: g.adj.clone(),
-            ewgt: vec![1; g.adj.len()],
-            vwgt,
-        }
-    }
-
     /// The borrowed form every kernel reads.
     pub fn view(&self) -> LevelView<'_> {
         LevelView { xadj: &self.xadj, adj: &self.adj, ewgt: Some(&self.ewgt), vwgt: &self.vwgt }
@@ -71,7 +57,8 @@ impl WeightedCsrGraph {
         self.adj.len() / 2
     }
 
-    /// Neighbours of `v`, sorted ascending.
+    /// Neighbours of `v`, in the order the contraction met them (not
+    /// sorted; see [`CoarsenScratch::coarsen`]).
     pub fn neighbors(&self, v: u32) -> &[u32] {
         &self.adj[self.xadj[v as usize]..self.xadj[v as usize + 1]]
     }
@@ -85,20 +72,6 @@ impl WeightedCsrGraph {
     pub fn total_vertex_weight(&self) -> f64 {
         self.vwgt.iter().sum()
     }
-
-    /// Weighted edge cut of `assignment`: the summed weight of edges whose
-    /// endpoints lie in different blocks, each edge counted once. On a
-    /// [`WeightedCsrGraph::from_csr`] lift this equals the unweighted
-    /// [`crate::edge_cut`] of the underlying graph.
-    pub fn edge_cut(&self, assignment: &[u32]) -> u64 {
-        self.view().edge_cut(assignment)
-    }
-}
-
-/// Weighted edge cut of `assignment` on `g` (free-function form of
-/// [`WeightedCsrGraph::edge_cut`], mirroring [`crate::edge_cut`]).
-pub fn edge_cut_weighted(g: &WeightedCsrGraph, assignment: &[u32]) -> u64 {
-    g.edge_cut(assignment)
 }
 
 /// Borrowed form of one level of the coarsening hierarchy: what the
@@ -138,14 +111,17 @@ impl<'a> LevelView<'a> {
         self.adj.len() / 2
     }
 
-    /// Weighted edge cut of `assignment` (see [`edge_cut_core`]).
+    /// Weighted edge cut of `assignment`: the summed weight of edges whose
+    /// endpoints lie in different blocks, each edge counted once (see
+    /// [`edge_cut_core`]). On a [`LevelView::unit`] view this is the
+    /// unweighted [`crate::edge_cut`] of the underlying graph.
     pub fn edge_cut(&self, assignment: &[u32]) -> u64 {
         assert_eq!(assignment.len(), self.n());
         edge_cut_core(self.xadj, self.adj, self.ewgt, assignment)
     }
 }
 
-/// Deterministic greedy heavy-edge matching.
+/// Deterministic greedy heavy-edge matching of `g`, into a reused `mate`.
 ///
 /// Vertices are visited in ascending id order; an unmatched vertex is
 /// matched to its unmatched neighbour with the heaviest connecting edge
@@ -162,13 +138,6 @@ impl<'a> LevelView<'a> {
 ///
 /// Entirely sequential and a pure function of the graph + labels, so the
 /// result is independent of thread count by construction.
-pub fn heavy_edge_matching(g: &WeightedCsrGraph, labels: Option<&[u32]>) -> Vec<u32> {
-    let mut mate = Vec::new();
-    match_into(g.view(), labels, &mut mate);
-    mate
-}
-
-/// [`heavy_edge_matching`] over a view, into a reused `mate`.
 fn match_into(g: LevelView<'_>, labels: Option<&[u32]>, mate: &mut Vec<u32>) {
     let n = g.n();
     if let Some(l) = labels {
@@ -211,63 +180,16 @@ fn match_into(g: LevelView<'_>, labels: Option<&[u32]>, mate: &mut Vec<u32>) {
     }
 }
 
-/// Result of one contraction step: the coarse graph plus the fine→coarse
-/// projection map.
-#[derive(Debug, Clone)]
-pub struct Contraction {
-    /// The contracted graph.
-    pub coarse: WeightedCsrGraph,
-    /// `coarse_of_fine[v]` is the coarse vertex that fine vertex `v`
-    /// merged into.
-    pub coarse_of_fine: Vec<u32>,
-}
-
-impl Contraction {
-    /// Project a coarse assignment back onto the fine vertex set.
-    pub fn project(&self, coarse_assignment: &[u32]) -> Vec<u32> {
-        self.coarse_of_fine
-            .iter()
-            .map(|&c| coarse_assignment[c as usize])
-            .collect()
-    }
-}
-
-/// Contract `g` along a matching (as produced by [`heavy_edge_matching`]):
-/// each matched pair becomes one coarse vertex, unmatched vertices carry
-/// over. Coarse ids are assigned in ascending order of the pair's smaller
-/// fine id. Vertex weights accumulate exactly (two summands, fixed order);
-/// parallel coarse edges collapse into one edge carrying the summed
-/// weight; edges inside a matched pair vanish.
-///
-/// # Panics
-/// If `mate` is not an involution on `0..g.n()`.
-pub fn contract(g: &WeightedCsrGraph, mate: &[u32]) -> Contraction {
-    let mut c = Contraction { coarse: WeightedCsrGraph::default(), coarse_of_fine: Vec::new() };
-    contract_into(g.view(), mate, &mut Vec::new(), &mut c.coarse, &mut c.coarse_of_fine);
-    // The public form keeps `neighbors` sorted; the V-cycle's levels skip
-    // this (see `contract_into`).
-    sort_rows(&mut c.coarse);
-    c
-}
-
-/// Sort every adjacency row, with its parallel weights, by neighbour id.
-fn sort_rows(g: &mut WeightedCsrGraph) {
-    let mut row: Vec<(u32, u64)> = Vec::new();
-    for v in 0..g.n() {
-        let span = g.xadj[v]..g.xadj[v + 1];
-        row.clear();
-        row.extend(g.adj[span.clone()].iter().copied().zip(g.ewgt[span.clone()].iter().copied()));
-        row.sort_unstable_by_key(|&(u, _)| u);
-        for (i, &(u, w)) in span.zip(&row) {
-            g.adj[i] = u;
-            g.ewgt[i] = w;
-        }
-    }
-}
-
-/// [`contract`] over a view, into reused outputs, with every coarse row
-/// left in the order its arcs were first met (the pair's smaller endpoint
-/// first, each endpoint's arcs in fine order) rather than sorted.
+/// Contract `g` along a matching `mate` (as `match_into` builds it), into
+/// reused outputs: each matched pair becomes one coarse vertex, unmatched
+/// vertices carry over, and `coarse_of_fine[v]` is the coarse vertex fine
+/// vertex `v` merged into. Coarse ids are assigned in ascending order of
+/// the pair's smaller fine id. Vertex weights accumulate exactly (two
+/// summands, fixed order); parallel coarse edges collapse into one edge
+/// carrying the summed weight; edges inside a matched pair vanish. Every
+/// coarse row is left in the order its arcs were first met (the pair's
+/// smaller endpoint first, each endpoint's arcs in fine order), not
+/// sorted.
 ///
 /// `slot[cu]` names the last row that gained an arc to coarse vertex `cu`
 /// and where that arc sits: `(row << 32) | position`. An arc whose target
@@ -282,6 +204,9 @@ fn sort_rows(g: &mut WeightedCsrGraph) {
 /// sweeps pick the best block by (weight, id). Sorting every row of every
 /// level would cost a fifth of the contraction and change no result
 /// (`row_order_changes_no_result` in `geographer_refine` pins it).
+///
+/// # Panics
+/// If `mate` is not an involution on `0..g.n()`.
 fn contract_into(
     g: LevelView<'_>,
     mate: &[u32],
@@ -357,12 +282,14 @@ pub struct CoarsenScratch {
 }
 
 impl CoarsenScratch {
-    /// One coarsening step: [`heavy_edge_matching`] within `labels`, then
-    /// [`contract`] — the same code as the two public functions, writing
-    /// into `coarse` and `coarse_of_fine`, whose allocations are reused.
-    /// The rows of `coarse` hold the arcs [`contract`] would, **unsorted**
-    /// (no consumer of a level needs them sorted; `contract_into` says
-    /// why), so [`WeightedCsrGraph::neighbors`] is not ascending here.
+    /// One coarsening step, the only one in the workspace: deterministic
+    /// heavy-edge matching of `g` within `labels` (equal-label endpoints
+    /// only), then contraction along it into `coarse` and
+    /// `coarse_of_fine`, whose allocations are reused. `coarse_of_fine[v]`
+    /// is the coarse vertex fine vertex `v` merged into; it covers `v`
+    /// alone or `v` and one neighbour with its label. The rows of `coarse`
+    /// are **unsorted**: no consumer of a level needs them sorted, and no
+    /// kernel can see their order (integer weights, strict total orders).
     pub fn coarsen(
         &mut self,
         g: LevelView<'_>,
@@ -391,40 +318,52 @@ mod tests {
         )
     }
 
+    /// `g` as an owned weighted graph with unit edge weights.
+    fn lift(g: &CsrGraph, vwgt: Vec<f64>) -> WeightedCsrGraph {
+        WeightedCsrGraph { xadj: g.xadj.clone(), adj: g.adj.clone(), ewgt: vec![1; g.adj.len()], vwgt }
+    }
+
+    fn matching(g: LevelView<'_>, labels: Option<&[u32]>) -> Vec<u32> {
+        let mut mate = Vec::new();
+        match_into(g, labels, &mut mate);
+        mate
+    }
+
     #[test]
-    fn from_csr_has_unit_edge_weights_and_matching_cut() {
+    fn a_unit_view_cuts_like_the_unweighted_graph_and_its_lift() {
         let g = grid_2x4();
-        let wg = WeightedCsrGraph::from_csr(&g, vec![1.0; 8]);
-        assert_eq!(wg.n(), 8);
-        assert_eq!(wg.m(), 10);
+        let vwgt = vec![1.0; 8];
+        let (view, lifted) = (LevelView::unit(&g, &vwgt), lift(&g, vwgt.clone()));
+        assert_eq!((view.n(), view.m()), (8, 10));
         let asg = [0, 0, 1, 1, 0, 0, 1, 1];
-        assert_eq!(wg.edge_cut(&asg), crate::edge_cut(&g, &asg));
-        assert_eq!(edge_cut_weighted(&wg, &asg), 2);
+        assert_eq!(view.edge_cut(&asg), 2);
+        assert_eq!(view.edge_cut(&asg), crate::edge_cut(&g, &asg));
+        assert_eq!(lifted.view().edge_cut(&asg), 2);
     }
 
     #[test]
     fn matching_is_valid_and_deterministic() {
         let g = grid_2x4();
-        let wg = WeightedCsrGraph::from_csr(&g, vec![1.0; 8]);
-        let mate = heavy_edge_matching(&wg, None);
+        let vwgt = vec![1.0; 8];
+        let mate = matching(LevelView::unit(&g, &vwgt), None);
         // Involution over existing edges.
         for v in 0..8u32 {
             let m = mate[v as usize];
             assert_eq!(mate[m as usize], v);
             if m != v {
-                assert!(wg.neighbors(v).contains(&m), "{v}-{m} is not an edge");
+                assert!(g.neighbors(v).contains(&m), "{v}-{m} is not an edge");
             }
         }
         // Same input, same matching.
-        assert_eq!(mate, heavy_edge_matching(&wg, None));
+        assert_eq!(mate, matching(LevelView::unit(&g, &vwgt), None));
     }
 
     #[test]
     fn labels_restrict_the_matching() {
         let g = grid_2x4();
-        let wg = WeightedCsrGraph::from_csr(&g, vec![1.0; 8]);
+        let vwgt = vec![1.0; 8];
         let blocks = [0, 0, 1, 1, 0, 0, 1, 1];
-        let mate = heavy_edge_matching(&wg, Some(&blocks));
+        let mate = matching(LevelView::unit(&g, &vwgt), Some(&blocks));
         for v in 0..8u32 {
             let m = mate[v as usize];
             assert_eq!(
@@ -440,20 +379,21 @@ mod tests {
         // are connected by TWO fine edges (0-2 and 1-3) which must collapse
         // into one coarse edge of weight 2.
         let g = CsrGraph::from_edges(4, &[(0, 1), (1, 3), (2, 3), (0, 2)]);
-        let wg = WeightedCsrGraph::from_csr(&g, vec![1.0, 2.0, 3.0, 4.0]);
+        let vwgt = [1.0, 2.0, 3.0, 4.0];
         let mate = vec![1, 0, 3, 2];
-        let c = contract(&wg, &mate);
-        assert_eq!(c.coarse.n(), 2);
-        assert_eq!(c.coarse.m(), 1);
-        assert_eq!(c.coarse.neighbors(0), &[1]);
-        assert_eq!(c.coarse.edge_weights(0), &[2]);
-        assert_eq!(c.coarse.vwgt, vec![3.0, 7.0]);
-        assert_eq!(c.coarse_of_fine, vec![0, 0, 1, 1]);
+        let (mut coarse, mut cof) = (WeightedCsrGraph::default(), Vec::new());
+        contract_into(LevelView::unit(&g, &vwgt), &mate, &mut Vec::new(), &mut coarse, &mut cof);
+        assert_eq!(coarse.n(), 2);
+        assert_eq!(coarse.m(), 1);
+        assert_eq!(coarse.neighbors(0), &[1]);
+        assert_eq!(coarse.edge_weights(0), &[2]);
+        assert_eq!(coarse.vwgt, vec![3.0, 7.0]);
+        assert_eq!(cof, vec![0, 0, 1, 1]);
         // Projection invariant: any coarse assignment's weighted cut equals
         // the projected fine cut.
         for casg in [[0u32, 1], [0, 0], [1, 0]] {
-            let fine = c.project(&casg);
-            assert_eq!(c.coarse.edge_cut(&casg), wg.edge_cut(&fine));
+            let fine: Vec<u32> = cof.iter().map(|&c| casg[c as usize]).collect();
+            assert_eq!(coarse.view().edge_cut(&casg), crate::edge_cut(&g, &fine));
         }
     }
 
@@ -461,19 +401,20 @@ mod tests {
     fn unmatched_vertices_survive_contraction() {
         // Path of 3: only (0,1) can match; 2 stays singleton.
         let g = CsrGraph::from_edges(3, &[(0, 1), (1, 2)]);
-        let wg = WeightedCsrGraph::from_csr(&g, vec![1.0; 3]);
-        let mate = heavy_edge_matching(&wg, None);
-        let c = contract(&wg, &mate);
-        assert_eq!(c.coarse.n(), 2);
-        assert!((c.coarse.total_vertex_weight() - 3.0).abs() < 1e-15);
+        let vwgt = [1.0; 3];
+        let (mut coarse, mut cof) = (WeightedCsrGraph::default(), Vec::new());
+        CoarsenScratch::default().coarsen(LevelView::unit(&g, &vwgt), None, &mut coarse, &mut cof);
+        assert_eq!(coarse.n(), 2);
+        assert!((coarse.total_vertex_weight() - 3.0).abs() < 1e-15);
         // The surviving coarse edge stands for the fine edge 1-2.
-        assert_eq!(c.coarse.edge_cut(&[0, 1]), 1);
+        assert_eq!(coarse.view().edge_cut(&[0, 1]), 1);
     }
 
     /// The contraction this module shipped before the marker gather: one
     /// `(coarse id, weight)` vector per coarse vertex, sorted, then merged
-    /// during concatenation. Kept as the oracle of [`contract_into`].
-    fn contract_gather_sort(g: &WeightedCsrGraph, mate: &[u32]) -> Contraction {
+    /// during concatenation. Kept as the oracle of [`contract_into`];
+    /// returns the coarse graph and the projection map.
+    fn contract_gather_sort(g: &WeightedCsrGraph, mate: &[u32]) -> (WeightedCsrGraph, Vec<u32>) {
         let n = g.n();
         let mut coarse_of_fine = vec![u32::MAX; n];
         let mut pairs: Vec<(u32, u32)> = Vec::new();
@@ -514,7 +455,7 @@ mod tests {
                 g.vwgt[a as usize] + g.vwgt[b as usize]
             });
         }
-        Contraction { coarse, coarse_of_fine }
+        (coarse, coarse_of_fine)
     }
 
     /// Random graph on `n` vertices with about `edges` edges, symmetric
@@ -525,10 +466,7 @@ mod tests {
             .map(|_| (rng.next_below(n as u64) as u32, rng.next_below(n as u64) as u32))
             .collect();
         let g = CsrGraph::from_edges(n, &list);
-        let mut wg = WeightedCsrGraph::from_csr(
-            &g,
-            (0..n).map(|_| (1 + rng.next_below(5)) as f64).collect(),
-        );
+        let mut wg = lift(&g, (0..n).map(|_| (1 + rng.next_below(5)) as f64).collect());
         for v in 0..n as u32 {
             for (i, &u) in g.neighbors(v).iter().enumerate() {
                 let (lo, hi) = (u64::from(v.min(u)), u64::from(v.max(u)));
@@ -538,11 +476,19 @@ mod tests {
         wg
     }
 
-    /// `g` with every row sorted by neighbour id — what [`contract`] adds
-    /// to [`contract_into`].
+    /// `g` with every row, and its parallel weights, sorted by neighbour
+    /// id: two graphs agree on this iff they agree row by row as sets.
     fn rows_sorted(g: &WeightedCsrGraph) -> WeightedCsrGraph {
         let mut g = g.clone();
-        sort_rows(&mut g);
+        for v in 0..g.n() {
+            let span = g.xadj[v]..g.xadj[v + 1];
+            let mut row: Vec<(u32, u64)> =
+                g.adj[span.clone()].iter().copied().zip(g.ewgt[span.clone()].iter().copied()).collect();
+            row.sort_unstable_by_key(|&(u, _)| u);
+            for (i, (u, w)) in span.zip(row) {
+                (g.adj[i], g.ewgt[i]) = (u, w);
+            }
+        }
         g
     }
 
@@ -572,23 +518,22 @@ mod tests {
                 arbitrary[pair[1] as usize] = pair[0];
             }
             for mate in [
-                heavy_edge_matching(&g, None),
-                heavy_edge_matching(&g, Some(&labels)),
+                matching(g.view(), None),
+                matching(g.view(), Some(&labels)),
                 (0..n as u32).collect(),
                 arbitrary,
             ] {
-                let want = contract_gather_sort(&g, &mate);
+                let (want, want_cof) = contract_gather_sort(&g, &mate);
                 contract_into(g.view(), &mate, &mut scratch.slot, &mut coarse, &mut cof);
-                assert_eq!(rows_sorted(&coarse), want.coarse, "case {case}");
-                assert_eq!(cof, want.coarse_of_fine, "case {case}");
-                let public = contract(&g, &mate);
-                assert_eq!((public.coarse, public.coarse_of_fine), (want.coarse, want.coarse_of_fine));
+                assert_eq!(rows_sorted(&coarse), want, "case {case}");
+                assert_eq!(cof, want_cof, "case {case}");
             }
 
-            // The fused step is the two public functions back to back.
+            // The fused step is the matching and the contraction back to
+            // back.
             scratch.coarsen(g.view(), Some(&labels), &mut coarse, &mut cof);
-            let want = contract_gather_sort(&g, &heavy_edge_matching(&g, Some(&labels)));
-            assert_eq!((rows_sorted(&coarse), &cof), (want.coarse, &want.coarse_of_fine), "case {case}");
+            let (want, want_cof) = contract_gather_sort(&g, &matching(g.view(), Some(&labels)));
+            assert_eq!((rows_sorted(&coarse), &cof), (want, &want_cof), "case {case}");
         }
     }
 
@@ -603,11 +548,11 @@ mod tests {
                 .collect();
             let g = CsrGraph::from_edges(n, &list);
             let vwgt: Vec<f64> = (0..n).map(|_| (1 + rng.next_below(3)) as f64).collect();
-            let lift = WeightedCsrGraph::from_csr(&g, vwgt.clone());
+            let lifted = lift(&g, vwgt.clone());
             let (mut a, mut b) = (WeightedCsrGraph::default(), WeightedCsrGraph::default());
             let (mut ma, mut mb) = (Vec::new(), Vec::new());
             scratch.coarsen(LevelView::unit(&g, &vwgt), None, &mut a, &mut ma);
-            scratch.coarsen(lift.view(), None, &mut b, &mut mb);
+            scratch.coarsen(lifted.view(), None, &mut b, &mut mb);
             assert_eq!((a, ma), (b, mb));
         }
     }
@@ -615,10 +560,9 @@ mod tests {
     #[test]
     fn empty_graph_contracts_to_empty() {
         let g = CsrGraph::from_edges(0, &[]);
-        let wg = WeightedCsrGraph::from_csr(&g, vec![]);
-        let mate = heavy_edge_matching(&wg, None);
-        assert!(mate.is_empty());
-        let c = contract(&wg, &mate);
-        assert_eq!(c.coarse.n(), 0);
+        let (mut coarse, mut cof) = (WeightedCsrGraph::default(), Vec::new());
+        CoarsenScratch::default().coarsen(LevelView::unit(&g, &[]), None, &mut coarse, &mut cof);
+        assert!(cof.is_empty());
+        assert_eq!(coarse.n(), 0);
     }
 }

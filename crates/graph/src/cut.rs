@@ -1,14 +1,13 @@
 //! The single edge-cut implementation behind every cut number this
 //! workspace reports.
 //!
-//! Before PR 5 there were three independent edge-cut loops
-//! (`geographer_refine::edge_cut`, the inline accumulation in
-//! `hierarchy::cut_and_volume`, and the weighted variant the multilevel
-//! coarsening needed) — three chances for their semantics to drift. They
-//! now all call [`edge_cut_core`]: a weighted sum over cut edges with an
-//! unweighted fast path (`ewgt = None` counts each cut edge once without
-//! touching a weight array). `tests/multilevel_props.rs` cross-checks that
-//! all public entry points agree on unit weights.
+//! Every cut number is [`edge_cut_core`]: a weighted sum over cut edges
+//! with an unweighted fast path (`ewgt = None` counts each cut edge once
+//! without touching a weight array). Its callers are [`edge_cut`] on a
+//! [`crate::CsrGraph`], `LevelView::edge_cut` on a level of the coarsening
+//! hierarchy, and the accumulation of `hierarchy::cut_and_volume`; no
+//! other crate keeps a cut loop of its own. `tests/multilevel_props.rs`
+//! cross-checks that the public entry points agree on unit weights.
 
 /// Weighted edge cut of `assignment` over a CSR adjacency.
 ///

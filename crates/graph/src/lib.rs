@@ -18,9 +18,7 @@ pub mod metrics;
 pub mod migration;
 pub mod traversal;
 
-pub use coarsen::{
-    contract, edge_cut_weighted, heavy_edge_matching, Contraction, WeightedCsrGraph,
-};
+pub use coarsen::WeightedCsrGraph;
 pub use csr::CsrGraph;
 pub use cut::{edge_cut, edge_cut_core};
 pub use hierarchy::{coarsen_assignment, evaluate_levels, LevelMetrics};

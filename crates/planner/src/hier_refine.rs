@@ -48,7 +48,7 @@ use geographer::{HierarchySpec, LevelSpec};
 use geographer_graph::CsrGraph;
 use geographer_parcomm::Comm;
 use geographer_refine::{
-    block_capacities, MultilevelConfig, RefineConfig, RefineReport, RefineScratch,
+    block_capacities, capacity, MultilevelConfig, RefineConfig, RefineReport, RefineScratch,
 };
 
 /// Move vertices out of over-capacity children into the least-loaded
@@ -264,8 +264,7 @@ fn cross_parent_pass(
     let allowed = |l: usize, grp: usize, gw: &[Vec<f64>]| -> f64 {
         let arity = spec.levels[l].arity;
         let parent_w = if l == 0 { total } else { gw[l - 1][grp / arity] };
-        let target = parent_w * fractions[l][grp % arity];
-        ((1.0 + eps[l]) * target).max(target + w_max)
+        capacity(parent_w * fractions[l][grp % arity], eps[l], w_max)
     };
 
     let mut moves = 0usize;

@@ -25,9 +25,7 @@ use std::time::Instant;
 use geographer::{KMeansStats, PipelineTimings, PreviousPartition};
 use geographer_graph::{imbalance_with_targets, LevelMetrics};
 use geographer_parcomm::{Comm, CommStats};
-use geographer_refine::{
-    refine_multilevel, refine_partition, MultilevelReport, RefineReport,
-};
+use geographer_refine::{refine_multilevel, MultilevelReport, RefineReport};
 
 use crate::hier_refine::{refine_hierarchy_multilevel, RefineWork};
 use crate::spec::{PlanError, PlanSpec, PlanState, RefineMode};
@@ -70,7 +68,7 @@ pub struct Plan<const D: usize> {
     /// Flat refinement summary, when refinement ran (the per-level sum for
     /// hierarchical multilevel refinement).
     pub refine: Option<RefineReport>,
-    /// Full V-cycle report, when flat multilevel refinement ran.
+    /// Full V-cycle report, when a flat spec was refined.
     pub multilevel: Option<MultilevelReport>,
     /// Per-hierarchy-level refinement reports, when the stacked
     /// hierarchical multilevel mode ran (outermost level first).
@@ -174,68 +172,43 @@ impl Planner {
         // only the stacked mode communicates (uncounted, like assembly).
         // geo-analyze: allow(kernel-entropy): refine-phase timer — reported in Plan, never an input to the computation.
         let rt = Instant::now();
-        let mut refine = None;
-        let mut multilevel = None;
-        let mut level_refine = None;
-        let mut refine_work = None;
-        match &spec.refine {
-            RefineMode::None => {}
-            RefineMode::Single(rcfg) => {
-                let g = spec.mesh.graph.expect("validated: refinement has a graph");
-                let mut rcfg = rcfg.clone();
-                if rcfg.target_fractions.is_none() {
-                    rcfg.target_fractions = cfg.target_fractions.clone();
+        let (mut refine, mut multilevel, mut level_refine, mut refine_work) =
+            (None, None, None, None);
+        if let RefineMode::Multilevel(mcfg) = &spec.refine {
+            let g = spec.mesh.graph.expect("validated: refinement has a graph");
+            match &spec.hierarchy {
+                Some(h) => {
+                    let (reports, work) = refine_hierarchy_multilevel(
+                        comm,
+                        g,
+                        &mut assignment,
+                        spec.mesh.weights,
+                        h,
+                        mcfg,
+                    );
+                    refine = Some(RefineReport {
+                        cut_before: reports.iter().map(|r| r.cut_before).sum(),
+                        cut_after: reports.iter().map(|r| r.cut_after).sum(),
+                        moves: reports.iter().map(|r| r.moves).sum(),
+                        rounds: reports.iter().map(|r| r.rounds).sum(),
+                    });
+                    level_refine = Some(reports);
+                    refine_work = Some(work);
                 }
-                refine = Some(refine_partition(
-                    g,
-                    &mut assignment,
-                    spec.mesh.weights,
-                    spec.k,
-                    &rcfg,
-                ));
-                refine_work = Some(RefineWork { sweeps: 1, vcycles: 0, coarse_levels: 0 });
-            }
-            RefineMode::Multilevel(mcfg) => {
-                let g = spec.mesh.graph.expect("validated: refinement has a graph");
-                match &spec.hierarchy {
-                    Some(h) => {
-                        let (reports, work) = refine_hierarchy_multilevel(
-                            comm,
-                            g,
-                            &mut assignment,
-                            spec.mesh.weights,
-                            h,
-                            mcfg,
-                        );
-                        refine = Some(RefineReport {
-                            cut_before: reports.iter().map(|r| r.cut_before).sum(),
-                            cut_after: reports.iter().map(|r| r.cut_after).sum(),
-                            moves: reports.iter().map(|r| r.moves).sum(),
-                            rounds: reports.iter().map(|r| r.rounds).sum(),
-                        });
-                        level_refine = Some(reports);
-                        refine_work = Some(work);
+                None => {
+                    let mut mcfg = mcfg.clone();
+                    if mcfg.refine.target_fractions.is_none() {
+                        mcfg.refine.target_fractions = cfg.target_fractions.clone();
                     }
-                    None => {
-                        let mut mcfg = mcfg.clone();
-                        if mcfg.refine.target_fractions.is_none() {
-                            mcfg.refine.target_fractions = cfg.target_fractions.clone();
-                        }
-                        let report = refine_multilevel(
-                            g,
-                            &mut assignment,
-                            spec.mesh.weights,
-                            spec.k,
-                            &mcfg,
-                        );
-                        refine = Some(report.summary());
-                        refine_work = Some(RefineWork {
-                            sweeps: 1,
-                            vcycles: 1,
-                            coarse_levels: report.levels.len() - 1,
-                        });
-                        multilevel = Some(report);
-                    }
+                    let report =
+                        refine_multilevel(g, &mut assignment, spec.mesh.weights, spec.k, &mcfg);
+                    refine = Some(report.summary());
+                    refine_work = Some(RefineWork {
+                        sweeps: 1,
+                        vcycles: 1,
+                        coarse_levels: report.levels.len() - 1,
+                    });
+                    multilevel = Some(report);
                 }
             }
         }

@@ -18,7 +18,7 @@ use geographer::{Config, HierarchySpec, PreviousHierarchy, PreviousPartition};
 use geographer_geometry::Point;
 use geographer_graph::CsrGraph;
 use geographer_mesh::Mesh;
-use geographer_refine::{MultilevelConfig, RefineConfig};
+use geographer_refine::MultilevelConfig;
 
 use crate::tool::Tool;
 
@@ -53,26 +53,13 @@ pub enum RefineMode {
     /// No refinement.
     #[default]
     None,
-    /// One flat FM-style boundary pass ([`geographer_refine::refine_partition`]).
-    /// Flat specs only — a single sweep has no per-level semantics.
-    Single(RefineConfig),
     /// The multilevel coarsen→refine→project V-cycle. On flat specs this is
     /// [`geographer_refine::refine_multilevel`]; on hierarchical specs the
     /// V-cycle runs *per hierarchy level* under each level's ε and capacity
     /// fractions ([`crate::refine_hierarchy_multilevel`]) — the stacked
-    /// combination.
+    /// combination. One flat FM-style boundary sweep is the cycle at
+    /// `max_levels: 1`, on either spec shape.
     Multilevel(MultilevelConfig),
-}
-
-impl RefineMode {
-    /// Display name for benchmark output.
-    pub fn name(&self) -> &'static str {
-        match self {
-            RefineMode::None => "none",
-            RefineMode::Single(_) => "single",
-            RefineMode::Multilevel(_) => "multilevel",
-        }
-    }
 }
 
 /// The reusable prior state of a plan — the unified warm-start surface
@@ -218,9 +205,6 @@ impl<'a, const D: usize> PlanSpec<'a, D> {
             if self.config.target_fractions.is_some() {
                 return Err(PlanError::HierarchicalFlatFractions);
             }
-            if matches!(self.refine, RefineMode::Single(_)) {
-                return Err(PlanError::HierarchicalSingleRefine);
-            }
         }
         if !matches!(self.refine, RefineMode::None) && self.mesh.graph.is_none() {
             return Err(PlanError::MissingGraph);
@@ -301,8 +285,6 @@ pub enum PlanError {
     },
     /// Hierarchical spec with flat `Config::target_fractions` set.
     HierarchicalFlatFractions,
-    /// Hierarchical spec with [`RefineMode::Single`].
-    HierarchicalSingleRefine,
     /// Refinement requested without a mesh graph.
     MissingGraph,
     /// Warm state handed to a stateless (baseline) tool.
@@ -362,11 +344,6 @@ impl fmt::Display for PlanError {
                 f,
                 "geographer config: hierarchical solves take capacity fractions from the \
                  HierarchySpec's levels; Config::target_fractions must be None"
-            ),
-            PlanError::HierarchicalSingleRefine => write!(
-                f,
-                "geographer config: hierarchical specs take RefineMode::None or \
-                 RefineMode::Multilevel (a single flat sweep has no per-level semantics)"
             ),
             PlanError::MissingGraph => write!(
                 f,
@@ -487,11 +464,6 @@ mod tests {
             "geographer config: k = 7 does not match the hierarchy's 8 leaf blocks"
         );
         assert_eq!(
-            PlanError::HierarchicalSingleRefine.to_string(),
-            "geographer config: hierarchical specs take RefineMode::None or \
-             RefineMode::Multilevel (a single flat sweep has no per-level semantics)"
-        );
-        assert_eq!(
             PlanError::MissingGraph.to_string(),
             "geographer config: refinement requires the mesh graph in the plan spec"
         );
@@ -587,7 +559,7 @@ mod tests {
         );
         // Refinement without a graph.
         let spec = PlanSpec::flat(view(&pts, &w), Tool::Geographer, 4, Config::default())
-            .with_refine(RefineMode::Single(RefineConfig::default()));
+            .with_refine(RefineMode::Multilevel(MultilevelConfig::default()));
         assert_eq!(spec.validate(None), Err(PlanError::MissingGraph));
         // k out of range uses the canonical texts.
         let spec = PlanSpec::flat(view(&pts, &w), Tool::Geographer, 65, Config::default());

@@ -11,12 +11,12 @@
 //! Moves are only accepted with strictly positive gain, so the edge cut
 //! decreases monotonically and the procedure terminates.
 //!
-//! One flat boundary sweep recovers only the cut that single-vertex moves
-//! can reach. [`refine_multilevel`] wraps the same sweep in a multilevel
-//! V-cycle — coarsen by heavy-edge matching, refine the coarse graph
-//! (where one move relocates a whole cluster), project back and re-refine
-//! — which reaches strictly deeper minima at comparable cost (DESIGN.md
-//! §7).
+//! There is one refinement path, [`refine_multilevel`]: a V-cycle that
+//! coarsens by heavy-edge matching, refines the coarse graph (where one
+//! move relocates a whole cluster), projects back and re-refines — which
+//! reaches strictly deeper minima than single-vertex moves at comparable
+//! cost (DESIGN.md §7). At `max_levels: 1` it is one flat boundary sweep,
+//! [`refine_partition`].
 
 use geographer_graph::coarsen::LevelView;
 use geographer_graph::CsrGraph;
@@ -66,20 +66,21 @@ pub struct RefineReport {
     pub rounds: usize,
 }
 
-/// Edge cut of `assignment` on `g` (each cut edge counted once).
-/// Delegates to the workspace's single cut implementation,
-/// [`geographer_graph::edge_cut`] (unweighted fast path of the weighted
-/// core).
-pub fn edge_cut(g: &CsrGraph, assignment: &[u32]) -> u64 {
-    geographer_graph::edge_cut(g, assignment)
+/// The capacity of a block with weight target `target`:
+/// `max((1+ε)·target, target + w_max)` — the same feasibility floor as
+/// `geographer`'s kmeans.rs. The one spelling of it in refinement: every
+/// level of the V-cycle (through [`block_capacities`]) and the planner's
+/// cross-parent pass call it.
+#[inline]
+pub fn capacity(target: f64, epsilon: f64, w_max: f64) -> f64 {
+    ((1.0 + epsilon) * target).max(target + w_max)
 }
 
-/// Per-block capacities `max((1+ε)·target, target + w_max)` — the same
-/// feasibility floor as `geographer`'s kmeans.rs, with targets either
-/// uniform or the configured heterogeneous fractions of the total. Shared
-/// by the flat pass, every level of the multilevel V-cycle (which passes
-/// the *fine* level's `w_max` so no coarse move can overshoot the bound
-/// the caller asked for) and the planner's per-parent hierarchical sweep.
+/// Per-block [`capacity`] with targets either uniform or the configured
+/// heterogeneous fractions of the total. Shared by every level of the
+/// multilevel V-cycle (which passes the *fine* level's `w_max` so no
+/// coarse move can overshoot the bound the caller asked for) and the
+/// planner's per-parent hierarchical sweep.
 pub fn block_capacities(
     total: f64,
     w_max: f64,
@@ -103,13 +104,7 @@ pub fn block_capacities(
             f.iter().map(|x| x / sum).collect()
         }
     };
-    fractions
-        .iter()
-        .map(|frac| {
-            let target = total * frac;
-            ((1.0 + epsilon) * target).max(target + w_max)
-        })
-        .collect()
+    fractions.iter().map(|frac| capacity(total * frac, epsilon, w_max)).collect()
 }
 
 /// The arrays one call of [`refine_sweeps`] works in, owned by the caller
@@ -138,9 +133,9 @@ pub(crate) struct SweepOutcome {
 }
 
 /// One bounded sequence of greedy boundary sweeps over a (possibly
-/// edge-weighted) level: the single refinement kernel behind both
-/// [`refine_partition`] (unweighted fast path, `ewgt = None`) and every
-/// level of [`refine_multilevel`] (gains in accumulated fine-edge units).
+/// edge-weighted) level: the single refinement kernel, run at every level
+/// of [`refine_multilevel`] (unit weights on the fine level, gains in
+/// accumulated fine-edge units below it).
 /// Moves with strictly positive gain that respect `allowed` are applied in
 /// ascending vertex order — deterministic and thread-count independent.
 ///
@@ -237,11 +232,12 @@ pub(crate) fn refine_sweeps(
     out
 }
 
-/// Refine `assignment` in place: repeatedly move boundary vertices to the
-/// adjacent block with the largest positive edge-gain, subject to the
-/// balance constraint (per-block targets from
-/// [`RefineConfig::target_fractions`], uniform by default). Deterministic
-/// (fixed sweep order).
+/// Refine `assignment` in place with one flat boundary sweep: repeatedly
+/// move boundary vertices to the adjacent block with the largest positive
+/// edge-gain, subject to the balance constraint (per-block targets from
+/// [`RefineConfig::target_fractions`], uniform by default). This is the
+/// V-cycle at one level — [`refine_multilevel`] with `max_levels: 1` —
+/// summarized. Deterministic (fixed sweep order).
 pub fn refine_partition(
     g: &CsrGraph,
     assignment: &mut [u32],
@@ -249,31 +245,15 @@ pub fn refine_partition(
     k: usize,
     cfg: &RefineConfig,
 ) -> RefineReport {
-    assert_eq!(assignment.len(), g.n());
-    assert!(k >= 1);
-    let level = LevelView::unit(g, weights);
-    let cut_before = level.edge_cut(assignment);
-
-    let total: f64 = weights.iter().sum();
-    let w_max = weights.iter().copied().fold(0.0, f64::max);
-    let allowed = block_capacities(total, w_max, k, cfg.epsilon, &cfg.target_fractions);
-
-    let swept = refine_sweeps(
-        &level,
-        assignment,
-        k,
-        cfg.max_rounds,
-        &allowed,
-        &mut SweepScratch::default(),
-    );
-    let cut_after = cut_before - swept.gain;
-    debug_assert_eq!(cut_after, level.edge_cut(assignment));
-    RefineReport { cut_before, cut_after, moves: swept.moves, rounds: swept.rounds }
+    let one_level =
+        MultilevelConfig { max_levels: 1, refine: cfg.clone(), ..MultilevelConfig::default() };
+    refine_multilevel(g, assignment, weights, k, &one_level).summary()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use geographer_graph::edge_cut;
 
     fn path(n: usize) -> CsrGraph {
         let edges: Vec<(u32, u32)> = (0..n as u32 - 1).map(|i| (i, i + 1)).collect();
@@ -405,14 +385,6 @@ mod tests {
         let mut want_w = block_weights(&start, &vwgt, 2);
         assert_eq!(sweep_all_vertices(&level, &mut want, 2, 10, &allowed, &mut want_w), (2, 3));
         assert_eq!((want, want_w), (got, scratch.block_w));
-    }
-
-    #[test]
-    fn edge_cut_counts_once() {
-        let g = path(4);
-        assert_eq!(edge_cut(&g, &[0, 0, 1, 1]), 1);
-        assert_eq!(edge_cut(&g, &[0, 1, 0, 1]), 3);
-        assert_eq!(edge_cut(&g, &[0, 0, 0, 0]), 0);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Multilevel refinement V-cycle: coarsen → refine → project → re-refine.
 //!
-//! The flat pass of [`crate::refine_partition`] only reaches minima that
-//! single-vertex moves can reach: on a large mesh one boundary sweep
-//! recovers a sliver of the recoverable cut. The standard fix (Hendrickson
+//! One level of the cycle (`max_levels: 1`, [`crate::refine_partition`])
+//! is a flat boundary sweep, which only reaches minima that single-vertex
+//! moves can reach: on a large mesh it recovers a sliver of the
+//! recoverable cut. The standard fix (Hendrickson
 //! & Leland; Walshaw's multilevel refinement) is to coarsen the graph by
 //! heavy-edge matching, refine where the graph is small — one coarse move
 //! relocates a whole cluster of fine vertices — and project the improved
@@ -38,11 +39,12 @@ pub struct MultilevelConfig {
     /// coarsest graph is refined first).
     pub coarsest_vertices: usize,
     /// Hard cap on the number of hierarchy levels (safety bound; the
-    /// shrink-factor guard normally stops far earlier).
+    /// shrink-factor guard normally stops far earlier). `1` builds no
+    /// coarse level: the cycle is one flat boundary sweep.
     pub max_levels: usize,
     /// The per-level sweep parameters: ε, sweep budget, and per-block
-    /// `target_fractions` — the same knobs as the flat pass, applied at
-    /// every level against the fine-level floor.
+    /// `target_fractions`, applied at every level against the fine-level
+    /// floor.
     pub refine: RefineConfig,
 }
 
@@ -91,7 +93,7 @@ pub struct MultilevelReport {
 
 impl MultilevelReport {
     /// Collapse into the flat [`RefineReport`] shape (rounds summed over
-    /// levels) — what a plan's `refine` field carries for either mode.
+    /// levels) — what a plan's `refine` field carries.
     pub fn summary(&self) -> RefineReport {
         RefineReport {
             cut_before: self.cut_before,
@@ -250,7 +252,8 @@ impl RefineScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{edge_cut, refine_partition};
+    use crate::refine_partition;
+    use geographer_graph::edge_cut;
     use geographer_graph::imbalance_with_targets;
 
     #[test]

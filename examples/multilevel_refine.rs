@@ -2,11 +2,11 @@
 //! project back, re-refine.
 //!
 //! An HSFC partition of a clustered mesh is refined two ways at the same
-//! ε — the recipe's `RefineMode`: one flat boundary sweep (`Single`) and
-//! the multilevel V-cycle (`Multilevel`). The flat pass only reaches minima that
-//! single-vertex moves can reach; the V-cycle relocates whole clusters at
-//! the coarse levels and recovers strictly more cut at comparable cost
-//! (DESIGN.md §7).
+//! ε, by the recipe's `RefineMode::Multilevel`: the V-cycle at one level
+//! (`max_levels: 1`, one flat boundary sweep) and at its default depth.
+//! The flat sweep only reaches minima that single-vertex moves can reach;
+//! the full V-cycle relocates whole clusters at the coarse levels and
+//! recovers strictly more cut at comparable cost (DESIGN.md §7).
 //!
 //! ```sh
 //! cargo run --release --example multilevel_refine
@@ -17,7 +17,7 @@ use geographer_bench::{solve_plan_view, PlanRecipe, Tool};
 use geographer_graph::imbalance;
 use geographer_mesh::families::bubbles_like;
 use geographer_planner::{MeshView, RefineMode};
-use geographer_refine::{MultilevelConfig, RefineConfig};
+use geographer_refine::MultilevelConfig;
 
 fn main() {
     let (n, k, seed) = (8_000, 16, 55);
@@ -26,23 +26,23 @@ fn main() {
     println!("clustered mesh: n = {n}, k = {k}, ε = {}", core.epsilon);
 
     let mut outcomes = Vec::new();
-    for mode in [
-        RefineMode::Single(RefineConfig::default()),
-        RefineMode::Multilevel(MultilevelConfig::default()),
-    ] {
-        let recipe = PlanRecipe::flat("hsfc", Tool::Hsfc, k, core.clone()).with_refine(mode);
+    for (name, max_levels) in [("one sweep", 1), ("V-cycle", MultilevelConfig::default().max_levels)]
+    {
+        let mcfg = MultilevelConfig { max_levels, ..MultilevelConfig::default() };
+        let recipe = PlanRecipe::flat("hsfc", Tool::Hsfc, k, core.clone())
+            .with_refine(RefineMode::Multilevel(mcfg));
         let out = solve_plan_view(MeshView::from(&mesh), &recipe, 2, None).plan;
         let report = out.refine.expect("refine post-pass was requested");
         println!(
-            "\n{:<11} cut {} -> {}  ({:.1}% of the initial cut recovered, {} moves, imb {:.4})",
-            recipe.refine.name(),
+            "\n{name:<11} cut {} -> {}  ({:.1}% of the initial cut recovered, {} moves, imb {:.4})",
             report.cut_before,
             report.cut_after,
             100.0 * (report.cut_before - report.cut_after) as f64 / report.cut_before as f64,
             report.moves,
             imbalance(&out.assignment, &mesh.weights, k),
         );
-        if let Some(ml) = &out.multilevel {
+        let ml = out.multilevel.as_ref().expect("flat refinement reports its levels");
+        if ml.levels.len() > 1 {
             println!("  V-cycle levels (coarsest first):");
             for l in &ml.levels {
                 println!(

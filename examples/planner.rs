@@ -102,14 +102,12 @@ fn main() {
     }
 
     // Illegal combinations fail with a typed error, not a panic deep in a
-    // driver: the flat single-level sweep is not defined under a
-    // hierarchy's per-level capacities.
+    // driver: a flat plan's state cannot warm-start a hierarchy.
     let bad = PlanSpec::hierarchical(
         MeshView::from(&drifted),
         HierarchySpec::uniform(&[4, 2]),
         cfg,
-    )
-    .with_refine(RefineMode::Single(Default::default()));
-    let err = bad.validate(None).expect_err("hierarchy + Single refine is illegal");
+    );
+    let err = bad.validate(Some(&state)).expect_err("flat state + hierarchy is illegal");
     println!("\nillegal spec rejected: {err}");
 }

@@ -7,7 +7,7 @@
 
 use geographer::Config;
 use geographer_bench::{solve_plan_view, PlanRecipe, Tool};
-use geographer_graph::coarsen::{contract, heavy_edge_matching, WeightedCsrGraph};
+use geographer_graph::coarsen::{CoarsenScratch, LevelView, WeightedCsrGraph};
 use geographer_graph::{evaluate_partition, CsrGraph};
 use geographer_mesh::{delaunay_unit_square, families::bubbles_like};
 use geographer_planner::MeshView;
@@ -20,17 +20,21 @@ use proptest::prelude::*;
 /// representable, so weight conservation can be asserted with `==`),
 /// built from plain sampled values (the vendored proptest shim has no
 /// `prop_flat_map`).
-fn build_weighted_graph(
-    n: usize,
-    raw: &[(u32, u32)],
-    wseed: u64,
-) -> (WeightedCsrGraph, CsrGraph) {
+fn build_weighted_graph(n: usize, raw: &[(u32, u32)], wseed: u64) -> (CsrGraph, Vec<f64>) {
     let edges: Vec<(u32, u32)> =
         raw.iter().map(|&(a, b)| (a % n as u32, b % n as u32)).collect();
     let g = CsrGraph::from_edges(n, &edges);
     let mut rng = geographer_geometry::SplitMix64::new(wseed ^ 0x9E37_79B9);
     let vwgt: Vec<f64> = (0..n).map(|_| (1 + rng.next_u64() % 5) as f64).collect();
-    (WeightedCsrGraph::from_csr(&g, vwgt), g)
+    (g, vwgt)
+}
+
+/// One coarsening step of `level`: the coarse graph and the fine → coarse
+/// map.
+fn coarsen(level: LevelView<'_>, labels: Option<&[u32]>) -> (WeightedCsrGraph, Vec<u32>) {
+    let (mut coarse, mut coarse_of_fine) = (WeightedCsrGraph::default(), Vec::new());
+    CoarsenScratch::default().coarsen(level, labels, &mut coarse, &mut coarse_of_fine);
+    (coarse, coarse_of_fine)
 }
 
 /// Strategy for the raw ingredients of [`build_weighted_graph`].
@@ -45,29 +49,34 @@ fn arb_graph_parts() -> impl Strategy<Value = (usize, Vec<(u32, u32)>, u64)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The heavy-edge matching is a valid matching: an involution in which
-    /// every matched pair is an existing edge, and (when labels are given)
-    /// never crosses a label boundary.
+    /// The heavy-edge matching is a valid matching, read off the
+    /// contraction's map: every coarse vertex covers one fine vertex, or
+    /// two adjacent ones that (when labels are given) share a label.
     #[test]
     fn matching_is_valid(gen in arb_graph_parts(), lseed in 0u32..5) {
-        let (wg, _g) = build_weighted_graph(gen.0, &gen.1, gen.2);
-        let labels: Vec<u32> = (0..wg.n() as u32).map(|v| (v.wrapping_mul(2654435761) ^ lseed) % (lseed + 2)).collect();
+        let (g, vwgt) = build_weighted_graph(gen.0, &gen.1, gen.2);
+        let labels: Vec<u32> = (0..g.n() as u32).map(|v| (v.wrapping_mul(2654435761) ^ lseed) % (lseed + 2)).collect();
         for lab in [None, Some(&labels[..])] {
-            let mate = heavy_edge_matching(&wg, lab);
-            prop_assert_eq!(mate.len(), wg.n());
-            for v in 0..wg.n() as u32 {
-                let m = mate[v as usize];
-                // Matched at most once: involution.
-                prop_assert_eq!(mate[m as usize], v, "not an involution at {}", v);
-                if m != v {
-                    // Only across existing edges.
-                    prop_assert!(
-                        wg.neighbors(v).binary_search(&m).is_ok(),
-                        "{}-{} matched without an edge", v, m
-                    );
-                    if let Some(l) = lab {
-                        prop_assert_eq!(l[v as usize], l[m as usize]);
+            let (coarse, cof) = coarsen(LevelView::unit(&g, &vwgt), lab);
+            prop_assert_eq!(cof.len(), g.n());
+            let mut covers: Vec<Vec<u32>> = vec![Vec::new(); coarse.n()];
+            for (v, &cv) in cof.iter().enumerate() {
+                covers[cv as usize].push(v as u32);
+            }
+            for (cv, fine) in covers.iter().enumerate() {
+                match fine[..] {
+                    [_] => {}
+                    [a, b] => {
+                        // Only across existing edges.
+                        prop_assert!(
+                            g.neighbors(a).binary_search(&b).is_ok(),
+                            "{}-{} matched without an edge", a, b
+                        );
+                        if let Some(l) = lab {
+                            prop_assert_eq!(l[a as usize], l[b as usize]);
+                        }
                     }
+                    _ => prop_assert!(false, "coarse vertex {} covers {:?}", cv, fine),
                 }
             }
         }
@@ -77,51 +86,49 @@ proptest! {
     /// weights: float addition is exact, so `==`, not a tolerance).
     #[test]
     fn contraction_preserves_total_weight(gen in arb_graph_parts()) {
-        let (wg, _g) = build_weighted_graph(gen.0, &gen.1, gen.2);
-        let mate = heavy_edge_matching(&wg, None);
-        let c = contract(&wg, &mate);
-        prop_assert_eq!(c.coarse.total_vertex_weight(), wg.total_vertex_weight());
+        let (g, vwgt) = build_weighted_graph(gen.0, &gen.1, gen.2);
+        let (coarse, cof) = coarsen(LevelView::unit(&g, &vwgt), None);
+        prop_assert_eq!(coarse.total_vertex_weight(), vwgt.iter().sum::<f64>());
         // And per fine vertex: its coarse vertex covers exactly its pair.
-        prop_assert_eq!(c.coarse_of_fine.len(), wg.n());
-        let mut covered = vec![0.0f64; c.coarse.n()];
-        for (v, &cv) in c.coarse_of_fine.iter().enumerate() {
-            covered[cv as usize] += wg.vwgt[v];
+        prop_assert_eq!(cof.len(), g.n());
+        let mut covered = vec![0.0f64; coarse.n()];
+        for (v, &cv) in cof.iter().enumerate() {
+            covered[cv as usize] += vwgt[v];
         }
-        prop_assert_eq!(covered, c.coarse.vwgt.clone());
+        prop_assert_eq!(covered, coarse.vwgt.clone());
     }
 
     /// The V-cycle invariant: for ANY coarse assignment, the weighted cut
     /// of the coarse graph equals the weighted cut of its projection onto
-    /// the fine graph (here the fine graph has unit edge weights, so the
-    /// projected weighted cut is the plain fine edge cut).
+    /// the fine graph — from the unit-weight fine level (where it is the
+    /// plain fine edge cut) and from an edge-weighted coarse level alike.
     #[test]
     fn coarse_cut_equals_projected_fine_cut(gen in arb_graph_parts(), kseed in 1u32..7) {
-        let (wg, g) = build_weighted_graph(gen.0, &gen.1, gen.2);
-        let mate = heavy_edge_matching(&wg, None);
-        let c = contract(&wg, &mate);
-        // Pseudo-random coarse assignment with kseed+1 blocks.
-        let casg: Vec<u32> = (0..c.coarse.n() as u32)
+        let (g, vwgt) = build_weighted_graph(gen.0, &gen.1, gen.2);
+        let (coarse, cof) = coarsen(LevelView::unit(&g, &vwgt), None);
+        let (coarser, cof2) = coarsen(coarse.view(), None);
+        // Pseudo-random assignment of the coarsest level with kseed+1 blocks.
+        let casg: Vec<u32> = (0..coarser.n() as u32)
             .map(|v| v.wrapping_mul(2246822519).wrapping_add(kseed) % (kseed + 1))
             .collect();
-        let fine_asg = c.project(&casg);
-        prop_assert_eq!(c.coarse.edge_cut(&casg), wg.edge_cut(&fine_asg));
-        prop_assert_eq!(wg.edge_cut(&fine_asg), geographer_graph::edge_cut(&g, &fine_asg));
+        let mid_asg: Vec<u32> = cof2.iter().map(|&c| casg[c as usize]).collect();
+        let fine_asg: Vec<u32> = cof.iter().map(|&c| mid_asg[c as usize]).collect();
+        prop_assert_eq!(coarser.view().edge_cut(&casg), coarse.view().edge_cut(&mid_asg));
+        prop_assert_eq!(coarse.view().edge_cut(&mid_asg), geographer_graph::edge_cut(&g, &fine_asg));
     }
 
-    /// The three historical edge-cut implementations (refine's, the
-    /// metric core's, and the weighted variant on unit weights) now sit on
-    /// one core and must agree everywhere.
+    /// The historical edge-cut implementations (the metric core's, the
+    /// level view's on unit weights, and the partition metrics') sit on one
+    /// core and must agree everywhere.
     #[test]
     fn edge_cut_implementations_agree(gen in arb_graph_parts(), k in 1u32..6) {
-        let (wg, g) = build_weighted_graph(gen.0, &gen.1, gen.2);
+        let (g, vwgt) = build_weighted_graph(gen.0, &gen.1, gen.2);
         let asg: Vec<u32> = (0..g.n() as u32).map(|v| v.wrapping_mul(40503) % k).collect();
-        let from_refine = geographer_refine::edge_cut(&g, &asg);
         let from_graph = geographer_graph::edge_cut(&g, &asg);
-        let from_weighted = wg.edge_cut(&asg); // unit edge weights
-        let from_metrics = evaluate_partition(&g, &asg, &wg.vwgt, k as usize).edge_cut;
-        prop_assert_eq!(from_refine, from_graph);
-        prop_assert_eq!(from_graph, from_weighted);
-        prop_assert_eq!(from_weighted, from_metrics);
+        let from_level = LevelView::unit(&g, &vwgt).edge_cut(&asg);
+        let from_metrics = evaluate_partition(&g, &asg, &vwgt, k as usize).edge_cut;
+        prop_assert_eq!(from_graph, from_level);
+        prop_assert_eq!(from_level, from_metrics);
     }
 }
 

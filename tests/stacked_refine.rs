@@ -6,14 +6,17 @@
 //! same however the parents of a level are dealt to ranks, and the same
 //! before and after any change that only makes it cheaper. Nothing else in
 //! tier-1 would notice a run-dependent tie-break there (the mutation audit
-//! of DESIGN.md §11, row D1), so this file pins all three.
+//! of DESIGN.md §11, row D1), so this file pins all three. It also pins
+//! the flat one-sweep plans, because a sweep is the same V-cycle at one
+//! level (DESIGN.md §7).
 
 use geographer::{Config, HierarchySpec};
 use geographer_bench::{solve_plan_view, PlanRecipe};
+use geographer_graph::evaluate_levels;
 use geographer_mesh::{families::bubbles_like, Mesh};
 use geographer_parcomm::{run_spmd, run_spmd_proc, Comm, SelfComm};
 use geographer_planner::{refine_hierarchy_multilevel, MeshView, RefineMode, Tool};
-use geographer_refine::{MultilevelConfig, RefineConfig};
+use geographer_refine::{refine_partition, MultilevelConfig, RefineConfig};
 
 /// FNV-1a over the assignment's little-endian block ids (the digest of
 /// `count_guard`).
@@ -55,17 +58,15 @@ fn stacked_4x4_plan_repeats_bitwise_and_matches_the_digest_pinned_at_8eda87d() {
     assert_eq!(reports, [[255, 225, 22, 14], [779, 642, 74, 19]]);
 }
 
-/// Flat plan on `bubbles_like(6_000, 22)`, k = 16, refined by one
-/// boundary sweep.
-fn one_sweep(tool: Tool) -> PlanRecipe {
-    let cfg = Config { sampling_init: false, ..Config::default() };
-    PlanRecipe::flat("one-sweep", tool, 16, cfg)
-        .with_refine(RefineMode::Single(RefineConfig::default()))
+/// One boundary sweep: the V-cycle at one level.
+fn one_sweep() -> RefineMode {
+    RefineMode::Multilevel(MultilevelConfig { max_levels: 1, ..MultilevelConfig::default() })
 }
 
 /// Digest and `[cut_before, cut_after, moves, rounds]` of one-sweep flat
-/// plans at p ∈ {1, 2}, recorded at commit 0bec469, where one sweep was
-/// its own refinement mode and not a one-level V-cycle.
+/// plans at p ∈ {1, 2} on `bubbles_like(6_000, 22)`, k = 16, recorded at
+/// commit 0bec469, where one sweep was a refinement mode of its own and
+/// not a one-level V-cycle.
 #[test]
 fn one_sweep_plans_match_the_digests_pinned_at_0bec469() {
     let mesh = bubbles_like(6_000, 22);
@@ -73,15 +74,60 @@ fn one_sweep_plans_match_the_digests_pinned_at_0bec469() {
         (Tool::Geographer, 0x1605_4b15_da38_a268u64, [885u64, 797, 59, 4]),
         (Tool::Hsfc, 0x4d3d_5a48_11cb_601c, [1356, 1135, 131, 4]),
     ];
+    let cfg = Config { sampling_init: false, ..Config::default() };
     for (tool, want_digest, want_report) in pinned {
+        let plain = PlanRecipe::flat("one-sweep", tool, 16, cfg.clone());
         for p in [1, 2] {
-            let plan = solve_plan_view(MeshView::from(&mesh), &one_sweep(tool), p, None).plan;
+            let recipe = plain.clone().with_refine(one_sweep());
+            let plan = solve_plan_view(MeshView::from(&mesh), &recipe, p, None).plan;
             let d = digest(&plan.assignment);
             assert_eq!(d, want_digest, "{} at p = {p}: digest {d:#018x}", tool.name());
             let r = plan.refine.expect("a refined plan reports");
             let got = [r.cut_before, r.cut_after, r.moves as u64, r.rounds as u64];
             assert_eq!(got, want_report, "{} at p = {p}", tool.name());
         }
+        // The free function reads the same bits off the unrefined plan.
+        let mut asg = solve_plan_view(MeshView::from(&mesh), &plain, 1, None).plan.assignment;
+        let r = refine_partition(&mesh.graph, &mut asg, &mesh.weights, 16, &RefineConfig::default());
+        assert_eq!(digest(&asg), want_digest, "{}: refine_partition", tool.name());
+        assert_eq!([r.cut_before, r.cut_after, r.moves as u64, r.rounds as u64], want_report);
+    }
+}
+
+/// A hierarchical spec refined by one-level cycles runs the stacked pass:
+/// no level's cut rises, and every level stays inside the solver's floor
+/// `max((1+ε)·target, target + w_max)` against its parent's actual weight.
+#[test]
+fn one_level_cycles_refine_a_hierarchy_inside_every_floor() {
+    let mesh = bubbles_like(6_000, 22);
+    let spec = HierarchySpec::uniform(&[4, 4]);
+    let cfg = Config { sampling_init: false, ..Config::default() };
+    let recipe = PlanRecipe::hierarchical("one-level", spec.clone(), cfg.clone());
+    let plain = solve_plan_view(MeshView::from(&mesh), &recipe, 2, None).plan;
+    let refined =
+        solve_plan_view(MeshView::from(&mesh), &recipe.with_refine(one_sweep()), 2, None).plan;
+    let work = refined.refine_work.expect("a refined plan reports its work");
+    assert_eq!(work.coarse_levels, 0, "one-level cycles build no coarse level");
+    assert!(refined.refine.expect("a refined plan reports").moves > 0);
+
+    let groups = spec.level_groups();
+    let before = evaluate_levels(&mesh.graph, &plain.assignment, &groups);
+    let after = evaluate_levels(&mesh.graph, &refined.assignment, &groups);
+    let w_max = mesh.weights.iter().copied().fold(0.0, f64::max);
+    let mut parent_w = vec![mesh.weights.iter().sum::<f64>()];
+    for (l, map) in groups.iter().enumerate() {
+        assert!(after[l].edge_cut <= before[l].edge_cut, "level {l}: the cut rose");
+        let arity = spec.levels[l].arity;
+        let mut gw = vec![0.0f64; parent_w.len() * arity];
+        for (&b, &w) in refined.assignment.iter().zip(&mesh.weights) {
+            gw[map[b as usize] as usize] += w;
+        }
+        for (gi, &w) in gw.iter().enumerate() {
+            let target = parent_w[gi / arity] / arity as f64;
+            let allowed = ((1.0 + cfg.epsilon) * target).max(target + w_max);
+            assert!(w <= allowed + 1e-9, "level {l} group {gi}: {w} > {allowed}");
+        }
+        parent_w = gw;
     }
 }
 
