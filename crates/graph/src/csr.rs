@@ -100,18 +100,17 @@ impl CsrGraph {
     /// `0..vertices.len()` in the given order. Also returns nothing else —
     /// callers keep their own id mapping if needed.
     pub fn induced_subgraph(&self, vertices: &[u32]) -> CsrGraph {
-        // geo-analyze: allow(hash-container): lookup-only id map, never iterated — edge order comes from the deterministic `vertices` walk below.
-        let mut local_id = std::collections::HashMap::with_capacity(vertices.len());
+        // Local id of every vertex of `self`; `u32::MAX` = not selected.
+        let mut local_id = vec![u32::MAX; self.n()];
         for (i, &v) in vertices.iter().enumerate() {
-            local_id.insert(v, i as u32);
+            local_id[v as usize] = i as u32;
         }
         let mut edges = Vec::new();
         for (i, &v) in vertices.iter().enumerate() {
             for &u in self.neighbors(v) {
-                if let Some(&j) = local_id.get(&u) {
-                    if (i as u32) < j {
-                        edges.push((i as u32, j));
-                    }
+                let j = local_id[u as usize];
+                if j != u32::MAX && (i as u32) < j {
+                    edges.push((i as u32, j));
                 }
             }
         }

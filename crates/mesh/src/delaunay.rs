@@ -132,24 +132,21 @@ impl Triangulator {
         let p = self.pts[pid as usize];
         let seed = self.locate(p);
 
-        // Grow the cavity: all triangles whose circumcircle contains p.
+        // Grow the cavity: all triangles whose circumcircle contains p. A
+        // triangle leaves `alive` as it joins; no live triangle borders a
+        // freed one, so a neighbour that is not alive is in this cavity.
         let mut bad = vec![seed];
-        // geo-analyze: allow(hash-container): membership-only set, never iterated — cavity order comes from the `stack`/`bad` vectors.
-        let mut in_cavity = std::collections::HashSet::new();
-        in_cavity.insert(seed);
+        self.tris[seed].alive = false;
         let mut stack = vec![seed];
         while let Some(t) = stack.pop() {
-            for &n in &self.tris[t].nbr {
-                if n < 0 {
+            for n in self.tris[t].nbr {
+                if n < 0 || !self.tris[n as usize].alive {
                     continue;
                 }
                 let n = n as usize;
-                if in_cavity.contains(&n) {
-                    continue;
-                }
                 let [a, b, c] = self.tri_pts(n);
                 if in_circle(a, b, c, p) > 0.0 {
-                    in_cavity.insert(n);
+                    self.tris[n].alive = false;
                     bad.push(n);
                     stack.push(n);
                 }
@@ -163,7 +160,7 @@ impl Triangulator {
             let tri = self.tris[t];
             for i in 0..3 {
                 let n = tri.nbr[i];
-                let outside = n < 0 || !in_cavity.contains(&(n as usize));
+                let outside = n < 0 || self.tris[n as usize].alive;
                 if outside {
                     // Edge opposite vertex i is (v[i+1], v[i+2]).
                     let u = tri.v[(i + 1) % 3];
@@ -174,10 +171,7 @@ impl Triangulator {
         }
 
         // Retire cavity triangles.
-        for &t in &bad {
-            self.tris[t].alive = false;
-            self.free.push(t);
-        }
+        self.free.extend_from_slice(&bad);
 
         // Fan from p to each boundary edge; wire neighbours. The cavity
         // boundary is a simple CCW cycle, so each vertex starts exactly

@@ -16,7 +16,6 @@
 // iterator-zip rewrites of those loops are less readable, not more.
 #![allow(clippy::needless_range_loop)]
 
-use std::collections::HashMap;
 use std::time::Instant;
 
 use geographer_graph::CsrGraph;
@@ -106,48 +105,28 @@ pub fn spmv_comm_time_on_nodes<C: Comm>(
     let me = comm.rank();
     let owner = |v: u32| owner_of_block(assignment[v as usize], k, p);
 
-    // Owned vertices, and a dense local index for them.
     let owned: Vec<u32> = (0..g.n() as u32).filter(|&v| owner(v) == me).collect();
-    // geo-analyze: allow(hash-container): lookup-only dense-index map, never iterated.
-    let mut local_of: HashMap<u32, u32> = HashMap::with_capacity(owned.len());
-    for (i, &v) in owned.iter().enumerate() {
-        local_of.insert(v, i as u32);
-    }
 
     // Send lists: owned vertices that each foreign rank needs (a vertex is
-    // sent at most once per rank — the comm-volume semantics).
+    // sent at most once per rank — the comm-volume semantics). `v` ascends,
+    // so a list already holding `v` ends with it.
     let mut send_list: Vec<Vec<u32>> = vec![Vec::new(); p];
-    {
-        // geo-analyze: allow(hash-container): dedup-only membership set — send_list order comes from the deterministic owned/neighbors walk.
-        let mut sent: Vec<HashMap<u32, ()>> = vec![HashMap::new(); p];
-        for &v in &owned {
-            for &u in g.neighbors(v) {
-                let r = owner(u);
-                if r != me && sent[r].insert(v, ()).is_none() {
-                    send_list[r].push(v);
-                }
+    for &v in &owned {
+        for &u in g.neighbors(v) {
+            let r = owner(u);
+            if r != me && send_list[r].last() != Some(&v) {
+                send_list[r].push(v);
             }
         }
     }
-    // Receive map: which foreign vertices I need. Values arrive in the
-    // sender's send_list order, which both sides can compute (replicated
-    // structure) — mirror it here.
+    // Receive lists: the foreign vertices with a neighbour here, per owner.
+    // Values arrive in the sender's send_list order, which both sides can
+    // compute (replicated structure): ascending vertex id.
     let mut recv_from: Vec<Vec<u32>> = vec![Vec::new(); p];
-    for r in 0..p {
-        if r == me {
-            continue;
-        }
-        // geo-analyze: allow(hash-container): dedup-only membership set — recv_from order mirrors the sender's deterministic walk.
-        let mut sent: HashMap<u32, ()> = HashMap::new();
-        for v in 0..g.n() as u32 {
-            if owner(v) != r {
-                continue;
-            }
-            for &u in g.neighbors(v) {
-                if owner(u) == me && sent.insert(v, ()).is_none() {
-                    recv_from[r].push(v);
-                }
-            }
+    for v in 0..g.n() as u32 {
+        let r = owner(v);
+        if r != me && g.neighbors(v).iter().any(|&u| owner(u) == me) {
+            recv_from[r].push(v);
         }
     }
 
@@ -161,10 +140,12 @@ pub fn spmv_comm_time_on_nodes<C: Comm>(
         .map(|(_, l)| (l.len() * std::mem::size_of::<f64>()) as u64)
         .sum();
 
-    // Distributed vector: x[v] for owned v, plus a ghost table.
-    let mut x: Vec<f64> = owned.iter().map(|&v| 1.0 + (v % 7) as f64).collect();
-    // geo-analyze: allow(hash-container): lookup-only ghost table, read by key in the multiply, never iterated.
-    let mut ghost: HashMap<u32, f64> = HashMap::new();
+    // Distributed vector, indexed by vertex id: owned entries are this
+    // rank's, ghost entries are overwritten by every exchange.
+    let mut x = vec![0.0f64; g.n()];
+    for &v in &owned {
+        x[v as usize] = 1.0 + (v % 7) as f64;
+    }
     let mut y = vec![0.0f64; owned.len()];
 
     let mut comm_secs = 0.0;
@@ -173,15 +154,13 @@ pub fn spmv_comm_time_on_nodes<C: Comm>(
         // Halo exchange (timed).
         // geo-analyze: allow(kernel-entropy): this clock IS the comm measurement; it never influences control flow or output.
         let t = Instant::now();
-        let sends: Vec<Vec<f64>> = send_list
-            .iter()
-            .map(|l| l.iter().map(|&v| x[local_of[&v] as usize]).collect())
-            .collect();
+        let sends: Vec<Vec<f64>> =
+            send_list.iter().map(|l| l.iter().map(|&v| x[v as usize]).collect()).collect();
         let received = comm.alltoallv(sends);
         for (r, vals) in received.into_iter().enumerate() {
             debug_assert_eq!(vals.len(), recv_from[r].len());
             for (&v, val) in recv_from[r].iter().zip(vals) {
-                ghost.insert(v, val);
+                x[v as usize] = val;
             }
         }
         comm_secs += t.elapsed().as_secs_f64();
@@ -189,21 +168,13 @@ pub fn spmv_comm_time_on_nodes<C: Comm>(
         // Local multiply: y = A·x with unit edge weights.
         // geo-analyze: allow(kernel-entropy): this clock IS the compute measurement; it never influences control flow or output.
         let t = Instant::now();
-        for (i, &v) in owned.iter().enumerate() {
-            let mut acc = 0.0;
-            for &u in g.neighbors(v) {
-                acc += if owner(u) == me {
-                    x[local_of[&u] as usize]
-                } else {
-                    ghost[&u]
-                };
-            }
-            y[i] = acc;
+        for (yi, &v) in y.iter_mut().zip(&owned) {
+            *yi = g.neighbors(v).iter().fold(0.0, |acc, &u| acc + x[u as usize]);
         }
         // Keep values bounded across iterations (Jacobi-like damping).
         let scale = 1.0 / (1.0 + g.n() as f64).sqrt();
-        for (xi, &yi) in x.iter_mut().zip(&y) {
-            *xi = 0.5 * *xi + scale * yi;
+        for (&v, &yi) in owned.iter().zip(&y) {
+            x[v as usize] = 0.5 * x[v as usize] + scale * yi;
         }
         compute_secs += t.elapsed().as_secs_f64();
     }
@@ -213,7 +184,7 @@ pub fn spmv_comm_time_on_nodes<C: Comm>(
         compute_seconds_avg: compute_secs / reps as f64,
         bytes_sent_per_iter,
         inter_node_bytes_per_iter,
-        checksum: x.iter().sum(),
+        checksum: owned.iter().map(|&v| x[v as usize]).sum(),
     }
 }
 
