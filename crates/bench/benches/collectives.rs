@@ -1,7 +1,7 @@
 //! Micro-benchmarks of the collective algorithms of
 //! `geographer_parcomm` on the thread transport: allreduce (recursive
-//! doubling), broadcast (root sends), alltoallv (ring, vectors moved) and
-//! exscan at several rank counts and buffer sizes.
+//! doubling), alltoallv (ring, vectors moved) and exscan at several rank
+//! counts and buffer sizes.
 //!
 //! Each iteration spawns one SPMD region and runs `REPS` back-to-back
 //! collectives inside it, so the measured time amortizes the thread-spawn
@@ -29,34 +29,6 @@ fn bench_allreduce(c: &mut Criterion) {
                             comm.allreduce_sum_f64(&mut buf);
                         }
                         black_box(buf[0])
-                    })
-                })
-            });
-        }
-    }
-    g.finish();
-}
-
-fn bench_broadcast(c: &mut Criterion) {
-    let mut g = c.benchmark_group("broadcast");
-    g.sample_size(10);
-    for p in [2usize, 8] {
-        for m in [64usize, 4096] {
-            g.throughput(Throughput::Bytes((REPS * m * 8) as u64));
-            g.bench_function(&format!("p{p}/m{m}"), |b| {
-                b.iter(|| {
-                    run_spmd(p, |comm| {
-                        let mut acc = 0.0f64;
-                        for _ in 0..REPS {
-                            let v = if comm.rank() == 0 {
-                                Some(vec![1.0f64; m])
-                            } else {
-                                None
-                            };
-                            let out = comm.broadcast(0, v);
-                            acc += out[m - 1];
-                        }
-                        black_box(acc)
                     })
                 })
             });
@@ -111,5 +83,5 @@ fn bench_exscan(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(collectives, bench_allreduce, bench_broadcast, bench_alltoallv, bench_exscan);
+criterion_group!(collectives, bench_allreduce, bench_alltoallv, bench_exscan);
 criterion_main!(collectives);

@@ -19,8 +19,8 @@
 //! signature table and, on mismatch, raises the same [`ProtocolError`]
 //! — no rank is left blocked. The `detail` slot carries what must agree
 //! per collective: element count for the typed reductions (a length
-//! mismatch would otherwise silently zip-truncate), the root for
-//! broadcast, the fan-out for alltoallv.
+//! mismatch would otherwise silently zip-truncate), the fan-out for
+//! alltoallv.
 //!
 //! A rank that simply *stops* calling collectives (returns early) is
 //! caught the same way: a [`CheckedComm`] dropped without unwinding
@@ -43,7 +43,7 @@ use crate::wire::{Wire, WireCursor};
 use crate::Comm;
 
 /// Which checked collective a rank entered. Ids are wire-stable, and each
-/// allreduce *variant* is distinct: a sum-vs-max divergence would not
+/// allreduce *variant* is distinct: a sum-vs-min divergence would not
 /// hang (the wire traffic is identical), it would silently disagree —
 /// exactly the kind of bug a lockstep check exists to surface.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,11 +54,8 @@ pub enum CheckedCall {
     Alltoallv = 3,
     Allreduce = 4,
     AllreduceSumF64 = 5,
-    AllreduceMaxF64 = 6,
     AllreduceMinF64 = 7,
-    AllreduceSumU64 = 8,
     ExscanSumU64 = 9,
-    Broadcast = 10,
     /// Not a [`Comm`] method: what a [`CheckedComm`] contributes when it is
     /// dropped, so a rank that returned early diverges from its peers'
     /// next collective instead of leaving them blocked.
@@ -75,11 +72,8 @@ pub fn call_name(id: u64) -> &'static str {
         3 => "alltoallv",
         4 => "allreduce",
         5 => "allreduce_sum_f64",
-        6 => "allreduce_max_f64",
         7 => "allreduce_min_f64",
-        8 => "allreduce_sum_u64",
         9 => "exscan_sum_u64",
-        10 => "broadcast",
         11 => "finalize",
         _ => "unknown-collective",
     }
@@ -269,29 +263,14 @@ impl<C: Comm> Comm for CheckedComm<C> {
         self.inner.allreduce_sum_f64(buf);
     }
 
-    fn allreduce_max_f64(&self, buf: &mut [f64]) {
-        self.check(CheckedCall::AllreduceMaxF64, buf.len() as u64);
-        self.inner.allreduce_max_f64(buf);
-    }
-
     fn allreduce_min_f64(&self, buf: &mut [f64]) {
         self.check(CheckedCall::AllreduceMinF64, buf.len() as u64);
         self.inner.allreduce_min_f64(buf);
     }
 
-    fn allreduce_sum_u64(&self, buf: &mut [u64]) {
-        self.check(CheckedCall::AllreduceSumU64, buf.len() as u64);
-        self.inner.allreduce_sum_u64(buf);
-    }
-
     fn exscan_sum_u64(&self, value: u64) -> u64 {
         self.check(CheckedCall::ExscanSumU64, 0);
         self.inner.exscan_sum_u64(value)
-    }
-
-    fn broadcast<T: Wire>(&self, root: usize, value: Option<T>) -> T {
-        self.check(CheckedCall::Broadcast, root as u64);
-        self.inner.broadcast(root, value)
     }
 }
 
@@ -364,10 +343,10 @@ mod tests {
             let mut buf = vec![c.rank() as f64, 1.0];
             c.allreduce_sum_f64(&mut buf);
             let ex = c.exscan_sum_u64(c.rank() as u64);
-            let bc = c.broadcast(2, (c.rank() == 2).then_some(9u64));
+            let top = c.allreduce(c.rank() as u64, u64::max);
             c.barrier();
             let all = c.allgather(vec![c.rank() as u64; c.rank() + 1]);
-            (buf, ex, bc, all.len())
+            (buf, ex, top, all.len())
         }
         let checked = within_deadline(|| run_spmd_checked(4, |c| (body(&c), c.trace_ids())));
         let plain = run_spmd(4, |c| body(&c));
@@ -376,7 +355,7 @@ mod tests {
         let calls = [
             CheckedCall::AllreduceSumF64,
             CheckedCall::ExscanSumU64,
-            CheckedCall::Broadcast,
+            CheckedCall::Allreduce,
             CheckedCall::Barrier,
             CheckedCall::Allgather,
         ];
@@ -502,17 +481,22 @@ mod tests {
             run_spmd_checked(2, |c| {
                 c.barrier();
                 let _ = c.exscan_sum_u64(1);
-                // Call #2 diverges: different broadcast roots.
-                let root = c.rank();
-                let _ = c.broadcast(root, Some(1u64));
+                // Call #2 diverges: sum against min, which move the same
+                // bytes and would silently disagree.
+                let mut buf = [1.0];
+                if c.rank() == 0 {
+                    c.allreduce_sum_f64(&mut buf);
+                } else {
+                    c.allreduce_min_f64(&mut buf);
+                }
                 0u64
             })
         })
-        .expect_err("root divergence must fail");
+        .expect_err("variant divergence must fail");
         let e = err.downcast_ref::<ProtocolError>().expect("typed ProtocolError payload");
         assert_eq!(e.seq, 2);
         assert_eq!(e.diverging, vec![1], "lowest rank is the tie reference at p=2");
-        assert_eq!(e.calls[0], (CheckedCall::Broadcast as u64, 0));
-        assert_eq!(e.calls[1], (CheckedCall::Broadcast as u64, 1));
+        assert_eq!(e.calls[0], (CheckedCall::AllreduceSumF64 as u64, 1));
+        assert_eq!(e.calls[1], (CheckedCall::AllreduceMinF64 as u64, 1));
     }
 }

@@ -13,7 +13,6 @@
 //!   every transport — ends with the bits of one fixed reduction tree;
 //! * **exscan** — Hillis–Steele: `⌈log₂ p⌉` rounds, rank `r` passes its
 //!   inclusive partial to `r + gap` and accumulates from `r − gap`;
-//! * **broadcast** — the root sends to its `p − 1` peers, one round;
 //! * **allgather / alltoallv** — a ring of `p − 1` steps, step `d`
 //!   sending to `r + d` while receiving from `r − d`;
 //! * **barrier** — dissemination: `⌈log₂ p⌉` rounds of empty messages.
@@ -221,16 +220,8 @@ impl<X: Transport> Comm for X {
         butterfly_slice(self, buf, |a, b| a + b);
     }
 
-    fn allreduce_max_f64(&self, buf: &mut [f64]) {
-        butterfly_slice(self, buf, f64::max);
-    }
-
     fn allreduce_min_f64(&self, buf: &mut [f64]) {
         butterfly_slice(self, buf, f64::min);
-    }
-
-    fn allreduce_sum_u64(&self, buf: &mut [u64]) {
-        butterfly_slice(self, buf, u64::wrapping_add);
     }
 
     fn exscan_sum_u64(&self, value: u64) -> u64 {
@@ -256,23 +247,5 @@ impl<X: Transport> Comm for X {
         }
         record(self, Collective::Exscan, rounds, received);
         exclusive
-    }
-
-    fn broadcast<T: Wire>(&self, root: usize, value: Option<T>) -> T {
-        let (p, r) = (Transport::size(self), Transport::rank(self));
-        debug_assert!(root < p);
-        let tag = Tag::Op(Collective::Broadcast);
-        let (out, received) = if r == root {
-            // geo-analyze: allow(panic-in-spmd): fail-loud API-contract check — the root must supply a value; a silent default would broadcast garbage.
-            let v = value.expect("root must supply a value");
-            for s in (0..p).filter(|&s| s != root) {
-                self.send(tag, s, v.clone());
-            }
-            (v, 0)
-        } else {
-            (self.recv(tag, root), size_of::<T>() as u64)
-        };
-        record(self, Collective::Broadcast, u64::from(p > 1), received);
-        out
     }
 }

@@ -86,21 +86,11 @@ pub trait Comm {
     /// assign-and-balance loop).
     fn allreduce_sum_f64(&self, buf: &mut [f64]);
 
-    /// Element-wise global max, in place.
-    fn allreduce_max_f64(&self, buf: &mut [f64]);
-
     /// Element-wise global min, in place.
     fn allreduce_min_f64(&self, buf: &mut [f64]);
 
-    /// Element-wise global sum of u64 counters, in place.
-    fn allreduce_sum_u64(&self, buf: &mut [u64]);
-
     /// Exclusive prefix sum over ranks: rank r receives Σ_{s<r} value_s.
     fn exscan_sum_u64(&self, value: u64) -> u64;
-
-    /// Broadcast from `root`: `value` must be `Some` on the root and is
-    /// ignored elsewhere.
-    fn broadcast<T: Wire>(&self, root: usize, value: Option<T>) -> T;
 }
 
 /// Fail this rank with `payload`, without the panic hook: the unwind is
@@ -171,7 +161,6 @@ mod tests {
         c.allreduce_sum_f64(&mut buf);
         assert_eq!(buf, [1.0, 2.0]);
         assert_eq!(c.exscan_sum_u64(5), 0);
-        assert_eq!(c.broadcast(0, Some(7)), 7);
         assert_eq!(c.allreduce(3, |a, b| a + b), 3);
         // Every collective kind records one op of zero rounds/bytes —
         // exactly what a size-1 ThreadComm records for the same calls.
@@ -182,7 +171,6 @@ mod tests {
         assert_eq!(d.op(Collective::Alltoallv).ops, 1);
         assert_eq!(d.op(Collective::Allreduce).ops, 2);
         assert_eq!(d.op(Collective::Exscan).ops, 1);
-        assert_eq!(d.op(Collective::Broadcast).ops, 1);
     }
 
     #[test]
@@ -192,7 +180,6 @@ mod tests {
         let mut buf = vec![1.0f64; 3];
         sc.allreduce_sum_f64(&mut buf);
         let _ = sc.exscan_sum_u64(2);
-        let _ = sc.broadcast(0, Some(5u64));
         let _ = sc.allgather(vec![1u8]);
         let _ = sc.alltoallv(vec![vec![2u8]]);
         let self_delta = sc.stats().since(&before);
@@ -201,7 +188,6 @@ mod tests {
             let mut buf = vec![1.0f64; 3];
             c.allreduce_sum_f64(&mut buf);
             let _ = c.exscan_sum_u64(2);
-            let _ = c.broadcast(0, Some(5u64));
             let _ = c.allgather(vec![1u8]);
             let _ = c.alltoallv(vec![vec![2u8]]);
             c.stats().since(&before)

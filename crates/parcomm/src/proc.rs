@@ -143,7 +143,6 @@ enum Kind {
     Barrier = 1,
     Allgather = 2,
     Allreduce = 3,
-    Broadcast = 4,
     Exscan = 5,
     Alltoallv = 6,
     Probe = 7,
@@ -161,7 +160,6 @@ impl From<Tag> for Kind {
             Tag::Barrier => Kind::Barrier,
             Tag::Op(Collective::Allgather) => Kind::Allgather,
             Tag::Op(Collective::Allreduce) => Kind::Allreduce,
-            Tag::Op(Collective::Broadcast) => Kind::Broadcast,
             Tag::Op(Collective::Exscan) => Kind::Exscan,
             Tag::Op(Collective::Alltoallv) => Kind::Alltoallv,
         }
@@ -725,18 +723,13 @@ mod tests {
         let mut big: Vec<f64> = (0..EAGER_MAX / 8 + 1).map(f).collect();
         c.allreduce_sum_f64(&mut big);
         out.extend(bits(&big));
-        let (mut max, mut min) = ([f(0), -f(1)], [f(2), -f(3)]);
-        c.allreduce_max_f64(&mut max);
+        let mut min = [f(2), -f(3)];
         c.allreduce_min_f64(&mut min);
-        out.extend(bits(&max));
         out.extend(bits(&min));
-        let mut count = [r as u64 + 1, 7];
-        c.allreduce_sum_u64(&mut count);
-        out.extend(count);
+        out.extend(c.allreduce([r as u64 + 1, 7], |a, b| [a[0] + b[0], a[1] + b[1]]));
         let (lo, total) = c.allreduce((f(0), f(1)), |a, b| (a.0.min(b.0), a.1 + b.1));
         out.extend(bits(&[lo, total]));
         out.push(c.exscan_sum_u64(r as u64 + 3));
-        out.extend(bits(&c.broadcast(p - 1, (r == p - 1).then(|| vec![f(4), f(5)]))));
         for row in c.allgather(vec![f(6); r + 1]) {
             out.extend(bits(&row));
         }
@@ -772,7 +765,7 @@ mod tests {
             for (r, (t, q)) in thread.iter().zip(&procs).enumerate() {
                 assert_eq!(t.0, q.0, "p={p} rank {r}: backends disagree bitwise");
                 assert_eq!(t.1, q.1, "p={p} rank {r}: counters disagree");
-                assert_eq!(t.1.collectives(), 17, "p={p} rank {r}");
+                assert_eq!(t.1.collectives(), 15, "p={p} rank {r}");
                 assert_eq!(t.1.rounds() > 0, p > 1, "p={p} rank {r}");
             }
         }
@@ -797,28 +790,14 @@ mod tests {
     }
 
     #[test]
-    fn proc_broadcast_and_barrier() {
-        let results = run_spmd_proc(3, |c| {
-            c.barrier();
-            let v = c.broadcast(1, (c.rank() == 1).then(|| vec![5u32, 6]));
-            c.barrier();
-            v
-        })
-        .expect("job runs");
-        for r in results {
-            assert_eq!(r, vec![5, 6]);
-        }
-    }
-
-    #[test]
     fn proc_single_rank_works() {
         let results = run_spmd_proc(1, |c| {
             let mut buf = vec![3.0];
             c.allreduce_sum_f64(&mut buf);
-            (buf[0], c.exscan_sum_u64(9), c.broadcast(0, Some(4u32)))
+            (buf[0], c.exscan_sum_u64(9))
         })
         .expect("job runs");
-        assert_eq!(results, vec![(3.0, 0, 4)]);
+        assert_eq!(results, vec![(3.0, 0)]);
     }
 
     #[test]

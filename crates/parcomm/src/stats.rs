@@ -16,9 +16,8 @@
 //!   enters the same calls, so this is the same on every rank).
 //! * `rounds` — steps of the collective's schedule, also the same on every
 //!   rank: `log₂ q` for a recursive-doubling allreduce (`q` the largest
-//!   power of two `≤ p`; +2 when `p ≠ q`), `⌈log₂ p⌉` for the exscan, 1
-//!   for a broadcast, `p − 1` for the ring allgather and alltoallv, 0 at
-//!   `p = 1`. The α (latency) term of the cost model multiplies *rounds*,
+//!   power of two `≤ p`; +2 when `p ≠ q`), `⌈log₂ p⌉` for the exscan,
+//!   `p − 1` for the ring allgather and alltoallv, 0 at `p = 1`. The α (latency) term of the cost model multiplies *rounds*,
 //!   not ops.
 //! * `bytes` — payload bytes received. Sizes are shallow
 //!   (`size_of::<T>()` per element); heap payloads inside elements are not
@@ -43,10 +42,9 @@ use crate::wire::{Wire, WireCursor};
 pub enum Collective {
     /// Every rank gathers every rank's buffer.
     Allgather,
-    /// Element-wise global reductions (sum/min/max, scalar or vector).
+    /// Global reductions (element-wise sums and minima, or any value
+    /// under a caller's combine).
     Allreduce,
-    /// One root's value distributed to all ranks.
-    Broadcast,
     /// Exclusive prefix sum over ranks.
     Exscan,
     /// Personalized all-to-all exchange.
@@ -54,14 +52,13 @@ pub enum Collective {
 }
 
 /// Number of distinct [`Collective`] kinds.
-pub const COLLECTIVE_KINDS: usize = 5;
+pub const COLLECTIVE_KINDS: usize = 4;
 
 impl Collective {
     /// All kinds, in display order.
     pub const ALL: [Collective; COLLECTIVE_KINDS] = [
         Collective::Allgather,
         Collective::Allreduce,
-        Collective::Broadcast,
         Collective::Exscan,
         Collective::Alltoallv,
     ];
@@ -71,7 +68,6 @@ impl Collective {
         match self {
             Collective::Allgather => "allgather",
             Collective::Allreduce => "allreduce",
-            Collective::Broadcast => "broadcast",
             Collective::Exscan => "exscan",
             Collective::Alltoallv => "alltoallv",
         }
@@ -243,11 +239,11 @@ mod tests {
         let cell = StatsCell::default();
         cell.record(Collective::Allreduce, 3, 100);
         cell.record(Collective::Allreduce, 3, 20);
-        cell.record(Collective::Broadcast, 1, 8);
+        cell.record(Collective::Alltoallv, 1, 8);
         let red = cell.op_snapshot(Collective::Allreduce);
         assert_eq!(red, OpStats { ops: 2, rounds: 6, bytes: 120 });
-        let bc = cell.op_snapshot(Collective::Broadcast);
-        assert_eq!(bc, OpStats { ops: 1, rounds: 1, bytes: 8 });
+        let a2a = cell.op_snapshot(Collective::Alltoallv);
+        assert_eq!(a2a, OpStats { ops: 1, rounds: 1, bytes: 8 });
         assert_eq!(cell.op_snapshot(Collective::Exscan), OpStats::default());
     }
 

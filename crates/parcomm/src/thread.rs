@@ -251,18 +251,15 @@ mod tests {
     }
 
     #[test]
-    fn allreduce_min_max_over_many_rank_counts() {
+    fn allreduce_min_over_many_rank_counts() {
         for p in 1..=9 {
             let results = run_spmd(p, |c| {
-                let mut mx = vec![c.rank() as f64, -(c.rank() as f64)];
-                c.allreduce_max_f64(&mut mx);
-                let mut mn = vec![c.rank() as f64];
+                let mut mn = vec![c.rank() as f64, -(c.rank() as f64)];
                 c.allreduce_min_f64(&mut mn);
-                (mx, mn)
+                mn
             });
-            for (mx, mn) in results {
-                assert_eq!(mx, vec![(p - 1) as f64, 0.0], "p={p}");
-                assert_eq!(mn, vec![0.0], "p={p}");
+            for mn in results {
+                assert_eq!(mn, vec![0.0, -((p - 1) as f64)], "p={p}");
             }
         }
     }
@@ -335,17 +332,6 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_from_nonzero_root() {
-        let results = run_spmd(4, |c| {
-            let v = if c.rank() == 2 { Some(vec![7u32, 8]) } else { None };
-            c.broadcast(2, v)
-        });
-        for r in results {
-            assert_eq!(r, vec![7, 8]);
-        }
-    }
-
-    #[test]
     fn generic_allreduce_max() {
         let results = run_spmd(6, |c| c.allreduce(c.rank() as u64, u64::max));
         assert!(results.iter().all(|&m| m == 5));
@@ -366,9 +352,8 @@ mod tests {
         let results = run_spmd(3, |c| {
             let mut acc = 0u64;
             for round in 0..50u64 {
-                let mut buf = vec![round + c.rank() as u64];
-                c.allreduce_sum_u64(&mut buf);
-                acc = acc.wrapping_add(buf[0]);
+                let sum = c.allreduce(round + c.rank() as u64, |a, b| a + b);
+                acc = acc.wrapping_add(sum);
             }
             acc
         });
@@ -385,7 +370,6 @@ mod tests {
             let mut buf = vec![0.0f64; 4];
             c.allreduce_sum_f64(&mut buf);
             let _ = c.exscan_sum_u64(1);
-            let _ = c.broadcast(0, if c.rank() == 0 { Some(3u64) } else { None });
             let _ = c.alltoallv(vec![vec![1u8], vec![2u8]]);
             c.stats().since(&before)
         });
@@ -398,11 +382,9 @@ mod tests {
             // exscan at p=2: one round, only rank 1 receives 8 bytes.
             let ex = if r == 1 { 8 } else { 0 };
             assert_eq!(d.op(Collective::Exscan), OpStats { ops: 1, rounds: 1, bytes: ex });
-            // broadcast: only the non-root receives.
-            assert_eq!(d.op(Collective::Broadcast), OpStats { ops: 1, rounds: 1, bytes: ex });
             // alltoallv: 1 off-rank byte.
             assert_eq!(d.op(Collective::Alltoallv), OpStats { ops: 1, rounds: 1, bytes: 1 });
-            assert_eq!(d.collectives(), 5);
+            assert_eq!(d.collectives(), 4);
         }
         // The job-wide view sums the bytes and keeps the logical counts.
         let job = crate::CommStats::from_rank_views(&results);
@@ -447,11 +429,9 @@ mod tests {
         let results = run_spmd(1, |c| {
             let mut buf = vec![3.0];
             c.allreduce_sum_f64(&mut buf);
-            let ex = c.exscan_sum_u64(9);
-            let bc = c.broadcast(0, Some(4u32));
-            (buf[0], ex, bc)
+            (buf[0], c.exscan_sum_u64(9))
         });
-        assert_eq!(results, vec![(3.0, 0, 4)]);
+        assert_eq!(results, vec![(3.0, 0)]);
     }
 
     #[test]

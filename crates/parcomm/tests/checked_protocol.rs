@@ -81,13 +81,14 @@ fn proc_mismatched_reduction_length_reports_protocol_error() {
 fn checked_results_match_unchecked_across_backends() {
     // A conforming program: checked wrappers must be observationally
     // transparent, and thread/process reductions stay bitwise-equal.
-    fn body<C: Comm>(c: C) -> (u64, u64, Vec<f64>) {
+    fn body<C: Comm>(c: C) -> (u64, Option<u64>, Vec<f64>) {
         let mut buf = vec![c.rank() as f64 + 0.25, 2.0, -1.5];
         c.allreduce_sum_f64(&mut buf);
         let ex = c.exscan_sum_u64(c.rank() as u64 + 1);
-        let bc = c.broadcast(1, (c.rank() == 1).then_some(42u64));
+        // Rank 1's value on every rank.
+        let from_one = c.allreduce((c.rank() == 1).then_some(42u64), Option::or);
         c.barrier();
-        (ex, bc, buf)
+        (ex, from_one, buf)
     }
     let plain = run_spmd(4, body);
     let threads = run_spmd_checked(4, body);
@@ -105,7 +106,7 @@ fn seeded_kind_mismatch() {
         if c.rank() == 1 {
             c.barrier();
         } else {
-            c.allreduce_max_f64(&mut [0.0]);
+            c.allreduce_min_f64(&mut [0.0]);
         }
     });
 }
@@ -120,7 +121,7 @@ fn divergence_report_reaches_stderr() {
         .expect("test binary reruns");
     assert!(!out.status.success(), "the seeded divergence must fail its process");
     let text = String::from_utf8_lossy(&out.stderr);
-    for needle in ["call #0", "diverging: [1]", "rank 0: allreduce_max_f64(1)", "rank 1: barrier(0)"] {
+    for needle in ["call #0", "diverging: [1]", "rank 0: allreduce_min_f64(1)", "rank 1: barrier(0)"] {
         assert!(text.contains(needle), "stderr lacks `{needle}`:\n{text}");
     }
 }
