@@ -6,7 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use geographer::{Config, HierarchySpec};
-use geographer_geometry::{Point, SplitMix64, WeightedPoints};
+use geographer_geometry::{Point, SplitMix64};
 use geographer_graph::coarsen::{CoarsenScratch, LevelView, WeightedCsrGraph};
 use geographer_mesh::families::bubbles_like;
 use geographer_parcomm::SelfComm;
@@ -18,7 +18,7 @@ fn bench_partitioners(c: &mut Criterion) {
     let n = 50_000;
     let pts: Vec<Point<2>> =
         (0..n).map(|_| Point::new([rng.next_f64(), rng.next_f64()])).collect();
-    let wp = WeightedPoints::unweighted(pts);
+    let weights = vec![1.0; n];
     let k = 16;
 
     let mut g = c.benchmark_group("partition_50k_k16");
@@ -27,7 +27,7 @@ fn bench_partitioners(c: &mut Criterion) {
     let cfg = Config::default();
     for tool in Tool::ALL {
         g.bench_function(tool.name(), |b| {
-            b.iter(|| tool.partition_spmd(&SelfComm, &wp.points, &wp.weights, k, &cfg))
+            b.iter(|| tool.partition_spmd(&SelfComm, &pts, &weights, k, &cfg))
         });
     }
     g.finish();

@@ -58,26 +58,6 @@ impl TextTable {
     }
 }
 
-/// Format seconds with sensible precision.
-pub fn fmt_secs(s: f64) -> String {
-    if s >= 1.0 {
-        format!("{s:.2}s")
-    } else if s >= 1e-3 {
-        format!("{:.2}ms", s * 1e3)
-    } else {
-        format!("{:.1}us", s * 1e6)
-    }
-}
-
-/// Format a ratio like the paper's Fig. 2 (baseline = 1.0).
-pub fn fmt_ratio(r: f64) -> String {
-    if r.is_finite() {
-        format!("{r:.3}")
-    } else {
-        "inf".to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -102,14 +82,5 @@ mod tests {
     fn wrong_width_panics() {
         let mut t = TextTable::new(vec!["a", "b"]);
         t.row(vec!["only-one"]);
-    }
-
-    #[test]
-    fn formats() {
-        assert_eq!(fmt_secs(2.5), "2.50s");
-        assert_eq!(fmt_secs(0.0025), "2.50ms");
-        assert_eq!(fmt_secs(25e-6), "25.0us");
-        assert_eq!(fmt_ratio(1.2345), "1.234");
-        assert_eq!(fmt_ratio(f64::INFINITY), "inf");
     }
 }

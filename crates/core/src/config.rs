@@ -75,17 +75,6 @@ impl Default for Config {
 }
 
 impl Config {
-    /// Preset with every geometric optimization disabled — the naive
-    /// balanced Lloyd baseline the ablation benchmarks compare against.
-    pub fn unoptimized() -> Self {
-        Config {
-            hamerly_bounds: false,
-            bbox_pruning: false,
-            sampling_init: false,
-            ..Config::default()
-        }
-    }
-
     /// Sanity-check parameter ranges.
     ///
     /// # Panics
@@ -209,13 +198,6 @@ mod tests {
         assert!(influence_erosion && hamerly_bounds && bbox_pruning && sampling_init);
         assert_eq!(seed, 0x9e0_97e5);
         assert_eq!(target_fractions, None);
-    }
-
-    #[test]
-    fn unoptimized_disables_optimizations() {
-        let c = Config::unoptimized();
-        assert!(!c.hamerly_bounds && !c.bbox_pruning && !c.sampling_init);
-        c.validate();
     }
 
     #[test]

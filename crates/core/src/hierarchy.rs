@@ -194,9 +194,6 @@ pub struct PreviousHierarchy<const D: usize> {
 pub struct HierarchicalResult<const D: usize> {
     /// Flat leaf block id of every rank-local input point, in input order.
     pub assignment: Vec<u32>,
-    /// Hierarchy path of every flat block id (`paths[b] =
-    /// spec.path_of_block(b)` — the block→hierarchy-path map).
-    pub paths: Vec<Vec<u32>>,
     /// Reusable per-node warm state for the next
     /// [`partition_hierarchical_spmd`] call.
     pub previous: PreviousHierarchy<D>,
@@ -366,10 +363,8 @@ pub fn partition_hierarchical_spmd<const D: usize, C: Comm>(
     let mut path = Vec::new();
     solve_node(comm, &all, 0, &mut path, 0, &mut assignment, &mut walk);
 
-    let total = spec.total_blocks() as u32;
     HierarchicalResult {
         assignment,
-        paths: (0..total).map(|b| spec.path_of_block(b)).collect(),
         previous: PreviousHierarchy { arities: spec.arities(), nodes: walk.nodes },
         stats: walk.stats,
         level_imbalance: walk.level_imbalance,
@@ -380,12 +375,18 @@ pub fn partition_hierarchical_spmd<const D: usize, C: Comm>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use geographer_geometry::{SplitMix64, WeightedPoints};
+    use geographer_geometry::SplitMix64;
     use geographer_parcomm::{run_spmd, SelfComm};
+
+    /// A point set with its weights.
+    struct WeightedPoints {
+        points: Vec<Point<2>>,
+        weights: Vec<f64>,
+    }
 
     /// Single-rank solve of a whole point set.
     fn solve(
-        wp: &WeightedPoints<2>,
+        wp: &WeightedPoints,
         spec: &HierarchySpec,
         prev: Option<&PreviousHierarchy<2>>,
         cfg: &Config,
@@ -393,11 +394,10 @@ mod tests {
         partition_hierarchical_spmd(&SelfComm, &wp.points, &wp.weights, spec, prev, cfg)
     }
 
-    fn uniform(n: usize, seed: u64) -> WeightedPoints<2> {
+    fn uniform(n: usize, seed: u64) -> WeightedPoints {
         let mut rng = SplitMix64::new(seed);
-        WeightedPoints::unweighted(
-            (0..n).map(|_| Point::new([rng.next_f64(), rng.next_f64()])).collect(),
-        )
+        let points = (0..n).map(|_| Point::new([rng.next_f64(), rng.next_f64()])).collect();
+        WeightedPoints { points, weights: vec![1.0; n] }
     }
 
     /// Per-level balance check straight off the assignment: every level-l
@@ -482,8 +482,7 @@ mod tests {
         assert!(res.assignment.iter().all(|&b| b < 8));
         assert!(res.stats.balance_achieved, "every node solve must balance");
         assert_levels_balanced(&res.assignment, &wp.weights, &spec, |_| cfg.epsilon);
-        assert_eq!(res.paths.len(), 8);
-        assert_eq!(res.paths[5], vec![2, 1]);
+        assert_eq!(spec.path_of_block(5), vec![2, 1]);
         // 1 root + 4 level-0 nodes were solved.
         assert_eq!(res.previous.nodes.len(), 5);
         assert_eq!(res.level_imbalance.len(), 2);
@@ -568,9 +567,10 @@ mod tests {
         let spec = HierarchySpec::uniform(&[2, 2]);
         let cfg = Config { sampling_init: false, ..Config::default() };
         let cold = solve(&wp, &spec, None, &cfg);
-        let drifted = WeightedPoints::unweighted(
-            wp.points.iter().map(|p| Point::new([p[0] + 0.008, p[1] - 0.004])).collect(),
-        );
+        let drifted = WeightedPoints {
+            points: wp.points.iter().map(|p| Point::new([p[0] + 0.008, p[1] - 0.004])).collect(),
+            weights: wp.weights.clone(),
+        };
         let warm = solve(&drifted, &spec, Some(&cold.previous), &cfg);
         assert!(warm.stats.balance_achieved);
         assert_levels_balanced(&warm.assignment, &drifted.weights, &spec, |_| cfg.epsilon);

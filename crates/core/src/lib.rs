@@ -120,7 +120,7 @@
 //! let cfg = Config { sampling_init: false, ..Config::default() };
 //! let res = partition_hierarchical_spmd(&SelfComm, &pts, &w, &spec, None, &cfg);
 //! assert!(res.assignment.iter().all(|&b| b < 8));
-//! assert_eq!(res.paths[5], vec![2, 1]); // block 5 = node 2, core 1
+//! assert_eq!(spec.path_of_block(5), vec![2, 1]); // block 5 = node 2, core 1
 //! ```
 
 // Fixed-dimension coordinate loops index several parallel arrays at once;

@@ -481,8 +481,21 @@ fn route_back<C: Comm, O: Copy + Into<u64>>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use geographer_geometry::{SplitMix64, WeightedPoints};
+    use geographer_geometry::SplitMix64;
     use geographer_parcomm::{run_spmd, Collective, SelfComm};
+
+    /// A point set with its weights.
+    struct WeightedPoints<const D: usize> {
+        points: Vec<Point<D>>,
+        weights: Vec<f64>,
+    }
+
+    impl<const D: usize> WeightedPoints<D> {
+        fn unweighted(points: Vec<Point<D>>) -> Self {
+            let weights = vec![1.0; points.len()];
+            WeightedPoints { points, weights }
+        }
+    }
 
     /// Single-rank solve of a whole point set.
     fn solve<const D: usize>(
@@ -527,7 +540,7 @@ mod tests {
         let wp = uniform(2000, 2);
         let k = 4;
         let p = 4;
-        let chunk = wp.len() / p;
+        let chunk = wp.points.len() / p;
         let pts = wp.points.clone();
         let results = run_spmd(p, |c| {
             let lo = c.rank() * chunk;
@@ -648,7 +661,7 @@ mod tests {
         // Left half heavy.
         let weights: Vec<f64> =
             points.iter().map(|p| if p[0] < 0.5 { 10.0 } else { 1.0 }).collect();
-        let wp = WeightedPoints::new(points, weights.clone());
+        let wp = WeightedPoints { points, weights: weights.clone() };
         let k = 4;
         let cfg = Config::default();
         let res = solve(&wp, k, None, &cfg);

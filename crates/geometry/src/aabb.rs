@@ -115,23 +115,6 @@ impl<const D: usize> Aabb<D> {
     pub fn min_dist(&self, p: &Point<D>) -> f64 {
         self.min_dist_sq(p).sqrt()
     }
-
-    /// Squared distance from `p` to the farthest corner of the box.
-    #[inline]
-    pub fn max_dist_sq(&self, p: &Point<D>) -> f64 {
-        let mut acc = 0.0;
-        for i in 0..D {
-            let d = (p[i] - self.min[i]).abs().max((p[i] - self.max[i]).abs());
-            acc += d * d;
-        }
-        acc
-    }
-
-    /// Distance from `p` to the farthest corner of the box.
-    #[inline]
-    pub fn max_dist(&self, p: &Point<D>) -> f64 {
-        self.max_dist_sq(p).sqrt()
-    }
 }
 
 #[cfg(test)]
@@ -244,12 +227,10 @@ mod tests {
     }
 
     #[test]
-    fn min_and_max_dist_outside() {
+    fn min_dist_outside() {
         let bb = unit_box();
         let p = Point::new([2.0, 0.5]);
         assert_eq!(bb.min_dist(&p), 1.0);
-        // Farthest corner is (0, 0) or (0, 1): dist = sqrt(4 + 0.25).
-        assert!((bb.max_dist(&p) - (4.25_f64).sqrt()).abs() < 1e-12);
     }
 
     #[test]

@@ -80,27 +80,6 @@ impl<const D: usize> Point<D> {
     pub fn is_finite(&self) -> bool {
         self.0.iter().all(|v| v.is_finite())
     }
-
-    /// Weighted mean of `points`; returns `None` when the weight sum is zero
-    /// (the balanced k-means uses this to detect emptied clusters).
-    pub fn weighted_mean(points: &[Self], weights: &[f64]) -> Option<Self> {
-        assert_eq!(points.len(), weights.len());
-        let mut acc = [0.0; D];
-        let mut wsum = 0.0;
-        for (p, &w) in points.iter().zip(weights) {
-            for i in 0..D {
-                acc[i] += p.0[i] * w;
-            }
-            wsum += w;
-        }
-        if wsum <= 0.0 {
-            return None;
-        }
-        for v in &mut acc {
-            *v /= wsum;
-        }
-        Some(Point(acc))
-    }
 }
 
 impl<const D: usize> Default for Point<D> {
@@ -185,22 +164,6 @@ mod tests {
         assert_eq!((a + b).coords(), &[5.0, 7.0, 9.0]);
         assert_eq!((b - a).coords(), &[3.0, 3.0, 3.0]);
         assert_eq!((a * 2.0).coords(), &[2.0, 4.0, 6.0]);
-    }
-
-    #[test]
-    fn weighted_mean_basic() {
-        let pts = [Point::new([0.0, 0.0]), Point::new([2.0, 2.0])];
-        let m = Point::weighted_mean(&pts, &[1.0, 1.0]).unwrap();
-        assert_eq!(m.coords(), &[1.0, 1.0]);
-        let m = Point::weighted_mean(&pts, &[3.0, 1.0]).unwrap();
-        assert_eq!(m.coords(), &[0.5, 0.5]);
-    }
-
-    #[test]
-    fn weighted_mean_zero_weight_is_none() {
-        let pts = [Point::new([1.0, 1.0])];
-        assert!(Point::weighted_mean(&pts, &[0.0]).is_none());
-        assert!(Point::<2>::weighted_mean(&[], &[]).is_none());
     }
 
     #[test]

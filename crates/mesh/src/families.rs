@@ -11,17 +11,6 @@ use crate::knn3d::{knn3d, PointCloud};
 use crate::rgg::rgg2d;
 use crate::Mesh;
 
-/// Graph class, mirroring the three aggregation classes of Fig. 2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MeshClass {
-    /// 2D meshes (DIMACS analogues).
-    Dimacs2d,
-    /// 2.5D weighted climate meshes.
-    Climate25d,
-    /// 3D meshes (Alya / 3D Delaunay analogues).
-    ThreeD,
-}
-
 /// A named instance: identifies generator + scale for the experiment
 /// tables.
 #[derive(Debug, Clone)]

@@ -27,7 +27,7 @@ pub mod grid;
 pub mod knn3d;
 pub mod rgg;
 
-use geographer_geometry::{Point, WeightedPoints};
+use geographer_geometry::Point;
 use geographer_graph::CsrGraph;
 
 pub use climate::climate25d;
@@ -58,11 +58,6 @@ impl<const D: usize> Mesh<D> {
     /// Number of undirected edges.
     pub fn m(&self) -> usize {
         self.graph.m()
-    }
-
-    /// The weighted point set (what geometric partitioners consume).
-    pub fn weighted_points(&self) -> WeightedPoints<D> {
-        WeightedPoints::new(self.points.clone(), self.weights.clone())
     }
 
     /// Structural sanity: sizes agree, graph symmetric, weights valid.

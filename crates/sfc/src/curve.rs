@@ -313,13 +313,6 @@ impl<const D: usize> HilbertMapper<D> {
         HilbertMapper { bb, bits, scale }
     }
 
-    /// Default resolution: the most the `u64` key and the `u32` cell
-    /// coordinates allow — 31 bits/axis in 2D (~2e9 cells per axis),
-    /// 21 bits/axis in 3D.
-    pub fn with_max_resolution(bb: Aabb<D>) -> Self {
-        Self::new(bb, max_bits(D).min(31))
-    }
-
     /// Resolution in bits per axis.
     pub fn bits(&self) -> u32 {
         self.bits
