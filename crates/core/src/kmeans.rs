@@ -73,9 +73,10 @@ impl KMeansStats {
 
     /// Sum counters across ranks (call from every rank).
     pub fn reduce<C: Comm>(&self, comm: &C) -> KMeansStats {
-        let counts = [self.distance_evals, self.hamerly_skips, self.bbox_breaks, self.points_visited];
-        let [distance_evals, hamerly_skips, bbox_breaks, points_visited] = comm
-            .allreduce(counts, |a, b| std::array::from_fn(|i| a[i].wrapping_add(b[i])));
+        let counts =
+            [self.distance_evals, self.hamerly_skips, self.bbox_breaks, self.points_visited];
+        let [distance_evals, hamerly_skips, bbox_breaks, points_visited] =
+            comm.allreduce(counts, |a, b| std::array::from_fn(|i| a[i].wrapping_add(b[i])));
         KMeansStats {
             distance_evals,
             hamerly_skips,

@@ -29,7 +29,8 @@ fn adjacency_digest(g: &CsrGraph) -> u64 {
 #[test]
 fn delaunay_edges_on_uniform_points_match_the_pin() {
     let mut rng = SplitMix64::new(2018);
-    let points: Vec<_> = (0..20_000).map(|_| Point::new([rng.next_f64(), rng.next_f64()])).collect();
+    let points: Vec<_> =
+        (0..20_000).map(|_| Point::new([rng.next_f64(), rng.next_f64()])).collect();
     let edges = delaunay_edges(&points);
     let digest = fnv(edges.iter().flat_map(|&(u, v)| [u, v]));
     assert_eq!((edges.len(), digest), (59_950, 0x73fe_0002_e649_a4c1), "digest {digest:#018x}");
@@ -56,7 +57,9 @@ fn spmv_reports_on_a_fixed_partition_match_the_pin() {
     for p in [1, 3, 4] {
         let ranks = run_spmd(p, |c| spmv_comm_time_on_nodes(&c, &mesh.graph, &assignment, k, 3, 2));
         reports.extend(
-            ranks.iter().map(|r| (r.bytes_sent_per_iter, r.inter_node_bytes_per_iter, r.checksum.to_bits())),
+            ranks.iter().map(|r| {
+                (r.bytes_sent_per_iter, r.inter_node_bytes_per_iter, r.checksum.to_bits())
+            }),
         );
     }
     // (bytes sent, of them inter-node, checksum bits) per rank: p = 1, then
