@@ -387,4 +387,24 @@ mod tests {
             PlanSpec::hierarchical(MeshView::from(&mesh), HierarchySpec::uniform(&[2, 2]), cfg);
         let _ = Planner::solve(&spec, flat.state.as_ref(), &SelfComm);
     }
+
+    /// A flat spec's bad `target_fractions` panic with `Config`'s own texts.
+    fn solve_flat_with_fractions(fractions: Vec<f64>) {
+        let mesh = delaunay_unit_square(400, 67);
+        let cfg = Config { target_fractions: Some(fractions), ..Config::default() };
+        let spec = PlanSpec::flat(MeshView::from(&mesh), Tool::Geographer, 4, cfg);
+        let _ = Planner::solve(&spec, None, &SelfComm);
+    }
+
+    #[test]
+    #[should_panic(expected = "geographer config: target_fractions length must equal k (got 3, k = 4)")]
+    fn flat_fractions_of_the_wrong_length_panic_with_the_config_text() {
+        solve_flat_with_fractions(vec![1.0, 2.0, 1.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "geographer config: target_fractions must be positive")]
+    fn non_positive_flat_fractions_panic_with_the_config_text() {
+        solve_flat_with_fractions(vec![1.0, 0.0, 1.0, 1.0]);
+    }
 }
