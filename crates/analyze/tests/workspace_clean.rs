@@ -121,13 +121,24 @@ fn line_budgets_only_move_down() {
     ]
     .map(String::from)
     .to_vec();
-    let budgets: [(Vec<String>, usize); 6] = [
+    // The planner's solve path: one Geographer walk, the hierarchy.
+    let planner: Vec<String> = [
+        "crates/planner/src/lib.rs",
+        "crates/planner/src/solve.rs",
+        "crates/planner/src/spec.rs",
+        "crates/planner/src/tool.rs",
+        "crates/core/src/hierarchy.rs",
+    ]
+    .map(String::from)
+    .to_vec();
+    let budgets: [(Vec<String>, usize); 7] = [
         (vec!["crates/core/src/kmeans.rs".into()], 997),
         (vec!["crates/core/src/pipeline.rs".into(), "crates/dsort/src/lib.rs".into()], 969),
         (baselines, 417),
         (refinement, 1333),
         (every_file_of("crates/parcomm/src"), 2026),
         (vec!["crates/spmv/src/lib.rs".into()], 190),
+        (planner, 1063),
     ];
     for (files, budget) in budgets {
         let lines: usize = files.iter().map(|rel| non_test(rel)).sum();

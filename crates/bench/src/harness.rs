@@ -193,8 +193,9 @@ pub struct PlanRun<const D: usize> {
     /// readout either way, reported next to `wall_seconds` so neither
     /// number is mistaken for the other.
     pub wall_max_rank_s: f64,
-    /// Per-phase maximum across ranks of the pipeline timings (`None`
-    /// when the recipe is not a flat stateful solve).
+    /// Per-phase maximum across ranks of the pipeline timings (each
+    /// rank's summed over its node solves; `None` for the baseline
+    /// tools).
     pub phase_max: Option<geographer::PipelineTimings>,
 }
 

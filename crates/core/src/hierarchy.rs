@@ -24,7 +24,7 @@ use geographer_parcomm::Comm;
 
 use crate::config::{normalized_fractions, Config};
 use crate::kmeans::KMeansStats;
-use crate::pipeline::partition_spmd;
+use crate::pipeline::{partition_spmd, PipelineResult, PipelineTimings};
 use crate::repartition::PreviousPartition;
 
 /// One level of a processor hierarchy.
@@ -189,7 +189,9 @@ pub struct PreviousHierarchy<const D: usize> {
     pub nodes: Vec<NodeState<D>>,
 }
 
-/// Result of a hierarchical solve on one rank.
+/// Result of a hierarchical solve on one rank. A flat k-way solve is the
+/// one-level hierarchy `[k]`: one node, whose state and timings are the
+/// flat pipeline's own.
 #[derive(Debug, Clone)]
 pub struct HierarchicalResult<const D: usize> {
     /// Flat leaf block id of every rank-local input point, in input order.
@@ -204,29 +206,32 @@ pub struct HierarchicalResult<const D: usize> {
     /// Worst node-local imbalance per level (each node's imbalance is
     /// relative to its own per-child targets).
     pub level_imbalance: Vec<f64>,
-    /// Sum of the paper-comparable per-node pipeline times.
-    pub seconds: f64,
+    /// Per-phase pipeline timings summed over the node solves; their
+    /// `total()` is the paper-comparable solve time.
+    pub timings: PipelineTimings,
 }
 
 /// Walk state threaded through the recursion.
 struct Walk<'a, const D: usize> {
-    points: &'a [Point<D>],
-    weights: &'a [f64],
     spec: &'a HierarchySpec,
     cfg: &'a Config,
-    /// Warm state to consume (pre-order), if any.
+    /// Warm state to consume (pre-order), if any; the next node to consume
+    /// is `nodes.len()`.
     prev: Option<&'a [NodeState<D>]>,
-    /// Next pre-order node to consume from `prev`.
-    cursor: usize,
     nodes: Vec<NodeState<D>>,
     stats: KMeansStats,
     level_imbalance: Vec<f64>,
-    seconds: f64,
+    timings: PipelineTimings,
 }
 
 impl<const D: usize> Walk<'_, D> {
-    fn merge_stats(&mut self, s: &KMeansStats, level: usize) {
-        let t = &mut self.stats;
+    /// Fold one node solve into the walk — its counters, its phase times
+    /// and its warm state — and return its child digits. The state is
+    /// moved, not cloned: a clone would come from wherever this rank's
+    /// allocator last freed a block of its size, and the caller that drops
+    /// it could keep a thread rank's whole arena resident (DESIGN.md §9).
+    fn record(&mut self, res: PipelineResult<D>, level: usize, path: &[u32]) -> Vec<u32> {
+        let (t, s) = (&mut self.stats, &res.stats);
         t.movement_iterations += s.movement_iterations;
         t.balance_iterations += s.balance_iterations;
         t.distance_evals += s.distance_evals;
@@ -238,66 +243,66 @@ impl<const D: usize> Walk<'_, D> {
         t.balance_achieved &= s.balance_achieved;
         t.final_imbalance = t.final_imbalance.max(s.final_imbalance);
         self.level_imbalance[level] = self.level_imbalance[level].max(s.final_imbalance);
+        let (t, s) = (&mut self.timings, &res.timings);
+        t.sfc_index += s.sfc_index;
+        t.redistribute += s.redistribute;
+        t.kmeans += s.kmeans;
+        t.writeback += s.writeback;
+        let state = PreviousPartition { centers: res.centers, influence: res.influence };
+        self.nodes.push(NodeState { path: path.to_vec(), state });
+        res.assignment
     }
 }
 
-/// Solve the subtree rooted at `path` (at `level`) over the local member
-/// points `idx`, writing flat leaf ids into `assignment`. `base` is the
-/// flat id of the subtree's first leaf. Collective: every rank recurses
-/// through the same tree in the same order.
+/// Solve the subtree rooted at `path` (at `level`) over this rank's member
+/// points of the node, and return their leaf ids within the subtree, in
+/// input order. Collective: every rank recurses through the same tree in
+/// the same order.
 fn solve_node<const D: usize, C: Comm>(
     comm: &C,
-    idx: &[u32],
+    points: &[Point<D>],
+    weights: &[f64],
     level: usize,
     path: &mut Vec<u32>,
-    base: u32,
-    assignment: &mut [u32],
     walk: &mut Walk<'_, D>,
-) {
-    let lv = &walk.spec.levels[level];
+) -> Vec<u32> {
+    let spec = walk.spec;
+    let lv = &spec.levels[level];
     let level_cfg = walk.cfg.for_level(lv.epsilon, lv.fractions.clone());
-    let sub_points: Vec<Point<D>> =
-        idx.iter().map(|&i| walk.points[i as usize]).collect();
-    let sub_weights: Vec<f64> = idx.iter().map(|&i| walk.weights[i as usize]).collect();
-
     let node_prev = walk.prev.map(|nodes| {
-        let node = &nodes[walk.cursor];
+        let node = &nodes[walk.nodes.len()];
         assert_eq!(
             node.path, *path,
             "previous hierarchy state out of order (corrupted pre-order)"
         );
         &node.state
     });
-    let res = partition_spmd(comm, &sub_points, &sub_weights, lv.arity, node_prev, &level_cfg);
-    walk.cursor += 1;
-    walk.merge_stats(&res.stats, level);
-    walk.seconds += res.timings.total();
-    walk.nodes.push(NodeState { path: path.clone(), state: res.previous() });
-
-    // Stride between consecutive children's first leaves.
-    let below: usize = walk.spec.levels[level + 1..].iter().map(|l| l.arity).product();
-    if level + 1 == walk.spec.depth() {
-        for (&i, &c) in idx.iter().zip(&res.assignment) {
-            assignment[i as usize] = base + c;
-        }
-        return;
+    let res = partition_spmd(comm, points, weights, lv.arity, node_prev, &level_cfg);
+    let digits = walk.record(res, level, path);
+    if level + 1 == spec.depth() {
+        return digits;
     }
+    // Leaves under each child.
+    let below = spec.levels[level + 1..].iter().map(|l| l.arity).product::<usize>() as u32;
+    let mut leaves = vec![0u32; digits.len()];
     for c in 0..lv.arity as u32 {
-        let child_idx: Vec<u32> = idx
-            .iter()
-            .zip(&res.assignment)
-            .filter(|&(_, &a)| a == c)
-            .map(|(&i, _)| i)
-            .collect();
+        let members: Vec<usize> = (0..digits.len()).filter(|&i| digits[i] == c).collect();
+        let sub_points: Vec<Point<D>> = members.iter().map(|&i| points[i]).collect();
+        let sub_weights: Vec<f64> = members.iter().map(|&i| weights[i]).collect();
         path.push(c);
-        solve_node(comm, &child_idx, level + 1, path, base + c * below as u32, assignment, walk);
+        let sub = solve_node(comm, &sub_points, &sub_weights, level + 1, path, walk);
         path.pop();
+        for (&i, &b) in members.iter().zip(&sub) {
+            leaves[i] = c * below + b;
+        }
     }
+    leaves
 }
 
 /// Partition a distributed point set for a processor hierarchy (SPMD
-/// collective call): solve level 0 with the full Geographer pipeline, then
-/// recurse inside each group with per-level ε/fractions from `spec`.
+/// collective call): solve level 0 with the full Geographer pipeline on
+/// the caller's slices, then recurse inside each group with per-level
+/// ε/fractions from `spec`.
 ///
 /// With `prev = Some(state)` every node solve resumes from the
 /// `(centers, influence)` pair the previous hierarchical solve stored for
@@ -333,42 +338,33 @@ pub fn partition_hierarchical_spmd<const D: usize, C: Comm>(
          HierarchySpec's levels; Config::target_fractions must be None"
     );
     assert_eq!(points.len(), weights.len());
+    // One node per internal tree node: the root, then every group above the
+    // leaf level.
+    let internal = 1 + (0..spec.depth() - 1).map(|l| spec.groups_at(l)).sum::<usize>();
+    let arities = spec.arities();
     if let Some(p) = prev {
-        assert_eq!(
-            p.arities,
-            spec.arities(),
-            "previous hierarchy state must match the spec's arities"
-        );
-        // One node per internal tree node: Σ_l Π_{i<l} arity_i.
-        let want: usize = (0..spec.depth())
-            .map(|l| if l == 0 { 1 } else { spec.groups_at(l - 1) })
-            .sum();
-        assert_eq!(p.nodes.len(), want, "previous hierarchy state has wrong node count");
+        assert_eq!(p.arities, arities, "previous hierarchy state must match the spec's arities");
+        assert_eq!(p.nodes.len(), internal, "previous hierarchy state has wrong node count");
     }
 
+    // Everything the result keeps is allocated before the root solve, so
+    // no small block lands above the solve's freed scratch (DESIGN.md §9).
     let mut walk = Walk {
-        points,
-        weights,
         spec,
         cfg,
         prev: prev.map(|p| p.nodes.as_slice()),
-        cursor: 0,
-        nodes: Vec::new(),
+        nodes: Vec::with_capacity(internal),
         stats: KMeansStats { converged: true, balance_achieved: true, ..KMeansStats::default() },
         level_imbalance: vec![0.0; spec.depth()],
-        seconds: 0.0,
+        timings: PipelineTimings::default(),
     };
-    let mut assignment = vec![0u32; points.len()];
-    let all: Vec<u32> = (0..points.len() as u32).collect();
-    let mut path = Vec::new();
-    solve_node(comm, &all, 0, &mut path, 0, &mut assignment, &mut walk);
-
+    let assignment = solve_node(comm, points, weights, 0, &mut Vec::new(), &mut walk);
     HierarchicalResult {
         assignment,
-        previous: PreviousHierarchy { arities: spec.arities(), nodes: walk.nodes },
+        previous: PreviousHierarchy { arities, nodes: walk.nodes },
         stats: walk.stats,
         level_imbalance: walk.level_imbalance,
-        seconds: walk.seconds,
+        timings: walk.timings,
     }
 }
 

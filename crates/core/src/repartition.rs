@@ -3,10 +3,10 @@
 use geographer_geometry::Point;
 
 /// The reusable state of a previous partitioning solve: the replicated
-/// cluster centers and influence values. Obtain one from
-/// [`crate::PipelineResult::previous`] (any rank's copy works — the state
-/// is replicated) and pass it to [`crate::partition_spmd`] when the point
-/// set has changed.
+/// cluster centers and influence values. Obtain one from a
+/// [`crate::PipelineResult`] (any rank's copy works — the state is
+/// replicated), or as a node of a [`crate::PreviousHierarchy`], and pass
+/// it to [`crate::partition_spmd`] when the point set has changed.
 ///
 /// On a *converged* previous solve the pair exactly reproduces the previous
 /// assignment (see [`crate::balanced_kmeans_warm`]), which is what makes the
@@ -17,12 +17,4 @@ pub struct PreviousPartition<const D: usize> {
     pub centers: Vec<Point<D>>,
     /// Influence values of the previous solve (replicated, length `k`).
     pub influence: Vec<f64>,
-}
-
-impl<const D: usize> PreviousPartition<D> {
-    /// Number of blocks this state describes.
-    pub fn k(&self) -> usize {
-        debug_assert_eq!(self.centers.len(), self.influence.len());
-        self.centers.len()
-    }
 }

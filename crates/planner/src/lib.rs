@@ -10,9 +10,9 @@
 //! * [`PlanSpec`] — *what* to solve: a [`MeshView`], a [`Tool`], the block
 //!   count, an optional `HierarchySpec`, a [`RefineMode`], and the solver
 //!   `Config`;
-//! * [`PlanState`] — *what the last plan learned*: the unified warm-start
-//!   enum over `PreviousPartition` (flat) and `PreviousHierarchy`
-//!   (hierarchical);
+//! * [`PlanState`] — *what the last plan learned*: a `PreviousHierarchy`,
+//!   one warm-start pair per hierarchy node (a flat plan is the one-level
+//!   hierarchy `[k]`, so its state is one node);
 //! * [`Planner::solve`]`(spec, state, comm)` → [`Plan`] — the assignment,
 //!   the refreshed state for the next time step, and per-phase
 //!   counters/metrics.

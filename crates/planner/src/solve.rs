@@ -22,7 +22,7 @@
 
 use std::time::Instant;
 
-use geographer::{KMeansStats, PipelineTimings, PreviousPartition};
+use geographer::{partition_hierarchical_spmd, KMeansStats, PipelineTimings};
 use geographer_graph::{imbalance_with_targets, LevelMetrics};
 use geographer_parcomm::{Comm, CommStats};
 use geographer_refine::{refine_multilevel, MultilevelReport, RefineReport};
@@ -39,8 +39,9 @@ pub struct Plan<const D: usize> {
     /// Block id of every mesh vertex, in input order — **global** on every
     /// rank (post-refinement when the spec asked for it).
     pub assignment: Vec<u32>,
-    /// Refreshed warm state in the variant matching the spec: feed it back
-    /// into the next solve on the drifted point set. `None` for the
+    /// Refreshed warm state, one node per internal node of the spec's
+    /// hierarchy (one node for a flat spec, the hierarchy `[k]`): feed it
+    /// back into the next solve on the drifted point set. `None` for the
     /// stateless baseline tools.
     pub state: Option<PlanState<D>>,
     /// Solver work counters (`None` for the baseline tools; the
@@ -54,14 +55,15 @@ pub struct Plan<const D: usize> {
     pub comm: CommStats,
     /// Ranks that solved the plan.
     pub ranks: usize,
-    /// Paper-comparable pipeline seconds of the solve (per-node sum for
-    /// hierarchical specs; wall time for the baselines).
+    /// Paper-comparable pipeline seconds of the solve:
+    /// `phase_timings.total()` for Geographer plans, wall time for the
+    /// baselines.
     pub solve_seconds: f64,
     /// Per-phase pipeline timings (Hilbert index, redistribution, k-means,
-    /// write-back) of the solve. `Some` for flat stateful plans — the
+    /// write-back) of the solve, summed over the hierarchy's node solves
+    /// (one for a flat spec). `Some` for every Geographer plan — the
     /// scaling benchmark reads its per-phase ns/point from here — `None`
-    /// for hierarchical and baseline plans, whose phases are not
-    /// individually metered.
+    /// for the baselines, whose phases are not individually metered.
     pub phase_timings: Option<PipelineTimings>,
     /// Wall seconds of the refinement post-pass (0 when none ran).
     pub refine_seconds: f64,
@@ -112,51 +114,18 @@ impl Planner {
         let before = comm.stats();
         // geo-analyze: allow(kernel-entropy): solve-phase timer — reported in Plan, never an input to the computation.
         let t = Instant::now();
-        let mut solve_seconds;
-        let mut phase_timings = None;
-        let (local, state_out, stats, level_imbalance) = match &spec.hierarchy {
-            Some(h) => {
-                let prev = match state {
-                    Some(PlanState::Hierarchical(prev)) => Some(prev),
-                    _ => None,
-                };
-                let res =
-                    geographer::partition_hierarchical_spmd(comm, points, weights, h, prev, cfg);
-                solve_seconds = res.seconds;
-                (
-                    res.assignment,
-                    Some(PlanState::Hierarchical(res.previous)),
-                    Some(res.stats),
-                    Some(res.level_imbalance),
-                )
-            }
-            None if spec.tool.is_stateful() => {
-                let prev = match state {
-                    Some(PlanState::Flat(prev)) => Some(prev),
-                    _ => None,
-                };
-                let res = geographer::partition_spmd(comm, points, weights, spec.k, prev, cfg);
-                solve_seconds = res.timings.total();
-                phase_timings = Some(res.timings);
-                // Moved, not cloned: a clone made here would come from
-                // wherever this rank's allocator last freed a block of its
-                // size, and the caller that drops it could keep a thread
-                // rank's whole arena resident (DESIGN.md §9).
-                let state_out = PlanState::Flat(PreviousPartition {
-                    centers: res.centers,
-                    influence: res.influence,
-                });
-                (res.assignment, Some(state_out), Some(res.stats), None)
-            }
-            None => {
-                let asg = spec.tool.partition_spmd(comm, points, weights, spec.k, cfg);
-                solve_seconds = 0.0; // set from wall time below
-                (asg, None, None, None)
-            }
+        let (local, state_out, stats, level_imbalance, phases) = if spec.tool.is_stateful() {
+            // One walk for every Geographer plan: a flat spec is the
+            // one-level hierarchy `[k]`.
+            let (h, solve_cfg) = spec.solve_shape();
+            let res = partition_hierarchical_spmd(comm, points, weights, &h, state, &solve_cfg);
+            let level_imbalance = spec.hierarchy.as_ref().map(|_| res.level_imbalance);
+            (res.assignment, Some(res.previous), Some(res.stats), level_imbalance, Some(res.timings))
+        } else {
+            let asg = spec.tool.partition_spmd(comm, points, weights, spec.k, cfg);
+            (asg, None, None, None, None)
         };
-        if state_out.is_none() {
-            solve_seconds = t.elapsed().as_secs_f64();
-        }
+        let solve_seconds = phases.map_or_else(|| t.elapsed().as_secs_f64(), |ph| ph.total());
         let comm_used = comm.stats().since(&before);
 
         // --- Assembly: uncounted, so Plan::comm holds the solver's
@@ -238,7 +207,7 @@ impl Planner {
             comm: comm_used,
             ranks: p,
             solve_seconds,
-            phase_timings,
+            phase_timings: phases,
             refine_seconds,
             refine,
             multilevel,
@@ -287,7 +256,12 @@ mod tests {
         assert_eq!(plan.assignment, core.assignment);
         assert_eq!(plan.k, 5);
         assert!(plan.stats.is_some());
-        assert!(matches!(plan.state, Some(PlanState::Flat(_))));
+        // One walk: the flat plan is the hierarchy [5], one node holding the
+        // pipeline's own state, and it reports the pipeline's phases.
+        let state = plan.state.expect("Geographer plans return state");
+        assert_eq!((state.arities, state.nodes.len()), (vec![5], 1));
+        assert_eq!(state.nodes[0].state.influence, core.influence);
+        assert_eq!(plan.solve_seconds, plan.phase_timings.expect("phases").total());
         assert!(plan.levels.is_none() && plan.level_imbalance.is_none());
         assert!(plan.imbalance <= cfg.epsilon + 1e-9);
     }
@@ -321,7 +295,9 @@ mod tests {
             &cfg,
         );
         assert_eq!(plan.assignment, core.assignment);
-        assert!(matches!(plan.state, Some(PlanState::Hierarchical(_))));
+        let state = plan.state.expect("Geographer plans return state");
+        assert_eq!((state.arities, state.nodes.len()), (vec![2, 2], 3));
+        assert!(plan.phase_timings.is_some());
         let levels = plan.levels.expect("hierarchy + graph must report levels");
         assert_eq!(levels.len(), 2);
         assert!(levels[0].edge_cut <= levels[1].edge_cut);
@@ -369,12 +345,14 @@ mod tests {
             let cold = Planner::solve(&spec, None, &SelfComm);
             let warm = Planner::solve(&spec, cold.state.as_ref(), &SelfComm);
             assert_eq!(warm.assignment, cold.assignment, "family={family}");
-            assert!(matches!(warm.state, Some(PlanState::Flat(_))));
+            assert_eq!(warm.state.map(|s| s.arities), Some(vec![5]));
         }
     }
 
     #[test]
-    #[should_panic(expected = "geographer config: flat plan state handed to a hierarchical spec")]
+    #[should_panic(
+        expected = "geographer config: plan state arities [4] do not match the spec's [2, 2]"
+    )]
     fn solve_panics_with_the_pinned_text() {
         let mesh = delaunay_unit_square(400, 65);
         let cfg = Config { sampling_init: false, ..Config::default() };

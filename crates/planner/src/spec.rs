@@ -3,18 +3,18 @@
 //!
 //! A [`PlanSpec`] names *what* to solve (mesh view, tool, block count,
 //! optional processor hierarchy, refinement mode, solver tuning), a
-//! [`PlanState`] carries *what a previous plan learned* (the flat or
-//! hierarchical warm-start state), and [`crate::Planner::try_solve`] turns
-//! the pair into a [`crate::Plan`]. Illegal spec combinations — a flat
-//! state handed to a hierarchical spec, refinement without a graph, a
-//! baseline tool given warm state — are rejected with a [`PlanError`]
-//! whose `Display` text follows the workspace's canonical
-//! `geographer config:` error convention (DESIGN.md §8; exact texts pinned
-//! by the unit tests below).
+//! [`PlanState`] carries *what a previous plan learned* (one warm-start
+//! pair per hierarchy node; a flat spec is the hierarchy `[k]`), and
+//! [`crate::Planner::try_solve`] turns the pair into a [`crate::Plan`].
+//! Illegal spec combinations — state of other arities than the spec's,
+//! refinement without a graph, a baseline tool given warm state — are
+//! rejected with a [`PlanError`] whose `Display` text follows the
+//! workspace's canonical `geographer config:` error convention
+//! (DESIGN.md §8; exact texts pinned by the unit tests below).
 
 use std::fmt;
 
-use geographer::{Config, HierarchySpec, PreviousHierarchy, PreviousPartition};
+use geographer::{Config, HierarchySpec, LevelSpec, PreviousHierarchy};
 use geographer_geometry::Point;
 use geographer_graph::CsrGraph;
 use geographer_mesh::Mesh;
@@ -62,37 +62,13 @@ pub enum RefineMode {
     Multilevel(MultilevelConfig),
 }
 
-/// The reusable prior state of a plan — the unified warm-start surface
-/// subsuming [`PreviousPartition`] (flat solves) and [`PreviousHierarchy`]
-/// (hierarchical solves). A finished [`crate::Plan`] returns the refreshed
-/// state in the matching variant; feed it back into the next
-/// [`crate::Planner::try_solve`] call on the drifted point set.
-#[derive(Debug, Clone)]
-pub enum PlanState<const D: usize> {
-    /// Warm state of a flat solve: replicated centers + influences.
-    Flat(PreviousPartition<D>),
-    /// Warm state of a hierarchical solve: one `(centers, influence)` pair
-    /// per internal tree node, pre-order.
-    Hierarchical(PreviousHierarchy<D>),
-}
-
-impl<const D: usize> PlanState<D> {
-    /// Which spec shape this state warm-starts.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            PlanState::Flat(_) => "flat",
-            PlanState::Hierarchical(_) => "hierarchical",
-        }
-    }
-
-    /// Number of leaf blocks this state describes.
-    pub fn k(&self) -> usize {
-        match self {
-            PlanState::Flat(p) => p.k(),
-            PlanState::Hierarchical(h) => h.arities.iter().product(),
-        }
-    }
-}
+/// The reusable prior state of a Geographer plan: one `(centers,
+/// influence)` pair per internal node of the plan's hierarchy, pre-order.
+/// A flat spec is the one-level hierarchy `[k]`, so its state is a single
+/// node. A finished [`crate::Plan`] returns the refreshed state; feed it
+/// back into the next [`crate::Planner::try_solve`] call on the drifted
+/// point set, under a spec with the same arities.
+pub type PlanState<const D: usize> = PreviousHierarchy<D>;
 
 /// Full description of one partitioning problem: what the layers below
 /// (`geographer::partition_spmd`, `geographer::partition_hierarchical_spmd`,
@@ -169,6 +145,26 @@ impl<'a, const D: usize> PlanSpec<'a, D> {
         }
     }
 
+    /// The hierarchy and the solver config Geographer solves this spec
+    /// under. A flat spec is the one-level hierarchy `[k]`, whose level
+    /// takes `config.target_fractions`; the config keeps everything else,
+    /// so the level's config is `config` itself (DESIGN.md §8).
+    ///
+    /// # Panics
+    /// On a flat spec's invalid `config`, with [`Config`]'s own texts: a bad
+    /// `target_fractions` reads the same as it does in the flat pipeline,
+    /// not as a hierarchy level's.
+    pub(crate) fn solve_shape(&self) -> (HierarchySpec, Config) {
+        let mut config = self.config.clone();
+        let fractions = config.target_fractions.take();
+        let hierarchy = self.hierarchy.clone().unwrap_or_else(|| {
+            self.config.validate();
+            self.config.fractions(self.k);
+            HierarchySpec { levels: vec![LevelSpec { arity: self.k, epsilon: None, fractions }] }
+        });
+        (hierarchy, config)
+    }
+
     /// Check the spec/state combination, returning the typed error the
     /// `geographer config:` convention documents (DESIGN.md §8).
     ///
@@ -213,28 +209,13 @@ impl<'a, const D: usize> PlanSpec<'a, D> {
             if !self.tool.is_stateful() {
                 return Err(PlanError::StatelessTool { tool: self.tool.name() });
             }
-            let spec_kind = if self.hierarchy.is_some() { "hierarchical" } else { "flat" };
-            if state.kind() != spec_kind {
-                return Err(PlanError::StateKindMismatch {
-                    state: state.kind(),
-                    spec: spec_kind,
+            let arities =
+                self.hierarchy.as_ref().map_or_else(|| vec![self.k], HierarchySpec::arities);
+            if state.arities != arities {
+                return Err(PlanError::StateArityMismatch {
+                    state: state.arities.clone(),
+                    spec: arities,
                 });
-            }
-            match (state, &self.hierarchy) {
-                (PlanState::Flat(p), None) => {
-                    if p.k() != self.k {
-                        return Err(PlanError::StateSizeMismatch { state_k: p.k(), k: self.k });
-                    }
-                }
-                (PlanState::Hierarchical(p), Some(h)) => {
-                    if p.arities != h.arities() {
-                        return Err(PlanError::StateArityMismatch {
-                            state: p.arities.clone(),
-                            spec: h.arities(),
-                        });
-                    }
-                }
-                _ => unreachable!("kind mismatch is caught above"),
             }
         }
         Ok(())
@@ -292,21 +273,7 @@ pub enum PlanError {
         /// The offending tool's name.
         tool: &'static str,
     },
-    /// Flat state handed to a hierarchical spec or vice versa.
-    StateKindMismatch {
-        /// The state's kind.
-        state: &'static str,
-        /// The spec's kind.
-        spec: &'static str,
-    },
-    /// Flat state block count disagrees with the spec's `k`.
-    StateSizeMismatch {
-        /// Blocks in the state.
-        state_k: usize,
-        /// Blocks in the spec.
-        k: usize,
-    },
-    /// Hierarchical state arities disagree with the spec's hierarchy.
+    /// Warm state arities disagree with the spec's (`[k]` for a flat spec).
     StateArityMismatch {
         /// Arities of the state.
         state: Vec<usize>,
@@ -354,15 +321,6 @@ impl fmt::Display for PlanError {
                 "geographer config: tool {tool} is stateless and cannot consume a warm \
                  plan state"
             ),
-            PlanError::StateKindMismatch { state, spec } => write!(
-                f,
-                "geographer config: {state} plan state handed to a {spec} spec"
-            ),
-            PlanError::StateSizeMismatch { state_k, k } => write!(
-                f,
-                "geographer config: plan state carries {state_k} blocks but the spec \
-                 requests k = {k}"
-            ),
             PlanError::StateArityMismatch { state, spec } => write!(
                 f,
                 "geographer config: plan state arities {state:?} do not match the spec's \
@@ -377,6 +335,7 @@ impl std::error::Error for PlanError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use geographer::{hierarchy::NodeState, PreviousPartition};
     use geographer_geometry::SplitMix64;
 
     fn points(n: usize, seed: u64) -> (Vec<Point<2>>, Vec<f64>) {
@@ -389,6 +348,13 @@ mod tests {
 
     fn view<'a>(pts: &'a [Point<2>], w: &'a [f64]) -> MeshView<'a, 2> {
         MeshView { points: pts, weights: w, graph: None }
+    }
+
+    /// The warm state of a flat solve into `k` blocks: one root node.
+    fn flat_state(k: usize) -> PlanState<2> {
+        let state =
+            PreviousPartition { centers: vec![Point::new([0.5; 2]); k], influence: vec![1.0; k] };
+        PlanState { arities: vec![k], nodes: vec![NodeState { path: Vec::new(), state }] }
     }
 
     #[test]
@@ -452,10 +418,6 @@ mod tests {
              HierarchySpec's levels; Config::target_fractions must be None"
         );
         assert_eq!(
-            PlanError::StateKindMismatch { state: "flat", spec: "hierarchical" }.to_string(),
-            "geographer config: flat plan state handed to a hierarchical spec"
-        );
-        assert_eq!(
             PlanError::StatelessTool { tool: "RCB" }.to_string(),
             "geographer config: tool RCB is stateless and cannot consume a warm plan state"
         );
@@ -466,10 +428,6 @@ mod tests {
         assert_eq!(
             PlanError::MissingGraph.to_string(),
             "geographer config: refinement requires the mesh graph in the plan spec"
-        );
-        assert_eq!(
-            PlanError::StateSizeMismatch { state_k: 3, k: 4 }.to_string(),
-            "geographer config: plan state carries 3 blocks but the spec requests k = 4"
         );
         assert_eq!(
             PlanError::StateArityMismatch { state: vec![2, 2], spec: vec![4, 2] }.to_string(),
@@ -521,13 +479,10 @@ mod tests {
             HierarchySpec::uniform(&[2, 2]),
             Config::default(),
         );
-        let state = PlanState::Flat(PreviousPartition {
-            centers: vec![pts[0]; 4],
-            influence: vec![1.0; 4],
-        });
+        let state = flat_state(4);
         assert_eq!(
             spec.validate(Some(&state)),
-            Err(PlanError::StateKindMismatch { state: "flat", spec: "hierarchical" })
+            Err(PlanError::StateArityMismatch { state: vec![4], spec: vec![2, 2] })
         );
         // Warm state on a stateless tool.
         let spec = PlanSpec::flat(view(&pts, &w), Tool::Rcb, 4, Config::default());
@@ -572,13 +527,9 @@ mod tests {
     fn mismatched_flat_state_rejected() {
         let (pts, w) = points(32, 4);
         let spec = PlanSpec::flat(view(&pts, &w), Tool::Geographer, 4, Config::default());
-        let state = PlanState::Flat(PreviousPartition {
-            centers: vec![pts[0]; 3],
-            influence: vec![1.0; 3],
-        });
         assert_eq!(
-            spec.validate(Some(&state)),
-            Err(PlanError::StateSizeMismatch { state_k: 3, k: 4 })
+            spec.validate(Some(&flat_state(3))),
+            Err(PlanError::StateArityMismatch { state: vec![3], spec: vec![4] })
         );
     }
 }

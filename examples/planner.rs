@@ -7,7 +7,9 @@
 //!
 //! 1. a **cold flat** solve — the paper's plain pipeline;
 //! 2. a **warm restart** on the drifted points from the plan's own
-//!    [`PlanState`] — no new driver code, just pass the state back in;
+//!    [`PlanState`] — no new driver code, just pass the state back in
+//!    (one shape for every spec: a flat plan is the hierarchy `[k]`, its
+//!    state one node);
 //! 3. the **stacked** configuration — warm hierarchical solve over a
 //!    `[4, 2]` machine with a multilevel V-cycle at every hierarchy
 //!    level, one `PlanSpec`.

@@ -22,11 +22,7 @@ fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
 /// Every node's centers (coordinate bits, center by center), then its
 /// influence bits, nodes in the state's order.
 fn state_digest(state: &PlanState<2>) -> u64 {
-    let nodes = match state {
-        PlanState::Flat(p) => vec![p],
-        PlanState::Hierarchical(h) => h.nodes.iter().map(|n| &n.state).collect(),
-    };
-    fnv(nodes.into_iter().flat_map(|s| {
+    fnv(state.nodes.iter().map(|n| &n.state).flat_map(|s| {
         let centers = s.centers.iter().flat_map(|c| [c[0].to_bits(), c[1].to_bits()]);
         centers.chain(s.influence.iter().map(|x| x.to_bits())).collect::<Vec<_>>()
     }))
