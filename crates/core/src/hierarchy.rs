@@ -347,8 +347,8 @@ pub fn partition_hierarchical_spmd<const D: usize, C: Comm>(
         assert_eq!(p.nodes.len(), internal, "previous hierarchy state has wrong node count");
     }
 
-    // Everything the result keeps is allocated before the root solve, so
-    // no small block lands above the solve's freed scratch (DESIGN.md §9).
+    // `arities` and the node states (reserved for every node) are made before
+    // the root solve, so neither pins the solve's freed scratch (DESIGN.md §9).
     let mut walk = Walk {
         spec,
         cfg,

@@ -104,7 +104,8 @@ fn main() {
     }
 
     // Illegal combinations fail with a typed error, not a panic deep in a
-    // driver: a flat plan's state cannot warm-start a hierarchy.
+    // driver: a flat plan's state (the hierarchy [8]) cannot warm-start
+    // the hierarchy [4, 2].
     let bad = PlanSpec::hierarchical(
         MeshView::from(&drifted),
         HierarchySpec::uniform(&[4, 2]),
