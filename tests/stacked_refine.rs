@@ -179,3 +179,99 @@ fn dealt_parents_reproduce_the_single_rank_refinement_on_both_backends() {
         }
     }
 }
+
+/// Digest and `[cut_before, cut_after, moves, rounds]` of a refined plan
+/// (the per-level reports of a hierarchical one, the summed report of a
+/// flat one).
+fn refined_pin(plan: &geographer_planner::Plan<2>, per_level: bool) -> (u64, Vec<[u64; 4]>) {
+    let row = |r: &geographer_refine::RefineReport| {
+        [r.cut_before, r.cut_after, r.moves as u64, r.rounds as u64]
+    };
+    let reports = if per_level {
+        plan.level_refine.as_ref().expect("stacked plans report per level").iter().map(row).collect()
+    } else {
+        vec![row(plan.refine.as_ref().expect("a refined plan reports"))]
+    };
+    (digest(&plan.assignment), reports)
+}
+
+/// Flat refined plans on `bubbles_like(6_000, 22)` at k ∈ {4, 16, 64},
+/// one-level and default-depth cycles, for Geographer and HSFC, at
+/// p ∈ {1, 2}, recorded at commit 3f488c2, where a flat spec refined
+/// through its own V-cycle call and a hierarchical one through the
+/// stacked pass.
+#[test]
+fn flat_refined_plans_match_the_digests_pinned_at_3f488c2() {
+    let mesh = bubbles_like(6_000, 22);
+    let cfg = Config { sampling_init: false, ..Config::default() };
+    let default_levels = MultilevelConfig::default().max_levels;
+    let pinned: [(Tool, usize, usize, u64, [u64; 4]); 12] = [
+        (Tool::Geographer, 4, 1, 0xf7fd_2a34_a429_4d67, [255, 235, 17, 3]),
+        (Tool::Geographer, 4, default_levels, 0x26b6_8058_d5c8_9986, [255, 227, 20, 6]),
+        (Tool::Geographer, 16, 1, 0x1605_4b15_da38_a268, [885, 797, 59, 4]),
+        (Tool::Geographer, 16, default_levels, 0xf0d8_aa10_7f6d_96fa, [885, 762, 71, 11]),
+        (Tool::Geographer, 64, 1, 0xafe7_83a7_2a48_b92c, [2177, 1985, 141, 3]),
+        (Tool::Geographer, 64, default_levels, 0x9199_3cef_3941_ade5, [2177, 1975, 142, 10]),
+        (Tool::Hsfc, 4, 1, 0x54a3_9a40_e36e_b525, [342, 312, 24, 3]),
+        (Tool::Hsfc, 4, default_levels, 0x75a2_5bf5_28c5_0d67, [342, 284, 34, 9]),
+        (Tool::Hsfc, 16, 1, 0x4d3d_5a48_11cb_601c, [1356, 1135, 131, 4]),
+        (Tool::Hsfc, 16, default_levels, 0x570c_7da0_dbab_56d7, [1356, 1023, 154, 10]),
+        (Tool::Hsfc, 64, 1, 0x2f58_dde9_67de_d4b1, [3234, 2595, 364, 5]),
+        (Tool::Hsfc, 64, default_levels, 0x1c1e_163d_3a4b_5df2, [3234, 2558, 317, 14]),
+    ];
+    for (tool, k, max_levels, want_digest, want_report) in pinned {
+        let mode =
+            RefineMode::Multilevel(MultilevelConfig { max_levels, ..MultilevelConfig::default() });
+        let recipe = PlanRecipe::flat("flat", tool, k, cfg.clone()).with_refine(mode);
+        for p in [1, 2] {
+            let plan = solve_plan_view(MeshView::from(&mesh), &recipe, p, None).plan;
+            let (d, reports) = refined_pin(&plan, false);
+            assert_eq!(
+                (d, reports[0]),
+                (want_digest, want_report),
+                "{} k = {k} max_levels = {max_levels} at p = {p}: digest {d:#018x}",
+                tool.name()
+            );
+        }
+    }
+}
+
+/// Stacked plans over hierarchies deeper or wider than the `[4, 4]` pin —
+/// `[2, 2, 4]` and `[8, 2]` — and a flat plan with heterogeneous target
+/// fractions, on `bubbles_like(6_000, 22)` at p ∈ {1, 2}, recorded at
+/// commit 3f488c2.
+#[test]
+fn deep_stacked_and_heterogeneous_flat_plans_match_the_digests_pinned_at_3f488c2() {
+    let mesh = bubbles_like(6_000, 22);
+    let cfg = Config { sampling_init: false, ..Config::default() };
+    let refine = RefineMode::Multilevel(MultilevelConfig::default());
+    let hetero = Config { target_fractions: Some(vec![0.1, 0.2, 0.3, 0.4]), ..cfg.clone() };
+    let cases: [(PlanRecipe, bool, u64, Vec<[u64; 4]>); 3] = [
+        (
+            PlanRecipe::hierarchical("2x2x4", HierarchySpec::uniform(&[2, 2, 4]), cfg.clone()),
+            true,
+            0xc844_6d7e_6195_92d5,
+            vec![[139, 115, 14, 13], [214, 144, 28, 20], [775, 627, 91, 23]],
+        ),
+        (
+            PlanRecipe::hierarchical("8x2", HierarchySpec::uniform(&[8, 2]), cfg.clone()),
+            true,
+            0x8d6c_7bdb_bfee_4e84,
+            vec![[611, 543, 48, 18], [503, 361, 68, 38]],
+        ),
+        (
+            PlanRecipe::flat("hetero", Tool::Geographer, 4, hetero),
+            false,
+            0x0b50_ec43_e9a0_4ef4,
+            vec![[321, 276, 31, 8]],
+        ),
+    ];
+    for (recipe, per_level, want_digest, want_reports) in cases {
+        let recipe = recipe.with_refine(refine.clone());
+        for p in [1, 2] {
+            let plan = solve_plan_view(MeshView::from(&mesh), &recipe, p, None).plan;
+            let got = refined_pin(&plan, per_level);
+            assert_eq!(got, (want_digest, want_reports.clone()), "{} at p = {p}", recipe.name);
+        }
+    }
+}
