@@ -135,10 +135,10 @@ fn line_budgets_only_move_down() {
         (vec!["crates/core/src/kmeans.rs".into()], 997),
         (vec!["crates/core/src/pipeline.rs".into(), "crates/dsort/src/lib.rs".into()], 969),
         (baselines, 417),
-        (refinement, 1333),
+        (refinement, 1332),
         (every_file_of("crates/parcomm/src"), 2026),
         (vec!["crates/spmv/src/lib.rs".into()], 190),
-        (planner, 1063),
+        (planner, 1036),
     ];
     for (files, budget) in budgets {
         let lines: usize = files.iter().map(|rel| non_test(rel)).sum();

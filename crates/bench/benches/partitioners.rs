@@ -10,7 +10,7 @@ use geographer_geometry::{Point, SplitMix64};
 use geographer_graph::coarsen::{CoarsenScratch, LevelView, WeightedCsrGraph};
 use geographer_mesh::families::bubbles_like;
 use geographer_parcomm::SelfComm;
-use geographer_planner::{refine_hierarchy_multilevel, Tool};
+use geographer_planner::{refine_hierarchy_multilevel, MeshView, PlanSpec, Planner, Tool};
 use geographer_refine::{refine_multilevel, MultilevelConfig};
 
 fn bench_partitioners(c: &mut Criterion) {
@@ -24,11 +24,10 @@ fn bench_partitioners(c: &mut Criterion) {
     let mut g = c.benchmark_group("partition_50k_k16");
     g.sample_size(10);
     g.throughput(Throughput::Elements(n as u64));
-    let cfg = Config::default();
+    let view = MeshView { points: &pts, weights: &weights, graph: None };
     for tool in Tool::ALL {
-        g.bench_function(tool.name(), |b| {
-            b.iter(|| tool.partition_spmd(&SelfComm, &pts, &weights, k, &cfg))
-        });
+        let spec = PlanSpec::flat(view, tool, k, Config::default());
+        g.bench_function(tool.name(), |b| b.iter(|| Planner::solve(&spec, None, &SelfComm)));
     }
     g.finish();
 }

@@ -84,6 +84,11 @@ fn bench_one(
     Row { mesh: mesh_name, tool: tool.name(), single, multi }
 }
 
+/// Levels of a flat plan's V-cycle: the input graph and the coarse ones.
+fn levels(r: &Refined) -> usize {
+    r.run.plan.refine_work.expect("refinement work").coarse_levels + 1
+}
+
 /// The JSON fields both refiners report, `count` being the refiner's own
 /// effort figure (`rounds` of the flat pass, `levels` of the V-cycle).
 fn refined_fields(
@@ -140,7 +145,7 @@ fn main() {
             format!("{:.4}", r.single.imbalance),
             mr.cut_after.to_string(),
             format!("{:.2}", gain(sr.cut_after, mr.cut_after)),
-            r.multi.run.plan.multilevel.as_ref().map_or(0, |ml| ml.levels.len()).to_string(),
+            levels(&r.multi).to_string(),
             format!("{:.1}ms", r.single.run.plan.refine_seconds * 1e3),
             format!("{:.1}ms", r.multi.run.plan.refine_seconds * 1e3),
             format!("{:.4}", r.multi.imbalance),
@@ -173,19 +178,7 @@ fn main() {
     }
 
     let row_json = |r: &Row| {
-        let ml = r.multi.run.plan.multilevel.as_ref().expect("multilevel level reports");
-        let level = |l: &geographer_refine::LevelReport| {
-            obj([
-                ("vertices", l.vertices.into()),
-                ("edges", l.edges.into()),
-                ("cut_before", l.cut_before.into()),
-                ("cut_after", l.cut_after.into()),
-                ("moves", l.moves.into()),
-                ("rounds", l.rounds.into()),
-            ])
-        };
-        let mut multilevel = refined_fields(&r.multi, n, ("levels", ml.levels.len()));
-        multilevel.push(("level_detail", Value::Arr(ml.levels.iter().map(level).collect())));
+        let multilevel = refined_fields(&r.multi, n, ("levels", levels(&r.multi)));
         obj([
             ("mesh", r.mesh.into()),
             ("tool", r.tool.into()),

@@ -732,7 +732,7 @@ mod tests {
         assert_eq!(sr.cut_before, edge_cut(&mesh.graph, &plain_run.plan.assignment));
         assert_eq!(sr.cut_before, mr.cut_before, "same tool output, same start");
         assert!(mr.cut_after <= sr.cut_after, "multilevel must not be worse");
-        assert_eq!(multi_run.plan.multilevel.as_ref().unwrap().summary(), mr);
+        assert_eq!(multi_run.plan.level_refine, Some(vec![mr]), "a flat plan is one level");
         // The row is evaluated on the refined assignment; balance survives.
         let row = evaluate_run(&mesh, &multi, &multi_run, 1);
         assert_eq!(row.metrics.edge_cut, mr.cut_after);

@@ -1,5 +1,6 @@
-//! Hierarchy-aware multilevel refinement: the stacked combination of a
-//! hierarchical solve and the multilevel V-cycle.
+//! Hierarchy-aware multilevel refinement, the one refinement pass of every
+//! plan: the multilevel V-cycle stacked over the solve's hierarchy (a flat
+//! plan's is `[k]`: one V-cycle over the whole graph, one sweep).
 //!
 //! A hierarchical solve minimizes each level's cut *geometrically*; the
 //! multilevel V-cycle of `geographer_refine` minimizes the flat cut
@@ -26,8 +27,8 @@
 //!   moves vertices only between siblings below one level-`l` group, so
 //!   level-`l` group weights and cuts are final once level `l` is done.
 //!   A level-`l` move does carry a vertex's old *lower* digits into its
-//!   new group; a deterministic pre-pass at each level re-seats any child
-//!   pushed over its capacity before the V-cycle runs.
+//!   new group; a deterministic pre-pass before every V-cycle (a flat
+//!   plan's too) re-seats any child pushed over its capacity.
 //! * **Deterministic.** Vertices are visited in input order and the
 //!   V-cycle itself is deterministic, so a parent's refined digits are a
 //!   pure function of the assembled assignment — whichever rank computes
@@ -107,11 +108,11 @@ fn repair_capacities(
 
 /// Upper bound on top-down refinement sweeps. A compound move — a vertex
 /// that must change its parent digit *and* its child digit to reach its
-/// best block — needs one sweep per digit, so iterating the top-down pass
-/// until it stops moving recovers moves a single pass structurally cannot
-/// make. Convergence is guaranteed (each level's V-cycle never increases
-/// its own level cut and the pass is deterministic); the cap only bounds
-/// the tail.
+/// best block — needs one sweep per digit, so the pass runs again while a
+/// level above the leaf or the cross-parent pass moved. Leaf moves alone
+/// change no subproblem, so a flat plan (`[k]`) runs exactly one sweep.
+/// Convergence is guaranteed (each level's V-cycle never increases its own
+/// level cut and the pass is deterministic); the cap only bounds the tail.
 const MAX_SWEEPS: usize = 4;
 
 /// How much work a refinement did, in counts (the same on every rank and
@@ -145,18 +146,18 @@ struct Scratch {
 /// V-cycles per hierarchy level, top-down, honoring each level's ε and
 /// capacity fractions (see the module docs for the contract, and for which
 /// part is dealt to the ranks of `comm` — a collective call: every rank
-/// passes the same arguments and returns the same result). The
-/// top-down pass is iterated until a full sweep moves nothing (at most
-/// `MAX_SWEEPS` times): an upper-level move changes which sibling moves
-/// are profitable below, and vice versa, so a single pass leaves compound
-/// gains on the table. Each sweep is followed by a `cross_parent_pass`
-/// that takes the leaf moves no per-level digit refinement can express —
-/// a vertex whose best block lies under a different parent but whose
-/// parent-digit move alone has zero gain. `base` supplies the V-cycle
-/// shape and the default ε
-/// for levels that don't pin their own; its `refine.target_fractions` must
-/// be `None` — per-level capacities come from the spec, exactly as in the
-/// hierarchical solver.
+/// passes the same arguments and returns the same result). Each sweep is
+/// followed by a `cross_parent_pass` that takes the leaf moves no
+/// per-level digit refinement can express — a vertex whose best block
+/// lies under a different parent but whose parent-digit move alone has
+/// zero gain. The sweep runs again while a level above the leaf or the
+/// cross-parent pass moved (at most `MAX_SWEEPS` times): an upper-level
+/// move changes which sibling moves are profitable below, so a single pass
+/// leaves compound gains on the table. A flat plan is the hierarchy `[k]`:
+/// one level, one V-cycle, one sweep. `base` supplies the V-cycle shape
+/// and the default ε for levels that don't pin their own; its
+/// `refine.target_fractions` must be `None` — per-level capacities come
+/// from the spec, exactly as in the hierarchical solver.
 ///
 /// Returns one aggregated [`RefineReport`] per level (cuts in that level's
 /// induced-subgraph units: intra-parent edges crossing a level-`l` group
@@ -175,8 +176,8 @@ pub fn refine_hierarchy_multilevel<C: Comm>(
     assert_eq!(weights.len(), g.n());
     assert!(
         base.refine.target_fractions.is_none(),
-        "geographer config: hierarchical solves take capacity fractions from the \
-         HierarchySpec's levels; Config::target_fractions must be None"
+        "geographer config: refinement takes capacity fractions from the HierarchySpec's \
+         levels; MultilevelConfig::refine.target_fractions must be None"
     );
     spec.validate();
     let mut scratch = Scratch {
@@ -194,7 +195,7 @@ pub fn refine_hierarchy_multilevel<C: Comm>(
         work.sweeps += 1;
         let pass =
             sweep_top_down(comm, g, assignment, weights, spec, base, &mut scratch, &mut work);
-        let swept: usize = pass.iter().map(|r| r.moves).sum();
+        let swept: usize = pass[..spec.depth() - 1].iter().map(|r| r.moves).sum();
         for (agg, r) in reports.iter_mut().zip(&pass) {
             if sweep == 0 {
                 agg.cut_before = r.cut_before;
@@ -207,9 +208,7 @@ pub fn refine_hierarchy_multilevel<C: Comm>(
         // productive pass re-triggers the sweep so the reported cuts come
         // from a sweep over the final assignment.
         let crossed = cross_parent_pass(g, assignment, weights, spec, base);
-        if let Some(leaf) = reports.last_mut() {
-            leaf.moves += crossed;
-        }
+        reports[spec.depth() - 1].moves += crossed;
         if swept == 0 && crossed == 0 {
             break;
         }
@@ -529,9 +528,8 @@ mod tests {
     use super::*;
     use geographer::{partition_hierarchical_spmd, Config, LevelSpec};
     use geographer_graph::evaluate_levels;
-    use geographer_mesh::families::bubbles_like;
     use geographer_geometry::SplitMix64;
-    use geographer_mesh::Mesh;
+    use geographer_mesh::{delaunay_unit_square, families::bubbles_like, Mesh};
     use geographer_parcomm::SelfComm;
 
     /// Cold single-rank hierarchical assignment of `mesh`.
@@ -742,6 +740,43 @@ mod tests {
         assert_eq!(reports[0].cut_before, 1);
         assert_eq!(reports[0].cut_after, 1);
         assert_eq!(work, RefineWork { sweeps: 1, vcycles: 1, coarse_levels: 0 });
+    }
+
+    #[test]
+    fn flat_refinement_repairs_an_overfull_start_into_the_floor() {
+        // One capacity semantics: a flat plan is the hierarchy `[4]`, and
+        // its V-cycle runs after the same repair as every stacked level.
+        // x-stripes of widths 1:1:2:1 put ~40 % of the weight in block 2,
+        // far above its floor; refinement must end inside every floor.
+        let mesh = delaunay_unit_square(2_000, 44);
+        let spec = HierarchySpec::uniform(&[4]);
+        let mut asg: Vec<u32> = mesh
+            .points
+            .iter()
+            .map(|p| match p.0[0] {
+                x if x < 0.2 => 0,
+                x if x < 0.4 => 1,
+                x if x < 0.8 => 2,
+                _ => 3,
+            })
+            .collect();
+        let base = MultilevelConfig::default();
+        let eps = base.refine.epsilon;
+        let w_max = mesh.weights.iter().copied().fold(0.0, f64::max);
+        let target = mesh.weights.iter().sum::<f64>() / 4.0;
+        let wide: f64 =
+            asg.iter().zip(&mesh.weights).filter(|(&b, _)| b == 2).map(|(_, w)| w).sum();
+        assert!(wide > capacity(target, eps, w_max), "the start must break the floor");
+        let (reports, work) = refine_hierarchy_multilevel(
+            &SelfComm,
+            &mesh.graph,
+            &mut asg,
+            &mesh.weights,
+            &spec,
+            &base,
+        );
+        assert_eq!((reports.len(), work.sweeps, work.vcycles), (1, 1, 1));
+        hier_balanced(&asg, &mesh.weights, &spec, eps);
     }
 
     /// `cross_parent_pass` as it was before its counts were kept sparse

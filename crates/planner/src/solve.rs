@@ -8,10 +8,10 @@
 //! chunks every benchmark uses) and receives a [`Plan`] carrying
 //! the *global* assignment, the refreshed warm state for the next step,
 //! and per-phase counters. Refinement works on the assembled (global)
-//! assignment and is deterministic, so all ranks hold the same plan. The
-//! flat modes run redundantly on every rank; the stacked mode deals the
-//! parents of each hierarchy level to the ranks and allgathers their
-//! digits, with level 0 and the cross-parent pass still redundant
+//! assignment and is deterministic, so all ranks hold the same plan. It is
+//! one stacked pass over the solve's hierarchy (a flat plan's is `[k]`),
+//! which deals the parents of each level to the ranks and allgathers
+//! their digits, with level 0 and the cross-parent pass redundant
 //! (`hier_refine`'s module docs say which part is which).
 //!
 //! `Plan::comm` counts the solver's collectives only (snapshot-diffed
@@ -23,12 +23,14 @@
 use std::time::Instant;
 
 use geographer::{partition_hierarchical_spmd, KMeansStats, PipelineTimings};
+use geographer_baselines::{hsfc_partition, multi_jagged, rcb_partition, rib_partition};
 use geographer_graph::{imbalance_with_targets, LevelMetrics};
 use geographer_parcomm::{Comm, CommStats};
-use geographer_refine::{refine_multilevel, MultilevelReport, RefineReport};
+use geographer_refine::RefineReport;
 
 use crate::hier_refine::{refine_hierarchy_multilevel, RefineWork};
 use crate::spec::{PlanError, PlanSpec, PlanState, RefineMode};
+use crate::tool::Tool;
 
 /// A finished plan: the assignment plus everything the next step and the
 /// evaluation harness need.
@@ -67,15 +69,14 @@ pub struct Plan<const D: usize> {
     pub phase_timings: Option<PipelineTimings>,
     /// Wall seconds of the refinement post-pass (0 when none ran).
     pub refine_seconds: f64,
-    /// Flat refinement summary, when refinement ran (the per-level sum for
-    /// hierarchical multilevel refinement).
+    /// Refinement summary, when refinement ran: the sum of `level_refine`.
     pub refine: Option<RefineReport>,
-    /// Full V-cycle report, when a flat spec was refined.
-    pub multilevel: Option<MultilevelReport>,
-    /// Per-hierarchy-level refinement reports, when the stacked
-    /// hierarchical multilevel mode ran (outermost level first).
+    /// Per-hierarchy-level refinement reports, when refinement ran
+    /// (outermost level first; one entry for a flat plan, the hierarchy
+    /// `[k]`).
     pub level_refine: Option<Vec<RefineReport>>,
-    /// Work counters of the refinement, when one ran.
+    /// Work counters of the refinement, when one ran (a flat plan's V-cycle
+    /// built `coarse_levels` levels below the input graph).
     pub refine_work: Option<RefineWork>,
     /// Worst node-local solver imbalance per hierarchy level (from the
     /// hierarchical solver; `None` for flat specs).
@@ -108,22 +109,26 @@ impl Planner {
         let (p, r) = (comm.size(), comm.rank());
         let (lo, hi) = (r * n / p, (r + 1) * n / p);
         let (points, weights) = (&spec.mesh.points[lo..hi], &spec.mesh.weights[lo..hi]);
-        let cfg = &spec.config;
+        // A flat spec is the one-level hierarchy `[k]`, for the solve and
+        // for the refinement alike.
+        let (h, solve_cfg) = spec.solve_shape();
 
         // --- Solve phase (the only phase charged to Plan::comm).
         let before = comm.stats();
         // geo-analyze: allow(kernel-entropy): solve-phase timer — reported in Plan, never an input to the computation.
         let t = Instant::now();
-        let (local, state_out, stats, level_imbalance, phases) = if spec.tool.is_stateful() {
-            // One walk for every Geographer plan: a flat spec is the
-            // one-level hierarchy `[k]`.
-            let (h, solve_cfg) = spec.solve_shape();
-            let res = partition_hierarchical_spmd(comm, points, weights, &h, state, &solve_cfg);
-            let level_imbalance = spec.hierarchy.as_ref().map(|_| res.level_imbalance);
-            (res.assignment, Some(res.previous), Some(res.stats), level_imbalance, Some(res.timings))
-        } else {
-            let asg = spec.tool.partition_spmd(comm, points, weights, spec.k, cfg);
-            (asg, None, None, None, None)
+        let baseline = |asg| (asg, None, None, None, None);
+        let (local, state_out, stats, level_imbalance, phases) = match spec.tool {
+            Tool::Geographer => {
+                let res = partition_hierarchical_spmd(comm, points, weights, &h, state, &solve_cfg);
+                let level_imbalance = spec.hierarchy.as_ref().map(|_| res.level_imbalance);
+                let timings = Some(res.timings);
+                (res.assignment, Some(res.previous), Some(res.stats), level_imbalance, timings)
+            }
+            Tool::Hsfc => baseline(hsfc_partition(comm, points, weights, spec.k)),
+            Tool::MultiJagged => baseline(multi_jagged(comm, points, weights, spec.k)),
+            Tool::Rcb => baseline(rcb_partition(comm, points, weights, spec.k)),
+            Tool::Rib => baseline(rib_partition(comm, points, weights, spec.k)),
         };
         let solve_seconds = phases.map_or_else(|| t.elapsed().as_secs_f64(), |ph| ph.total());
         let comm_used = comm.stats().since(&before);
@@ -138,48 +143,22 @@ impl Planner {
         debug_assert_eq!(assignment.len(), n);
 
         // --- Refinement phase: deterministic on the assembled assignment;
-        // only the stacked mode communicates (uncounted, like assembly).
+        // its per-level allgathers are uncounted, like assembly.
         // geo-analyze: allow(kernel-entropy): refine-phase timer — reported in Plan, never an input to the computation.
         let rt = Instant::now();
-        let (mut refine, mut multilevel, mut level_refine, mut refine_work) =
-            (None, None, None, None);
+        let (mut refine, mut level_refine, mut refine_work) = (None, None, None);
         if let RefineMode::Multilevel(mcfg) = &spec.refine {
             let g = spec.mesh.graph.expect("validated: refinement has a graph");
-            match &spec.hierarchy {
-                Some(h) => {
-                    let (reports, work) = refine_hierarchy_multilevel(
-                        comm,
-                        g,
-                        &mut assignment,
-                        spec.mesh.weights,
-                        h,
-                        mcfg,
-                    );
-                    refine = Some(RefineReport {
-                        cut_before: reports.iter().map(|r| r.cut_before).sum(),
-                        cut_after: reports.iter().map(|r| r.cut_after).sum(),
-                        moves: reports.iter().map(|r| r.moves).sum(),
-                        rounds: reports.iter().map(|r| r.rounds).sum(),
-                    });
-                    level_refine = Some(reports);
-                    refine_work = Some(work);
-                }
-                None => {
-                    let mut mcfg = mcfg.clone();
-                    if mcfg.refine.target_fractions.is_none() {
-                        mcfg.refine.target_fractions = cfg.target_fractions.clone();
-                    }
-                    let report =
-                        refine_multilevel(g, &mut assignment, spec.mesh.weights, spec.k, &mcfg);
-                    refine = Some(report.summary());
-                    refine_work = Some(RefineWork {
-                        sweeps: 1,
-                        vcycles: 1,
-                        coarse_levels: report.levels.len() - 1,
-                    });
-                    multilevel = Some(report);
-                }
-            }
+            let (reports, work) =
+                refine_hierarchy_multilevel(comm, g, &mut assignment, spec.mesh.weights, &h, mcfg);
+            refine = Some(RefineReport {
+                cut_before: reports.iter().map(|r| r.cut_before).sum(),
+                cut_after: reports.iter().map(|r| r.cut_after).sum(),
+                moves: reports.iter().map(|r| r.moves).sum(),
+                rounds: reports.iter().map(|r| r.rounds).sum(),
+            });
+            level_refine = Some(reports);
+            refine_work = Some(work);
         }
         let refine_seconds =
             if matches!(spec.refine, RefineMode::None) { 0.0 } else { rt.elapsed().as_secs_f64() };
@@ -210,7 +189,6 @@ impl Planner {
             phase_timings: phases,
             refine_seconds,
             refine,
-            multilevel,
             level_refine,
             refine_work,
             level_imbalance,
@@ -239,11 +217,10 @@ impl Planner {
 mod tests {
     use super::*;
     use crate::spec::MeshView;
-    use crate::tool::Tool;
     use geographer::{Config, HierarchySpec};
     use geographer_mesh::{delaunay_unit_square, families::bubbles_like};
     use geographer_parcomm::SelfComm;
-    use geographer_refine::MultilevelConfig;
+    use geographer_refine::{MultilevelConfig, RefineConfig};
 
     #[test]
     fn flat_plan_matches_the_core_pipeline() {
@@ -269,12 +246,9 @@ mod tests {
     #[test]
     fn baseline_plan_matches_the_tool_and_has_no_state() {
         let mesh = delaunay_unit_square(900, 62);
-        let cfg = Config::default();
-        let spec = PlanSpec::flat(MeshView::from(&mesh), Tool::Rcb, 4, cfg.clone());
+        let spec = PlanSpec::flat(MeshView::from(&mesh), Tool::Rcb, 4, Config::default());
         let plan = Planner::solve(&spec, None, &SelfComm);
-        let direct =
-            Tool::Rcb.partition_spmd(&SelfComm, &mesh.points, &mesh.weights, 4, &cfg);
-        assert_eq!(plan.assignment, direct);
+        assert_eq!(plan.assignment, rcb_partition(&SelfComm, &mesh.points, &mesh.weights, 4));
         assert!(plan.state.is_none());
         assert!(plan.stats.is_none());
     }
@@ -364,6 +338,28 @@ mod tests {
         let spec =
             PlanSpec::hierarchical(MeshView::from(&mesh), HierarchySpec::uniform(&[2, 2]), cfg);
         let _ = Planner::solve(&spec, flat.state.as_ref(), &SelfComm);
+    }
+
+    /// Refinement targets are the spec's own: a refine config naming its
+    /// own fractions is rejected before the solve, on either spec shape.
+    #[test]
+    fn refine_config_fractions_are_rejected_before_the_solve() {
+        let mesh = delaunay_unit_square(400, 68);
+        let cfg = Config { sampling_init: false, ..Config::default() };
+        let refine = RefineConfig { target_fractions: Some(vec![1.0; 4]), ..Default::default() };
+        let mcfg = MultilevelConfig { refine, ..MultilevelConfig::default() };
+        let view = MeshView::from(&mesh);
+        let flat = PlanSpec::flat(view, Tool::Geographer, 4, cfg.clone());
+        let hier = PlanSpec::hierarchical(view, HierarchySpec::uniform(&[2, 2]), cfg);
+        for spec in [flat, hier] {
+            let spec = spec.with_refine(RefineMode::Multilevel(mcfg.clone()));
+            let err = Planner::try_solve(&spec, None, &SelfComm).expect_err("rejected");
+            assert_eq!(
+                err.to_string(),
+                "geographer config: refinement takes capacity fractions from the plan spec; \
+                 MultilevelConfig::refine.target_fractions must be None"
+            );
+        }
     }
 
     /// A flat spec's bad `target_fractions` panic with `Config`'s own texts.

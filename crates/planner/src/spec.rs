@@ -7,10 +7,10 @@
 //! pair per hierarchy node; a flat spec is the hierarchy `[k]`), and
 //! [`crate::Planner::try_solve`] turns the pair into a [`crate::Plan`].
 //! Illegal spec combinations — state of other arities than the spec's,
-//! refinement without a graph, a baseline tool given warm state — are
-//! rejected with a [`PlanError`] whose `Display` text follows the
-//! workspace's canonical `geographer config:` error convention
-//! (DESIGN.md §8; exact texts pinned by the unit tests below).
+//! refinement without a graph or with targets of its own, a baseline tool
+//! given warm state — are rejected with a [`PlanError`] whose `Display`
+//! text follows the workspace's canonical `geographer config:` error
+//! convention (DESIGN.md §8; exact texts pinned by the unit tests below).
 
 use std::fmt;
 
@@ -53,12 +53,14 @@ pub enum RefineMode {
     /// No refinement.
     #[default]
     None,
-    /// The multilevel coarsen→refine→project V-cycle. On flat specs this is
-    /// [`geographer_refine::refine_multilevel`]; on hierarchical specs the
-    /// V-cycle runs *per hierarchy level* under each level's ε and capacity
-    /// fractions ([`crate::refine_hierarchy_multilevel`]) — the stacked
-    /// combination. One flat FM-style boundary sweep is the cycle at
-    /// `max_levels: 1`, on either spec shape.
+    /// The multilevel coarsen→refine→project V-cycle, run *per hierarchy
+    /// level* under each level's ε and capacity fractions
+    /// ([`crate::refine_hierarchy_multilevel`], the stacked pass). A flat
+    /// spec is the hierarchy `[k]`: one V-cycle over the whole graph toward
+    /// `Config::target_fractions`. The targets come from the spec, so the
+    /// config's `refine.target_fractions` must be `None`
+    /// ([`PlanError::RefineFractions`]). One flat FM-style boundary sweep
+    /// is the cycle at `max_levels: 1`, on either spec shape.
     Multilevel(MultilevelConfig),
 }
 
@@ -71,8 +73,8 @@ pub enum RefineMode {
 pub type PlanState<const D: usize> = PreviousHierarchy<D>;
 
 /// Full description of one partitioning problem: what the layers below
-/// (`geographer::partition_spmd`, `geographer::partition_hierarchical_spmd`,
-/// `geographer_refine::refine_multilevel`) each solve a slice of, as one
+/// (`geographer::partition_hierarchical_spmd`, the baselines,
+/// [`crate::refine_hierarchy_multilevel`]) each solve a slice of, as one
 /// value. See DESIGN.md §8 for which combinations are legal.
 #[derive(Debug, Clone)]
 pub struct PlanSpec<'a, const D: usize> {
@@ -146,9 +148,10 @@ impl<'a, const D: usize> PlanSpec<'a, D> {
     }
 
     /// The hierarchy and the solver config Geographer solves this spec
-    /// under. A flat spec is the one-level hierarchy `[k]`, whose level
-    /// takes `config.target_fractions`; the config keeps everything else,
-    /// so the level's config is `config` itself (DESIGN.md §8).
+    /// under, and the hierarchy every plan refines over. A flat spec is the
+    /// one-level hierarchy `[k]`, whose level takes
+    /// `config.target_fractions`; the config keeps everything else, so the
+    /// level's config is `config` itself (DESIGN.md §8).
     ///
     /// # Panics
     /// On a flat spec's invalid `config`, with [`Config`]'s own texts: a bad
@@ -202,8 +205,13 @@ impl<'a, const D: usize> PlanSpec<'a, D> {
                 return Err(PlanError::HierarchicalFlatFractions);
             }
         }
-        if !matches!(self.refine, RefineMode::None) && self.mesh.graph.is_none() {
-            return Err(PlanError::MissingGraph);
+        if let RefineMode::Multilevel(mcfg) = &self.refine {
+            if self.mesh.graph.is_none() {
+                return Err(PlanError::MissingGraph);
+            }
+            if mcfg.refine.target_fractions.is_some() {
+                return Err(PlanError::RefineFractions);
+            }
         }
         if let Some(state) = state {
             if !self.tool.is_stateful() {
@@ -268,6 +276,9 @@ pub enum PlanError {
     HierarchicalFlatFractions,
     /// Refinement requested without a mesh graph.
     MissingGraph,
+    /// Refinement config with `refine.target_fractions` set: refinement
+    /// targets are the spec's own.
+    RefineFractions,
     /// Warm state handed to a stateless (baseline) tool.
     StatelessTool {
         /// The offending tool's name.
@@ -315,6 +326,11 @@ impl fmt::Display for PlanError {
             PlanError::MissingGraph => write!(
                 f,
                 "geographer config: refinement requires the mesh graph in the plan spec"
+            ),
+            PlanError::RefineFractions => write!(
+                f,
+                "geographer config: refinement takes capacity fractions from the plan spec; \
+                 MultilevelConfig::refine.target_fractions must be None"
             ),
             PlanError::StatelessTool { tool } => write!(
                 f,
@@ -428,6 +444,11 @@ mod tests {
         assert_eq!(
             PlanError::MissingGraph.to_string(),
             "geographer config: refinement requires the mesh graph in the plan spec"
+        );
+        assert_eq!(
+            PlanError::RefineFractions.to_string(),
+            "geographer config: refinement takes capacity fractions from the plan spec; \
+             MultilevelConfig::refine.target_fractions must be None"
         );
         assert_eq!(
             PlanError::StateArityMismatch { state: vec![2, 2], spec: vec![4, 2] }.to_string(),

@@ -1,14 +1,11 @@
-//! The five evaluated partitioning tools behind one dispatch enum.
+//! The five evaluated partitioning tools, as one enum.
 //!
 //! It lives here so the [`crate::Planner`] — the single entry point every
 //! bench binary routes through — can name a tool in a [`crate::PlanSpec`]
 //! without depending on the experiment harness; `geographer_bench`
-//! re-exports it.
-
-use geographer::Config;
-use geographer_baselines::{hsfc_partition, multi_jagged, rcb_partition, rib_partition};
-use geographer_geometry::Point;
-use geographer_parcomm::Comm;
+//! re-exports it. [`crate::Planner::try_solve`] is the one dispatch: it
+//! walks the hierarchy for Geographer and calls `geographer_baselines`
+//! for the rest.
 
 /// The five evaluated tools, in the paper's presentation order
 /// (Geographer first, then the Zoltan geometric partitioners).
@@ -48,25 +45,5 @@ impl Tool {
     /// with [`crate::PlanError::StatelessTool`].
     pub fn is_stateful(&self) -> bool {
         matches!(self, Tool::Geographer)
-    }
-
-    /// Run this tool on the rank-local shard (SPMD collective call).
-    pub fn partition_spmd<const D: usize, C: Comm>(
-        &self,
-        comm: &C,
-        points: &[Point<D>],
-        weights: &[f64],
-        k: usize,
-        cfg: &Config,
-    ) -> Vec<u32> {
-        match self {
-            Tool::Geographer => {
-                geographer::partition_spmd(comm, points, weights, k, None, cfg).assignment
-            }
-            Tool::Hsfc => hsfc_partition(comm, points, weights, k),
-            Tool::MultiJagged => multi_jagged(comm, points, weights, k),
-            Tool::Rcb => rcb_partition(comm, points, weights, k),
-            Tool::Rib => rib_partition(comm, points, weights, k),
-        }
     }
 }

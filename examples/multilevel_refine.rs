@@ -41,16 +41,9 @@ fn main() {
             report.moves,
             imbalance(&out.assignment, &mesh.weights, k),
         );
-        let ml = out.multilevel.as_ref().expect("flat refinement reports its levels");
-        if ml.levels.len() > 1 {
-            println!("  V-cycle levels (coarsest first):");
-            for l in &ml.levels {
-                println!(
-                    "    n = {:>6}  m = {:>7}  cut {:>6} -> {:>6}  ({} moves, {} sweeps)",
-                    l.vertices, l.edges, l.cut_before, l.cut_after, l.moves, l.rounds
-                );
-            }
-        }
+        let work = out.refine_work.expect("refinement reports its work");
+        let (levels, rounds) = (work.coarse_levels, report.rounds);
+        println!("  {levels} coarse levels below the mesh, {rounds} boundary rounds");
         outcomes.push(report.cut_after);
     }
     assert!(

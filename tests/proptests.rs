@@ -4,7 +4,7 @@
 use geographer::{balanced_kmeans, Config};
 use geographer_geometry::Point;
 use geographer_parcomm::SelfComm;
-use geographer_planner::Tool;
+use geographer_planner::{MeshView, PlanSpec, Planner, Tool};
 use geographer_sfc::{hilbert_coords, hilbert_index};
 use proptest::prelude::*;
 
@@ -37,7 +37,9 @@ proptest! {
         let n = pts.len();
         let w = vec![1.0; n];
         for tool in [Tool::Hsfc, Tool::MultiJagged, Tool::Rcb, Tool::Rib] {
-            let asg = tool.partition_spmd(&SelfComm, &pts, &w, k, &Config::default());
+            let view = MeshView { points: &pts, weights: &w, graph: None };
+            let spec = PlanSpec::flat(view, tool, k, Config::default());
+            let asg = Planner::solve(&spec, None, &SelfComm).assignment;
             prop_assert_eq!(asg.len(), n);
             let mut counts = vec![0usize; k];
             for &b in &asg {
