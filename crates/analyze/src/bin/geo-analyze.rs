@@ -1,7 +1,7 @@
 //! `geo-analyze` — run the workspace invariant analyzer from the CLI.
 //!
 //! ```text
-//! geo-analyze [--root DIR]          check every workspace .rs file (rules D1, D3–D5, D10)
+//! geo-analyze [--root DIR]          check every workspace .rs file (rules D5, D10)
 //! geo-analyze bench-schema [--root DIR]
 //!                                   validate committed BENCH_*.json baselines
 //! geo-analyze --list                print the rule catalog
@@ -18,7 +18,7 @@ const USAGE: &str = "usage: geo-analyze [--root DIR]            analyze workspac
                      \x20      geo-analyze bench-schema [--root DIR]  validate BENCH_*.json\n\
                      \x20      geo-analyze --list                 print the rule catalog";
 
-/// The live rule numbers, as the catalog spells them: "D1, D3, D4, D5, D10".
+/// The live rule numbers, as the catalog spells them: "D5, D10".
 fn rule_numbers() -> String {
     let ids: Vec<&str> =
         rules::RULES.iter().map(|(_, what)| what.split(':').next().unwrap_or(what)).collect();
@@ -83,7 +83,7 @@ fn main() -> ExitCode {
     match analyze_workspace(&root) {
         Ok(violations) if violations.is_empty() => {
             println!(
-                "geo-analyze: workspace clean (rules {}, zero unwaived violations)",
+                "geo-analyze: workspace clean (rules {}, zero violations)",
                 rule_numbers()
             );
             ExitCode::SUCCESS
@@ -92,7 +92,7 @@ fn main() -> ExitCode {
             for v in &violations {
                 eprintln!("{v}");
             }
-            eprintln!("geo-analyze: {} unwaived violation(s)", violations.len());
+            eprintln!("geo-analyze: {} violation(s)", violations.len());
             ExitCode::FAILURE
         }
         Err(e) => {

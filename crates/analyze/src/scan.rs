@@ -3,9 +3,9 @@
 //! contents blanked out so rule patterns never match inside literals.
 //!
 //! This is deliberately not a parser. The invariant rules (see
-//! [`crate::rules`]) are token-level properties — "this file mentions
-//! `HashMap`", "this `unsafe` has no `SAFETY:` comment nearby" — and a
-//! line-oriented code/comment split plus `#[cfg(test)]` span tracking is
+//! [`crate::rules`]) are token-level properties — "this `run_spmd(…)`
+//! argument calls `.unwrap()`", "this marked loop calls `.clone()`" — and
+//! a line-oriented code/comment split plus `#[cfg(test)]` span tracking is
 //! exactly enough to check them without dragging a Rust grammar into a
 //! dependency-free crate. The scanner handles the lexical constructs that
 //! would otherwise cause false positives: line and nested block comments,
@@ -209,7 +209,7 @@ fn raw_string_closes(chars: &[char], i: usize, hashes: u32) -> bool {
 /// inline `mod … { … }` (or any other braced item), or one `;`-terminated
 /// statement such as a test-only hook call inside a live function.
 /// Integration-test *files* are exempted by path in
-/// [`crate::analyze_file`].
+/// [`crate::analyze_source_opts`].
 fn mark_cfg_test_spans(lines: &mut [Line]) {
     let mut l = 0usize;
     while l < lines.len() {
@@ -323,12 +323,6 @@ pub fn match_paren(lines: &[Line], open_line: usize, open_col: usize) -> Option<
     None
 }
 
-/// Whether `code` contains `ident` as a whole token (not as a substring of
-/// a longer identifier).
-pub fn has_token(code: &str, ident: &str) -> bool {
-    find_token(code, ident).is_some()
-}
-
 /// Byte offset of the first whole-token occurrence of `ident` in `code`.
 pub fn find_token(code: &str, ident: &str) -> Option<usize> {
     let bytes = code.as_bytes();
@@ -375,7 +369,7 @@ mod tests {
         let lines = scan(src);
         assert!(!lines[0].code.contains("HashSet"));
         assert!(!lines[1].code.contains("HashSet"));
-        assert!(has_token(&lines[2].code, "HashSet"));
+        assert!(find_token(&lines[2].code, "HashSet").is_some());
     }
 
     #[test]
@@ -415,10 +409,10 @@ mod tests {
 
     #[test]
     fn token_matching_respects_identifier_boundaries() {
-        assert!(has_token("run_spmd(p, f)", "run_spmd"));
-        assert!(!has_token("run_spmd_proc(p, f)", "run_spmd"));
-        assert!(has_token("x.unwrap()", "unwrap"));
-        assert!(!has_token("x.unwrap_or_else(y)", "unwrap"));
+        assert_eq!(find_token("run_spmd(p, f)", "run_spmd"), Some(0));
+        assert_eq!(find_token("run_spmd_proc(p, f)", "run_spmd"), None);
+        assert_eq!(find_token("x.unwrap()", "unwrap"), Some(2));
+        assert_eq!(find_token("x.unwrap_or_else(y)", "unwrap"), None);
     }
 
     #[test]

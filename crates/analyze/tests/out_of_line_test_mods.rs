@@ -7,7 +7,7 @@ use std::path::Path;
 
 use geographer_analyze::analyze_workspace;
 
-const TESTY_SRC: &str = "fn t() { let m = HashMap::new(); let _ = m; }\n";
+const TESTY_SRC: &str = "fn t() {\n    run_spmd(2, |c| c.allgather(vec![1]).pop().unwrap());\n}\n";
 
 #[test]
 fn out_of_line_test_module_files_are_exempt_like_inline_ones() {
@@ -20,14 +20,14 @@ fn out_of_line_test_module_files_are_exempt_like_inline_ones() {
         "pub fn f() -> u8 {\n    1\n}\n\n#[cfg(test)]\nmod tests;\n",
     )
     .unwrap();
-    // …whose file would violate D1 if misread as production code.
+    // …whose file would violate D5 if misread as production code.
     fs::write(src.join("solver/tests.rs"), TESTY_SRC).unwrap();
     // Control: the same content in a production file stays flagged.
     fs::write(src.join("prod.rs"), TESTY_SRC).unwrap();
 
     let v = analyze_workspace(&root).unwrap();
     assert!(
-        v.iter().any(|x| x.path == "crates/core/src/prod.rs" && x.rule == "hash-container"),
+        v.iter().any(|x| x.path == "crates/core/src/prod.rs" && x.rule == "panic-in-spmd"),
         "control file must stay in scope: {v:?}"
     );
     assert!(

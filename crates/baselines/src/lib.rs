@@ -17,9 +17,9 @@
 //! the same halves, MJ a cycling axis, `m ≈ k^(1/L)` slabs and the next
 //! axis. HSFC is one flat cut of the Hilbert curve.
 
-// Fixed-dimension coordinate loops index several parallel arrays at once;
-// iterator-zip rewrites of those loops are less readable, not more.
-#![allow(clippy::needless_range_loop)]
+#![allow(clippy::needless_range_loop, reason = "fixed-dimension coordinate loops index \
+          several parallel arrays at once; iterator-zip rewrites of those loops are less \
+          readable, not more")]
 
 pub mod hsfc;
 pub mod mj;

@@ -123,9 +123,9 @@
 //! assert_eq!(spec.path_of_block(5), vec![2, 1]); // block 5 = node 2, core 1
 //! ```
 
-// Fixed-dimension coordinate loops index several parallel arrays at once;
-// iterator-zip rewrites of those loops are less readable, not more.
-#![allow(clippy::needless_range_loop)]
+#![allow(clippy::needless_range_loop, reason = "fixed-dimension coordinate loops index \
+          several parallel arrays at once; iterator-zip rewrites of those loops are less \
+          readable, not more")]
 
 pub mod bounds;
 pub mod config;

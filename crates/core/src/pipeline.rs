@@ -125,12 +125,11 @@ type Tagged<const D: usize> = (u64, u64, [f64; D], f64);
 /// synchronization; the barrier pair is kept because it also aligns the
 /// ranks' phase timers — after the first barrier every rank has finished
 /// the previous phase, and none starts the next before all have arrived.
-// geo-analyze: allow(kernel-entropy): the phase timer's type — see the construction below.
+#[expect(clippy::disallowed_methods, reason = "phase timer: the paper's reported timing")]
 fn phase_boundary<C: Comm>(comm: &C) -> (CommStats, Instant) {
     comm.barrier();
     let s = comm.stats();
     comm.barrier();
-    // geo-analyze: allow(kernel-entropy): phase timer — the paper's reported timing, never an input to the computation.
     (s, Instant::now())
 }
 

@@ -33,9 +33,9 @@
 //! rounds where one suffices. [`global_bbox`] is the same trick for a
 //! point set's box, the one the curve keys, k-means and HSFC all use.
 
-// Fixed-dimension coordinate loops index several parallel arrays at once;
-// iterator-zip rewrites of those loops are less readable, not more.
-#![allow(clippy::needless_range_loop)]
+#![allow(clippy::needless_range_loop, reason = "fixed-dimension coordinate loops index \
+          several parallel arrays at once; iterator-zip rewrites of those loops are less \
+          readable, not more")]
 
 use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};

@@ -8,9 +8,9 @@
 //! generator exists so that algorithm crates can sample and hash, and tests
 //! can shuffle, without pulling in `rand`.
 
-// Fixed-dimension coordinate loops index several parallel arrays at once;
-// iterator-zip rewrites of those loops are less readable, not more.
-#![allow(clippy::needless_range_loop)]
+#![allow(clippy::needless_range_loop, reason = "fixed-dimension coordinate loops index \
+          several parallel arrays at once; iterator-zip rewrites of those loops are less \
+          readable, not more")]
 
 pub mod aabb;
 pub mod point;

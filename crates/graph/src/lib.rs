@@ -6,9 +6,9 @@
 //! (iFUB lower bound), and balance. This crate provides the compressed
 //! sparse row graph type, the traversals, and those metrics.
 
-// Fixed-dimension coordinate loops index several parallel arrays at once;
-// iterator-zip rewrites of those loops are less readable, not more.
-#![allow(clippy::needless_range_loop)]
+#![allow(clippy::needless_range_loop, reason = "fixed-dimension coordinate loops index \
+          several parallel arrays at once; iterator-zip rewrites of those loops are less \
+          readable, not more")]
 
 pub mod coarsen;
 pub mod csr;

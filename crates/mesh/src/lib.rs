@@ -14,9 +14,9 @@
 //! All generators return a [`Mesh`]: points + node weights + the CSR graph
 //! the partition quality is measured on.
 
-// Fixed-dimension coordinate loops index several parallel arrays at once;
-// iterator-zip rewrites of those loops are less readable, not more.
-#![allow(clippy::needless_range_loop)]
+#![allow(clippy::needless_range_loop, reason = "fixed-dimension coordinate loops index \
+          several parallel arrays at once; iterator-zip rewrites of those loops are less \
+          readable, not more")]
 
 pub mod climate;
 pub mod delaunay;

@@ -1,14 +1,13 @@
 //! Lockstep validation of collective call sequences: [`CheckedComm`].
 //!
 //! The SPMD contract (see [`Comm`]) says every rank issues the same
-//! collectives in the same order with compatible arguments. When code
-//! breaks that contract, today's failure modes are terrible: the thread
-//! backend deadlocks (a rank waits for a message its peer never sends)
-//! and the process backend panics with a frame-desync error at whichever
-//! rank happens to read the mismatched frame first. [`CheckedComm`] turns
-//! call-sequence divergence into a typed [`ProtocolError`] naming the
-//! diverging ranks, raised on **every** rank at the first diverging call,
-//! on both backends.
+//! collectives in the same order with compatible arguments. When code breaks
+//! that contract, today's failure modes are terrible: the thread backend
+//! deadlocks (a rank waits for a message its peer never sends) and the
+//! process backend panics with a frame-desync error at whichever rank happens
+//! to read the mismatched frame first. [`CheckedComm`] turns call-sequence
+//! divergence into a typed [`ProtocolError`] naming the diverging ranks,
+//! raised on **every** rank at the first diverging call, on both backends.
 //!
 //! Mechanism: before forwarding a collective to the inner communicator,
 //! every rank contributes its call signature `(call counter, collective
@@ -218,6 +217,7 @@ impl<C: Comm> Drop for CheckedComm<C> {
     }
 }
 
+#[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo)]
 impl<C: Comm> Comm for CheckedComm<C> {
     fn rank(&self) -> usize {
         self.inner.rank()

@@ -1,5 +1,4 @@
-//! The collective algorithms, written once over a point-to-point
-//! [`Transport`].
+//! The collective algorithms, written once over a point-to-point [`Transport`].
 //!
 //! Every communicator of this crate is a transport — it knows how to hand
 //! one typed value to one peer and take one from a peer — and gets its
@@ -153,6 +152,7 @@ where
     buf.copy_from_slice(&out);
 }
 
+#[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo)]
 impl<X: Transport> Comm for X {
     fn rank(&self) -> usize {
         Transport::rank(self)

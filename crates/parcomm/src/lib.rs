@@ -46,11 +46,11 @@ pub use wire::{from_wire, to_wire, Wire, WireCursor};
 /// An MPI-like communicator. All collectives must be called by every rank
 /// of the communicator, in the same order (the usual MPI contract).
 ///
-/// Implemented for every [`collectives::Transport`] by the one generic
-/// layer in [`collectives`], and by [`CheckedComm`] around any `Comm`.
-/// Cross-rank floating-point reductions follow a *fixed reduction tree*
-/// that depends on the rank count only — exactly the associativity caveat
-/// of `MPI_Allreduce`.
+/// Implemented for every [`collectives::Transport`] by the one generic layer
+/// in [`collectives`], and by [`CheckedComm`] around any `Comm`. Cross-rank
+/// floating-point reductions follow a *fixed reduction tree* that depends on
+/// the rank count only — exactly the associativity caveat of `MPI_Allreduce`.
+#[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo)]
 pub trait Comm {
     /// This rank's id in `0..size()`.
     fn rank(&self) -> usize;

@@ -515,7 +515,7 @@ fn read_result(
 /// Make rank `rank`'s links to every higher rank, one end into each of the
 /// two rows, and its control pair.
 fn make_ends(rows: &mut [Vec<Option<Peer>>], rank: usize) -> io::Result<(UnixStream, UnixStream)> {
-    #[allow(clippy::needless_range_loop)] // `s` is a rank id, not just an index
+    #[allow(clippy::needless_range_loop, reason = "`s` is a rank id, not just an index")]
     for s in rank + 1..rows.len() {
         let (mine, theirs) = UnixStream::pair()?;
         rows[rank][s] = Some(Peer::new(mine));

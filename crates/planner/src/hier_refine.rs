@@ -422,7 +422,7 @@ fn refine_parent(
 }
 
 /// One top-down pass over all levels (see [`refine_hierarchy_multilevel`]).
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "graph, hierarchy and scratch side by side")]
 fn sweep_top_down<C: Comm>(
     comm: &C,
     g: &CsrGraph,

@@ -115,7 +115,7 @@ impl Planner {
 
         // --- Solve phase (the only phase charged to Plan::comm).
         let before = comm.stats();
-        // geo-analyze: allow(kernel-entropy): solve-phase timer — reported in Plan, never an input to the computation.
+        #[expect(clippy::disallowed_methods, reason = "solve-phase timer, reported in Plan")]
         let t = Instant::now();
         let baseline = |asg| (asg, None, None, None, None);
         let (local, state_out, stats, level_imbalance, phases) = match spec.tool {
@@ -144,7 +144,7 @@ impl Planner {
 
         // --- Refinement phase: deterministic on the assembled assignment;
         // its per-level allgathers are uncounted, like assembly.
-        // geo-analyze: allow(kernel-entropy): refine-phase timer — reported in Plan, never an input to the computation.
+        #[expect(clippy::disallowed_methods, reason = "refine-phase timer, reported in Plan")]
         let rt = Instant::now();
         let (mut refine, mut level_refine, mut refine_work) = (None, None, None);
         if let RefineMode::Multilevel(mcfg) = &spec.refine {

@@ -12,9 +12,9 @@
 //! it — exactly the communication-volume metric), then multiply locally.
 //! Only the exchange is timed.
 
-// Fixed-dimension coordinate loops index several parallel arrays at once;
-// iterator-zip rewrites of those loops are less readable, not more.
-#![allow(clippy::needless_range_loop)]
+#![allow(clippy::needless_range_loop, reason = "fixed-dimension coordinate loops index \
+          several parallel arrays at once; iterator-zip rewrites of those loops are less \
+          readable, not more")]
 
 use std::time::Instant;
 
@@ -152,7 +152,7 @@ pub fn spmv_comm_time_on_nodes<C: Comm>(
     let mut compute_secs = 0.0;
     for _ in 0..reps {
         // Halo exchange (timed).
-        // geo-analyze: allow(kernel-entropy): this clock IS the comm measurement; it never influences control flow or output.
+        #[expect(clippy::disallowed_methods, reason = "this clock IS the comm measurement")]
         let t = Instant::now();
         let sends: Vec<Vec<f64>> =
             send_list.iter().map(|l| l.iter().map(|&v| x[v as usize]).collect()).collect();
@@ -166,7 +166,7 @@ pub fn spmv_comm_time_on_nodes<C: Comm>(
         comm_secs += t.elapsed().as_secs_f64();
 
         // Local multiply: y = A·x with unit edge weights.
-        // geo-analyze: allow(kernel-entropy): this clock IS the compute measurement; it never influences control flow or output.
+        #[expect(clippy::disallowed_methods, reason = "this clock IS the compute measurement")]
         let t = Instant::now();
         for (yi, &v) in y.iter_mut().zip(&owned) {
             *yi = g.neighbors(v).iter().fold(0.0, |acc, &u| acc + x[u as usize]);

@@ -19,7 +19,7 @@ proptest! {
             .collect();
         let g = CsrGraph::from_edges(n, &edges);
         prop_assert!(g.is_symmetric());
-        let mut distinct: std::collections::HashSet<(u32, u32)> = Default::default();
+        let mut distinct: std::collections::BTreeSet<(u32, u32)> = Default::default();
         for &(a, b) in &edges {
             if a != b {
                 distinct.insert((a.min(b), a.max(b)));
