@@ -72,14 +72,25 @@ fn waivers_only_move_down() {
     // unseen: a change that adds one edits this census, and one that frees
     // a site lowers it. Every waiver carries a `reason`
     // (`clippy::allow_attributes_without_reason`), and an `expect` that no
-    // longer fires is an error, so none goes stale. The six `expect`s are
-    // the phase clocks of ROADMAP.md item 1 (D4).
+    // longer fires is an error, so none goes stale.
+    //
+    // D4 has no waiver: a kernel crate names no clock type, and the seconds
+    // it reports come from `geographer_geometry::Stopwatch`. Each
+    // `Stopwatch::start` in those crates is counted by file like a waiver,
+    // so a new clock there edits this census in the open too.
     let mut census: BTreeMap<(String, String, String), usize> = BTreeMap::new();
+    let mut clocks: BTreeMap<String, usize> = BTreeMap::new();
+    let kernel_crates =
+        ["core", "graph", "planner", "refine", "spmv"].map(|c| format!("crates/{c}/"));
     for (rel, text) in workspace_sources(&root()).expect("workspace sources readable") {
         // Comments dropped and literals blanked, so a doc example or a
         // fixture string is not a waiver; lines joined, so one attribute
         // may span several.
         let code: String = scan::scan(&text).iter().map(|l| l.code.clone() + "\n").collect();
+        let starts = code.matches("Stopwatch::start").count();
+        if starts > 0 && kernel_crates.iter().any(|krate| rel.starts_with(krate)) {
+            clocks.insert(rel.clone(), starts);
+        }
         for level in ["allow", "expect"] {
             for open in [format!("#[{level}("), format!("#![{level}(")] {
                 for (at, _) in code.match_indices(&open) {
@@ -111,15 +122,21 @@ fn waivers_only_move_down() {
         ("crates/core/src/kmeans.rs", "allow", "clippy::too_many_arguments", 1),
         ("crates/planner/src/hier_refine.rs", "allow", "clippy::too_many_arguments", 1),
         ("vendor/proptest/src/lib.rs", "allow", "non_snake_case", 1),
-        ("crates/core/src/kmeans.rs", "expect", "clippy::disallowed_methods", 1),
-        ("crates/core/src/pipeline.rs", "expect", "clippy::disallowed_methods", 1),
-        ("crates/planner/src/solve.rs", "expect", "clippy::disallowed_methods", 2),
-        ("crates/spmv/src/lib.rs", "expect", "clippy::disallowed_methods", 2),
     ]);
     let pinned: BTreeMap<(String, String, String), usize> = pinned
         .map(|(rel, level, lint, n)| ((rel.to_string(), level.to_string(), lint.to_string()), n))
         .collect();
     assert_eq!(census, pinned);
+    // kmeans: the assignment passes; pipeline: the clock of a node solve
+    // and its restart at each phase boundary; planner: solve and refine;
+    // spmv: the halo exchange.
+    let pinned_clocks = [
+        ("crates/core/src/kmeans.rs", 1),
+        ("crates/core/src/pipeline.rs", 2),
+        ("crates/planner/src/solve.rs", 2),
+        ("crates/spmv/src/lib.rs", 1),
+    ];
+    assert_eq!(clocks, pinned_clocks.map(|(rel, n)| (rel.to_string(), n)).into());
 }
 
 /// The quoted string entries of the TOML array `key = [ … ]` in `text`
@@ -144,6 +161,7 @@ fn lint_configuration_is_pinned() {
     let root = root();
     let read = |rel: &str| std::fs::read_to_string(root.join(rel)).expect("config readable");
     let d1 = ["std::collections::HashMap", "std::collections::HashSet"];
+    let d4_types = [&d1[..], &["std::time::Instant", "std::time::SystemTime"]].concat();
     let d4 = ["std::time::Instant::now", "std::time::SystemTime::now"];
     let paths = |text: &str, key: &str| -> Vec<String> {
         toml_array(text, key).into_iter().filter(|s| s.starts_with("std::")).collect()
@@ -183,13 +201,14 @@ fn lint_configuration_is_pinned() {
         .map(|m| m.to_string_lossy().into_owned())
         .collect();
 
-    // D1 at the root, D1 and D4 in each kernel crate, and no other file.
+    // D1 at the root, D1 and D4 (clock types and clocks) in each kernel
+    // crate, and no other file.
     assert_eq!(paths(&read("clippy.toml"), "disallowed-types"), d1);
     let kernel_crates = ["core", "graph", "planner", "refine", "spmv"].map(|c| format!("crates/{c}"));
     assert_eq!(configured, kernel_crates);
     for krate in &kernel_crates {
         let text = read(&format!("{krate}/clippy.toml"));
-        assert_eq!(paths(&text, "disallowed-types"), d1, "{krate}: D1 list");
+        assert_eq!(paths(&text, "disallowed-types"), d4_types, "{krate}: D1 and D4 types");
         assert_eq!(paths(&text, "disallowed-methods"), d4, "{krate}: D4 list");
     }
 
@@ -259,8 +278,8 @@ fn line_budgets_only_move_down() {
         (baselines, 417),
         (refinement, 1332),
         (every_file_of(&root, "crates/parcomm/src"), 2026),
-        (vec!["crates/spmv/src/lib.rs".into()], 190),
-        (planner, 1036),
+        (vec!["crates/spmv/src/lib.rs".into()], 181),
+        (planner, 1028),
         (every_file_of(&root, "crates/analyze/src"), 1269),
     ];
     for (files, budget) in budgets {

@@ -15,8 +15,10 @@
 //! maximum across ranks of each rank's own pipeline timings; ns/point
 //! divides by the *global* n, so the figure is comparable across p.
 //! `assignment` is the wall time spent inside k-means assignment passes
-//! (kernel + block-weight accumulation), max-reduced across ranks. A row
-//! with more ranks than the machine has logical cores is stamped
+//! (kernel + block-weight sum, not the balance allreduce) on *rank 0*:
+//! `solve_plan_view` returns rank 0's plan, whose stats are not reduced,
+//! so at p > 1 it is not the rank maximum the phases are. A row with more
+//! ranks than the machine has logical cores is stamped
 //! `"oversubscribed": true`: its rank threads share cores, so its phase
 //! times include waiting for one, and no gate reads it.
 //!

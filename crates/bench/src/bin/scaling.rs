@@ -27,7 +27,7 @@
 //! $ cargo run --release -p geographer_bench --bin scaling -- weak --proc
 //! ```
 
-use geographer::{partition_spmd, Config, PhaseComm};
+use geographer::{partition_spmd, Config, PhaseComm, PipelineTimings};
 use geographer_bench::{scaled, Cli, CostModel, PlanRecipe, SpmdBackend, TextTable, Tool};
 use geographer_mesh::{delaunay_unit_square, Mesh};
 use geographer_parcomm::{measure_alpha_beta, run_spmd, Collective, Comm, CommStats};
@@ -139,17 +139,16 @@ fn components() {
             let res = partition_spmd(&comm, &points[lo..hi], &weights[lo..hi], p.max(2), None, &cfg);
             (res.timings, res.phase_comm)
         });
-        // Phases are synchronized by collectives: sum across ranks gives the
-        // serialized share of each phase.
-        let sfc: f64 = results.iter().map(|(t, _)| t.sfc_index).sum();
-        let redist: f64 = results.iter().map(|(t, _)| t.redistribute).sum();
-        let kmeans: f64 = results.iter().map(|(t, _)| t.kmeans).sum();
-        let total = sfc + redist + kmeans;
+        // Each rank's own phase times, summed: the serialized share of each.
+        let sum = results.iter().fold(PipelineTimings::default(), |s, (t, _)| {
+            s.zip_with(*t, |a, b| a + b)
+        });
+        let total = sum.total();
         table.row(vec![
             p.to_string(),
-            format!("{:.1}", 100.0 * sfc / total),
-            format!("{:.1}", 100.0 * redist / total),
-            format!("{:.1}", 100.0 * kmeans / total),
+            format!("{:.1}", 100.0 * sum.sfc_index / total),
+            format!("{:.1}", 100.0 * sum.redistribute / total),
+            format!("{:.1}", 100.0 * sum.kmeans / total),
             format!("{total:.3}s"),
         ]);
         // Per-phase communication structure, job-wide (each rank reports

@@ -179,7 +179,9 @@ impl PlanRecipe {
 pub struct PlanRun<const D: usize> {
     /// Rank 0's plan (the assignment is global and identical on all
     /// ranks), with `comm` widened from rank 0's view to the job-wide one
-    /// ([`CommStats::from_rank_views`] over every rank's plan).
+    /// ([`CommStats::from_rank_views`] over every rank's plan). Nothing
+    /// else is widened: `stats` (so `assignment_seconds`) and the plan's
+    /// seconds are rank 0's own; `phase_max` is the rank maximum.
     pub plan: Plan<D>,
     /// Wall-clock seconds of the whole SPMD run, refinement included.
     /// With `p > 1` ranks on the single-core reproduction machine this is
@@ -231,12 +233,7 @@ pub fn solve_plan_view<const D: usize>(
     let phase_max = plans
         .iter()
         .filter_map(|(plan, _)| plan.phase_timings)
-        .reduce(|a, b| geographer::PipelineTimings {
-            sfc_index: a.sfc_index.max(b.sfc_index),
-            redistribute: a.redistribute.max(b.redistribute),
-            kmeans: a.kmeans.max(b.kmeans),
-            writeback: a.writeback.max(b.writeback),
-        });
+        .reduce(|a, b| a.zip_with(b, f64::max));
     // Each rank's plan carries that rank's counters; the run reports the
     // job-wide view (ops/rounds of rank 0, bytes summed over ranks).
     let views: Vec<CommStats> = plans.iter().map(|(plan, _)| plan.comm).collect();

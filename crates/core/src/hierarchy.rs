@@ -243,11 +243,7 @@ impl<const D: usize> Walk<'_, D> {
         t.balance_achieved &= s.balance_achieved;
         t.final_imbalance = t.final_imbalance.max(s.final_imbalance);
         self.level_imbalance[level] = self.level_imbalance[level].max(s.final_imbalance);
-        let (t, s) = (&mut self.timings, &res.timings);
-        t.sfc_index += s.sfc_index;
-        t.redistribute += s.redistribute;
-        t.kmeans += s.kmeans;
-        t.writeback += s.writeback;
+        self.timings = self.timings.zip_with(res.timings, |a, b| a + b);
         let state = PreviousPartition { centers: res.centers, influence: res.influence };
         self.nodes.push(NodeState { path: path.to_vec(), state });
         res.assignment

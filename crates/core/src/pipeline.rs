@@ -27,10 +27,8 @@
 //! Per-phase wall-clock and communication counters are recorded — the
 //! "Components" breakdown of Sec. 5.3.2 reads them directly.
 
-use std::time::Instant;
-
 use geographer_dsort::{exchange_sorted, global_bbox, stable_order, Share};
-use geographer_geometry::{Aabb, Point};
+use geographer_geometry::{Aabb, Point, Stopwatch};
 use geographer_parcomm::{Comm, CommStats};
 use geographer_sfc::HilbertMapper;
 
@@ -41,9 +39,10 @@ use crate::repartition::PreviousPartition;
 /// Bits per axis of the bootstrap Hilbert curve.
 const PIPELINE_SFC_BITS: u32 = 16;
 
-/// Wall-clock seconds of each pipeline phase (per rank; ranks are
-/// synchronized by the collectives inside each phase, so these are
-/// effectively the maximum across ranks).
+/// Wall-clock seconds of each pipeline phase on this rank's clock. Each
+/// phase starts on all ranks together, but a rank that ends its local tail
+/// early stops its clock early, so these are not the maximum across ranks:
+/// a caller takes that itself (`zip_with(other, f64::max)`).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PipelineTimings {
     /// Hilbert index computation; on the warm arm, the rank-local curve
@@ -62,6 +61,16 @@ impl PipelineTimings {
     /// The paper-comparable total: index + redistribute + k-means.
     pub fn total(&self) -> f64 {
         self.sfc_index + self.redistribute + self.kmeans
+    }
+
+    /// Phase by phase, `f(self, other)`: a sum over node solves, a rank maximum.
+    pub fn zip_with(self, other: Self, f: impl Fn(f64, f64) -> f64) -> Self {
+        PipelineTimings {
+            sfc_index: f(self.sfc_index, other.sfc_index),
+            redistribute: f(self.redistribute, other.redistribute),
+            kmeans: f(self.kmeans, other.kmeans),
+            writeback: f(self.writeback, other.writeback),
+        }
     }
 }
 
@@ -99,10 +108,7 @@ pub struct PipelineResult<const D: usize> {
     pub timings: PipelineTimings,
     /// k-means work counters for this rank.
     pub stats: KMeansStats,
-    /// This rank's view of the communication counters accumulated during
-    /// the timed phases.
-    pub comm_stats: CommStats,
-    /// The same counters broken down by pipeline phase.
+    /// This rank's view of the communication counters, by pipeline phase.
     pub phase_comm: PhaseComm,
 }
 
@@ -120,17 +126,21 @@ impl<const D: usize> PipelineResult<D> {
 /// into the run for that rank; p = 1 never makes one.
 type Tagged<const D: usize> = (u64, u64, [f64; D], f64);
 
-/// A phase boundary: this rank's counters and the next phase's clock. A
-/// rank reads only its own counters, so the snapshot itself needs no
+/// A phase boundary: the seconds `clock` ran for the phase that ended and
+/// this rank's counters; `clock` restarts for the next phase. A rank
+/// reads only its own counters, so the snapshot itself needs no
 /// synchronization; the barrier pair is kept because it also aligns the
 /// ranks' phase timers — after the first barrier every rank has finished
 /// the previous phase, and none starts the next before all have arrived.
-#[expect(clippy::disallowed_methods, reason = "phase timer: the paper's reported timing")]
-fn phase_boundary<C: Comm>(comm: &C) -> (CommStats, Instant) {
+/// No phase time counts the pair, and neither does `CommStats`, which has
+/// no barrier kind: only `CheckedComm` sees it.
+fn phase_boundary<C: Comm>(comm: &C, clock: &mut Stopwatch) -> (f64, CommStats) {
+    let ended = clock.lap();
     comm.barrier();
     let s = comm.stats();
     comm.barrier();
-    (s, Instant::now())
+    *clock = Stopwatch::start();
+    (ended, s)
 }
 
 /// Run the Geographer pipeline SPMD. `points`/`weights` are this rank's
@@ -189,9 +199,10 @@ pub fn partition_spmd<const D: usize, C: Comm>(
     assert_eq!(points.len(), weights.len());
     cfg.validate();
     let local_n = points.len() as u64;
-    // Taken before the first collective so comm_stats covers the whole
+    // Taken before the first collective so the counters cover the whole
     // call, the global-n allreduce included.
-    let (comm_before, t0) = phase_boundary(comm);
+    let mut clock = Stopwatch::start();
+    let (_, comm_before) = phase_boundary(comm, &mut clock);
 
     match prev {
         None => {
@@ -216,8 +227,7 @@ pub fn partition_spmd<const D: usize, C: Comm>(
             let mut assignment = vec![u32::MAX; points.len()];
             let mut ids = Vec::with_capacity(if comm.size() == 1 { points.len() } else { 0 });
             let mut order = curve_pairs(&mapper, points);
-            let sfc_index = t0.elapsed().as_secs_f64();
-            let (comm_after_index, t1) = phase_boundary(comm);
+            let (sfc_index, comm_after_index) = phase_boundary(comm, &mut clock);
 
             // Phase 2: global sort by key, to exactly n/p per rank. At
             // p = 1 it is the local sort, so the points are gathered
@@ -235,14 +245,12 @@ pub fn partition_spmd<const D: usize, C: Comm>(
                 let shard = exchange_sorted(comm, order, global_n, record, |t| t.0, Shard::new);
                 (shard.points, shard.weights, Origins::Global(shard.ids))
             };
-            let redistribute = t1.elapsed().as_secs_f64();
-            let (comm_after_redistribute, t2) = phase_boundary(comm);
+            let (redistribute, comm_after_redistribute) = phase_boundary(comm, &mut clock);
 
             // Phase 3: initial centers along the curve, then balanced k-means.
             let centers = initial_centers_from_sorted(comm, &sorted_points, k, global_n);
             let out = balanced_kmeans(comm, &sorted_points, &sorted_weights, k, centers, cfg);
-            let kmeans = t2.elapsed().as_secs_f64();
-            let (comm_after, t3) = phase_boundary(comm);
+            let (kmeans, comm_after) = phase_boundary(comm, &mut clock);
 
             // Phase 4 (untimed in the paper): route assignments back to the
             // original owners so callers see blocks in input order.
@@ -251,8 +259,7 @@ pub fn partition_spmd<const D: usize, C: Comm>(
                 Origins::Local(ids) => route_back(comm, ids, blocks, id_offset, &mut assignment),
                 Origins::Global(ids) => route_back(comm, ids, blocks, id_offset, &mut assignment),
             }
-            let writeback = t3.elapsed().as_secs_f64();
-            let (comm_after_writeback, _) = phase_boundary(comm);
+            let (writeback, comm_after_writeback) = phase_boundary(comm, &mut clock);
 
             kept_centers.extend_from_slice(&out.centers);
             kept_influence.extend_from_slice(&out.influence);
@@ -262,7 +269,6 @@ pub fn partition_spmd<const D: usize, C: Comm>(
                 influence: kept_influence,
                 timings: PipelineTimings { sfc_index, redistribute, kmeans, writeback },
                 stats: out.stats,
-                comm_stats: comm_after.since(&comm_before),
                 phase_comm: PhaseComm {
                     sfc_index: comm_after_index.since(&comm_before),
                     redistribute: comm_after_redistribute.since(&comm_after_index),
@@ -296,7 +302,7 @@ pub fn partition_spmd<const D: usize, C: Comm>(
                 Some((pts, wts)) => (&pts[..], &wts[..]),
                 None => (points, weights),
             };
-            let ordered = t0.elapsed().as_secs_f64();
+            let ordered = clock.lap();
             let out = balanced_kmeans_warm(
                 comm,
                 pts,
@@ -306,7 +312,7 @@ pub fn partition_spmd<const D: usize, C: Comm>(
                 prev.influence.clone(),
                 &warm_cfg,
             );
-            let solved = t0.elapsed().as_secs_f64();
+            let kmeans = clock.lap();
             // Back to input order; an input that already ascends kept it.
             match &order {
                 Some(order) => {
@@ -316,20 +322,15 @@ pub fn partition_spmd<const D: usize, C: Comm>(
                 }
                 None => assignment = out.assignment,
             }
-            let sfc_index = ordered + (t0.elapsed().as_secs_f64() - solved);
-            let comm_stats = phase_boundary(comm).0.since(&comm_before);
+            let (scattered, after) = phase_boundary(comm, &mut clock);
+            let sfc_index = ordered + scattered;
             PipelineResult {
                 assignment,
                 centers: out.centers,
                 influence: out.influence,
-                timings: PipelineTimings {
-                    sfc_index,
-                    kmeans: solved - ordered,
-                    ..PipelineTimings::default()
-                },
+                timings: PipelineTimings { sfc_index, kmeans, ..Default::default() },
                 stats: out.stats,
-                comm_stats,
-                phase_comm: PhaseComm { kmeans: comm_stats, ..PhaseComm::default() },
+                phase_comm: PhaseComm { kmeans: after.since(&comm_before), ..Default::default() },
             }
         }
     }
@@ -513,6 +514,17 @@ mod tests {
         )
     }
 
+    /// Every phase time is a real duration, and the assignment passes run
+    /// inside the k-means phase.
+    fn assert_times_nest<const D: usize>(res: &PipelineResult<D>) {
+        let t = res.timings;
+        for phase in [t.sfc_index, t.redistribute, t.kmeans, t.writeback] {
+            assert!(phase.is_finite() && phase >= 0.0, "{t:?}");
+        }
+        let assignment = res.stats.assignment_seconds;
+        assert!(assignment <= t.kmeans, "assignment {assignment} s outside k-means {t:?}");
+    }
+
     #[test]
     fn shared_memory_pipeline_balances() {
         let wp = uniform(3000, 1);
@@ -528,6 +540,7 @@ mod tests {
         assert!(max / (3000.0 / k as f64) - 1.0 <= cfg.epsilon + 1e-9, "{sizes:?}");
         assert_eq!(res.centers.len(), k);
         assert!(res.timings.total() > 0.0);
+        assert_times_nest(&res);
     }
 
     #[test]
@@ -725,14 +738,15 @@ mod tests {
         // none anywhere that moves a point.
         assert_eq!(warm.timings.redistribute, 0.0);
         assert_eq!(warm.timings.writeback, 0.0);
+        assert_times_nest(&warm);
         let phases = warm.phase_comm;
         for skipped in [phases.sfc_index, phases.redistribute, phases.writeback] {
             assert_eq!(skipped.collectives(), 0);
         }
         for moving in [Collective::Alltoallv, Collective::Allgather, Collective::Exscan] {
-            assert_eq!(warm.comm_stats.op(moving).ops, 0, "{moving:?}");
+            assert_eq!(phases.kmeans.op(moving).ops, 0, "{moving:?}");
         }
-        assert!(warm.comm_stats.collectives() > 0, "the counters do count on this backend");
+        assert!(phases.kmeans.collectives() > 0, "the counters do count on this backend");
     }
 
     /// Effective distance of `p` to block `b` under a solve's result.

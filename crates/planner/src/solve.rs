@@ -20,10 +20,9 @@
 //! directly comparable with the paper's communication model and with the
 //! pre-planner committed benchmark numbers.
 
-use std::time::Instant;
-
 use geographer::{partition_hierarchical_spmd, KMeansStats, PipelineTimings};
 use geographer_baselines::{hsfc_partition, multi_jagged, rcb_partition, rib_partition};
+use geographer_geometry::Stopwatch;
 use geographer_graph::{imbalance_with_targets, LevelMetrics};
 use geographer_parcomm::{Comm, CommStats};
 use geographer_refine::RefineReport;
@@ -115,8 +114,7 @@ impl Planner {
 
         // --- Solve phase (the only phase charged to Plan::comm).
         let before = comm.stats();
-        #[expect(clippy::disallowed_methods, reason = "solve-phase timer, reported in Plan")]
-        let t = Instant::now();
+        let mut clock = Stopwatch::start();
         let baseline = |asg| (asg, None, None, None, None);
         let (local, state_out, stats, level_imbalance, phases) = match spec.tool {
             Tool::Geographer => {
@@ -130,7 +128,7 @@ impl Planner {
             Tool::Rcb => baseline(rcb_partition(comm, points, weights, spec.k)),
             Tool::Rib => baseline(rib_partition(comm, points, weights, spec.k)),
         };
-        let solve_seconds = phases.map_or_else(|| t.elapsed().as_secs_f64(), |ph| ph.total());
+        let solve_seconds = phases.map_or_else(|| clock.lap(), |ph| ph.total());
         let comm_used = comm.stats().since(&before);
 
         // --- Assembly: uncounted, so Plan::comm holds the solver's
@@ -144,10 +142,10 @@ impl Planner {
 
         // --- Refinement phase: deterministic on the assembled assignment;
         // its per-level allgathers are uncounted, like assembly.
-        #[expect(clippy::disallowed_methods, reason = "refine-phase timer, reported in Plan")]
-        let rt = Instant::now();
         let (mut refine, mut level_refine, mut refine_work) = (None, None, None);
+        let mut refine_seconds = 0.0;
         if let RefineMode::Multilevel(mcfg) = &spec.refine {
+            let mut clock = Stopwatch::start();
             let g = spec.mesh.graph.expect("validated: refinement has a graph");
             let (reports, work) =
                 refine_hierarchy_multilevel(comm, g, &mut assignment, spec.mesh.weights, &h, mcfg);
@@ -159,9 +157,8 @@ impl Planner {
             });
             level_refine = Some(reports);
             refine_work = Some(work);
+            refine_seconds = clock.lap();
         }
-        let refine_seconds =
-            if matches!(spec.refine, RefineMode::None) { 0.0 } else { rt.elapsed().as_secs_f64() };
 
         // --- Metrics of the finished assignment.
         let leaf_fractions = spec.leaf_fractions();
@@ -238,7 +235,10 @@ mod tests {
         let state = plan.state.expect("Geographer plans return state");
         assert_eq!((state.arities, state.nodes.len()), (vec![5], 1));
         assert_eq!(state.nodes[0].state.influence, core.influence);
-        assert_eq!(plan.solve_seconds, plan.phase_timings.expect("phases").total());
+        let phases = plan.phase_timings.expect("phases");
+        assert_eq!(plan.solve_seconds, phases.total());
+        assert!(plan.stats.expect("stats").assignment_seconds <= phases.kmeans);
+        assert_eq!(plan.refine_seconds, 0.0, "no refinement ran");
         assert!(plan.levels.is_none() && plan.level_imbalance.is_none());
         assert!(plan.imbalance <= cfg.epsilon + 1e-9);
     }
@@ -271,7 +271,9 @@ mod tests {
         assert_eq!(plan.assignment, core.assignment);
         let state = plan.state.expect("Geographer plans return state");
         assert_eq!((state.arities, state.nodes.len()), (vec![2, 2], 3));
-        assert!(plan.phase_timings.is_some());
+        // Both sums run over the three node solves, so they nest as one does.
+        let kmeans = plan.phase_timings.expect("phases").kmeans;
+        assert!(plan.stats.expect("stats").assignment_seconds <= kmeans);
         let levels = plan.levels.expect("hierarchy + graph must report levels");
         assert_eq!(levels.len(), 2);
         assert!(levels[0].edge_cut <= levels[1].edge_cut);

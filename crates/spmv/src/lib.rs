@@ -16,8 +16,7 @@
           several parallel arrays at once; iterator-zip rewrites of those loops are less \
           readable, not more")]
 
-use std::time::Instant;
-
+use geographer_geometry::Stopwatch;
 use geographer_graph::CsrGraph;
 use geographer_parcomm::Comm;
 
@@ -26,8 +25,6 @@ use geographer_parcomm::Comm;
 pub struct SpmvReport {
     /// Average seconds per multiplication spent in the halo exchange.
     pub comm_seconds_avg: f64,
-    /// Average seconds per multiplication spent in local compute.
-    pub compute_seconds_avg: f64,
     /// Payload bytes this rank sends per multiplication.
     pub bytes_sent_per_iter: u64,
     /// The subset of [`Self::bytes_sent_per_iter`] that crosses a *node*
@@ -149,11 +146,9 @@ pub fn spmv_comm_time_on_nodes<C: Comm>(
     let mut y = vec![0.0f64; owned.len()];
 
     let mut comm_secs = 0.0;
-    let mut compute_secs = 0.0;
     for _ in 0..reps {
         // Halo exchange (timed).
-        #[expect(clippy::disallowed_methods, reason = "this clock IS the comm measurement")]
-        let t = Instant::now();
+        let mut clock = Stopwatch::start();
         let sends: Vec<Vec<f64>> =
             send_list.iter().map(|l| l.iter().map(|&v| x[v as usize]).collect()).collect();
         let received = comm.alltoallv(sends);
@@ -163,11 +158,9 @@ pub fn spmv_comm_time_on_nodes<C: Comm>(
                 x[v as usize] = val;
             }
         }
-        comm_secs += t.elapsed().as_secs_f64();
+        comm_secs += clock.lap();
 
         // Local multiply: y = A·x with unit edge weights.
-        #[expect(clippy::disallowed_methods, reason = "this clock IS the compute measurement")]
-        let t = Instant::now();
         for (yi, &v) in y.iter_mut().zip(&owned) {
             *yi = g.neighbors(v).iter().fold(0.0, |acc, &u| acc + x[u as usize]);
         }
@@ -176,12 +169,10 @@ pub fn spmv_comm_time_on_nodes<C: Comm>(
         for (&v, &yi) in owned.iter().zip(&y) {
             x[v as usize] = 0.5 * x[v as usize] + scale * yi;
         }
-        compute_secs += t.elapsed().as_secs_f64();
     }
 
     SpmvReport {
         comm_seconds_avg: comm_secs / reps as f64,
-        compute_seconds_avg: compute_secs / reps as f64,
         bytes_sent_per_iter,
         inter_node_bytes_per_iter,
         checksum: owned.iter().map(|&v| x[v as usize]).sum(),
