@@ -41,8 +41,8 @@ fn hot_loop_markers_are_pinned() {
         })
         .filter(|(_, markers)| *markers > 0)
         .collect();
-    // kmeans: `Round::grow`'s back-to-front walk, `Round::add_rows`'
-    // run-structured loop, `scan_batch`, `shortlist`'s bound, rank, pick
+    // kmeans: `Round::grow`'s back-to-front walk, the run-structured loop
+    // of `add_runs` (under `Round::add_rows`), `scan_batch`, `shortlist`'s bound, rank, pick
     // and compaction loops, `process_block`'s survivor loop and
     // `scan_survivors`' pair loop under the per-block loop; pipeline:
     // `curve_pairs`, the key loop of the cold and the warm arm alike;
@@ -273,7 +273,7 @@ fn line_budgets_only_move_down() {
     .map(String::from)
     .to_vec();
     let budgets: [(Vec<String>, usize); 8] = [
-        (vec!["crates/core/src/kmeans.rs".into()], 997),
+        (vec!["crates/core/src/kmeans.rs".into()], 995),
         (vec!["crates/core/src/pipeline.rs".into(), "crates/dsort/src/lib.rs".into()], 969),
         (baselines, 417),
         (refinement, 1332),

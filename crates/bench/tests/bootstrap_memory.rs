@@ -3,23 +3,21 @@
 //! code holds, independent of how glibc maps, trims or keeps it.
 //!
 //! A cold p = 1 `partition_spmd` at n = 20k (uniform points, k = 16,
-//! default config) must peak at no more than ¾ of the live bytes per
-//! point the record-carrying bootstrap peaked at (`RECORD_PATH_COLD`:
-//! 40-byte records in input order, a sorted copy of them, both pair
-//! buffers, and the sorted copy held through k-means). At p = 1 no
-//! record is built at all, so no allocation of the solve is as large as
-//! one 40-byte record per point. A warm step of the same instance peaks
-//! exactly where it did (`RECORD_PATH_WARM`): its buffers did not change
-//! shape.
+//! default config) must peak at no more than `COLD_P1` live bytes per
+//! point, under half of what the record-carrying bootstrap peaked at
+//! (`RECORD_PATH_COLD`: 40-byte records in input order, a sorted copy of
+//! them, both pair buffers, and the sorted copy held through k-means). At
+//! p = 1 no record is built at all, so no allocation of the solve is as
+//! large as one 40-byte record per point. A warm step of the same
+//! instance peaks exactly at `WARM_STEP`.
 //!
 //! At p = 2 the solve runs on forked ranks (n = 40k, k = 16): each child
 //! is single-threaded, so its copy of the counters is exact for its rank
 //! and repeats run to run. While every point became a record and the
 //! received records were merged, rebalanced and unpacked, a rank peaked in
-//! the exchange (`RECORD_MERGE_P2`). Now a rank peaks at `SHARD_P2` —
-//! within 7 bytes per point of a p = 1 solve, whose origins are `u32`
-//! where a rank's are `u64` — and no block is as large as one 40-byte
-//! record per local point (the merged record array).
+//! the exchange (`RECORD_MERGE_P2`). Now a rank peaks at `SHARD_P2`, still
+//! in the exchange but no longer in k-means, and no block is as large as
+//! one 40-byte record per local point (the merged record array).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
@@ -31,20 +29,32 @@ use geographer_mesh::density::sample_by_density;
 use geographer_parcomm::{run_spmd_proc, Comm, SelfComm};
 
 /// Peak live bytes above the caller's, per point, of the cold solve
-/// while the bootstrap still carried records (85 since, 77 since k-means
-/// keys its sample by the points and holds no permutation).
+/// while the bootstrap still carried records.
 const RECORD_PATH_COLD: usize = 117;
-/// The same for one warm step after that cold solve.
-const RECORD_PATH_WARM: usize = 68;
+/// The same since no record is built at p = 1: 85 while k-means held a
+/// sample permutation, 77 once it keyed its sample by the points, and 57
+/// since a movement round copies no coordinate and no weight — k-means
+/// holds 20 bytes per point (`assignment`, `ub`, `lb`), 1 of `join` and
+/// the sample's `u32` ids, next to the pipeline's 32.
+const COLD_P1: usize = 57;
+/// Peak live bytes above the caller's, per point, of one warm step after
+/// that cold solve: 68 with or without records, while the round copied
+/// coordinate lanes (16 bytes per point); 52 since it reads the points
+/// in place.
+const WARM_STEP: usize = 52;
 /// Peak live bytes above a forked rank's level at entry, per local point,
 /// of the cold p = 2 solve while the exchange built a record for every
 /// point and merged them into a record array.
 const RECORD_MERGE_P2: usize = 110;
 /// The same since the merge writes the solve's arrays, and k-means keys
 /// its sample by the points: 89 while it held a per-rank permutation and
-/// the sample's id lists. A rank holds 36 through k-means — sorted points
-/// 16, weights 8, `u64` origins 8 and the result 4 — where p = 1 holds 32
-/// with `u32` origins.
+/// the sample's id lists. 84 is set in the exchange, by the wire encoding
+/// of the records `dsort::exchange_sorted` sends (`ProcComm::sendrecv`).
+/// A rank holds 36 through k-means — sorted points 16, weights 8, `u64`
+/// origins 8 and the result 4 — where p = 1 holds 32 with `u32` origins.
+/// k-means adds 20, 1 of `join` and the sample's `u32` ids, about 60 in
+/// all; while its round copied coordinates and weights it added 45, within
+/// a few bytes of the exchange.
 const SHARD_P2: usize = 84;
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
@@ -141,9 +151,9 @@ fn cold_bootstrap_holds_a_quarter_less_and_builds_no_record() {
     let per_point = peak / N;
     println!("cold: {per_point} live bytes per point at peak, largest block {largest}");
     assert!(
-        4 * per_point <= 3 * RECORD_PATH_COLD,
-        "cold p = 1 solve peaks at {per_point} B/point, \
-         the record path at {RECORD_PATH_COLD}"
+        per_point <= COLD_P1,
+        "cold p = 1 solve peaks at {per_point} B/point, above {COLD_P1} \
+         (the record path peaked at {RECORD_PATH_COLD})"
     );
     // A record is 40 bytes (key, id, two coordinates, weight): no array
     // of them may exist at p = 1.
@@ -161,11 +171,11 @@ fn warm_step_peak_is_unchanged() {
     let (_, peak, _) = measure(|| solve(&drifted, &weights, Some(&cold)));
     let per_point = peak / N;
     println!("warm: {per_point} live bytes per point at peak");
-    assert_eq!(per_point, RECORD_PATH_WARM, "a warm step's peak moved");
+    assert_eq!(per_point, WARM_STEP, "a warm step's peak moved");
 }
 
 #[test]
-fn cold_p2_ranks_peak_in_kmeans_and_merge_no_record_array() {
+fn cold_p2_ranks_peak_in_the_exchange_and_merge_no_record_array() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let n = 2 * N;
     let points = sample_by_density(n, 2018, |_| 1.0);
@@ -184,7 +194,7 @@ fn cold_p2_ranks_peak_in_kmeans_and_merge_no_record_array() {
         println!("p = 2, rank {r}: {per_point} live bytes per local point, largest block {largest}");
         assert!(
             per_point <= SHARD_P2,
-            "rank {r} peaks at {per_point} B/point: above k-means' {SHARD_P2} \
+            "rank {r} peaks at {per_point} B/point: above the exchange's {SHARD_P2} \
              (the record merge peaked at {RECORD_MERGE_P2})"
         );
         assert!((largest as usize) < 40 * N, "rank {r}: a {largest}-byte block, a record array");

@@ -9,8 +9,9 @@
 //! pseudocode.
 //!
 //! The points of a movement round — a Sec. 4.5 sample, or every local
-//! point — live in one `Round`, laid out for the blocked SoA kernel:
-//! coordinate lanes, block boxes and the points' `assignment`/`ub`/`lb`.
+//! point — are one `Round`: block boxes, the points' `assignment`/`ub`/`lb`
+//! and, on a sample, the members' local indices. It copies no coordinate
+//! and no weight; every pass reads the caller's curve-ordered arrays.
 //! Samples are nested, so the next round grows the current one in place
 //! and the full set is simply the last growth (DESIGN.md §9). Samples are
 //! keyed by the points and sums are exact, so the result is the same at
@@ -104,98 +105,52 @@ pub struct KMeansOutput<const D: usize> {
     pub stats: KMeansStats,
 }
 
-/// Block width of the SoA kernel: fixed-size runs whose lanes and bounds fit
-/// in L1. In the pipeline's curve order consecutive points are neighbours,
+/// Block width of the SoA kernel: fixed-size runs whose points and bounds
+/// fit in L1. In the pipeline's curve order consecutive points are neighbours,
 /// so a block's bounding box is tiny and reaches a handful of the k centers.
 const SOA_BLOCK: usize = 256;
 
-/// Dimension-major coordinate lanes (`coords[d][i]` is point i's
-/// d-coordinate) and the `(lo, hi)` bounding box of every
-/// [`SOA_BLOCK`]-point run — what the blocked kernel reads.
-struct Lanes<const D: usize> {
-    coords: Vec<Vec<f64>>,
-    boxes: Vec<([f64; D], [f64; D])>,
-}
-
-impl<const D: usize> Lanes<D> {
-    /// Recompute the per-block boxes from `coords`.
-    fn rebuild_boxes(&mut self) {
-        self.boxes.clear();
-        let n = self.coords.first().map_or(0, Vec::len);
-        for b in (0..n).step_by(SOA_BLOCK) {
-            let e = (b + SOA_BLOCK).min(n);
-            let block: [&[f64]; D] = std::array::from_fn(|d| &self.coords[d][b..e]);
-            let mut lo = [f64::INFINITY; D];
-            let mut hi = [f64::NEG_INFINITY; D];
-            // Point-major: the 2·D min/max chains are independent, a
-            // lane-major scan would serialize on one.
-            for i in 0..e - b {
-                for d in 0..D {
-                    lo[d] = lo[d].min(block[d][i]);
-                    hi[d] = hi[d].max(block[d][i]);
-                }
-            }
-            self.boxes.push((lo, hi));
-        }
-    }
-
-    /// Bounding box of all points: the union of the block boxes. Min and
-    /// max select, they do not round, so this is the box a pass over the
-    /// points in any order yields.
-    fn bbox(&self) -> Option<Aabb<D>> {
-        let (&(mut lo, mut hi), rest) = self.boxes.split_first()?;
-        for (l, h) in rest {
-            for d in 0..D {
-                lo[d] = lo[d].min(l[d]);
-                hi[d] = hi[d].max(h[d]);
-            }
-        }
-        Some(Aabb { min: Point::new(lo), max: Point::new(hi) })
-    }
-}
-
-/// The points of the current movement round, laid out for the blocked
-/// kernel: their coordinate lanes and block boxes, and their
-/// `assignment`/`ub`/`lb` — the only copy the solver holds. Points sit in
-/// array order; the pipeline orders them along the curve on both arms (the
-/// Hilbert redistribution, the warm arm's rank-local order), so a block of
-/// consecutive sample points is still spatially tight.
+/// The points of the current movement round: the `(lo, hi)` box of every
+/// [`SOA_BLOCK`]-member run and their `assignment`/`ub`/`lb` — the only copy
+/// the solver holds. No coordinate or weight is copied: every pass reads the
+/// caller's arrays, through `ids` on a sample. Members sit in array order;
+/// the pipeline orders points along the curve on both arms (the Hilbert
+/// redistribution, the warm arm's rank-local order), so a block of
+/// consecutive sample members is still spatially tight.
 ///
 /// A point joins the sample in round `join[i]` and stays, and a point no
 /// round has reached holds the constant `(assignment, ub, lb) = (0, ∞, 0)`,
 /// so [`Round::grow`] turns one round into the next in place; nothing is
 /// written back anywhere.
 struct Round<const D: usize> {
-    lanes: Lanes<D>,
     assignment: Vec<u32>,
     ub: Vec<f64>,
     lb: Vec<f64>,
+    boxes: Vec<([f64; D], [f64; D])>,
     /// The sample round this is: it holds the points with `join[i] ≤ r`.
     r: u8,
     /// `join[i]`: the round in which local point i joins the sample
     /// ([`sample_joins`]); empty once the round holds every local point,
     /// and with sampling off.
     join: Vec<u8>,
-    /// A sample's weights, in round order; empty once the round holds
-    /// every local point, whose weights are the caller's.
-    weights: Vec<f64>,
+    /// A sample's members, by local index in ascending (curve) order:
+    /// member j is point `ids[j]`. Empty when member j is point j — once
+    /// the round holds every local point, and on a sample with no member.
+    ids: Vec<u32>,
 }
 
 impl<const D: usize> Round<D> {
     /// An empty round over `n_local` points joining in rounds `join`, whose
-    /// per-point arrays never reallocate while it grows; only the boxes
-    /// grow by `push` (DESIGN.md §9: the shape is measured).
+    /// `assignment`/`ub`/`lb` never reallocate while it grows; `ids` and
+    /// the boxes grow with the sample (DESIGN.md §9: the shape is measured).
     fn new(n_local: usize, join: Vec<u8>) -> Self {
         Round {
-            lanes: Lanes {
-                coords: (0..D).map(|_| Vec::with_capacity(n_local)).collect(),
-                boxes: Vec::new(),
-            },
             assignment: Vec::with_capacity(n_local),
             ub: Vec::with_capacity(n_local),
             lb: Vec::with_capacity(n_local),
+            boxes: Vec::new(),
             r: 0,
-            weights: Vec::with_capacity(if join.is_empty() { 0 } else { n_local }),
+            ids: Vec::new(),
             join,
         }
     }
@@ -203,19 +158,16 @@ impl<const D: usize> Round<D> {
     /// Grow the round in place to sample round `r` (the points with
     /// `join[i] ≤ r`, a superset of the current round), or to every local
     /// point (`None`). Members keep their `assignment`/`ub`/`lb`,
-    /// newcomers start from `(0, ∞, 0)`.
-    fn grow(&mut self, r: Option<u8>, points: &[Point<D>], weights: &[f64]) {
-        let Round { lanes, assignment, ub, lb, join, weights: sample_weights, .. } = self;
+    /// newcomers start from `(0, ∞, 0)`; the block boxes are rebuilt.
+    fn grow(&mut self, r: Option<u8>, points: &[Point<D>]) {
+        let Round { assignment, ub, lb, boxes, join, ids, .. } = self;
         let (old_len, old_r) = (assignment.len(), self.r);
         let len = r.map_or(points.len(), |r| join.iter().filter(|&&j| j <= r).count());
         if len != old_len {
             assignment.resize(len, 0);
             ub.resize(len, f64::INFINITY);
             lb.resize(len, 0.0);
-            lanes.coords.iter_mut().for_each(|lane| lane.resize(len, 0.0));
-            if r.is_some() {
-                sample_weights.resize(len, 0.0);
-            }
+            ids.resize(if r.is_some() { len } else { 0 }, 0);
             // Back to front, in array order: a member never moves to a
             // lower position and every old position above the one being
             // written has been read, so no write lands on a value still to
@@ -233,73 +185,105 @@ impl<const D: usize> Round<D> {
                     assignment[j] = assignment[old];
                     ub[j] = ub[old];
                     lb[j] = lb[old];
-                    for lane in lanes.coords.iter_mut() {
-                        lane[j] = lane[old];
-                    }
                 } else {
                     assignment[j] = 0;
                     ub[j] = f64::INFINITY;
                     lb[j] = 0.0;
-                    for (d, lane) in lanes.coords.iter_mut().enumerate() {
-                        lane[j] = points[i][d];
-                    }
                 }
                 if r.is_some() {
-                    sample_weights[j] = weights[i];
+                    ids[j] = i as u32;
                 }
             }
-            lanes.rebuild_boxes();
+            boxes.clear();
+            for b in (0..len).step_by(SOA_BLOCK) {
+                let (mut lo, mut hi) = ([f64::INFINITY; D], [f64::NEG_INFINITY; D]);
+                // Point-major: the 2·D min/max chains are independent.
+                for j in b..(b + SOA_BLOCK).min(len) {
+                    let p = &points[ids.get(j).map_or(j, |&i| i as usize)];
+                    for d in 0..D {
+                        (lo[d], hi[d]) = (lo[d].min(p[d]), hi[d].max(p[d]));
+                    }
+                }
+                boxes.push((lo, hi));
+            }
         }
         match r {
             Some(r) => self.r = r,
-            None => (self.join, self.weights) = (Vec::new(), Vec::new()),
+            None => (self.join, self.ids) = Default::default(),
         }
     }
 
-    /// Add every point of the round, in array order, into row
-    /// `assignment[j]` of `rows`: its weight `w` into the row's last entry
-    /// and, with `XS`, `w·(x − mid)` into the D before it — each term pre-rounded
-    /// onto `grid`, so every sum is exact and its bits do not depend on
-    /// the order of the terms or on how the ranks share them.
-    /// `weights` are the local points'.
-    ///
-    /// Array order is curve order (see [`Round`]), so a cluster's points
-    /// come in runs: the row stays in registers until the cluster changes —
-    /// the adds of `rows[c] += …` per point, without the store-to-load
-    /// round trip (DESIGN.md §9).
-    fn add_rows<const XS: bool>(&self, weights: &[f64], grid: &Grid<D>, rows: &mut [f64]) {
-        let stride = if XS { D + 1 } else { 1 };
-        let weights = if self.join.is_empty() { weights } else { &self.weights[..] };
-        let lanes: [&[f64]; D] = std::array::from_fn(|d| &self.lanes.coords[d][..]);
-        let asg = &self.assignment[..];
-        let Some(&first) = asg.first() else { return };
-        let load = |rows: &[f64], c: usize| -> ([f64; D], f64) {
-            let row = &rows[c * stride..][..stride];
-            (std::array::from_fn(|d| if XS { row[d] } else { 0.0 }), row[stride - 1])
-        };
-        let store = |rows: &mut [f64], c: usize, (xs, w): ([f64; D], f64)| {
-            let row = &mut rows[c * stride..][..stride];
-            row[..stride - 1].copy_from_slice(&xs[..stride - 1]);
-            row[stride - 1] = w;
-        };
-        let mut cur = first as usize;
-        let (mut xs, mut ws) = load(rows, cur);
-        // geo-analyze: hot-loop
-        for (j, (&c, &w)) in asg.iter().zip(weights).enumerate() {
-            if c as usize != cur {
-                store(rows, cur, (xs, ws));
-                cur = c as usize;
-                (xs, ws) = load(rows, cur);
-            }
-            if XS {
-                for d in 0..D {
-                    xs[d] += (w * (lanes[d][j] - grid.mid[d]) + grid.wx[d]) - grid.wx[d];
-                }
-            }
-            ws += (w + grid.w) - grid.w;
-        }
-        store(rows, cur, (xs, ws));
+    /// Bounding box of all members: the union of the block boxes. Min and
+    /// max select, they do not round, so this is the box a pass over the
+    /// points in any order yields.
+    fn bbox(&self) -> Option<Aabb<D>> {
+        let (lo, hi) = self.boxes.iter().copied().reduce(|(lo, hi), (l, h)| {
+            (std::array::from_fn(|d| lo[d].min(l[d])), std::array::from_fn(|d| hi[d].max(h[d])))
+        })?;
+        Some(Aabb { min: Point::new(lo), max: Point::new(hi) })
     }
+
+    /// Add every member, in array order, into row `assignment[j]` of
+    /// `rows`: its weight `w` into the row's last entry and, with `XS`,
+    /// `w·(x − mid)` into the D before it — each term pre-rounded onto
+    /// `grid`, so every sum is exact and its bits do not depend on the
+    /// order of the terms or on how the ranks share them. `points` and
+    /// `weights` are the local points'.
+    fn add_rows<const XS: bool>(
+        &self,
+        points: &[Point<D>],
+        weights: &[f64],
+        grid: &Grid<D>,
+        rows: &mut [f64],
+    ) {
+        let asg = &self.assignment[..];
+        if self.ids.is_empty() {
+            add_runs::<XS, D>(asg, points.iter().zip(weights), grid, rows);
+        } else {
+            let members = self.ids.iter().map(|&i| (&points[i as usize], &weights[i as usize]));
+            add_runs::<XS, D>(asg, members, grid, rows);
+        }
+    }
+}
+
+/// [`Round::add_rows`] over the members' `(point, weight)` in array order,
+/// which is curve order (see [`Round`]): a cluster's points come in runs, so
+/// the row stays in registers until the cluster changes — the adds of
+/// `rows[c] += …` per point, without the store-to-load round trip (DESIGN.md §9).
+fn add_runs<'p, const XS: bool, const D: usize>(
+    asg: &[u32],
+    members: impl Iterator<Item = (&'p Point<D>, &'p f64)>,
+    grid: &Grid<D>,
+    rows: &mut [f64],
+) {
+    let stride = if XS { D + 1 } else { 1 };
+    let Some(&first) = asg.first() else { return };
+    let load = |rows: &[f64], c: usize| -> ([f64; D], f64) {
+        let row = &rows[c * stride..][..stride];
+        (std::array::from_fn(|d| if XS { row[d] } else { 0.0 }), row[stride - 1])
+    };
+    let store = |rows: &mut [f64], c: usize, (xs, w): ([f64; D], f64)| {
+        let row = &mut rows[c * stride..][..stride];
+        row[..stride - 1].copy_from_slice(&xs[..stride - 1]);
+        row[stride - 1] = w;
+    };
+    let mut cur = first as usize;
+    let (mut xs, mut ws) = load(rows, cur);
+    // geo-analyze: hot-loop
+    for (&c, (p, &w)) in asg.iter().zip(members) {
+        if c as usize != cur {
+            store(rows, cur, (xs, ws));
+            cur = c as usize;
+            (xs, ws) = load(rows, cur);
+        }
+        if XS {
+            for d in 0..D {
+                xs[d] += (w * (p[d] - grid.mid[d]) + grid.wx[d]) - grid.wx[d];
+            }
+        }
+        ws += (w + grid.w) - grid.w;
+    }
+    store(rows, cur, (xs, ws));
 }
 
 /// The grids a round's sums pre-round their terms onto (DESIGN.md §2), a
@@ -401,8 +385,9 @@ impl CenterScratch {
     }
 }
 
-/// Scratch of the SoA kernel, O(k): every vector holds k entries per lane.
-struct KernelScratch {
+/// Scratch of the SoA kernel, O(k): every vector holds k entries per lane,
+/// or one block's survivors.
+struct KernelScratch<const D: usize> {
     /// The pair's effective distances (2k); before that, the centers' rank ([`shortlist`]).
     ebuf: Vec<f64>,
     /// Per-center lower bound of the effective distance to any point of
@@ -410,6 +395,8 @@ struct KernelScratch {
     cbound: Vec<f64>,
     /// Survivor indices of the current block (points not Hamerly-skipped).
     sidx: Vec<u32>,
+    /// The survivors' points, gathered in `sidx` order.
+    pts: Vec<Point<D>>,
     /// The centers the block can reach, compacted from [`CenterScratch`] in
     /// its order: coordinates (lane `d` at `coords[d*k..]`), influences, ids.
     coords: Vec<f64>,
@@ -417,13 +404,14 @@ struct KernelScratch {
     ids: Vec<u32>,
 }
 
-impl KernelScratch {
-    fn new(k: usize, dims: usize) -> Self {
+impl<const D: usize> KernelScratch<D> {
+    fn new(k: usize) -> Self {
         KernelScratch {
             ebuf: vec![0.0; 2 * k],
             cbound: vec![0.0; k],
             sidx: Vec::with_capacity(SOA_BLOCK),
-            coords: vec![0.0; dims * k],
+            pts: Vec::with_capacity(SOA_BLOCK),
+            coords: vec![0.0; D * k],
             influence: vec![0.0; k],
             ids: vec![0; k],
         }
@@ -432,8 +420,8 @@ impl KernelScratch {
 
 /// The SPMD solver state for one `balanced_kmeans` call.
 struct Solver<'a, const D: usize> {
-    /// The caller's points: what the test oracle measures distances from.
-    #[cfg(test)]
+    /// The caller's points and weights, in curve order: what every pass
+    /// reads, and what the test oracle measures distances from.
     points: &'a [Point<D>],
     weights: &'a [f64],
     k: usize,
@@ -450,7 +438,7 @@ struct Solver<'a, const D: usize> {
     round: Round<D>,
     /// The k centers in scan order (bbox-sorted order/coords/influence/ids).
     cscratch: CenterScratch,
-    kscratch: KernelScratch,
+    kscratch: KernelScratch<D>,
     /// Balance/movement scratch reused across iterations — the hot loops
     /// allocate nothing after the first iteration.
     old_influence: Vec<f64>,
@@ -506,7 +494,7 @@ fn shortlist<const D: usize>(
     k: usize,
     (lo, hi): &([f64; D], [f64; D]),
     cs: &CenterScratch,
-    sc: &mut KernelScratch,
+    sc: &mut KernelScratch<D>,
 ) -> usize {
     let (cbound, rank) = (&mut sc.cbound[..k], &mut sc.ebuf[..k]);
     let clanes: [&[f64]; D] = std::array::from_fn(|d| &cs.coords[d * k..(d + 1) * k]);
@@ -577,7 +565,8 @@ fn shortlist<const D: usize>(
 }
 
 /// One block of the SoA kernel: compact the points the Hamerly test does
-/// not skip, shortlist the centers the block's bounding box (`bbox`, built
+/// not skip and gather theirs — `points[i]`, or `points[ids[i]]` on a
+/// sample — shortlist the centers the block's bounding box (`bbox`, built
 /// when the round was grown) can reach, then scan every survivor against
 /// the shortlist. `assign`/`ub`/`lb` are the values on entry, updated on exit.
 ///
@@ -587,7 +576,7 @@ fn shortlist<const D: usize>(
 /// one point's scan when its block bound exceeds the current `second` — when
 /// it could not have changed `best`/`second`/`best_c`; the shortlist keeps the
 /// scan order, so a tie still goes to the earlier position (`oracle_check`).
-#[allow(clippy::too_many_arguments, reason = "lanes and bounds are separate borrows")]
+#[allow(clippy::too_many_arguments, reason = "points and bounds are separate borrows")]
 // Outlined on purpose: one call per 256-point block amortizes the call,
 // and the measured kernel numbers were taken in this shape.
 #[inline(never)]
@@ -595,10 +584,10 @@ fn process_block<const D: usize>(
     hamerly: bool,
     pruning: bool,
     k: usize,
-    lanes: &[&[f64]; D],
+    (points, ids): (&[Point<D>], &[u32]),
     bbox: &([f64; D], [f64; D]),
     cs: &CenterScratch,
-    sc: &mut KernelScratch,
+    sc: &mut KernelScratch<D>,
     assign: &mut [u32],
     ub: &mut [f64],
     lb: &mut [f64],
@@ -623,23 +612,32 @@ fn process_block<const D: usize>(
     if slen == 0 {
         return;
     }
+    // Only survivors are read, so only they are copied: on a sample the
+    // Hamerly skip saves the gather too.
+    sc.pts.clear();
+    if ids.is_empty() {
+        sc.pts.extend(sc.sidx.iter().map(|&i| points[i as usize]));
+    } else {
+        sc.pts.extend(sc.sidx.iter().map(|&i| points[ids[i as usize] as usize]));
+    }
     let m = shortlist::<D>(pruning, k, bbox, cs, sc);
     // One scan, inlined at both calls: one set of slices for either source,
     // or copying all k, ran 5–7 % slower on blocks that reach every center.
     if m == k {
         let all = (&cs.coords[..], &cs.influence[..k], &cs.ids[..k], &sc.cbound[..k]);
-        scan_survivors::<D>(k, lanes, all, &sc.sidx, &mut sc.ebuf, (assign, ub, lb, stats));
+        scan_survivors::<D>(k, &sc.pts, all, &sc.sidx, &mut sc.ebuf, (assign, ub, lb, stats));
     } else {
         let short = (&sc.coords[..], &sc.influence[..m], &sc.ids[..m], &sc.cbound[..m]);
-        scan_survivors::<D>(k, lanes, short, &sc.sidx, &mut sc.ebuf, (assign, ub, lb, stats));
+        scan_survivors::<D>(k, &sc.pts, short, &sc.sidx, &mut sc.ebuf, (assign, ub, lb, stats));
     }
 }
 
-/// Scan the survivors `sidx` against m centers (lanes of stride `k`, influences, ids, bounds).
+/// Scan the survivors `sidx`, whose points are `pts`, against m centers (lanes of
+/// stride `k`, influences, ids, bounds).
 #[inline(always)]
 fn scan_survivors<const D: usize>(
     k: usize,
-    lanes: &[&[f64]; D],
+    pts: &[Point<D>],
     (coords, infl, ids, bound): (&[f64], &[f64], &[u32], &[f64]),
     sidx: &[u32],
     ebuf: &mut [f64],
@@ -660,10 +658,9 @@ fn scan_survivors<const D: usize>(
     // geo-analyze: hot-loop
     while t < slen {
         // An odd tail pairs the last survivor with itself, committed once.
-        let i0 = sidx[t] as usize;
-        let i1 = sidx[(t + 1).min(slen - 1)] as usize;
-        let pv0: [f64; D] = std::array::from_fn(|d| lanes[d][i0]);
-        let pv1: [f64; D] = std::array::from_fn(|d| lanes[d][i1]);
+        let t1 = (t + 1).min(slen - 1);
+        let (i0, i1) = (sidx[t] as usize, sidx[t1] as usize);
+        let (pv0, pv1) = (pts[t].0, pts[t1].0);
         for j in 0..m {
             let mut a0 = 0.0;
             let mut a1 = 0.0;
@@ -692,24 +689,22 @@ fn scan_survivors<const D: usize>(
 
 impl<const D: usize> Solver<'_, D> {
     /// One assignment pass through the blocked SoA kernel over the round:
-    /// the kernel slices contiguous coordinate lanes and bound arrays, so
-    /// no balance iteration gathers or scatters.
+    /// the kernel slices the bound arrays, and reads a block's points from
+    /// the caller's, through `ids` on a sample.
     fn soa_assignment_pass(&mut self) {
         #[cfg(test)]
         let before = tests::oracle_snapshot(self);
-        let Round { lanes, assignment, ub, lb, .. } = &mut self.round;
+        let Round { assignment, ub, lb, boxes, ids, .. } = &mut self.round;
         let len = assignment.len();
-        let mut b = 0;
         // geo-analyze: hot-loop
-        while b < len {
+        for b in (0..len).step_by(SOA_BLOCK) {
             let e = (b + SOA_BLOCK).min(len);
-            let block: [&[f64]; D] = std::array::from_fn(|d| &lanes.coords[d][b..e]);
             process_block::<D>(
                 self.cfg.hamerly_bounds,
                 self.cfg.bbox_pruning,
                 self.k,
-                &block,
-                &lanes.boxes[b / SOA_BLOCK],
+                if ids.is_empty() { (&self.points[b..e], &[]) } else { (self.points, &ids[b..e]) },
+                &boxes[b / SOA_BLOCK],
                 &self.cscratch,
                 &mut self.kscratch,
                 &mut assignment[b..e],
@@ -717,7 +712,6 @@ impl<const D: usize> Solver<'_, D> {
                 &mut lb[b..e],
                 &mut self.stats,
             );
-            b = e;
         }
         self.stats.points_visited += len as u64;
         #[cfg(test)]
@@ -735,7 +729,7 @@ impl<const D: usize> Solver<'_, D> {
         self.local_sizes.resize(k, 0.0);
         // Bounding box around the active local points (Alg. 1 line 1).
         // Points never move, so one box serves every balance iteration.
-        let bb = self.round.lanes.bbox();
+        let bb = self.round.bbox();
         for balance_iter in 0..self.cfg.max_balance_iterations {
             self.stats.balance_iterations += 1;
 
@@ -757,7 +751,12 @@ impl<const D: usize> Solver<'_, D> {
             self.soa_assignment_pass();
             // Block weights: exact sums, whatever the order or the ranks.
             self.local_sizes.iter_mut().for_each(|s| *s = 0.0);
-            self.round.add_rows::<false>(self.weights, &self.grid, &mut self.local_sizes);
+            self.round.add_rows::<false>(
+                self.points,
+                self.weights,
+                &self.grid,
+                &mut self.local_sizes,
+            );
             self.stats.assignment_seconds += clock.lap();
 
             // The only communication of the balance loop (Alg. 1 line 31).
@@ -828,7 +827,7 @@ impl<const D: usize> Solver<'_, D> {
         self.center_sums.clear();
         self.center_sums.resize(k * stride, 0.0);
         // Exact, like the block weights.
-        self.round.add_rows::<true>(self.weights, &self.grid, &mut self.center_sums);
+        self.round.add_rows::<true>(self.points, self.weights, &self.grid, &mut self.center_sums);
         comm.allreduce_sum_f64(&mut self.center_sums);
         let (sums, centers, buf) =
             (&self.center_sums, &self.centers, &mut self.new_centers_buf);
@@ -914,7 +913,6 @@ pub fn balanced_kmeans_warm<const D: usize, C: Comm>(
     let (join, sample_rounds) = sample_joins(points, cfg, n_global);
 
     let mut solver = Solver {
-        #[cfg(test)]
         points,
         weights,
         k,
@@ -926,7 +924,7 @@ pub fn balanced_kmeans_warm<const D: usize, C: Comm>(
         fractions: cfg.fractions(k),
         round: Round::new(n_local, join),
         cscratch: CenterScratch::default(),
-        kscratch: KernelScratch::new(k, D),
+        kscratch: KernelScratch::new(k),
         old_influence: Vec::with_capacity(k),
         delta: vec![0.0; k],
         center_sums: Vec::with_capacity(k * (D + 1)),
@@ -947,7 +945,7 @@ pub fn balanced_kmeans_warm<const D: usize, C: Comm>(
     for _ in 0..cfg.max_iterations {
         solver.stats.movement_iterations += 1;
         sampled = r < sample_rounds;
-        solver.round.grow(sampled.then_some(r), points, weights);
+        solver.round.grow(sampled.then_some(r), points);
 
         solver.assign_and_balance(comm);
 
@@ -983,7 +981,7 @@ pub fn balanced_kmeans_warm<const D: usize, C: Comm>(
     // them. What counts is the round that ran last, and it ran on every
     // rank.
     if sampled {
-        solver.round.grow(None, points, weights);
+        solver.round.grow(None, points);
         solver.assign_and_balance(comm);
     }
 
@@ -1015,13 +1013,15 @@ mod tests {
 
     /// The oracle every assignment pass of every unit-test solve runs
     /// under: recompute all k effective distances of each round point from
-    /// the caller's points (never the round's gathered lanes) and the
-    /// solver's centers and influences — no bounds, no box sort, no break
-    /// — and hold the pass to [`oracle_check_point`].
+    /// the caller's points, found by `join` (never through the round's
+    /// `ids`, which must name the same points), and the solver's centers
+    /// and influences — no bounds, no box sort, no break — and hold the
+    /// pass to [`oracle_check_point`].
     pub(super) fn oracle_check<const D: usize>(s: &Solver<'_, D>, before: &RoundState) {
         let Round { assignment, ub, lb, .. } = &s.round;
         let ids = members(&s.round, s.points.len());
         assert_eq!(ids.len(), assignment.len(), "the round holds its members");
+        assert_ids(&s.round, &ids, "oracle");
         let mut e = Vec::with_capacity(s.k);
         for (i, &p) in ids.iter().enumerate() {
             e.clear();
@@ -1040,6 +1040,17 @@ mod tests {
     /// `join[i] ≤ r`, or all `n` once `join` is gone.
     fn members<const D: usize>(round: &Round<D>, n: usize) -> Vec<usize> {
         (0..n).filter(|&i| round.join.get(i).is_none_or(|&j| j <= round.r)).collect()
+    }
+
+    /// A sample round's `ids` are exactly its `members`, ascending; a round
+    /// over every local point has none.
+    fn assert_ids<const D: usize>(round: &Round<D>, members: &[usize], tag: &str) {
+        if round.join.is_empty() {
+            assert!(round.ids.is_empty(), "{tag}: the full set reads the points directly");
+        } else {
+            let ids: Vec<usize> = round.ids.iter().map(|&i| i as usize).collect();
+            assert_eq!(ids, members, "{tag}: a sample's ids are its members, ascending");
+        }
     }
 
     /// One point against its k effective distances `e`: the assigned
@@ -1117,19 +1128,24 @@ mod tests {
         let mut home = vec![(0u32, f64::INFINITY.to_bits(), 0.0f64.to_bits()); n];
         let mut round = Round::<D>::new(n, join);
         for (step, &r) in steps.iter().enumerate() {
-            round.grow(r, &points, &weights);
+            round.grow(r, &points);
             let ids = members(&round, n);
             if r.is_none() {
-                assert!(round.join.is_empty() && round.weights.is_empty());
+                assert!(round.join.is_empty());
             }
             let tag = format!("D={D} n={n} step {step} ({r:?})");
-            let mut gathered = Lanes::<D> {
-                coords: (0..D).map(|d| ids.iter().map(|&id| points[id][d]).collect()).collect(),
-                boxes: Vec::new(),
-            };
-            gathered.rebuild_boxes();
-            assert_eq!(round.lanes.coords, gathered.coords, "{tag}");
-            assert_eq!(round.lanes.boxes, gathered.boxes, "{tag}");
+            assert_ids(&round, &ids, &tag);
+            let gathered: Vec<Point<D>> = ids.iter().map(|&id| points[id]).collect();
+            let boxes: Vec<_> = gathered
+                .chunks(SOA_BLOCK)
+                .map(|block| {
+                    let coord = |d: usize| block.iter().map(move |p| p[d]);
+                    let lo = std::array::from_fn(|d| coord(d).fold(f64::INFINITY, f64::min));
+                    let hi = std::array::from_fn(|d| coord(d).fold(f64::NEG_INFINITY, f64::max));
+                    (lo, hi)
+                })
+                .collect();
+            assert_eq!(round.boxes, boxes, "{tag}");
             let held: Vec<_> = (0..ids.len())
                 .map(|j| (round.assignment[j], round.ub[j].to_bits(), round.lb[j].to_bits()))
                 .collect();
@@ -1177,8 +1193,8 @@ mod tests {
         };
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let (mut sums, mut sizes) = (vec![0.0; k * stride], vec![0.0; k]);
-        round.add_rows::<true>(weights, &grid, &mut sums);
-        round.add_rows::<false>(weights, &grid, &mut sizes);
+        round.add_rows::<true>(points, weights, &grid, &mut sums);
+        round.add_rows::<false>(points, weights, &grid, &mut sizes);
         let (back_sums, back_sizes) = naive(&mut (0..ids.len()).rev());
         assert_eq!(bits(&sums), bits(&back_sums), "{tag}: center sums");
         assert_eq!(bits(&sizes), bits(&back_sizes), "{tag}: block weights");
@@ -1210,7 +1226,7 @@ mod tests {
             let weights: Vec<f64> = (0..n).map(|_| 0.5 + 1e3 * rng.next_f64()).collect();
             let join = if r.is_some() { random_joins(n, 4, 66) } else { Vec::new() };
             let mut round = Round::<D>::new(n, join);
-            round.grow(r, &points, &weights);
+            round.grow(r, &points);
             let mut c = 0;
             for (j, a) in round.assignment.iter_mut().enumerate() {
                 if j % run == 0 {
@@ -1293,9 +1309,9 @@ mod tests {
             let pts: Vec<Point<2>> = unit.iter().map(|p| Point::new([p[0] + offset, p[1]])).collect();
             let grid = Grid::new(n as u64, 1.0, &Aabb::from_points(&pts).unwrap());
             let mut round = Round::<2>::new(n, Vec::new());
-            round.grow(None, &pts, &weights);
+            round.grow(None, &pts);
             let mut sums = vec![0.0; 3];
-            round.add_rows::<true>(&weights, &grid, &mut sums);
+            round.add_rows::<true>(&pts, &weights, &grid, &mut sums);
             // Measured from the offset, which `mid − offset` is exactly.
             let centroid = (grid.mid[0] - offset) + sums[0] / sums[2];
             let exact = unit.iter().map(|p| p[0]).sum::<f64>() / n as f64;
@@ -1824,7 +1840,7 @@ mod tests {
             cs.order.extend((0..k as u32).map(|c| (0.0, c)));
             rng.shuffle(&mut cs.order);
             cs.fill_sorted::<D>(&centers, &influence);
-            let mut sc = KernelScratch::new(k, D);
+            let mut sc = KernelScratch::<D>::new(k);
             let m = shortlist::<D>(true, k, &(lo, hi), &cs, &mut sc);
             // The caller's rule: m = k means "scan `cs`", nothing copied.
             let kept: &[u32] = if m == k { &cs.ids } else { &sc.ids[..m] };
