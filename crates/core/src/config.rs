@@ -1,16 +1,29 @@
 //! Tuning parameters of balanced k-means and the Geographer pipeline.
 
+/// Convergence threshold for the maximum center movement, relative to the
+/// diagonal of the global bounding box (Algorithm 2's `deltaThreshold`).
+pub(crate) const DELTA_THRESHOLD: f64 = 2e-3;
+
+/// Cap on the per-step influence change (Sec. 4.2: "we restrict the maximum
+/// influence change in one step to 5 %").
+pub(crate) const INFLUENCE_CHANGE_CAP: f64 = 0.05;
+
+/// Seed of the sampling initialization (Sec. 4.5), mixed with each point's
+/// coordinate bits into the key that decides the round it joins in.
+pub(crate) const SAMPLE_SEED: u64 = 0x9e0_97e5;
+
 /// Configuration of [`crate::balanced_kmeans`] / the full pipeline.
 ///
-/// Defaults follow the paper: ε = 3 % imbalance (Sec. 5.2.5), influence
-/// change capped at 5 % per balance step (Sec. 4.2), sampling
+/// Defaults follow the paper: ε = 3 % imbalance (Sec. 5.2.5), sampling
 /// initialization starting from 100 points (Sec. 4.5; counted over all
 /// ranks, where the paper counts per process), and the
 /// geometric optimizations (Hamerly bounds, bounding-box pruning) enabled.
 /// The feature switches exist for the ablation experiments. Every field
 /// is a parameter of the paper's algorithm; none selects an implementation
 /// — there is one assignment kernel (DESIGN.md §9), and ranks are the only
-/// parallelism.
+/// parallelism. The paper's constants that no experiment varies — the
+/// convergence threshold, the 5 % influence-change cap (Sec. 4.2) and the
+/// sample seed — are constants of this module, not fields.
 #[derive(Debug, Clone)]
 pub struct Config {
     /// Maximum allowed imbalance ε: every block weight must end up at most
@@ -22,13 +35,6 @@ pub struct Config {
     /// Maximum balancing iterations between center movements (Algorithm 1's
     /// `maxBalanceIter`, a tuning parameter per Sec. 4.2).
     pub max_balance_iterations: usize,
-    /// Convergence threshold for the maximum center movement, relative to
-    /// the diagonal of the global bounding box (Algorithm 2's
-    /// `deltaThreshold`).
-    pub delta_threshold: f64,
-    /// Cap on the per-step influence change ("we restrict the maximum
-    /// influence change in one step to 5 %").
-    pub influence_change_cap: f64,
     /// Enable the sigmoid influence-erosion scheme (Eqs. 2–3).
     pub influence_erosion: bool,
     /// Enable the adapted Hamerly distance bounds (Sec. 4.3).
@@ -43,9 +49,6 @@ pub struct Config {
     /// (the paper counts it per process): the sample is keyed by the
     /// points, so the same set is drawn at every rank count.
     pub initial_sample: usize,
-    /// Seed of the sampling initialization, mixed with each point's
-    /// coordinate bits into the key that decides the round it joins in.
-    pub seed: u64,
     /// Per-block target weight fractions for non-uniform block sizes (the
     /// paper's footnote 1: "When non-uniform block sizes are desired, for
     /// example when partitioning for heterogeneous architectures, this can
@@ -61,14 +64,11 @@ impl Default for Config {
             epsilon: 0.03,
             max_iterations: 120,
             max_balance_iterations: 50,
-            delta_threshold: 2e-3,
-            influence_change_cap: 0.05,
             influence_erosion: true,
             hamerly_bounds: true,
             bbox_pruning: true,
             sampling_init: true,
             initial_sample: 100,
-            seed: 0x9e0_97e5,
             target_fractions: None,
         }
     }
@@ -88,14 +88,6 @@ impl Config {
         assert!(
             self.max_balance_iterations >= 1,
             "geographer config: max_balance_iterations must be at least 1"
-        );
-        assert!(
-            self.delta_threshold >= 0.0,
-            "geographer config: delta_threshold must be non-negative"
-        );
-        assert!(
-            self.influence_change_cap > 0.0 && self.influence_change_cap < 1.0,
-            "geographer config: influence_change_cap must be in (0,1)"
         );
         assert!(self.initial_sample >= 1, "geographer config: initial_sample must be at least 1");
         if let Some(f) = &self.target_fractions {
@@ -180,23 +172,17 @@ mod tests {
             epsilon,
             max_iterations,
             max_balance_iterations,
-            delta_threshold,
-            influence_change_cap,
             influence_erosion,
             hamerly_bounds,
             bbox_pruning,
             sampling_init,
             initial_sample,
-            seed,
             target_fractions,
         } = Config::default();
         assert_eq!(epsilon, 0.03);
         assert_eq!((max_iterations, max_balance_iterations), (120, 50));
-        assert_eq!(delta_threshold, 2e-3);
-        assert_eq!(influence_change_cap, 0.05);
         assert_eq!(initial_sample, 100);
         assert!(influence_erosion && hamerly_bounds && bbox_pruning && sampling_init);
-        assert_eq!(seed, 0x9e0_97e5);
         assert_eq!(target_fractions, None);
     }
 
@@ -244,12 +230,6 @@ mod tests {
         assert_eq!(
             panic_message(|| Config { max_iterations: 0, ..Config::default() }.validate()),
             "geographer config: max_iterations must be at least 1"
-        );
-        assert_eq!(
-            panic_message(|| {
-                Config { influence_change_cap: 1.5, ..Config::default() }.validate()
-            }),
-            "geographer config: influence_change_cap must be in (0,1)"
         );
         assert_eq!(
             panic_message(|| {

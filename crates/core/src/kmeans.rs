@@ -23,7 +23,7 @@ use geographer_geometry::{Aabb, Point, SplitMix64, Stopwatch};
 use geographer_parcomm::Comm;
 
 use crate::bounds::Relaxation;
-use crate::config::Config;
+use crate::config::{Config, DELTA_THRESHOLD, INFLUENCE_CHANGE_CAP, SAMPLE_SEED};
 use crate::influence::{adapt_influences, erode, erosion_alpha};
 
 /// Work counters, kept per rank. These feed the ablation experiments
@@ -323,7 +323,7 @@ fn snap(bound: f64) -> f64 {
 }
 
 /// The Sec. 4.5 sample, keyed by the points themselves: point i joins in
-/// round `join[i]`, the first j whose threshold its key (`cfg.seed` mixed
+/// round `join[i]`, the first j whose threshold its key (`SAMPLE_SEED` mixed
 /// with its coordinate bits) falls below. Round j's threshold is the
 /// fraction `initial_sample·2^j / n` of the key range (n: the global point
 /// count), so the expected sample doubles from `initial_sample` and the
@@ -340,7 +340,7 @@ fn sample_joins<const D: usize>(points: &[Point<D>], cfg: &Config, n: u64) -> (V
         return (Vec::new(), 0);
     }
     let join = points.iter().map(|p| {
-        let key = (0..D).fold(cfg.seed, |h, d| SplitMix64::new(h ^ p[d].to_bits()).next_u64());
+        let key = (0..D).fold(SAMPLE_SEED, |h, d| SplitMix64::new(h ^ p[d].to_bits()).next_u64());
         thresholds.iter().map(|&t| u8::from(t <= key)).sum()
     });
     (join.collect(), thresholds.len() as u8)
@@ -796,7 +796,7 @@ impl<const D: usize> Solver<'_, D> {
                 &self.fractions,
                 total,
                 D,
-                self.cfg.influence_change_cap,
+                INFLUENCE_CHANGE_CAP,
             );
             if self.cfg.hamerly_bounds {
                 self.relax_bounds();
@@ -909,7 +909,7 @@ pub fn balanced_kmeans_warm<const D: usize, C: Comm>(
     });
     let diag = bb.diagonal();
     let beta = 2.0 * diag / (k as f64).powf(1.0 / D as f64);
-    let delta_threshold = cfg.delta_threshold * diag;
+    let delta_threshold = DELTA_THRESHOLD * diag;
     let (join, sample_rounds) = sample_joins(points, cfg, n_global);
 
     let mut solver = Solver {

@@ -127,10 +127,10 @@
           several parallel arrays at once; iterator-zip rewrites of those loops are less \
           readable, not more")]
 
-pub mod bounds;
+mod bounds;
 pub mod config;
 pub mod hierarchy;
-pub mod influence;
+mod influence;
 pub mod kmeans;
 pub mod pipeline;
 pub mod repartition;

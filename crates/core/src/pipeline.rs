@@ -128,15 +128,14 @@ type Tagged<const D: usize> = (u64, u64, [f64; D], f64);
 
 /// A phase boundary: the seconds `clock` ran for the phase that ended and
 /// this rank's counters; `clock` restarts for the next phase. A rank
-/// reads only its own counters, so the snapshot itself needs no
-/// synchronization; the barrier pair is kept because it also aligns the
-/// ranks' phase timers — after the first barrier every rank has finished
-/// the previous phase, and none starts the next before all have arrived.
-/// No phase time counts the pair, and neither does `CommStats`, which has
-/// no barrier kind: only `CheckedComm` sees it.
+/// reads only its own counters, so the snapshot needs no
+/// synchronization. The one barrier after it aligns the ranks' phase
+/// timers: every rank has finished the previous phase, and none starts
+/// the next before all have arrived. No phase time counts the barrier,
+/// and neither does `CommStats`, which has no barrier kind: only
+/// `CheckedComm` sees it.
 fn phase_boundary<C: Comm>(comm: &C, clock: &mut Stopwatch) -> (f64, CommStats) {
     let ended = clock.lap();
-    comm.barrier();
     let s = comm.stats();
     comm.barrier();
     *clock = Stopwatch::start();

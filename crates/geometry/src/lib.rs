@@ -5,8 +5,9 @@
 //! plus axis-aligned bounding boxes ([`Aabb`]).
 //!
 //! The crate is dependency-free; the deterministic [`rng::SplitMix64`]
-//! generator exists so that algorithm crates can sample and hash, and tests
-//! can shuffle, without pulling in `rand`, and the [`Stopwatch`] is the one
+//! generator is the workspace's one PRNG — the workload generators draw
+//! from it, algorithm crates sample and hash with it, and tests shuffle
+//! and generate property cases with it — and the [`Stopwatch`] is the one
 //! clock the solver crates time their phases with.
 
 #![allow(clippy::needless_range_loop, reason = "fixed-dimension coordinate loops index \

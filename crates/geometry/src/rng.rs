@@ -1,6 +1,7 @@
-//! A minimal deterministic PRNG (SplitMix64) so that algorithm crates can
-//! subsample and hash, and tests can shuffle, reproducibly without a `rand`
-//! dependency.
+//! A minimal deterministic PRNG (SplitMix64), the workspace's only one:
+//! the seeded workload generators, the sample keys of balanced k-means,
+//! the tests' shuffles and the vendored proptest shim's cases all draw
+//! from it, so one pinned stream fixes every seeded input.
 //!
 //! The balanced k-means sampling initialization (Sec. 4.5 of the paper)
 //! keys each point by mixing the seed with its coordinate bits through

@@ -83,10 +83,14 @@ pub fn imbalance_with_targets(
             block_w.iter().copied().fold(0.0, f64::max) / avg - 1.0
         }
         Some(f) => {
-            assert_eq!(f.len(), k, "target_fractions length must equal k");
+            assert!(
+                f.len() == k,
+                "geographer config: target_fractions length must equal k (got {}, k = {k})",
+                f.len()
+            );
             assert!(
                 f.iter().all(|x| x.is_finite() && *x > 0.0),
-                "target_fractions must be positive"
+                "geographer config: target_fractions must be positive"
             );
             let sum: f64 = f.iter().sum();
             block_w
@@ -342,6 +346,21 @@ mod tests {
         let g = CsrGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
         let m = evaluate_partition_with_targets(&g, &asg, &w, 3, Some(&fr));
         assert!(m.imbalance.abs() < 1e-12);
+    }
+
+    // The texts of core's `Config` checks and `refine::block_capacities`.
+    #[test]
+    #[should_panic(
+        expected = "geographer config: target_fractions length must equal k (got 2, k = 3)"
+    )]
+    fn target_fractions_of_the_wrong_length_panic_with_the_config_text() {
+        imbalance_with_targets(&[0, 1, 2], &[1.0; 3], 3, Some(&[0.5, 0.5]));
+    }
+
+    #[test]
+    #[should_panic(expected = "geographer config: target_fractions must be positive")]
+    fn non_positive_target_fractions_panic_with_the_config_text() {
+        imbalance_with_targets(&[0, 1, 2], &[1.0; 3], 3, Some(&[0.5, 0.0, 0.5]));
     }
 
     #[test]

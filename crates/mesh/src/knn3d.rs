@@ -7,10 +7,8 @@
 //! matter to a *geometric* partitioner's evaluation — bounded average
 //! degree, spatially local edges, connectedness. See DESIGN.md §3.
 
-use geographer_geometry::Point;
+use geographer_geometry::{Point, SplitMix64};
 use geographer_graph::CsrGraph;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 use crate::Mesh;
 
@@ -32,22 +30,19 @@ pub enum PointCloud {
 /// symmetrized. Uses a uniform grid for neighbour search.
 pub fn knn3d(n: usize, k: usize, cloud: PointCloud, seed: u64) -> Mesh<3> {
     assert!(n > k, "need more points than neighbours");
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = SplitMix64::new(seed);
+    let mut unit_cube = || [rng.next_f64(), rng.next_f64(), rng.next_f64()];
     let points: Vec<Point<3>> = match cloud {
-        PointCloud::Uniform => (0..n)
-            .map(|_| Point::new([rng.random(), rng.random(), rng.random()]))
-            .collect(),
+        PointCloud::Uniform => (0..n).map(|_| Point::new(unit_cube())).collect(),
         PointCloud::Clustered { clusters } => {
-            let centers: Vec<[f64; 3]> = (0..clusters.max(1))
-                .map(|_| [rng.random(), rng.random(), rng.random()])
-                .collect();
+            let centers: Vec<[f64; 3]> = (0..clusters.max(1)).map(|_| unit_cube()).collect();
             (0..n)
                 .map(|_| {
-                    let c = centers[rng.random_range(0..centers.len())];
+                    let c = centers[rng.next_below(centers.len() as u64) as usize];
                     let mut coord = [0.0; 3];
                     for (i, x) in coord.iter_mut().enumerate() {
                         // Box-Muller-ish: sum of uniforms ≈ Gaussian spread.
-                        let g: f64 = (0..4).map(|_| rng.random::<f64>()).sum::<f64>() / 2.0 - 1.0;
+                        let g = (0..4).map(|_| rng.next_f64()).sum::<f64>() / 2.0 - 1.0;
                         *x = (c[i] + g * 0.08).clamp(0.0, 1.0);
                     }
                     Point::new(coord)

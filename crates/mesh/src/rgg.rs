@@ -1,9 +1,7 @@
 //! Random geometric graphs in the unit square (the `rgg_n` DIMACS family).
 
-use geographer_geometry::Point;
+use geographer_geometry::{Point, SplitMix64};
 use geographer_graph::CsrGraph;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 use crate::Mesh;
 
@@ -12,10 +10,9 @@ use crate::Mesh;
 /// threshold `sqrt(2 ln n / (π n))` is used (sparse but almost surely
 /// connected, matching the DIMACS rgg generator).
 pub fn rgg2d(n: usize, radius: Option<f64>, seed: u64) -> Mesh<2> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let points: Vec<Point<2>> = (0..n)
-        .map(|_| Point::new([rng.random::<f64>(), rng.random::<f64>()]))
-        .collect();
+    let mut rng = SplitMix64::new(seed);
+    let points: Vec<Point<2>> =
+        (0..n).map(|_| Point::new([rng.next_f64(), rng.next_f64()])).collect();
     let r = radius.unwrap_or_else(|| {
         let nf = n as f64;
         (2.0 * nf.ln() / (std::f64::consts::PI * nf)).sqrt()

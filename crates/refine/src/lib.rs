@@ -253,6 +253,7 @@ pub fn refine_partition(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use geographer_geometry::SplitMix64;
     use geographer_graph::edge_cut;
 
     fn path(n: usize) -> CsrGraph {
@@ -314,20 +315,18 @@ mod tests {
     #[test]
     fn boundary_sweeps_equal_the_all_vertex_loop() {
         use geographer_graph::coarsen::{CoarsenScratch, WeightedCsrGraph};
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(0x5EE9);
+        let mut rng = SplitMix64::new(0x5EE9);
+        let mut below = |bound: usize| rng.next_below(bound as u64) as usize;
         let mut scratch = SweepScratch::default();
         let mut coarsen = CoarsenScratch::default();
         for case in 0..200 {
-            let n = rng.random_range(2..120usize);
-            let edges: Vec<(u32, u32)> = (0..rng.random_range(0..5 * n))
-                .map(|_| (rng.random_range(0..n as u32), rng.random_range(0..n as u32)))
-                .collect();
+            let n = 2 + below(118);
+            let edges: Vec<(u32, u32)> =
+                (0..below(5 * n)).map(|_| (below(n) as u32, below(n) as u32)).collect();
             let g = CsrGraph::from_edges(n, &edges);
-            let vwgt: Vec<f64> = (0..n).map(|_| rng.random_range(1..4u32) as f64).collect();
-            let k = rng.random_range(1..7usize);
-            let start: Vec<u32> = (0..n).map(|_| rng.random_range(0..k as u32)).collect();
+            let vwgt: Vec<f64> = (0..n).map(|_| (1 + below(3)) as f64).collect();
+            let k = 1 + below(6);
+            let start: Vec<u32> = (0..n).map(|_| below(k) as u32).collect();
             // Every other case sweeps a contracted level, where edges and
             // vertices carry accumulated weights.
             let (mut coarse, mut map) = (WeightedCsrGraph::default(), Vec::new());
@@ -346,7 +345,7 @@ mod tests {
             let total: f64 = level.vwgt.iter().sum();
             let slack = [0.5, 0.05, 0.0, -0.1][case % 4];
             let allowed = vec![(1.0 + slack) * total / k as f64 + 1.0; k];
-            let max_rounds = rng.random_range(0..12usize);
+            let max_rounds = below(12);
 
             let (mut want, mut got) = (start.clone(), start.clone());
             let mut want_w = block_weights(&start, level.vwgt, k);
@@ -433,13 +432,11 @@ mod tests {
 
     #[test]
     fn cut_never_increases_and_balance_holds() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
         let mesh = geographer_mesh::delaunay_unit_square(1000, 5);
         let k = 6;
-        let mut rng = StdRng::seed_from_u64(9);
+        let mut rng = SplitMix64::new(9);
         // Start from a *random* balanced-ish partition: lots to fix.
-        let mut asg: Vec<u32> = (0..1000).map(|_| rng.random_range(0..k as u32)).collect();
+        let mut asg: Vec<u32> = (0..1000).map(|_| rng.next_below(k as u64) as u32).collect();
         let before = edge_cut(&mesh.graph, &asg);
         let cfg = RefineConfig { max_rounds: 30, epsilon: 0.10, ..RefineConfig::default() };
         let report = refine_partition(&mesh.graph, &mut asg, &mesh.weights, k, &cfg);

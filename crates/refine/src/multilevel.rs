@@ -411,17 +411,12 @@ mod tests {
         // scans, the contraction gathers and the sweeps count in another
         // order at every level (coarse rows are never sorted, so they
         // inherit it), and nothing observable moves.
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(0x0DE2);
+        let mut rng = geographer_geometry::SplitMix64::new(0x0DE2);
         for (n, k, seed) in [(1_500, 5, 31), (4_000, 8, 32)] {
             let mesh = geographer_mesh::families::bubbles_like(n, seed);
             let mut scrambled = mesh.graph.clone();
             for v in 0..n {
-                let row = &mut scrambled.adj[mesh.graph.xadj[v]..mesh.graph.xadj[v + 1]];
-                for i in (1..row.len()).rev() {
-                    row.swap(i, rng.random_range(0..i + 1));
-                }
+                rng.shuffle(&mut scrambled.adj[mesh.graph.xadj[v]..mesh.graph.xadj[v + 1]]);
             }
             assert_ne!(scrambled, mesh.graph);
             // Vertical stripes: a start with a real boundary to refine.

@@ -7,7 +7,10 @@
 //! * [`geographer`] — the balanced k-means partitioner (the paper's
 //!   contribution);
 //! * [`geographer_baselines`] — RCB, RIB, MultiJagged, HSFC;
-//! * [`geographer_mesh`] — workload generators;
+//! * [`geographer_mesh`] — workload generators, every seeded draw from
+//!   `SplitMix64`;
+//! * [`geographer_geometry`] — points, bounding boxes, the `SplitMix64`
+//!   generator and the solver crates' stopwatch;
 //! * [`geographer_graph`] — CSR graphs and partition metrics;
 //! * [`geographer_parcomm`] — the SPMD communication layer;
 //! * [`geographer_planner`] — the unified `PlanSpec`/`PlanState`/`Plan`

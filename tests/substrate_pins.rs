@@ -2,12 +2,15 @@
 //! triangulator's edge list, a density mesh's adjacency, and what the SpMV
 //! halo exchange sends and computes. A rewrite of their bookkeeping (id
 //! maps, membership sets, ghost storage) must leave every value here
-//! bit for bit unchanged.
+//! bit for bit unchanged. The seeded generators' graphs — the random
+//! geometric graph and both kNN clouds — are pinned too, so a change to
+//! their `SplitMix64` draws shows here.
 
 use geographer_geometry::{Point, SplitMix64};
 use geographer_graph::CsrGraph;
 use geographer_mesh::families::bubbles_like;
-use geographer_mesh::{delaunay_edges, delaunay_unit_square};
+use geographer_mesh::knn3d::PointCloud;
+use geographer_mesh::{delaunay_edges, delaunay_unit_square, knn3d, rgg2d};
 use geographer_parcomm::run_spmd;
 use geographer_spmv::spmv_comm_time_on_nodes;
 
@@ -41,6 +44,25 @@ fn bubbles_adjacency_matches_the_pin() {
     let mesh = bubbles_like(6_000, 22);
     let digest = adjacency_digest(&mesh.graph);
     assert_eq!((mesh.m(), digest), (17_973, 0xcf56_d5d9_51dc_a19f), "digest {digest:#018x}");
+}
+
+#[test]
+fn rgg_adjacency_matches_the_pin() {
+    let mesh = rgg2d(3_000, None, 2018);
+    let digest = adjacency_digest(&mesh.graph);
+    assert_eq!((mesh.m(), digest), (23_041, 0x57e6_b69d_2c88_6387), "digest {digest:#018x}");
+}
+
+#[test]
+fn knn_adjacency_matches_the_pin_on_both_clouds() {
+    for (cloud, pinned) in [
+        (PointCloud::Uniform, (7_221, 0xc2c5_2de6_800c_0a60)),
+        (PointCloud::Clustered { clusters: 4 }, (7_693, 0x5982_084f_35a0_7768)),
+    ] {
+        let mesh = knn3d(2_000, 6, cloud, 2018);
+        let digest = adjacency_digest(&mesh.graph);
+        assert_eq!((mesh.m(), digest), pinned, "{cloud:?}: digest {digest:#018x}");
+    }
 }
 
 #[test]
