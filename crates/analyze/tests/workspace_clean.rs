@@ -41,7 +41,8 @@ fn hot_loop_markers_are_pinned() {
         })
         .filter(|(_, markers)| *markers > 0)
         .collect();
-    // kmeans: `Round::grow`'s back-to-front walk, the run-structured loop
+    // kmeans: `Round::grow`'s back-to-front merge of a bucket (its block
+    // loop) and `Round::grow_full`'s member walk, the run-structured loop
     // of `add_runs` (under `Round::add_rows`), `scan_batch`, `shortlist`'s bound, rank, pick
     // and compaction loops, `process_block`'s survivor loop and
     // `scan_survivors`' pair loop under the per-block loop; pipeline:
@@ -53,7 +54,7 @@ fn hot_loop_markers_are_pinned() {
     // and the sub-CSR extraction; refine: the sweep loop; sfc: the two
     // loops of the key walk.
     let pinned = [
-        ("crates/core/src/kmeans.rs", 10),
+        ("crates/core/src/kmeans.rs", 11),
         ("crates/core/src/pipeline.rs", 1),
         ("crates/dsort/src/lib.rs", 3),
         ("crates/graph/src/coarsen.rs", 2),

@@ -8,16 +8,14 @@
 //! weighted centroids — matching the blue-marked lines of the paper's
 //! pseudocode.
 //!
-//! The points of a movement round — a Sec. 4.5 sample, or every local
-//! point — are one `Round`: block boxes, the points' `assignment`/`ub`/`lb`
-//! and, on a sample, the members' local indices. It copies no coordinate
-//! and no weight; every pass reads the caller's curve-ordered arrays.
-//! Samples are nested, so the next round grows the current one in place
-//! and the full set is simply the last growth (DESIGN.md §9). Samples are
-//! keyed by the points and sums are exact, so the result is the same at
-//! every rank count (§2). Every pass of the balance loop runs over the
-//! round and costs O(round). The kernel is the only assignment path; in
-//! test builds a brute-force oracle checks every pass it makes.
+//! A movement round — a Sec. 4.5 sample, or every local point — is one
+//! `Round`, which copies no coordinate and no weight and grows in place
+//! into the next (DESIGN.md §9). Samples are keyed by the points and sums
+//! are exact, so the result is the same at every rank count (§2). Every
+//! pass of the balance loop, and every growth, costs O(round). The kernel
+//! is the only assignment path; in test builds an oracle checks each pass.
+
+use std::hint::select_unpredictable;
 
 use geographer_geometry::{Aabb, Point, SplitMix64, Stopwatch};
 use geographer_parcomm::Comm;
@@ -39,38 +37,31 @@ pub struct KMeansStats {
     pub distance_evals: u64,
     /// Points whose inner loop was skipped by the Hamerly bound test.
     pub hamerly_skips: u64,
-    /// Evaluated points for which a box bound ruled out at least one
-    /// center: for the point's whole block (its center shortlist is shorter
-    /// than k) or for the point alone, inside the shortlist — what Algorithm
-    /// 1 line 16's early break became in the blocked kernel.
+    /// Evaluated points for which a box bound ruled out at least one center,
+    /// for the point's whole block (its shortlist is shorter than k) or for
+    /// it alone — what Algorithm 1 line 16's early break became in the kernel.
     pub bbox_breaks: u64,
     /// Point visits in assignment passes (skipped or not).
     pub points_visited: u64,
-    /// Wall seconds this rank spent inside assignment passes: the kernel
-    /// plus the block-weight sum, not the balance allreduce that follows —
-    /// the figure the scaling benchmark's per-point assignment cost and its
-    /// perf gate read.
+    /// Wall seconds this rank spent inside assignment passes (the kernel and
+    /// the block-weight sum, not the balance allreduce after them): what the
+    /// scaling benchmark's per-point assignment cost and its perf gate read.
     pub assignment_seconds: f64,
     /// Whether the center-movement loop converged before `max_iterations`.
     pub converged: bool,
     /// Imbalance of the final assignment (max block weight / average − 1).
     pub final_imbalance: f64,
-    /// Whether the final assignment satisfies the balance constraint
-    /// `max ≤ max((1+ε)·avg, avg + w_max)` — the weighted form of the
-    /// paper's `|Vi| ≤ (1+ε)·⌈|V|/k⌉` (the `avg + w_max` term is the
-    /// feasibility floor imposed by weight granularity, exactly what the
-    /// ceiling provides in the unweighted case).
+    /// Whether the final assignment meets `max ≤ max((1+ε)·avg, avg + w_max)`,
+    /// the weighted form of the paper's `|Vi| ≤ (1+ε)·⌈|V|/k⌉`: `avg + w_max`
+    /// is the floor weight granularity imposes, as the ceiling does unweighted.
     pub balance_achieved: bool,
 }
 
 impl KMeansStats {
     /// Fraction of point visits resolved by the Hamerly skip.
     pub fn skip_rate(&self) -> f64 {
-        if self.points_visited == 0 {
-            0.0
-        } else {
-            self.hamerly_skips as f64 / self.points_visited as f64
-        }
+        // No visit, no skip: 0 / 1.
+        self.hamerly_skips as f64 / self.points_visited.max(1) as f64
     }
 
     /// Sum counters across ranks (call from every rank).
@@ -110,112 +101,123 @@ pub struct KMeansOutput<const D: usize> {
 /// so a block's bounding box is tiny and reaches a handful of the k centers.
 const SOA_BLOCK: usize = 256;
 
-/// The points of the current movement round: the `(lo, hi)` box of every
-/// [`SOA_BLOCK`]-member run and their `assignment`/`ub`/`lb` — the only copy
-/// the solver holds. No coordinate or weight is copied: every pass reads the
-/// caller's arrays, through `ids` on a sample. Members sit in array order;
-/// the pipeline orders points along the curve on both arms (the Hilbert
-/// redistribution, the warm arm's rank-local order), so a block of
-/// consecutive sample members is still spatially tight.
-///
-/// A point joins the sample in round `join[i]` and stays, and a point no
-/// round has reached holds the constant `(assignment, ub, lb) = (0, ∞, 0)`,
-/// so [`Round::grow`] turns one round into the next in place; nothing is
-/// written back anywhere.
+/// The points of the current movement round: their `assignment`/`ub`/`lb`, the only copy
+/// the solver holds, and the `(lo, hi)` box of every [`SOA_BLOCK`]-member run. No
+/// coordinate or weight is copied: passes read the caller's arrays, through `ids` on a
+/// sample, in array order — curve order on both arms of the pipeline, so a block of
+/// consecutive sample members is still spatially tight. A point joins the sample in one
+/// round and stays, and one no round has reached holds `(0, ∞, 0)`, so [`Round::grow`]
+/// turns a round into the next in place; nothing is written back anywhere.
 struct Round<const D: usize> {
     assignment: Vec<u32>,
     ub: Vec<f64>,
     lb: Vec<f64>,
-    boxes: Vec<([f64; D], [f64; D])>,
-    /// The sample round this is: it holds the points with `join[i] ≤ r`.
-    r: u8,
-    /// `join[i]`: the round in which local point i joins the sample
-    /// ([`sample_joins`]); empty once the round holds every local point,
-    /// and with sampling off.
-    join: Vec<u8>,
-    /// A sample's members, by local index in ascending (curve) order:
-    /// member j is point `ids[j]`. Empty when member j is point j — once
-    /// the round holds every local point, and on a sample with no member.
+    boxes: Vec<Bounds<D>>,
+    /// The sample's buckets: round j's newcomers, by ascending local index,
+    /// are `joins[starts[j]..starts[j + 1]]`; a sample holds `..ids.len()`.
+    joins: Vec<u32>,
+    starts: Vec<usize>,
+    /// A sample's members, by ascending local index: member j is point
+    /// `ids[j]`. Empty when member j is point j, and on an empty sample.
     ids: Vec<u32>,
 }
 
+/// A bounding box, `(lo, hi)`.
+type Bounds<const D: usize> = ([f64; D], [f64; D]);
+
+/// `(lo, hi)` extended by `p`: one `minsd`/`maxsd` a chain, no NaN fix-up.
+#[inline(always)]
+fn extend<const D: usize>((mut lo, mut hi): Bounds<D>, p: &Point<D>) -> Bounds<D> {
+    for d in 0..D {
+        lo[d] = if p[d] < lo[d] { p[d] } else { lo[d] };
+        hi[d] = if p[d] > hi[d] { p[d] } else { hi[d] };
+    }
+    (lo, hi)
+}
+
 impl<const D: usize> Round<D> {
-    /// An empty round over `n_local` points joining in rounds `join`, whose
-    /// `assignment`/`ub`/`lb` never reallocate while it grows; `ids` and
-    /// the boxes grow with the sample (DESIGN.md §9: the shape is measured).
-    fn new(n_local: usize, join: Vec<u8>) -> Self {
-        Round {
-            assignment: Vec::with_capacity(n_local),
-            ub: Vec::with_capacity(n_local),
-            lb: Vec::with_capacity(n_local),
-            boxes: Vec::new(),
-            r: 0,
-            ids: Vec::new(),
-            join,
-        }
+    const NO_BOX: Bounds<D> = ([f64::INFINITY; D], [f64::NEG_INFINITY; D]);
+
+    /// An empty round over `n_local` points and the sample's buckets
+    /// ([`sample_joins`]), whose arrays never reallocate while it grows:
+    /// `ids` is reserved for the largest sample (DESIGN.md §9).
+    fn new(n_local: usize, (joins, starts): (Vec<u32>, Vec<usize>)) -> Self {
+        let (assignment, ub) = (Vec::with_capacity(n_local), Vec::with_capacity(n_local));
+        let (lb, ids) = (Vec::with_capacity(n_local), Vec::with_capacity(joins.len()));
+        Round { assignment, ub, lb, boxes: Vec::new(), joins, starts, ids }
     }
 
-    /// Grow the round in place to sample round `r` (the points with
-    /// `join[i] ≤ r`, a superset of the current round), or to every local
-    /// point (`None`). Members keep their `assignment`/`ub`/`lb`,
-    /// newcomers start from `(0, ∞, 0)`; the block boxes are rebuilt.
+    /// Grow the round in place to sample round `r` (buckets `..=r`), or to
+    /// every point (`None`), once: members keep their state, newcomers start
+    /// at `(0, ∞, 0)`. A bucket merges in from the back, position j selecting
+    /// the larger of the two last unplaced ids; members below the first
+    /// newcomer stay, with their blocks' boxes (DESIGN.md §9 "What grows").
     fn grow(&mut self, r: Option<u8>, points: &[Point<D>]) {
-        let Round { assignment, ub, lb, boxes, join, ids, .. } = self;
-        let (old_len, old_r) = (assignment.len(), self.r);
-        let len = r.map_or(points.len(), |r| join.iter().filter(|&&j| j <= r).count());
-        if len != old_len {
+        let Some(r) = r else { return self.grow_full(points) };
+        let Round { assignment, ub, lb, boxes, joins, starts, ids } = self;
+        // Bucket by bucket: the next one starts at `ids.len()`.
+        while ids.len() < starts[usize::from(r) + 1] {
+            let len = starts[starts.partition_point(|&s| s <= ids.len())];
+            let new = &joins[ids.len()..len];
+            let (mut a, mut b) = (ids.len(), new.len());
+            let keep = ids.partition_point(|&i| i < new[0]);
             assignment.resize(len, 0);
             ub.resize(len, f64::INFINITY);
             lb.resize(len, 0.0);
-            ids.resize(if r.is_some() { len } else { 0 }, 0);
-            // Back to front, in array order: a member never moves to a
-            // lower position and every old position above the one being
-            // written has been read, so no write lands on a value still to
-            // be carried.
-            let (mut j, mut old) = (len, old_len);
+            ids.resize(len, 0);
+            boxes.resize(len.div_ceil(SOA_BLOCK), Self::NO_BOX);
+            let (ids, asg, ub, lb) = (&mut ids[..], &mut assignment[..], &mut ub[..], &mut lb[..]);
+            // A select of two `f64`s becomes a branch; of their bits, a `cmov`.
+            let pick = |c, old: f64, new: f64| {
+                f64::from_bits(select_unpredictable(c, old.to_bits(), new.to_bits()))
+            };
             // geo-analyze: hot-loop
-            for i in (0..points.len()).rev() {
-                let joins = join.get(i).copied().unwrap_or(0);
-                if r.is_some_and(|r| joins > r) {
-                    continue;
+            for blk in (keep / SOA_BLOCK..boxes.len()).rev() {
+                let (start, mut bx) = (blk * SOA_BLOCK, Self::NO_BOX);
+                // From `keep` up `b ≥ 1`, and j = a + b − 1 lies above every
+                // old position still to be read (< a): no write lands on one.
+                for j in (start.max(keep)..(start + SOA_BLOCK).min(len)).rev() {
+                    let (o, n) = (a.saturating_sub(1), new[b - 1]);
+                    let c = (a > 0) & (ids[o] > n);
+                    (ids[j], asg[j]) =
+                        (select_unpredictable(c, ids[o], n), select_unpredictable(c, asg[o], 0));
+                    (ub[j], lb[j]) = (pick(c, ub[o], f64::INFINITY), pick(c, lb[o], 0.0));
+                    (a, b) = (a - usize::from(c), b - usize::from(!c));
+                    bx = extend(bx, &points[ids[j] as usize]);
                 }
-                j -= 1;
-                if old_len > 0 && joins <= old_r {
-                    old -= 1;
-                    assignment[j] = assignment[old];
-                    ub[j] = ub[old];
-                    lb[j] = lb[old];
-                } else {
-                    assignment[j] = 0;
-                    ub[j] = f64::INFINITY;
-                    lb[j] = 0.0;
-                }
-                if r.is_some() {
-                    ids[j] = i as u32;
-                }
+                let kept = ids[start..start.max(keep)].iter();
+                boxes[blk] = kept.fold(bx, |bx, &i| extend(bx, &points[i as usize]));
             }
-            boxes.clear();
-            for b in (0..len).step_by(SOA_BLOCK) {
-                let (mut lo, mut hi) = ([f64::INFINITY; D], [f64::NEG_INFINITY; D]);
-                // Point-major: the 2·D min/max chains are independent.
-                for j in b..(b + SOA_BLOCK).min(len) {
-                    let p = &points[ids.get(j).map_or(j, |&i| i as usize)];
-                    for d in 0..D {
-                        (lo[d], hi[d]) = (lo[d].min(p[d]), hi[d].max(p[d]));
-                    }
-                }
-                boxes.push((lo, hi));
-            }
-        }
-        match r {
-            Some(r) => self.r = r,
-            None => (self.join, self.ids) = Default::default(),
         }
     }
 
-    /// Bounding box of all members: the union of the block boxes. Min and
-    /// max select, they do not round, so this is the box a pass over the
-    /// points in any order yields.
+    /// [`Round::grow`] to every point: `[len, n)` starts at `(0, ∞, 0)`, then
+    /// from the back each member moves up to its own index and leaves `(0, ∞,
+    /// 0)` behind for a lower member to overwrite. The buckets are freed before
+    /// the arrays grow into their last pages, `ids` after.
+    fn grow_full(&mut self, points: &[Point<D>]) {
+        let Round { assignment, ub, lb, boxes, joins, starts, ids } = self;
+        let n = points.len();
+        if starts.is_empty() && assignment.len() == n {
+            return;
+        }
+        (*joins, *starts) = Default::default();
+        assignment.resize(n, 0);
+        ub.resize(n, f64::INFINITY);
+        lb.resize(n, 0.0);
+        // geo-analyze: hot-loop
+        for (j, &i) in ids.iter().enumerate().rev() {
+            let (i, old) = (i as usize, (assignment[j], ub[j], lb[j]));
+            (assignment[j], ub[j], lb[j]) = (0, f64::INFINITY, 0.0);
+            (assignment[i], ub[i], lb[i]) = old;
+        }
+        boxes.clear();
+        points.chunks(SOA_BLOCK).for_each(|b| boxes.push(b.iter().fold(Self::NO_BOX, extend)));
+        *ids = Vec::new();
+    }
+
+    /// Bounding box of all members: the union of the block boxes — min and
+    /// max select, so it is the box a pass over the points in any order finds.
     fn bbox(&self) -> Option<Aabb<D>> {
         let (lo, hi) = self.boxes.iter().copied().reduce(|(lo, hi), (l, h)| {
             (std::array::from_fn(|d| lo[d].min(l[d])), std::array::from_fn(|d| hi[d].max(h[d])))
@@ -223,12 +225,11 @@ impl<const D: usize> Round<D> {
         Some(Aabb { min: Point::new(lo), max: Point::new(hi) })
     }
 
-    /// Add every member, in array order, into row `assignment[j]` of
-    /// `rows`: its weight `w` into the row's last entry and, with `XS`,
-    /// `w·(x − mid)` into the D before it — each term pre-rounded onto
-    /// `grid`, so every sum is exact and its bits do not depend on the
-    /// order of the terms or on how the ranks share them. `points` and
-    /// `weights` are the local points'.
+    /// Add every member, in array order, into row `assignment[j]` of `rows`: its weight `w`
+    /// into the row's last entry and, with `XS`, `w·(x − mid)` into the D before it — each
+    /// term pre-rounded onto `grid`, so every sum is exact and its bits do not depend on
+    /// the order of the terms or on how the ranks share them. `points` and `weights` are
+    /// the local points'.
     fn add_rows<const XS: bool>(
         &self,
         points: &[Point<D>],
@@ -286,11 +287,11 @@ fn add_runs<'p, const XS: bool, const D: usize>(
     store(rows, cur, (xs, ws));
 }
 
-/// The grids a round's sums pre-round their terms onto (DESIGN.md §2), a
-/// weight by `w`, a term `w·(x_d − mid_d)` by `wx[d]` (from the box's
-/// middle: the grid scales with its extent, not its offset): multiples of
-/// a power of two that every partial sum of at most `n_global` terms stays
-/// an exact multiple of, so a sum has one value in any order and at any p.
+/// The grids a round's sums pre-round their terms onto (DESIGN.md §2), a weight
+/// by `w`, a term `w·(x_d − mid_d)` by `wx[d]` (from the box's middle: the grid
+/// scales with its extent, not its offset): multiples of a power of two that
+/// every partial sum of at most `n_global` terms stays an exact multiple of, so
+/// a sum has one value in any order and at any p.
 struct Grid<const D: usize> {
     w: f64,
     wx: [f64; D],
@@ -309,11 +310,10 @@ impl<const D: usize> Grid<D> {
     }
 }
 
-/// `1.5·2^e` for the least `e ≥ −1022` with `2^(e−1) ≥ bound`, capped at
-/// `e = 1022`. `(x + g) − g` rounds any `|x| ≤ 2^(e−1)` exactly to a
-/// multiple of `ulp(g) = 2^(e−52)`, and sums of such multiples whose
-/// magnitudes total at most `2^(e+1)` are exact. Total: a zero, NaN or
-/// infinite bound gives a finite grid.
+/// `1.5·2^e` for the least `e ≥ −1022` with `2^(e−1) ≥ bound`, capped at `e = 1022`.
+/// `(x + g) − g` rounds any `|x| ≤ 2^(e−1)` exactly to a multiple of `ulp(g) = 2^(e−52)`,
+/// and sums of such multiples whose magnitudes total at most `2^(e+1)` are exact. Total: a
+/// zero, NaN or infinite bound gives a finite grid.
 fn snap(bound: f64) -> f64 {
     let mut s = f64::MIN_POSITIVE;
     while s < 2.0 * bound && s < 2f64.powi(1022) {
@@ -322,28 +322,46 @@ fn snap(bound: f64) -> f64 {
     1.5 * s
 }
 
-/// The Sec. 4.5 sample, keyed by the points themselves: point i joins in
-/// round `join[i]`, the first j whose threshold its key (`SAMPLE_SEED` mixed
-/// with its coordinate bits) falls below. Round j's threshold is the
-/// fraction `initial_sample·2^j / n` of the key range (n: the global point
-/// count), so the expected sample doubles from `initial_sample` and the
-/// first j with `initial_sample·2^j ≥ n` holds every point, whichever rank
-/// holds which. Returns `join` (empty if that j is 0) and the round count.
-fn sample_joins<const D: usize>(points: &[Point<D>], cfg: &Config, n: u64) -> (Vec<u8>, u8) {
-    let mut thresholds = Vec::new();
-    let mut size = cfg.initial_sample as u128;
-    while cfg.sampling_init && size < u128::from(n) {
-        thresholds.push(((size << 64) / u128::from(n)) as u64);
-        size *= 2;
+/// The round a point of sample key `key` joins in, `#{j : t_j ≤ key}`. The
+/// thresholds (not empty) double, so `t_j`'s top bit is bit `e_0 + j`, and
+/// only `t_g`, `g = e_key − e_0`, needs a compare: those below are `≤ key`.
+#[inline]
+fn join_round(thresholds: &[u64], key: u64) -> usize {
+    let g = thresholds[0].leading_zeros() as isize - key.leading_zeros() as isize;
+    let j = (g.max(0) as usize).min(thresholds.len() - 1);
+    j + usize::from(thresholds[j] <= key)
+}
+
+/// The Sec. 4.5 sample's buckets over the local points ([`Round`]): round j holds the keys
+/// below `2^64·initial_sample·2^j / n` (n: the global point count), the first j with
+/// `initial_sample·2^j ≥ n` every point. A key mixes `SAMPLE_SEED` with the point's
+/// coordinates, whichever rank holds it. Counted as found, then placed without a
+/// data-dependent branch: a point of the full set writes one dummy slot past the last
+/// bucket. Empty with sampling off.
+fn sample_joins<const D: usize>(pts: &[Point<D>], cfg: &Config, n: u64) -> (Vec<u32>, Vec<usize>) {
+    let sizes = std::iter::successors(Some(cfg.initial_sample as u128), |s| Some(s * 2));
+    let sampled = sizes.take_while(|&s| cfg.sampling_init && s < u128::from(n));
+    let thresholds: Vec<u64> = sampled.map(|s| ((s << 64) / u128::from(n)) as u64).collect();
+    let rounds = thresholds.len();
+    if rounds == 0 {
+        return Default::default();
     }
-    if thresholds.is_empty() {
-        return (Vec::new(), 0);
-    }
-    let join = points.iter().map(|p| {
+    let (mut join, mut starts) = (Vec::with_capacity(pts.len()), vec![0; rounds + 2]);
+    for p in pts {
         let key = (0..D).fold(SAMPLE_SEED, |h, d| SplitMix64::new(h ^ p[d].to_bits()).next_u64());
-        thresholds.iter().map(|&t| u8::from(t <= key)).sum()
-    });
-    (join.collect(), thresholds.len() as u8)
+        let j = join_round(&thresholds, key);
+        starts[j + 1] += 1;
+        join.push(j as u8);
+    }
+    (1..=rounds).for_each(|j| starts[j] += starts[j - 1]);
+    let (mut next, mut joins) = (starts.clone(), vec![0; starts[rounds] + 1]);
+    for (i, j) in join.into_iter().map(usize::from).enumerate() {
+        joins[next[j]] = i as u32;
+        next[j] += usize::from(j < rounds);
+    }
+    joins.pop();
+    starts.pop();
+    (joins, starts)
 }
 
 /// The k centers laid out for the SoA kernel, in bbox-sorted order.
@@ -476,18 +494,15 @@ fn scan_batch(bound: &[f64], ebuf: &[f64], ids: &[u32], init_c: u32) -> (f64, f6
     (best, second, best_c, evals)
 }
 
-/// Compact into `sc` the centers a block with bounding box `(lo, hi)` can
-/// reach, in `cs`'s scan order, and return how many there are — k when the
-/// block reaches every center, which the caller then scans in `cs` itself.
-///
-/// Sound because the arithmetic rounds monotonically (DESIGN.md §9):
-/// `cbound[j] = minDist(box, c_j)/I(j) ≤ e_j(x) ≤ maxDist(box, c_j)/I(j)`
-/// for every point x of the box, in the kernel's own floating point. With
-/// U the larger `maxDist/I` of any two centers, `second-best(x) ≤ U`, so a
-/// center with `cbound[j] > U` is strictly farther from every x and could
-/// change neither `best`, `second` nor a tie. Any two are sound; the two
-/// smallest by `rank[j]` ≈ `(maxDist/I)²` (a multiply per center, not a
-/// `sqrt` and a division) make U tight. A NaN never excludes.
+/// Compact into `sc` the centers a block with bounding box `(lo, hi)` can reach, in `cs`'s
+/// scan order, and return how many there are — k when the block reaches every center, which
+/// the caller then scans in `cs` itself. Sound because the arithmetic rounds monotonically
+/// (DESIGN.md §9): `cbound[j] = minDist(box, c_j)/I(j) ≤ e_j(x) ≤ maxDist(box, c_j)/I(j)`
+/// for every point x of the box, in the kernel's own floating point. With U the larger
+/// `maxDist/I` of any two centers, `second-best(x) ≤ U`, so a center with `cbound[j] > U`
+/// is strictly farther from every x and could change neither `best`, `second` nor a tie.
+/// Any two are sound; the two smallest by `rank[j]` ≈ `(maxDist/I)²` (a multiply per
+/// center, not a `sqrt` and a division) make U tight. A NaN never excludes.
 #[inline(always)]
 fn shortlist<const D: usize>(
     pruning: bool,
@@ -564,21 +579,19 @@ fn shortlist<const D: usize>(
     m
 }
 
-/// One block of the SoA kernel: compact the points the Hamerly test does
-/// not skip and gather theirs — `points[i]`, or `points[ids[i]]` on a
-/// sample — shortlist the centers the block's bounding box (`bbox`, built
-/// when the round was grown) can reach, then scan every survivor against
-/// the shortlist. `assign`/`ub`/`lb` are the values on entry, updated on exit.
-///
-/// Exact: effective distances accumulate in the order of `Point::dist`, so
-/// every evaluated point ends with `ub`/`lb` bitwise the best and second-best
-/// of all k distances. A center is only left out — of the shortlist, or of
-/// one point's scan when its block bound exceeds the current `second` — when
-/// it could not have changed `best`/`second`/`best_c`; the shortlist keeps the
-/// scan order, so a tie still goes to the earlier position (`oracle_check`).
+/// One block of the SoA kernel: compact the points the Hamerly test does not skip and
+/// gather theirs — `points[i]`, or `points[ids[i]]` on a sample — shortlist the centers the
+/// block's bounding box (`bbox`, built when the round was grown) can reach, then scan every
+/// survivor against the shortlist. `assign`/`ub`/`lb` are the values on entry, updated on
+/// exit. Exact: effective distances accumulate in the order of `Point::dist`, so every
+/// evaluated point ends with `ub`/`lb` bitwise the best and second-best of all k distances.
+/// A center is only left out — of the shortlist, or of one point's scan when its block
+/// bound exceeds the current `second` — when it could not have changed
+/// `best`/`second`/`best_c`; the shortlist keeps the scan order, so a tie still goes to the
+/// earlier position (`oracle_check`).
 #[allow(clippy::too_many_arguments, reason = "points and bounds are separate borrows")]
-// Outlined on purpose: one call per 256-point block amortizes the call,
-// and the measured kernel numbers were taken in this shape.
+// Outlined on purpose: one call per 256-point block amortizes the call, and
+// the kernel was measured in this shape.
 #[inline(never)]
 fn process_block<const D: usize>(
     hamerly: bool,
@@ -651,8 +664,7 @@ fn scan_survivors<const D: usize>(
     // (the op order of `Point::dist`, exact per lane, so identical values),
     // center coordinates loaded once for both points, the two sqrt/div
     // chains overlapping in the divider. `scan_batch` then resolves each
-    // point; the `sqrt`/`div` it skips cost less than branching around
-    // them, at every m (DESIGN.md §9).
+    // point; the `sqrt`/`div` it skips cost less than branching, at every m (§9).
     let (e0, e1) = ebuf[..2 * m].split_at_mut(m);
     let mut t = 0;
     // geo-analyze: hot-loop
@@ -829,8 +841,7 @@ impl<const D: usize> Solver<'_, D> {
         // Exact, like the block weights.
         self.round.add_rows::<true>(self.points, self.weights, &self.grid, &mut self.center_sums);
         comm.allreduce_sum_f64(&mut self.center_sums);
-        let (sums, centers, buf) =
-            (&self.center_sums, &self.centers, &mut self.new_centers_buf);
+        let (sums, centers, buf) = (&self.center_sums, &self.centers, &mut self.new_centers_buf);
         let mid = self.grid.mid;
         buf.clear();
         for c in 0..k {
@@ -851,9 +862,7 @@ impl<const D: usize> Solver<'_, D> {
 }
 
 /// Run balanced k-means (Algorithm 2) on the rank-local `points` with the
-/// given replicated `initial_centers`.
-///
-/// All ranks must call this collectively with identical `k`, `cfg`, and
+/// given replicated `initial_centers`. All ranks must call this collectively with identical `k`, `cfg`, and
 /// `initial_centers`. Returns the local assignment plus final replicated
 /// centers/influences and this rank's work counters.
 pub fn balanced_kmeans<const D: usize, C: Comm>(
@@ -867,18 +876,13 @@ pub fn balanced_kmeans<const D: usize, C: Comm>(
     balanced_kmeans_warm(comm, points, weights, k, initial_centers, vec![1.0; k], cfg)
 }
 
-/// Warm-started balanced k-means: resume from the centers *and* influence
-/// values of a previous solve instead of the neutral `I(c) = 1` start.
-///
-/// This is the solver behind the warm arm of [`crate::partition_spmd`]
-/// (DESIGN.md §5): on a converged previous solution, `(centers, influence)`
-/// exactly reproduce the previous assignment, so an unchanged point set
-/// re-balances in one assignment pass with zero migration, and a slightly
-/// drifted one converges in a handful of iterations instead of re-running
-/// the whole SFC bootstrap.
-///
-/// Same collective contract as [`balanced_kmeans`]; `initial_influence`
-/// must be replicated, length `k`, and strictly positive.
+/// Warm-started balanced k-means: resume from the centers *and* influence values of a
+/// previous solve instead of the neutral `I(c) = 1` start — the solver behind the warm arm
+/// of [`crate::partition_spmd`] (DESIGN.md §5). On a converged previous solution `(centers,
+/// influence)` reproduce its assignment exactly, so an unchanged point set re-balances in
+/// one pass with zero migration, and a slightly drifted one converges in a handful of
+/// iterations without the SFC bootstrap. Same collective contract as [`balanced_kmeans`];
+/// `initial_influence` must be replicated, length `k`, and strictly positive.
 pub fn balanced_kmeans_warm<const D: usize, C: Comm>(
     comm: &C,
     points: &[Point<D>],
@@ -904,13 +908,13 @@ pub fn balanced_kmeans_warm<const D: usize, C: Comm>(
     // paper's "average cluster diameter" (DESIGN.md §2).
     let bb = crate::global_bbox(comm, points);
     let local_w_max = weights.iter().copied().fold(0.0, f64::max);
-    let (w_max, n_global) = comm.allreduce((local_w_max, n_local as u64), |a, b| {
-        (a.0.max(b.0), a.1 + b.1)
-    });
+    let (w_max, n_global) =
+        comm.allreduce((local_w_max, n_local as u64), |a, b| (a.0.max(b.0), a.1 + b.1));
     let diag = bb.diagonal();
     let beta = 2.0 * diag / (k as f64).powf(1.0 / D as f64);
     let delta_threshold = DELTA_THRESHOLD * diag;
-    let (join, sample_rounds) = sample_joins(points, cfg, n_global);
+    let buckets = sample_joins(points, cfg, n_global);
+    let sample_rounds = buckets.1.len().saturating_sub(1) as u8;
 
     let mut solver = Solver {
         points,
@@ -922,7 +926,7 @@ pub fn balanced_kmeans_warm<const D: usize, C: Comm>(
         w_max,
         grid: Grid::new(n_global, w_max, &bb),
         fractions: cfg.fractions(k),
-        round: Round::new(n_local, join),
+        round: Round::new(n_local, buckets),
         cscratch: CenterScratch::default(),
         kscratch: KernelScratch::new(k),
         old_influence: Vec::with_capacity(k),
@@ -937,9 +941,8 @@ pub fn balanced_kmeans_warm<const D: usize, C: Comm>(
     solver.old_influence.extend_from_slice(&solver.influence);
 
     // Sampling initialization (Sec. 4.5): movement round r runs on sample
-    // round r, each growing the last one in place, until round
-    // `sample_rounds` holds every point — the same round on every rank,
-    // since it depends on the global point count alone.
+    // round r, grown from the last in place, until round `sample_rounds`
+    // holds every point — on every rank at once: it depends on n alone.
     let mut r = 0;
     let mut sampled = true; // no round yet: nothing is assigned
     for _ in 0..cfg.max_iterations {
@@ -951,12 +954,10 @@ pub fn balanced_kmeans_warm<const D: usize, C: Comm>(
 
         let max_delta = solver.compute_new_centers(comm);
 
-        // Converged = centers stationary AND the balance constraint met.
-        // (A stationary-but-imbalanced state keeps iterating: the influence
-        // adaptation inside assign_and_balance continues to shift block
-        // boundaries even with fixed centers; cf. the paper's Sec. 4.5
-        // "balance was always achieved when allowing a sufficient number of
-        // balance and movement iterations".)
+        // Converged = centers stationary AND the balance constraint met. A
+        // stationary-but-imbalanced state keeps iterating: influences still
+        // shift block boundaries (the paper's Sec. 4.5: "balance was always
+        // achieved when allowing a sufficient number of … iterations").
         if !sampled && max_delta < delta_threshold && solver.stats.balance_achieved {
             solver.stats.converged = true;
             break;
@@ -978,8 +979,7 @@ pub fn balanced_kmeans_warm<const D: usize, C: Comm>(
 
     // If the iteration budget ran out mid-sampling, points outside the
     // sample have never been assigned: finish with one pass over all of
-    // them. What counts is the round that ran last, and it ran on every
-    // rank.
+    // them. What counts is the round that ran last, on every rank.
     if sampled {
         solver.round.grow(None, points);
         solver.assign_and_balance(comm);
@@ -1013,8 +1013,8 @@ mod tests {
 
     /// The oracle every assignment pass of every unit-test solve runs
     /// under: recompute all k effective distances of each round point from
-    /// the caller's points, found by `join` (never through the round's
-    /// `ids`, which must name the same points), and the solver's centers
+    /// the caller's points, found from the round's buckets (never through
+    /// its `ids`, which must name the same points), and the solver's centers
     /// and influences — no bounds, no box sort, no break — and hold the
     /// pass to [`oracle_check_point`].
     pub(super) fn oracle_check<const D: usize>(s: &Solver<'_, D>, before: &RoundState) {
@@ -1036,16 +1036,22 @@ mod tests {
         ORACLE_VISITS.with(|v| v.set(v.get() + assignment.len() as u64));
     }
 
-    /// The local ids the round holds, ascending: the points with
-    /// `join[i] ≤ r`, or all `n` once `join` is gone.
+    /// The local ids the round holds, ascending: the first `len` of its
+    /// buckets, sorted, or all `n` once the buckets are gone.
     fn members<const D: usize>(round: &Round<D>, n: usize) -> Vec<usize> {
-        (0..n).filter(|&i| round.join.get(i).is_none_or(|&j| j <= round.r)).collect()
+        if round.starts.is_empty() {
+            return (0..n).collect();
+        }
+        let held = &round.joins[..round.assignment.len()];
+        let mut ids: Vec<usize> = held.iter().map(|&i| i as usize).collect();
+        ids.sort_unstable();
+        ids
     }
 
     /// A sample round's `ids` are exactly its `members`, ascending; a round
     /// over every local point has none.
     fn assert_ids<const D: usize>(round: &Round<D>, members: &[usize], tag: &str) {
-        if round.join.is_empty() {
+        if round.starts.is_empty() {
             assert!(round.ids.is_empty(), "{tag}: the full set reads the points directly");
         } else {
             let ids: Vec<usize> = round.ids.iter().map(|&i| i as usize).collect();
@@ -1114,26 +1120,28 @@ mod tests {
         oracle_check_point(&[3.0, 1.0, 2.0], true, (1, 1.5, 1.75), (1, 1.0, 2.0));
     }
 
-    /// Walk one round over points joining in rounds `join` through
-    /// `steps` (`Some(r)`: sample round r, `None`: every point) and hold
-    /// each growth to a from-scratch gather of `points`. After each check
-    /// every `(assignment, ub, lb)` is overwritten with a value unique to
-    /// its point and step, so the next growth must carry exactly those bits.
-    fn check_growths<const D: usize>(join: Vec<u8>, steps: &[Option<u8>]) {
+    /// Walk one round over points joining in rounds `join` (`rounds`: only
+    /// with the full set) through `steps` (`Some(r)`: sample round r,
+    /// `None`: every point) and hold each growth to a from-scratch gather
+    /// of `points`. After each check every `(assignment, ub, lb)` is
+    /// overwritten with a value unique to its point and step, so the next
+    /// growth must carry exactly those bits.
+    fn check_growths<const D: usize>(join: Vec<u8>, rounds: u8, steps: &[Option<u8>]) {
         let n = join.len();
         let points = family_points::<D>(n, 61, true);
         let mut rng = SplitMix64::new(62);
         let weights: Vec<f64> = (0..n).map(|_| 1.0 + rng.next_f64()).collect();
         // What every local point holds, reached by a round yet or not.
         let mut home = vec![(0u32, f64::INFINITY.to_bits(), 0.0f64.to_bits()); n];
-        let mut round = Round::<D>::new(n, join);
+        let mut round = Round::<D>::new(n, buckets(&join, rounds));
         for (step, &r) in steps.iter().enumerate() {
             round.grow(r, &points);
-            let ids = members(&round, n);
+            let ids: Vec<usize> = (0..n).filter(|&i| r.is_none_or(|r| join[i] <= r)).collect();
             if r.is_none() {
-                assert!(round.join.is_empty());
+                assert!(round.joins.is_empty() && round.starts.is_empty());
             }
             let tag = format!("D={D} n={n} step {step} ({r:?})");
+            assert_eq!(members(&round, n), ids, "{tag}: the buckets hold the joins");
             assert_ids(&round, &ids, &tag);
             let gathered: Vec<Point<D>> = ids.iter().map(|&id| points[id]).collect();
             let boxes: Vec<_> = gathered
@@ -1208,8 +1216,22 @@ mod tests {
         assert_eq!(bits(&sizes), bits(&dealt_sizes), "{tag}: block weights, dealt");
     }
 
+    /// The buckets of points joining in rounds `join`, `rounds` being the
+    /// full set's, built the slow way: round by round. None with sampling off.
+    fn buckets(join: &[u8], rounds: u8) -> (Vec<u32>, Vec<usize>) {
+        if rounds == 0 {
+            return Default::default();
+        }
+        let (mut joins, mut starts) = (Vec::new(), vec![0]);
+        for r in 0..rounds {
+            joins.extend((0..join.len() as u32).filter(|&i| join[i as usize] == r));
+            starts.push(joins.len());
+        }
+        (joins, starts)
+    }
+
     /// Join rounds over `n` points as [`sample_joins`] makes them: about
-    /// half of the points join only with the last of `rounds` rounds.
+    /// half of the points join only with the full set, round `rounds`.
     fn random_joins(n: usize, rounds: u8, seed: u64) -> Vec<u8> {
         let mut rng = SplitMix64::new(seed);
         (0..n).map(|_| rounds - (rng.next_u64() | 1 << rounds).trailing_zeros() as u8).collect()
@@ -1224,8 +1246,9 @@ mod tests {
             let points = family_points::<D>(n, 64, false);
             let mut rng = SplitMix64::new(65);
             let weights: Vec<f64> = (0..n).map(|_| 0.5 + 1e3 * rng.next_f64()).collect();
-            let join = if r.is_some() { random_joins(n, 4, 66) } else { Vec::new() };
-            let mut round = Round::<D>::new(n, join);
+            let buckets =
+                if r.is_some() { buckets(&random_joins(n, 4, 66), 4) } else { Default::default() };
+            let mut round = Round::<D>::new(n, buckets);
             round.grow(r, &points);
             let mut c = 0;
             for (j, a) in round.assignment.iter_mut().enumerate() {
@@ -1256,11 +1279,85 @@ mod tests {
         // Nested rounds across block boundaries up to every point; sampling
         // off goes from empty to full in one step; a round may hold
         // nothing, and a rank may hold nothing at all.
-        check_growths::<2>(random_joins(1000, 5, 67), &[Some(0), Some(1), Some(3), Some(4), None]);
-        check_growths::<3>(random_joins(777, 3, 68), &[Some(0), Some(2), None]);
-        check_growths::<2>(Vec::new(), &[None]);
-        check_growths::<2>(vec![2; 300], &[Some(0), Some(1), None]);
-        check_growths::<3>(Vec::new(), &[None]);
+        check_growths::<2>(
+            random_joins(1000, 5, 67),
+            5,
+            &[Some(0), Some(1), Some(3), Some(4), None],
+        );
+        check_growths::<3>(random_joins(777, 3, 68), 3, &[Some(0), Some(2), None]);
+        check_growths::<2>(Vec::new(), 0, &[None]);
+        check_growths::<2>(vec![2; 300], 2, &[Some(0), Some(1), None]);
+        check_growths::<3>(Vec::new(), 0, &[None]);
+    }
+
+    #[test]
+    fn grow_merges_past_either_end_and_over_skipped_rounds() {
+        // The merge runs out of old members first (every one lies above
+        // every newcomer), or of newcomers first (every old member lies
+        // below; the block holding the last of them is part kept, part
+        // new); a growth that skips rounds merges interleaved buckets.
+        let m = 300;
+        check_growths::<2>([vec![1; m], vec![0; m]].concat(), 2, &[Some(0), Some(1), None]);
+        check_growths::<2>([vec![0; m], vec![1; m]].concat(), 2, &[Some(0), Some(1), None]);
+        check_growths::<3>([vec![0; m], vec![1; m]].concat(), 3, &[Some(1), Some(2), None]);
+        check_growths::<2>(random_joins(1000, 5, 69), 5, &[Some(0), Some(3), None]);
+    }
+
+    #[test]
+    fn join_round_counts_the_thresholds_at_or_below_a_key() {
+        // Round j holds the keys below t_j (DESIGN.md §2), so a key joins
+        // in round #{j : t_j ≤ key}: checked on both sides of and at every
+        // threshold of a few schedules, at both ends of the key range and
+        // on both sides of every power of two.
+        for (initial_sample, n) in [(100, 200_000), (100, 101), (1, 1 << 20), (7, 3 << 40)] {
+            let t = thresholds(initial_sample, n);
+            assert!(t.windows(2).all(|w| w[0] < w[1]), "thresholds ascend: {t:x?}");
+            let count = |key: u64| t.iter().filter(|&&tj| tj <= key).count();
+            for (j, &tj) in t.iter().enumerate() {
+                for (key, round) in [(tj - 1, j), (tj, j + 1), (tj + 1, count(tj + 1))] {
+                    assert_eq!(join_round(&t, key), round, "key {key:#x}, thresholds {t:x?}");
+                    assert_eq!(round, count(key));
+                }
+            }
+            for key in (0..64).flat_map(|e| [(1 << e) - 1, 1 << e]).chain([0, u64::MAX]) {
+                assert_eq!(join_round(&t, key), count(key), "key {key:#x}, thresholds {t:x?}");
+            }
+            assert_eq!(join_round(&t, 0), 0);
+            assert_eq!(join_round(&t, u64::MAX), t.len());
+        }
+    }
+
+    /// [`sample_joins`]' thresholds for `initial_sample` and n points: round
+    /// j's is `2^64·initial_sample·2^j / n`, while `initial_sample·2^j < n`.
+    fn thresholds(initial_sample: u128, n: u64) -> Vec<u64> {
+        let sizes = (0..).map(|j| initial_sample << j).take_while(|&s| s < u128::from(n));
+        sizes.map(|s| ((s << 64) / u128::from(n)) as u64).collect()
+    }
+
+    #[test]
+    fn sample_joins_buckets_every_point_by_its_round() {
+        // Each point in the bucket of its key's round, ascending, the full
+        // set's in none — a rank's share of a larger global point set too;
+        // nothing with sampling off or when `initial_sample` covers n.
+        let pts = uniform_points(5000, 72);
+        for (initial_sample, local, n) in [(100, 5000, 5000), (7, 3000, 9000), (100, 40, 1000)] {
+            let t = thresholds(initial_sample, n);
+            let key = |p: &Point<2>| {
+                (0..2).fold(SAMPLE_SEED, |h, d| SplitMix64::new(h ^ p[d].to_bits()).next_u64())
+            };
+            let join: Vec<u8> = pts[..local].iter().map(|p| join_round(&t, key(p)) as u8).collect();
+            let cfg = Config { initial_sample: initial_sample as usize, ..Config::default() };
+            let got = sample_joins(&pts[..local], &cfg, n);
+            assert_eq!(
+                got,
+                buckets(&join, t.len() as u8),
+                "initial_sample {initial_sample}, n {n}"
+            );
+            assert!(got.1.len() == t.len() + 1 && t.len() > 3);
+        }
+        let off = Config { sampling_init: false, ..Config::default() };
+        assert_eq!(sample_joins(&pts, &off, 5000), Default::default());
+        assert_eq!(sample_joins(&pts[..50], &Config::default(), 100), Default::default());
     }
 
     #[test]
@@ -1306,9 +1403,10 @@ mod tests {
         let weights = vec![1.0; n];
         let unit_bb = Aabb::from_points(&unit).unwrap();
         for offset in [1e6, -3.5e7, 2f64.powi(20)] {
-            let pts: Vec<Point<2>> = unit.iter().map(|p| Point::new([p[0] + offset, p[1]])).collect();
+            let pts: Vec<Point<2>> =
+                unit.iter().map(|p| Point::new([p[0] + offset, p[1]])).collect();
             let grid = Grid::new(n as u64, 1.0, &Aabb::from_points(&pts).unwrap());
-            let mut round = Round::<2>::new(n, Vec::new());
+            let mut round = Round::<2>::new(n, Default::default());
             round.grow(None, &pts);
             let mut sums = vec![0.0; 3];
             round.add_rows::<true>(&pts, &weights, &grid, &mut sums);
@@ -1421,8 +1519,7 @@ mod tests {
         let w = vec![1.0; n];
         let k = 7;
         let centers = sfc_like_centers(&pts, k);
-        let base_cfg =
-            Config { sampling_init: false, ..Config::default() };
+        let base_cfg = Config { sampling_init: false, ..Config::default() };
         let on = balanced_kmeans(&SelfComm, &pts, &w, k, centers.clone(), &base_cfg);
         let off = balanced_kmeans(
             &SelfComm,
