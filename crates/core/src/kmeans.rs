@@ -15,7 +15,7 @@
 //! pass of the balance loop, and every growth, costs O(round). The kernel
 //! is the only assignment path; in test builds an oracle checks each pass.
 
-use std::hint::select_unpredictable;
+use std::hint::select_unpredictable as select;
 
 use geographer_geometry::{Aabb, Point, SplitMix64, Stopwatch};
 use geographer_parcomm::Comm;
@@ -108,6 +108,7 @@ const SOA_BLOCK: usize = 256;
 /// consecutive sample members is still spatially tight. A point joins the sample in one
 /// round and stays, and one no round has reached holds `(0, ∞, 0)`, so [`Round::grow`]
 /// turns a round into the next in place; nothing is written back anywhere.
+#[derive(Default)]
 struct Round<const D: usize> {
     assignment: Vec<u32>,
     ub: Vec<f64>,
@@ -138,13 +139,45 @@ fn extend<const D: usize>((mut lo, mut hi): Bounds<D>, p: &Point<D>) -> Bounds<D
 impl<const D: usize> Round<D> {
     const NO_BOX: Bounds<D> = ([f64::INFINITY; D], [f64::NEG_INFINITY; D]);
 
-    /// An empty round over `n_local` points and the sample's buckets
-    /// ([`sample_joins`]), whose arrays never reallocate while it grows:
-    /// `ids` is reserved for the largest sample (DESIGN.md §9).
-    fn new(n_local: usize, (joins, starts): (Vec<u32>, Vec<usize>)) -> Self {
+    /// An empty round over `n_local` points, whose arrays never reallocate
+    /// while it grows: [`Round::sample_joins`] reserves `ids` for the largest
+    /// sample (DESIGN.md §9).
+    fn new(n_local: usize) -> Self {
         let (assignment, ub) = (Vec::with_capacity(n_local), Vec::with_capacity(n_local));
-        let (lb, ids) = (Vec::with_capacity(n_local), Vec::with_capacity(joins.len()));
-        Round { assignment, ub, lb, boxes: Vec::new(), joins, starts, ids }
+        Round { assignment, ub, lb: Vec::with_capacity(n_local), ..Default::default() }
+    }
+
+    /// The Sec. 4.5 sample's buckets over the local points: round j holds the
+    /// keys below `2^64·initial_sample·2^j / n` (n: the global point count),
+    /// the first j with `initial_sample·2^j ≥ n` every point. A key mixes
+    /// `SAMPLE_SEED` with the point's coordinates, whichever rank holds it.
+    /// Each round is counted as found and parked in `assignment`'s room, then
+    /// placed without a data-dependent branch: a point of the full set writes
+    /// one dummy slot past the last bucket. None with sampling off.
+    fn sample_joins(&mut self, points: &[Point<D>], cfg: &Config, n: u64) {
+        let sizes = std::iter::successors(Some(cfg.initial_sample as u128), |s| Some(s * 2));
+        let sampled = sizes.take_while(|&s| cfg.sampling_init && s < u128::from(n));
+        let thresholds: Vec<u64> = sampled.map(|s| ((s << 64) / u128::from(n)) as u64).collect();
+        let [.., _] = thresholds[..] else { return }; // sampling off, or n ≤ initial_sample
+        let (rounds, join) = (thresholds.len(), &mut self.assignment);
+        let mut starts = vec![0; rounds + 2];
+        for p in points {
+            let key =
+                (0..D).fold(SAMPLE_SEED, |h, d| SplitMix64::new(h ^ p[d].to_bits()).next_u64());
+            let j = join_round(&thresholds, key);
+            starts[j + 1] += 1;
+            join.push(j as u32);
+        }
+        (1..=rounds).for_each(|j| starts[j] += starts[j - 1]);
+        let (mut next, mut joins) = (starts.clone(), vec![0; starts[rounds] + 1]);
+        for (i, j) in join.drain(..).map(|j| j as usize).enumerate() {
+            joins[next[j]] = i as u32;
+            next[j] += usize::from(j < rounds);
+        }
+        joins.pop();
+        starts.pop();
+        self.ids.reserve_exact(joins.len());
+        (self.joins, self.starts) = (joins, starts);
     }
 
     /// Grow the round in place to sample round `r` (buckets `..=r`), or to
@@ -168,9 +201,8 @@ impl<const D: usize> Round<D> {
             boxes.resize(len.div_ceil(SOA_BLOCK), Self::NO_BOX);
             let (ids, asg, ub, lb) = (&mut ids[..], &mut assignment[..], &mut ub[..], &mut lb[..]);
             // A select of two `f64`s becomes a branch; of their bits, a `cmov`.
-            let pick = |c, old: f64, new: f64| {
-                f64::from_bits(select_unpredictable(c, old.to_bits(), new.to_bits()))
-            };
+            let pick =
+                |c, old: f64, new: f64| f64::from_bits(select(c, old.to_bits(), new.to_bits()));
             // geo-analyze: hot-loop
             for blk in (keep / SOA_BLOCK..boxes.len()).rev() {
                 let (start, mut bx) = (blk * SOA_BLOCK, Self::NO_BOX);
@@ -179,8 +211,7 @@ impl<const D: usize> Round<D> {
                 for j in (start.max(keep)..(start + SOA_BLOCK).min(len)).rev() {
                     let (o, n) = (a.saturating_sub(1), new[b - 1]);
                     let c = (a > 0) & (ids[o] > n);
-                    (ids[j], asg[j]) =
-                        (select_unpredictable(c, ids[o], n), select_unpredictable(c, asg[o], 0));
+                    (ids[j], asg[j]) = (select(c, ids[o], n), select(c, asg[o], 0));
                     (ub[j], lb[j]) = (pick(c, ub[o], f64::INFINITY), pick(c, lb[o], 0.0));
                     (a, b) = (a - usize::from(c), b - usize::from(!c));
                     bx = extend(bx, &points[ids[j] as usize]);
@@ -330,38 +361,6 @@ fn join_round(thresholds: &[u64], key: u64) -> usize {
     let g = thresholds[0].leading_zeros() as isize - key.leading_zeros() as isize;
     let j = (g.max(0) as usize).min(thresholds.len() - 1);
     j + usize::from(thresholds[j] <= key)
-}
-
-/// The Sec. 4.5 sample's buckets over the local points ([`Round`]): round j holds the keys
-/// below `2^64·initial_sample·2^j / n` (n: the global point count), the first j with
-/// `initial_sample·2^j ≥ n` every point. A key mixes `SAMPLE_SEED` with the point's
-/// coordinates, whichever rank holds it. Counted as found, then placed without a
-/// data-dependent branch: a point of the full set writes one dummy slot past the last
-/// bucket. Empty with sampling off.
-fn sample_joins<const D: usize>(pts: &[Point<D>], cfg: &Config, n: u64) -> (Vec<u32>, Vec<usize>) {
-    let sizes = std::iter::successors(Some(cfg.initial_sample as u128), |s| Some(s * 2));
-    let sampled = sizes.take_while(|&s| cfg.sampling_init && s < u128::from(n));
-    let thresholds: Vec<u64> = sampled.map(|s| ((s << 64) / u128::from(n)) as u64).collect();
-    let rounds = thresholds.len();
-    if rounds == 0 {
-        return Default::default();
-    }
-    let (mut join, mut starts) = (Vec::with_capacity(pts.len()), vec![0; rounds + 2]);
-    for p in pts {
-        let key = (0..D).fold(SAMPLE_SEED, |h, d| SplitMix64::new(h ^ p[d].to_bits()).next_u64());
-        let j = join_round(&thresholds, key);
-        starts[j + 1] += 1;
-        join.push(j as u8);
-    }
-    (1..=rounds).for_each(|j| starts[j] += starts[j - 1]);
-    let (mut next, mut joins) = (starts.clone(), vec![0; starts[rounds] + 1]);
-    for (i, j) in join.into_iter().map(usize::from).enumerate() {
-        joins[next[j]] = i as u32;
-        next[j] += usize::from(j < rounds);
-    }
-    joins.pop();
-    starts.pop();
-    (joins, starts)
 }
 
 /// The k centers laid out for the SoA kernel, in bbox-sorted order.
@@ -913,8 +912,6 @@ pub fn balanced_kmeans_warm<const D: usize, C: Comm>(
     let diag = bb.diagonal();
     let beta = 2.0 * diag / (k as f64).powf(1.0 / D as f64);
     let delta_threshold = DELTA_THRESHOLD * diag;
-    let buckets = sample_joins(points, cfg, n_global);
-    let sample_rounds = buckets.1.len().saturating_sub(1) as u8;
 
     let mut solver = Solver {
         points,
@@ -926,7 +923,7 @@ pub fn balanced_kmeans_warm<const D: usize, C: Comm>(
         w_max,
         grid: Grid::new(n_global, w_max, &bb),
         fractions: cfg.fractions(k),
-        round: Round::new(n_local, buckets),
+        round: Round::new(n_local),
         cscratch: CenterScratch::default(),
         kscratch: KernelScratch::new(k),
         old_influence: Vec::with_capacity(k),
@@ -939,6 +936,8 @@ pub fn balanced_kmeans_warm<const D: usize, C: Comm>(
         stats: KMeansStats::default(),
     };
     solver.old_influence.extend_from_slice(&solver.influence);
+    solver.round.sample_joins(points, cfg, n_global);
+    let sample_rounds = solver.round.starts.len().saturating_sub(1) as u8;
 
     // Sampling initialization (Sec. 4.5): movement round r runs on sample
     // round r, grown from the last in place, until round `sample_rounds`
@@ -1133,7 +1132,7 @@ mod tests {
         let weights: Vec<f64> = (0..n).map(|_| 1.0 + rng.next_f64()).collect();
         // What every local point holds, reached by a round yet or not.
         let mut home = vec![(0u32, f64::INFINITY.to_bits(), 0.0f64.to_bits()); n];
-        let mut round = Round::<D>::new(n, buckets(&join, rounds));
+        let mut round = round_with::<D>(n, buckets(&join, rounds));
         for (step, &r) in steps.iter().enumerate() {
             round.grow(r, &points);
             let ids: Vec<usize> = (0..n).filter(|&i| r.is_none_or(|r| join[i] <= r)).collect();
@@ -1216,6 +1215,15 @@ mod tests {
         assert_eq!(bits(&sizes), bits(&dealt_sizes), "{tag}: block weights, dealt");
     }
 
+    /// An empty round over `n` points with the given buckets, as
+    /// [`Round::sample_joins`] leaves one.
+    fn round_with<const D: usize>(n: usize, (joins, starts): (Vec<u32>, Vec<usize>)) -> Round<D> {
+        let mut round = Round::new(n);
+        round.ids.reserve_exact(joins.len());
+        (round.joins, round.starts) = (joins, starts);
+        round
+    }
+
     /// The buckets of points joining in rounds `join`, `rounds` being the
     /// full set's, built the slow way: round by round. None with sampling off.
     fn buckets(join: &[u8], rounds: u8) -> (Vec<u32>, Vec<usize>) {
@@ -1230,7 +1238,7 @@ mod tests {
         (joins, starts)
     }
 
-    /// Join rounds over `n` points as [`sample_joins`] makes them: about
+    /// Join rounds over `n` points as [`Round::sample_joins`] makes them: about
     /// half of the points join only with the full set, round `rounds`.
     fn random_joins(n: usize, rounds: u8, seed: u64) -> Vec<u8> {
         let mut rng = SplitMix64::new(seed);
@@ -1248,7 +1256,7 @@ mod tests {
             let weights: Vec<f64> = (0..n).map(|_| 0.5 + 1e3 * rng.next_f64()).collect();
             let buckets =
                 if r.is_some() { buckets(&random_joins(n, 4, 66), 4) } else { Default::default() };
-            let mut round = Round::<D>::new(n, buckets);
+            let mut round = round_with::<D>(n, buckets);
             round.grow(r, &points);
             let mut c = 0;
             for (j, a) in round.assignment.iter_mut().enumerate() {
@@ -1327,7 +1335,7 @@ mod tests {
         }
     }
 
-    /// [`sample_joins`]' thresholds for `initial_sample` and n points: round
+    /// [`Round::sample_joins`]' thresholds for `initial_sample` and n points: round
     /// j's is `2^64·initial_sample·2^j / n`, while `initial_sample·2^j < n`.
     fn thresholds(initial_sample: u128, n: u64) -> Vec<u64> {
         let sizes = (0..).map(|j| initial_sample << j).take_while(|&s| s < u128::from(n));
@@ -1340,6 +1348,14 @@ mod tests {
         // set's in none — a rank's share of a larger global point set too;
         // nothing with sampling off or when `initial_sample` covers n.
         let pts = uniform_points(5000, 72);
+        // The buckets of a fresh round over `pts`: its `assignment` is left
+        // empty, its `ids` reserved for the largest sample.
+        let sampled = |pts: &[Point<2>], cfg: &Config, n: u64| {
+            let mut round = Round::<2>::new(pts.len());
+            round.sample_joins(pts, cfg, n);
+            assert!(round.assignment.is_empty() && round.ids.capacity() >= round.joins.len());
+            (round.joins, round.starts)
+        };
         for (initial_sample, local, n) in [(100, 5000, 5000), (7, 3000, 9000), (100, 40, 1000)] {
             let t = thresholds(initial_sample, n);
             let key = |p: &Point<2>| {
@@ -1347,7 +1363,7 @@ mod tests {
             };
             let join: Vec<u8> = pts[..local].iter().map(|p| join_round(&t, key(p)) as u8).collect();
             let cfg = Config { initial_sample: initial_sample as usize, ..Config::default() };
-            let got = sample_joins(&pts[..local], &cfg, n);
+            let got = sampled(&pts[..local], &cfg, n);
             assert_eq!(
                 got,
                 buckets(&join, t.len() as u8),
@@ -1356,8 +1372,8 @@ mod tests {
             assert!(got.1.len() == t.len() + 1 && t.len() > 3);
         }
         let off = Config { sampling_init: false, ..Config::default() };
-        assert_eq!(sample_joins(&pts, &off, 5000), Default::default());
-        assert_eq!(sample_joins(&pts[..50], &Config::default(), 100), Default::default());
+        assert_eq!(sampled(&pts, &off, 5000), Default::default());
+        assert_eq!(sampled(&pts[..50], &Config::default(), 100), Default::default());
     }
 
     #[test]
@@ -1406,7 +1422,7 @@ mod tests {
             let pts: Vec<Point<2>> =
                 unit.iter().map(|p| Point::new([p[0] + offset, p[1]])).collect();
             let grid = Grid::new(n as u64, 1.0, &Aabb::from_points(&pts).unwrap());
-            let mut round = Round::<2>::new(n, Default::default());
+            let mut round = Round::<2>::new(n);
             round.grow(None, &pts);
             let mut sums = vec![0.0; 3];
             round.add_rows::<true>(&pts, &weights, &grid, &mut sums);
