@@ -1296,10 +1296,6 @@ mod tests {
         check_growths::<2>(Vec::new(), 0, &[None]);
         check_growths::<2>(vec![2; 300], 2, &[Some(0), Some(1), None]);
         check_growths::<3>(Vec::new(), 0, &[None]);
-    }
-
-    #[test]
-    fn grow_merges_past_either_end_and_over_skipped_rounds() {
         // The merge runs out of old members first (every one lies above
         // every newcomer), or of newcomers first (every old member lies
         // below; the block holding the last of them is part kept, part
