@@ -1296,6 +1296,7 @@ mod tests {
         check_growths::<2>(Vec::new(), 0, &[None]);
         check_growths::<2>(vec![2; 300], 2, &[Some(0), Some(1), None]);
         check_growths::<3>(Vec::new(), 0, &[None]);
+        check_growths::<2>(Vec::new(), 3, &[Some(0), Some(2), None]);
         // The merge runs out of old members first (every one lies above
         // every newcomer), or of newcomers first (every old member lies
         // below; the block holding the last of them is part kept, part
@@ -1370,6 +1371,8 @@ mod tests {
         let off = Config { sampling_init: false, ..Config::default() };
         assert_eq!(sampled(&pts, &off, 5000), Default::default());
         assert_eq!(sampled(&pts[..50], &Config::default(), 100), Default::default());
+        // A rank with no point still has every round, each empty.
+        assert_eq!(sampled(&pts[..0], &Config::default(), 5000), (vec![], vec![0; 7]));
     }
 
     #[test]
