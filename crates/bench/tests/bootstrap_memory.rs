@@ -34,9 +34,9 @@ const RECORD_PATH_COLD: usize = 117;
 /// The same since no record is built at p = 1: 85 while k-means held a
 /// sample permutation, 77 once it keyed its sample by the points, and 57
 /// since a movement round copies no coordinate and no weight — k-means
-/// holds 20 bytes per point (`assignment`, `ub`, `lb`) and, for each point
-/// of the largest sample, a `u32` in the sample's buckets and one in its
-/// `ids`, next to the pipeline's 32.
+/// holds 20 bytes per point (`assignment`, `ub`, `lb`), a `u32` per sample
+/// point in `ids` (the members, then the buckets not merged yet) and one
+/// per point of the largest bucket in `spare`, next to the pipeline's 32.
 const COLD_P1: usize = 57;
 /// Peak live bytes above the caller's, per point, of one warm step after
 /// that cold solve: 68 with or without records, while the round copied
@@ -53,9 +53,10 @@ const RECORD_MERGE_P2: usize = 110;
 /// of the records `dsort::exchange_sorted` sends (`ProcComm::sendrecv`).
 /// A rank holds 36 through k-means — sorted points 16, weights 8, `u64`
 /// origins 8 and the result 4 — where p = 1 holds 32 with `u32` origins.
-/// k-means adds 20, and the sample's buckets and `ids` (a `u32` each per
-/// point of the largest sample), about 60 in all; while its round copied
-/// coordinates and weights it added 45, within a few bytes of the exchange.
+/// k-means adds 20, and the sample's `ids` and `spare` (a `u32` per sample
+/// point and per point of its largest bucket), about 60 in all; while its
+/// round copied coordinates and weights it added 45, within a few bytes of
+/// the exchange.
 const SHARD_P2: usize = 84;
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);

@@ -101,26 +101,28 @@ pub struct KMeansOutput<const D: usize> {
 /// so a block's bounding box is tiny and reaches a handful of the k centers.
 const SOA_BLOCK: usize = 256;
 
-/// The points of the current movement round: their `assignment`/`ub`/`lb`, the only copy
-/// the solver holds, and the `(lo, hi)` box of every [`SOA_BLOCK`]-member run. No
-/// coordinate or weight is copied: passes read the caller's arrays, through `ids` on a
-/// sample, in array order — curve order on both arms of the pipeline, so a block of
-/// consecutive sample members is still spatially tight. A point joins the sample in one
-/// round and stays, and one no round has reached holds `(0, ∞, 0)`, so [`Round::grow`]
-/// turns a round into the next in place; nothing is written back anywhere.
+/// The points of the current movement round: their `assignment`/`ub`/`lb`, the only copy the
+/// solver holds, and the `(lo, hi)` box of every [`SOA_BLOCK`]-member run. No coordinate or weight
+/// is copied: passes read the caller's arrays, through `ids` on a sample, in array order — curve
+/// order on both arms of the pipeline, so a block of consecutive sample members stays tight. A
+/// point joins the sample in one round and stays, and one no round has reached holds `(0, ∞, 0)`,
+/// so [`Round::grow`] turns a round into the next in place; nothing is written back anywhere.
 #[derive(Default)]
 struct Round<const D: usize> {
     assignment: Vec<u32>,
     ub: Vec<f64>,
     lb: Vec<f64>,
     boxes: Vec<Bounds<D>>,
-    /// The sample's buckets: round j's newcomers, by ascending local index,
-    /// are `joins[starts[j]..starts[j + 1]]`; a sample holds `..ids.len()`.
-    joins: Vec<u32>,
+    /// Where round j's newcomers, by ascending local index, start in `ids`.
     starts: Vec<usize>,
-    /// A sample's members, by ascending local index: member j is point
-    /// `ids[j]`. Empty when member j is point j, and on an empty sample.
+    /// A sample's members, by ascending local index — member j is point
+    /// `ids[j]` — then the buckets not merged yet. Empty on the full set.
     ids: Vec<u32>,
+    /// The bucket being merged, reserved for the largest.
+    spare: Vec<u32>,
+    /// The buckets as placed, which the test oracle finds the members in.
+    #[cfg(test)]
+    joins: Vec<u32>,
 }
 
 /// A bounding box, `(lo, hi)`.
@@ -140,20 +142,18 @@ impl<const D: usize> Round<D> {
     const NO_BOX: Bounds<D> = ([f64::INFINITY; D], [f64::NEG_INFINITY; D]);
 
     /// An empty round over `n_local` points, whose arrays never reallocate
-    /// while it grows: [`Round::sample_joins`] reserves `ids` for the largest
-    /// sample (DESIGN.md §9).
+    /// while it grows (DESIGN.md §9).
     fn new(n_local: usize) -> Self {
         let (assignment, ub) = (Vec::with_capacity(n_local), Vec::with_capacity(n_local));
         Round { assignment, ub, lb: Vec::with_capacity(n_local), ..Default::default() }
     }
 
-    /// The Sec. 4.5 sample's buckets over the local points: round j holds the
-    /// keys below `2^64·initial_sample·2^j / n` (n: the global point count),
-    /// the first j with `initial_sample·2^j ≥ n` every point. A key mixes
-    /// `SAMPLE_SEED` with the point's coordinates, whichever rank holds it.
-    /// Each round is counted as found and parked in `assignment`'s room, then
-    /// placed without a data-dependent branch: a point of the full set writes
-    /// one dummy slot past the last bucket. None with sampling off.
+    /// The Sec. 4.5 sample's buckets over the local points: round j holds the keys below
+    /// `2^64·initial_sample·2^j / n` (n: the global point count), the first j with
+    /// `initial_sample·2^j ≥ n` every point. A key mixes `SAMPLE_SEED` with the point's
+    /// coordinates, whichever rank holds it. Each round is counted as found and parked in
+    /// `assignment`'s room, then placed without a data-dependent branch: a point of the full set
+    /// writes one dummy slot past the last bucket. None with sampling off.
     fn sample_joins(&mut self, points: &[Point<D>], cfg: &Config, n: u64) {
         let sizes = std::iter::successors(Some(cfg.initial_sample as u128), |s| Some(s * 2));
         let sampled = sizes.take_while(|&s| cfg.sampling_init && s < u128::from(n));
@@ -176,28 +176,29 @@ impl<const D: usize> Round<D> {
         }
         joins.pop();
         starts.pop();
-        self.ids.reserve_exact(joins.len());
-        (self.joins, self.starts) = (joins, starts);
+        self.spare.reserve_exact(starts.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0));
+        #[cfg(test)]
+        self.joins.clone_from(&joins);
+        (self.ids, self.starts) = (joins, starts);
     }
 
-    /// Grow the round in place to sample round `r` (buckets `..=r`), or to
-    /// every point (`None`), once: members keep their state, newcomers start
-    /// at `(0, ∞, 0)`. A bucket merges in from the back, position j selecting
-    /// the larger of the two last unplaced ids; members below the first
-    /// newcomer stay, with their blocks' boxes (DESIGN.md §9 "What grows").
+    /// Grow the round in place to sample round `r` (buckets `..=r`), or to every point (`None`),
+    /// once: members keep their state, newcomers start at `(0, ∞, 0)`. A bucket, copied aside,
+    /// merges in from the back, j selecting the larger of the two last unplaced ids; members below
+    /// the first newcomer stay, with their blocks' boxes. Members: `ids[..assignment.len()]` (§9).
     fn grow(&mut self, r: Option<u8>, points: &[Point<D>]) {
         let Some(r) = r else { return self.grow_full(points) };
-        let Round { assignment, ub, lb, boxes, joins, starts, ids } = self;
-        // Bucket by bucket: the next one starts at `ids.len()`.
-        while ids.len() < starts[usize::from(r) + 1] {
-            let len = starts[starts.partition_point(|&s| s <= ids.len())];
-            let new = &joins[ids.len()..len];
-            let (mut a, mut b) = (ids.len(), new.len());
-            let keep = ids.partition_point(|&i| i < new[0]);
+        let Round { assignment, ub, lb, boxes, starts, ids, spare, .. } = self;
+        while assignment.len() < starts[usize::from(r) + 1] {
+            let old = assignment.len();
+            let len = starts[starts.partition_point(|&s| s <= old)];
+            spare.clear();
+            spare.extend_from_slice(&ids[old..len]);
+            let (mut a, mut b, new) = (old, len - old, &spare[..]);
+            let keep = ids[..old].partition_point(|&i| i < new[0]);
             assignment.resize(len, 0);
             ub.resize(len, f64::INFINITY);
             lb.resize(len, 0.0);
-            ids.resize(len, 0);
             boxes.resize(len.div_ceil(SOA_BLOCK), Self::NO_BOX);
             let (ids, asg, ub, lb) = (&mut ids[..], &mut assignment[..], &mut ub[..], &mut lb[..]);
             // A select of two `f64`s becomes a branch; of their bits, a `cmov`.
@@ -222,17 +223,17 @@ impl<const D: usize> Round<D> {
         }
     }
 
-    /// [`Round::grow`] to every point: `[len, n)` starts at `(0, ∞, 0)`, then
-    /// from the back each member moves up to its own index and leaves `(0, ∞,
-    /// 0)` behind for a lower member to overwrite. The buckets are freed before
-    /// the arrays grow into their last pages, `ids` after.
+    /// [`Round::grow`] to every point: `[len, n)` starts at `(0, ∞, 0)`, then from the back each
+    /// member moves up to its own index and leaves `(0, ∞, 0)` behind for a lower member to
+    /// overwrite. The buckets are freed before the arrays grow into their last pages, `ids` after.
     fn grow_full(&mut self, points: &[Point<D>]) {
-        let Round { assignment, ub, lb, boxes, joins, starts, ids } = self;
+        let Round { assignment, ub, lb, boxes, starts, ids, spare, .. } = self;
         let n = points.len();
         if starts.is_empty() && assignment.len() == n {
             return;
         }
-        (*joins, *starts) = Default::default();
+        (*spare, *starts) = Default::default();
+        ids.truncate(assignment.len());
         assignment.resize(n, 0);
         ub.resize(n, f64::INFINITY);
         lb.resize(n, 0.0);
@@ -860,10 +861,10 @@ impl<const D: usize> Solver<'_, D> {
     }
 }
 
-/// Run balanced k-means (Algorithm 2) on the rank-local `points` with the
-/// given replicated `initial_centers`. All ranks must call this collectively with identical `k`, `cfg`, and
-/// `initial_centers`. Returns the local assignment plus final replicated
-/// centers/influences and this rank's work counters.
+/// Run balanced k-means (Algorithm 2) on the rank-local `points` with the given replicated
+/// `initial_centers`. All ranks must call this collectively with identical `k`, `cfg`, and
+/// `initial_centers`. Returns the local assignment plus final replicated centers/influences and
+/// this rank's work counters.
 pub fn balanced_kmeans<const D: usize, C: Comm>(
     comm: &C,
     points: &[Point<D>],
@@ -1053,7 +1054,8 @@ mod tests {
         if round.starts.is_empty() {
             assert!(round.ids.is_empty(), "{tag}: the full set reads the points directly");
         } else {
-            let ids: Vec<usize> = round.ids.iter().map(|&i| i as usize).collect();
+            let held = &round.ids[..round.assignment.len()];
+            let ids: Vec<usize> = held.iter().map(|&i| i as usize).collect();
             assert_eq!(ids, members, "{tag}: a sample's ids are its members, ascending");
         }
     }
@@ -1137,7 +1139,7 @@ mod tests {
             round.grow(r, &points);
             let ids: Vec<usize> = (0..n).filter(|&i| r.is_none_or(|r| join[i] <= r)).collect();
             if r.is_none() {
-                assert!(round.joins.is_empty() && round.starts.is_empty());
+                assert!(round.starts.is_empty() && round.spare.capacity() == 0);
             }
             let tag = format!("D={D} n={n} step {step} ({r:?})");
             assert_eq!(members(&round, n), ids, "{tag}: the buckets hold the joins");
@@ -1219,8 +1221,8 @@ mod tests {
     /// [`Round::sample_joins`] leaves one.
     fn round_with<const D: usize>(n: usize, (joins, starts): (Vec<u32>, Vec<usize>)) -> Round<D> {
         let mut round = Round::new(n);
-        round.ids.reserve_exact(joins.len());
-        (round.joins, round.starts) = (joins, starts);
+        round.spare.reserve_exact(starts.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0));
+        (round.ids, round.joins, round.starts) = (joins.clone(), joins, starts);
         round
     }
 
@@ -1346,12 +1348,14 @@ mod tests {
         // nothing with sampling off or when `initial_sample` covers n.
         let pts = uniform_points(5000, 72);
         // The buckets of a fresh round over `pts`: its `assignment` is left
-        // empty, its `ids` reserved for the largest sample.
+        // empty, `ids` holds the buckets and `spare` has room for the largest.
         let sampled = |pts: &[Point<2>], cfg: &Config, n: u64| {
             let mut round = Round::<2>::new(pts.len());
             round.sample_joins(pts, cfg, n);
-            assert!(round.assignment.is_empty() && round.ids.capacity() >= round.joins.len());
-            (round.joins, round.starts)
+            let largest = round.starts.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
+            assert!(round.assignment.is_empty() && round.spare.capacity() >= largest);
+            assert_eq!(round.ids, round.joins);
+            (round.ids, round.starts)
         };
         for (initial_sample, local, n) in [(100, 5000, 5000), (7, 3000, 9000), (100, 40, 1000)] {
             let t = thresholds(initial_sample, n);
