@@ -225,7 +225,7 @@ impl<const D: usize> Round<D> {
 
     /// [`Round::grow`] to every point: `[len, n)` starts at `(0, ∞, 0)`, then from the back each
     /// member moves up to its own index and leaves `(0, ∞, 0)` behind for a lower member to
-    /// overwrite. The buckets are freed before the arrays grow into their last pages, `ids` after.
+    /// overwrite. `spare` is freed before the arrays grow into their last pages, `ids` after.
     fn grow_full(&mut self, points: &[Point<D>]) {
         let Round { assignment, ub, lb, boxes, starts, ids, spare, .. } = self;
         let n = points.len();
