@@ -278,24 +278,26 @@ fn line_budgets_only_move_down() {
     ]
     .map(String::from)
     .to_vec();
-    // The planner's solve path: one Geographer walk, the hierarchy.
+    // The planner's solve path: one Geographer walk, the hierarchy, and the
+    // checks of a spec's preconditions.
     let planner: Vec<String> = [
         "crates/planner/src/lib.rs",
         "crates/planner/src/solve.rs",
         "crates/planner/src/spec.rs",
         "crates/planner/src/tool.rs",
         "crates/core/src/hierarchy.rs",
+        "crates/core/src/config.rs",
     ]
     .map(String::from)
     .to_vec();
     let budgets: [(Vec<String>, usize); 8] = [
         (vec!["crates/core/src/kmeans.rs".into()], 995),
-        (vec!["crates/core/src/pipeline.rs".into(), "crates/dsort/src/lib.rs".into()], 968),
+        (vec!["crates/core/src/pipeline.rs".into(), "crates/dsort/src/lib.rs".into()], 962),
         (baselines, 417),
-        (refinement, 1332),
+        (refinement, 1328),
         (every_file_of(&root, "crates/parcomm/src"), 2026),
         (vec!["crates/spmv/src/lib.rs".into()], 181),
-        (planner, 1028),
+        (planner, 1181),
         (every_file_of(&root, "crates/analyze/src"), 1269),
     ];
     for (files, budget) in budgets {

@@ -32,12 +32,13 @@ use geographer_parcomm::{run_spmd_proc, Comm, SelfComm};
 /// while the bootstrap still carried records.
 const RECORD_PATH_COLD: usize = 117;
 /// The same since no record is built at p = 1: 85 while k-means held a
-/// sample permutation, 77 once it keyed its sample by the points, and 57
-/// since a movement round copies no coordinate and no weight — k-means
-/// holds 20 bytes per point (`assignment`, `ub`, `lb`), a `u32` per sample
-/// point in `ids` (the members, then the buckets not merged yet) and one
-/// per point of the largest bucket in `spare`, next to the pipeline's 32.
-const COLD_P1: usize = 57;
+/// sample permutation, 77 once it keyed its sample by the points, 57 once
+/// a movement round copied no coordinate and no weight, and 56 since the
+/// members and the buckets not merged yet share one array — k-means holds
+/// 20 bytes per point (`assignment`, `ub`, `lb`), a `u32` per sample point
+/// in `ids` (the members, then the buckets not merged yet) and one per
+/// point of the largest bucket in `spare`, next to the pipeline's 32.
+const COLD_P1: usize = 56;
 /// Peak live bytes above the caller's, per point, of one warm step after
 /// that cold solve: 68 with or without records, while the round copied
 /// coordinate lanes (16 bytes per point); 52 since it reads the points

@@ -1,4 +1,7 @@
-//! Tuning parameters of balanced k-means and the Geographer pipeline.
+//! Tuning parameters of balanced k-means and the Geographer pipeline, and
+//! the checks of a solve's preconditions.
+
+use std::fmt;
 
 /// Convergence threshold for the maximum center movement, relative to the
 /// diagonal of the global bounding box (Algorithm 2's `deltaThreshold`).
@@ -75,28 +78,25 @@ impl Default for Config {
 }
 
 impl Config {
-    /// Sanity-check parameter ranges.
+    /// Check the parameter ranges of a solve into `k` blocks.
     ///
-    /// # Panics
-    /// On out-of-range parameters, with a `geographer config:`-prefixed
-    /// message. Every parameter/argument panic of the stack goes through
-    /// this module so the texts stay consistent (and message-tested, see
-    /// the `error_messages_are_pinned` test below).
-    pub fn validate(&self) {
-        assert!(self.epsilon >= 0.0, "geographer config: epsilon must be non-negative");
-        assert!(self.max_iterations >= 1, "geographer config: max_iterations must be at least 1");
-        assert!(
-            self.max_balance_iterations >= 1,
-            "geographer config: max_balance_iterations must be at least 1"
-        );
-        assert!(self.initial_sample >= 1, "geographer config: initial_sample must be at least 1");
+    /// # Errors
+    /// The first range that does not hold, as a [`ConfigError::Parameter`].
+    pub fn validate(&self, k: usize) -> Result<(), ConfigError> {
+        require(self.epsilon >= 0.0, "epsilon must be non-negative")?;
+        require(self.max_iterations >= 1, "max_iterations must be at least 1")?;
+        require(self.max_balance_iterations >= 1, "max_balance_iterations must be at least 1")?;
+        require(self.initial_sample >= 1, "initial_sample must be at least 1")?;
         if let Some(f) = &self.target_fractions {
-            assert!(!f.is_empty(), "geographer config: target_fractions must not be empty");
-            assert!(
-                f.iter().all(|x| x.is_finite() && *x > 0.0),
-                "geographer config: target_fractions must be positive"
-            );
+            require(!f.is_empty(), "target_fractions must not be empty")?;
+            require(all_positive(f), "target_fractions must be positive")?;
+            let len = f.len();
+            require(
+                len == k,
+                format_args!("target_fractions length must equal k (got {len}, k = {k})"),
+            )?;
         }
+        Ok(())
     }
 
     /// Derive the solver configuration of one hierarchy level: identical
@@ -112,52 +112,97 @@ impl Config {
         }
     }
 
-    /// The normalized per-block weight fractions for `k` blocks.
-    ///
-    /// # Panics
-    /// If explicit fractions were supplied with a length other than `k`.
-    pub fn fractions(&self, k: usize) -> Vec<f64> {
+    /// The normalized per-block weight fractions for `k` blocks, of a
+    /// config that [`Config::validate`] accepted for that `k`.
+    pub(crate) fn fractions(&self, k: usize) -> Vec<f64> {
         normalized_fractions(self.target_fractions.as_deref(), k)
     }
 }
 
 /// Target fractions for `k` blocks, normalized to sum 1 (`None` =
 /// uniform) — the one spelling behind [`Config::fractions`] and
-/// [`crate::LevelSpec::normalized_fractions`].
+/// [`crate::LevelSpec::normalized_fractions`], whose validators check `k`.
 pub(crate) fn normalized_fractions(fractions: Option<&[f64]>, k: usize) -> Vec<f64> {
     match fractions {
         None => vec![1.0 / k as f64; k],
         Some(f) => {
-            assert!(
-                f.len() == k,
-                "geographer config: target_fractions length must equal k \
-                 (got {}, k = {k})",
-                f.len()
-            );
             let sum: f64 = f.iter().sum();
             f.iter().map(|x| x / sum).collect()
         }
     }
 }
 
-/// Validate the block count against the global point count — the *one*
-/// place this check lives. Every entry point that knows the global `n`
-/// (cold pipeline, warm repartitioning, shared-memory wrappers) calls this
-/// instead of rolling its own assert, so the panic message is identical no
-/// matter which layer catches the bad `k` first.
-///
+/// Whether every capacity fraction is finite and positive.
+pub(crate) fn all_positive(fractions: &[f64]) -> bool {
+    fractions.iter().all(|x| x.is_finite() && *x > 0.0)
+}
+
+/// `Ok` if `holds`, else the [`ConfigError::Parameter`] that says `text`.
+pub(crate) fn require(holds: bool, text: impl fmt::Display) -> Result<(), ConfigError> {
+    holds.then_some(()).ok_or_else(|| ConfigError::Parameter(text.to_string()))
+}
+
+/// Check the block count against the global point count: the one spelling
+/// of this check, so a bad `k` reads the same whichever layer catches it.
 /// `global_n = 0` with `k = 1` is allowed (the degenerate empty input that
 /// [`crate::global_bbox`] maps to a unit box).
 ///
-/// # Panics
-/// If `k` is zero or exceeds the global point count.
-pub fn validate_k(k: usize, global_n: u64) {
-    assert!(k >= 1, "geographer config: k must be at least 1");
-    assert!(
-        k as u64 <= global_n.max(1),
-        "geographer config: k = {k} exceeds global point count n = {global_n}"
-    );
+/// # Errors
+/// [`ConfigError::KZero`] or [`ConfigError::KExceedsN`].
+pub fn validate_k(k: usize, global_n: u64) -> Result<(), ConfigError> {
+    match k {
+        0 => Err(ConfigError::KZero),
+        _ if k as u64 > global_n.max(1) => Err(ConfigError::KExceedsN { k, n: global_n }),
+        _ => Ok(()),
+    }
 }
+
+/// A precondition of a solve that does not hold: what [`Config::validate`],
+/// [`validate_k`], [`crate::HierarchySpec::validate`] and
+/// [`crate::HierarchySpec::fits`] return. The `Display` text is the
+/// workspace's `geographer config:` message for the condition; a public
+/// solve of this crate panics with it, and the planner returns it typed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ConfigError {
+    /// `k = 0`.
+    KZero,
+    /// Block count `k` exceeds the global point count `n`.
+    KExceedsN { k: usize, n: u64 },
+    /// Hierarchical solve with flat `Config::target_fractions` set: the
+    /// capacity fractions live in the spec's levels.
+    HierarchicalFlatFractions,
+    /// Warm state whose shape is not the spec's: `state` arities other
+    /// than `spec`, or the spec's arities over `nodes` nodes where the
+    /// hierarchy has `internal` (one per node solve).
+    StateShape { state: Vec<usize>, spec: Vec<usize>, nodes: usize, internal: usize },
+    /// A parameter out of its range; the text names it and the range.
+    Parameter(String),
+}
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("geographer config: ")?;
+        match self {
+            Self::KZero => write!(f, "k must be at least 1"),
+            Self::KExceedsN { k, n } => write!(f, "k = {k} exceeds global point count n = {n}"),
+            Self::HierarchicalFlatFractions => write!(
+                f,
+                "hierarchical solves take capacity fractions from the HierarchySpec's levels; \
+                 Config::target_fractions must be None"
+            ),
+            Self::StateShape { state, spec, .. } if state != spec => {
+                write!(f, "plan state arities {state:?} do not match the spec's {spec:?}")
+            }
+            Self::StateShape { spec, nodes, internal, .. } => write!(
+                f,
+                "plan state has {nodes} nodes but the spec's {spec:?} hierarchy has {internal}"
+            ),
+            Self::Parameter(text) => f.write_str(text),
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
 
 #[cfg(test)]
 mod tests {
@@ -165,7 +210,7 @@ mod tests {
 
     #[test]
     fn defaults_match_paper() {
-        Config::default().validate();
+        assert_eq!(Config::default().validate(1), Ok(()));
         // Exhaustive on purpose: a new field does not compile until its
         // default is stated here.
         let Config {
@@ -187,56 +232,27 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "epsilon")]
-    fn negative_epsilon_rejected() {
-        Config { epsilon: -0.1, ..Config::default() }.validate();
-    }
-
-    #[test]
     fn validate_k_accepts_sane_inputs() {
-        validate_k(1, 0); // empty input, one block: the documented degenerate case
-        validate_k(4, 4);
-        validate_k(8, 1_000_000);
+        validate_k(1, 0).expect("empty input, one block: the documented degenerate case");
+        validate_k(4, 4).and(validate_k(8, 1_000_000)).expect("k <= n");
     }
 
-    /// Extract the panic message of `f` as a string (assert! with a literal
-    /// panics with `&'static str`, formatted asserts with `String`).
-    fn panic_message(f: impl FnOnce() + std::panic::UnwindSafe) -> String {
-        let err = std::panic::catch_unwind(f).expect_err("closure must panic");
-        err.downcast_ref::<String>().cloned().unwrap_or_else(|| {
-            (*err.downcast_ref::<&'static str>().expect("panic payload must be a string"))
-                .to_owned()
-        })
-    }
-
-    /// The satellite contract of PR 3: one consistent, message-tested error
-    /// path. Pinning the exact texts here keeps every layer (config
-    /// validation, the pipeline's k check, the warm repartitioning path)
-    /// from drifting back into three different wordings.
+    /// One consistent, message-tested error path: the exact texts pinned
+    /// here are the ones every layer that reports them (the pipeline,
+    /// k-means, the hierarchical solve, the planner) panics or fails with.
     #[test]
     fn error_messages_are_pinned() {
-        assert_eq!(
-            panic_message(|| validate_k(0, 10)),
-            "geographer config: k must be at least 1"
-        );
-        assert_eq!(
-            panic_message(|| validate_k(11, 10)),
-            "geographer config: k = 11 exceeds global point count n = 10"
-        );
-        assert_eq!(
-            panic_message(|| Config { epsilon: -0.1, ..Config::default() }.validate()),
-            "geographer config: epsilon must be non-negative"
-        );
-        assert_eq!(
-            panic_message(|| Config { max_iterations: 0, ..Config::default() }.validate()),
-            "geographer config: max_iterations must be at least 1"
-        );
-        assert_eq!(
-            panic_message(|| {
-                let _ = Config { target_fractions: Some(vec![0.5, 0.5]), ..Config::default() }
-                    .fractions(3);
-            }),
-            "geographer config: target_fractions length must equal k (got 2, k = 3)"
-        );
+        let text = |r: Result<(), ConfigError>| r.expect_err("must be rejected").to_string();
+        assert_eq!(text(validate_k(0, 10)), "geographer config: k must be at least 1");
+        let k = text(validate_k(11, 10));
+        assert_eq!(k, "geographer config: k = 11 exceeds global point count n = 10");
+        let bad = |c: Config| text(c.validate(3));
+        let eps = "geographer config: epsilon must be non-negative";
+        assert_eq!(bad(Config { epsilon: -0.1, ..Config::default() }), eps);
+        assert_eq!(bad(Config { epsilon: f64::NAN, ..Config::default() }), eps);
+        let iterations = bad(Config { max_iterations: 0, ..Config::default() });
+        assert_eq!(iterations, "geographer config: max_iterations must be at least 1");
+        let short = bad(Config { target_fractions: Some(vec![0.5, 0.5]), ..Config::default() });
+        assert_eq!(short, "geographer config: target_fractions length must equal k (got 2, k = 3)");
     }
 }

@@ -19,10 +19,12 @@
 //! way a flat warm solve does. See DESIGN.md §6 for the contract (per-level
 //! ε semantics, warm-state reuse, per-level metric definitions).
 
+use std::fmt;
+
 use geographer_geometry::Point;
 use geographer_parcomm::Comm;
 
-use crate::config::{normalized_fractions, Config};
+use crate::config::{all_positive, normalized_fractions, require, Config, ConfigError};
 use crate::kmeans::KMeansStats;
 use crate::pipeline::{partition_spmd, PipelineResult, PipelineTimings};
 use crate::repartition::PreviousPartition;
@@ -53,7 +55,7 @@ impl LevelSpec {
     }
 
     /// The per-child capacity fractions normalized to sum 1 (uniform
-    /// `1/arity` for `None`) — [`Config::fractions`] for this level.
+    /// `1/arity` for `None`), of a level [`HierarchySpec::validate`] passed.
     pub fn normalized_fractions(&self) -> Vec<f64> {
         normalized_fractions(self.fractions.as_deref(), self.arity)
     }
@@ -97,31 +99,48 @@ impl HierarchySpec {
 
     /// Sanity-check the spec.
     ///
-    /// # Panics
-    /// With a `geographer config:`-prefixed message on an empty spec, a
-    /// zero arity, a negative per-level ε, or fractions that are empty,
-    /// non-positive, or of the wrong length.
-    pub fn validate(&self) {
-        assert!(!self.levels.is_empty(), "geographer config: hierarchy must have at least one level");
+    /// # Errors
+    /// A [`ConfigError::Parameter`] on an empty spec, a zero arity, a
+    /// negative per-level ε, or fractions that are empty, non-positive, or
+    /// of the wrong length.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        require(!self.levels.is_empty(), "hierarchy must have at least one level")?;
         for (l, lv) in self.levels.iter().enumerate() {
-            assert!(lv.arity >= 1, "geographer config: hierarchy level {l} arity must be at least 1");
-            if let Some(e) = lv.epsilon {
-                assert!(e >= 0.0, "geographer config: hierarchy level {l} epsilon must be non-negative");
-            }
+            let level = |holds, what: &dyn fmt::Display| {
+                require(holds, format_args!("hierarchy level {l} {what}"))
+            };
+            level(lv.arity >= 1, &"arity must be at least 1")?;
+            level(lv.epsilon.is_none_or(|e| e >= 0.0), &"epsilon must be non-negative")?;
             if let Some(f) = &lv.fractions {
-                assert!(
-                    f.len() == lv.arity,
-                    "geographer config: hierarchy level {l} fractions length must equal arity \
-                     (got {}, arity = {})",
-                    f.len(),
-                    lv.arity
-                );
-                assert!(
-                    f.iter().all(|x| x.is_finite() && *x > 0.0),
-                    "geographer config: hierarchy level {l} fractions must be positive"
-                );
+                let (n, a) = (f.len(), lv.arity);
+                level(
+                    n == a,
+                    &format_args!("fractions length must equal arity (got {n}, arity = {a})"),
+                )?;
+                level(all_positive(f), &"fractions must be positive")?;
             }
         }
+        Ok(())
+    }
+
+    /// Whether `prev` can warm-start a solve of this spec: same arities
+    /// (per-level ε and fractions may differ), one node per node solve.
+    ///
+    /// # Errors
+    /// [`ConfigError::StateShape`] if not.
+    pub fn fits<const D: usize>(&self, prev: &PreviousHierarchy<D>) -> Result<(), ConfigError> {
+        let (nodes, internal) = (prev.nodes.len(), self.internal_nodes());
+        if prev.arities.iter().eq(self.levels.iter().map(|l| &l.arity)) && nodes == internal {
+            return Ok(());
+        }
+        let (state, spec) = (prev.arities.clone(), self.arities());
+        Err(ConfigError::StateShape { state, spec, nodes, internal })
+    }
+
+    /// Internal nodes of the hierarchy, each one node solve: the root, then
+    /// every group above the leaf level.
+    fn internal_nodes(&self) -> usize {
+        1 + (0..self.depth().saturating_sub(1)).map(|l| self.groups_at(l)).sum::<usize>()
     }
 
     /// Hierarchy path of flat leaf block `b`: the child index taken at
@@ -312,12 +331,13 @@ fn solve_node<const D: usize, C: Comm>(
 /// ids (`0..spec.total_blocks()`, path-lexicographic).
 ///
 /// # Panics
-/// On an invalid `spec`/`cfg`, on inconsistent input lengths, if
+/// With the [`ConfigError`] text on an invalid `spec`, if
 /// `cfg.target_fractions` is set (per-level capacity fractions live in
 /// the spec's [`LevelSpec::fractions`], and silently ignoring the flat
-/// field would discard a requested balance), if `prev` does not match the
-/// spec's arities, or — via the canonical [`crate::validate_k`] message —
-/// if any node's global member count drops below its arity.
+/// field would discard a requested balance), or if `prev` does not
+/// [`HierarchySpec::fits`] the spec; on inconsistent input lengths; and
+/// as a node solve does — on the node's invalid level config, or if its
+/// global member count drops below its arity ([`crate::validate_k`]).
 pub fn partition_hierarchical_spmd<const D: usize, C: Comm>(
     comm: &C,
     points: &[Point<D>],
@@ -326,22 +346,16 @@ pub fn partition_hierarchical_spmd<const D: usize, C: Comm>(
     prev: Option<&PreviousHierarchy<D>>,
     cfg: &Config,
 ) -> HierarchicalResult<D> {
-    spec.validate();
-    cfg.validate();
-    assert!(
-        cfg.target_fractions.is_none(),
-        "geographer config: hierarchical solves take capacity fractions from the \
-         HierarchySpec's levels; Config::target_fractions must be None"
-    );
+    let check = || {
+        spec.validate()?;
+        if cfg.target_fractions.is_some() {
+            return Err(ConfigError::HierarchicalFlatFractions);
+        }
+        prev.map_or(Ok(()), |p| spec.fits(p))
+    };
+    check().unwrap_or_else(|e| panic!("{e}"));
     assert_eq!(points.len(), weights.len());
-    // One node per internal tree node: the root, then every group above the
-    // leaf level.
-    let internal = 1 + (0..spec.depth() - 1).map(|l| spec.groups_at(l)).sum::<usize>();
-    let arities = spec.arities();
-    if let Some(p) = prev {
-        assert_eq!(p.arities, arities, "previous hierarchy state must match the spec's arities");
-        assert_eq!(p.nodes.len(), internal, "previous hierarchy state has wrong node count");
-    }
+    let (arities, internal) = (spec.arities(), spec.internal_nodes());
 
     // `arities` and the node states (reserved for every node) are made before
     // the root solve, so neither pins the solve's freed scratch (DESIGN.md §9).
@@ -605,21 +619,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "hierarchy level 1 fractions length must equal arity")]
-    fn wrong_fraction_length_rejected() {
-        let spec = HierarchySpec {
-            levels: vec![
-                LevelSpec::uniform(2),
-                LevelSpec { arity: 3, epsilon: None, fractions: Some(vec![1.0, 1.0]) },
-            ],
-        };
-        spec.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "hierarchy must have at least one level")]
-    fn empty_spec_rejected() {
-        HierarchySpec { levels: vec![] }.validate();
+    fn invalid_specs_are_rejected_with_their_texts() {
+        let text = |levels| HierarchySpec { levels }.validate().expect_err("invalid").to_string();
+        assert_eq!(text(vec![]), "geographer config: hierarchy must have at least one level");
+        let zero = text(vec![LevelSpec::uniform(2), LevelSpec::uniform(0)]);
+        assert_eq!(zero, "geographer config: hierarchy level 1 arity must be at least 1");
+        let short = LevelSpec { arity: 3, epsilon: None, fractions: Some(vec![1.0, 1.0]) };
+        assert_eq!(
+            text(vec![LevelSpec::uniform(2), short]),
+            "geographer config: hierarchy level 1 fractions length must equal arity (got 2, arity = 3)"
+        );
     }
 
     #[test]
@@ -637,7 +646,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "previous hierarchy state must match the spec's arities")]
+    #[should_panic(
+        expected = "geographer config: plan state arities [2, 2] do not match the spec's [4, 2]"
+    )]
     fn mismatched_previous_hierarchy_rejected() {
         let wp = uniform(400, 57);
         let cfg = Config { sampling_init: false, ..Config::default() };

@@ -21,7 +21,7 @@ use geographer_geometry::{Aabb, Point, SplitMix64, Stopwatch};
 use geographer_parcomm::Comm;
 
 use crate::bounds::Relaxation;
-use crate::config::{Config, DELTA_THRESHOLD, INFLUENCE_CHANGE_CAP, SAMPLE_SEED};
+use crate::config::{validate_k, Config, DELTA_THRESHOLD, INFLUENCE_CHANGE_CAP, SAMPLE_SEED};
 use crate::influence::{adapt_influences, erode, erosion_alpha};
 
 /// Work counters, kept per rank. These feed the ablation experiments
@@ -899,8 +899,7 @@ pub fn balanced_kmeans_warm<const D: usize, C: Comm>(
         initial_influence.iter().all(|i| i.is_finite() && *i > 0.0),
         "initial influences must be positive and finite"
     );
-    assert!(k >= 1, "geographer config: k must be at least 1");
-    cfg.validate();
+    cfg.validate(k).unwrap_or_else(|e| panic!("{e}"));
     let n_local = points.len();
 
     // Neighbourhood scale β(C) for the erosion sigmoid: the expected
@@ -910,6 +909,7 @@ pub fn balanced_kmeans_warm<const D: usize, C: Comm>(
     let local_w_max = weights.iter().copied().fold(0.0, f64::max);
     let (w_max, n_global) =
         comm.allreduce((local_w_max, n_local as u64), |a, b| (a.0.max(b.0), a.1 + b.1));
+    validate_k(k, n_global).unwrap_or_else(|e| panic!("{e}"));
     let diag = bb.diagonal();
     let beta = 2.0 * diag / (k as f64).powf(1.0 / D as f64);
     let delta_threshold = DELTA_THRESHOLD * diag;

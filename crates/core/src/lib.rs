@@ -135,7 +135,7 @@ pub mod kmeans;
 pub mod pipeline;
 pub mod repartition;
 
-pub use config::{validate_k, Config};
+pub use config::{validate_k, Config, ConfigError};
 pub use geographer_dsort::global_bbox;
 pub use hierarchy::{
     partition_hierarchical_spmd, HierarchicalResult, HierarchySpec, LevelSpec, PreviousHierarchy,

@@ -184,9 +184,10 @@ fn phase_boundary<C: Comm>(comm: &C, clock: &mut Stopwatch) -> (f64, CommStats) 
 /// `cfg`.
 ///
 /// # Panics
-/// If `k` is zero or exceeds the global point count (the canonical
-/// [`validate_k`] message), on inconsistent input lengths, or if `prev`
-/// does not carry exactly `k` centers and influences.
+/// With the [`crate::ConfigError`] text if `k` is zero or exceeds the
+/// global point count ([`validate_k`]) or `cfg` is invalid for `k`; on
+/// inconsistent input lengths; or if `prev` does not carry `k` centers and
+/// positive influences (k-means checks both, as [`balanced_kmeans_warm`]).
 pub fn partition_spmd<const D: usize, C: Comm>(
     comm: &C,
     points: &[Point<D>],
@@ -196,7 +197,6 @@ pub fn partition_spmd<const D: usize, C: Comm>(
     cfg: &Config,
 ) -> PipelineResult<D> {
     assert_eq!(points.len(), weights.len());
-    cfg.validate();
     let local_n = points.len() as u64;
     // Taken before the first collective so the counters cover the whole
     // call, the global-n allreduce included.
@@ -211,7 +211,7 @@ pub fn partition_spmd<const D: usize, C: Comm>(
             let mapper = HilbertMapper::new(bb, PIPELINE_SFC_BITS);
             let id_offset = comm.exscan_sum_u64(local_n);
             let global_n = comm.allreduce(local_n, |a, b| a + b);
-            validate_k(k, global_n);
+            validate_k(k, global_n).unwrap_or_else(|e| panic!("{e}"));
             // What outlives the sort is allocated before the pair buffer —
             // first all the result keeps, then at p = 1 the permutation —
             // so the buffer is the last block on the heap and what is
@@ -277,14 +277,8 @@ pub fn partition_spmd<const D: usize, C: Comm>(
             }
         }
         Some(prev) => {
-            // Phase 3 alone, on the rank the caller has the points on.
-            assert_eq!(prev.centers.len(), k, "previous partition must carry exactly k centers");
-            assert_eq!(
-                prev.influence.len(),
-                k,
-                "previous partition must carry exactly k influences"
-            );
-            validate_k(k, comm.allreduce(local_n, |a, b| a + b));
+            // Phase 3 alone, on the rank the caller has the points on;
+            // k-means checks `k`, `prev` and `cfg`.
             let warm_cfg = Config { sampling_init: false, ..cfg.clone() };
             // k-means sees curve-ordered points on this arm too: the
             // kernel's block boxes prune only when consecutive points are
@@ -952,7 +946,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "previous partition must carry exactly k centers")]
+    #[should_panic(expected = "need exactly k initial centers")]
     fn mismatched_previous_state_rejected() {
         let wp = uniform(100, 45);
         let prev =

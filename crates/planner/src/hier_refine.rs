@@ -174,12 +174,8 @@ pub fn refine_hierarchy_multilevel<C: Comm>(
 ) -> (Vec<RefineReport>, RefineWork) {
     assert_eq!(assignment.len(), g.n());
     assert_eq!(weights.len(), g.n());
-    assert!(
-        base.refine.target_fractions.is_none(),
-        "geographer config: refinement takes capacity fractions from the HierarchySpec's \
-         levels; MultilevelConfig::refine.target_fractions must be None"
-    );
-    spec.validate();
+    assert!(base.refine.target_fractions.is_none(), "{}", crate::PlanError::RefineFractions);
+    spec.validate().unwrap_or_else(|e| panic!("{e}"));
     let mut scratch = Scratch {
         refine: RefineScratch::default(),
         members: Vec::new(),

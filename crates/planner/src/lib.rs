@@ -22,8 +22,8 @@
 //! hierarchy level** under the hierarchy's own per-level targets is one
 //! `PlanSpec`. [`refine_hierarchy_multilevel`] is every plan's refinement:
 //! a flat plan refines over the one-level hierarchy `[k]`, as it solves.
-//! Illegal combinations are rejected with a typed [`PlanError`] whose
-//! `Display` texts follow the workspace's `geographer config:` convention.
+//! Illegal specs are rejected with a typed [`PlanError`] whose `Display`
+//! texts follow the workspace's `geographer config:` convention.
 //!
 //! ```
 //! use geographer::Config;

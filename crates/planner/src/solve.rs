@@ -94,10 +94,9 @@ pub struct Plan<const D: usize> {
 pub struct Planner;
 
 impl Planner {
-    /// Solve a plan (SPMD collective call), or report why the
-    /// spec/state combination is illegal. Parameter-range errors inside
-    /// `spec.config` / `spec.hierarchy` keep their canonical
-    /// `geographer config:` panics from the layers below.
+    /// Solve a plan (SPMD collective call), or return the
+    /// [`PlanSpec::validate`] error of an illegal spec or state, on every
+    /// rank before any collective.
     pub fn try_solve<const D: usize, C: Comm>(
         spec: &PlanSpec<'_, D>,
         state: Option<&PlanState<D>>,
@@ -214,7 +213,7 @@ impl Planner {
 mod tests {
     use super::*;
     use crate::spec::MeshView;
-    use geographer::{Config, HierarchySpec};
+    use geographer::{Config, HierarchySpec, LevelSpec};
     use geographer_mesh::{delaunay_unit_square, families::bubbles_like};
     use geographer_parcomm::SelfComm;
     use geographer_refine::{MultilevelConfig, RefineConfig};
@@ -382,5 +381,83 @@ mod tests {
     #[should_panic(expected = "geographer config: target_fractions must be positive")]
     fn non_positive_flat_fractions_panic_with_the_config_text() {
         solve_flat_with_fractions(vec![1.0, 0.0, 1.0, 1.0]);
+    }
+
+    /// Every spec error the solve once panicked on is an `Err` of
+    /// `try_solve`, with the text `Planner::solve` panics with: each
+    /// `Config` range on either spec shape, a flat spec's fractions, and
+    /// each hierarchy error a spec can reach (a zero arity is `k = 0`).
+    #[test]
+    fn config_and_hierarchy_errors_are_typed() {
+        let mesh = delaunay_unit_square(400, 69);
+        let view = MeshView::from(&mesh);
+        let text = |spec: PlanSpec<'_, 2>| {
+            let err = Planner::try_solve(&spec, None, &SelfComm).expect_err("illegal spec");
+            err.to_string().strip_prefix("geographer config: ").expect("prefixed").to_owned()
+        };
+        let cfg = Config::default;
+        let flat = |config| text(PlanSpec::flat(view, Tool::Geographer, 4, config));
+        let hier =
+            |config| text(PlanSpec::hierarchical(view, HierarchySpec::uniform(&[2, 2]), config));
+        for (config, expected) in [
+            (Config { epsilon: -0.1, ..cfg() }, "epsilon must be non-negative"),
+            (Config { epsilon: f64::NAN, ..cfg() }, "epsilon must be non-negative"),
+            (Config { max_iterations: 0, ..cfg() }, "max_iterations must be at least 1"),
+            (
+                Config { max_balance_iterations: 0, ..cfg() },
+                "max_balance_iterations must be at least 1",
+            ),
+            (Config { initial_sample: 0, ..cfg() }, "initial_sample must be at least 1"),
+        ] {
+            assert_eq!([flat(config.clone()), hier(config)], [expected; 2]);
+        }
+        let fractions = |f: Vec<f64>| flat(Config { target_fractions: Some(f), ..cfg() });
+        assert_eq!(fractions(vec![]), "target_fractions must not be empty");
+        assert_eq!(
+            fractions(vec![1.0, 2.0, 1.0]),
+            "target_fractions length must equal k (got 3, k = 4)"
+        );
+        assert_eq!(fractions(vec![1.0, f64::NAN, 1.0, 1.0]), "target_fractions must be positive");
+        let levels = |levels| text(PlanSpec::hierarchical(view, HierarchySpec { levels }, cfg()));
+        let level = |arity, epsilon, fractions| LevelSpec { arity, epsilon, fractions };
+        let two = || level(2, None, None);
+        assert_eq!(levels(vec![]), "hierarchy must have at least one level");
+        assert_eq!(levels(vec![two(), level(0, None, None)]), "k must be at least 1");
+        assert_eq!(
+            levels(vec![level(2, Some(-0.5), None), two()]),
+            "hierarchy level 0 epsilon must be non-negative"
+        );
+        assert_eq!(
+            levels(vec![two(), level(2, None, Some(vec![1.0]))]),
+            "hierarchy level 1 fractions length must equal arity (got 1, arity = 2)"
+        );
+        assert_eq!(
+            levels(vec![level(2, None, Some(vec![1.0, 0.0])), two()]),
+            "hierarchy level 0 fractions must be positive"
+        );
+    }
+
+    /// A state of the spec's arities that lost a node is an `Err`, not a
+    /// panic inside the hierarchical solve.
+    #[test]
+    fn a_state_missing_a_node_is_rejected_before_the_solve() {
+        let mesh = delaunay_unit_square(400, 70);
+        let cfg = Config { sampling_init: false, ..Config::default() };
+        let view = MeshView::from(&mesh);
+        for (spec, text) in [
+            (
+                PlanSpec::hierarchical(view, HierarchySpec::uniform(&[2, 2]), cfg.clone()),
+                "geographer config: plan state has 2 nodes but the spec's [2, 2] hierarchy has 3",
+            ),
+            (
+                PlanSpec::flat(view, Tool::Geographer, 4, cfg),
+                "geographer config: plan state has 0 nodes but the spec's [4] hierarchy has 1",
+            ),
+        ] {
+            let mut state = Planner::solve(&spec, None, &SelfComm).state.expect("state");
+            state.nodes.pop();
+            let err = Planner::try_solve(&spec, Some(&state), &SelfComm).expect_err("rejected");
+            assert_eq!(err.to_string(), text);
+        }
     }
 }

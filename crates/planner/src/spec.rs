@@ -6,15 +6,15 @@
 //! [`PlanState`] carries *what a previous plan learned* (one warm-start
 //! pair per hierarchy node; a flat spec is the hierarchy `[k]`), and
 //! [`crate::Planner::try_solve`] turns the pair into a [`crate::Plan`].
-//! Illegal spec combinations — state of other arities than the spec's,
-//! refinement without a graph or with targets of its own, a baseline tool
-//! given warm state — are rejected with a [`PlanError`] whose `Display`
-//! text follows the workspace's canonical `geographer config:` error
-//! convention (DESIGN.md §8; exact texts pinned by the unit tests below).
+//! Illegal specs — a parameter out of range, state of another shape than
+//! the spec's, refinement without a graph or with targets of its own, a
+//! baseline tool given warm state — are rejected with a [`PlanError`]
+//! whose `Display` text follows the workspace's canonical `geographer
+//! config:` error convention (DESIGN.md §8; texts pinned by unit tests).
 
 use std::fmt;
 
-use geographer::{Config, HierarchySpec, LevelSpec, PreviousHierarchy};
+use geographer::{validate_k, Config, ConfigError, HierarchySpec, LevelSpec, PreviousHierarchy};
 use geographer_geometry::Point;
 use geographer_graph::CsrGraph;
 use geographer_mesh::Mesh;
@@ -39,11 +39,7 @@ pub struct MeshView<'a, const D: usize> {
 
 impl<'a, const D: usize> From<&'a Mesh<D>> for MeshView<'a, D> {
     fn from(mesh: &'a Mesh<D>) -> Self {
-        MeshView {
-            points: &mesh.points,
-            weights: &mesh.weights,
-            graph: Some(&mesh.graph),
-        }
+        MeshView { points: &mesh.points, weights: &mesh.weights, graph: Some(&mesh.graph) }
     }
 }
 
@@ -152,29 +148,24 @@ impl<'a, const D: usize> PlanSpec<'a, D> {
     /// one-level hierarchy `[k]`, whose level takes
     /// `config.target_fractions`; the config keeps everything else, so the
     /// level's config is `config` itself (DESIGN.md §8).
-    ///
-    /// # Panics
-    /// On a flat spec's invalid `config`, with [`Config`]'s own texts: a bad
-    /// `target_fractions` reads the same as it does in the flat pipeline,
-    /// not as a hierarchy level's.
     pub(crate) fn solve_shape(&self) -> (HierarchySpec, Config) {
         let mut config = self.config.clone();
         let fractions = config.target_fractions.take();
-        let hierarchy = self.hierarchy.clone().unwrap_or_else(|| {
-            self.config.validate();
-            self.config.fractions(self.k);
-            HierarchySpec { levels: vec![LevelSpec { arity: self.k, epsilon: None, fractions }] }
+        let hierarchy = self.hierarchy.clone().unwrap_or_else(|| HierarchySpec {
+            levels: vec![LevelSpec { arity: self.k, epsilon: None, fractions }],
         });
         (hierarchy, config)
     }
 
-    /// Check the spec/state combination, returning the typed error the
-    /// `geographer config:` convention documents (DESIGN.md §8).
+    /// Check the spec and its combination with `state`: what
+    /// [`crate::Planner::try_solve`] rejects before the solve.
     ///
-    /// Parameter-range errors inside `config` and `hierarchy` keep their
-    /// existing canonical panics ([`Config::validate`],
-    /// [`HierarchySpec::validate`]); this function owns the *combination*
-    /// checks, which no single layer below can make.
+    /// # Errors
+    /// A [`ConfigError`] of `geographer`'s validators — `k`, `config`, the
+    /// hierarchy, flat fractions on a hierarchical spec, a state that does
+    /// not [`HierarchySpec::fits`] (`[k]` for a flat spec) — as a
+    /// [`PlanError::Config`], or a combination no layer below can see. A
+    /// flat spec's `target_fractions` read as [`Config`]'s own.
     pub fn validate(&self, state: Option<&PlanState<D>>) -> Result<(), PlanError> {
         let n = self.mesh.points.len();
         if n != self.mesh.weights.len() {
@@ -185,26 +176,20 @@ impl<'a, const D: usize> PlanSpec<'a, D> {
                 return Err(PlanError::GraphLength { graph: g.n(), points: n });
             }
         }
-        if self.k == 0 {
-            return Err(PlanError::KZero);
-        }
-        if self.k as u64 > (n as u64).max(1) {
-            return Err(PlanError::KExceedsN { k: self.k, n: n as u64 });
-        }
+        validate_k(self.k, n as u64)?;
         if let Some(h) = &self.hierarchy {
             if self.tool != Tool::Geographer {
                 return Err(PlanError::HierarchicalTool { tool: self.tool.name() });
             }
             if self.k != h.total_blocks() {
-                return Err(PlanError::KHierarchyMismatch {
-                    k: self.k,
-                    total: h.total_blocks(),
-                });
+                return Err(PlanError::KHierarchyMismatch { k: self.k, total: h.total_blocks() });
             }
+            h.validate()?;
             if self.config.target_fractions.is_some() {
-                return Err(PlanError::HierarchicalFlatFractions);
+                return Err(ConfigError::HierarchicalFlatFractions.into());
             }
         }
+        self.config.validate(self.k)?;
         if let RefineMode::Multilevel(mcfg) = &self.refine {
             if self.mesh.graph.is_none() {
                 return Err(PlanError::MissingGraph);
@@ -217,85 +202,49 @@ impl<'a, const D: usize> PlanSpec<'a, D> {
             if !self.tool.is_stateful() {
                 return Err(PlanError::StatelessTool { tool: self.tool.name() });
             }
-            let arities =
-                self.hierarchy.as_ref().map_or_else(|| vec![self.k], HierarchySpec::arities);
-            if state.arities != arities {
-                return Err(PlanError::StateArityMismatch {
-                    state: state.arities.clone(),
-                    spec: arities,
-                });
-            }
+            self.solve_shape().0.fits(state)?;
         }
         Ok(())
     }
 }
 
 /// Why a [`PlanSpec`]/[`PlanState`] combination is illegal. The `Display`
-/// texts follow the workspace's canonical `geographer config:` convention
-/// — the `k` texts are *identical* to [`geographer::validate_k`]'s panic
-/// messages, so a bad `k` reads the same no matter which layer catches it
-/// first (pinned by `error_texts_are_pinned` below).
+/// texts follow the workspace's canonical `geographer config:` convention;
+/// a [`PlanError::Config`] reads exactly as the [`ConfigError`] the layers
+/// below panic with (pinned by `error_texts_are_pinned` below).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PlanError {
-    /// Mesh view points/weights lengths differ.
-    MeshLengths {
-        /// Number of points in the view.
-        points: usize,
-        /// Number of weights in the view.
-        weights: usize,
-    },
-    /// Mesh graph vertex count differs from the point count.
-    GraphLength {
-        /// Vertices in the graph.
-        graph: usize,
-        /// Points in the view.
-        points: usize,
-    },
-    /// `k = 0`.
-    KZero,
-    /// `k` exceeds the point count.
-    KExceedsN {
-        /// Requested block count.
-        k: usize,
-        /// Global point count.
-        n: u64,
-    },
-    /// `k` disagrees with the hierarchy's leaf count.
-    KHierarchyMismatch {
-        /// Requested block count.
-        k: usize,
-        /// The hierarchy's `total_blocks()`.
-        total: usize,
-    },
-    /// Hierarchical spec with a non-Geographer tool.
-    HierarchicalTool {
-        /// The offending tool's name.
-        tool: &'static str,
-    },
-    /// Hierarchical spec with flat `Config::target_fractions` set.
-    HierarchicalFlatFractions,
+    /// A precondition `geographer` checks: `k` against the point count, a
+    /// `Config` or `HierarchySpec` parameter, flat fractions on a
+    /// hierarchical spec, or a warm state of another shape.
+    Config(ConfigError),
+    /// The mesh view has `points` points but `weights` weights.
+    MeshLengths { points: usize, weights: usize },
+    /// The mesh graph has `graph` vertices but the view `points` points.
+    GraphLength { graph: usize, points: usize },
+    /// Block count `k` is not the hierarchy's leaf count, `total`.
+    KHierarchyMismatch { k: usize, total: usize },
+    /// Hierarchical spec with a non-Geographer `tool` (its name).
+    HierarchicalTool { tool: &'static str },
     /// Refinement requested without a mesh graph.
     MissingGraph,
     /// Refinement config with `refine.target_fractions` set: refinement
     /// targets are the spec's own.
     RefineFractions,
-    /// Warm state handed to a stateless (baseline) tool.
-    StatelessTool {
-        /// The offending tool's name.
-        tool: &'static str,
-    },
-    /// Warm state arities disagree with the spec's (`[k]` for a flat spec).
-    StateArityMismatch {
-        /// Arities of the state.
-        state: Vec<usize>,
-        /// Arities of the spec.
-        spec: Vec<usize>,
-    },
+    /// Warm state handed to a stateless (baseline) `tool` (its name).
+    StatelessTool { tool: &'static str },
+}
+
+impl From<ConfigError> for PlanError {
+    fn from(e: ConfigError) -> Self {
+        PlanError::Config(e)
+    }
 }
 
 impl fmt::Display for PlanError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            PlanError::Config(e) => e.fmt(f),
             PlanError::MeshLengths { points, weights } => write!(
                 f,
                 "geographer config: mesh view points and weights lengths differ \
@@ -306,10 +255,6 @@ impl fmt::Display for PlanError {
                 "geographer config: mesh graph has {graph} vertices but the view has \
                  {points} points"
             ),
-            PlanError::KZero => write!(f, "geographer config: k must be at least 1"),
-            PlanError::KExceedsN { k, n } => {
-                write!(f, "geographer config: k = {k} exceeds global point count n = {n}")
-            }
             PlanError::KHierarchyMismatch { k, total } => write!(
                 f,
                 "geographer config: k = {k} does not match the hierarchy's {total} leaf blocks"
@@ -318,15 +263,9 @@ impl fmt::Display for PlanError {
                 f,
                 "geographer config: hierarchical specs require the Geographer tool (got {tool})"
             ),
-            PlanError::HierarchicalFlatFractions => write!(
-                f,
-                "geographer config: hierarchical solves take capacity fractions from the \
-                 HierarchySpec's levels; Config::target_fractions must be None"
-            ),
-            PlanError::MissingGraph => write!(
-                f,
-                "geographer config: refinement requires the mesh graph in the plan spec"
-            ),
+            PlanError::MissingGraph => {
+                write!(f, "geographer config: refinement requires the mesh graph in the plan spec")
+            }
             PlanError::RefineFractions => write!(
                 f,
                 "geographer config: refinement takes capacity fractions from the plan spec; \
@@ -336,11 +275,6 @@ impl fmt::Display for PlanError {
                 f,
                 "geographer config: tool {tool} is stateless and cannot consume a warm \
                  plan state"
-            ),
-            PlanError::StateArityMismatch { state, spec } => write!(
-                f,
-                "geographer config: plan state arities {state:?} do not match the spec's \
-                 {spec:?}"
             ),
         }
     }
@@ -415,23 +349,18 @@ mod tests {
         assert!(spec.leaf_fractions().is_none());
     }
 
-    /// The satellite contract of ISSUE 6: the planner's validation errors
-    /// share the `geographer config:` convention, and the `k` texts are
-    /// bitwise identical to `validate_k`'s panics.
+    /// The planner's validation errors share the `geographer config:`
+    /// convention; a `Config` error reads as `geographer`'s own.
     #[test]
     fn error_texts_are_pinned() {
         assert_eq!(
-            PlanError::KZero.to_string(),
-            "geographer config: k must be at least 1"
-        );
-        assert_eq!(
-            PlanError::KExceedsN { k: 11, n: 10 }.to_string(),
-            "geographer config: k = 11 exceeds global point count n = 10"
-        );
-        assert_eq!(
-            PlanError::HierarchicalFlatFractions.to_string(),
+            PlanError::from(ConfigError::HierarchicalFlatFractions).to_string(),
             "geographer config: hierarchical solves take capacity fractions from the \
              HierarchySpec's levels; Config::target_fractions must be None"
+        );
+        assert_eq!(
+            PlanError::from(ConfigError::KExceedsN { k: 11, n: 10 }).to_string(),
+            "geographer config: k = 11 exceeds global point count n = 10"
         );
         assert_eq!(
             PlanError::StatelessTool { tool: "RCB" }.to_string(),
@@ -451,10 +380,6 @@ mod tests {
              MultilevelConfig::refine.target_fractions must be None"
         );
         assert_eq!(
-            PlanError::StateArityMismatch { state: vec![2, 2], spec: vec![4, 2] }.to_string(),
-            "geographer config: plan state arities [2, 2] do not match the spec's [4, 2]"
-        );
-        assert_eq!(
             PlanError::HierarchicalTool { tool: "HSFC" }.to_string(),
             "geographer config: hierarchical specs require the Geographer tool (got HSFC)"
         );
@@ -468,27 +393,11 @@ mod tests {
         );
     }
 
-    /// Same `k` failure, same text, both layers — the unification the
-    /// satellite asks for, checked end to end.
-    #[test]
-    fn k_texts_match_validate_k_panics() {
-        for (k, n) in [(0usize, 10u64), (11, 10)] {
-            let panic_text = std::panic::catch_unwind(|| geographer::validate_k(k, n))
-                .expect_err("validate_k must panic");
-            let panic_text = panic_text
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| {
-                    panic_text.downcast_ref::<&'static str>().map(|s| (*s).to_owned())
-                })
-                .expect("panic payload must be a string");
-            let typed = if k == 0 {
-                PlanError::KZero
-            } else {
-                PlanError::KExceedsN { k, n }
-            };
-            assert_eq!(typed.to_string(), panic_text);
-        }
+    /// The state-shape error of a state with `state` arities and `nodes`
+    /// nodes against a spec of `spec` arities and `internal` nodes.
+    fn shape(state: &[usize], nodes: usize, spec: &[usize], internal: usize) -> PlanError {
+        let (state, spec) = (state.to_vec(), spec.to_vec());
+        PlanError::Config(ConfigError::StateShape { state, spec, nodes, internal })
     }
 
     #[test]
@@ -501,16 +410,10 @@ mod tests {
             Config::default(),
         );
         let state = flat_state(4);
-        assert_eq!(
-            spec.validate(Some(&state)),
-            Err(PlanError::StateArityMismatch { state: vec![4], spec: vec![2, 2] })
-        );
+        assert_eq!(spec.validate(Some(&state)), Err(shape(&[4], 1, &[2, 2], 3)));
         // Warm state on a stateless tool.
         let spec = PlanSpec::flat(view(&pts, &w), Tool::Rcb, 4, Config::default());
-        assert_eq!(
-            spec.validate(Some(&state)),
-            Err(PlanError::StatelessTool { tool: "RCB" })
-        );
+        assert_eq!(spec.validate(Some(&state)), Err(PlanError::StatelessTool { tool: "RCB" }));
         // Hierarchy on a baseline tool.
         let mut spec = PlanSpec::hierarchical(
             view(&pts, &w),
@@ -518,10 +421,7 @@ mod tests {
             Config::default(),
         );
         spec.tool = Tool::Hsfc;
-        assert_eq!(
-            spec.validate(None),
-            Err(PlanError::HierarchicalTool { tool: "HSFC" })
-        );
+        assert_eq!(spec.validate(None), Err(PlanError::HierarchicalTool { tool: "HSFC" }));
         // k must match the hierarchy.
         let mut spec = PlanSpec::hierarchical(
             view(&pts, &w),
@@ -529,28 +429,23 @@ mod tests {
             Config::default(),
         );
         spec.k = 7;
-        assert_eq!(
-            spec.validate(None),
-            Err(PlanError::KHierarchyMismatch { k: 7, total: 4 })
-        );
+        assert_eq!(spec.validate(None), Err(PlanError::KHierarchyMismatch { k: 7, total: 4 }));
         // Refinement without a graph.
         let spec = PlanSpec::flat(view(&pts, &w), Tool::Geographer, 4, Config::default())
             .with_refine(RefineMode::Multilevel(MultilevelConfig::default()));
         assert_eq!(spec.validate(None), Err(PlanError::MissingGraph));
         // k out of range uses the canonical texts.
         let spec = PlanSpec::flat(view(&pts, &w), Tool::Geographer, 65, Config::default());
-        assert_eq!(spec.validate(None), Err(PlanError::KExceedsN { k: 65, n: 64 }));
+        let err = ConfigError::KExceedsN { k: 65, n: 64 };
+        assert_eq!(spec.validate(None), Err(PlanError::Config(err)));
         let spec = PlanSpec::flat(view(&pts, &w), Tool::Geographer, 0, Config::default());
-        assert_eq!(spec.validate(None), Err(PlanError::KZero));
+        assert_eq!(spec.validate(None), Err(PlanError::Config(ConfigError::KZero)));
     }
 
     #[test]
     fn mismatched_flat_state_rejected() {
         let (pts, w) = points(32, 4);
         let spec = PlanSpec::flat(view(&pts, &w), Tool::Geographer, 4, Config::default());
-        assert_eq!(
-            spec.validate(Some(&flat_state(3))),
-            Err(PlanError::StateArityMismatch { state: vec![3], spec: vec![4] })
-        );
+        assert_eq!(spec.validate(Some(&flat_state(3))), Err(shape(&[3], 1, &[4], 1)));
     }
 }

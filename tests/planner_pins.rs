@@ -3,12 +3,13 @@
 //! solve communicated (`Plan::comm`, per collective kind), and its
 //! assignment. A flat plan, a `[4, 2]` hierarchical plan and a flat plan
 //! with heterogeneous block targets are covered, on thread ranks and on
-//! forked ranks. A rewrite of how the planner routes a solve must leave
-//! every value here bit for bit unchanged.
+//! forked ranks, and a warm re-solve of the first two from their cold
+//! state. A rewrite of how the planner routes a solve must leave every
+//! value here bit for bit unchanged.
 
 use geographer::{Config, HierarchySpec};
 use geographer_geometry::{Point, SplitMix64};
-use geographer_parcomm::{run_spmd, run_spmd_proc, Collective, Comm};
+use geographer_parcomm::{run_spmd, run_spmd_proc, Collective, Comm, SelfComm};
 use geographer_planner::{MeshView, PlanSpec, PlanState, Planner, Tool};
 
 /// FNV-1a over little-endian `u64` words.
@@ -35,8 +36,8 @@ type Counts = Vec<(u64, u64, u64)>;
 /// digest, and its counters.
 type Pin = (u64, u64, Counts);
 
-fn solve_pin<C: Comm>(comm: &C, spec: &PlanSpec<'_, 2>) -> Pin {
-    let plan = Planner::solve(spec, None, comm);
+fn solve_pin<C: Comm>(comm: &C, spec: &PlanSpec<'_, 2>, state: Option<&PlanState<2>>) -> Pin {
+    let plan = Planner::solve(spec, state, comm);
     let asg = fnv(plan.assignment.iter().map(|&b| u64::from(b)));
     let state = plan.state.as_ref().map_or(0, state_digest);
     let counts = Collective::ALL
@@ -59,11 +60,28 @@ fn uniform(n: usize, seed: u64) -> (Vec<Point<2>>, Vec<f64>) {
 /// Solve `spec` on `p` thread ranks; every rank must report the same
 /// assignment and state. Returns rank 0's digests and each rank's counters.
 fn on_threads(spec: &PlanSpec<'_, 2>, p: usize) -> (u64, u64, Vec<Counts>) {
-    agree(run_spmd(p, |c| solve_pin(&c, spec)))
+    warm_on_threads(spec, None, p)
 }
 
 fn on_procs(spec: &PlanSpec<'_, 2>, p: usize) -> (u64, u64, Vec<Counts>) {
-    agree(run_spmd_proc(p, |c| solve_pin(&c, spec)).expect("forked ranks"))
+    warm_on_procs(spec, None, p)
+}
+
+/// [`on_threads`] from the warm `state` every rank is handed.
+fn warm_on_threads(
+    spec: &PlanSpec<'_, 2>,
+    state: Option<&PlanState<2>>,
+    p: usize,
+) -> (u64, u64, Vec<Counts>) {
+    agree(run_spmd(p, |c| solve_pin(&c, spec, state)))
+}
+
+fn warm_on_procs(
+    spec: &PlanSpec<'_, 2>,
+    state: Option<&PlanState<2>>,
+    p: usize,
+) -> (u64, u64, Vec<Counts>) {
+    agree(run_spmd_proc(p, |c| solve_pin(&c, spec, state)).expect("forked ranks"))
 }
 
 fn agree(pins: Vec<Pin>) -> (u64, u64, Vec<Counts>) {
@@ -122,4 +140,48 @@ fn heterogeneous_flat_targets_match_the_pin() {
         assert_eq!(got.0, 0xf6b5_bdff_a3d3_f6e6, "p = {p}: assignment {:#018x}", got.0);
         assert_eq!(got.1, 0xc4fe_a198_efdc_7a27, "p = {p}: state {:#018x}", got.1);
     }
+}
+
+/// Solve `cold` on one rank, then `warm` from its state on one and two
+/// thread ranks and two forked ranks: the warm plan must report
+/// `digests` (assignment, state) and make `allreduces` allreduces — each
+/// of two ranks receiving `bytes` — and no other collective.
+fn assert_warm_pin(cold: &PlanSpec<'_, 2>, warm: &PlanSpec<'_, 2>, pin: (u64, u64, u64, u64)) {
+    let (allreduces, bytes, digests) = (pin.0, pin.1, (pin.2, pin.3));
+    // The state is replicated: one single-rank cold solve hands every run
+    // the same one.
+    let state = Planner::solve(cold, None, &SelfComm).state;
+    let only = |rounds, bytes| vec![(0, 0, 0), (allreduces, rounds, bytes), (0, 0, 0), (0, 0, 0)];
+    let ranks = vec![only(allreduces, bytes); 2];
+    for (label, got, counts) in [
+        ("p = 1 threads", warm_on_threads(warm, state.as_ref(), 1), vec![only(0, 0)]),
+        ("p = 2 threads", warm_on_threads(warm, state.as_ref(), 2), ranks.clone()),
+        ("p = 2 forked", warm_on_procs(warm, state.as_ref(), 2), ranks),
+    ] {
+        let (asg, state) = (got.0, got.1);
+        assert_eq!((asg, state), digests, "{label}: assignment {asg:#018x}, state {state:#018x}");
+        assert_eq!(got.2, counts, "{label}: comm");
+    }
+}
+
+/// A warm re-solve of drifted points from a cold plan's state, flat `[8]`
+/// and `[4, 2]`. A warm solve makes allreduces only, and each node solve
+/// sums its global point count once, in k-means, which checks `k` against
+/// it: 11 for the flat plan, 42 for the five nodes of `[4, 2]`.
+#[test]
+fn warm_plans_match_the_pin() {
+    let (points, weights) = uniform(16_000, 46);
+    let drifted: Vec<Point<2>> =
+        points.iter().map(|p| Point::new([p[0] + 0.01, p[1] - 0.005])).collect();
+    let (cold, warm) = (
+        MeshView { points: &points, weights: &weights, graph: None },
+        MeshView { points: &drifted, weights: &weights, graph: None },
+    );
+    let cfg = Config { sampling_init: false, ..Config::default() };
+    let flat = |view| PlanSpec::flat(view, Tool::Geographer, 8, cfg.clone());
+    let pin = (11, 1_136, 0x6a29_f74d_b15a_44e6, 0x773b_9f9f_13e4_12ad);
+    assert_warm_pin(&flat(cold), &flat(warm), pin);
+    let hier = |view| PlanSpec::hierarchical(view, HierarchySpec::uniform(&[4, 2]), cfg.clone());
+    let pin = (42, 1_392, 0xa40f_ef2a_c319_7227, 0xc523_4ac7_263d_3ce9);
+    assert_warm_pin(&hier(cold), &hier(warm), pin);
 }
