@@ -49,10 +49,10 @@ fn default_config_repeats_the_recorded_counts_and_partition() {
         let pruning = [sum(|s| s.distance_evals), sum(|s| s.bbox_breaks)];
         (fnv(0xcbf2_9ce4_8422_2325, &plans[0].assignment), counts, pruning)
     };
-    for (p, pruning) in [(1, [1_293_647, 492_903]), (2, [1_264_557, 500_100])] {
+    for (p, pruning) in [(1, [1_025_393, 399_643]), (2, [1_002_611, 401_560])] {
         let (digest, counts, got) = solve(p);
-        assert_eq!(digest, 0x86ee_5c07_8f49_d006, "p = {p}: partition digest {digest:#018x}");
-        assert_eq!(counts, [40, 217, 3_984_931, 3_483_490], "p = {p}: trajectory");
+        assert_eq!(digest, 0x7221_00ed_34dc_8a56, "p = {p}: partition digest {digest:#018x}");
+        assert_eq!(counts, [32, 88, 3_066_687, 2_664_778], "p = {p}: trajectory");
         assert_eq!(got, pruning, "p = {p}: distance evaluations and box breaks");
     }
 }

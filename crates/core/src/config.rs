@@ -7,6 +7,10 @@ use std::fmt;
 /// diagonal of the global bounding box (Algorithm 2's `deltaThreshold`).
 pub(crate) const DELTA_THRESHOLD: f64 = 2e-3;
 
+/// Balance iterations a movement round on a sample (Sec. 4.5) runs at most:
+/// its blocks hold a few points each, so ε means little there (DESIGN.md §2).
+pub(crate) const SAMPLE_BALANCE_ITERATIONS: usize = 10;
+
 /// Cap on the per-step influence change (Sec. 4.2: "we restrict the maximum
 /// influence change in one step to 5 %").
 pub(crate) const INFLUENCE_CHANGE_CAP: f64 = 0.05;
@@ -25,18 +29,18 @@ pub(crate) const SAMPLE_SEED: u64 = 0x9e0_97e5;
 /// is a parameter of the paper's algorithm; none selects an implementation
 /// — there is one assignment kernel (DESIGN.md §9), and ranks are the only
 /// parallelism. The paper's constants that no experiment varies — the
-/// convergence threshold, the 5 % influence-change cap (Sec. 4.2) and the
-/// sample seed — are constants of this module, not fields.
+/// convergence threshold, the 5 % influence-change cap (Sec. 4.2), the
+/// sample seed and a sample round's balance cap — are module constants.
 #[derive(Debug, Clone)]
 pub struct Config {
     /// Maximum allowed imbalance ε: every block weight must end up at most
     /// `(1+ε)·(total/k)`.
     pub epsilon: f64,
-    /// Maximum number of center-movement iterations (Algorithm 2's
-    /// `maxIter`).
+    /// Maximum center-movement iterations (Algorithm 2's `maxIter`).
     pub max_iterations: usize,
     /// Maximum balancing iterations between center movements (Algorithm 1's
-    /// `maxBalanceIter`, a tuning parameter per Sec. 4.2).
+    /// `maxBalanceIter`, a tuning parameter per Sec. 4.2). A movement round
+    /// on a sample runs at most 10 of them (DESIGN.md §2).
     pub max_balance_iterations: usize,
     /// Enable the sigmoid influence-erosion scheme (Eqs. 2–3).
     pub influence_erosion: bool,

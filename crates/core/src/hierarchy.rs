@@ -124,17 +124,35 @@ impl HierarchySpec {
     }
 
     /// Whether `prev` can warm-start a solve of this spec: same arities
-    /// (per-level ε and fractions may differ), one node per node solve.
+    /// (per-level ε and fractions may differ), and one node per node solve,
+    /// in pre-order, with its level's arity of centers and influences.
     ///
     /// # Errors
-    /// [`ConfigError::StateShape`] if not.
+    /// [`ConfigError::StateShape`] on other arities or another node count,
+    /// else a [`ConfigError::Parameter`] naming the first node out of place.
     pub fn fits<const D: usize>(&self, prev: &PreviousHierarchy<D>) -> Result<(), ConfigError> {
         let (nodes, internal) = (prev.nodes.len(), self.internal_nodes());
-        if prev.arities.iter().eq(self.levels.iter().map(|l| &l.arity)) && nodes == internal {
-            return Ok(());
+        if !prev.arities.iter().eq(self.levels.iter().map(|l| &l.arity)) || nodes != internal {
+            let (state, spec) = (prev.arities.clone(), self.arities());
+            return Err(ConfigError::StateShape { state, spec, nodes, internal });
         }
-        let (state, spec) = (prev.arities.clone(), self.arities());
-        Err(ConfigError::StateShape { state, spec, nodes, internal })
+        // Pre-order visits the children in index order, so it is ascending
+        // path order, and `internal` ascending node paths are the spec's.
+        let mut last = None;
+        for (i, NodeState { path, state }) in prev.nodes.iter().enumerate() {
+            let (c, f) = (state.centers.len(), state.influence.len());
+            let digits = path.iter().zip(&self.levels).all(|(&d, l)| (d as usize) < l.arity);
+            let sized = self.levels.get(path.len()).is_some_and(|l| c == l.arity && f == l.arity);
+            require(
+                last < Some(path) && digits && sized,
+                format_args!(
+                    "plan state node {i} (path {path:?}, {c} centers, {f} influences) \
+                     is not the spec's pre-order node {i}"
+                ),
+            )?;
+            last = Some(path);
+        }
+        Ok(())
     }
 
     /// Internal nodes of the hierarchy, each one node solve: the root, then
@@ -177,8 +195,7 @@ impl HierarchySpec {
         let total = self.total_blocks();
         (0..self.depth())
             .map(|l| {
-                let below: usize =
-                    self.levels[l + 1..].iter().map(|lv| lv.arity).product();
+                let below: usize = self.levels[l + 1..].iter().map(|lv| lv.arity).product();
                 (0..total).map(|b| (b / below) as u32).collect()
             })
             .collect()
@@ -234,8 +251,8 @@ pub struct HierarchicalResult<const D: usize> {
 struct Walk<'a, const D: usize> {
     spec: &'a HierarchySpec,
     cfg: &'a Config,
-    /// Warm state to consume (pre-order), if any; the next node to consume
-    /// is `nodes.len()`.
+    /// Warm state to consume, in the pre-order [`HierarchySpec::fits`]
+    /// checked, if any; the next node to consume is `nodes.len()`.
     prev: Option<&'a [NodeState<D>]>,
     nodes: Vec<NodeState<D>>,
     stats: KMeansStats,
@@ -284,14 +301,7 @@ fn solve_node<const D: usize, C: Comm>(
     let spec = walk.spec;
     let lv = &spec.levels[level];
     let level_cfg = walk.cfg.for_level(lv.epsilon, lv.fractions.clone());
-    let node_prev = walk.prev.map(|nodes| {
-        let node = &nodes[walk.nodes.len()];
-        assert_eq!(
-            node.path, *path,
-            "previous hierarchy state out of order (corrupted pre-order)"
-        );
-        &node.state
-    });
+    let node_prev = walk.prev.map(|nodes| &nodes[walk.nodes.len()].state);
     let res = partition_spmd(comm, points, weights, lv.arity, node_prev, &level_cfg);
     let digits = walk.record(res, level, path);
     if level + 1 == spec.depth() {
@@ -500,11 +510,7 @@ mod tests {
         // Tight ε at the node level, loose inside; node capacities 2:1:1.
         let spec = HierarchySpec {
             levels: vec![
-                LevelSpec {
-                    arity: 3,
-                    epsilon: Some(0.01),
-                    fractions: Some(vec![2.0, 1.0, 1.0]),
-                },
+                LevelSpec { arity: 3, epsilon: Some(0.01), fractions: Some(vec![2.0, 1.0, 1.0]) },
                 LevelSpec { arity: 2, epsilon: Some(0.10), fractions: None },
             ],
         };
@@ -580,12 +586,7 @@ mod tests {
         let warm = solve(&drifted, &spec, Some(&cold.previous), &cfg);
         assert!(warm.stats.balance_achieved);
         assert_levels_balanced(&warm.assignment, &drifted.weights, &spec, |_| cfg.epsilon);
-        let kept = warm
-            .assignment
-            .iter()
-            .zip(&cold.assignment)
-            .filter(|(a, b)| a == b)
-            .count();
+        let kept = warm.assignment.iter().zip(&cold.assignment).filter(|(a, b)| a == b).count();
         assert!(kept as f64 / 3000.0 > 0.9, "rigid drift migrated {} points", 3000 - kept);
     }
 
@@ -638,10 +639,7 @@ mod tests {
         // Config::target_fractions would otherwise be discarded without a
         // trace by the per-level config derivation.
         let wp = uniform(400, 58);
-        let cfg = Config {
-            target_fractions: Some(vec![0.5, 0.25, 0.25]),
-            ..Config::default()
-        };
+        let cfg = Config { target_fractions: Some(vec![0.5, 0.25, 0.25]), ..Config::default() };
         let _ = solve(&wp, &HierarchySpec::uniform(&[2, 2]), None, &cfg);
     }
 

@@ -21,7 +21,8 @@ use geographer_geometry::{Aabb, Point, SplitMix64, Stopwatch};
 use geographer_parcomm::Comm;
 
 use crate::bounds::Relaxation;
-use crate::config::{validate_k, Config, DELTA_THRESHOLD, INFLUENCE_CHANGE_CAP, SAMPLE_SEED};
+use crate::config::{validate_k, Config, DELTA_THRESHOLD, INFLUENCE_CHANGE_CAP};
+use crate::config::{SAMPLE_BALANCE_ITERATIONS, SAMPLE_SEED};
 use crate::influence::{adapt_influences, erode, erosion_alpha};
 
 /// Work counters, kept per rank. These feed the ablation experiments
@@ -731,9 +732,9 @@ impl<const D: usize> Solver<'_, D> {
     }
 
     /// Algorithm 1: assign points, rebalance influences until the partition
-    /// is balanced or `max_balance_iterations` is hit. The final global
-    /// block weights are left in `self.global_sizes`.
-    fn assign_and_balance<C: Comm>(&mut self, comm: &C) {
+    /// is balanced or `max_balance` iterations ran. The final global block
+    /// weights are left in `self.global_sizes`.
+    fn assign_and_balance<C: Comm>(&mut self, comm: &C, max_balance: usize) {
         let k = self.k;
         self.global_sizes.clear();
         self.global_sizes.resize(k, 0.0);
@@ -742,7 +743,7 @@ impl<const D: usize> Solver<'_, D> {
         // Bounding box around the active local points (Alg. 1 line 1).
         // Points never move, so one box serves every balance iteration.
         let bb = self.round.bbox();
-        for balance_iter in 0..self.cfg.max_balance_iterations {
+        for balance_iter in 0..max_balance {
             self.stats.balance_iterations += 1;
 
             // Centers sorted by their *minimum* effective distance to the
@@ -796,7 +797,7 @@ impl<const D: usize> Solver<'_, D> {
             }
             self.stats.final_imbalance = (worst_ratio - 1.0).max(0.0);
             self.stats.balance_achieved = all_within;
-            if all_within || balance_iter + 1 == self.cfg.max_balance_iterations {
+            if all_within || balance_iter + 1 == max_balance {
                 return;
             }
 
@@ -900,7 +901,6 @@ pub fn balanced_kmeans_warm<const D: usize, C: Comm>(
         "initial influences must be positive and finite"
     );
     cfg.validate(k).unwrap_or_else(|e| panic!("{e}"));
-    let n_local = points.len();
 
     // Neighbourhood scale β(C) for the erosion sigmoid: the expected
     // cluster cell size, 2·diag/k^(1/D). A deterministic proxy for the
@@ -908,11 +908,10 @@ pub fn balanced_kmeans_warm<const D: usize, C: Comm>(
     let bb = crate::global_bbox(comm, points);
     let local_w_max = weights.iter().copied().fold(0.0, f64::max);
     let (w_max, n_global) =
-        comm.allreduce((local_w_max, n_local as u64), |a, b| (a.0.max(b.0), a.1 + b.1));
+        comm.allreduce((local_w_max, points.len() as u64), |a, b| (a.0.max(b.0), a.1 + b.1));
     validate_k(k, n_global).unwrap_or_else(|e| panic!("{e}"));
     let diag = bb.diagonal();
     let beta = 2.0 * diag / (k as f64).powf(1.0 / D as f64);
-    let delta_threshold = DELTA_THRESHOLD * diag;
 
     let mut solver = Solver {
         points,
@@ -924,7 +923,7 @@ pub fn balanced_kmeans_warm<const D: usize, C: Comm>(
         w_max,
         grid: Grid::new(n_global, w_max, &bb),
         fractions: cfg.fractions(k),
-        round: Round::new(n_local),
+        round: Round::new(points.len()),
         cscratch: CenterScratch::default(),
         kscratch: KernelScratch::new(k),
         old_influence: Vec::with_capacity(k),
@@ -941,16 +940,17 @@ pub fn balanced_kmeans_warm<const D: usize, C: Comm>(
     let sample_rounds = solver.round.starts.len().saturating_sub(1) as u8;
 
     // Sampling initialization (Sec. 4.5): movement round r runs on sample
-    // round r, grown from the last in place, until round `sample_rounds`
-    // holds every point — on every rank at once: it depends on n alone.
-    let mut r = 0;
+    // round r, grown in place, and balances it at most `sample_cap` times,
+    // until round `sample_rounds` holds all points: it depends on n alone.
+    let (mut r, cap) = (0, cfg.max_balance_iterations);
+    let sample_cap = cap.min(SAMPLE_BALANCE_ITERATIONS);
     let mut sampled = true; // no round yet: nothing is assigned
     for _ in 0..cfg.max_iterations {
         solver.stats.movement_iterations += 1;
         sampled = r < sample_rounds;
         solver.round.grow(sampled.then_some(r), points);
 
-        solver.assign_and_balance(comm);
+        solver.assign_and_balance(comm, if sampled { sample_cap } else { cap });
 
         let max_delta = solver.compute_new_centers(comm);
 
@@ -958,7 +958,7 @@ pub fn balanced_kmeans_warm<const D: usize, C: Comm>(
         // stationary-but-imbalanced state keeps iterating: influences still
         // shift block boundaries (the paper's Sec. 4.5: "balance was always
         // achieved when allowing a sufficient number of … iterations").
-        if !sampled && max_delta < delta_threshold && solver.stats.balance_achieved {
+        if !sampled && max_delta < DELTA_THRESHOLD * diag && solver.stats.balance_achieved {
             solver.stats.converged = true;
             break;
         }
@@ -982,7 +982,7 @@ pub fn balanced_kmeans_warm<const D: usize, C: Comm>(
     // them. What counts is the round that ran last, on every rank.
     if sampled {
         solver.round.grow(None, points);
-        solver.assign_and_balance(comm);
+        solver.assign_and_balance(comm, cap);
     }
 
     KMeansOutput {
@@ -1759,9 +1759,9 @@ mod tests {
         // budgets, k = 32, and each pruning switch off — plus one
         // default-config solve run to convergence, each solved on one
         // rank and on four uneven ones: the digest is one value at both,
-        // the evaluation counts are per p. Recorded when the sums became
-        // exact and the sample point-keyed (CHANGES.md has the values
-        // they replaced).
+        // the evaluation counts are per p. Recorded when sample rounds
+        // stopped balancing at `SAMPLE_BALANCE_ITERATIONS` (CHANGES.md has
+        // the values they replaced).
         let cfg = |initial_sample, max_iterations| Config {
             initial_sample,
             max_iterations,
@@ -1786,15 +1786,15 @@ mod tests {
             (h1, evals1, evals4)
         });
         let golden = [
-            ("0xa71d3179fbbb83a1", 46015, 46015),
-            ("0xee364585d1f7eada", 173020, 173020),
-            ("0xcaf7e032a9860d09", 38589, 38578),
-            ("0xb1f59db3854597c6", 13155, 13149),
-            ("0x897862e91385872f", 2851392, 2847974),
-            ("0x0b32a6a4b35e34ec", 2074961, 2072916),
-            ("0xf26ec4b4cb68a419", 408525, 408425),
-            ("0x76920a013d2c5845", 122685, 122685),
-            ("0x83bdc6f11248a2d6", 80905, 80900),
+            ("0x7e98784c35fe4bec", 28575, 28575),
+            ("0xda2af4f7f5aed19c", 104855, 104855),
+            ("0xc04afb8712caa700", 102695, 102682),
+            ("0x1d78676f51bbb1ef", 12985, 12979),
+            ("0x2b4d9b7e9216973f", 1736128, 1735539),
+            ("0x32f89e704719723e", 2142074, 2141127),
+            ("0xe8437479e2b17e27", 585150, 585090),
+            ("0xd37d83e24c2505bf", 74330, 74330),
+            ("0xd8c09c9bd8cbae50", 195750, 195746),
         ];
         assert_eq!(got.each_ref().map(|(h, e1, e4)| (&h[..], *e1, *e4)), golden);
     }
@@ -2032,6 +2032,40 @@ mod tests {
                 out.stats.final_imbalance
             );
         }
+    }
+
+    #[test]
+    fn sample_rounds_stop_at_the_cap() {
+        // k = 64 on the clustered family: a 100-point first sample gives a
+        // block about 1.6 points, and a sample round that balanced toward ε
+        // ran all `max_balance_iterations`. Only the full set may.
+        let (n, k, defaults) = (6400, 64, Config::default());
+        let pts = family_points::<2>(n, 45, true);
+        let w = vec![1.0; n];
+        let centers = spread_centers(&pts, k);
+        // Samples of 100, 200, …, 3200 points, then the full set.
+        let sample_rounds = (0..).take_while(|&j| 100 << j < n).count() as u64;
+        let solve = |max_iterations| {
+            let cfg = Config { max_iterations, ..defaults.clone() };
+            balanced_kmeans(&SelfComm, &pts, &w, k, centers.clone(), &cfg)
+        };
+        let (cap, full) =
+            (SAMPLE_BALANCE_ITERATIONS as u64, defaults.max_balance_iterations as u64);
+        // A budget that ends on the last sample: every movement round is a
+        // sample, and only the tail pass over the full set runs uncapped.
+        let tail = solve(sample_rounds as usize).stats;
+        assert_eq!(tail.movement_iterations, sample_rounds);
+        assert!(tail.balance_iterations <= cap * sample_rounds + full, "{tail:?}");
+        let out = solve(defaults.max_iterations);
+        let s = out.stats;
+        assert!(s.movement_iterations > sample_rounds && s.converged, "{s:?}");
+        let bound = cap * sample_rounds + full * (s.movement_iterations - sample_rounds);
+        assert!(s.balance_iterations <= bound, "{} > {bound}", s.balance_iterations);
+        // ε holds on the assignment itself, not only as reported.
+        let mut sizes = vec![0.0f64; k];
+        out.assignment.iter().for_each(|&b| sizes[b as usize] += 1.0);
+        let allowed = (1.0 + defaults.epsilon) * (n / k) as f64;
+        assert!(s.balance_achieved && sizes.iter().all(|&x| x <= allowed), "{sizes:?}");
     }
 
     /// Warm fixed-point property: converge cold, restart warm from the

@@ -348,7 +348,8 @@ mod tests {
         assert!(m.imbalance.abs() < 1e-12);
     }
 
-    // The texts of core's `Config` checks and `refine::block_capacities`.
+    // The texts of core's `Config` checks, spelled again here: graph does
+    // not depend on core (`refine::block_capacities` calls the checks).
     #[test]
     #[should_panic(
         expected = "geographer config: target_fractions length must equal k (got 2, k = 3)"

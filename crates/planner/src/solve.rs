@@ -132,11 +132,8 @@ impl Planner {
 
         // --- Assembly: uncounted, so Plan::comm holds the solver's
         // collectives only.
-        let mut assignment: Vec<u32> = if p == 1 {
-            local
-        } else {
-            comm.allgather(local).into_iter().flatten().collect()
-        };
+        let mut assignment: Vec<u32> =
+            if p == 1 { local } else { comm.allgather(local).into_iter().flatten().collect() };
         debug_assert_eq!(assignment.len(), n);
 
         // --- Refinement phase: deterministic on the assembled assignment;
@@ -167,12 +164,8 @@ impl Planner {
             spec.k,
             leaf_fractions.as_deref(),
         );
-        let levels = match (&spec.hierarchy, spec.mesh.graph) {
-            (Some(h), Some(g)) => {
-                Some(geographer_graph::evaluate_levels(g, &assignment, &h.level_groups()))
-            }
-            _ => None,
-        };
+        let levels = (spec.hierarchy.as_ref().zip(spec.mesh.graph))
+            .map(|(h, g)| geographer_graph::evaluate_levels(g, &assignment, &h.level_groups()));
 
         Ok(Plan {
             k: spec.k,
@@ -310,11 +303,8 @@ mod tests {
         // an unchanged mesh from a plan's refreshed state reproduces the
         // assignment exactly, on both test mesh families.
         for family in [0, 1] {
-            let mesh = if family == 0 {
-                delaunay_unit_square(1_100, 66)
-            } else {
-                bubbles_like(1_100, 66)
-            };
+            let mesh =
+                if family == 0 { delaunay_unit_square(1_100, 66) } else { bubbles_like(1_100, 66) };
             let spec =
                 PlanSpec::flat(MeshView::from(&mesh), Tool::Geographer, 5, Config::default());
             let cold = Planner::solve(&spec, None, &SelfComm);
@@ -372,7 +362,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "geographer config: target_fractions length must equal k (got 3, k = 4)")]
+    #[should_panic(
+        expected = "geographer config: target_fractions length must equal k (got 3, k = 4)"
+    )]
     fn flat_fractions_of_the_wrong_length_panic_with_the_config_text() {
         solve_flat_with_fractions(vec![1.0, 2.0, 1.0]);
     }
@@ -459,5 +451,42 @@ mod tests {
             let err = Planner::try_solve(&spec, Some(&state), &SelfComm).expect_err("rejected");
             assert_eq!(err.to_string(), text);
         }
+    }
+
+    /// The error of a warm re-solve of a `[2, 2]` plan from its own state,
+    /// corrupted by `corrupt`.
+    fn corrupted_state_error(corrupt: fn(&mut PlanState<2>)) -> String {
+        let mesh = delaunay_unit_square(400, 71);
+        let cfg = Config { sampling_init: false, ..Config::default() };
+        let spec =
+            PlanSpec::hierarchical(MeshView::from(&mesh), HierarchySpec::uniform(&[2, 2]), cfg);
+        let mut state = Planner::solve(&spec, None, &SelfComm).state.expect("state");
+        corrupt(&mut state);
+        let err = Planner::try_solve(&spec, Some(&state), &SelfComm).expect_err("rejected");
+        err.to_string()
+    }
+
+    /// Nodes of the spec's count out of pre-order are an `Err`, not a
+    /// panic inside the hierarchical solve.
+    #[test]
+    fn a_state_with_swapped_nodes_is_rejected_before_the_solve() {
+        assert_eq!(
+            corrupted_state_error(|state| state.nodes.swap(1, 2)),
+            "geographer config: plan state node 2 (path [0], 2 centers, 2 influences) \
+             is not the spec's pre-order node 2"
+        );
+    }
+
+    /// A node that lost a center is an `Err`, not a panic inside k-means.
+    #[test]
+    fn a_state_node_missing_a_center_is_rejected_before_the_solve() {
+        let pop = |state: &mut PlanState<2>| {
+            state.nodes[1].state.centers.pop();
+        };
+        assert_eq!(
+            corrupted_state_error(pop),
+            "geographer config: plan state node 1 (path [0], 1 centers, 2 influences) \
+             is not the spec's pre-order node 1"
+        );
     }
 }

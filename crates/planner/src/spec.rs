@@ -102,14 +102,7 @@ impl<'a, const D: usize> PlanSpec<'a, D> {
     /// from the hierarchy's arities.
     pub fn hierarchical(mesh: MeshView<'a, D>, spec: HierarchySpec, config: Config) -> Self {
         let k = spec.total_blocks();
-        PlanSpec {
-            mesh,
-            tool: Tool::Geographer,
-            k,
-            hierarchy: Some(spec),
-            refine: RefineMode::None,
-            config,
-        }
+        PlanSpec { hierarchy: Some(spec), ..Self::flat(mesh, Tool::Geographer, k, config) }
     }
 
     /// Same spec with a refinement mode.

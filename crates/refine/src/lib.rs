@@ -18,6 +18,7 @@
 //! cost (DESIGN.md §7). At `max_levels: 1` it is one flat boundary sweep,
 //! [`refine_partition`].
 
+use geographer::{Config, LevelSpec};
 use geographer_graph::coarsen::LevelView;
 use geographer_graph::CsrGraph;
 
@@ -88,23 +89,12 @@ pub fn block_capacities(
     epsilon: f64,
     target_fractions: &Option<Vec<f64>>,
 ) -> Vec<f64> {
-    let fractions: Vec<f64> = match target_fractions {
-        None => vec![1.0 / k as f64; k],
-        Some(f) => {
-            assert!(
-                f.len() == k,
-                "geographer config: target_fractions length must equal k (got {}, k = {k})",
-                f.len()
-            );
-            assert!(
-                f.iter().all(|x| x.is_finite() && *x > 0.0),
-                "geographer config: target_fractions must be positive"
-            );
-            let sum: f64 = f.iter().sum();
-            f.iter().map(|x| x / sum).collect()
-        }
-    };
-    fractions.iter().map(|frac| capacity(total * frac, epsilon, w_max)).collect()
+    // Checked and normalized by `geographer` itself, as a flat solve's
+    // fractions and one level of k blocks, so the texts are the solver's.
+    let config = Config { target_fractions: target_fractions.clone(), ..Config::default() };
+    config.validate(k).unwrap_or_else(|e| panic!("{e}"));
+    let level = LevelSpec { arity: k, epsilon: None, fractions: config.target_fractions };
+    level.normalized_fractions().iter().map(|frac| capacity(total * frac, epsilon, w_max)).collect()
 }
 
 /// The arrays one call of [`refine_sweeps`] works in, owned by the caller
@@ -531,10 +521,8 @@ mod tests {
     fn wrong_fraction_length_rejected() {
         let g = path(6);
         let mut asg = vec![0u32; 6];
-        let cfg = RefineConfig {
-            target_fractions: Some(vec![0.5, 0.5]),
-            ..RefineConfig::default()
-        };
+        let cfg =
+            RefineConfig { target_fractions: Some(vec![0.5, 0.5]), ..RefineConfig::default() };
         let _ = refine_partition(&g, &mut asg, &[1.0; 6], 3, &cfg);
     }
 
